@@ -213,6 +213,11 @@ def cmd_metrics(args) -> int:
         if "query" not in settings:
             raise ConfigError("anti-inference metrics need --query u,v,t")
         u, v, t = _parse_query(settings["query"])
+        if not 0 <= t < len(seq):
+            raise ConfigError(f"--query t={t} is outside 0..{len(seq) - 1}")
+        for x in (u, v):
+            if not seq[t].has_vertex(x):
+                raise ConfigError(f"--query vertex {x} is not in snapshot {t}")
         query = LinkQuery(t=t, u=u, v=v)
         model = PriorModel(seed=params.seed)
         if mechanism == "hay-baseline":
@@ -340,6 +345,9 @@ def cmd_eval(args) -> int:
         f = float(settings["f"])
         targets = [int(x) for x in str(settings.get("target", "")).split(",") if x != ""] \
             or [int(seq[0].vertices[0])]
+        for v in targets:
+            if not all(g.has_vertex(v) for g in perturbed):
+                raise ConfigError(f"--target vertex {v} is not in every snapshot")
         series = np.mean([attack_probability(perturbed, v, f) for v in targets], axis=0)
         for t, val in enumerate(series):
             rows.append((t, "attack-probability", float(val)))

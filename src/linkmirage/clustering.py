@@ -2,11 +2,12 @@
 
 The static clusterer is the agglomerative scheme: start from singletons and
 repeatedly merge the connected pair of communities with the largest positive
-modularity gain. Its merge history supports the dynamic backtracking step:
-on graph evolution, vertices near changed links are freed from the previous
-hierarchy, the untouched remainder of each community is frozen into one
-virtual node, and the agglomeration is re-run over virtual nodes plus freed
-singletons.
+modularity gain. The dynamic step works from the previous partition, not
+from its merge history: on graph evolution, vertices near changed links are
+freed from their previous communities, the untouched remainder of each
+community is frozen into one virtual node, and the agglomeration is re-run
+over virtual nodes plus freed singletons. The merge history is recorded and
+can be replayed, but re-clustering never reads it.
 
 Community labels are the minimum member vertex id, which makes merge events
 and tie-breaking deterministic.
@@ -17,6 +18,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -109,59 +112,76 @@ def modularity(graph: Graph, clustering: Clustering) -> float:
         return 0.0
     if not clustering.covers(graph.vertices):
         raise ValueError("clustering does not partition the graph's vertices")
-    intra = {}
-    for u, v in graph.edges:
-        cu = clustering.assignment[int(u)]
-        if cu == clustering.assignment[int(v)]:
-            intra[cu] = intra.get(cu, 0) + 1
+    # community index of every vertex position, in the order of
+    # ``clustering.communities``; the sum below runs in that order too
+    index = {label: i for i, label in enumerate(clustering.communities)}
+    comm = np.empty(graph.num_vertices, dtype=np.int64)
+    comm[np.searchsorted(graph.vertices, list(clustering.assignment))] = \
+        [index[label] for label in clustering.assignment.values()]
+    ends = comm[np.searchsorted(graph.vertices, graph.edges)]
+    intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=len(index))
+    d = np.bincount(comm, weights=graph.degrees, minlength=len(index))
     q = 0.0
-    for label, members in clustering.communities.items():
-        d_c = sum(graph.degree(v) for v in members)
-        q += intra.get(label, 0) / m - (d_c / (2.0 * m)) ** 2
+    for e_c, d_c in zip(intra.tolist(), d.tolist()):
+        q += e_c / m - (d_c / (2.0 * m)) ** 2
     return q
 
 
 class _GreedyMerger:
-    """Weighted agglomeration over basis elements with a lazy max-heap.
+    """Exact lazy-greedy agglomeration over basis elements.
 
     Elements are vertex sets; edge weights between elements count underlying
     graph edges, so quotient modularity equals modularity of the expanded
     partition. Gain of merging i,j is w_ij/m - 2*a_i*a_j.
+
+    The heap is lazy (Minoux's accelerated greedy). Invariant: every live
+    pair with a positive gain has an entry whose key is at least its current
+    gain. When ``other`` merges into ``parent``, only the pairs (parent, x)
+    with x adjacent to ``other`` can gain, and only those are pushed. Every
+    other pair (parent, y) keeps its old key as an upper bound: w_py is
+    fixed, a_parent only grows, and float multiply and subtract round
+    monotonically. A popped entry whose key differs from the recomputed gain
+    is pushed again with that gain, or dropped when it is not positive. So
+    the first popped entry whose key equals its gain is the maximum-gain
+    pair, ties broken on the smallest (min label, max label), and the merge
+    sequence is the one an eagerly re-keyed heap would produce.
     """
 
     def __init__(self, graph: Graph, basis):
-        self.graph = graph
         self.m = graph.num_edges
         self.members = {}
         self.strength = {}      # a_c = d_c / 2m
         self.neighbors = {}     # label -> {other label: cross-edge weight}
         self.events = []
+        self.heap = []
 
-        owner = {}
+        verts, owners = [], []
         for elem in basis:
-            elem = frozenset(int(v) for v in elem)
+            elem = {int(v) for v in elem}
             label = min(elem)
-            self.members[label] = set(elem)
-            for v in elem:
-                owner[v] = label
+            self.members[label] = elem
+            verts.extend(elem)
+            owners.extend([label] * len(elem))
         if self.m == 0:
             return
-        for label, mem in self.members.items():
-            self.strength[label] = sum(graph.degree(v) for v in mem) / (2.0 * self.m)
-            self.neighbors[label] = {}
-        for u, v in graph.edges:
-            cu, cv = owner[int(u)], owner[int(v)]
-            if cu == cv:
-                continue
-            a, b = (cu, cv) if cu < cv else (cv, cu)
-            self.neighbors[a][b] = self.neighbors[a].get(b, 0) + 1
-            self.neighbors[b][a] = self.neighbors[b].get(a, 0) + 1
+        ids = graph.vertices
+        owner = np.empty(ids.size, dtype=np.int64)
+        owner[np.searchsorted(ids, verts)] = owners
+        labels, owner_idx = np.unique(owner, return_inverse=True)
+        strength = np.bincount(owner_idx, weights=graph.degrees,
+                               minlength=labels.size) / (2.0 * self.m)
+        self.strength = dict(zip(labels.tolist(), strength.tolist()))
+        self.neighbors = {label: {} for label in self.strength}
 
-        self.heap = []
-        for a in sorted(self.neighbors):
-            for b in sorted(self.neighbors[a]):
-                if a < b:
-                    self._push(a, b)
+        # canonical (lower, upper) owner-index pairs of the cross edges
+        ends = owner_idx[np.searchsorted(ids, graph.edges)]
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        keys, weights = np.unique(ends.min(axis=1) * labels.size + ends.max(axis=1),
+                                  return_counts=True)
+        lo, hi = np.divmod(keys, labels.size)
+        for a, b, w in zip(labels[lo].tolist(), labels[hi].tolist(), weights.tolist()):
+            self.neighbors[a][b] = self.neighbors[b][a] = w
+            self._push(a, b)
 
     def _gain(self, a: int, b: int) -> float:
         w = self.neighbors[a].get(b, 0)
@@ -170,39 +190,42 @@ class _GreedyMerger:
     def _push(self, a: int, b: int) -> None:
         a, b = (a, b) if a < b else (b, a)
         gain = self._gain(a, b)
-        # a pair's gain only changes when one side merges (it is re-pushed
-        # then), so non-positive candidates can safely be dropped here
+        # a pair's gain can only rise when a merge brings it new cross weight,
+        # and _merge pushes exactly those pairs, so non-positive candidates
+        # can safely be dropped here
         if gain > 0.0:
             heapq.heappush(self.heap, (-gain, a, b))
 
     def run(self) -> None:
-        if self.m == 0:
-            return
-        while self.heap:
-            neg_gain, a, b = heapq.heappop(self.heap)
-            # an entry is stale once either side merged; recomputing the gain
-            # detects that (equal gain means an identical, still-valid action)
-            if (a not in self.members or b not in self.members
-                    or b not in self.neighbors[a]
-                    or self._gain(a, b) != -neg_gain):
+        heap = self.heap
+        while heap:
+            neg_gain, a, b = heapq.heappop(heap)
+            if a not in self.members or b not in self.members:
                 continue
-            self._merge(a, b, -neg_gain)
+            gain = self._gain(a, b)
+            if gain == -neg_gain:
+                self._merge(a, b, gain)
+            elif gain > 0.0:
+                heapq.heappush(heap, (-gain, a, b))
 
-    def _merge(self, a: int, b: int, gain: float, carried: bool = False) -> None:
+    def _merge(self, a: int, b: int, gain: float) -> None:
         parent = min(a, b)
         other = max(a, b)
-        self.events.append(MergeEvent(a, b, parent, gain, carried))
-        self.members[parent] |= self.members.pop(other)
+        self.events.append(MergeEvent(a, b, parent, gain))
+        small, large = self.members[parent], self.members.pop(other)
+        if len(small) > len(large):
+            small, large = large, small
+        large |= small
+        self.members[parent] = large
         self.strength[parent] += self.strength.pop(other)
         nbr_p = self.neighbors[parent]
         nbr_o = self.neighbors.pop(other)
         nbr_p.pop(other, None)
         nbr_o.pop(parent, None)
         for x, w in nbr_o.items():
-            nbr_p[x] = nbr_p.get(x, 0) + w
-            self.neighbors[x].pop(other, None)
-        for x in sorted(nbr_p):
-            self.neighbors[x][parent] = nbr_p[x]
+            nbr_x = self.neighbors[x]
+            del nbr_x[other]
+            nbr_x[parent] = nbr_p[x] = nbr_p.get(x, 0) + w
             self._push(parent, x)
 
     def clustering(self) -> Clustering:
@@ -256,13 +279,15 @@ def _carried_events(groups) -> list:
 
 def recluster_dynamic(graph: Graph, prev: tuple[Clustering, MergeHistory],
                       changed_links, m_hops: int) -> tuple[Clustering, MergeHistory]:
-    """Re-cluster a snapshot by backtracking the previous clustering.
+    """Re-cluster a snapshot starting from the previous partition.
 
     Frees every vertex within ``m_hops`` of a changed link plus all new
-    vertices; each previous community minus its freed (or departed) members
-    is frozen into one virtual node; the greedy agglomeration then runs over
-    virtual nodes and freed singletons. The frozen previous partition itself
-    is kept as a candidate, so the result is never worse than not re-clustering.
+    vertices from its previous community; each previous community minus its
+    freed (or departed) members is frozen into one virtual node; the greedy
+    agglomeration then runs over virtual nodes and freed singletons. The
+    frozen previous partition itself is kept as a candidate, so the result is
+    never worse than not re-clustering. The previous merge history in
+    ``prev`` is not read.
     """
     prev_clustering, _prev_history = prev
     present = set(int(v) for v in graph.vertices)
@@ -296,7 +321,13 @@ def recluster_dynamic(graph: Graph, prev: tuple[Clustering, MergeHistory],
 
 def changed_link_set(prev_graph: Graph, cur_graph: Graph) -> set:
     """Symmetric difference of edge sets; covers edges of added/removed vertices."""
-    return set(prev_graph.edge_set() ^ cur_graph.edge_set())
+    # canonical edge arrays are unique, so a set operation on a 16-byte row
+    # view finds the changed rows; only those become Python tuples
+    row = np.dtype((np.void, 16))
+    prev = np.ascontiguousarray(prev_graph.edges).view(row).ravel()
+    cur = np.ascontiguousarray(cur_graph.edges).view(row).ravel()
+    changed = np.setxor1d(prev, cur, assume_unique=True).view(np.int64).reshape(-1, 2)
+    return set(map(tuple, changed.tolist()))
 
 
 def classify_communities(prev: Clustering | None, cur: Clustering,

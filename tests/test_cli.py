@@ -159,6 +159,35 @@ def test_eval_missing_scenario_file_exit2(workspace, tmp_path):
     assert rc == 2
 
 
+def test_metrics_query_vertex_absent_exit2(workspace, tmp_path):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    rc = main(["metrics"] + args + ["--metric", "anti-inference",
+                                    "--query", "0,999,1", "--samples", "100"])
+    assert rc == 2
+
+
+def test_metrics_query_time_out_of_range_exit2(workspace, tmp_path):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    rc = main(["metrics"] + args + ["--metric", "anti-inference",
+                                    "--query", "0,1,7", "--samples", "100"])
+    assert rc == 2
+
+
+def test_eval_target_absent_exit2(workspace, tmp_path):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    rc = main(["eval"] + args + ["--f", "0.1", "--target", "999"])
+    assert rc == 2
+
+
 def test_eval_sybil_scenario(workspace, tmp_path):
     root, manifest, _ = workspace
     out = tmp_path / "out"

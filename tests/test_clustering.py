@@ -1,11 +1,18 @@
+import hashlib
+import heapq
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from linkmirage import (Clustering, Graph, changed_link_set, classify_communities,
-                        cluster_static, freed_vertices, modularity,
-                        recluster_dynamic)
+from linkmirage import (Clustering, Graph, MergeEvent, PerturbParams,
+                        changed_link_set, classify_communities, cluster_static,
+                        evolving_sequence, freed_vertices, linkmirage_run, modularity,
+                        recluster_dynamic, ring_of_blocks)
+from linkmirage.clustering import _GreedyMerger
+from linkmirage.reporting import canonical_json
 
 
 def all_partitions(items):
@@ -44,6 +51,97 @@ def brute_force_modularity(graph, groups):
     return q
 
 
+class EagerMerger:
+    """Reference agglomeration that re-keys every pair of a merged community.
+
+    After each merge every (parent, x) pair is pushed again with its fresh
+    gain, so the heap always holds the exact gain of every live pair. The
+    library's lazy merger must reproduce its merge events exactly.
+    """
+
+    def __init__(self, graph, basis):
+        self.m = graph.num_edges
+        self.members = {}
+        self.strength = {}
+        self.neighbors = {}
+        self.events = []
+        self.heap = []
+        owner = {}
+        for elem in basis:
+            elem = frozenset(int(v) for v in elem)
+            label = min(elem)
+            self.members[label] = set(elem)
+            for v in elem:
+                owner[v] = label
+        if self.m == 0:
+            return
+        for label, mem in self.members.items():
+            self.strength[label] = sum(graph.degree(v) for v in mem) / (2.0 * self.m)
+            self.neighbors[label] = {}
+        for u, v in graph.edges:
+            cu, cv = owner[int(u)], owner[int(v)]
+            if cu == cv:
+                continue
+            a, b = (cu, cv) if cu < cv else (cv, cu)
+            self.neighbors[a][b] = self.neighbors[a].get(b, 0) + 1
+            self.neighbors[b][a] = self.neighbors[b].get(a, 0) + 1
+        for a in sorted(self.neighbors):
+            for b in sorted(self.neighbors[a]):
+                if a < b:
+                    self._push(a, b)
+
+    def _gain(self, a, b):
+        w = self.neighbors[a].get(b, 0)
+        return w / self.m - 2.0 * self.strength[a] * self.strength[b]
+
+    def _push(self, a, b):
+        a, b = (a, b) if a < b else (b, a)
+        gain = self._gain(a, b)
+        if gain > 0.0:
+            heapq.heappush(self.heap, (-gain, a, b))
+
+    def run(self):
+        while self.heap:
+            neg_gain, a, b = heapq.heappop(self.heap)
+            if (a not in self.members or b not in self.members
+                    or b not in self.neighbors[a]
+                    or self._gain(a, b) != -neg_gain):
+                continue
+            self._merge(a, b, -neg_gain)
+
+    def _merge(self, a, b, gain):
+        parent, other = min(a, b), max(a, b)
+        self.events.append(MergeEvent(a, b, parent, gain))
+        self.members[parent] |= self.members.pop(other)
+        self.strength[parent] += self.strength.pop(other)
+        nbr_p = self.neighbors[parent]
+        nbr_o = self.neighbors.pop(other)
+        nbr_p.pop(other, None)
+        nbr_o.pop(parent, None)
+        for x, w in nbr_o.items():
+            nbr_p[x] = nbr_p.get(x, 0) + w
+            self.neighbors[x].pop(other, None)
+        for x in sorted(nbr_p):
+            self.neighbors[x][parent] = nbr_p[x]
+            self._push(parent, x)
+
+
+def assert_same_merges(graph, basis):
+    """Lazy and eager mergers agree event for event.
+
+    Gains are positive and finite, so float equality of ``delta`` is
+    equality bit for bit.
+    """
+    basis = [set(b) for b in basis]
+    eager = EagerMerger(graph, basis)
+    eager.run()
+    lazy = _GreedyMerger(graph, basis)
+    lazy.run()
+    assert lazy.events == eager.events
+    assert sorted(map(sorted, lazy.members.values())) == \
+        sorted(map(sorted, eager.members.values()))
+
+
 # -- modularity ----------------------------------------------------------------
 
 
@@ -73,6 +171,19 @@ def test_modularity_random_partitions_match_oracle(rng):
         c = Clustering.from_groups(groups)
         assert modularity(g, c) == pytest.approx(brute_force_modularity(g, groups),
                                                  abs=1e-13)
+
+
+def test_modularity_sums_in_community_order_bit_for_bit(rng):
+    # recluster_dynamic compares two Q values with a 1e-15 margin, so Q must
+    # equal the per-community loop exactly, summed in the clustering's order
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        g = random_graph(n, rng.uniform(0.05, 0.5), rng, ensure_edge=True)
+        labels = rng.integers(0, int(rng.integers(1, 12)), size=n)
+        groups = [[v for v in range(n) if labels[v] == c] for c in set(labels)]
+        rng.shuffle(groups)
+        c = Clustering.from_groups(groups)
+        assert modularity(g, c) == brute_force_modularity(g, c.communities.values())
 
 
 # -- static clustering -----------------------------------------------------------
@@ -136,6 +247,54 @@ def test_greedy_deltas_positive_and_sum_to_modularity(rng):
         q_singletons = -sum((g.degree(v) / (2 * m)) ** 2 for v in g.vertices)
         q = q_singletons + sum(ev.delta for ev in history.events)
         assert q == pytest.approx(modularity(g, clustering), abs=1e-12)
+
+
+def test_lazy_merger_matches_eager_on_fixtures(triangle, path3, two_k4_bridge, rng):
+    chain = Graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8),
+                   (6, 8), (2, 3), (5, 6)])
+    graphs = [triangle, path3, two_k4_bridge, chain, Graph([(0, 1)]),
+              Graph(vertices=[0, 1, 2])]
+    graphs += [random_graph(int(rng.integers(2, 16)), rng.uniform(0.1, 0.7), rng)
+               for _ in range(15)]
+    for g in graphs:
+        assert_same_merges(g, [{int(v)} for v in g.vertices])
+
+
+def test_lazy_merger_matches_eager_on_ring_of_blocks():
+    g = ring_of_blocks(80, 50, 0.16, 20, np.random.default_rng(3))
+    assert 19000 < g.num_edges < 21000
+    assert_same_merges(g, [{int(v)} for v in g.vertices])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=30),
+       st.floats(min_value=0.05, max_value=0.6),
+       st.integers(min_value=1, max_value=6),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=10**6))
+def test_lazy_merger_matches_eager_on_frozen_bases(n, p, n_groups, free_frac, seed):
+    # the recluster_dynamic shape: frozen virtual nodes plus freed singletons
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, p, rng)
+    group = rng.integers(0, n_groups, size=n)
+    freed = rng.random(n) < free_frac
+    basis = [{v for v in range(n) if group[v] == c and not freed[v]}
+             for c in range(n_groups)]
+    basis = [b for b in basis if b] + [{v} for v in range(n) if freed[v]]
+    assert_same_merges(g, basis)
+
+
+def test_linkmirage_run_outputs_pinned():
+    # digests from the eager merger; any change to clustering output shows here
+    seq = evolving_sequence([30] * 6, 0.3, 0.02, 4, 0.97, np.random.default_rng(2024),
+                            new_vertices_per_step=3, churn_blocks=[0, 1])
+    graphs, records = linkmirage_run(seq, PerturbParams(k=2, m=0, theta=0.8, seed=7))
+    record_text = canonical_json([r.to_json_obj() for r in records])
+    edge_bytes = b"".join(g.edges.tobytes() for g in graphs)
+    assert hashlib.sha256(record_text.encode()).hexdigest() == \
+        "863d26c5b0df2e7c03b793ca01e9feb15ab6991fe05cebeb87bbaad247e45dd9"
+    assert hashlib.sha256(edge_bytes).hexdigest() == \
+        "796fd6922865359c0db0fc12c9f8ed2d88c56119d3ffe9c7c801d6269f3a76d6"
 
 
 # -- dynamic re-clustering --------------------------------------------------------
