@@ -75,8 +75,8 @@ def main():
 
     gp = perturbed[0]
     print("\nanalytics on original vs released graph (k=2):")
-    q0 = modularity(g, cluster_static(g)[0])
-    q1 = modularity(gp, cluster_static(gp)[0])
+    q0 = modularity(g, cluster_static(g))
+    q1 = modularity(gp, cluster_static(gp))
     print(f"  modularity:             {q0:.3f} -> {q1:.3f}")
     pr_delta = np.abs(pagerank(g) - pagerank(gp)).mean()
     print(f"  mean pagerank delta:    {pr_delta:.5f}")

@@ -5,10 +5,9 @@ from .graphs import (Graph, GraphFormatError, TemporalGraphSequence,
 from .markov import (TransitionMatrix, matrix_power, random_walk,
                      transition_matrix, tv_distance, tv_distance_common,
                      walk_terminals)
-from .clustering import (Clustering, CommunityDiff, MergeEvent, MergeHistory,
-                         changed_link_set, classify_communities, cluster_static,
-                         clustering_csv_lines, freed_vertices, modularity,
-                         recluster_dynamic)
+from .clustering import (Clustering, CommunityDiff, changed_link_set,
+                         classify_communities, cluster_static, freed_vertices,
+                         modularity, recluster_dynamic)
 from .perturb import (PerturbParams, PerturbationRecord, hay_baseline,
                       hay_baseline_sequence, linkmirage_run, linkmirage_sequence,
                       linkmirage_step, perturb_intercluster, perturb_static,
@@ -21,7 +20,7 @@ from .privacy import (BoundCheck, LinkQuery, PosteriorEstimate, PriorModel,
 from .utility import (DegreeReport, UtilityReport, expected_degree_report,
                       pagerank, ratio_cut, spectral_metrics, structural_metrics,
                       ud_upper_bound, utility_distance)
-from .appeval import (AttackModel, SamplingReport, SybilScenario,
+from .appeval import (SamplingReport, SybilScenario,
                       attack_probability, k_hop_graph, sampling_probability,
                       sampling_report, sybil_eval)
 from .synth import (er_graph, evolving_sequence, planted_partition_graph,
@@ -34,9 +33,8 @@ __all__ = [
     "load_sequence", "union_graph", "write_edge_list",
     "TransitionMatrix", "matrix_power", "random_walk", "transition_matrix",
     "tv_distance", "tv_distance_common", "walk_terminals",
-    "Clustering", "CommunityDiff", "MergeEvent", "MergeHistory",
-    "changed_link_set", "classify_communities", "cluster_static",
-    "clustering_csv_lines", "freed_vertices", "modularity", "recluster_dynamic",
+    "Clustering", "CommunityDiff", "changed_link_set", "classify_communities",
+    "cluster_static", "freed_vertices", "modularity", "recluster_dynamic",
     "PerturbParams", "PerturbationRecord", "hay_baseline",
     "hay_baseline_sequence", "linkmirage_run", "linkmirage_sequence",
     "linkmirage_step", "perturb_intercluster", "perturb_static",
@@ -48,7 +46,7 @@ __all__ = [
     "DegreeReport", "UtilityReport", "expected_degree_report", "pagerank",
     "ratio_cut", "spectral_metrics", "structural_metrics", "ud_upper_bound",
     "utility_distance",
-    "AttackModel", "SamplingReport", "SybilScenario", "attack_probability",
+    "SamplingReport", "SybilScenario", "attack_probability",
     "k_hop_graph", "sampling_probability", "sampling_report", "sybil_eval",
     "er_graph", "evolving_sequence", "planted_partition_graph", "ring_of_blocks",
     "__version__",

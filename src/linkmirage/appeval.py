@@ -13,18 +13,6 @@ from .synth import er_graph
 from .utility import is_connected
 
 
-@dataclass(frozen=True)
-class AttackModel:
-    """Worst-case anonymity attack: each node is malicious with probability f."""
-
-    f: float
-    targets: tuple = ()
-
-    def __post_init__(self):
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError("malicious probability f must lie in [0, 1]")
-
-
 def attack_probability(perturbed, v: int, f: float) -> np.ndarray:
     """P_t = 1 - (1-f)^(size of the cumulative perturbed neighbor union of v)."""
     if not 0.0 <= f <= 1.0:

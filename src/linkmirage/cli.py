@@ -252,9 +252,9 @@ def cmd_metrics(args) -> int:
                          0.0, 0))
         if "modularity" in metrics:
             rows.append((t, mechanism, "modularity-original",
-                         modularity(g, cluster_static(g)[0]), 0.0, 0))
+                         modularity(g, cluster_static(g)), 0.0, 0))
             rows.append((t, mechanism, "modularity-perturbed",
-                         modularity(gp, cluster_static(gp)[0]), 0.0, 0))
+                         modularity(gp, cluster_static(gp)), 0.0, 0))
         if "pagerank" in metrics:
             damping = float(settings.get("damping", 0.85))
             delta = float(np.abs(pagerank(g, damping) - pagerank(gp, damping)).mean())

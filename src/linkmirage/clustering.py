@@ -1,16 +1,15 @@
-"""Greedy maximum-modularity clustering with a replayable merge history.
+"""Greedy maximum-modularity clustering and dynamic re-clustering.
 
 The static clusterer is the agglomerative scheme: start from singletons and
 repeatedly merge the connected pair of communities with the largest positive
-modularity gain. The dynamic step works from the previous partition, not
-from its merge history: on graph evolution, vertices near changed links are
-freed from their previous communities, the untouched remainder of each
-community is frozen into one virtual node, and the agglomeration is re-run
-over virtual nodes plus freed singletons. The merge history is recorded and
-can be replayed, but re-clustering never reads it.
+modularity gain. The dynamic step works from the previous partition: on
+graph evolution, vertices near changed links are freed from their previous
+communities, the untouched remainder of each community is frozen into one
+virtual node, and the agglomeration is re-run over virtual nodes plus freed
+singletons. Both return only the resulting partition.
 
-Community labels are the minimum member vertex id, which makes merge events
-and tie-breaking deterministic.
+Community labels are the minimum member vertex id, which makes merges and
+tie-breaking deterministic.
 """
 
 from __future__ import annotations
@@ -47,49 +46,11 @@ class Clustering:
                 assignment[v] = label
         return Clustering(assignment=assignment, communities=communities)
 
-    def label_of(self, v: int) -> int:
-        return self.assignment[int(v)]
-
     def __len__(self) -> int:
         return len(self.communities)
 
     def covers(self, vertices) -> bool:
         return set(self.assignment) == {int(v) for v in vertices}
-
-
-@dataclass(frozen=True)
-class MergeEvent:
-    child_a: int
-    child_b: int
-    parent: int
-    delta: float
-    carried: bool = False     # rebuilt from a previous clustering, not chosen by gain
-
-
-@dataclass(frozen=True)
-class MergeHistory:
-    """Ordered merge events; replaying them from singletons rebuilds the result."""
-
-    events: tuple
-
-    def replay(self, vertices) -> Clustering:
-        comms = {int(v): {int(v)} for v in vertices}
-        for ev in self.events:
-            a = comms.pop(ev.child_a)
-            b = comms.pop(ev.child_b)
-            comms[ev.parent] = a | b
-        return Clustering.from_groups(comms.values())
-
-    def to_json_obj(self) -> list:
-        return [{"child_a": e.child_a, "child_b": e.child_b, "parent": e.parent,
-                 "delta": e.delta, "carried": e.carried} for e in self.events]
-
-    @staticmethod
-    def from_json_obj(obj) -> "MergeHistory":
-        return MergeHistory(tuple(
-            MergeEvent(int(e["child_a"]), int(e["child_b"]), int(e["parent"]),
-                       float(e["delta"]), bool(e.get("carried", False)))
-            for e in obj))
 
 
 @dataclass(frozen=True)
@@ -103,6 +64,16 @@ class CommunityDiff:
     @property
     def prev_for(self) -> dict:
         return {cur: prev for prev, cur in self.unchanged}
+
+
+def _edge_labels(graph: Graph, clustering: Clustering) -> np.ndarray:
+    """Community labels of both endpoints of every edge, shape (m, 2).
+
+    ``clustering`` must assign every vertex of ``graph``.
+    """
+    labels = np.array([clustering.assignment[v] for v in graph.vertices.tolist()],
+                      dtype=np.int64)
+    return labels[np.searchsorted(graph.vertices, graph.edges)]
 
 
 def modularity(graph: Graph, clustering: Clustering) -> float:
@@ -152,7 +123,7 @@ class _GreedyMerger:
         self.members = {}
         self.strength = {}      # a_c = d_c / 2m
         self.neighbors = {}     # label -> {other label: cross-edge weight}
-        self.events = []
+        self.events = []        # (child_a, child_b, parent, delta) per merge
         self.heap = []
 
         verts, owners = [], []
@@ -211,7 +182,7 @@ class _GreedyMerger:
     def _merge(self, a: int, b: int, gain: float) -> None:
         parent = min(a, b)
         other = max(a, b)
-        self.events.append(MergeEvent(a, b, parent, gain))
+        self.events.append((a, b, parent, gain))
         small, large = self.members[parent], self.members.pop(other)
         if len(small) > len(large):
             small, large = large, small
@@ -232,7 +203,7 @@ class _GreedyMerger:
         return Clustering.from_groups(self.members.values())
 
 
-def cluster_static(graph: Graph) -> tuple[Clustering, MergeHistory]:
+def cluster_static(graph: Graph) -> Clustering:
     """Greedy maximum-modularity clustering from singletons.
 
     Merges stop when no connected pair has a positive modularity gain. Ties
@@ -243,7 +214,7 @@ def cluster_static(graph: Graph) -> tuple[Clustering, MergeHistory]:
         raise ValueError("cannot cluster an empty graph")
     merger = _GreedyMerger(graph, [{int(v)} for v in graph.vertices])
     merger.run()
-    return merger.clustering(), MergeHistory(tuple(merger.events))
+    return merger.clustering()
 
 
 def freed_vertices(graph: Graph, changed_links, m_hops: int) -> set:
@@ -267,56 +238,40 @@ def freed_vertices(graph: Graph, changed_links, m_hops: int) -> set:
     return freed
 
 
-def _carried_events(groups) -> list:
-    events = []
-    for members in groups:
-        ordered = sorted(members)
-        label = ordered[0]
-        for v in ordered[1:]:
-            events.append(MergeEvent(label, v, label, 0.0, carried=True))
-    return events
-
-
-def recluster_dynamic(graph: Graph, prev: tuple[Clustering, MergeHistory],
-                      changed_links, m_hops: int) -> tuple[Clustering, MergeHistory]:
-    """Re-cluster a snapshot starting from the previous partition.
+def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,
+                      m_hops: int) -> Clustering:
+    """Re-cluster a snapshot starting from the previous partition ``prev``.
 
     Frees every vertex within ``m_hops`` of a changed link plus all new
     vertices from its previous community; each previous community minus its
     freed (or departed) members is frozen into one virtual node; the greedy
     agglomeration then runs over virtual nodes and freed singletons. The
     frozen previous partition itself is kept as a candidate, so the result is
-    never worse than not re-clustering. The previous merge history in
-    ``prev`` is not read.
+    never worse than not re-clustering.
     """
-    prev_clustering, _prev_history = prev
     present = set(int(v) for v in graph.vertices)
-    new_vertices = present - set(prev_clustering.assignment)
+    new_vertices = present - set(prev.assignment)
     freed = freed_vertices(graph, changed_links, m_hops) | new_vertices
 
     basis = []
-    for members in prev_clustering.communities.values():
+    for members in prev.communities.values():
         kept = (set(members) & present) - freed
         if kept:
             basis.append(kept)
     basis.extend({v} for v in sorted(freed))
 
     merger = _GreedyMerger(graph, basis)
-    carried = _carried_events(sorted((b for b in basis if len(b) > 1), key=min))
     merger.run()
     greedy_clustering = merger.clustering()
-    greedy_history = MergeHistory(tuple(carried + merger.events))
 
     frozen_groups = [g for g in ((set(members) & present)
-                                 for members in prev_clustering.communities.values()) if g]
+                                 for members in prev.communities.values()) if g]
     frozen_groups.extend({v} for v in sorted(new_vertices))
     frozen_clustering = Clustering.from_groups(frozen_groups)
 
     if modularity(graph, frozen_clustering) > modularity(graph, greedy_clustering) + 1e-15:
-        history = MergeHistory(tuple(_carried_events(
-            sorted((g for g in frozen_groups if len(g) > 1), key=min))))
-        return frozen_clustering, history
-    return greedy_clustering, greedy_history
+        return frozen_clustering
+    return greedy_clustering
 
 
 def changed_link_set(prev_graph: Graph, cur_graph: Graph) -> set:
@@ -367,11 +322,3 @@ def classify_communities(prev: Clustering | None, cur: Clustering,
     changed = sorted(set(cur.communities) - matched_cur)
     unchanged.sort(key=lambda pc: pc[1])
     return CommunityDiff(unchanged=unchanged, changed=changed, threshold=theta)
-
-
-def clustering_csv_lines(clustering: Clustering) -> list:
-    """Rows of the 'vertex,community' serialization, sorted by vertex."""
-    lines = ["vertex,community"]
-    for v in sorted(clustering.assignment):
-        lines.append(f"{v},{clustering.assignment[v]}")
-    return lines

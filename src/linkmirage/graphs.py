@@ -225,8 +225,7 @@ def write_edge_list(graph: Graph, path, header_lines=()) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write("".join(f"{u} {v}\n" for u, v in graph.edges.tolist()))
 
 
 def load_sequence(manifest_path) -> TemporalGraphSequence:

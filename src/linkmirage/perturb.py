@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import (Clustering, CommunityDiff, MergeHistory, changed_link_set,
+from .clustering import (Clustering, CommunityDiff, _edge_labels, changed_link_set,
                          classify_communities, cluster_static, recluster_dynamic)
 from .graphs import Graph, TemporalGraphSequence
 from .markov import walk_terminals
@@ -39,7 +39,8 @@ class PerturbParams:
 
     k is the random-walk length (larger k = more noise), m the freeing
     radius for dynamic re-clustering, theta the unchanged-community overlap
-    threshold, and seed the root of every derived random stream.
+    threshold, and seed the root of every derived random stream. Every
+    community is perturbed with the same walk length k.
     """
 
     k: int = 2
@@ -47,7 +48,6 @@ class PerturbParams:
     theta: float = 0.8
     seed: int = 0
     inter_cluster_form: str = "appendixC"
-    k_per_community: dict | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -59,23 +59,18 @@ class PerturbParams:
         if self.inter_cluster_form not in INTER_FORMS:
             raise ValueError(f"inter_cluster_form must be one of {INTER_FORMS}")
 
-    def k_for(self, label: int) -> int:
-        if self.k_per_community and label in self.k_per_community:
-            return int(self.k_per_community[label])
-        return self.k
-
 
 @dataclass
 class PerturbationRecord:
     """Per-community and per-pair perturbed edges of one timestamp.
 
     Unchanged communities at t+1 copy their entry verbatim, which is what
-    makes selective perturbation possible.
+    makes selective perturbation possible. The record holds only what that
+    reuse reads: the partition and the perturbed edges.
     """
 
     timestamp: int
     clustering: Clustering
-    history: MergeHistory
     intra: dict = field(default_factory=dict)   # label -> ndarray (m, 2)
     inter: dict = field(default_factory=dict)   # (a, b) -> ndarray (m, 2)
 
@@ -98,7 +93,6 @@ class PerturbationRecord:
             "timestamp": self.timestamp,
             "communities": {str(lab): sorted(mem)
                             for lab, mem in self.clustering.communities.items()},
-            "history": self.history.to_json_obj(),
             "intra": {str(lab): np.asarray(e).reshape(-1, 2).tolist()
                       for lab, e in self.intra.items()},
             "inter": {f"{a},{b}": np.asarray(e).reshape(-1, 2).tolist()
@@ -107,11 +101,9 @@ class PerturbationRecord:
 
     @staticmethod
     def from_json_obj(obj) -> "PerturbationRecord":
-        clustering = Clustering.from_groups(obj["communities"].values())
         record = PerturbationRecord(
             timestamp=int(obj["timestamp"]),
-            clustering=clustering,
-            history=MergeHistory.from_json_obj(obj["history"]),
+            clustering=Clustering.from_groups(obj["communities"].values()),
         )
         record.intra = {int(lab): np.asarray(e, dtype=np.int64).reshape(-1, 2)
                         for lab, e in obj["intra"].items()}
@@ -194,24 +186,26 @@ class _PairTask:
 
 
 def _pair_tasks(graph: Graph, clustering: Clustering) -> list:
-    """Marginal-node structure of every community pair with >= 1 inter edge."""
-    groups = {}
-    for u, v in graph.edges:
-        cu = clustering.assignment[int(u)]
-        cv = clustering.assignment[int(v)]
-        if cu == cv:
-            continue
-        if cu < cv:
-            groups.setdefault((cu, cv), []).append((int(u), int(v)))
-        else:
-            groups.setdefault((cv, cu), []).append((int(v), int(u)))
+    """Marginal-node structure of every community pair with >= 1 inter edge,
+    sorted by (a, b) with a < b."""
+    ends = _edge_labels(graph, clustering)
+    cross = ends[:, 0] != ends[:, 1]
+    if not cross.any():
+        return []
+    # orient every inter edge as (vertex in a, vertex in b), then group by (a, b)
+    flip = (ends[:, 0] > ends[:, 1])[cross, None]
+    edges = np.where(flip, graph.edges[cross, ::-1], graph.edges[cross])
+    ends = np.where(flip, ends[cross, ::-1], ends[cross])
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    edges, ends = edges[order], ends[order]
+    bounds = np.flatnonzero((ends[1:] != ends[:-1]).any(axis=1)) + 1
     tasks = []
-    for (a, b) in sorted(groups):
-        pairs = np.asarray(groups[(a, b)], dtype=np.int64)
-        nodes_a, deg_a = np.unique(pairs[:, 0], return_counts=True)
-        nodes_b, deg_b = np.unique(pairs[:, 1], return_counts=True)
+    for lo, hi in zip([0] + bounds.tolist(), bounds.tolist() + [len(ends)]):
+        a, b = ends[lo].tolist()
+        nodes_a, deg_a = np.unique(edges[lo:hi, 0], return_counts=True)
+        nodes_b, deg_b = np.unique(edges[lo:hi, 1], return_counts=True)
         tasks.append(_PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
-                               deg_a=deg_a, deg_b=deg_b, n_edges=pairs.shape[0]))
+                               deg_a=deg_a, deg_b=deg_b, n_edges=hi - lo))
     return tasks
 
 
@@ -248,7 +242,6 @@ class _StepPlan:
 
     graph: Graph
     clustering: Clustering
-    history: MergeHistory
     diff: CommunityDiff
     subgraphs: dict          # label -> community subgraph (changed labels only)
     pair_tasks: list
@@ -273,7 +266,7 @@ class _StepPlan:
 
         def one(label):
             sub = self.subgraphs[label]
-            fake = perturb_static(sub, params.k_for(label), comm_streams[label])
+            fake = perturb_static(sub, params.k, comm_streams[label])
             return label, fake.edges
 
         if threads > 1 and len(self.subgraphs) > 1:
@@ -306,8 +299,7 @@ class _StepPlan:
         deg = np.zeros(ids.size, dtype=np.int64)
         for label in self.changed_labels:
             sub = self.subgraphs[label]
-            starts, terms = draw_walker_edges(sub, params.k_for(label),
-                                              comm_streams[label])
+            starts, terms = draw_walker_edges(sub, params.k, comm_streams[label])
             local = np.bincount(starts, minlength=sub.num_vertices) \
                 + np.bincount(terms, minlength=sub.num_vertices)
             deg[np.searchsorted(ids, sub.vertices)] += local
@@ -341,14 +333,13 @@ def _filter_to_vertices(edges, graph: Graph) -> np.ndarray:
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness)."""
     if prev is None:
-        clustering, history = cluster_static(g_t)
+        clustering = cluster_static(g_t)
         diff = classify_communities(None, clustering, params.theta)
         prev_record = None
     else:
         prev_graph, prev_record = prev
         changed = changed_link_set(prev_graph, g_t)
-        clustering, history = recluster_dynamic(
-            g_t, (prev_record.clustering, prev_record.history), changed, params.m)
+        clustering = recluster_dynamic(g_t, prev_record.clustering, changed, params.m)
         diff = classify_communities(prev_record.clustering, clustering, params.theta)
 
     subgraphs = {label: g_t.subgraph(clustering.communities[label])
@@ -361,16 +352,16 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     pair_tasks = _pair_tasks(g_t, clustering)
     reused_inter = {}
     if prev_record is not None:
-        cur_to_prev = {cur: prv for prv, cur in diff.unchanged}
+        prev_for = diff.prev_for
         for task in pair_tasks:
-            pa, pb = cur_to_prev.get(task.a), cur_to_prev.get(task.b)
+            pa, pb = prev_for.get(task.a), prev_for.get(task.b)
             if pa is None or pb is None:
                 continue
             key = (pa, pb) if pa < pb else (pb, pa)
             if key in prev_record.inter:
                 reused_inter[(task.a, task.b)] = _filter_to_vertices(
                     prev_record.inter[key], g_t)
-    return _StepPlan(graph=g_t, clustering=clustering, history=history, diff=diff,
+    return _StepPlan(graph=g_t, clustering=clustering, diff=diff,
                      subgraphs=subgraphs, pair_tasks=pair_tasks,
                      reused_intra=reused_intra, reused_inter=reused_inter)
 
@@ -397,7 +388,7 @@ def linkmirage_step(g_t: Graph, prev, params: PerturbParams,
     plan = build_step_plan(g_t, prev, params)
     intra, inter = plan.sample_edges(params, rng, threads=threads)
     record = PerturbationRecord(timestamp=t, clustering=plan.clustering,
-                                history=plan.history, intra=intra, inter=inter)
+                                intra=intra, inter=inter)
     pieces = [np.asarray(e).reshape(-1, 2) for e in intra.values()] \
         + [np.asarray(e).reshape(-1, 2) for e in inter.values()]
     edges = np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)

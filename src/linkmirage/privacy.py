@@ -48,19 +48,14 @@ class LinkQuery:
 class PriorModel:
     """Link-prediction prior: logistic calibration of common-neighbor counts.
 
-    kind 'worst-case-all-but-L' conditions the hypothesis worlds on the full
-    original sequence except the queried link; 'link-prediction' uses the
-    same calibrated scorer without that conditioning semantics.
+    The posterior conditions its hypothesis worlds on the full original
+    sequence except the queried link (the worst-case adversary); the prior
+    is the calibrated scorer's probability for that link.
     """
 
-    kind: str = "worst-case-all-but-L"
     clip: tuple = (0.01, 0.99)
     negatives_per_positive: float = 1.0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("worst-case-all-but-L", "link-prediction"):
-            raise ValueError(f"unknown prior kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +220,6 @@ class _SequenceSampler:
                 # the reuse layout of later steps depends only on clusterings,
                 # so a placeholder record with empty edge sets is enough
                 rec = PerturbationRecord(timestamp=t, clustering=plan.clustering,
-                                         history=plan.history,
                                          intra={lab: np.empty((0, 2), np.int64)
                                                 for lab in plan.clustering.communities},
                                          inter={(task.a, task.b): np.empty((0, 2), np.int64)
@@ -265,10 +259,10 @@ class _SequenceSampler:
         intra = dict(reused_intra)
         for label in plan.changed_labels:
             sub = plan.subgraphs[label]
-            fake = perturb_static(sub, self.params.k_for(label), comm_streams[label])
+            fake = perturb_static(sub, self.params.k, comm_streams[label])
             intra[label] = fake.edges
         inter = {}
-        prev_for = {cur: prv for prv, cur in plan.diff.unchanged}
+        prev_for = plan.diff.prev_for
         for task, stream in zip(plan.pair_tasks, pair_streams):
             key = (task.a, task.b)
             if key in reuse_keys:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .clustering import _edge_labels
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
 from .perturb import PerturbParams, build_step_plan
@@ -52,9 +53,8 @@ def ratio_cut(graph: Graph, clustering) -> float:
     """Inter-community edge count divided by vertex count."""
     if graph.num_vertices == 0:
         return 0.0
-    inter = sum(1 for u, v in graph.edges
-                if clustering.assignment[int(u)] != clustering.assignment[int(v)])
-    return inter / graph.num_vertices
+    ends = _edge_labels(graph, clustering)
+    return int(np.count_nonzero(ends[:, 0] != ends[:, 1])) / graph.num_vertices
 
 
 def ud_upper_bound(epsilon: float, deltas, l: int) -> float:

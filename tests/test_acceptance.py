@@ -279,10 +279,10 @@ def test_criterion_9_modularity_preservation():
     g, _ = planted_partition_graph([50, 50, 50, 50], 0.12, 0.01,
                                    np.random.default_rng(1))
     seq = TemporalGraphSequence([g])
-    q_orig = modularity(g, cluster_static(g)[0])
+    q_orig = modularity(g, cluster_static(g))
 
     def perturbed_q(graphs):
-        return [modularity(gp, cluster_static(gp)[0]) for gp in graphs]
+        return [modularity(gp, cluster_static(gp)) for gp in graphs]
 
     q_lm2 = np.mean(perturbed_q([linkmirage_sequence(seq, PerturbParams(k=2, seed=s))[0]
                                  for s in range(N_SEEDS)]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from linkmirage import (Clustering, Graph, MergeEvent, PerturbParams,
+from linkmirage import (Clustering, Graph, PerturbParams,
                         changed_link_set, classify_communities, cluster_static,
                         evolving_sequence, freed_vertices, linkmirage_run, modularity,
                         recluster_dynamic, ring_of_blocks)
@@ -111,7 +111,7 @@ class EagerMerger:
 
     def _merge(self, a, b, gain):
         parent, other = min(a, b), max(a, b)
-        self.events.append(MergeEvent(a, b, parent, gain))
+        self.events.append((a, b, parent, gain))
         self.members[parent] |= self.members.pop(other)
         self.strength[parent] += self.strength.pop(other)
         nbr_p = self.neighbors[parent]
@@ -190,7 +190,7 @@ def test_modularity_sums_in_community_order_bit_for_bit(rng):
 
 
 def test_two_k4_cliques_found_exactly(two_k4_bridge):
-    clustering, _ = cluster_static(two_k4_bridge)
+    clustering = cluster_static(two_k4_bridge)
     assert set(map(frozenset, clustering.communities.values())) == {
         frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})}
 
@@ -205,47 +205,39 @@ def test_two_k4_cliques_found_exactly(two_k4_bridge):
     assert modularity(two_k4_bridge, clustering) == pytest.approx(best_q, abs=1e-14)
 
 
+def greedy_events(graph):
+    """(child_a, child_b, parent, delta) of every merge from singletons."""
+    merger = _GreedyMerger(graph, [{int(v)} for v in graph.vertices])
+    merger.run()
+    return merger.events
+
+
 def test_single_edge_merges():
     g = Graph([(0, 1)])
-    clustering, history = cluster_static(g)
+    clustering = cluster_static(g)
     assert clustering.communities == {0: frozenset({0, 1})}
     # direct formula: merged Q=0 beats singletons Q=-1/2
     assert brute_force_modularity(g, [[0, 1]]) > brute_force_modularity(g, [[0], [1]])
-    assert len(history.events) == 1 and history.events[0].delta > 0
+    events = greedy_events(g)
+    assert len(events) == 1 and events[0][3] > 0
 
 
 def test_edgeless_graph_stays_singletons():
     g = Graph(vertices=[0, 1, 2, 3])
-    clustering, history = cluster_static(g)
+    clustering = cluster_static(g)
     assert len(clustering) == 4
-    assert history.events == ()
-
-
-def test_replay_reproduces_clustering(rng):
-    for _ in range(15):
-        g = random_graph(int(rng.integers(2, 16)), rng.uniform(0.1, 0.7), rng)
-        clustering, history = cluster_static(g)
-        assert history.replay(g.vertices).assignment == clustering.assignment
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=14),
-       st.integers(min_value=0, max_value=10**6))
-def test_replay_invariant_property(n, seed):
-    import numpy as np
-    g = random_graph(n, 0.35, np.random.default_rng(seed))
-    clustering, history = cluster_static(g)
-    assert history.replay(g.vertices).assignment == clustering.assignment
+    assert greedy_events(g) == []
 
 
 def test_greedy_deltas_positive_and_sum_to_modularity(rng):
     for _ in range(10):
         g = random_graph(12, 0.3, rng, ensure_edge=True)
-        clustering, history = cluster_static(g)
-        assert all(ev.delta > 0 for ev in history.events)
+        clustering = cluster_static(g)
+        deltas = [delta for _, _, _, delta in greedy_events(g)]
+        assert all(delta > 0 for delta in deltas)
         m = g.num_edges
         q_singletons = -sum((g.degree(v) / (2 * m)) ** 2 for v in g.vertices)
-        q = q_singletons + sum(ev.delta for ev in history.events)
+        q = q_singletons + sum(deltas)
         assert q == pytest.approx(modularity(g, clustering), abs=1e-12)
 
 
@@ -292,7 +284,7 @@ def test_linkmirage_run_outputs_pinned():
     record_text = canonical_json([r.to_json_obj() for r in records])
     edge_bytes = b"".join(g.edges.tobytes() for g in graphs)
     assert hashlib.sha256(record_text.encode()).hexdigest() == \
-        "863d26c5b0df2e7c03b793ca01e9feb15ab6991fe05cebeb87bbaad247e45dd9"
+        "324631be9384933ffb4879283a418997751918680b6e757c4a4356277533f136"
     assert hashlib.sha256(edge_bytes).hexdigest() == \
         "796fd6922865359c0db0fc12c9f8ed2d88c56119d3ffe9c7c801d6269f3a76d6"
 
@@ -311,8 +303,8 @@ def test_freed_vertices_ball():
 
 def test_recluster_empty_change_is_identity(two_k4_bridge):
     prev = cluster_static(two_k4_bridge)
-    clustering, _ = recluster_dynamic(two_k4_bridge, prev, set(), 2)
-    assert clustering.assignment == prev[0].assignment
+    clustering = recluster_dynamic(two_k4_bridge, prev, set(), 2)
+    assert clustering.assignment == prev.assignment
 
 
 def test_recluster_two_hop_freeing_scenario():
@@ -323,7 +315,7 @@ def test_recluster_two_hop_freeing_scenario():
     spine = [(2, 3)]
     g_prev = Graph(red + green + blue + spine)
     prev = cluster_static(g_prev)
-    assert len(prev[0]) == 3
+    assert len(prev) == 3
 
     new_link = (5, 6)
     g_cur = Graph(red + green + blue + spine + [new_link])
@@ -334,10 +326,9 @@ def test_recluster_two_hop_freeing_scenario():
     # 2-hop ball of {5, 6} inside the current graph
     assert freed == {2, 3, 4, 5, 6, 7, 8}
 
-    clustering, history = recluster_dynamic(g_cur, prev, changed, 2)
+    clustering = recluster_dynamic(g_cur, prev, changed, 2)
     # the untouched red remainder {0,1} stays together (frozen virtual node)
     assert clustering.assignment[0] == clustering.assignment[1]
-    assert history.replay(g_cur.vertices).assignment == clustering.assignment
 
 
 def test_recluster_never_worse_than_frozen(rng):
@@ -347,9 +338,9 @@ def test_recluster_never_worse_than_frozen(rng):
         prev = cluster_static(g_prev)
         g_cur = random_graph(n, 0.45, rng, ensure_edge=True)
         changed = changed_link_set(g_prev, g_cur)
-        clustering, _ = recluster_dynamic(g_cur, prev, changed, 1)
+        clustering = recluster_dynamic(g_cur, prev, changed, 1)
         frozen = Clustering.from_groups(
-            [set(mem) for mem in prev[0].communities.values()])
+            [set(mem) for mem in prev.communities.values()])
         assert modularity(g_cur, clustering) >= modularity(g_cur, frozen) - 1e-12
 
 
@@ -359,17 +350,16 @@ def test_recluster_handles_new_and_removed_vertices():
     # vertex 5 leaves, vertex 9 arrives attached to the red triangle
     g_cur = Graph([(0, 1), (1, 2), (0, 2), (3, 4), (2, 3), (9, 0), (9, 1)])
     changed = changed_link_set(g_prev, g_cur)
-    clustering, history = recluster_dynamic(g_cur, prev, changed, 1)
+    clustering = recluster_dynamic(g_cur, prev, changed, 1)
     assert clustering.covers(g_cur.vertices)
     assert 5 not in clustering.assignment
-    assert history.replay(g_cur.vertices).assignment == clustering.assignment
 
 
 # -- changed/unchanged classification ----------------------------------------------
 
 
 def test_classify_identical_all_unchanged(two_k4_bridge):
-    c, _ = cluster_static(two_k4_bridge)
+    c = cluster_static(two_k4_bridge)
     diff = classify_communities(c, c, 0.8)
     assert diff.changed == []
     assert len(diff.unchanged) == len(c)
@@ -386,7 +376,7 @@ def test_classify_partial_overlap_below_threshold():
 
 
 def test_classify_no_previous_all_changed(triangle):
-    c, _ = cluster_static(triangle)
+    c = cluster_static(triangle)
     diff = classify_communities(None, c, 0.8)
     assert diff.unchanged == [] and diff.changed == sorted(c.communities)
 
@@ -395,8 +385,8 @@ def test_classification_partitions_current(rng):
     for _ in range(10):
         a = random_graph(12, 0.3, rng, ensure_edge=True)
         b = random_graph(12, 0.3, rng, ensure_edge=True)
-        ca, _ = cluster_static(a)
-        cb, _ = cluster_static(b)
+        ca = cluster_static(a)
+        cb = cluster_static(b)
         diff = classify_communities(ca, cb, 0.6)
         assert len(diff.unchanged) + len(diff.changed) == len(cb)
         matched = {c for _, c in diff.unchanged}

@@ -1,0 +1,24 @@
+"""The narrative demos run to completion against the current library API.
+
+``privacy_demo.py`` is left out: it takes about 20 s.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("demo", ["perturbation_demo.py", "utility_demo.py",
+                                  "applications_demo.py"])
+def test_demo_exits_zero(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

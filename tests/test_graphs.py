@@ -71,6 +71,7 @@ def test_edge_list_roundtrip(tmp_path):
     g = Graph([(0, 5), (5, 9), (0, 9)])
     path = tmp_path / "g.txt"
     write_edge_list(g, path, header_lines=["meta"])
+    assert path.read_text() == "# meta\n0 5\n0 9\n5 9\n"
     assert load_edge_list(path) == g
 
 

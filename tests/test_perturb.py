@@ -6,7 +6,7 @@ from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         linkmirage_sequence, linkmirage_step, perturb_intercluster,
                         perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
-from linkmirage.perturb import build_step_plan, draw_walker_edges
+from linkmirage.perturb import _pair_tasks, build_step_plan, draw_walker_edges
 
 
 def test_single_edge_k1_is_forced(rng):
@@ -237,12 +237,44 @@ def test_prev_record_roundtrips_through_json():
     g, _ = planted_partition_graph([6, 6], 0.7, 0.1, np.random.default_rng(8))
     _, record, _ = linkmirage_step(g, None, PerturbParams(k=1, seed=13))
     from linkmirage import PerturbationRecord
-    clone = PerturbationRecord.from_json_obj(record.to_json_obj())
+    obj = record.to_json_obj()
+    assert set(obj) == {"timestamp", "communities", "intra", "inter"}
+    clone = PerturbationRecord.from_json_obj(obj)
+    assert clone.to_json_obj() == obj
     assert clone.timestamp == record.timestamp
     assert clone.clustering.assignment == record.clustering.assignment
     for label in record.intra:
         assert np.array_equal(np.asarray(clone.intra[label]),
                               np.asarray(record.intra[label]))
+
+
+def test_pair_tasks_match_per_edge_oracle(rng):
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        base = random_graph(n, rng.uniform(0.05, 0.5), rng)
+        # sparse, unordered ids exercise the id -> label lookup
+        ids = rng.permutation(np.arange(n) * 7 + 3)
+        g = Graph(ids[base.edges], vertices=ids)
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        c = Clustering.from_groups(
+            [ids[labels == k] for k in np.unique(labels)])
+        groups = {}
+        for u, v in g.edges.tolist():
+            cu, cv = c.assignment[u], c.assignment[v]
+            if cu != cv:
+                key, pair = ((cu, cv), (u, v)) if cu < cv else ((cv, cu), (v, u))
+                groups.setdefault(key, []).append(pair)
+        tasks = _pair_tasks(g, c)
+        assert [(t.a, t.b) for t in tasks] == sorted(groups)
+        for task in tasks:
+            pairs = np.asarray(groups[(task.a, task.b)])
+            nodes_a, deg_a = np.unique(pairs[:, 0], return_counts=True)
+            nodes_b, deg_b = np.unique(pairs[:, 1], return_counts=True)
+            assert type(task.a) is int and type(task.b) is int
+            assert task.n_edges == len(pairs)
+            for got, want in ((task.nodes_a, nodes_a), (task.deg_a, deg_a),
+                              (task.nodes_b, nodes_b), (task.deg_b, deg_b)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 # -- hay baseline -----------------------------------------------------------------

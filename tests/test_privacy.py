@@ -210,7 +210,7 @@ def test_single_community_mechanisms_agree():
     from linkmirage import (cluster_static, indistinguishability_series,
                             linkmirage_sequence, perturb_static_baseline_sequence)
     g = Graph([(i, j) for i in range(6) for j in range(i + 1, 6)])
-    assert len(cluster_static(g)[0]) == 1
+    assert len(cluster_static(g)) == 1
     seq = TemporalGraphSequence([g])
     params = PerturbParams(k=2, seed=3)
     lm = linkmirage_sequence(seq, params)
