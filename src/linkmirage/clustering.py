@@ -15,7 +15,6 @@ tie-breaking deterministic.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,23 +218,21 @@ def cluster_static(graph: Graph) -> Clustering:
 
 def freed_vertices(graph: Graph, changed_links, m_hops: int) -> set:
     """Vertices of ``graph`` within m hops of any endpoint of the changed links."""
-    seeds = set()
-    for u, v in changed_links:
-        for x in (int(u), int(v)):
-            if graph.has_vertex(x):
-                seeds.add(x)
-    freed = set(seeds)
-    frontier = deque((s, 0) for s in sorted(seeds))
-    while frontier:
-        v, dist = frontier.popleft()
-        if dist == m_hops:
-            continue
-        for w in graph.neighbors(v):
-            w = int(w)
-            if w not in freed:
-                freed.add(w)
-                frontier.append((w, dist + 1))
-    return freed
+    ids = graph.vertices
+    ends = np.asarray(list(changed_links), dtype=np.int64).reshape(-1)
+    freed = np.isin(ids, ends)
+    frontier = np.flatnonzero(freed)
+    indptr, indices = graph.csr_adjacency
+    for _ in range(m_hops):
+        # all CSR rows of the frontier at once: row r spans indptr[r]..+deg[r]
+        lo, deg = indptr[frontier], graph.degrees[frontier]
+        offsets = np.repeat(lo - np.cumsum(deg) + deg, deg)
+        reached = indices[offsets + np.arange(offsets.size)]
+        frontier = np.unique(reached[~freed[reached]])
+        if not frontier.size:
+            break
+        freed[frontier] = True
+    return set(ids[freed].tolist())
 
 
 def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,

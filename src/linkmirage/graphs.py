@@ -2,8 +2,9 @@
 
 Vertex ids are arbitrary nonnegative integers that are stable across time
 (the same id denotes the same user in every snapshot). Internally every
-graph remaps its ids to dense positions 0..n-1 for O(1) sparse indexing;
-the raw<->internal map is exposed via ``vertices`` / ``index_of``.
+graph remaps its ids to dense positions 0..n-1 for sparse indexing; the
+position of a raw id is its index in the sorted ``vertices`` array, found
+by binary search (``index_of``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ class GraphFormatError(ValueError):
     """Raised for malformed edge-list or manifest files (reports file:line)."""
 
 
+def _id_array(values) -> np.ndarray:
+    """int64 array of vertex ids from an ndarray or any iterable of ints."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.int64, copy=False).ravel()
+    return np.fromiter(values, dtype=np.int64)
+
+
 def _canonical_edges(edges) -> np.ndarray:
     """Deduplicated (min,max) edge array, lexicographically sorted."""
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
@@ -30,8 +38,13 @@ def _canonical_edges(edges) -> np.ndarray:
         raise ValueError(f"self-loop on vertex {bad} is not allowed")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    arr = np.unique(np.column_stack([lo, hi]), axis=0)
-    return arr
+    # sort rows on (lo, hi) and keep the first of each run of equal rows:
+    # the result of np.unique(axis=0), without its slow row-view sort
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return np.column_stack([lo[first], hi[first]])
 
 
 class Graph:
@@ -46,20 +59,18 @@ class Graph:
         are always included.
     """
 
-    __slots__ = ("_ids", "_edges", "_index", "_indptr", "_indices", "_degrees")
+    __slots__ = ("_ids", "_edges", "_indptr", "_indices", "_degrees")
 
     def __init__(self, edges=(), vertices=None):
         edge_arr = _canonical_edges(edges)
         ids = edge_arr.ravel()
         if vertices is not None:
-            extra = np.asarray(list(vertices), dtype=np.int64)
-            ids = np.concatenate([ids, extra])
+            ids = np.concatenate([ids, _id_array(vertices)])
         ids = np.unique(ids)
         if ids.size and ids[0] < 0:
             raise ValueError("vertex ids must be nonnegative")
         self._ids = ids
         self._edges = edge_arr
-        self._index = {int(v): i for i, v in enumerate(ids)}
 
         # CSR adjacency over internal positions, neighbor lists sorted.
         n = ids.size
@@ -100,14 +111,23 @@ class Graph:
     def num_edges(self) -> int:
         return int(self._edges.shape[0])
 
+    def _position(self, v: int) -> int:
+        """Internal position of raw id v, or -1 when v is absent."""
+        v = int(v)
+        i = int(np.searchsorted(self._ids, v))
+        return i if i < self._ids.size and self._ids[i] == v else -1
+
     def index_of(self, v: int) -> int:
-        return self._index[int(v)]
+        i = self._position(v)
+        if i < 0:
+            raise KeyError(v)
+        return i
 
     def has_vertex(self, v: int) -> bool:
-        return int(v) in self._index
+        return self._position(v) >= 0
 
     def degree(self, v: int) -> int:
-        return int(self._degrees[self._index[int(v)]])
+        return int(self._degrees[self.index_of(v)])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -116,7 +136,7 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted raw ids of v's neighbors."""
-        i = self._index[int(v)]
+        i = self.index_of(v)
         return self._ids[self._indices[self._indptr[i]:self._indptr[i + 1]]]
 
     @property
@@ -125,9 +145,8 @@ class Graph:
         return self._indptr, self._indices
 
     def has_edge(self, u: int, v: int) -> bool:
-        iu = self._index.get(int(u))
-        iv = self._index.get(int(v))
-        if iu is None or iv is None:
+        iu, iv = self._position(u), self._position(v)
+        if iu < 0 or iv < 0:
             return False
         row = self._indices[self._indptr[iu]:self._indptr[iu + 1]]
         pos = np.searchsorted(row, iv)
@@ -140,7 +159,7 @@ class Graph:
 
     def subgraph(self, vertices) -> "Graph":
         """Induced subgraph on the given raw ids (kept even if isolated)."""
-        keep = np.asarray(sorted(int(v) for v in vertices), dtype=np.int64)
+        keep = np.unique(_id_array(vertices))
         if self._edges.size:
             mask = np.isin(self._edges[:, 0], keep) & np.isin(self._edges[:, 1], keep)
             sub_edges = self._edges[mask]
@@ -150,7 +169,7 @@ class Graph:
 
     def with_vertices(self, vertices) -> "Graph":
         """Same edges with the vertex set extended by ``vertices``."""
-        return Graph(self._edges, vertices=np.union1d(self._ids, np.asarray(list(vertices), dtype=np.int64)))
+        return Graph(self._edges, vertices=np.union1d(self._ids, _id_array(vertices)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -10,7 +10,9 @@ every vertex's expected degree exactly, for any k.
 The dynamic pipeline re-clusters each snapshot against the previous one,
 reuses the previous perturbation verbatim for unchanged communities and for
 inter-community pairs whose both sides are unchanged, and re-perturbs only
-what changed.
+what changed. A step is laid out once as a deterministic plan and drawn by
+one function, ``_sample_step``, which the posterior and the degree check
+call too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .clustering import (Clustering, CommunityDiff, _edge_labels, changed_link_set,
                          classify_communities, cluster_static, recluster_dynamic)
-from .graphs import Graph, TemporalGraphSequence
+from .graphs import Graph, TemporalGraphSequence, _canonical_edges
 from .markov import walk_terminals
 
 INTER_FORMS = ("appendixC", "algorithm1")
@@ -136,6 +138,20 @@ def draw_walker_edges(graph: Graph, k: int,
     return starts, terms
 
 
+def _perturb_edges(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Array core of ``perturb_static``: the canonical fake edge array."""
+    starts, terms = draw_walker_edges(graph, k, rng)
+    for _ in range(10):
+        loop = starts == terms
+        if not loop.any():
+            break
+        terms = terms.copy()
+        terms[loop] = walk_terminals(graph, starts[loop], k, rng)
+    keep = starts != terms
+    ids = graph.vertices
+    return _canonical_edges(np.column_stack([ids[starts[keep]], ids[terms[keep]]]))
+
+
 def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     """Static random-walk perturbation of a whole graph (or community subgraph).
 
@@ -146,17 +162,7 @@ def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     """
     if k < 1:
         raise ValueError("walk length k must be >= 1")
-    starts, terms = draw_walker_edges(graph, k, rng)
-    for _ in range(10):
-        loop = starts == terms
-        if not loop.any():
-            break
-        terms = terms.copy()
-        terms[loop] = walk_terminals(graph, starts[loop], k, rng)
-    keep = starts != terms
-    ids = graph.vertices
-    fake = np.column_stack([ids[starts[keep]], ids[terms[keep]]])
-    return Graph(fake, vertices=ids)
+    return Graph(_perturb_edges(graph, k, rng), vertices=graph.vertices)
 
 
 # -- inter-community rewiring ------------------------------------------------
@@ -233,137 +239,105 @@ def perturb_intercluster(graph: Graph, clustering: Clustering,
 
 @dataclass(frozen=True)
 class _StepPlan:
-    """Deterministic structure of one timestamp's perturbation.
+    """Deterministic layout of one timestamp's perturbation.
 
-    Splitting plan construction from sampling lets hypothesis re-perturbation
-    and degree experiments redraw the random part thousands of times without
-    re-clustering.
+    The plan holds no perturbed edges: ``_sample_step`` takes the previous
+    step's edges as an argument. So the release, the posterior's hypothesis
+    re-perturbations and the degree check draw through the same function,
+    thousands of times per plan, without re-clustering.
     """
 
-    graph: Graph
     clustering: Clustering
     diff: CommunityDiff
     subgraphs: dict          # label -> community subgraph (changed labels only)
     pair_tasks: list
-    reused_intra: dict       # label -> edges copied from t-1
-    reused_inter: dict       # (a, b) -> edges copied from t-1
+    reused_pairs: dict       # (a, b) -> previous pair key whose edges are copied
+    present: np.ndarray | None   # ids carried edges are filtered to; None if no vertex left
 
     @property
     def changed_labels(self) -> list:
         return sorted(self.subgraphs)
 
-    def spawn_streams(self, rng: np.random.Generator) -> tuple[dict, list]:
-        """Per-community and per-pair child generators in canonical order."""
-        labels = self.changed_labels
-        children = rng.spawn(len(labels) + len(self.pair_tasks))
-        return dict(zip(labels, children)), children[len(labels):]
-
-    def sample_edges(self, params: PerturbParams, rng: np.random.Generator,
-                     threads: int = 1) -> tuple[dict, dict]:
-        """Draw one perturbation: returns (intra edges by label, inter by pair)."""
-        comm_streams, pair_streams = self.spawn_streams(rng)
-        intra = dict(self.reused_intra)
-
-        def one(label):
-            sub = self.subgraphs[label]
-            fake = perturb_static(sub, params.k, comm_streams[label])
-            return label, fake.edges
-
-        if threads > 1 and len(self.subgraphs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for label, edges in pool.map(one, self.changed_labels):
-                    intra[label] = edges
-        else:
-            for label in self.changed_labels:
-                intra[label] = one(label)[1]
-
-        inter = dict(self.reused_inter)
-        reused_pairs = set(self.reused_inter)
-        for task, stream in zip(self.pair_tasks, pair_streams):
-            if (task.a, task.b) in reused_pairs:
-                continue
-            inter[(task.a, task.b)] = task.sample(stream, params.inter_cluster_form)
-        return intra, inter
-
-    def sample_degrees(self, params: PerturbParams,
-                       rng: np.random.Generator) -> np.ndarray:
-        """Walker-incidence degrees of one raw draw, aligned with graph.vertices.
-
-        Counts the fake-edge multiset before self-loop handling and
-        deduplication (a self-terminal walk counts 2 at its vertex), plus the
-        Bernoulli inter edges; the expected value is exactly the original
-        degree for every vertex.
-        """
-        comm_streams, pair_streams = self.spawn_streams(rng)
-        ids = self.graph.vertices
-        deg = np.zeros(ids.size, dtype=np.int64)
-        for label in self.changed_labels:
-            sub = self.subgraphs[label]
-            starts, terms = draw_walker_edges(sub, params.k, comm_streams[label])
-            local = np.bincount(starts, minlength=sub.num_vertices) \
-                + np.bincount(terms, minlength=sub.num_vertices)
-            deg[np.searchsorted(ids, sub.vertices)] += local
-        for label, edges in self.reused_intra.items():
-            if len(edges):
-                pos = np.searchsorted(ids, np.asarray(edges).ravel())
-                deg += np.bincount(pos, minlength=ids.size)
-        reused_pairs = set(self.reused_inter)
-        for task, stream in zip(self.pair_tasks, pair_streams):
-            if (task.a, task.b) in reused_pairs:
-                continue
-            mask = stream.random((task.nodes_a.size, task.nodes_b.size)) \
-                < task.probabilities(params.inter_cluster_form)
-            deg[np.searchsorted(ids, task.nodes_a)] += mask.sum(axis=1)
-            deg[np.searchsorted(ids, task.nodes_b)] += mask.sum(axis=0)
-        for pair, edges in self.reused_inter.items():
-            if len(edges):
-                pos = np.searchsorted(ids, np.asarray(edges).ravel())
-                deg += np.bincount(pos, minlength=ids.size)
-        return deg
-
-
-def _filter_to_vertices(edges, graph: Graph) -> np.ndarray:
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size == 0:
-        return edges
-    ok = np.isin(edges[:, 0], graph.vertices) & np.isin(edges[:, 1], graph.vertices)
-    return edges[ok]
-
 
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
-    """Cluster, classify, and lay out reuse for one timestamp (no randomness)."""
+    """Cluster, classify, and lay out reuse for one timestamp (no randomness).
+
+    ``prev`` is None at t=0, otherwise (previous graph, previous clustering,
+    previous inter-pair keys).
+    """
+    present = None
     if prev is None:
         clustering = cluster_static(g_t)
         diff = classify_communities(None, clustering, params.theta)
-        prev_record = None
+        prev_pairs = ()
     else:
-        prev_graph, prev_record = prev
+        prev_graph, prev_clustering, prev_pairs = prev
         changed = changed_link_set(prev_graph, g_t)
-        clustering = recluster_dynamic(g_t, prev_record.clustering, changed, params.m)
-        diff = classify_communities(prev_record.clustering, clustering, params.theta)
+        clustering = recluster_dynamic(g_t, prev_clustering, changed, params.m)
+        diff = classify_communities(prev_clustering, clustering, params.theta)
+        if not np.isin(prev_graph.vertices, g_t.vertices, assume_unique=True).all():
+            present = g_t.vertices
 
     subgraphs = {label: g_t.subgraph(clustering.communities[label])
                  for label in diff.changed}
-    reused_intra = {}
-    for prev_label, cur_label in diff.unchanged:
-        reused_intra[cur_label] = _filter_to_vertices(
-            prev_record.intra.get(prev_label, np.empty((0, 2), np.int64)), g_t)
-
     pair_tasks = _pair_tasks(g_t, clustering)
-    reused_inter = {}
-    if prev_record is not None:
-        prev_for = diff.prev_for
-        for task in pair_tasks:
-            pa, pb = prev_for.get(task.a), prev_for.get(task.b)
-            if pa is None or pb is None:
-                continue
-            key = (pa, pb) if pa < pb else (pb, pa)
-            if key in prev_record.inter:
-                reused_inter[(task.a, task.b)] = _filter_to_vertices(
-                    prev_record.inter[key], g_t)
-    return _StepPlan(graph=g_t, clustering=clustering, diff=diff,
+    prev_for = diff.prev_for
+    reused_pairs = {}
+    for task in pair_tasks:
+        pa, pb = prev_for.get(task.a), prev_for.get(task.b)
+        if pa is None or pb is None:
+            continue
+        key = (pa, pb) if pa < pb else (pb, pa)
+        if key in prev_pairs:
+            reused_pairs[(task.a, task.b)] = key
+    return _StepPlan(clustering=clustering, diff=diff,
                      subgraphs=subgraphs, pair_tasks=pair_tasks,
-                     reused_intra=reused_intra, reused_inter=reused_inter)
+                     reused_pairs=reused_pairs, present=present)
+
+
+def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
+                 rng: np.random.Generator, threads: int = 1,
+                 draw=_perturb_edges) -> tuple[dict, dict]:
+    """Draw one step perturbation with reuse: (intra by label, inter by pair).
+
+    ``carried`` is None at t=0, otherwise the previous step's (intra, inter)
+    edges. Unchanged communities and reused pairs copy their carried edges,
+    minus those with an endpoint that left the snapshot. Changed communities
+    are drawn by ``draw(subgraph, k, stream)`` and the other pairs are
+    rewired, from child streams spawned in canonical order: changed labels
+    ascending, then pair tasks ascending.
+    """
+    labels = plan.changed_labels
+    children = rng.spawn(len(labels) + len(plan.pair_tasks))
+
+    def carry(edges):
+        if plan.present is None:
+            return edges
+        return edges[np.isin(edges, plan.present).all(axis=1)]
+
+    intra = {label: carry(carried[0][prev_label])
+             for prev_label, label in plan.diff.unchanged}
+
+    def one(label, stream):
+        return draw(plan.subgraphs[label], params.k, stream)
+
+    if threads > 1 and len(labels) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            intra.update(zip(labels, pool.map(one, labels, children)))
+    else:
+        intra.update((label, one(label, stream)) for label, stream in zip(labels, children))
+
+    inter = {pair: carry(carried[1][key]) for pair, key in plan.reused_pairs.items()}
+    for task, stream in zip(plan.pair_tasks, children[len(labels):]):
+        if (task.a, task.b) not in plan.reused_pairs:
+            inter[(task.a, task.b)] = task.sample(stream, params.inter_cluster_form)
+    return intra, inter
+
+
+def _step_edges(intra: dict, inter: dict) -> np.ndarray:
+    """Every edge of one step draw in one array; duplicates are kept."""
+    pieces = [*intra.values(), *inter.values()]
+    return np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)
 
 
 def _step_rng(params: PerturbParams, t: int, namespace: int = _NS_DYNAMIC):
@@ -385,14 +359,17 @@ def linkmirage_step(g_t: Graph, prev, params: PerturbParams,
     t = 0 if prev is None else prev[1].timestamp + 1
     if rng is None:
         rng = _step_rng(params, t)
-    plan = build_step_plan(g_t, prev, params)
-    intra, inter = plan.sample_edges(params, rng, threads=threads)
+    carried = None
+    layout = None
+    if prev is not None:
+        prev_graph, prev_record = prev
+        carried = (prev_record.intra, prev_record.inter)
+        layout = (prev_graph, prev_record.clustering, prev_record.inter.keys())
+    plan = build_step_plan(g_t, layout, params)
+    intra, inter = _sample_step(plan, carried, params, rng, threads=threads)
     record = PerturbationRecord(timestamp=t, clustering=plan.clustering,
                                 intra=intra, inter=inter)
-    pieces = [np.asarray(e).reshape(-1, 2) for e in intra.values()] \
-        + [np.asarray(e).reshape(-1, 2) for e in inter.values()]
-    edges = np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)
-    g_prime = Graph(edges, vertices=g_t.vertices)
+    g_prime = Graph(_step_edges(intra, inter), vertices=g_t.vertices)
     return g_prime, record, plan.clustering
 
 

@@ -10,6 +10,12 @@ hypothesis world, of reproducing the observed local neighborhood of the
 queried pair (edge presence plus the perturbed degree pair, per timestamp),
 with add-one smoothing. On small graphs this is validated against exhaustive
 enumeration.
+
+Re-perturbations of the LinkMirage mechanism draw every step through
+``perturb._sample_step``, the function that makes the release, with the
+sample's previous step as the carried edges. One pass over the samples
+yields both the prefix match counts (read by ``posterior_probability``) and
+the per-step counts (read by ``indistinguishability_series``).
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, PerturbationRecord, build_step_plan,
-                      perturb_static)
+from .perturb import (PerturbParams, _perturb_edges, _sample_step, _step_edges,
+                      build_step_plan)
 
 
 @dataclass(frozen=True)
@@ -214,64 +220,25 @@ class _SequenceSampler:
         if mechanism == "linkmirage":
             self.plans = []
             prev = None
-            for t, g_t in enumerate(world.snapshots):
+            for g_t in world.snapshots:
                 plan = build_step_plan(g_t, prev, params)
                 self.plans.append(plan)
-                # the reuse layout of later steps depends only on clusterings,
-                # so a placeholder record with empty edge sets is enough
-                rec = PerturbationRecord(timestamp=t, clustering=plan.clustering,
-                                         intra={lab: np.empty((0, 2), np.int64)
-                                                for lab in plan.clustering.communities},
-                                         inter={(task.a, task.b): np.empty((0, 2), np.int64)
-                                                for task in plan.pair_tasks})
-                prev = (g_t, rec)
+                prev = (g_t, plan.clustering, {(task.a, task.b) for task in plan.pair_tasks})
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
                         degree_bin: int = DEGREE_BIN) -> tuple:
         u, v = uv
-        feats = []
         if self.mechanism == "static":
-            for g_t in self.world.snapshots:
-                fake = perturb_static(g_t, self.params.k, rng)
-                feats.append(_edge_feature(fake.edges, u, v, degree_bin))
-            return tuple(feats)
-        if self.mechanism == "linkmirage":
-            carried_intra, carried_inter = {}, {}
+            draws = [_perturb_edges(g_t, self.params.k, rng) for g_t in self.world.snapshots]
+        elif self.mechanism == "linkmirage":
+            draws, carried = [], None
             for plan in self.plans:
-                reused_intra = {lab: carried_intra.get(prev_lab, np.empty((0, 2), np.int64))
-                                for prev_lab, lab in plan.diff.unchanged}
-                reuse_keys = set(plan.reused_inter)
-                intra, inter = self._sample_plan(plan, reused_intra, reuse_keys,
-                                                 carried_inter, rng)
-                pieces = [np.asarray(e).reshape(-1, 2) for e in intra.values()] \
-                    + [np.asarray(e).reshape(-1, 2) for e in inter.values()]
-                edges = np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)
-                feats.append(_edge_feature(edges, u, v, degree_bin))
-                carried_intra, carried_inter = intra, inter
-            return tuple(feats)
-        # custom mechanism: callable(world, rng) -> list of edge arrays
-        for edges in self.mechanism(self.world, rng):
-            feats.append(_edge_feature(edges, u, v, degree_bin))
-        return tuple(feats)
-
-    def _sample_plan(self, plan, reused_intra, reuse_keys, carried_inter, rng):
-        comm_streams, pair_streams = plan.spawn_streams(rng)
-        intra = dict(reused_intra)
-        for label in plan.changed_labels:
-            sub = plan.subgraphs[label]
-            fake = perturb_static(sub, self.params.k, comm_streams[label])
-            intra[label] = fake.edges
-        inter = {}
-        prev_for = plan.diff.prev_for
-        for task, stream in zip(plan.pair_tasks, pair_streams):
-            key = (task.a, task.b)
-            if key in reuse_keys:
-                pa, pb = prev_for[task.a], prev_for[task.b]
-                pkey = (pa, pb) if pa < pb else (pb, pa)
-                inter[key] = carried_inter.get(pkey, np.empty((0, 2), np.int64))
-            else:
-                inter[key] = task.sample(stream, self.params.inter_cluster_form)
-        return intra, inter
+                carried = _sample_step(plan, carried, self.params, rng)
+                draws.append(_step_edges(*carried))
+        else:
+            # custom mechanism: callable(world, rng) -> list of edge arrays
+            draws = self.mechanism(self.world, rng)
+        return tuple(_edge_feature(edges, u, v, degree_bin) for edges in draws)
 
     def innovation_steps(self, uv: tuple[int, int]) -> list:
         """Which timestamps draw fresh randomness that can touch (u, v).
@@ -295,9 +262,8 @@ class _SequenceSampler:
                       plan.clustering.assignment.get(v)}
             innovate = bool(labels & changed)
             if not innovate:
-                reused = set(plan.reused_inter)
                 for task in plan.pair_tasks:
-                    if (task.a, task.b) in reused:
+                    if (task.a, task.b) in plan.reused_pairs:
                         continue
                     if u in task.nodes_a or u in task.nodes_b \
                             or v in task.nodes_a or v in task.nodes_b:
@@ -306,33 +272,23 @@ class _SequenceSampler:
             out.append(innovate)
         return out
 
-    def marginal_match_counts(self, observed: tuple, uv: tuple[int, int],
-                              n_samples: int, rng: np.random.Generator,
-                              degree_bin: int = DEGREE_BIN) -> np.ndarray:
-        """Per-timestamp counts of samples whose step feature matches."""
-        counts = np.zeros(len(observed), dtype=np.int64)
-        for _ in range(n_samples):
-            feats = self.sample_features(uv, rng, degree_bin)
-            for t in range(len(observed)):
-                if feats[t] == observed[t]:
-                    counts[t] += 1
-        return counts
 
+def _match_counts(sampler: _SequenceSampler, observed: tuple,
+                  uv: tuple[int, int], n_samples: int, rng: np.random.Generator,
+                  degree_bin: int = DEGREE_BIN) -> tuple[np.ndarray, np.ndarray]:
+    """(prefix, per-step) match counts over n_samples re-perturbations.
 
-def _likelihood_counts(sampler: _SequenceSampler, observed: tuple,
-                       uv: tuple[int, int], n_samples: int,
-                       rng: np.random.Generator,
-                       degree_bin: int = DEGREE_BIN) -> np.ndarray:
-    """Per-timestamp prefix match counts over n_samples re-perturbations."""
-    horizon = len(observed)
-    counts = np.zeros(horizon, dtype=np.int64)
+    prefix[t] counts samples whose features match the observation at every
+    step up to t; per-step[t] counts those that match at step t.
+    """
+    prefix = np.zeros(len(observed), dtype=np.int64)
+    step = np.zeros(len(observed), dtype=np.int64)
     for _ in range(n_samples):
         feats = sampler.sample_features(uv, rng, degree_bin)
-        for t in range(horizon):
-            if feats[t] != observed[t]:
-                break
-            counts[t] += 1
-    return counts
+        match = np.array([f == o for f, o in zip(feats, observed)], dtype=bool)
+        step += match
+        prefix += np.logical_and.accumulate(match)
+    return prefix, step
 
 
 def _bayes(prior: float, like_with: float, like_without: float) -> float:
@@ -366,8 +322,8 @@ def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
     for present in (True, False):
         world = _hypothesis_world(seq, query, present)
         sampler = _SequenceSampler(world, params, mechanism)
-        counts[present] = _likelihood_counts(sampler, observed, uv, n_samples,
-                                             rng.spawn(1)[0], degree_bin)[t]
+        counts[present] = _match_counts(sampler, observed, uv, n_samples,
+                                        rng.spawn(1)[0], degree_bin)[0][t]
     c1, c0 = int(counts[True]), int(counts[False])
     like1 = (c1 + 1.0) / (n_samples + 2.0)
     like0 = (c0 + 1.0) / (n_samples + 2.0)
@@ -440,8 +396,8 @@ def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechani
             world = _hypothesis_world(seq, full_query, present)
             sampler = _SequenceSampler(world, params, mech)
             innov[present] = sampler.innovation_steps(uv)
-            counts[present] = sampler.marginal_match_counts(
-                observed, uv, n_samples, rng.spawn(1)[0], degree_bin)
+            counts[present] = _match_counts(sampler, observed, uv, n_samples,
+                                            rng.spawn(1)[0], degree_bin)[1]
 
         def prefix_loglike(step_counts, steps_innovate, t):
             total = 0.0

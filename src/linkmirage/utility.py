@@ -12,7 +12,8 @@ import scipy.sparse as sp
 from .clustering import _edge_labels
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
-from .perturb import PerturbParams, build_step_plan
+from .perturb import (PerturbParams, _sample_step, _step_edges, build_step_plan,
+                      draw_walker_edges)
 
 
 @dataclass(frozen=True)
@@ -76,23 +77,32 @@ class DegreeReport:
     trials: int
 
 
+def _walker_edges(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One raw walk per edge as (start, terminal) ids, self-terminal walks kept."""
+    starts, terms = draw_walker_edges(graph, k, rng)
+    return graph.vertices[np.column_stack([starts, terms])]
+
+
 def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
                            rng: np.random.Generator) -> DegreeReport:
     """Monte Carlo check that perturbation preserves expected degrees.
 
     Runs the full pipeline (cluster once, then re-draw intra walks and inter
     rewiring per trial) and accumulates walker-incidence degrees, whose
-    expectation equals the original degree exactly. z is the standardized
+    expectation equals the original degree exactly: each community draws one
+    raw walk per edge, before self-loop redraws and deduplication, so a
+    self-terminal walk counts 2 at its vertex. z is the standardized
     deviation of the Monte Carlo mean from the original degree.
     """
     if trials < 1000:
         raise ValueError("degree expectation needs >= 1000 trials")
     plan = build_step_plan(graph, None, params)
-    n = graph.num_vertices
-    acc = np.zeros(n, dtype=np.float64)
-    acc2 = np.zeros(n, dtype=np.float64)
+    ids = graph.vertices
+    acc = np.zeros(ids.size, dtype=np.float64)
+    acc2 = np.zeros(ids.size, dtype=np.float64)
     for _ in range(trials):
-        d = plan.sample_degrees(params, rng)
+        ends = _step_edges(*_sample_step(plan, None, params, rng, draw=_walker_edges))
+        d = np.bincount(np.searchsorted(ids, ends.ravel()), minlength=ids.size)
         acc += d
         acc2 += d.astype(np.float64) ** 2
     mean = acc / trials

@@ -34,3 +34,14 @@ def random_graph(n, p, rng, ensure_edge=False):
     if ensure_edge and not edges:
         edges = [(0, 1)]
     return Graph(edges, vertices=range(n))
+
+
+def small_overlap_sequence():
+    """Three 20-vertex blocks over 3 steps; block 0 churns and grows.
+
+    Every step re-perturbs some communities and pairs and reuses others.
+    """
+    from linkmirage import evolving_sequence
+    return evolving_sequence([20, 20, 20], 0.3, 0.02, 3, 0.7,
+                             np.random.default_rng(42), keep_edge=(1, 2),
+                             churn_blocks=[0], new_vertices_per_step=4)

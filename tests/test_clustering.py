@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+from collections import deque
 
 import numpy as np
 import pytest
@@ -299,6 +300,38 @@ def test_freed_vertices_zero_hops_only_endpoints(path3):
 def test_freed_vertices_ball():
     g = Graph([(0, 1), (1, 2), (2, 3), (3, 4)])
     assert freed_vertices(g, [(0, 1)], 2) == {0, 1, 2, 3}
+
+
+def bfs_freed_vertices(graph, changed_links, m_hops):
+    """Oracle: breadth-first search from the present endpoints, one vertex at a time."""
+    seeds = {int(x) for link in changed_links for x in link if graph.has_vertex(x)}
+    freed = set(seeds)
+    frontier = deque((s, 0) for s in sorted(seeds))
+    while frontier:
+        v, dist = frontier.popleft()
+        if dist == m_hops:
+            continue
+        for w in graph.neighbors(v).tolist():
+            if w not in freed:
+                freed.add(w)
+                frontier.append((w, dist + 1))
+    return freed
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=30),
+       st.floats(min_value=0.0, max_value=0.4),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=10**6))
+def test_freed_vertices_match_bfs_oracle(n, p, m_hops, n_links, seed):
+    # sparse ids, and changed links may name vertices absent from the graph
+    rng = np.random.default_rng(seed)
+    base = random_graph(n, p, rng)
+    g = Graph(base.edges * 3 + 1, vertices=np.arange(n) * 3 + 1)
+    links = {(int(u), int(v)) for u, v in rng.integers(0, 3 * n + 3, size=(n_links, 2))
+             if u != v}
+    assert freed_vertices(g, links, m_hops) == bfs_freed_vertices(g, links, m_hops)
 
 
 def test_recluster_empty_change_is_identity(two_k4_bridge):

@@ -1,7 +1,4 @@
-"""The narrative demos run to completion against the current library API.
-
-``privacy_demo.py`` is left out: it takes about 20 s.
-"""
+"""The narrative demos run to completion against the current library API."""
 
 import os
 import subprocess
@@ -13,7 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("demo", ["perturbation_demo.py", "utility_demo.py",
-                                  "applications_demo.py"])
+                                  "applications_demo.py", "privacy_demo.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from linkmirage import (Graph, GraphFormatError, load_edge_list, load_sequence,
                         union_graph, write_edge_list)
+from linkmirage.graphs import _canonical_edges
 
 
 def test_edges_canonicalized_and_deduped():
@@ -9,6 +11,17 @@ def test_edges_canonicalized_and_deduped():
     assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert g.num_edges == 2
     assert g.num_vertices == 3
+
+
+def test_canonical_edges_match_row_unique():
+    rng = np.random.default_rng(7)
+    for n, m in ((2, 1), (5, 40), (50, 300), (10**9, 200)):
+        arr = rng.integers(0, n, size=(m, 2))
+        arr = arr[arr[:, 0] != arr[:, 1]]
+        arr = np.vstack([arr, arr[::3, ::-1]])   # reversed duplicates
+        want = np.unique(np.sort(arr, axis=1), axis=0)
+        got = _canonical_edges(arr)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_self_loop_rejected():
@@ -29,6 +42,25 @@ def test_adjacency_consistent_with_edges():
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(0, 3)
     assert g.degree(2) == 3
+
+
+@pytest.mark.parametrize("g", [Graph([(2, 5), (5, 9)], vertices=[20]), Graph()])
+@pytest.mark.parametrize("absent", [0, 3, 6, 10, 21, -1, np.int64(4)])
+def test_absent_vertex_lookups(g, absent):
+    # ids below, between and above the present ones, on a graph and on the empty graph
+    for lookup in (g.index_of, g.degree, g.neighbors):
+        with pytest.raises(KeyError):
+            lookup(absent)
+    assert not g.has_vertex(absent)
+    assert not g.has_edge(absent, 5) and not g.has_edge(5, absent)
+    assert not g.has_edge(absent, absent)
+
+
+def test_vertices_from_any_iterable():
+    for make in (lambda: [4, 7], lambda: np.array([7, 4]), lambda: {4, 7},
+                 lambda: range(4, 8, 3), lambda: (v for v in (7, 4))):
+        assert Graph([(0, 1)], vertices=make()).vertices.tolist() == [0, 1, 4, 7]
+        assert Graph([(0, 1), (4, 7)]).subgraph(make()).vertices.tolist() == [4, 7]
 
 
 def test_subgraph_induced():

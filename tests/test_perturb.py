@@ -1,12 +1,14 @@
 import numpy as np
 
-from conftest import random_graph
+from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         hay_baseline, linkmirage_run,
                         linkmirage_sequence, linkmirage_step, perturb_intercluster,
                         perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
-from linkmirage.perturb import _pair_tasks, build_step_plan, draw_walker_edges
+from linkmirage.perturb import (_pair_tasks, _sample_step, _step_rng, build_step_plan,
+                               draw_walker_edges)
+from linkmirage.privacy import _SequenceSampler, _edge_feature
 
 
 def test_single_edge_k1_is_forced(rng):
@@ -231,6 +233,53 @@ def test_static_baseline_walker_degree_preserved(rng):
     deg = g.degrees.astype(float)
     z = np.where(se > 0, (mean - deg) / se, 0.0)
     assert (np.abs(z) <= 3.0).mean() >= 0.99
+
+
+def test_posterior_plans_and_kernel_reproduce_the_release():
+    # the posterior's plans, fed the release's stream and previous record,
+    # give every record exactly: the posterior re-runs the released mechanism
+    seq = small_overlap_sequence()
+    params = PerturbParams(k=2, m=1, theta=0.8, seed=5)
+    _, records = linkmirage_run(seq, params)
+    plans = _SequenceSampler(seq, params, "linkmirage").plans
+    assert any(p.diff.unchanged and p.diff.changed for p in plans[1:])
+    assert any(p.reused_pairs and len(p.reused_pairs) < len(p.pair_tasks)
+               for p in plans[1:])
+    carried = None
+    for t, (plan, record) in enumerate(zip(plans, records)):
+        intra, inter = _sample_step(plan, carried, params, _step_rng(params, t))
+        assert plan.clustering == record.clustering
+        for got, want in ((intra, record.intra), (inter, record.inter)):
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[key], want[key]) for key in want)
+        carried = (record.intra, record.inter)
+
+
+def vertex_leaves_sequence():
+    """Two bridged K6 blocks; vertex 5 of the first block leaves at t=1."""
+    k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    g0 = Graph(k6 + [(u + 6, v + 6) for u, v in k6] + [(5, 6), (4, 7)])
+    g1 = Graph([e for e in g0.edges.tolist() if 5 not in e])
+    return TemporalGraphSequence([g0, g1])
+
+
+def test_carried_edges_of_a_departed_vertex_are_dropped():
+    seq = vertex_leaves_sequence()
+    params = PerturbParams(k=2, m=0, theta=0.8, seed=3)
+    graphs, records = linkmirage_run(seq, params)
+    sampler = _SequenceSampler(seq, params, "linkmirage")
+    plan = sampler.plans[1]
+    assert plan.diff.unchanged == [(0, 0), (6, 6)] and plan.reused_pairs
+    records[1].validate()
+    assert not graphs[1].has_vertex(5)
+    assert any(5 in e for e in records[0].intra[0].tolist())
+    # the sampler carries its own draws through the same filter: vertex 5
+    # has no perturbed edge at t=1, as in the release
+    assert _edge_feature(graphs[1].edges, 5, 4, degree_bin=1)[:2] == (0, 0)
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        present, degree_5, _ = sampler.sample_features((5, 4), rng, degree_bin=1)[1]
+        assert (present, degree_5) == (0, 0)
 
 
 def test_prev_record_roundtrips_through_json():

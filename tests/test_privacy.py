@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_graph
+from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         TemporalGraphSequence, TransitionMatrix, anti_aggregation,
                         anti_aggregation_aggregated, estimation_error_bound_check,
-                        indistinguishability, matrix_power, posterior_probability,
+                        indistinguishability, indistinguishability_series,
+                        linkmirage_sequence, matrix_power,
+                        perturb_static_baseline_sequence, posterior_probability,
                         prior_probability, transition_matrix, tv_distance)
 
 
@@ -222,6 +224,48 @@ def test_single_community_mechanisms_agree():
     (t_s, h_s, se_s), = series["static"]
     assert abs(h_l - h_s) <= 3 * (se_l + se_s) + 0.05
 
+
+
+# -- pinned estimator outputs ---------------------------------------------------
+# Exact values of the Monte Carlo estimators on a fixture that mixes changed
+# and reused communities and pairs; a refactor of the sampling path must
+# reproduce every draw.
+
+
+def _pinned_inputs():
+    seq = small_overlap_sequence()
+    params = PerturbParams(k=2, m=1, theta=0.8, seed=5)
+    observed = {"linkmirage": linkmirage_sequence(seq, params),
+                "static": perturb_static_baseline_sequence(seq, 2, 5)}
+    return seq, params, observed, LinkQuery(t=2, u=1, v=2), PriorModel(seed=1)
+
+
+@pytest.mark.parametrize("mech, fields", [
+    ("linkmirage", (0.7605624974574272, 0.09121098814085515, 100, 0.5142845033165181,
+                    0.029411764705882353, 0.00980392156862745, False)),
+    ("static", (0.6792442268149151, 0.10484552205258854, 100, 0.5142845033165181,
+                0.0196078431372549, 0.00980392156862745, False)),
+])
+def test_posterior_outputs_pinned(mech, fields):
+    seq, params, observed, query, model = _pinned_inputs()
+    est = posterior_probability(query, seq, observed[mech], model, params, 100,
+                                np.random.default_rng(8), mechanism=mech,
+                                degree_bin=8)
+    assert (est.probability, est.standard_error, est.samples, est.prior,
+            est.likelihood_with, est.likelihood_without, est.degenerate) == fields
+
+
+def test_indistinguishability_series_pinned():
+    seq, params, observed, query, model = _pinned_inputs()
+    series = indistinguishability_series(seq, observed, query, model, params, 100,
+                                         np.random.default_rng(9))
+    assert series == {
+        "linkmirage": [(0, 0.9949052316391817, 0.02326651120145236),
+                       (1, 0.9519972322809956, 0.12817340451138115),
+                       (2, 0.5721044777317448, 0.2056531289092397)],
+        "static": [(0, 0.9052014402531667, 0.13576789938327105),
+                   (1, 0.987465589766094, 0.11778403095721308),
+                   (2, 0.9874655897660941, 0.11778403095721311)]}
 
 # -- anti-aggregation -------------------------------------------------------------
 

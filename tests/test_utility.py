@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         expected_degree_report, linkmirage_sequence, pagerank,
                         ratio_cut, spectral_metrics, structural_metrics,
@@ -134,6 +135,16 @@ def test_degree_report_k3_within_3_sigma():
     report = expected_degree_report(g, PerturbParams(k=1, seed=3), 5000,
                                     np.random.default_rng(6))
     assert np.abs(report.z_score).max() <= 3.0
+
+
+def test_degree_report_means_pinned():
+    # exact Monte Carlo means; a refactor of the sampling path must keep every draw
+    g = small_overlap_sequence()[2]
+    report = expected_degree_report(g, PerturbParams(k=2, seed=5), 1000,
+                                    np.random.default_rng(10))
+    assert report.mean.sum() == 418.102
+    assert hashlib.sha256(report.mean.tobytes()).hexdigest() == \
+        "3b9d8d4b37c115019bb147d6cec34110c4662ebfe7d9d81e95f59eb75ff2f5ed"
 
 
 def test_degree_report_requires_trials():
