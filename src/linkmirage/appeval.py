@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, TemporalGraphSequence, union_graph
+from .graphs import Graph, TemporalGraphSequence, _canonical_edges, _id_array
 from .synth import er_graph
 from .utility import is_connected
 
@@ -54,6 +54,16 @@ class SamplingReport:
     outside_envelope: int      # perturbed edges not inside the k-hop union
 
 
+def _union_edges(graphs) -> np.ndarray:
+    """Canonical (m, 2) edge array of the union of the graphs' edge sets."""
+    return _canonical_edges(np.concatenate([g.edges for g in graphs]))
+
+
+def _edge_rows(edges: np.ndarray) -> np.ndarray:
+    """One opaque scalar per row of an (m, 2) int64 array, for row-wise isin."""
+    return np.ascontiguousarray(edges).view(np.dtype((np.void, 16))).ravel()
+
+
 def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingReport:
     """De-anonymization sampling probability with envelope accounting.
 
@@ -64,15 +74,15 @@ def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingRe
     perturbed = list(perturbed)
     if len(perturbed) != len(seq):
         raise ValueError("perturbed and original sequences are misaligned")
-    pert_union = union_graph(perturbed).edge_set()
-    khop_union = union_graph([k_hop_graph(g, k) for g in seq.snapshots]).edge_set()
-    if not khop_union:
+    pert_union = _union_edges(perturbed)
+    khop_union = _union_edges([k_hop_graph(g, k) for g in seq.snapshots])
+    if not khop_union.size:
         raise ValueError("k-hop union is empty (edgeless input)")
-    outside = len(pert_union - khop_union)
+    inside = np.isin(_edge_rows(pert_union), _edge_rows(khop_union))
     return SamplingReport(probability=len(pert_union) / len(khop_union),
                           perturbed_union_edges=len(pert_union),
                           k_hop_union_edges=len(khop_union),
-                          outside_envelope=outside)
+                          outside_envelope=int(inside.size - np.count_nonzero(inside)))
 
 
 def sampling_probability(perturbed, seq: TemporalGraphSequence, k: int) -> float:
@@ -128,45 +138,81 @@ class SybilScenario:
 
 
 def count_attack_edges(graph: Graph, honest_ids) -> int:
-    honest = set(int(v) for v in honest_ids)
-    return sum(1 for u, v in graph.edges
-               if (int(u) in honest) != (int(v) in honest))
+    """Edges of ``graph`` with exactly one endpoint among ``honest_ids``."""
+    honest = _id_array(honest_ids)
+    edges = graph.edges
+    return int(np.count_nonzero(np.isin(edges[:, 0], honest)
+                                != np.isin(edges[:, 1], honest)))
+
+
+def _reverse_positions(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """CSR position of y -> x for every directed position x -> y."""
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # keys row * n + column are sorted: rows in order, each row's columns sorted
+    return np.searchsorted(rows * n + indices, indices * n + rows)
 
 
 def _random_routes(graph: Graph, rng: np.random.Generator,
-                   routes_per_node: int, walk_length: int) -> dict:
-    """Tails (last undirected edge) of random routes, one per node per instance.
+                   routes_per_node: int, walk_length: int) -> np.ndarray:
+    """Tails of random routes, one per vertex per instance.
 
+    Returns a (routes_per_node, n) array of undirected edge ids, the smaller
+    of the edge's two directed CSR positions, or -1 for an isolated vertex.
     Each instance draws fresh permutation routing tables: a route entering
     node y through incoming slot s leaves through slot pi_y[s], so routes
     that meet on an edge stay merged; that convergence is what makes honest
-    tails intersect.
+    tails intersect. A route is its current directed position e = x -> y;
+    the slot of x in y's row is rev[e] - indptr[y], so with every vertex's
+    table laid out along the CSR rows one hop is
+    e <- indptr[y] + table[rev[e]], taken by all routes at once.
     """
     indptr, indices = graph.csr_adjacency
-    n = graph.num_vertices
-    ids = graph.vertices
-    tails = {int(v): set() for v in ids}
-
-    # slot of edge (x -> y) inside y's sorted adjacency, for table lookups
-    def slot(y: int, x: int) -> int:
-        row = indices[indptr[y]:indptr[y + 1]]
-        return int(np.searchsorted(row, x))
-
-    for _instance in range(routes_per_node):
-        tables = [rng.permutation(int(indptr[v + 1] - indptr[v])) for v in range(n)]
-        for v in range(n):
-            deg = int(indptr[v + 1] - indptr[v])
-            if not deg:
-                continue
-            first = int(rng.integers(0, deg))
-            prev, cur = v, int(indices[indptr[v] + first])
-            for _ in range(walk_length - 1):
-                out_slot = int(tables[cur][slot(cur, prev)])
-                nxt = int(indices[indptr[cur] + out_slot])
-                prev, cur = cur, nxt
-            a, b = int(ids[prev]), int(ids[cur])
-            tails[int(ids[v])].add((min(a, b), max(a, b)))
+    degrees = graph.degrees.tolist()
+    starts = np.flatnonzero(graph.degrees)
+    start_degrees = graph.degrees[starts].tolist()
+    rev = _reverse_positions(indptr, indices)
+    tails = np.full((routes_per_node, len(degrees)), -1, dtype=np.int64)
+    for instance in range(routes_per_node):
+        # the stream order is fixed: every vertex's table (isolated ones
+        # included), then one first slot per vertex with an edge, vertex by
+        # vertex; a vectorised integers(0, degrees) would draw other numbers
+        table = np.concatenate([np.empty(0, dtype=np.int64)]
+                               + [rng.permutation(d) for d in degrees])
+        first = np.array([rng.integers(0, d) for d in start_degrees], dtype=np.int64)
+        e = indptr[starts] + first
+        for _ in range(walk_length - 1):
+            e = indptr[indices[e]] + table[rev[e]]
+        tails[instance, starts] = np.minimum(e, rev[e])
     return tails
+
+
+# entries of the honest x honest tail-overlap product formed at once
+_OVERLAP_ENTRIES = 1 << 20
+
+
+def _rejected_pairs(tails: np.ndarray) -> int:
+    """Ordered pairs (verifier, suspect), verifier != suspect, whose tails
+    in the (routes, honest) array ``tails`` share no edge.
+
+    With H the honest x edge incidence matrix, a pair is accepted when its
+    entry of H @ H.T is nonzero. The product is formed a block of rows at a
+    time so no dense honest x honest array is ever built.
+    """
+    n_honest = tails.shape[1]
+    has_tail = tails >= 0
+    rows = np.broadcast_to(np.arange(n_honest), tails.shape)[has_tail]
+    cols = tails[has_tail]
+    width = int(cols.max()) + 1 if cols.size else 0
+    incidence = sp.csr_matrix((np.ones(cols.size, dtype=np.int32), (rows, cols)),
+                              shape=(n_honest, width))
+    transpose = incidence.T.tocsr()
+    block = max(1, _OVERLAP_ENTRIES // n_honest)
+    accepted = sum((incidence[lo:lo + block] @ transpose).nnz
+                   for lo in range(0, n_honest, block))
+    # a vertex with a route always meets itself; self-pairs are never rejected
+    accepted -= int(np.count_nonzero(has_tail.any(axis=0)))
+    return n_honest * (n_honest - 1) - accepted
 
 
 def sybil_eval(scenario: SybilScenario, g_prime: Graph,
@@ -175,26 +221,22 @@ def sybil_eval(scenario: SybilScenario, g_prime: Graph,
 
     A verifier accepts a suspect when their route tails intersect; the false
     positive rate is the fraction of honest suspects rejected, averaged over
-    honest verifiers. Also reports the number of edges crossing the
-    honest/Sybil cut in ``g_prime``.
+    honest verifiers (self-pairs count as accepted). Also reports the number
+    of edges crossing the honest/Sybil cut in ``g_prime``. Cost: the route
+    draws are O(routes * n) scalar draws, the walks O(routes * walk_length *
+    n) array work, and the tail overlap a sparse product over honest rows;
+    memory is O(m + routes * n) plus one block of the product.
     """
-    honest = [int(v) for v in scenario.honest_ids if g_prime.has_vertex(v)]
+    ids = g_prime.vertices
+    honest_ids = scenario.honest_ids
+    honest = np.searchsorted(ids, honest_ids[np.isin(honest_ids, ids)])
     tails = _random_routes(g_prime, rng, scenario.routes_per_node,
                            scenario.walk_length)
-    rejected = 0
-    total = 0
-    for verifier in honest:
-        vt = tails[verifier]
-        for suspect in honest:
-            total += 1
-            if suspect == verifier:
-                continue
-            if not (vt & tails[suspect]):
-                rejected += 1
-    fp = rejected / total if total else 0.0
-    honest_sub = g_prime.subgraph(scenario.honest_ids)
+    total = honest.size * honest.size
+    fp = _rejected_pairs(tails[:, honest]) / total if total else 0.0
+    honest_sub = g_prime.subgraph(honest_ids)
     return {
         "false_positive_rate": fp,
-        "attack_edges_after": count_attack_edges(g_prime, scenario.honest_ids),
+        "attack_edges_after": count_attack_edges(g_prime, honest_ids),
         "honest_connected": is_connected(honest_sub),
     }

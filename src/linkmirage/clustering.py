@@ -222,12 +222,8 @@ def freed_vertices(graph: Graph, changed_links, m_hops: int) -> set:
     ends = np.asarray(list(changed_links), dtype=np.int64).reshape(-1)
     freed = np.isin(ids, ends)
     frontier = np.flatnonzero(freed)
-    indptr, indices = graph.csr_adjacency
     for _ in range(m_hops):
-        # all CSR rows of the frontier at once: row r spans indptr[r]..+deg[r]
-        lo, deg = indptr[frontier], graph.degrees[frontier]
-        offsets = np.repeat(lo - np.cumsum(deg) + deg, deg)
-        reached = indices[offsets + np.arange(offsets.size)]
+        reached = graph.neighbor_positions(frontier)
         frontier = np.unique(reached[~freed[reached]])
         if not frontier.size:
             break

@@ -144,6 +144,14 @@ class Graph:
         """(indptr, indices) over internal positions, for vectorized walks."""
         return self._indptr, self._indices
 
+    def neighbor_positions(self, positions) -> np.ndarray:
+        """Concatenated CSR rows of the internal ``positions``: every neighbor
+        position of each, repeats kept (one frontier step of a BFS)."""
+        lo, deg = self._indptr[positions], self._degrees[positions]
+        # row r spans indptr[r]..+deg[r]
+        offsets = np.repeat(lo - np.cumsum(deg) + deg, deg)
+        return self._indices[offsets + np.arange(offsets.size)]
+
     def has_edge(self, u: int, v: int) -> bool:
         iu, iv = self._position(u), self._position(v)
         if iu < 0 or iv < 0:

@@ -178,19 +178,18 @@ def structural_metrics(graph: Graph) -> dict:
 
 
 def is_connected(graph: Graph) -> bool:
+    """Whether a frontier expansion from position 0 reaches every vertex
+    (one array step per BFS level)."""
     n = graph.num_vertices
     if n <= 1:
         return True
-    indptr, indices = graph.csr_adjacency
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in indices[indptr[v]:indptr[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(int(w))
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = graph.neighbor_positions(frontier)
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
     return bool(seen.all())
 
 

@@ -196,9 +196,12 @@ def test_eval_sybil_scenario(workspace, tmp_path):
     args = ["--manifest", str(manifest), "--out", str(out), "--k", "1", "--seed", "5"]
     assert main(["perturb"] + args) == 0
     assert main(["eval"] + args + ["--scenario", str(scenario)]) == 0
-    text = (out / "eval.csv").read_text()
-    assert "sybil-false-positive-rate" in text
-    assert "sybil-attack-edges-after" in text
+    rows = (out / "eval.csv").read_text().splitlines()[2:]
+    # values pinned from the pairwise-loop evaluator
+    assert rows == ["1,sampling-probability-k1,0.75609756097560976",
+                    "1,sampling-outside-envelope,5",
+                    "0,sybil-false-positive-rate,0.671875",
+                    "0,sybil-attack-edges-after,2"]
 
 
 def test_report_concatenates(workspace, tmp_path):

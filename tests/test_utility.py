@@ -1,8 +1,11 @@
 import hashlib
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
@@ -237,6 +240,44 @@ def dense_slem(g: Graph, lazy=False):
 def test_slem_complete_graphs_analytic():
     for n in (3, 4, 6, 9):
         assert slem(complete_graph(n)) == pytest.approx(1.0 / (n - 1), abs=1e-9)
+
+
+def deque_is_connected(graph):
+    """Oracle: breadth-first search from position 0, one vertex at a time."""
+    n = graph.num_vertices
+    if n <= 1:
+        return True
+    indptr, indices = graph.csr_adjacency
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                queue.append(int(w))
+    return bool(seen.all())
+
+
+def test_is_connected_small_cases(triangle, path3, two_k4_bridge):
+    assert is_connected(Graph()) and is_connected(Graph(vertices=[4]))
+    assert is_connected(triangle) and is_connected(path3) and is_connected(two_k4_bridge)
+    assert not is_connected(Graph([(0, 1)], vertices=[0, 1, 2]))
+    assert not is_connected(Graph([(0, 1), (2, 3)]))
+    assert is_connected(Graph([(i, i + 1) for i in range(300)]))
+    assert not is_connected(Graph([(i, i + 1) for i in range(300)], vertices=[1000]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=30),
+       st.floats(min_value=0.0, max_value=0.4),
+       st.integers(min_value=0, max_value=10**6))
+def test_is_connected_matches_deque_bfs(n, p, seed):
+    g = random_graph(n, p, np.random.default_rng(seed))
+    sparse_ids = Graph(g.edges * 5 + 2, vertices=np.arange(n) * 5 + 2)
+    assert is_connected(g) == deque_is_connected(g)
+    assert is_connected(sparse_ids) == deque_is_connected(g)
 
 
 def test_slem_matches_dense_eigensolve(rng):
