@@ -43,7 +43,7 @@ def main():
     scenario = SybilScenario(honest_graph=honest, sybil_size=25, attack_edges=8,
                              walk_length=12, routes_per_node=70)
     combined = scenario.build_combined(np.random.default_rng(4))
-    released, _, _ = linkmirage_step(combined, None, PerturbParams(k=2, seed=3))
+    released, _ = linkmirage_step(combined, None, PerturbParams(k=2, seed=3))
     for name, graph in (("original", combined), ("released", released)):
         result = sybil_eval(scenario, graph, np.random.default_rng(8))
         print(f"  {name:9s} false positive rate {result['false_positive_rate']:.3f}, "

@@ -42,8 +42,9 @@ def main():
     for label, graphs in (("dynamic", perturbed), ("static baseline", baseline)):
         overlaps = []
         for a, b in zip(graphs, graphs[1:]):
-            inter = len(a.edge_set() & b.edge_set())
-            overlaps.append(inter / max(len(a.edge_set()), 1))
+            a_edges = set(map(tuple, a.edges.tolist()))
+            inter = len(a_edges & set(map(tuple, b.edges.tolist())))
+            overlaps.append(inter / max(len(a_edges), 1))
         print(f"  {label}: consecutive overlap "
               + ", ".join(f"{o:.2f}" for o in overlaps))
     print("\nhigh overlap for the dynamic mechanism is the point: correlated "

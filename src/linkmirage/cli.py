@@ -28,10 +28,9 @@ from .perturb import (INTER_FORMS, PerturbParams, hay_baseline,
 from .privacy import (LinkQuery, PriorModel, anti_aggregation,
                       anti_aggregation_aggregated, indistinguishability,
                       posterior_probability)
-from .markov import transition_matrix, tv_distance
 from .reporting import canonical_json, sha256_text, write_csv, write_json
-from .utility import (pagerank, ratio_cut, spectral_metrics, structural_metrics,
-                      ud_upper_bound, utility_distance)
+from .utility import (community_tv, pagerank, ratio_cut, spectral_metrics,
+                      structural_metrics, ud_upper_bound, utility_distance)
 
 MECHANISMS = ("linkmirage", "static-baseline", "hay-baseline")
 METRICS = ("anti-inference", "indistinguishability", "anti-aggregation",
@@ -66,8 +65,9 @@ def read_config_file(path) -> dict:
     return out
 
 
-def _merged(args: argparse.Namespace, keys) -> dict:
-    """Resolved settings: config file first, explicit flags override."""
+def _merged(args: argparse.Namespace, keys, required=()) -> dict:
+    """Resolved settings: config file first, explicit flags override; every
+    key in ``required`` must be set by one of them."""
     settings = {}
     if getattr(args, "config", None):
         file_conf = read_config_file(args.config)
@@ -80,14 +80,20 @@ def _merged(args: argparse.Namespace, keys) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             settings[key] = val
+    for key in required:
+        if key not in settings:
+            raise ConfigError(f"{args.command} needs --{key}")
     return settings
+
+
+# settings every stage reads to find a release; all but "out" determine it
+_RELEASE_KEYS = ("manifest", "out", "mechanism", "k", "m", "theta", "seed",
+                 "inter-cluster-form", "hay-r")
 
 
 def _perturb_config(settings) -> dict:
     """The subset of settings that determines perturbation outputs."""
-    keys = ("manifest", "mechanism", "k", "m", "theta", "seed",
-            "inter-cluster-form", "hay-r")
-    return {k: str(settings[k]) for k in keys if k in settings}
+    return {k: str(settings[k]) for k in _RELEASE_KEYS if k != "out" and k in settings}
 
 
 def provenance_hash(settings) -> str:
@@ -108,12 +114,7 @@ def _params_from(settings) -> PerturbParams:
 
 
 def cmd_perturb(args) -> int:
-    keys = ("manifest", "out", "mechanism", "k", "m", "theta", "seed",
-            "inter-cluster-form", "hay-r", "threads")
-    settings = _merged(args, keys)
-    for required in ("manifest", "out"):
-        if required not in settings:
-            raise ConfigError(f"perturb needs --{required}")
+    settings = _merged(args, _RELEASE_KEYS + ("threads",), ("manifest", "out"))
     mechanism = str(settings.get("mechanism", "linkmirage"))
     if mechanism not in MECHANISMS:
         raise ConfigError(f"mechanism must be one of {MECHANISMS}")
@@ -166,33 +167,131 @@ def _load_outputs(settings, seq) -> list:
     return graphs
 
 
-def _parse_query(text) -> tuple[int, int, int]:
+def _posterior(settings, params, seq, perturbed, n_samples) -> tuple:
+    """(t, estimate) of the --query link under the release's mechanism."""
+    if "query" not in settings:
+        raise ConfigError("anti-inference metrics need --query u,v,t")
     try:
-        u, v, t = (int(x) for x in str(text).split(","))
-        return u, v, t
+        u, v, t = (int(x) for x in str(settings["query"]).split(","))
     except ValueError:
         raise ConfigError("--query expects 'u,v,t'") from None
+    if not 0 <= t < len(seq):
+        raise ConfigError(f"--query t={t} is outside 0..{len(seq) - 1}")
+    for x in (u, v):
+        if not seq[t].has_vertex(x):
+            raise ConfigError(f"--query vertex {x} is not in snapshot {t}")
+    mechanism = str(settings.get("mechanism", "linkmirage"))
+    if mechanism == "hay-baseline":
+        r_frac = float(settings.get("hay-r", 0.5))
+
+        def mech(world, rng):
+            return [hay_baseline(g, int(round(r_frac * g.num_edges)), rng).edges
+                    for g in world.snapshots]
+    else:
+        mech = "linkmirage" if mechanism == "linkmirage" else "static"
+    rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(97,)))
+    return t, posterior_probability(LinkQuery(t=t, u=u, v=v), seq, perturbed,
+                                    PriorModel(seed=params.seed), params,
+                                    n_samples, rng, mechanism=mech)
 
 
-def _community_tv(g, gp, clustering) -> float:
-    """Worst per-community TV between original and released subgraph walks."""
-    worst = 0.0
-    for members in clustering.communities.values():
-        sub = g.subgraph(members)
-        sub_p = gp.subgraph(members)
-        worst = max(worst, tv_distance(transition_matrix(sub),
-                                       transition_matrix(sub_p)))
-    return worst
+# Row producers give (t, metric, value, stderr, n_samples) rows. Query ones take
+# (t, estimate, n_samples); snapshot ones take (settings, params, seq, perturbed, t).
+
+def _anti_inference_rows(t, est, n):
+    gap = abs(est.probability - est.prior)
+    return [(t, "prior", est.prior, 0.0, n),
+            (t, "posterior", est.probability, est.standard_error, n),
+            (t, "anti-inference-gap", gap, est.standard_error, n)]
+
+
+def _indistinguishability_rows(t, est, n):
+    return [(t, "indistinguishability", indistinguishability(est.probability),
+             est.standard_error, n)]
+
+
+def _per_graph(seq, perturbed, t, measure) -> list:
+    """Rows of ``measure(g) -> [(name, value)]`` on snapshot t, then its release."""
+    return [(t, f"{name}-{tag}", value, 0.0, 0)
+            for g, tag in ((seq[t], "original"), (perturbed[t], "perturbed"))
+            for name, value in measure(g)]
+
+
+def _anti_aggregation_rows(settings, params, seq, perturbed, t):
+    g, k = seq[t], params.k
+    return [(t, f"anti-aggregation-k{k}", anti_aggregation(g, perturbed[t], k), 0.0, 0),
+            (t, f"anti-aggregation-aggregated-k{k}",
+             anti_aggregation_aggregated(perturbed[:t + 1], g, k), 0.0, 0)]
+
+
+def _modularity_rows(settings, params, seq, perturbed, t):
+    return _per_graph(seq, perturbed, t,
+                      lambda g: [("modularity", modularity(g, cluster_static(g)))])
+
+
+def _pagerank_rows(settings, params, seq, perturbed, t):
+    damping = float(settings.get("damping", 0.85))
+    delta = np.abs(pagerank(seq[t], damping) - pagerank(perturbed[t], damping))
+    return [(t, "pagerank-mean-delta", float(delta.mean()), 0.0, 0)]
+
+
+def _structural_rows(settings, params, seq, perturbed, t):
+    def measure(g):
+        sm = structural_metrics(g)
+        return [("clustering-coefficient", sm["clustering_coefficient"]),
+                ("assortativity", sm["assortativity"])]
+    return _per_graph(seq, perturbed, t, measure)
+
+
+def _spectral_rows(settings, params, seq, perturbed, t):
+    eps = float(settings.get("epsilon", 0.05))
+    lazy = str(settings.get("lazy", "false")).lower() in ("1", "true", "yes")
+
+    def measure(g):
+        try:
+            sm = spectral_metrics(g, epsilon=eps, lazy=lazy)
+        except ValueError:   # disconnected graphs have no single walk spectrum
+            return [("slem", float("nan")), ("mixing-time", float("nan"))]
+        tau = float(sm["mixing_time"]) if sm["mixing_converged"] else float("nan")
+        return [("slem", sm["slem"]), ("mixing-time", tau)]
+    return _per_graph(seq, perturbed, t, measure)
+
+
+_QUERY_PRODUCERS = (("anti-inference", _anti_inference_rows),
+                    ("indistinguishability", _indistinguishability_rows))
+_SNAPSHOT_PRODUCERS = (("anti-aggregation", _anti_aggregation_rows),
+                       ("modularity", _modularity_rows),
+                       ("pagerank", _pagerank_rows),
+                       ("structural", _structural_rows),
+                       ("spectral", _spectral_rows))
+
+
+def _ud_rows(settings, seq, perturbed, l_values) -> tuple[list, dict]:
+    """ud-l<l> rows, and a utility_l<l>.csv table per l with each t's ratio
+    cut and the bound when a linkmirage release left its record.json."""
+    record_path = os.path.join(settings["out"], "record.json")
+    deltas, eps = None, 0.0
+    if settings.get("mechanism", "linkmirage") == "linkmirage" and os.path.exists(record_path):
+        with open(record_path, "r", encoding="ascii") as fh:
+            clusterings = [Clustering.from_groups(r["communities"].values())
+                           for r in json.load(fh)["records"]]
+        if clusterings:
+            deltas = [ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)]
+            eps = max(map(community_tv, seq.snapshots, perturbed, clusterings))
+    rows, tables = [], {}
+    for l in l_values:
+        per_t = list(enumerate(utility_distance(seq, perturbed, l).per_timestamp))
+        bound = ud_upper_bound(eps, deltas, l) if deltas else float("nan")
+        rows += [(t, f"ud-l{l}", ud, 0.0, 0) for t, ud in per_t]
+        tables[f"utility_l{l}.csv"] = [(t, ud, deltas[t] if deltas else float("nan"), bound)
+                                       for t, ud in per_t]
+    return rows, tables
 
 
 def cmd_metrics(args) -> int:
-    keys = ("manifest", "out", "mechanism", "k", "m", "theta", "seed",
-            "inter-cluster-form", "hay-r", "metric", "samples", "l", "query",
-            "epsilon", "damping", "lazy", "threads")
-    settings = _merged(args, keys)
-    for required in ("manifest", "out", "metric"):
-        if required not in settings:
-            raise ConfigError(f"metrics needs --{required}")
+    settings = _merged(args, _RELEASE_KEYS + ("metric", "samples", "l", "query", "epsilon",
+                                              "damping", "lazy", "threads"),
+                       ("manifest", "out", "metric"))
     metrics = [m.strip() for m in str(settings["metric"]).split(",") if m.strip()]
     if not metrics:
         raise ConfigError("empty metric selection")
@@ -200,125 +299,34 @@ def cmd_metrics(args) -> int:
         if m not in METRICS:
             raise ConfigError(f"unknown metric {m!r}; choose from {METRICS}")
     params = _params_from(settings)
-    mechanism = str(settings.get("mechanism", "linkmirage"))
-
     seq = load_sequence(settings["manifest"])
     perturbed = _load_outputs(settings, seq)
-    phash = provenance_hash(settings)
     n_samples = int(settings.get("samples", 200))
     l_values = [int(x) for x in str(settings.get("l", "2")).split(",")]
-    rows = []
 
-    if "anti-inference" in metrics or "indistinguishability" in metrics:
-        if "query" not in settings:
-            raise ConfigError("anti-inference metrics need --query u,v,t")
-        u, v, t = _parse_query(settings["query"])
-        if not 0 <= t < len(seq):
-            raise ConfigError(f"--query t={t} is outside 0..{len(seq) - 1}")
-        for x in (u, v):
-            if not seq[t].has_vertex(x):
-                raise ConfigError(f"--query vertex {x} is not in snapshot {t}")
-        query = LinkQuery(t=t, u=u, v=v)
-        model = PriorModel(seed=params.seed)
-        if mechanism == "hay-baseline":
-            r_frac = float(settings.get("hay-r", 0.5))
-
-            def mech(world, rng):
-                return [hay_baseline(g, int(round(r_frac * g.num_edges)), rng).edges
-                        for g in world.snapshots]
-        else:
-            mech = "linkmirage" if mechanism == "linkmirage" else "static"
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(97,)))
-        est = posterior_probability(query, seq, perturbed, model, params,
-                                    n_samples, rng, mechanism=mech)
-        if "anti-inference" in metrics:
-            rows.append((t, mechanism, "prior", est.prior, 0.0, n_samples))
-            rows.append((t, mechanism, "posterior", est.probability,
-                         est.standard_error, n_samples))
-            rows.append((t, mechanism, "anti-inference-gap",
-                         abs(est.probability - est.prior), est.standard_error,
-                         n_samples))
-        if "indistinguishability" in metrics:
-            rows.append((t, mechanism, "indistinguishability",
-                         indistinguishability(est.probability),
-                         est.standard_error, n_samples))
-
-    for t, (g, gp) in enumerate(zip(seq.snapshots, perturbed)):
-        if "anti-aggregation" in metrics:
-            rows.append((t, mechanism, f"anti-aggregation-k{params.k}",
-                         anti_aggregation(g, gp, params.k), 0.0, 0))
-            rows.append((t, mechanism, f"anti-aggregation-aggregated-k{params.k}",
-                         anti_aggregation_aggregated(perturbed[:t + 1], g, params.k),
-                         0.0, 0))
-        if "modularity" in metrics:
-            rows.append((t, mechanism, "modularity-original",
-                         modularity(g, cluster_static(g)), 0.0, 0))
-            rows.append((t, mechanism, "modularity-perturbed",
-                         modularity(gp, cluster_static(gp)), 0.0, 0))
-        if "pagerank" in metrics:
-            damping = float(settings.get("damping", 0.85))
-            delta = float(np.abs(pagerank(g, damping) - pagerank(gp, damping)).mean())
-            rows.append((t, mechanism, "pagerank-mean-delta", delta, 0.0, 0))
-        if "structural" in metrics:
-            for graph, tag in ((g, "original"), (gp, "perturbed")):
-                sm = structural_metrics(graph)
-                rows.append((t, mechanism, f"clustering-coefficient-{tag}",
-                             sm["clustering_coefficient"], 0.0, 0))
-                rows.append((t, mechanism, f"assortativity-{tag}",
-                             sm["assortativity"], 0.0, 0))
-        if "spectral" in metrics:
-            eps = float(settings.get("epsilon", 0.05))
-            lazy = str(settings.get("lazy", "false")).lower() in ("1", "true", "yes")
-            for graph, tag in ((g, "original"), (gp, "perturbed")):
-                try:
-                    sm = spectral_metrics(graph, epsilon=eps, lazy=lazy)
-                except ValueError:
-                    # disconnected graphs have no single walk spectrum
-                    rows.append((t, mechanism, f"slem-{tag}", float("nan"), 0.0, 0))
-                    rows.append((t, mechanism, f"mixing-time-{tag}",
-                                 float("nan"), 0.0, 0))
-                    continue
-                rows.append((t, mechanism, f"slem-{tag}", sm["slem"], 0.0, 0))
-                rows.append((t, mechanism, f"mixing-time-{tag}",
-                             float(sm["mixing_time"]) if sm["mixing_converged"]
-                             else float("nan"), 0.0, 0))
-
+    rows, tables = [], {}
+    if any(name in metrics for name, _ in _QUERY_PRODUCERS):
+        t, est = _posterior(settings, params, seq, perturbed, n_samples)
+        rows += [row for name, produce in _QUERY_PRODUCERS if name in metrics
+                 for row in produce(t, est, n_samples)]
+    for t in range(len(seq)):
+        rows += [row for name, produce in _SNAPSHOT_PRODUCERS if name in metrics
+                 for row in produce(settings, params, seq, perturbed, t)]
     if "ud" in metrics:
-        record_path = os.path.join(settings["out"], "record.json")
-        clusterings = None
-        if mechanism == "linkmirage" and os.path.exists(record_path):
-            with open(record_path, "r", encoding="ascii") as fh:
-                recs = json.load(fh)["records"]
-            clusterings = [Clustering.from_groups(r["communities"].values())
-                           for r in recs]
-        for l in l_values:
-            report = utility_distance(seq, perturbed, l)
-            deltas = [ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)] \
-                if clusterings else None
-            bound = None
-            if deltas is not None:
-                eps = max(
-                    (_community_tv(seq[t], perturbed[t], clusterings[t])
-                     for t in range(len(seq))), default=0.0)
-                bound = ud_upper_bound(eps, deltas, l)
-            for t, ud in enumerate(report.per_timestamp):
-                rows.append((t, mechanism, f"ud-l{l}", ud, 0.0, 0))
-            write_csv(
-                os.path.join(settings["out"], f"utility_l{l}.csv"),
-                ("t", "ud", "delta", "bound"),
-                [(t, ud,
-                  deltas[t] if deltas else float("nan"),
-                  bound if bound is not None else float("nan"))
-                 for t, ud in enumerate(report.per_timestamp)],
-                comment_lines=[f"provenance: {provenance_hash(settings)}"])
+        ud_rows, tables = _ud_rows(settings, seq, perturbed, l_values)
+        rows += ud_rows
 
-    out_dir = settings["out"]
+    out_dir, phash = settings["out"], provenance_hash(settings)
+    mechanism = str(settings.get("mechanism", "linkmirage"))
     header = ("t", "mechanism", "metric", "value", "stderr", "n_samples")
+    rows = [(t, mechanism, *rest) for t, *rest in rows]
+    for name, table in tables.items():
+        write_csv(os.path.join(out_dir, name), ("t", "ud", "delta", "bound"), table,
+                  comment_lines=[f"provenance: {phash}"])
     write_csv(os.path.join(out_dir, "metrics.csv"), header, rows,
               comment_lines=[f"provenance: {phash}"])
     write_json(os.path.join(out_dir, "metrics.json"),
-               {"provenance": phash,
-                "rows": [dict(zip(header, r)) for r in rows]})
+               {"provenance": phash, "rows": [dict(zip(header, r)) for r in rows]})
     return EXIT_OK
 
 
@@ -329,12 +337,8 @@ def _read_scenario(path) -> dict:
 
 
 def cmd_eval(args) -> int:
-    keys = ("manifest", "out", "mechanism", "k", "m", "theta", "seed",
-            "inter-cluster-form", "hay-r", "f", "target", "scenario", "threads")
-    settings = _merged(args, keys)
-    for required in ("manifest", "out"):
-        if required not in settings:
-            raise ConfigError(f"eval needs --{required}")
+    settings = _merged(args, _RELEASE_KEYS + ("f", "target", "scenario", "threads"),
+                       ("manifest", "out"))
     params = _params_from(settings)
     seq = load_sequence(settings["manifest"])
     perturbed = _load_outputs(settings, seq)
@@ -369,7 +373,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"scenario file missing key {exc}") from exc
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
         combined = scenario.build_combined(rng)
-        g_prime, _, _ = linkmirage_step(combined, None, params)
+        g_prime, _ = linkmirage_step(combined, None, params)
         result = sybil_eval(scenario, g_prime, rng)
         rows.append((0, "sybil-false-positive-rate", result["false_positive_rate"]))
         rows.append((0, "sybil-attack-edges-after",
@@ -382,9 +386,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    settings = _merged(args, ("out",))
-    if "out" not in settings:
-        raise ConfigError("report needs --out")
+    settings = _merged(args, ("out",), ("out",))
     out_dir = settings["out"]
     rows = []
     for name in ("metrics.csv", "eval.csv"):

@@ -160,9 +160,6 @@ class Graph:
         pos = np.searchsorted(row, iv)
         return bool(pos < row.size and row[pos] == iv)
 
-    def edge_set(self) -> frozenset:
-        return frozenset((int(u), int(v)) for u, v in self._edges)
-
     # -- derived graphs ----------------------------------------------------
 
     def subgraph(self, vertices) -> "Graph":
@@ -187,6 +184,29 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
+
+
+def _absent_pairs(graph: Graph, count: int, rng: np.random.Generator,
+                  exclude=()) -> np.ndarray:
+    """Up to ``count`` distinct non-edges as (lo, hi) position rows, in draw order.
+
+    Each attempt draws u, then v, with a scalar ``rng.integers(0, n)``; equal
+    positions, edges, ``exclude`` pairs and repeats are rejected. After
+    ``50 * count + 1000`` attempts it returns what it has, so a graph too
+    dense to hold ``count`` absent pairs ends the loop.
+    """
+    n = graph.num_vertices
+    ends = np.searchsorted(graph.vertices, graph.edges)
+    taken = set((ends[:, 0] * n + ends[:, 1]).tolist())    # pair a < b has key a*n + b
+    taken.update(min(a, b) * n + max(a, b) for a, b in exclude)
+    pairs, attempts = [], 0
+    while len(pairs) < count and attempts < 50 * count + 1000:
+        attempts += 1
+        u, v = sorted((int(rng.integers(0, n)), int(rng.integers(0, n))))
+        if u != v and u * n + v not in taken:
+            taken.add(u * n + v)
+            pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,7 @@ def transition_matrix(graph: Graph) -> TransitionMatrix:
     n = graph.num_vertices
     indptr, indices = graph.csr_adjacency
     deg = graph.degrees
-    data = np.empty(indices.size, dtype=np.float64)
-    for i in range(n):
-        if deg[i]:
-            data[indptr[i]:indptr[i + 1]] = 1.0 / deg[i]
+    data = np.repeat(1.0 / np.maximum(deg, 1), deg)
     mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
     isolated = np.flatnonzero(deg == 0)
     if isolated.size:

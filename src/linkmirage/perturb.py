@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import (Clustering, CommunityDiff, _edge_labels, changed_link_set,
                          classify_communities, cluster_static, recluster_dynamic)
-from .graphs import Graph, TemporalGraphSequence, _canonical_edges
+from .graphs import Graph, TemporalGraphSequence, _absent_pairs, _canonical_edges
 from .markov import walk_terminals
 
 INTER_FORMS = ("appendixC", "algorithm1")
@@ -340,25 +340,24 @@ def _step_edges(intra: dict, inter: dict) -> np.ndarray:
     return np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)
 
 
-def _step_rng(params: PerturbParams, t: int, namespace: int = _NS_DYNAMIC):
+def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Generator:
+    """The stream of timestamp t under one mechanism's spawn-key namespace."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=params.seed, spawn_key=(namespace, t)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
 
 
 def linkmirage_step(g_t: Graph, prev, params: PerturbParams,
-                    rng: np.random.Generator | None = None,
-                    threads: int = 1) -> tuple[Graph, PerturbationRecord, Clustering]:
+                    threads: int = 1) -> tuple[Graph, PerturbationRecord]:
     """One timestamp of the selective perturbation pipeline.
 
     ``prev`` is None at t=0, otherwise (previous graph, previous record).
     At t=0 every community is perturbed; at t>0 unchanged communities and
     unchanged inter pairs reuse the recorded edges verbatim and only the
-    rest is re-sampled. Deterministic given (inputs, params, rng seed) and
-    independent of thread count.
+    rest is re-sampled. Draws from timestamp t's stream of ``params.seed``,
+    so it is deterministic given (inputs, params) and independent of thread
+    count.
     """
     t = 0 if prev is None else prev[1].timestamp + 1
-    if rng is None:
-        rng = _step_rng(params, t)
     carried = None
     layout = None
     if prev is not None:
@@ -366,11 +365,12 @@ def linkmirage_step(g_t: Graph, prev, params: PerturbParams,
         carried = (prev_record.intra, prev_record.inter)
         layout = (prev_graph, prev_record.clustering, prev_record.inter.keys())
     plan = build_step_plan(g_t, layout, params)
-    intra, inter = _sample_step(plan, carried, params, rng, threads=threads)
+    intra, inter = _sample_step(plan, carried, params, _step_rng(params.seed, t),
+                                threads=threads)
     record = PerturbationRecord(timestamp=t, clustering=plan.clustering,
                                 intra=intra, inter=inter)
     g_prime = Graph(_step_edges(intra, inter), vertices=g_t.vertices)
-    return g_prime, record, plan.clustering
+    return g_prime, record
 
 
 def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams,
@@ -378,9 +378,8 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams,
     """Fold the step over a sequence; returns (perturbed graphs, records)."""
     graphs, records = [], []
     prev = None
-    for t, g_t in enumerate(seq.snapshots):
-        g_prime, record, _ = linkmirage_step(
-            g_t, prev, params, rng=_step_rng(params, t), threads=threads)
+    for g_t in seq.snapshots:
+        g_prime, record = linkmirage_step(g_t, prev, params, threads=threads)
         graphs.append(g_prime)
         records.append(record)
         prev = (g_t, record)
@@ -396,12 +395,8 @@ def linkmirage_sequence(seq: TemporalGraphSequence, params: PerturbParams,
 def perturb_static_baseline_sequence(seq: TemporalGraphSequence, k: int,
                                      seed: int) -> list:
     """Whole-snapshot static perturbation, independently at each timestamp."""
-    out = []
-    for t, g_t in enumerate(seq.snapshots):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_NS_STATIC, t)))
-        out.append(perturb_static(g_t, k, rng))
-    return out
+    return [perturb_static(g_t, k, _step_rng(seed, t, _NS_STATIC))
+            for t, g_t in enumerate(seq.snapshots)]
 
 
 # -- r-delete / r-insert comparator -------------------------------------------
@@ -410,41 +405,25 @@ def perturb_static_baseline_sequence(seq: TemporalGraphSequence, k: int,
 def hay_baseline(graph: Graph, r: int | None, rng: np.random.Generator) -> Graph:
     """Delete r uniformly chosen real edges and insert r uniform fake ones.
 
-    r defaults to round(0.5 * |E|). The output has exactly |E| edges.
+    r defaults to round(0.5 * |E|). The output has exactly |E| edges. Raises
+    ValueError when ``_absent_pairs`` finds fewer than r fake edges.
     """
     m = graph.num_edges
     if r is None:
         r = int(round(0.5 * m))
     if not 0 <= r <= m:
         raise ValueError("r must lie in [0, |E|]")
-    keep_mask = np.ones(m, dtype=bool)
-    if r:
-        keep_mask[rng.choice(m, size=r, replace=False)] = False
-    kept = graph.edges[keep_mask]
-    existing = graph.edge_set()
+    kept = np.delete(graph.edges, rng.choice(m, size=r, replace=False) if r else [], axis=0)
+    inserted = _absent_pairs(graph, r, rng)
+    if len(inserted) < r:
+        raise ValueError(f"hay baseline found {len(inserted)} of the {r} absent "
+                         f"vertex pairs it must insert; the graph is too dense")
     ids = graph.vertices
-    inserted = []
-    seen = set()
-    while len(inserted) < r:
-        u = int(ids[rng.integers(0, ids.size)])
-        v = int(ids[rng.integers(0, ids.size)])
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in existing or key in seen:
-            continue
-        seen.add(key)
-        inserted.append(key)
-    edges = np.vstack([kept, np.asarray(inserted, dtype=np.int64).reshape(-1, 2)]) \
-        if (len(kept) or inserted) else np.empty((0, 2), np.int64)
-    return Graph(edges, vertices=ids)
+    return Graph(np.vstack([kept, ids[inserted]]), vertices=ids)
 
 
 def hay_baseline_sequence(seq: TemporalGraphSequence, seed: int,
                           r_fraction: float = 0.5) -> list:
-    out = []
-    for t, g_t in enumerate(seq.snapshots):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_NS_HAY, t)))
-        out.append(hay_baseline(g_t, int(round(r_fraction * g_t.num_edges)), rng))
-    return out
+    return [hay_baseline(g_t, int(round(r_fraction * g_t.num_edges)),
+                         _step_rng(seed, t, _NS_HAY))
+            for t, g_t in enumerate(seq.snapshots)]

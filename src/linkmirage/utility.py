@@ -18,14 +18,11 @@ from .perturb import (PerturbParams, _sample_step, _step_edges, build_step_plan,
 
 @dataclass(frozen=True)
 class UtilityReport:
-    """Per-timestamp utility distance and, when supplied, its upper bound."""
+    """Per-timestamp utility distance and its mean over timestamps."""
 
     l: int
     per_timestamp: list
     aggregate: float
-    ratio_cuts: list | None = None
-    epsilon: float | None = None
-    bound: float | None = None
 
 
 def utility_distance(seq: TemporalGraphSequence, perturbed, l: int) -> UtilityReport:
@@ -56,6 +53,14 @@ def ratio_cut(graph: Graph, clustering) -> float:
         return 0.0
     ends = _edge_labels(graph, clustering)
     return int(np.count_nonzero(ends[:, 0] != ends[:, 1])) / graph.num_vertices
+
+
+def community_tv(graph: Graph, released: Graph, clustering) -> float:
+    """Worst per-community TV between original and released induced-subgraph
+    walks: the epsilon of ``ud_upper_bound`` at one timestamp."""
+    return max((tv_distance(transition_matrix(graph.subgraph(members)),
+                            transition_matrix(released.subgraph(members)))
+                for members in clustering.communities.values()), default=0.0)
 
 
 def ud_upper_bound(epsilon: float, deltas, l: int) -> float:
@@ -213,6 +218,15 @@ def is_bipartite(graph: Graph) -> bool:
     return True
 
 
+def _symmetrized_walk(graph: Graph) -> sp.csr_matrix:
+    """D^-1/2 A D^-1/2 over internal positions; needs every degree > 0."""
+    n = graph.num_vertices
+    indptr, indices = graph.csr_adjacency
+    inv_sqrt = 1.0 / np.sqrt(graph.degrees.astype(np.float64))
+    data = inv_sqrt[np.repeat(np.arange(n), graph.degrees)] * inv_sqrt[indices]
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
 def slem(graph: Graph, lazy: bool = False, tol: float = 1e-13,
          max_iter: int = 200_000) -> float:
     """Second largest eigenvalue modulus of the walk matrix.
@@ -225,15 +239,10 @@ def slem(graph: Graph, lazy: bool = False, tol: float = 1e-13,
     n = graph.num_vertices
     if n <= 1:
         return 0.0
-    indptr, indices = graph.csr_adjacency
-    deg = graph.degrees.astype(np.float64)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    data = np.concatenate([inv_sqrt[i] * inv_sqrt[indices[indptr[i]:indptr[i + 1]]]
-                           for i in range(n)]) if indices.size else np.empty(0)
-    s = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    s = _symmetrized_walk(graph)
     if lazy:
         s = 0.5 * (s + sp.identity(n, format="csr"))
-    top = np.sqrt(deg)
+    top = np.sqrt(graph.degrees.astype(np.float64))
     top /= np.linalg.norm(top)
     x = np.random.default_rng(0xD1CE).standard_normal(n)
     x -= (top @ x) * top

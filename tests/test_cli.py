@@ -1,11 +1,12 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from linkmirage import (anti_aggregation, load_edge_list, planted_partition_graph,
-                        write_edge_list)
-from linkmirage.cli import main
+from linkmirage import (Graph, anti_aggregation, load_edge_list,
+                        planted_partition_graph, write_edge_list)
+from linkmirage.cli import MECHANISMS, METRICS, main
 
 
 @pytest.fixture
@@ -17,7 +18,6 @@ def workspace(tmp_path):
     # churn a couple of edges for t=1
     edges = [tuple(e) for e in g0.edges.tolist()]
     edges = edges[:-2] + [(0, 15)]
-    from linkmirage import Graph
     snaps.append(Graph(sorted(set(edges)), vertices=g0.vertices))
     for t, g in enumerate(snaps):
         write_edge_list(g, tmp_path / f"g{t}.txt")
@@ -69,6 +69,18 @@ def test_hay_baseline_keeps_edge_count(workspace, tmp_path):
         assert gp.num_edges == g.num_edges
 
 
+def test_hay_baseline_on_a_complete_graph_exits_2(tmp_path, capsys):
+    k5 = Graph([(i, j) for i in range(5) for j in range(i + 1, 5)])
+    write_edge_list(k5, tmp_path / "k5.txt")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("k5.txt\n")
+    rc = main(["perturb", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+               "--mechanism", "hay-baseline", "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "too dense" in err
+
+
 def test_metrics_anti_aggregation_matches_library(workspace, tmp_path):
     root, manifest, snaps = workspace
     out = tmp_path / "out"
@@ -118,6 +130,21 @@ def test_metrics_empty_selection_is_config_error(workspace, tmp_path):
     args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
     assert main(["perturb"] + args) == 0
     assert main(["metrics"] + args + ["--metric", " "]) == 2
+
+
+@pytest.mark.parametrize("flags, conf", [(["--l", "abc"], ""), (["--l", "1,,2"], ""),
+                                         ([], "samples = x\n")])
+def test_metrics_malformed_l_or_samples_exit2_for_any_metric(workspace, tmp_path,
+                                                              flags, conf):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    if conf:   # --samples is typed by argparse; a config file value is not
+        (tmp_path / "bad.conf").write_text(conf)
+        flags = ["--config", str(tmp_path / "bad.conf")]
+    assert main(["metrics"] + args + ["--metric", "modularity"] + flags) == 2
+    assert not (out / "metrics.csv").exists()
 
 
 def test_metrics_without_perturb_outputs_exit4(workspace, tmp_path):
@@ -242,3 +269,131 @@ def test_config_file_with_flag_override(workspace, tmp_path):
     p1 = (out / "provenance.json").read_text()
     p2 = (out2 / "provenance.json").read_text()
     assert p1 != p2
+
+
+# -- byte-level pins -------------------------------------------------------------
+# sha256 digests of CLI outputs on the workspace fixture, recorded before the
+# metric rows were split into per-metric producers and before the hay
+# comparator drew its fake edges through the shared absent-pair sampler.
+
+ALL_METRICS = ",".join(METRICS)
+
+
+def file_digests(out_dir, names):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
+            for name in names}
+
+
+def run_metrics(workspace, monkeypatch, mechanism, metric):
+    root, _, _ = workspace
+    # relative paths keep the provenance hash free of the temporary directory
+    monkeypatch.chdir(root)
+    out = root / "out"
+    args = ["--manifest", "manifest.txt", "--out", "out", "--k", "2",
+            "--seed", "5", "--mechanism", mechanism]
+    assert main(["perturb"] + args) == 0
+    assert main(["metrics"] + args + ["--metric", metric, "--query", "0,15,1",
+                                      "--samples", "100", "--l", "1,2"]) == 0
+    names = ["metrics.csv", "metrics.json"]
+    if "ud" in metric.split(","):
+        names += ["utility_l1.csv", "utility_l2.csv"]
+    return file_digests(out, names)
+
+
+PERTURB_PINS = {
+    ("linkmirage", "1"): {
+        "g_prime_0.txt": "d900385e6311bdb0",
+        "g_prime_1.txt": "d900385e6311bdb0",
+        "provenance.json": "21ae452387a2ceeb",
+        "record.json": "6fcf509fb32e6970"},
+    ("static-baseline", "1"): {
+        "g_prime_0.txt": "2675a405f61906ad",
+        "g_prime_1.txt": "18d06d9224bd526d",
+        "provenance.json": "ec5de3a22cd72d62"},
+    ("hay-baseline", "1"): {
+        "g_prime_0.txt": "196bd2c214126ccb",
+        "g_prime_1.txt": "18c9e6f23d1f6dcb",
+        "provenance.json": "c22e520a8b10defc"},
+    ("linkmirage", "2"): {
+        "g_prime_0.txt": "2a03e68e140b5078",
+        "g_prime_1.txt": "2a03e68e140b5078",
+        "provenance.json": "51c6ec022c0f07ac",
+        "record.json": "09b019304e061400"},
+    ("static-baseline", "2"): {
+        "g_prime_0.txt": "7c55e5be7dbf6a69",
+        "g_prime_1.txt": "b6d7d6b0f34df242",
+        "provenance.json": "e88044ba3fae8b34"},
+    ("hay-baseline", "2"): {
+        "g_prime_0.txt": "aa13c6749b5983a8",
+        "g_prime_1.txt": "4438bdba010a353e",
+        "provenance.json": "986b9072c47efe7c"},
+}
+METRICS_PINS = {
+    "linkmirage": {
+        "metrics.csv": "dbb6ed6f98a478bf",
+        "metrics.json": "1d5d0dfac4ce85a0",
+        "utility_l1.csv": "ee44fe7380ababaf",
+        "utility_l2.csv": "2ad988cf3b6db87e"},
+    "static-baseline": {
+        "metrics.csv": "2b90fd0c775f8dec",
+        "metrics.json": "67ad18008032629e",
+        "utility_l1.csv": "d3a528b99e8b0ee7",
+        "utility_l2.csv": "02ad936c1425f60d"},
+    "hay-baseline": {
+        "metrics.csv": "546f0dcc88e1d097",
+        "metrics.json": "3a1312ddb286baeb",
+        "utility_l1.csv": "7b4ebc692f36865c",
+        "utility_l2.csv": "8c1e3cf658311dbc"},
+}
+METRIC_PINS = {
+    "anti-inference": {
+        "metrics.csv": "5ec1111e1f0654bb",
+        "metrics.json": "b556e04fbb2613e5"},
+    "indistinguishability": {
+        "metrics.csv": "b5acdf7aff2c5004",
+        "metrics.json": "1dfbbfa0526f517b"},
+    "anti-aggregation": {
+        "metrics.csv": "c7d0254e9aea06d6",
+        "metrics.json": "08e2a2c7845a7aae"},
+    "ud": {
+        "metrics.csv": "2954de4e713f041a",
+        "metrics.json": "51d9b8f0cde6dd0b",
+        "utility_l1.csv": "ee44fe7380ababaf",
+        "utility_l2.csv": "2ad988cf3b6db87e"},
+    "modularity": {
+        "metrics.csv": "b81f57608b22ca8c",
+        "metrics.json": "0047f4dd26e7a3e1"},
+    "pagerank": {
+        "metrics.csv": "66cfd872c08df73a",
+        "metrics.json": "16ac6c1a88a56586"},
+    "structural": {
+        "metrics.csv": "a91a2c70f8819682",
+        "metrics.json": "2c96c37fc0bef4ee"},
+    "spectral": {
+        "metrics.csv": "d91bc5bfc04f657b",
+        "metrics.json": "c5b065301a73af9f"},
+}
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_perturb_outputs_pinned(workspace, monkeypatch, mechanism, seed):
+    root, _, _ = workspace
+    monkeypatch.chdir(root)
+    out = root / "out"
+    assert main(["perturb", "--manifest", "manifest.txt", "--out", "out",
+                 "--mechanism", mechanism, "--seed", seed]) == 0
+    got = file_digests(out, sorted(os.listdir(out)))
+    assert got == PERTURB_PINS[(mechanism, seed)]
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_metrics_outputs_pinned(workspace, monkeypatch, mechanism):
+    got = run_metrics(workspace, monkeypatch, mechanism, ALL_METRICS)
+    assert got == METRICS_PINS[mechanism]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_single_metric_outputs_pinned(workspace, monkeypatch, metric):
+    got = run_metrics(workspace, monkeypatch, "linkmirage", metric)
+    assert got == METRIC_PINS[metric]

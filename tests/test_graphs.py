@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import random_graph
 from linkmirage import (Graph, GraphFormatError, load_edge_list, load_sequence,
                         union_graph, write_edge_list)
-from linkmirage.graphs import _canonical_edges
+from linkmirage.graphs import _absent_pairs, _canonical_edges
 
 
 def test_edges_canonicalized_and_deduped():
@@ -66,7 +67,7 @@ def test_vertices_from_any_iterable():
 def test_subgraph_induced():
     g = Graph([(0, 1), (1, 2), (0, 2), (2, 3)])
     sub = g.subgraph([0, 1, 3])
-    assert sub.edge_set() == {(0, 1)}
+    assert sub.edges.tolist() == [[0, 1]]
     assert sub.num_vertices == 3   # 3 stays even though isolated
 
 
@@ -75,7 +76,7 @@ def test_load_edge_list_basics(tmp_path):
     p.write_text("# comment\n0 1\n1 2\n")
     g = load_edge_list(p)
     assert set(g.vertices.tolist()) == {0, 1, 2}
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_load_edge_list_collapses_reverse_duplicates(tmp_path):
@@ -114,7 +115,7 @@ def test_load_sequence(tmp_path):
     manifest.write_text("g0.txt\ng1.txt\ng2.txt\n")
     seq = load_sequence(manifest)
     assert len(seq) == 3
-    assert seq[2].edge_set() == {(0, 3)}
+    assert seq[2].edges.tolist() == [[0, 3]]
 
 
 def test_load_sequence_single_file_is_static_case(tmp_path):
@@ -159,10 +160,47 @@ def test_union_graph_single_is_identity(triangle):
 def test_union_graph_merges_edges():
     a = Graph([(0, 1)])
     b = Graph([(1, 2)])
-    assert union_graph([a, b]).edge_set() == {(0, 1), (1, 2)}
+    assert union_graph([a, b]).edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_union_graph_disjoint_counts_add():
     a = Graph([(0, 1), (1, 2)])
     b = Graph([(10, 11), (11, 12), (10, 12)])
     assert union_graph([a, b]).num_edges == a.num_edges + b.num_edges
+
+
+# -- absent-pair sampler -------------------------------------------------------------
+
+
+def complete(n):
+    return Graph([(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_absent_pairs_are_distinct_non_edges(rng):
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        base = random_graph(n, rng.uniform(0.1, 0.6), rng)
+        ids = rng.permutation(np.arange(n) * 5 + 2)
+        g = Graph(ids[base.edges], vertices=ids)
+        exclude = [(int(rng.integers(0, n - 1)), n - 1)]
+        pairs = _absent_pairs(g, int(rng.integers(0, 2 * n)), rng, exclude=exclude)
+        assert pairs.dtype == np.int64 and pairs.shape[1] == 2
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        rows = set(map(tuple, pairs.tolist()))
+        assert len(rows) == len(pairs)
+        assert not rows & set(exclude)
+        assert not any(g.has_edge(*g.vertices[p]) for p in pairs)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_absent_pairs_stop_at_the_attempt_cap(n):
+    # a complete graph has no absent pair: every attempt is rejected, and the
+    # loop ends after 50 * count + 1000 attempts of two scalar draws each
+    count = 3
+    rng = np.random.default_rng(0)
+    pairs = _absent_pairs(complete(n), count, rng)
+    assert pairs.shape == (0, 2)
+    replay = np.random.default_rng(0)
+    for _ in range(2 * (50 * count + 1000)):
+        replay.integers(0, n)
+    assert rng.bit_generator.state == replay.bit_generator.state

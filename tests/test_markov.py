@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,3 +169,31 @@ def test_tv_common_restricts_to_shared_vertices():
     assert n_common == 3
     # rows 0 and 1 differ only through row 2's extra neighbor
     assert 0.0 < value < 1.0
+
+
+def loop_transition_matrix(graph):
+    """Oracle: the transition matrix with its rows filled one vertex at a time."""
+    n = graph.num_vertices
+    indptr, indices = graph.csr_adjacency
+    deg = graph.degrees
+    data = np.empty(indices.size, dtype=np.float64)
+    for i in range(n):
+        if deg[i]:
+            data[indptr[i]:indptr[i + 1]] = 1.0 / deg[i]
+    mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    isolated = np.flatnonzero(deg == 0)
+    if isolated.size:
+        eye = sp.csr_matrix((np.ones(isolated.size), (isolated, isolated)), shape=(n, n))
+        mat = (mat + eye).tocsr()
+    return mat
+
+
+def test_transition_matrix_matches_per_vertex_loop(rng):
+    graphs = [Graph([], vertices=[0, 1, 2]), Graph([(0, 1)], vertices=[0, 1, 5, 9]),
+              random_graph(30, 0.05, rng), random_graph(40, 0.3, rng)]
+    assert any((g.degrees == 0).any() for g in graphs[2:])
+    for g in graphs:
+        got, want = transition_matrix(g).matrix, loop_transition_matrix(g)
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

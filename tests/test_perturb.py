@@ -1,4 +1,8 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 
 from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
@@ -14,7 +18,7 @@ from linkmirage.privacy import _SequenceSampler, _edge_feature
 def test_single_edge_k1_is_forced(rng):
     g = Graph([(0, 1)])
     for _ in range(50):
-        assert perturb_static(g, 1, rng).edge_set() == {(0, 1)}
+        assert perturb_static(g, 1, rng).edges.tolist() == [[0, 1]]
 
 
 def test_vertex_set_preserved(rng):
@@ -137,7 +141,7 @@ def test_step_identical_snapshots_identical_outputs():
 def test_step_vertex_preservation_and_intra_closure():
     g, _ = planted_partition_graph([10, 10], 0.6, 0.08, np.random.default_rng(3))
     params = PerturbParams(k=2, seed=7)
-    g_prime, record, clustering = linkmirage_step(g, None, params)
+    g_prime, record = linkmirage_step(g, None, params)
     assert np.array_equal(g_prime.vertices, g.vertices)
     record.validate()   # intra edges inside communities, inter edges across
 
@@ -147,7 +151,7 @@ def test_step_compose_oracle_t0():
     # labels ascending, then inter pairs ascending
     g, _ = planted_partition_graph([8, 8], 0.7, 0.1, np.random.default_rng(9))
     params = PerturbParams(k=1, seed=23)
-    g_prime, record, clustering = linkmirage_step(g, None, params)
+    g_prime, record = linkmirage_step(g, None, params)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=23, spawn_key=(0, 0)))
     plan = build_step_plan(g, None, params)
@@ -247,7 +251,7 @@ def test_posterior_plans_and_kernel_reproduce_the_release():
                for p in plans[1:])
     carried = None
     for t, (plan, record) in enumerate(zip(plans, records)):
-        intra, inter = _sample_step(plan, carried, params, _step_rng(params, t))
+        intra, inter = _sample_step(plan, carried, params, _step_rng(params.seed, t))
         assert plan.clustering == record.clustering
         for got, want in ((intra, record.intra), (inter, record.inter)):
             assert list(got) == list(want)
@@ -284,7 +288,7 @@ def test_carried_edges_of_a_departed_vertex_are_dropped():
 
 def test_prev_record_roundtrips_through_json():
     g, _ = planted_partition_graph([6, 6], 0.7, 0.1, np.random.default_rng(8))
-    _, record, _ = linkmirage_step(g, None, PerturbParams(k=1, seed=13))
+    _, record = linkmirage_step(g, None, PerturbParams(k=1, seed=13))
     from linkmirage import PerturbationRecord
     obj = record.to_json_obj()
     assert set(obj) == {"timestamp", "communities", "intra", "inter"}
@@ -335,11 +339,79 @@ def test_hay_baseline_exact_edge_count(rng):
     r = m // 2
     gp = hay_baseline(g, r, rng)
     assert gp.num_edges == m
-    kept = g.edge_set() & gp.edge_set()
-    assert len(kept) == m - r
-    assert len(gp.edge_set() - g.edge_set()) == r
+    before = set(map(tuple, g.edges.tolist()))
+    after = set(map(tuple, gp.edges.tolist()))
+    assert len(before & after) == m - r
+    assert len(after - before) == r
 
 
 def test_hay_baseline_r_zero_is_identity(rng):
     g = random_graph(8, 0.4, rng, ensure_edge=True)
     assert hay_baseline(g, 0, rng) == g
+
+
+def reference_hay(graph, r, rng):
+    """Oracle: the comparator as first written, with tuple sets and a
+    rejection loop that has no attempt cap."""
+    m = graph.num_edges
+    keep_mask = np.ones(m, dtype=bool)
+    if r:
+        keep_mask[rng.choice(m, size=r, replace=False)] = False
+    existing = set(map(tuple, graph.edges.tolist()))
+    ids = graph.vertices
+    inserted, seen = [], set()
+    while len(inserted) < r:
+        u = int(ids[rng.integers(0, ids.size)])
+        v = int(ids[rng.integers(0, ids.size)])
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in existing or key in seen:
+            continue
+        seen.add(key)
+        inserted.append(key)
+    edges = np.vstack([graph.edges[keep_mask],
+                       np.asarray(inserted, dtype=np.int64).reshape(-1, 2)])
+    return Graph(edges, vertices=ids)
+
+
+def test_hay_baseline_matches_the_uncapped_loop(rng):
+    for trial in range(30):
+        n = int(rng.integers(3, 40))
+        base = random_graph(n, rng.uniform(0.05, 0.7), rng, ensure_edge=True)
+        ids = rng.permutation(np.arange(n) * 7 + 3)
+        g = Graph(ids[base.edges], vertices=ids)
+        absent = n * (n - 1) // 2 - g.num_edges
+        r = int(rng.integers(0, min(g.num_edges, absent) + 1))
+        got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert hay_baseline(g, r, got_rng) == reference_hay(g, r, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("r", [1, 2, None])
+def test_hay_baseline_on_a_complete_graph_raises(n, r):
+    g = Graph([(i, j) for i in range(n) for j in range(i + 1, n)])
+    with time_limit(10), pytest.raises(ValueError, match="too dense"):
+        hay_baseline(g, r, np.random.default_rng(0))
+
+
+def test_hay_baseline_short_of_absent_pairs_raises():
+    # K5 minus one edge has a single absent pair, so r = 2 cannot be met
+    g = Graph([(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
+    assert hay_baseline(g, 1, np.random.default_rng(1)).has_edge(0, 1)
+    with time_limit(10), pytest.raises(ValueError, match="found 1 of the 2"):
+        hay_baseline(g, 2, np.random.default_rng(1))

@@ -13,6 +13,8 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         linkmirage_sequence, matrix_power,
                         perturb_static_baseline_sequence, posterior_probability,
                         prior_probability, transition_matrix, tv_distance)
+from linkmirage import privacy
+from linkmirage.privacy import fit_logistic_1d
 
 
 # -- prior ---------------------------------------------------------------------
@@ -48,7 +50,7 @@ def test_prior_calibration_tracks_heldout_frequency(rng):
     model = PriorModel(seed=3)
     edges = [tuple(e) for e in g.edges.tolist()]
     non_edges = []
-    existing = g.edge_set()
+    existing = set(map(tuple, g.edges.tolist()))
     while len(non_edges) < len(edges):
         u, v = int(rng.integers(0, 20)), int(rng.integers(0, 20))
         if u != v and (min(u, v), max(u, v)) not in existing:
@@ -58,6 +60,76 @@ def test_prior_calibration_tracks_heldout_frequency(rng):
     preds = [prior_probability(LinkQuery(t=0, u=u, v=v), model, seq)
              for u, v in held]
     assert abs(np.mean(preds) - np.mean(truth)) <= 0.1
+
+
+def common_neighbors(graph, u, v):
+    return int(np.intersect1d(graph.neighbors(u), graph.neighbors(v)).size)
+
+
+def reference_prior(query, model, seq):
+    """Oracle: the prior as first written, with a tuple-set rejection loop
+    and one neighbour-list intersection per scored pair."""
+    graph = seq[query.t]
+    qpair = query.pair
+    pos_pairs = [(u, v) for u, v in graph.edges.tolist() if (u, v) != qpair]
+    rng = np.random.default_rng(np.random.SeedSequence(model.seed))
+    n_neg = max(1, int(round(model.negatives_per_positive * max(len(pos_pairs), 1))))
+    ids = graph.vertices
+    existing = set(map(tuple, graph.edges.tolist()))
+    neg_pairs, seen, attempts = [], set(), 0
+    while len(neg_pairs) < n_neg and attempts < 50 * n_neg + 1000:
+        attempts += 1
+        u = int(ids[rng.integers(0, ids.size)])
+        v = int(ids[rng.integers(0, ids.size)])
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in existing or key in seen or key == qpair:
+            continue
+        seen.add(key)
+        neg_pairs.append(key)
+    x = np.array([common_neighbors(graph, u, v) for u, v in pos_pairs + neg_pairs],
+                 dtype=np.float64)
+    y = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
+    b0, b1 = fit_logistic_1d(x, y)
+    score = b0 + b1 * common_neighbors(graph, query.u, query.v)
+    prob = 1.0 / (1.0 + math.exp(-max(min(score, 35.0), -35.0)))
+    return float(min(max(prob, model.clip[0]), model.clip[1]))
+
+
+def test_prior_matches_the_pairwise_loop(rng):
+    for trial in range(25):
+        n = int(rng.integers(3, 25))
+        base = random_graph(n, rng.uniform(0.05, 0.9), rng, ensure_edge=True)
+        ids = rng.permutation(np.arange(n) * 3 + 1)
+        seq = TemporalGraphSequence([Graph(ids[base.edges], vertices=ids)])
+        # the queried pair is an edge in some trials and absent in others
+        u, v = (int(x) for x in rng.choice(ids, size=2, replace=False))
+        query = LinkQuery(t=0, u=u, v=v)
+        model = PriorModel(seed=trial, negatives_per_positive=rng.choice([0.5, 1.0, 3.0]))
+        assert prior_probability(query, model, seq) == reference_prior(query, model, seq)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64])
+def test_prior_in_small_product_blocks_matches_the_pairwise_loop(monkeypatch, rng, entries):
+    # a hub joined to every vertex makes each block as small as the cap allows
+    monkeypatch.setattr(privacy, "_PRODUCT_ENTRIES", entries)
+    n = 30
+    base = random_graph(n, 0.15, rng, ensure_edge=True)
+    hub = np.column_stack([np.full(n - 1, n - 1), np.arange(n - 1)])
+    seq = TemporalGraphSequence([Graph(np.concatenate([base.edges, hub]))])
+    for u, v in [(0, 1), (2, n - 1), (5, 17)]:
+        query = LinkQuery(t=0, u=u, v=v)
+        assert prior_probability(query, PriorModel(seed=u), seq) \
+            == reference_prior(query, PriorModel(seed=u), seq)
+
+
+def test_prior_matches_the_pairwise_loop_on_the_overlap_sequence():
+    seq = small_overlap_sequence()
+    for t, (u, v) in itertools.product(range(len(seq)), [(0, 1), (20, 21), (5, 45)]):
+        query = LinkQuery(t=t, u=u, v=v)
+        assert prior_probability(query, PriorModel(seed=t), seq) \
+            == reference_prior(query, PriorModel(seed=t), seq)
 
 
 def test_prior_vertex_absent_errors():

@@ -13,7 +13,8 @@ from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         ratio_cut, spectral_metrics, structural_metrics,
                         transition_matrix, tv_distance, ud_upper_bound,
                         utility_distance)
-from linkmirage.utility import is_bipartite, is_connected, mixing_time, slem
+from linkmirage.utility import (_symmetrized_walk, community_tv, is_bipartite,
+                               is_connected, mixing_time, slem)
 
 
 def complete_graph(n):
@@ -115,6 +116,18 @@ def test_ratio_cut_matches_per_edge_oracle(rng):
     c = Clustering.from_groups([grp for grp in groups if grp])
     inter = sum(1 for u, v in g.edges if labels[int(u)] != labels[int(v)])
     assert ratio_cut(g, c) == pytest.approx(inter / 12)
+
+
+def test_community_tv_is_the_worst_community():
+    # two triangles; the release keeps the first and turns the second into a path
+    g = Graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    released = Graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    c = Clustering.from_groups([[0, 1, 2], [3, 4, 5]])
+    second = tv_distance(transition_matrix(g.subgraph([3, 4, 5])),
+                         transition_matrix(released.subgraph([3, 4, 5])))
+    assert second > 0.0
+    assert community_tv(g, released, c) == second
+    assert community_tv(g, g, c) == 0.0
 
 
 def test_ud_upper_bound_values():
@@ -288,6 +301,22 @@ def test_slem_matches_dense_eigensolve(rng):
             continue
         count += 1
         assert slem(g) == pytest.approx(dense_slem(g), abs=1e-8)
+
+
+def test_symmetrized_walk_matches_per_vertex_loop(rng):
+    graphs = [complete_graph(5), random_graph(30, 0.05, rng), random_graph(40, 0.3, rng),
+              Graph([(0, 1)], vertices=[0, 1, 7])]
+    assert any((g.degrees == 0).any() for g in graphs)
+    for g in graphs:
+        n = g.num_vertices
+        indptr, indices = g.csr_adjacency
+        with np.errstate(divide="ignore"):
+            inv_sqrt = 1.0 / np.sqrt(g.degrees.astype(np.float64))
+            want = np.concatenate([inv_sqrt[i] * inv_sqrt[indices[indptr[i]:indptr[i + 1]]]
+                                   for i in range(n)]) if indices.size else np.empty(0)
+            got = _symmetrized_walk(g)
+        assert got.data.dtype == want.dtype and np.array_equal(got.data, want)
+        assert np.array_equal(got.indices, indices) and np.array_equal(got.indptr, indptr)
 
 
 def test_mixing_time_k3_matches_row_power_scan(triangle):
