@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, TemporalGraphSequence, _canonical_edges, _id_array
+from .graphs import Graph, TemporalGraphSequence, _canonical_edges, _edge_keys, _id_array
 from .synth import er_graph
 from .utility import is_connected
 
@@ -27,14 +27,11 @@ def attack_probability(perturbed, v: int, f: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def k_hop_graph(graph: Graph, k: int) -> Graph:
-    """Graph connecting every pair of vertices at distance <= k."""
+def _k_hop_edges(graph: Graph, k: int) -> np.ndarray:
+    """(lo, hi) id rows of every pair of vertices at distance <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = graph.num_vertices
-    indptr, indices = graph.csr_adjacency
-    adj = sp.csr_matrix((np.ones(indices.size, dtype=bool),
-                         indices.copy(), indptr.copy()), shape=(n, n), dtype=bool)
+    adj = graph.adjacency(np.ones(2 * graph.num_edges, dtype=bool))
     reach = adj.copy()
     frontier = adj
     for _ in range(k - 1):
@@ -42,8 +39,12 @@ def k_hop_graph(graph: Graph, k: int) -> Graph:
         reach = (reach + frontier).astype(bool)
     reach = sp.triu(reach, k=1).tocoo()
     ids = graph.vertices
-    edges = np.column_stack([ids[reach.row], ids[reach.col]])
-    return Graph(edges, vertices=ids)
+    return np.column_stack([ids[reach.row], ids[reach.col]])
+
+
+def k_hop_graph(graph: Graph, k: int) -> Graph:
+    """Graph connecting every pair of vertices at distance <= k."""
+    return Graph(_k_hop_edges(graph, k), vertices=graph.vertices)
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,9 @@ class SamplingReport:
     outside_envelope: int      # perturbed edges not inside the k-hop union
 
 
-def _union_edges(graphs) -> np.ndarray:
-    """Canonical (m, 2) edge array of the union of the graphs' edge sets."""
-    return _canonical_edges(np.concatenate([g.edges for g in graphs]))
-
-
-def _edge_rows(edges: np.ndarray) -> np.ndarray:
-    """One opaque scalar per row of an (m, 2) int64 array, for row-wise isin."""
-    return np.ascontiguousarray(edges).view(np.dtype((np.void, 16))).ravel()
+def _union_edges(edge_arrays) -> np.ndarray:
+    """Canonical (m, 2) edge array of the union of the given edge arrays."""
+    return _canonical_edges(np.concatenate(edge_arrays))
 
 
 def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingReport:
@@ -74,11 +70,12 @@ def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingRe
     perturbed = list(perturbed)
     if len(perturbed) != len(seq):
         raise ValueError("perturbed and original sequences are misaligned")
-    pert_union = _union_edges(perturbed)
-    khop_union = _union_edges([k_hop_graph(g, k) for g in seq.snapshots])
+    pert_union = _union_edges([g.edges for g in perturbed])
+    khop_union = _union_edges([_k_hop_edges(g, k) for g in seq.snapshots])
     if not khop_union.size:
         raise ValueError("k-hop union is empty (edgeless input)")
-    inside = np.isin(_edge_rows(pert_union), _edge_rows(khop_union))
+    pert_keys, khop_keys = _edge_keys(pert_union, khop_union)
+    inside = np.isin(pert_keys, khop_keys, assume_unique=True)
     return SamplingReport(probability=len(pert_union) / len(khop_union),
                           perturbed_union_edges=len(pert_union),
                           k_hop_union_edges=len(khop_union),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _edge_keys
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class CommunityDiff:
 
     unchanged: list             # (previous label, current label) matched pairs
     changed: list               # current labels with no match above threshold
-    threshold: float
 
     @property
     def prev_for(self) -> dict:
@@ -72,7 +71,7 @@ def _edge_labels(graph: Graph, clustering: Clustering) -> np.ndarray:
     """
     labels = np.array([clustering.assignment[v] for v in graph.vertices.tolist()],
                       dtype=np.int64)
-    return labels[np.searchsorted(graph.vertices, graph.edges)]
+    return labels[graph.edge_positions]
 
 
 def modularity(graph: Graph, clustering: Clustering) -> float:
@@ -88,7 +87,7 @@ def modularity(graph: Graph, clustering: Clustering) -> float:
     comm = np.empty(graph.num_vertices, dtype=np.int64)
     comm[np.searchsorted(graph.vertices, list(clustering.assignment))] = \
         [index[label] for label in clustering.assignment.values()]
-    ends = comm[np.searchsorted(graph.vertices, graph.edges)]
+    ends = comm[graph.edge_positions]
     intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=len(index))
     d = np.bincount(comm, weights=graph.degrees, minlength=len(index))
     q = 0.0
@@ -144,7 +143,7 @@ class _GreedyMerger:
         self.neighbors = {label: {} for label in self.strength}
 
         # canonical (lower, upper) owner-index pairs of the cross edges
-        ends = owner_idx[np.searchsorted(ids, graph.edges)]
+        ends = owner_idx[graph.edge_positions]
         ends = ends[ends[:, 0] != ends[:, 1]]
         keys, weights = np.unique(ends.min(axis=1) * labels.size + ends.max(axis=1),
                                   return_counts=True)
@@ -220,15 +219,8 @@ def freed_vertices(graph: Graph, changed_links, m_hops: int) -> set:
     """Vertices of ``graph`` within m hops of any endpoint of the changed links."""
     ids = graph.vertices
     ends = np.asarray(list(changed_links), dtype=np.int64).reshape(-1)
-    freed = np.isin(ids, ends)
-    frontier = np.flatnonzero(freed)
-    for _ in range(m_hops):
-        reached = graph.neighbor_positions(frontier)
-        frontier = np.unique(reached[~freed[reached]])
-        if not frontier.size:
-            break
-        freed[frontier] = True
-    return set(ids[freed].tolist())
+    seeds = np.flatnonzero(np.isin(ids, ends))
+    return set(ids[graph.hops(seeds, m_hops) >= 0].tolist())
 
 
 def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,
@@ -269,12 +261,12 @@ def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,
 
 def changed_link_set(prev_graph: Graph, cur_graph: Graph) -> set:
     """Symmetric difference of edge sets; covers edges of added/removed vertices."""
-    # canonical edge arrays are unique, so a set operation on a 16-byte row
-    # view finds the changed rows; only those become Python tuples
-    row = np.dtype((np.void, 16))
-    prev = np.ascontiguousarray(prev_graph.edges).view(row).ravel()
-    cur = np.ascontiguousarray(cur_graph.edges).view(row).ravel()
-    changed = np.setxor1d(prev, cur, assume_unique=True).view(np.int64).reshape(-1, 2)
+    # set operations on row keys find the changed rows; only those become
+    # Python tuples
+    prev, cur = prev_graph.edges, cur_graph.edges
+    prev_keys, cur_keys = _edge_keys(prev, cur)
+    changed = np.concatenate([prev[~np.isin(prev_keys, cur_keys, assume_unique=True)],
+                              cur[~np.isin(cur_keys, prev_keys, assume_unique=True)]])
     return set(map(tuple, changed.tolist()))
 
 
@@ -289,8 +281,7 @@ def classify_communities(prev: Clustering | None, cur: Clustering,
     if not 0.0 < theta <= 1.0:
         raise ValueError("overlap threshold must lie in (0, 1]")
     if prev is None or not prev.communities:
-        return CommunityDiff(unchanged=[], changed=sorted(cur.communities),
-                             threshold=theta)
+        return CommunityDiff(unchanged=[], changed=sorted(cur.communities))
     candidates = []
     for cur_label, cur_members in cur.communities.items():
         seen = set()
@@ -314,4 +305,4 @@ def classify_communities(prev: Clustering | None, cur: Clustering,
         unchanged.append((p, c))
     changed = sorted(set(cur.communities) - matched_cur)
     unchanged.sort(key=lambda pc: pc[1])
-    return CommunityDiff(unchanged=unchanged, changed=changed, threshold=theta)
+    return CommunityDiff(unchanged=unchanged, changed=changed)

@@ -4,15 +4,18 @@ Vertex ids are arbitrary nonnegative integers that are stable across time
 (the same id denotes the same user in every snapshot). Internally every
 graph remaps its ids to dense positions 0..n-1 for sparse indexing; the
 position of a raw id is its index in the sorted ``vertices`` array, found
-by binary search (``index_of``).
+by binary search (``index_of``). ``Graph`` owns that arithmetic: its edges
+as positions (``edge_positions``), its sparse adjacency (``adjacency``) and
+breadth-first distances over it (``hops``).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class GraphFormatError(ValueError):
@@ -47,6 +50,14 @@ def _canonical_edges(edges) -> np.ndarray:
     return np.column_stack([lo[first], hi[first]])
 
 
+def _edge_keys(*edge_arrays) -> list:
+    """One int64 key per row of each (m, 2) id array, for set operations on
+    rows: a * n + b, with a and b the positions of the row's ids among the n
+    ids of all the arrays, so equal rows get equal keys across arrays."""
+    ids = np.unique(np.concatenate([e.ravel() for e in edge_arrays]))
+    return [np.searchsorted(ids, e) @ np.array([ids.size, 1]) for e in edge_arrays]
+
+
 class Graph:
     """Immutable simple undirected graph.
 
@@ -59,7 +70,7 @@ class Graph:
         are always included.
     """
 
-    __slots__ = ("_ids", "_edges", "_indptr", "_indices", "_degrees")
+    __slots__ = ("_ids", "_edges", "_indptr", "_indices", "_degrees", "_edge_positions")
 
     def __init__(self, edges=(), vertices=None):
         edge_arr = _canonical_edges(edges)
@@ -90,6 +101,7 @@ class Graph:
         self._degrees = counts.astype(np.int64)
         for a in (self._ids, self._edges, self._indptr, self._indices, self._degrees):
             a.flags.writeable = False
+        self._edge_positions = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -144,13 +156,46 @@ class Graph:
         """(indptr, indices) over internal positions, for vectorized walks."""
         return self._indptr, self._indices
 
-    def neighbor_positions(self, positions) -> np.ndarray:
-        """Concatenated CSR rows of the internal ``positions``: every neighbor
-        position of each, repeats kept (one frontier step of a BFS)."""
-        lo, deg = self._indptr[positions], self._degrees[positions]
-        # row r spans indptr[r]..+deg[r]
-        offsets = np.repeat(lo - np.cumsum(deg) + deg, deg)
-        return self._indices[offsets + np.arange(offsets.size)]
+    @property
+    def edge_positions(self) -> np.ndarray:
+        """Internal positions of ``edges``, shape (m, 2); computed on first use.
+
+        The canonical edges are the CSR's upper triangle read row by row.
+        """
+        if self._edge_positions is None:
+            rows = np.repeat(np.arange(self._ids.size), self._degrees)
+            upper = self._indices > rows
+            pos = np.column_stack([rows[upper], self._indices[upper]])
+            pos.flags.writeable = False
+            self._edge_positions = pos
+        return self._edge_positions
+
+    def adjacency(self, data=None) -> sp.csr_matrix:
+        """n x n sparse matrix on the ``csr_adjacency`` layout; ``data`` holds
+        one value per CSR entry and defaults to ones."""
+        n = self._ids.size
+        if data is None:
+            data = np.ones(self._indices.size)
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n), copy=True)
+
+    def hops(self, positions, limit=None) -> np.ndarray:
+        """Breadth-first hop distance of every position from the seed
+        ``positions``, one array step per level; -1 when unreachable or
+        farther than ``limit``."""
+        dist = np.full(self._ids.size, -1, dtype=np.int64)
+        frontier = np.unique(np.asarray(positions, dtype=np.int64))
+        level = 0
+        while frontier.size:
+            dist[frontier] = level
+            if level == limit:
+                break
+            level += 1
+            # concatenated CSR rows of the frontier: row r spans indptr[r]..+deg[r]
+            lo, deg = self._indptr[frontier], self._degrees[frontier]
+            offsets = np.repeat(lo - np.cumsum(deg) + deg, deg)
+            reached = self._indices[offsets + np.arange(offsets.size)]
+            frontier = np.unique(reached[dist[reached] < 0])
+        return dist
 
     def has_edge(self, u: int, v: int) -> bool:
         iu, iv = self._position(u), self._position(v)
@@ -196,7 +241,7 @@ def _absent_pairs(graph: Graph, count: int, rng: np.random.Generator,
     dense to hold ``count`` absent pairs ends the loop.
     """
     n = graph.num_vertices
-    ends = np.searchsorted(graph.vertices, graph.edges)
+    ends = graph.edge_positions
     taken = set((ends[:, 0] * n + ends[:, 1]).tolist())    # pair a < b has key a*n + b
     taken.update(min(a, b) * n + max(a, b) for a, b in exclude)
     pairs, attempts = [], 0
@@ -214,17 +259,10 @@ class TemporalGraphSequence:
     """Ordered snapshots G_0..G_T sharing a global vertex id namespace."""
 
     snapshots: list
-    timestamps: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.snapshots:
             raise ValueError("a temporal sequence needs at least one snapshot")
-        if not self.timestamps:
-            object.__setattr__(self, "timestamps", list(range(len(self.snapshots))))
-        if len(self.timestamps) != len(self.snapshots):
-            raise ValueError("timestamps and snapshots must align")
-        if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
-            raise ValueError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.snapshots)

@@ -43,10 +43,8 @@ class TransitionMatrix:
 def transition_matrix(graph: Graph) -> TransitionMatrix:
     """Uniform random-walk TPM of a graph (lazy self-loop on isolated rows)."""
     n = graph.num_vertices
-    indptr, indices = graph.csr_adjacency
     deg = graph.degrees
-    data = np.repeat(1.0 / np.maximum(deg, 1), deg)
-    mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    mat = graph.adjacency(np.repeat(1.0 / np.maximum(deg, 1), deg))
     isolated = np.flatnonzero(deg == 0)
     if isolated.size:
         eye = sp.csr_matrix((np.ones(isolated.size),

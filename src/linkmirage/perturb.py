@@ -125,15 +125,12 @@ def draw_walker_edges(graph: Graph, k: int,
     Each edge starts a k-hop walk at a uniformly chosen endpoint. Terminals
     may equal their start (self-loop); callers decide how to handle that.
     """
-    edges = graph.edges
-    ids = graph.vertices
-    if edges.size == 0:
+    ends = graph.edge_positions
+    if ends.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    iu = np.searchsorted(ids, edges[:, 0])
-    iv = np.searchsorted(ids, edges[:, 1])
-    pick = rng.random(edges.shape[0]) < 0.5
-    starts = np.where(pick, iu, iv)
+    pick = rng.random(ends.shape[0]) < 0.5
+    starts = np.where(pick, ends[:, 0], ends[:, 1])
     terms = walk_terminals(graph, starts, k, rng)
     return starts, terms
 

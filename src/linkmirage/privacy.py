@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
@@ -126,18 +125,16 @@ def prior_probability(query: LinkQuery, model: PriorModel,
     graph = seq[query.t]
     if not (graph.has_vertex(query.u) and graph.has_vertex(query.v)):
         raise KeyError(f"query vertices absent at t={query.t}")
-    ids, n = graph.vertices, graph.num_vertices
-    qpair = tuple(np.searchsorted(ids, query.pair).tolist())
-    ends = np.searchsorted(ids, graph.edges)
+    qpair = tuple(graph.index_of(x) for x in query.pair)
+    ends = graph.edge_positions
     pos = ends[(ends[:, 0] != qpair[0]) | (ends[:, 1] != qpair[1])]
     rng = np.random.default_rng(np.random.SeedSequence(model.seed))
     n_neg = max(1, int(round(model.negatives_per_positive * max(len(pos), 1))))
     neg = _absent_pairs(graph, n_neg, rng, exclude=[qpair])
     pairs = np.concatenate([pos, neg, [qpair]])
-    indptr, indices = graph.csr_adjacency
-    adj = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    adj = graph.adjacency()
     # a block of pairs gathers at most _PRODUCT_ENTRIES adjacency entries
-    block = max(1, _PRODUCT_ENTRIES // max(1, 2 * int(np.diff(indptr).max(initial=0))))
+    block = max(1, _PRODUCT_ENTRIES // max(1, 2 * int(graph.degrees.max(initial=0))))
     common = np.concatenate([
         np.asarray(adj[b[:, 0]].multiply(adj[b[:, 1]]).sum(axis=1)).ravel()
         for b in np.split(pairs, np.arange(block, len(pairs), block))])

@@ -116,7 +116,6 @@ def evolving_sequence(sizes, p_in: float, p_out: float, length: int,
         u, v = int(keep_edge[0]), int(keep_edge[1])
         g0 = Graph(np.vstack([g0.edges, [[min(u, v), max(u, v)]]]),
                    vertices=g0.vertices)
-    block_of = dict(blocks.assignment)
     block_members = {lab: sorted(mem) for lab, mem in blocks.communities.items()}
     next_id = int(g0.vertices.max()) + 1
     all_labels = sorted(block_members)
@@ -179,7 +178,6 @@ def evolving_sequence(sizes, p_in: float, p_out: float, length: int,
                 e = (min(v_new, mem[int(pi)]), max(v_new, mem[int(pi)]))
                 existing.add(e)
             block_members[bi] = mem + [v_new]
-            block_of[v_new] = bi
 
         snaps.append(Graph(sorted(existing), vertices=sorted(vertices)))
     return TemporalGraphSequence(snaps)

@@ -3,7 +3,6 @@ expectation, and the graph analytics used to audit perturbed topologies."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,10 +152,7 @@ def structural_metrics(graph: Graph) -> dict:
     Degree-regular graphs have undefined assortativity (zero variance); it is
     reported as 0.0 with the degenerate flag set.
     """
-    n = graph.num_vertices
-    indptr, indices = graph.csr_adjacency
-    adj = sp.csr_matrix((np.ones(indices.size), indices.copy(), indptr.copy()),
-                        shape=(n, n))
+    adj = graph.adjacency()
     deg = graph.degrees.astype(np.float64)
     triangles = float((adj @ adj).multiply(adj).sum()) / 6.0
     triples = float((deg * (deg - 1) / 2.0).sum())
@@ -167,9 +163,7 @@ def structural_metrics(graph: Graph) -> dict:
         assort = 0.0
         degenerate = True
     else:
-        ids = graph.vertices
-        iu = np.searchsorted(ids, graph.edges[:, 0])
-        iv = np.searchsorted(ids, graph.edges[:, 1])
+        iu, iv = graph.edge_positions.T
         xs = np.concatenate([deg[iu], deg[iv]])
         ys = np.concatenate([deg[iv], deg[iu]])
         sx, sy = xs.std(), ys.std()
@@ -183,48 +177,35 @@ def structural_metrics(graph: Graph) -> dict:
 
 
 def is_connected(graph: Graph) -> bool:
-    """Whether a frontier expansion from position 0 reaches every vertex
-    (one array step per BFS level)."""
-    n = graph.num_vertices
-    if n <= 1:
+    """Whether a breadth-first search from position 0 reaches every vertex."""
+    if graph.num_vertices <= 1:
         return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = graph.neighbor_positions(frontier)
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
-    return bool(seen.all())
+    return bool((graph.hops([0]) >= 0).all())
 
 
 def is_bipartite(graph: Graph) -> bool:
-    n = graph.num_vertices
-    indptr, indices = graph.csr_adjacency
-    color = np.full(n, -1, dtype=np.int8)
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    queue.append(int(w))
-                elif color[w] == color[v]:
-                    return False
-    return True
+    """Whether no edge joins two BFS levels of the same parity.
+
+    The search restarts once per component with an edge; levels of
+    different components never meet on an edge.
+    """
+    level = np.full(graph.num_vertices, -1, dtype=np.int64)
+    unreached = graph.degrees > 0
+    while unreached.any():
+        reach = graph.hops([np.argmax(unreached)])
+        level = np.maximum(level, reach)
+        unreached &= reach < 0
+    ends = level[graph.edge_positions]
+    return not ((ends[:, 0] - ends[:, 1]) % 2 == 0).any()
 
 
 def _symmetrized_walk(graph: Graph) -> sp.csr_matrix:
     """D^-1/2 A D^-1/2 over internal positions; needs every degree > 0."""
     n = graph.num_vertices
-    indptr, indices = graph.csr_adjacency
+    indices = graph.csr_adjacency[1]
     inv_sqrt = 1.0 / np.sqrt(graph.degrees.astype(np.float64))
     data = inv_sqrt[np.repeat(np.arange(n), graph.degrees)] * inv_sqrt[indices]
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    return graph.adjacency(data)
 
 
 def slem(graph: Graph, lazy: bool = False, tol: float = 1e-13,

@@ -364,6 +364,18 @@ def test_recluster_two_hop_freeing_scenario():
     assert clustering.assignment[0] == clustering.assignment[1]
 
 
+def test_changed_link_set_is_the_tuple_symmetric_difference(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        ids = rng.choice(2**62, size=n + 5, replace=False)
+        prev, cur = (random_graph(n + int(rng.integers(0, 6)), rng.uniform(0, 0.4), rng)
+                     for _ in range(2))
+        g_prev = Graph(ids[prev.edges], vertices=ids[prev.vertices])
+        g_cur = Graph(ids[cur.edges], vertices=ids[cur.vertices])
+        want = set(map(tuple, g_prev.edges.tolist())) ^ set(map(tuple, g_cur.edges.tolist()))
+        assert changed_link_set(g_prev, g_cur) == want
+
+
 def test_recluster_never_worse_than_frozen(rng):
     for _ in range(20):
         n = int(rng.integers(4, 9))

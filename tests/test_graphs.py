@@ -1,10 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from conftest import random_graph
 from linkmirage import (Graph, GraphFormatError, load_edge_list, load_sequence,
                         union_graph, write_edge_list)
-from linkmirage.graphs import _absent_pairs, _canonical_edges
+from linkmirage.graphs import _absent_pairs, _canonical_edges, _edge_keys
 
 
 def test_edges_canonicalized_and_deduped():
@@ -62,6 +64,101 @@ def test_vertices_from_any_iterable():
                  lambda: range(4, 8, 3), lambda: (v for v in (7, 4))):
         assert Graph([(0, 1)], vertices=make()).vertices.tolist() == [0, 1, 4, 7]
         assert Graph([(0, 1), (4, 7)]).subgraph(make()).vertices.tolist() == [4, 7]
+
+
+def sparse_id_graphs(rng, count=25):
+    """Random graphs on shuffled sparse ids, with isolated vertices and
+    several components; the empty and the edgeless graph come first."""
+    yield Graph()
+    yield Graph(vertices=[3, 9])
+    for _ in range(count):
+        n = int(rng.integers(1, 40))
+        base = random_graph(n, rng.uniform(0.0, 0.3), rng)
+        ids = rng.permutation(np.arange(n) * 7 + 3)
+        yield Graph(ids[base.edges], vertices=ids)
+
+
+def test_edge_positions_match_searchsorted_and_are_read_only(rng):
+    for g in sparse_id_graphs(rng):
+        pos = g.edge_positions
+        want = np.searchsorted(g.vertices, g.edges).reshape(-1, 2)
+        assert pos.shape == want.shape and np.array_equal(pos, want)
+        assert pos is g.edge_positions
+        with pytest.raises(ValueError):
+            pos[...] = 0
+
+
+def test_adjacency_matches_dense_oracle(rng):
+    for g in sparse_id_graphs(rng):
+        n = g.num_vertices
+        ends = np.searchsorted(g.vertices, g.edges).reshape(-1, 2)
+        ones = np.zeros((n, n))
+        ones[ends[:, 0], ends[:, 1]] = ones[ends[:, 1], ends[:, 0]] = 1.0
+        default = g.adjacency()
+        assert default.shape == (n, n) and default.dtype == np.float64
+        assert np.array_equal(default.toarray(), ones)
+        # entry (a, b) carries a value of its own, so a misaligned layout shows
+        value = lambda a, b: a * (n + 1) + b + 0.5
+        dense = np.zeros((n, n))
+        dense[ends[:, 0], ends[:, 1]] = value(ends[:, 0], ends[:, 1])
+        dense[ends[:, 1], ends[:, 0]] = value(ends[:, 1], ends[:, 0])
+        indptr, indices = g.csr_adjacency
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert np.array_equal(g.adjacency(value(rows, indices)).toarray(), dense)
+        flags = g.adjacency(np.ones(indices.size, dtype=bool))
+        assert flags.dtype == bool and np.array_equal(flags.toarray(), ones > 0)
+
+
+def deque_hops(graph, seeds, limit=None):
+    """Oracle: breadth-first distances, one vertex at a time."""
+    indptr, indices = graph.csr_adjacency
+    dist = np.full(graph.num_vertices, -1, dtype=np.int64)
+    queue = deque()
+    for s in seeds:
+        if dist[s] < 0:
+            dist[s] = 0
+            queue.append(int(s))
+    while queue:
+        v = queue.popleft()
+        if dist[v] == limit:
+            continue
+        for w in indices[indptr[v]:indptr[v + 1]].tolist():
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def test_hops_match_deque_bfs(rng):
+    for g in sparse_id_graphs(rng, count=40):
+        n = g.num_vertices
+        seeds = rng.integers(0, n, size=int(rng.integers(0, 4))) if n else []
+        for limit in (None, 0, 1, 2, 5):
+            got = g.hops(seeds, limit)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, deque_hops(g, seeds, limit))
+
+
+def test_hops_on_a_path():
+    g = Graph([(i, i + 1) for i in range(6)])
+    assert g.hops([0]).tolist() == [0, 1, 2, 3, 4, 5, 6]
+    assert g.hops([3], limit=2).tolist() == [-1, 2, 1, 0, 1, 2, -1]
+    assert g.hops([0, 6], limit=1).tolist() == [0, 1, -1, -1, -1, 1, 0]
+
+
+def test_edge_keys_are_equal_exactly_for_equal_rows(rng):
+    for _ in range(20):
+        # ids far beyond the square root of the int64 range
+        ids = rng.choice(2**62, size=int(rng.integers(2, 30)), replace=False)
+        a, b = (ids[rng.integers(0, ids.size, size=(int(rng.integers(0, 40)), 2))]
+                for _ in range(2))
+        keys_a, keys_b = _edge_keys(a, b)
+        assert keys_a.shape == (len(a),) and keys_b.shape == (len(b),)
+        rows = [tuple(r) for r in np.concatenate([a, b]).tolist()]
+        keys = np.concatenate([keys_a, keys_b]).tolist()
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                assert (keys[i] == keys[j]) == (rows[i] == rows[j])
 
 
 def test_subgraph_induced():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import linkmirage
-from linkmirage import (Graph, PerturbParams, UtilityReport, linkmirage_step,
-                        planted_partition_graph)
+from linkmirage import (Graph, PerturbParams, TemporalGraphSequence, UtilityReport,
+                        evolving_sequence, linkmirage_step, planted_partition_graph)
+from linkmirage.clustering import CommunityDiff
 
 
 def test_every_exported_name_resolves_once():
@@ -31,6 +32,22 @@ def test_graph_has_no_tuple_edge_set():
 def test_utility_report_holds_only_what_is_set():
     assert [f.name for f in dataclasses.fields(UtilityReport)] == \
         ["l", "per_timestamp", "aggregate"]
+
+
+def test_community_diff_holds_only_what_is_read():
+    assert [f.name for f in dataclasses.fields(CommunityDiff)] == ["unchanged", "changed"]
+
+
+def test_sequence_holds_only_its_snapshots():
+    assert [f.name for f in dataclasses.fields(TemporalGraphSequence)] == ["snapshots"]
+
+
+def test_evolving_sequence_keeps_no_block_map():
+    assert "block_of" not in evolving_sequence.__code__.co_varnames
+
+
+def test_graph_has_no_neighbor_positions():
+    assert not hasattr(Graph, "neighbor_positions")
 
 
 def test_linkmirage_step_returns_graph_and_record():

@@ -293,6 +293,67 @@ def test_is_connected_matches_deque_bfs(n, p, seed):
     assert is_connected(sparse_ids) == deque_is_connected(g)
 
 
+def deque_is_bipartite(graph):
+    """Oracle: two-colouring by breadth-first search from every uncoloured
+    vertex, one vertex at a time."""
+    n = graph.num_vertices
+    indptr, indices = graph.csr_adjacency
+    color = np.full(n, -1, dtype=np.int8)
+    for s in range(n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    queue.append(int(w))
+                elif color[w] == color[v]:
+                    return False
+    return True
+
+
+def cycle_edges(vertices):
+    return [(vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(len(vertices))]
+
+
+def test_is_bipartite_small_cases(triangle, path3, two_k4_bridge):
+    assert is_bipartite(Graph()) and is_bipartite(Graph(vertices=[4, 8]))
+    assert is_bipartite(path3) and not is_bipartite(triangle)
+    assert not is_bipartite(two_k4_bridge)
+    for length in range(3, 10):
+        assert is_bipartite(Graph(cycle_edges(list(range(length))))) == (length % 2 == 0)
+    # an odd cycle in a later component, past isolated vertices
+    assert not is_bipartite(Graph(cycle_edges([0, 1, 2, 3]) + cycle_edges([20, 30, 40]),
+                                  vertices=[10, 50]))
+    assert is_bipartite(Graph(cycle_edges([0, 1, 2, 3]) + cycle_edges([20, 30, 40, 35]),
+                              vertices=[10, 50]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=5),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.integers(min_value=0, max_value=10**6))
+def test_is_bipartite_matches_deque_bfs(components, p, seed):
+    # components of random graphs and odd and even cycles, on shuffled sparse
+    # ids with isolated vertices between them
+    rng = np.random.default_rng(seed)
+    edges, first = [], 0
+    for _ in range(components):
+        n = int(rng.integers(1, 12))
+        if rng.random() < 0.5:
+            edges.extend((u + first, v + first) for u, v in
+                         random_graph(n, p, rng).edges.tolist())
+        elif n >= 3:
+            edges.extend(cycle_edges(list(range(first, first + n))))
+        first += n + int(rng.integers(0, 3))
+    ids = rng.permutation(np.arange(first) * 4 + 1)
+    g = Graph(ids[np.array(edges, dtype=np.int64).reshape(-1, 2)], vertices=ids)
+    assert is_bipartite(g) == deque_is_bipartite(g)
+
+
 def test_slem_matches_dense_eigensolve(rng):
     count = 0
     while count < 10:
