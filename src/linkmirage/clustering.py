@@ -16,40 +16,64 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .graphs import Graph, _edge_keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """A partition of a vertex set: assignment and its inverse."""
+    """A partition of a vertex set: each vertex's community label (the
+    smallest id of its community), looked up through ``label_of``."""
 
-    assignment: dict            # vertex id -> community label
-    communities: dict           # community label -> frozenset of vertex ids
+    vertices: np.ndarray        # sorted int64 ids
+    labels: np.ndarray          # community label of each vertex
 
     @staticmethod
     def from_groups(groups) -> "Clustering":
-        communities = {}
-        assignment = {}
-        for g in groups:
-            members = frozenset(int(v) for v in g)
-            if not members:
-                raise ValueError("empty community")
-            label = min(members)
-            communities[label] = members
-            for v in members:
-                if v in assignment:
-                    raise ValueError(f"vertex {v} assigned twice")
-                assignment[v] = label
-        return Clustering(assignment=assignment, communities=communities)
+        groups = [np.unique(np.fromiter(map(int, g), dtype=np.int64)) for g in groups]
+        if any(g.size == 0 for g in groups):
+            raise ValueError("empty community")
+        ids = np.concatenate([np.empty(0, np.int64), *groups])
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        twice = np.flatnonzero(ids[1:] == ids[:-1])
+        if twice.size:
+            raise ValueError(f"vertex {ids[twice[0]]} assigned twice")
+        keys = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+        return _grouped(ids, keys[order])
+
+    def label_of(self, ids) -> np.ndarray:
+        """Label of every id in ``ids`` (any shape); -1 where the id is absent."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if self.vertices.size == 0:
+            return np.full(ids.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.vertices, ids), self.vertices.size - 1)
+        return np.where(self.vertices[pos] == ids, self.labels[pos], -1)
+
+    @cached_property
+    def communities(self) -> dict:
+        """Label -> frozenset of member ids, labels ascending; built on first use."""
+        order = np.argsort(self.labels, kind="stable")
+        labels, starts = np.unique(self.labels[order], return_index=True)
+        members = np.split(self.vertices[order], starts[1:])
+        return {label: frozenset(m.tolist()) for label, m in zip(labels.tolist(), members)}
 
     def __len__(self) -> int:
-        return len(self.communities)
+        # each community holds exactly one vertex that is its own label
+        return int(np.count_nonzero(self.labels == self.vertices))
 
-    def covers(self, vertices) -> bool:
-        return set(self.assignment) == {int(v) for v in vertices}
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Clustering) and np.array_equal(self.vertices, other.vertices)
+                and np.array_equal(self.labels, other.labels))
+
+
+def _grouped(ids: np.ndarray, keys: np.ndarray) -> Clustering:
+    """The partition of sorted ``ids`` that puts equal ``keys`` together."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return Clustering(vertices=ids, labels=ids[first][inverse])
 
 
 @dataclass(frozen=True)
@@ -67,10 +91,11 @@ class CommunityDiff:
 def _edge_labels(graph: Graph, clustering: Clustering) -> np.ndarray:
     """Community labels of both endpoints of every edge, shape (m, 2).
 
-    ``clustering`` must assign every vertex of ``graph``.
+    Raises ValueError when ``clustering`` leaves a vertex of ``graph`` out.
     """
-    labels = np.array([clustering.assignment[v] for v in graph.vertices.tolist()],
-                      dtype=np.int64)
+    labels = clustering.label_of(graph.vertices)
+    if (labels < 0).any():
+        raise ValueError("clustering does not cover every vertex of the graph")
     return labels[graph.edge_positions]
 
 
@@ -79,17 +104,14 @@ def modularity(graph: Graph, clustering: Clustering) -> float:
     m = graph.num_edges
     if m == 0:
         return 0.0
-    if not clustering.covers(graph.vertices):
+    if not np.array_equal(clustering.vertices, graph.vertices):
         raise ValueError("clustering does not partition the graph's vertices")
-    # community index of every vertex position, in the order of
+    # community indices in ascending label order, which is the order of
     # ``clustering.communities``; the sum below runs in that order too
-    index = {label: i for i, label in enumerate(clustering.communities)}
-    comm = np.empty(graph.num_vertices, dtype=np.int64)
-    comm[np.searchsorted(graph.vertices, list(clustering.assignment))] = \
-        [index[label] for label in clustering.assignment.values()]
+    labels, comm = np.unique(clustering.labels, return_inverse=True)
     ends = comm[graph.edge_positions]
-    intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=len(index))
-    d = np.bincount(comm, weights=graph.degrees, minlength=len(index))
+    intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=labels.size)
+    d = np.bincount(comm, weights=graph.degrees, minlength=labels.size)
     q = 0.0
     for e_c, d_c in zip(intra.tolist(), d.tolist()):
         q += e_c / m - (d_c / (2.0 * m)) ** 2
@@ -97,11 +119,12 @@ def modularity(graph: Graph, clustering: Clustering) -> float:
 
 
 class _GreedyMerger:
-    """Exact lazy-greedy agglomeration over basis elements.
+    """Exact lazy-greedy agglomeration over the communities of a basis.
 
-    Elements are vertex sets; edge weights between elements count underlying
-    graph edges, so quotient modularity equals modularity of the expanded
-    partition. Gain of merging i,j is w_ij/m - 2*a_i*a_j.
+    The basis is a ``Clustering`` of the graph's vertices; edge weights
+    between its communities count underlying graph edges, so quotient
+    modularity equals modularity of the expanded partition. Gain of merging
+    i,j is w_ij/m - 2*a_i*a_j.
 
     The heap is lazy (Minoux's accelerated greedy). Invariant: every live
     pair with a positive gain has an entry whose key is at least its current
@@ -116,39 +139,29 @@ class _GreedyMerger:
     sequence is the one an eagerly re-keyed heap would produce.
     """
 
-    def __init__(self, graph: Graph, basis):
+    def __init__(self, graph: Graph, basis: Clustering):
         self.m = graph.num_edges
-        self.members = {}
-        self.strength = {}      # a_c = d_c / 2m
+        self.basis = basis
+        self.strength = {}      # a_c = d_c / 2m, live labels only
         self.neighbors = {}     # label -> {other label: cross-edge weight}
         self.events = []        # (child_a, child_b, parent, delta) per merge
         self.heap = []
-
-        verts, owners = [], []
-        for elem in basis:
-            elem = {int(v) for v in elem}
-            label = min(elem)
-            self.members[label] = elem
-            verts.extend(elem)
-            owners.extend([label] * len(elem))
         if self.m == 0:
             return
-        ids = graph.vertices
-        owner = np.empty(ids.size, dtype=np.int64)
-        owner[np.searchsorted(ids, verts)] = owners
-        labels, owner_idx = np.unique(owner, return_inverse=True)
-        strength = np.bincount(owner_idx, weights=graph.degrees,
-                               minlength=labels.size) / (2.0 * self.m)
-        self.strength = dict(zip(labels.tolist(), strength.tolist()))
+        self.labels, self.owner = np.unique(basis.labels, return_inverse=True)
+        strength = np.bincount(self.owner, weights=graph.degrees,
+                               minlength=self.labels.size) / (2.0 * self.m)
+        self.strength = dict(zip(self.labels.tolist(), strength.tolist()))
         self.neighbors = {label: {} for label in self.strength}
 
         # canonical (lower, upper) owner-index pairs of the cross edges
-        ends = owner_idx[graph.edge_positions]
+        ends = self.owner[graph.edge_positions]
         ends = ends[ends[:, 0] != ends[:, 1]]
-        keys, weights = np.unique(ends.min(axis=1) * labels.size + ends.max(axis=1),
+        keys, weights = np.unique(ends.min(axis=1) * strength.size + ends.max(axis=1),
                                   return_counts=True)
-        lo, hi = np.divmod(keys, labels.size)
-        for a, b, w in zip(labels[lo].tolist(), labels[hi].tolist(), weights.tolist()):
+        lo, hi = np.divmod(keys, strength.size)
+        for a, b, w in zip(self.labels[lo].tolist(), self.labels[hi].tolist(),
+                           weights.tolist()):
             self.neighbors[a][b] = self.neighbors[b][a] = w
             self._push(a, b)
 
@@ -169,7 +182,7 @@ class _GreedyMerger:
         heap = self.heap
         while heap:
             neg_gain, a, b = heapq.heappop(heap)
-            if a not in self.members or b not in self.members:
+            if a not in self.strength or b not in self.strength:
                 continue
             gain = self._gain(a, b)
             if gain == -neg_gain:
@@ -181,11 +194,6 @@ class _GreedyMerger:
         parent = min(a, b)
         other = max(a, b)
         self.events.append((a, b, parent, gain))
-        small, large = self.members[parent], self.members.pop(other)
-        if len(small) > len(large):
-            small, large = large, small
-        large |= small
-        self.members[parent] = large
         self.strength[parent] += self.strength.pop(other)
         nbr_p = self.neighbors[parent]
         nbr_o = self.neighbors.pop(other)
@@ -198,7 +206,16 @@ class _GreedyMerger:
             self._push(parent, x)
 
     def clustering(self) -> Clustering:
-        return Clustering.from_groups(self.members.values())
+        # walking the events backwards maps each merged-away label to the
+        # label its community ends under
+        final = {}
+        for a, b, parent, _ in reversed(self.events):
+            final[max(a, b)] = final.get(parent, parent)
+        if not final:
+            return self.basis
+        labels = self.labels.copy()
+        labels[np.searchsorted(self.labels, list(final))] = list(final.values())
+        return Clustering(vertices=self.basis.vertices, labels=labels[self.owner])
 
 
 def cluster_static(graph: Graph) -> Clustering:
@@ -210,17 +227,20 @@ def cluster_static(graph: Graph) -> Clustering:
     """
     if graph.num_vertices == 0:
         raise ValueError("cannot cluster an empty graph")
-    merger = _GreedyMerger(graph, [{int(v)} for v in graph.vertices])
+    merger = _GreedyMerger(graph, Clustering(vertices=graph.vertices, labels=graph.vertices))
     merger.run()
     return merger.clustering()
 
 
+def _freed_mask(graph: Graph, changed_links, m_hops: int) -> np.ndarray:
+    """Per vertex position: within m hops of any endpoint of the changed links."""
+    ends = np.asarray(list(changed_links), dtype=np.int64).reshape(-1)
+    return graph.hops(np.flatnonzero(np.isin(graph.vertices, ends)), m_hops) >= 0
+
+
 def freed_vertices(graph: Graph, changed_links, m_hops: int) -> set:
     """Vertices of ``graph`` within m hops of any endpoint of the changed links."""
-    ids = graph.vertices
-    ends = np.asarray(list(changed_links), dtype=np.int64).reshape(-1)
-    seeds = np.flatnonzero(np.isin(ids, ends))
-    return set(ids[graph.hops(seeds, m_hops) >= 0].tolist())
+    return set(graph.vertices[_freed_mask(graph, changed_links, m_hops)].tolist())
 
 
 def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,
@@ -232,28 +252,17 @@ def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,
     freed (or departed) members is frozen into one virtual node; the greedy
     agglomeration then runs over virtual nodes and freed singletons. The
     frozen previous partition itself is kept as a candidate, so the result is
-    never worse than not re-clustering.
+    never worse than not re-clustering. A freed or new vertex is grouped
+    alone under the key -1 - id, which no label (a nonnegative id) equals.
     """
-    present = set(int(v) for v in graph.vertices)
-    new_vertices = present - set(prev.assignment)
-    freed = freed_vertices(graph, changed_links, m_hops) | new_vertices
-
-    basis = []
-    for members in prev.communities.values():
-        kept = (set(members) & present) - freed
-        if kept:
-            basis.append(kept)
-    basis.extend({v} for v in sorted(freed))
-
-    merger = _GreedyMerger(graph, basis)
+    ids = graph.vertices
+    prev_labels = prev.label_of(ids)
+    new = prev_labels < 0
+    freed = new | _freed_mask(graph, changed_links, m_hops)
+    merger = _GreedyMerger(graph, _grouped(ids, np.where(freed, -1 - ids, prev_labels)))
     merger.run()
     greedy_clustering = merger.clustering()
-
-    frozen_groups = [g for g in ((set(members) & present)
-                                 for members in prev.communities.values()) if g]
-    frozen_groups.extend({v} for v in sorted(new_vertices))
-    frozen_clustering = Clustering.from_groups(frozen_groups)
-
+    frozen_clustering = _grouped(ids, np.where(new, -1 - ids, prev_labels))
     if modularity(graph, frozen_clustering) > modularity(graph, greedy_clustering) + 1e-15:
         return frozen_clustering
     return greedy_clustering
@@ -280,22 +289,23 @@ def classify_communities(prev: Clustering | None, cur: Clustering,
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("overlap threshold must lie in (0, 1]")
-    if prev is None or not prev.communities:
-        return CommunityDiff(unchanged=[], changed=sorted(cur.communities))
-    candidates = []
-    for cur_label, cur_members in cur.communities.items():
-        seen = set()
-        for v in cur_members:
-            p = prev.assignment.get(v)
-            if p is None or p in seen:
-                continue
-            seen.add(p)
-            prev_members = prev.communities[p]
-            inter = len(cur_members & prev_members)
-            jac = inter / len(cur_members | prev_members)
-            if jac >= theta:
-                candidates.append((-jac, p, cur_label))
-    candidates.sort()
+    cur_labels, cur_index, cur_size = np.unique(cur.labels, return_inverse=True,
+                                                return_counts=True)
+    if prev is None or not len(prev):
+        return CommunityDiff(unchanged=[], changed=cur_labels.tolist())
+    prev_labels, prev_size = np.unique(prev.labels, return_counts=True)
+    # overlap of every (previous, current) pair sharing a vertex, counted
+    # over integer pair keys
+    in_prev = prev.label_of(cur.vertices)
+    shared = in_prev >= 0
+    prev_index = np.searchsorted(prev_labels, in_prev[shared])
+    keys, inter = np.unique(prev_index * cur_labels.size + cur_index[shared],
+                            return_counts=True)
+    pi, ci = np.divmod(keys, cur_labels.size)
+    jac = inter / (prev_size[pi] + cur_size[ci] - inter)
+    ok = jac >= theta
+    candidates = sorted(zip((-jac[ok]).tolist(), prev_labels[pi[ok]].tolist(),
+                            cur_labels[ci[ok]].tolist()))
     matched_prev, matched_cur, unchanged = set(), set(), []
     for neg_jac, p, c in candidates:
         if p in matched_prev or c in matched_cur:
@@ -303,6 +313,6 @@ def classify_communities(prev: Clustering | None, cur: Clustering,
         matched_prev.add(p)
         matched_cur.add(c)
         unchanged.append((p, c))
-    changed = sorted(set(cur.communities) - matched_cur)
+    changed = [c for c in cur_labels.tolist() if c not in matched_cur]
     unchanged.sort(key=lambda pc: pc[1])
     return CommunityDiff(unchanged=unchanged, changed=changed)

@@ -35,9 +35,10 @@ class TransitionMatrix:
             raise KeyError(f"vertex {v} not in matrix")
         return np.asarray(self.matrix.getrow(i).todense()).ravel()
 
-    def check_stochastic(self, tol: float = ROW_SUM_TOL) -> bool:
+    def check_stochastic(self) -> bool:
         sums = np.asarray(self.matrix.sum(axis=1)).ravel()
-        return bool(np.all(np.abs(sums - 1.0) <= tol) and self.matrix.data.min(initial=0.0) >= -tol)
+        return bool(np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+                    and self.matrix.data.min(initial=0.0) >= -ROW_SUM_TOL)
 
 
 def transition_matrix(graph: Graph) -> TransitionMatrix:

@@ -77,18 +77,16 @@ class PerturbationRecord:
     inter: dict = field(default_factory=dict)   # (a, b) -> ndarray (m, 2)
 
     def validate(self) -> None:
-        for label, edges in self.intra.items():
-            members = self.clustering.communities[label]
-            for u, v in np.asarray(edges).reshape(-1, 2):
-                if int(u) not in members or int(v) not in members:
-                    raise ValueError(f"intra edge ({u},{v}) leaves community {label}")
-        for (a, b), edges in self.inter.items():
-            ca = self.clustering.communities[a]
-            cb = self.clustering.communities[b]
-            for u, v in np.asarray(edges).reshape(-1, 2):
-                u, v = int(u), int(v)
-                if not ((u in ca and v in cb) or (u in cb and v in ca)):
-                    raise ValueError(f"inter edge ({u},{v}) does not cross ({a},{b})")
+        """Raise ValueError at the first edge outside its community or pair."""
+        checks = [("intra", (c, c), e, f"leaves community {c}") for c, e in self.intra.items()]
+        checks += [("inter", (a, b), e, f"does not cross ({a},{b})")
+                   for (a, b), e in self.inter.items()]
+        for kind, pair, edges, what in checks:
+            edges = np.asarray(edges).reshape(-1, 2)
+            bad = (np.sort(self.clustering.label_of(edges), axis=1) != sorted(pair)).any(axis=1)
+            if bad.any():
+                u, v = edges[np.argmax(bad)]
+                raise ValueError(f"{kind} edge ({u},{v}) {what}")
 
     def to_json_obj(self) -> dict:
         return {

@@ -56,10 +56,10 @@ class PriorModel:
 
     The posterior conditions its hypothesis worlds on the full original
     sequence except the queried link (the worst-case adversary); the prior
-    is the calibrated scorer's probability for that link.
+    is the calibrated scorer's probability for that link, clipped to
+    [0.01, 0.99].
     """
 
-    clip: tuple = (0.01, 0.99)
     negatives_per_positive: float = 1.0
     seed: int = 0
 
@@ -75,9 +75,8 @@ class PosteriorEstimate:
     degenerate: bool = False
 
 
-def fit_logistic_1d(x: np.ndarray, y: np.ndarray,
-                    max_iter: int = 25) -> tuple[float, float]:
-    """Damped-Newton fit of P(y=1|x) = sigmoid(b0 + b1*x).
+def fit_logistic_1d(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Damped-Newton fit of P(y=1|x) = sigmoid(b0 + b1*x), at most 25 steps.
 
     Falls back to a constant model (slope 0, intercept = logit of the base
     rate) when the data are degenerate or separable.
@@ -90,7 +89,7 @@ def fit_logistic_1d(x: np.ndarray, y: np.ndarray,
         return fallback
     design = np.column_stack([np.ones_like(x), x])
     beta = np.array([fallback[0], 0.0])
-    for _ in range(max_iter):
+    for _ in range(25):
         z = design @ beta
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
         grad = design.T @ (y - p)
@@ -142,7 +141,7 @@ def prior_probability(query: LinkQuery, model: PriorModel,
     b0, b1 = fit_logistic_1d(common[:-1], y)
     score = b0 + b1 * common[-1]
     prob = 1.0 / (1.0 + math.exp(-max(min(score, 35.0), -35.0)))
-    return float(min(max(prob, model.clip[0]), model.clip[1]))
+    return float(min(max(prob, 0.01), 0.99))
 
 
 # -- posterior via feature-likelihood surrogate -------------------------------
@@ -238,25 +237,12 @@ class _SequenceSampler:
         """
         if self.plans is None:
             return [True] * len(self.world)
-        u, v = uv
         out = []
         for t, plan in enumerate(self.plans):
-            if t == 0:
-                out.append(True)
-                continue
-            changed = set(plan.diff.changed)
-            labels = {plan.clustering.assignment.get(u),
-                      plan.clustering.assignment.get(v)}
-            innovate = bool(labels & changed)
-            if not innovate:
-                for task in plan.pair_tasks:
-                    if (task.a, task.b) in plan.reused_pairs:
-                        continue
-                    if u in task.nodes_a or u in task.nodes_b \
-                            or v in task.nodes_a or v in task.nodes_b:
-                        innovate = True
-                        break
-            out.append(innovate)
+            own = set(plan.clustering.label_of(uv).tolist())
+            out.append(t == 0 or bool(own & set(plan.diff.changed)) or any(
+                np.isin(uv, np.concatenate([task.nodes_a, task.nodes_b])).any()
+                for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs))
         return out
 
 
@@ -443,15 +429,14 @@ class BoundCheck:
 
 
 def estimation_error_bound_check(p: TransitionMatrix, p_prime: TransitionMatrix,
-                                 p_hat: TransitionMatrix, k: int,
-                                 consistency_tol: float = 1e-6) -> BoundCheck:
+                                 p_hat: TransitionMatrix, k: int) -> BoundCheck:
     """Check ||P^k - P'||_TV <= k ||P - P_hat||_TV for a candidate estimate.
 
-    ``p_hat`` must satisfy p_hat^k = p_prime within ``consistency_tol``; the
+    ``p_hat`` must satisfy p_hat^k = p_prime within TV 1e-6; the
     anti-aggregation privacy then lower-bounds the adversary's estimation
     error (scaled by k).
     """
-    if tv_distance(matrix_power(p_hat, k), p_prime) > consistency_tol:
+    if tv_distance(matrix_power(p_hat, k), p_prime) > 1e-6:
         raise ValueError("p_hat^k does not reproduce p_prime within tolerance")
     lhs = tv_distance(matrix_power(p, k), p_prime)
     rhs = k * tv_distance(p, p_hat)

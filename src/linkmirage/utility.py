@@ -123,10 +123,10 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
 # -- graph analytics -----------------------------------------------------------
 
 
-def pagerank(graph: Graph, damping: float = 0.85, tol: float = 1e-10,
-             max_iter: int = 10_000) -> np.ndarray:
+def pagerank(graph: Graph, damping: float = 0.85) -> np.ndarray:
     """Pagerank scores by power iteration, aligned with graph.vertices.
 
+    Iteration stops at an L1 step below 1e-10, after at most 10,000 steps.
     Scores sum to 1; isolated vertices hold their own teleport mass via the
     lazy self-loop row of the transition matrix.
     """
@@ -138,12 +138,12 @@ def pagerank(graph: Graph, damping: float = 0.85, tol: float = 1e-10,
     p = transition_matrix(graph).matrix
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
-    for _ in range(max_iter):
+    for _ in range(10_000):
         nxt = damping * (x @ p) + teleport
-        if np.abs(nxt - x).sum() < tol:
+        if np.abs(nxt - x).sum() < 1e-10:
             return nxt
         x = nxt
-    raise RuntimeError(f"pagerank failed to converge within {max_iter} iterations")
+    raise RuntimeError("pagerank failed to converge within 10000 iterations")
 
 
 def structural_metrics(graph: Graph) -> dict:
@@ -208,12 +208,12 @@ def _symmetrized_walk(graph: Graph) -> sp.csr_matrix:
     return graph.adjacency(data)
 
 
-def slem(graph: Graph, lazy: bool = False, tol: float = 1e-13,
-         max_iter: int = 200_000) -> float:
+def slem(graph: Graph, lazy: bool = False) -> float:
     """Second largest eigenvalue modulus of the walk matrix.
 
     Power iteration on the degree-symmetrized operator with the stationary
-    direction deflated; with ``lazy`` the chain is (P+I)/2.
+    direction deflated, until successive norms differ by less than 1e-13 or
+    200,000 steps; with ``lazy`` the chain is (P+I)/2.
     """
     if not is_connected(graph):
         raise ValueError("SLEM is defined here for connected graphs only")
@@ -229,22 +229,23 @@ def slem(graph: Graph, lazy: bool = False, tol: float = 1e-13,
     x -= (top @ x) * top
     x /= np.linalg.norm(x)
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(200_000):
         y = s @ x
         y -= (top @ y) * top
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return 0.0
-        if abs(norm - est) < tol:
+        if abs(norm - est) < 1e-13:
             return float(norm)
         est = norm
         x = y / norm
     return float(est)
 
 
-def mixing_time(graph: Graph, epsilon: float, lazy: bool = False,
-                max_steps: int = 10_000) -> tuple[int | None, bool]:
-    """Smallest r with max_v TV(P^r(v), pi) < epsilon, by direct row powers.
+def mixing_time(graph: Graph, epsilon: float,
+                lazy: bool = False) -> tuple[int | None, bool]:
+    """Smallest r <= 10,000 with max_v TV(P^r(v), pi) < epsilon, by direct
+    row powers.
 
     Returns (r, converged). Bipartite chains never converge unless ``lazy``
     applies (P+I)/2, and are reported immediately as not converged.
@@ -261,7 +262,7 @@ def mixing_time(graph: Graph, epsilon: float, lazy: bool = False,
     deg = graph.degrees.astype(np.float64)
     pi = deg / deg.sum() if deg.sum() else np.full(graph.num_vertices, 1.0)
     m = p.copy()
-    for r in range(1, max_steps + 1):
+    for r in range(1, 10_001):
         worst = 0.5 * np.abs(m - pi).sum(axis=1).max()
         if worst < epsilon:
             return r, True
@@ -269,9 +270,8 @@ def mixing_time(graph: Graph, epsilon: float, lazy: bool = False,
     return None, False
 
 
-def spectral_metrics(graph: Graph, epsilon: float = 0.05, lazy: bool = False,
-                     max_steps: int = 10_000) -> dict:
+def spectral_metrics(graph: Graph, epsilon: float = 0.05, lazy: bool = False) -> dict:
     """SLEM and mixing time of a connected graph's walk."""
-    tau, converged = mixing_time(graph, epsilon, lazy=lazy, max_steps=max_steps)
+    tau, converged = mixing_time(graph, epsilon, lazy=lazy)
     return {"slem": slem(graph, lazy=lazy), "mixing_time": tau,
             "mixing_converged": converged}

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from linkmirage import (Clustering, Graph, PerturbParams,
                         changed_link_set, classify_communities, cluster_static,
                         evolving_sequence, freed_vertices, linkmirage_run, modularity,
                         recluster_dynamic, ring_of_blocks)
+from linkmirage import clustering as clustering_module
 from linkmirage.clustering import _GreedyMerger
 from linkmirage.reporting import canonical_json
 
@@ -136,10 +138,10 @@ def assert_same_merges(graph, basis):
     basis = [set(b) for b in basis]
     eager = EagerMerger(graph, basis)
     eager.run()
-    lazy = _GreedyMerger(graph, basis)
+    lazy = _GreedyMerger(graph, Clustering.from_groups(basis))
     lazy.run()
     assert lazy.events == eager.events
-    assert sorted(map(sorted, lazy.members.values())) == \
+    assert sorted(map(sorted, lazy.clustering().communities.values())) == \
         sorted(map(sorted, eager.members.values()))
 
 
@@ -208,7 +210,7 @@ def test_two_k4_cliques_found_exactly(two_k4_bridge):
 
 def greedy_events(graph):
     """(child_a, child_b, parent, delta) of every merge from singletons."""
-    merger = _GreedyMerger(graph, [{int(v)} for v in graph.vertices])
+    merger = _GreedyMerger(graph, Clustering.from_groups([[v] for v in graph.vertices]))
     merger.run()
     return merger.events
 
@@ -337,7 +339,7 @@ def test_freed_vertices_match_bfs_oracle(n, p, m_hops, n_links, seed):
 def test_recluster_empty_change_is_identity(two_k4_bridge):
     prev = cluster_static(two_k4_bridge)
     clustering = recluster_dynamic(two_k4_bridge, prev, set(), 2)
-    assert clustering.assignment == prev.assignment
+    assert clustering == prev
 
 
 def test_recluster_two_hop_freeing_scenario():
@@ -361,7 +363,7 @@ def test_recluster_two_hop_freeing_scenario():
 
     clustering = recluster_dynamic(g_cur, prev, changed, 2)
     # the untouched red remainder {0,1} stays together (frozen virtual node)
-    assert clustering.assignment[0] == clustering.assignment[1]
+    assert clustering.label_of(0) == clustering.label_of(1)
 
 
 def test_changed_link_set_is_the_tuple_symmetric_difference(rng):
@@ -396,8 +398,69 @@ def test_recluster_handles_new_and_removed_vertices():
     g_cur = Graph([(0, 1), (1, 2), (0, 2), (3, 4), (2, 3), (9, 0), (9, 1)])
     changed = changed_link_set(g_prev, g_cur)
     clustering = recluster_dynamic(g_cur, prev, changed, 1)
-    assert clustering.covers(g_cur.vertices)
-    assert 5 not in clustering.assignment
+    assert np.array_equal(clustering.vertices, g_cur.vertices)
+    assert clustering.label_of(5) == -1
+
+
+def reference_recluster_partitions(graph, prev, changed_links, m_hops):
+    """Oracle: the (basis, frozen) partitions built with vertex sets."""
+    present = set(int(v) for v in graph.vertices)
+    new_vertices = present - {v for mem in prev.communities.values() for v in mem}
+    freed = freed_vertices(graph, changed_links, m_hops) | new_vertices
+    basis = []
+    for members in prev.communities.values():
+        kept = (set(members) & present) - freed
+        if kept:
+            basis.append(kept)
+    basis.extend({v} for v in sorted(freed))
+    frozen_groups = [g for g in ((set(members) & present)
+                                 for members in prev.communities.values()) if g]
+    frozen_groups.extend({v} for v in sorted(new_vertices))
+    return Clustering.from_groups(basis), Clustering.from_groups(frozen_groups)
+
+
+def test_recluster_partitions_match_set_oracle(rng):
+    # sparse ids; each side has vertices the other lacks
+    checked_new = checked_departed = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 30))
+        ids = rng.choice(10**6, size=n + 8, replace=False)
+        g_prev, g_cur = (random_graph(n + int(rng.integers(0, 8)), rng.uniform(0.05, 0.4), rng)
+                         for _ in range(2))
+        drop = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
+        g_prev = Graph(ids[g_prev.edges], vertices=ids[g_prev.vertices])
+        keep = ~np.isin(g_cur.vertices, drop)
+        edges = g_cur.edges[keep[g_cur.edges].all(axis=1)]
+        g_cur = Graph(ids[edges], vertices=ids[g_cur.vertices[keep]])
+        prev = cluster_static(g_prev)
+        changed = changed_link_set(g_prev, g_cur)
+        checked_new += int(not np.isin(g_cur.vertices, g_prev.vertices).all())
+        checked_departed += int(not np.isin(g_prev.vertices, g_cur.vertices).all())
+        for m_hops in (0, 1, 2):
+            basis, frozen = reference_recluster_partitions(g_cur, prev, changed, m_hops)
+            bases, scored = [], []
+            real_merger, real_modularity = _GreedyMerger, modularity
+
+            def spy_merger(graph, b):
+                bases.append(b)
+                return real_merger(graph, b)
+
+            def spy_modularity(graph, c):
+                scored.append(c)
+                return real_modularity(graph, c)
+
+            with mock.patch.object(clustering_module, "_GreedyMerger", spy_merger), \
+                    mock.patch.object(clustering_module, "modularity", spy_modularity):
+                got = recluster_dynamic(g_cur, prev, changed, m_hops)
+            assert bases == [basis]
+            assert any(c == frozen for c in scored)
+            merger = _GreedyMerger(g_cur, basis)
+            merger.run()
+            greedy = merger.clustering()
+            want = frozen if modularity(g_cur, frozen) > modularity(g_cur, greedy) + 1e-15 \
+                else greedy
+            assert got == want
+    assert checked_new and checked_departed
 
 
 # -- changed/unchanged classification ----------------------------------------------
@@ -436,3 +499,98 @@ def test_classification_partitions_current(rng):
         assert len(diff.unchanged) + len(diff.changed) == len(cb)
         matched = {c for _, c in diff.unchanged}
         assert matched.isdisjoint(diff.changed)
+
+
+def reference_classify(prev, cur, theta):
+    """Oracle: the per-member lookup loop over vertex sets."""
+    if prev is None or not prev.communities:
+        return sorted(cur.communities), []
+    assignment = {v: label for label, mem in prev.communities.items() for v in mem}
+    candidates = []
+    for cur_label, cur_members in cur.communities.items():
+        seen = set()
+        for v in cur_members:
+            p = assignment.get(v)
+            if p is None or p in seen:
+                continue
+            seen.add(p)
+            prev_members = prev.communities[p]
+            jac = len(cur_members & prev_members) / len(cur_members | prev_members)
+            if jac >= theta:
+                candidates.append((-jac, p, cur_label))
+    candidates.sort()
+    matched_prev, matched_cur, unchanged = set(), set(), []
+    for _, p, c in candidates:
+        if p in matched_prev or c in matched_cur:
+            continue
+        matched_prev.add(p)
+        matched_cur.add(c)
+        unchanged.append((p, c))
+    unchanged.sort(key=lambda pc: pc[1])
+    return sorted(set(cur.communities) - matched_cur), unchanged
+
+
+def random_partition(ids, rng):
+    labels = rng.integers(0, int(rng.integers(1, 8)), size=len(ids))
+    return Clustering.from_groups([ids[labels == k] for k in np.unique(labels)])
+
+
+def test_classify_matches_set_oracle(rng):
+    matched = 0
+    for _ in range(60):
+        ids = rng.choice(2**40, size=int(rng.integers(2, 40)), replace=False)
+        # vertices on one side only, and a current partition that often
+        # moves only a few vertices of the previous one
+        prev = random_partition(ids[rng.random(ids.size) < 0.85], rng)
+        cur_ids = ids[rng.random(ids.size) < 0.85]
+        if rng.random() < 0.5:
+            cur = Clustering.from_groups(
+                [g for g in ([v for v in mem if v in set(cur_ids.tolist())]
+                             for mem in prev.communities.values()) if g]
+                + [[v] for v in cur_ids.tolist() if prev.label_of(v) < 0])
+        else:
+            cur = random_partition(cur_ids, rng)
+        for theta in (0.5, 0.8, 1.0):
+            diff = classify_communities(prev, cur, theta)
+            changed, unchanged = reference_classify(prev, cur, theta)
+            assert diff.changed == changed and diff.unchanged == unchanged
+            assert all(type(x) is int for pair in diff.unchanged for x in pair)
+            matched += len(unchanged)
+    assert matched > 0
+
+
+# -- the label array ---------------------------------------------------------------
+
+
+def test_label_of_matches_dict_lookup(rng):
+    for _ in range(30):
+        ids = rng.choice(10**9, size=int(rng.integers(1, 30)), replace=False)
+        c = random_partition(ids, rng)
+        owner = {v: label for label, mem in c.communities.items() for v in mem}
+        assert all(label == min(c.communities[label]) for label in owner.values())
+        query = rng.choice(np.concatenate([ids, rng.integers(0, 10**9, size=10),
+                                           [0, 10**9 + 1]]), size=(3, 5))
+        got = c.label_of(query)
+        assert got.shape == (3, 5) and got.dtype == np.int64
+        assert got.tolist() == [[owner.get(int(x), -1) for x in row] for row in query]
+        for x in query[0].tolist():
+            assert c.label_of(x).shape == () and int(c.label_of(x)) == owner.get(x, -1)
+        assert list(c.communities) == sorted(c.communities)
+        assert len(c) == len(c.communities)
+        assert c == Clustering.from_groups(list(c.communities.values())[::-1])
+
+
+def test_empty_clustering():
+    c = Clustering.from_groups([])
+    assert c.label_of([3, 7]).tolist() == [-1, -1] and int(c.label_of(0)) == -1
+    assert c.label_of(np.empty((0, 2))).shape == (0, 2)
+    assert len(c) == 0 and c.communities == {}
+
+
+def test_from_groups_rejects_bad_partitions():
+    with pytest.raises(ValueError, match="^empty community$"):
+        Clustering.from_groups([[1, 2], []])
+    with pytest.raises(ValueError, match="^vertex 3 assigned twice$"):
+        Clustering.from_groups([[5, 3], [4], {3, 9}])
+    # a repeat inside one group is one member
+    assert Clustering.from_groups([[2, 2, 1]]).communities == {1: frozenset({1, 2})}

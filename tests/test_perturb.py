@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, small_overlap_sequence
-from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
-                        hay_baseline, linkmirage_run,
+from linkmirage import (Clustering, Graph, PerturbParams, PerturbationRecord,
+                        TemporalGraphSequence, evolving_sequence, hay_baseline, linkmirage_run,
                         linkmirage_sequence, linkmirage_step, perturb_intercluster,
                         perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
@@ -295,10 +295,74 @@ def test_prev_record_roundtrips_through_json():
     clone = PerturbationRecord.from_json_obj(obj)
     assert clone.to_json_obj() == obj
     assert clone.timestamp == record.timestamp
-    assert clone.clustering.assignment == record.clustering.assignment
+    assert clone.clustering == record.clustering
     for label in record.intra:
         assert np.array_equal(np.asarray(clone.intra[label]),
                               np.asarray(record.intra[label]))
+
+
+def reference_validate(record):
+    """Oracle: the per-edge loop over frozenset communities."""
+    for label, edges in record.intra.items():
+        members = record.clustering.communities[label]
+        for u, v in np.asarray(edges).reshape(-1, 2):
+            if int(u) not in members or int(v) not in members:
+                raise ValueError(f"intra edge ({u},{v}) leaves community {label}")
+    for (a, b), edges in record.inter.items():
+        ca = record.clustering.communities[a]
+        cb = record.clustering.communities[b]
+        for u, v in np.asarray(edges).reshape(-1, 2):
+            u, v = int(u), int(v)
+            if not ((u in ca and v in cb) or (u in cb and v in ca)):
+                raise ValueError(f"inter edge ({u},{v}) does not cross ({a},{b})")
+
+
+def validation_message(validate, record):
+    try:
+        validate(record)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def with_edge_moved(record, rng):
+    """A copy of ``record`` with one edge of each entry bent to a random vertex."""
+    vertices = record.clustering.vertices
+    bent = PerturbationRecord(timestamp=record.timestamp, clustering=record.clustering)
+    for src, dst in ((record.intra, bent.intra), (record.inter, bent.inter)):
+        for key, edges in src.items():
+            edges = np.array(edges).reshape(-1, 2)
+            if len(edges):
+                edges[rng.integers(len(edges)), rng.integers(2)] = rng.choice(vertices)
+            dst[key] = edges
+    return bent
+
+
+def test_validate_matches_frozenset_oracle():
+    runs = [linkmirage_run(small_overlap_sequence(), PerturbParams(k=2, m=m, theta=0.8, seed=5))
+            for m in (0, 1, 2)]
+    for seed in range(3):
+        seq = evolving_sequence([30, 30], 0.25, 0.02, 4, 0.85,
+                                np.random.default_rng(300 + seed))
+        runs.append(linkmirage_run(seq, PerturbParams(k=2, seed=seed)))
+    records = [record for _, run_records in runs for record in run_records]
+    rng = np.random.default_rng(8)
+    records += [with_edge_moved(record, rng) for record in records for _ in range(3)]
+    messages = [validation_message(PerturbationRecord.validate, r) for r in records]
+    assert messages == [validation_message(reference_validate, r) for r in records]
+    assert None in messages
+    assert any(m and m.startswith("intra") for m in messages)
+    assert any(m and m.startswith("inter") for m in messages)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 1: carried edges keep endpoints that moved "
+                          "to another community")
+def test_every_release_record_validates():
+    _, records = linkmirage_run(small_overlap_sequence(),
+                                PerturbParams(k=2, m=1, theta=0.8, seed=5))
+    for record in records:
+        record.validate()
 
 
 def test_pair_tasks_match_per_edge_oracle(rng):
@@ -313,7 +377,7 @@ def test_pair_tasks_match_per_edge_oracle(rng):
             [ids[labels == k] for k in np.unique(labels)])
         groups = {}
         for u, v in g.edges.tolist():
-            cu, cv = c.assignment[u], c.assignment[v]
+            cu, cv = c.label_of([u, v]).tolist()
             if cu != cv:
                 key, pair = ((cu, cv), (u, v)) if cu < cv else ((cv, cu), (v, u))
                 groups.setdefault(key, []).append(pair)

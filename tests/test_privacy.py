@@ -94,7 +94,7 @@ def reference_prior(query, model, seq):
     b0, b1 = fit_logistic_1d(x, y)
     score = b0 + b1 * common_neighbors(graph, query.u, query.v)
     prob = 1.0 / (1.0 + math.exp(-max(min(score, 35.0), -35.0)))
-    return float(min(max(prob, model.clip[0]), model.clip[1]))
+    return float(min(max(prob, 0.01), 0.99))
 
 
 def test_prior_matches_the_pairwise_loop(rng):

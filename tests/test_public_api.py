@@ -1,13 +1,18 @@
 import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
 
 import linkmirage
-from linkmirage import (Graph, PerturbParams, TemporalGraphSequence, UtilityReport,
-                        evolving_sequence, linkmirage_step, planted_partition_graph)
+from linkmirage import (Clustering, Graph, PerturbParams, PriorModel, TemporalGraphSequence,
+                        UtilityReport, estimation_error_bound_check, evolving_sequence,
+                        linkmirage_step, pagerank, planted_partition_graph, spectral_metrics)
 from linkmirage.clustering import CommunityDiff
+from linkmirage.markov import TransitionMatrix
+from linkmirage.privacy import fit_logistic_1d
+from linkmirage.utility import mixing_time, slem
 
 
 def test_every_exported_name_resolves_once():
@@ -36,6 +41,28 @@ def test_utility_report_holds_only_what_is_set():
 
 def test_community_diff_holds_only_what_is_read():
     assert [f.name for f in dataclasses.fields(CommunityDiff)] == ["unchanged", "changed"]
+
+
+def test_clustering_is_one_label_array():
+    assert [f.name for f in dataclasses.fields(Clustering)] == ["vertices", "labels"]
+    clustering = Clustering.from_groups([[0, 1], [2]])
+    assert not hasattr(clustering, "assignment") and not hasattr(clustering, "covers")
+
+
+def test_prior_model_holds_only_what_varies():
+    assert [f.name for f in dataclasses.fields(PriorModel)] == ["negatives_per_positive", "seed"]
+
+
+@pytest.mark.parametrize("func, removed", [
+    (fit_logistic_1d, "max_iter"),
+    (pagerank, "tol"), (pagerank, "max_iter"),
+    (slem, "tol"), (slem, "max_iter"),
+    (mixing_time, "max_steps"), (spectral_metrics, "max_steps"),
+    (estimation_error_bound_check, "consistency_tol"),
+    (TransitionMatrix.check_stochastic, "tol"),
+])
+def test_single_valued_options_are_constants(func, removed):
+    assert removed not in inspect.signature(func).parameters
 
 
 def test_sequence_holds_only_its_snapshots():
