@@ -32,11 +32,13 @@ def main():
             continue
         diff = classify_communities(records[t - 1].clustering,
                                     record.clustering, params.theta)
-        reused_edges = sum(len(record.intra[c]) for _, c in diff.unchanged)
+        copied = sum(len(record.intra[c]) for _, c in diff.unchanged)
+        dropped = sum(len(records[t - 1].intra[p]) for p, _ in diff.unchanged) - copied
         total_edges = sum(len(e) for e in record.intra.values())
         print(f"  t={t}: {n_comm} communities, {len(diff.unchanged)} unchanged, "
               f"{len(diff.changed)} re-perturbed; "
-              f"{reused_edges}/{total_edges} intra edges reused verbatim")
+              f"{copied}/{total_edges} intra edges copied from t={t - 1}, "
+              f"{dropped} dropped with members that left")
 
     print("\nedge churn between consecutive perturbed outputs:")
     for label, graphs in (("dynamic", perturbed), ("static baseline", baseline)):

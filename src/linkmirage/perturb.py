@@ -8,11 +8,13 @@ endpoint makes the start distribution stationary, which is what preserves
 every vertex's expected degree exactly, for any k.
 
 The dynamic pipeline re-clusters each snapshot against the previous one,
-reuses the previous perturbation verbatim for unchanged communities and for
+reuses the previous perturbation for unchanged communities and for
 inter-community pairs whose both sides are unchanged, and re-perturbs only
-what changed. A step is laid out once as a deterministic plan and drawn by
-one function, ``_sample_step``, which the posterior and the degree check
-call too.
+what changed. A copied edge is kept only while both endpoints stay in the
+matched communities. Below theta = 1 a match may gain members; a joiner gets
+no copied edge there and is perturbed fresh when its community next changes.
+A step is laid out once as a deterministic plan and drawn by one function,
+``_sample_step``, which the posterior and the degree check call too.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class PerturbParams:
 class PerturbationRecord:
     """Per-community and per-pair perturbed edges of one timestamp.
 
-    Unchanged communities at t+1 copy their entry verbatim, which is what
-    makes selective perturbation possible. The record holds only what that
-    reuse reads: the partition and the perturbed edges.
+    Unchanged communities at t+1 copy their entry, dropping edges of members
+    that left; that is what makes selective perturbation possible. The record
+    holds only what that reuse reads: the partition and the perturbed edges.
     """
 
     timestamp: int
@@ -247,7 +249,7 @@ class _StepPlan:
     subgraphs: dict          # label -> community subgraph (changed labels only)
     pair_tasks: list
     reused_pairs: dict       # (a, b) -> previous pair key whose edges are copied
-    present: np.ndarray | None   # ids carried edges are filtered to; None if no vertex left
+    left: dict               # matched previous label -> its ids outside the match now
 
     @property
     def changed_labels(self) -> list:
@@ -260,7 +262,7 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     ``prev`` is None at t=0, otherwise (previous graph, previous clustering,
     previous inter-pair keys).
     """
-    present = None
+    left = {}
     if prev is None:
         clustering = cluster_static(g_t)
         diff = classify_communities(None, clustering, params.theta)
@@ -270,8 +272,9 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
         changed = changed_link_set(prev_graph, g_t)
         clustering = recluster_dynamic(g_t, prev_clustering, changed, params.m)
         diff = classify_communities(prev_clustering, clustering, params.theta)
-        if not np.isin(prev_graph.vertices, g_t.vertices, assume_unique=True).all():
-            present = g_t.vertices
+        ids, now = prev_clustering.vertices, clustering.label_of(prev_clustering.vertices)
+        left = {p: gone for p, c in diff.unchanged
+                if (gone := ids[(prev_clustering.labels == p) & (now != c)]).size}
 
     subgraphs = {label: g_t.subgraph(clustering.communities[label])
                  for label in diff.changed}
@@ -287,7 +290,7 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
             reused_pairs[(task.a, task.b)] = key
     return _StepPlan(clustering=clustering, diff=diff,
                      subgraphs=subgraphs, pair_tasks=pair_tasks,
-                     reused_pairs=reused_pairs, present=present)
+                     reused_pairs=reused_pairs, left=left)
 
 
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
@@ -297,20 +300,23 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
 
     ``carried`` is None at t=0, otherwise the previous step's (intra, inter)
     edges. Unchanged communities and reused pairs copy their carried edges,
-    minus those with an endpoint that left the snapshot. Changed communities
-    are drawn by ``draw(subgraph, k, stream)`` and the other pairs are
-    rewired, from child streams spawned in canonical order: changed labels
-    ascending, then pair tasks ascending.
+    minus those touching ``plan.left``: ids that moved out of the matched
+    previous community or left the snapshot. Changed communities are drawn
+    by ``draw(subgraph, k, stream)`` and the other pairs are rewired, from
+    child streams spawned in canonical order: changed labels ascending, then
+    pair tasks ascending.
     """
     labels = plan.changed_labels
     children = rng.spawn(len(labels) + len(plan.pair_tasks))
 
-    def carry(edges):
-        if plan.present is None:
+    def carry(edges, *prev_labels):
+        gone = [plan.left[p] for p in prev_labels if p in plan.left]
+        if not gone:
             return edges
-        return edges[np.isin(edges, plan.present).all(axis=1)]
+        # "sort" skips the lookup-table set-up that dominates for a few ids
+        return edges[~np.isin(edges, np.concatenate(gone), kind="sort").any(axis=1)]
 
-    intra = {label: carry(carried[0][prev_label])
+    intra = {label: carry(carried[0][prev_label], prev_label)
              for prev_label, label in plan.diff.unchanged}
 
     def one(label, stream):
@@ -322,7 +328,7 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
     else:
         intra.update((label, one(label, stream)) for label, stream in zip(labels, children))
 
-    inter = {pair: carry(carried[1][key]) for pair, key in plan.reused_pairs.items()}
+    inter = {pair: carry(carried[1][key], *key) for pair, key in plan.reused_pairs.items()}
     for task, stream in zip(plan.pair_tasks, children[len(labels):]):
         if (task.a, task.b) not in plan.reused_pairs:
             inter[(task.a, task.b)] = task.sample(stream, params.inter_cluster_form)
@@ -347,8 +353,8 @@ def linkmirage_step(g_t: Graph, prev, params: PerturbParams,
 
     ``prev`` is None at t=0, otherwise (previous graph, previous record).
     At t=0 every community is perturbed; at t>0 unchanged communities and
-    unchanged inter pairs reuse the recorded edges verbatim and only the
-    rest is re-sampled. Draws from timestamp t's stream of ``params.seed``,
+    unchanged inter pairs copy the recorded edges of the members that stayed
+    and only the rest is re-sampled. Draws from timestamp t's stream of ``params.seed``,
     so it is deterministic given (inputs, params) and independent of thread
     count.
     """

@@ -25,7 +25,7 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         ud_upper_bound, utility_distance)
 from linkmirage.cli import main as cli_main
 from linkmirage.privacy import _hypothesis_world, observed_features
-from linkmirage.utility import is_bipartite, is_connected, mixing_time, slem
+from linkmirage.utility import community_tv, is_bipartite, is_connected, mixing_time, slem
 from test_privacy import exact_posterior
 
 N_SEEDS = 20
@@ -140,21 +140,9 @@ def test_criterion_3_ud_upper_bound():
         graphs, records = linkmirage_run(seq, params)
         for l in (1, 2):
             ud = utility_distance(seq, graphs, l).aggregate
-            eps = 0.0
-            deltas = []
-            for t, record in enumerate(records):
-                clustering = record.clustering
-                deltas.append(ratio_cut(seq[t], clustering))
-                for label, members in clustering.communities.items():
-                    sub = seq[t].subgraph(members)
-                    # reused edges can reference members that drifted away;
-                    # the community distance is measured on the member set
-                    intra = [e for e in np.asarray(
-                        record.intra.get(label, np.empty((0, 2)))).reshape(-1, 2)
-                        if int(e[0]) in members and int(e[1]) in members]
-                    pert = Graph(intra, vertices=sub.vertices)
-                    eps = max(eps, tv_distance(transition_matrix(sub),
-                                               transition_matrix(pert)))
+            eps = max(community_tv(seq[t], graphs[t], record.clustering)
+                      for t, record in enumerate(records))
+            deltas = [ratio_cut(seq[t], record.clustering) for t, record in enumerate(records)]
             bound = ud_upper_bound(eps, deltas, l)
             checked += 1
             if ud > bound:

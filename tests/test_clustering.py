@@ -280,16 +280,16 @@ def test_lazy_merger_matches_eager_on_frozen_bases(n, p, n_groups, free_frac, se
 
 
 def test_linkmirage_run_outputs_pinned():
-    # digests from the eager merger; any change to clustering output shows here
+    # any change to clustering or to what reuse carries shows here
     seq = evolving_sequence([30] * 6, 0.3, 0.02, 4, 0.97, np.random.default_rng(2024),
                             new_vertices_per_step=3, churn_blocks=[0, 1])
     graphs, records = linkmirage_run(seq, PerturbParams(k=2, m=0, theta=0.8, seed=7))
     record_text = canonical_json([r.to_json_obj() for r in records])
     edge_bytes = b"".join(g.edges.tobytes() for g in graphs)
     assert hashlib.sha256(record_text.encode()).hexdigest() == \
-        "324631be9384933ffb4879283a418997751918680b6e757c4a4356277533f136"
+        "c53b8785e7898aa01ca85c034624475bde30b780c3e77f5ac24663783e45535d"
     assert hashlib.sha256(edge_bytes).hexdigest() == \
-        "796fd6922865359c0db0fc12c9f8ed2d88c56119d3ffe9c7c801d6269f3a76d6"
+        "18bdbcb97e561083b419deea191e2335eabfaac2439c4c773ebffb6b1dedcf53"
 
 
 # -- dynamic re-clustering --------------------------------------------------------

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, small_overlap_sequence
-from linkmirage import (Clustering, Graph, PerturbParams, PerturbationRecord,
+from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
                         TemporalGraphSequence, evolving_sequence, hay_baseline, linkmirage_run,
                         linkmirage_sequence, linkmirage_step, perturb_intercluster,
                         perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
 from linkmirage.perturb import (_pair_tasks, _sample_step, _step_rng, build_step_plan,
                                draw_walker_edges)
-from linkmirage.privacy import _SequenceSampler, _edge_feature
+from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 
 
 def test_single_edge_k1_is_forced(rng):
@@ -355,14 +355,94 @@ def test_validate_matches_frozenset_oracle():
     assert any(m and m.startswith("inter") for m in messages)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="ROADMAP item 1: carried edges keep endpoints that moved "
-                          "to another community")
-def test_every_release_record_validates():
-    _, records = linkmirage_run(small_overlap_sequence(),
-                                PerturbParams(k=2, m=1, theta=0.8, seed=5))
-    for record in records:
-        record.validate()
+def moved_vertex_sequence():
+    """Two bridged K6 blocks; at t=1 vertex 5 drops its block-A edges and
+    joins block B."""
+    k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    g0 = Graph(k6 + [(u + 6, v + 6) for u, v in k6] + [(5, 6), (4, 7)])
+    g1 = Graph([e for e in g0.edges.tolist() if 5 not in e or max(e) >= 6]
+               + [(5, v) for v in range(7, 12)])
+    return TemporalGraphSequence([g0, g1])
+
+
+def reuse_fixtures(m, theta):
+    """(sequence, params) pairs the reuse rule is checked on at one (m, theta):
+    the overlap fixture, criterion 3's first three sequences and the moved
+    vertex."""
+    yield small_overlap_sequence(), PerturbParams(k=2, m=m, theta=theta, seed=5)
+    for seed in range(3):
+        seq = evolving_sequence([30, 30], 0.25, 0.02, 4, 0.85,
+                                np.random.default_rng(300 + seed))
+        yield seq, PerturbParams(k=2, m=m, theta=theta, seed=seed)
+    yield moved_vertex_sequence(), PerturbParams(k=2, m=m, theta=theta, seed=3)
+
+
+reuse_grid = pytest.mark.parametrize("m, theta", [(m, theta) for m in (0, 1, 2)
+                                                  for theta in (0.5, 0.8, 1.0)])
+
+
+@reuse_grid
+def test_every_release_record_validates(m, theta):
+    for seq, params in reuse_fixtures(m, theta):
+        _, records = linkmirage_run(seq, params)
+        for record in records:
+            record.validate()
+        # the posterior's own draws, carried through the same kernel, in
+        # both hypothesis worlds
+        query = LinkQuery(t=len(seq) - 1, u=0, v=1)
+        rng = np.random.default_rng(params.seed)
+        for present in (True, False):
+            plans = _SequenceSampler(_hypothesis_world(seq, query, present), params,
+                                     "linkmirage").plans
+            for _ in range(3):
+                carried = None
+                for t, plan in enumerate(plans):
+                    carried = _sample_step(plan, carried, params, rng)
+                    PerturbationRecord(t, plan.clustering, *carried).validate()
+
+
+def reference_carry(plan, carried):
+    """Oracle: the per-row membership rule. A carried row stays when its
+    endpoints' current labels are the entry's label (intra) or, sorted, its
+    pair (inter)."""
+    label_of = plan.clustering.label_of
+    intra = {label: carried[0][prev] for prev, label in plan.diff.unchanged}
+    inter = {pair: carried[1][key] for pair, key in plan.reused_pairs.items()}
+    return ({label: e[(label_of(e) == label).all(axis=1)] for label, e in intra.items()},
+            {pair: e[(np.sort(label_of(e), axis=1) == pair).all(axis=1)]
+             for pair, e in inter.items()})
+
+
+@reuse_grid
+def test_carry_filter_matches_the_membership_rule(m, theta):
+    moved = 0
+    for seq, params in reuse_fixtures(m, theta):
+        _, records = linkmirage_run(seq, params)
+        plans = _SequenceSampler(seq, params, "linkmirage").plans
+        for t in range(1, len(plans)):
+            carried = (records[t - 1].intra, records[t - 1].inter)
+            got = _sample_step(plans[t], carried, params, _step_rng(params.seed, t))
+            for got_part, want_part in zip(got, reference_carry(plans[t], carried)):
+                assert all(np.array_equal(got_part[key], want) for key, want in want_part.items())
+            moved += bool(plans[t].left)
+    # matched communities hold the same vertices at theta = 1, so none leave
+    assert (moved > 0) == (theta < 1.0)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_a_vertex_moving_between_matched_communities_carries_no_edge(m):
+    seq = moved_vertex_sequence()
+    params = PerturbParams(k=2, m=m, theta=0.7, seed=3)
+    graphs, records = linkmirage_run(seq, params)
+    plan = _SequenceSampler(seq, params, "linkmirage").plans[1]
+    assert plan.diff.unchanged == [(0, 0), (6, 5)] and plan.reused_pairs == {(0, 5): (0, 6)}
+    assert {p: ids.tolist() for p, ids in plan.left.items()} == {0: [5]}
+    assert (records[0].intra[0] == 5).any()
+    records[1].validate()
+    # the joiner gets no copied edge in its new community and keeps none of
+    # its old ones: it is perturbed fresh only when block B next changes
+    assert np.array_equal(records[1].intra[5], records[0].intra[6])
+    assert not (graphs[1].edges == 5).any()
 
 
 def test_pair_tasks_match_per_edge_oracle(rng):

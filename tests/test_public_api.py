@@ -11,6 +11,7 @@ from linkmirage import (Clustering, Graph, PerturbParams, PriorModel, TemporalGr
                         linkmirage_step, pagerank, planted_partition_graph, spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
+from linkmirage.perturb import _StepPlan
 from linkmirage.privacy import fit_logistic_1d
 from linkmirage.utility import mixing_time, slem
 
@@ -47,6 +48,11 @@ def test_clustering_is_one_label_array():
     assert [f.name for f in dataclasses.fields(Clustering)] == ["vertices", "labels"]
     clustering = Clustering.from_groups([[0, 1], [2]])
     assert not hasattr(clustering, "assignment") and not hasattr(clustering, "covers")
+
+
+def test_step_plan_has_one_membership_map():
+    names = [f.name for f in dataclasses.fields(_StepPlan)]
+    assert "left" in names and "present" not in names
 
 
 def test_prior_model_holds_only_what_varies():
