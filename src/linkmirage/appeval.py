@@ -10,7 +10,6 @@ import scipy.sparse as sp
 
 from .graphs import Graph, TemporalGraphSequence, _canonical_edges, _edge_keys, _id_array
 from .synth import er_graph
-from .utility import is_connected
 
 
 def attack_probability(perturbed, v: int, f: float) -> np.ndarray:
@@ -231,9 +230,7 @@ def sybil_eval(scenario: SybilScenario, g_prime: Graph,
                            scenario.walk_length)
     total = honest.size * honest.size
     fp = _rejected_pairs(tails[:, honest]) / total if total else 0.0
-    honest_sub = g_prime.subgraph(honest_ids)
     return {
         "false_positive_rate": fp,
         "attack_edges_after": count_attack_edges(g_prime, honest_ids),
-        "honest_connected": is_connected(honest_sub),
     }

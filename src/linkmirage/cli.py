@@ -101,14 +101,11 @@ def provenance_hash(settings) -> str:
 
 
 def _params_from(settings) -> PerturbParams:
+    """The settings' pipeline knobs; unset ones keep ``PerturbParams``' defaults."""
+    parsers = {"k": int, "m": int, "theta": float, "seed": int, "inter-cluster-form": str}
     try:
-        return PerturbParams(
-            k=int(settings.get("k", 2)),
-            m=int(settings.get("m", 2)),
-            theta=float(settings.get("theta", 0.8)),
-            seed=int(settings.get("seed", 0)),
-            inter_cluster_form=str(settings.get("inter-cluster-form", "appendixC")),
-        )
+        return PerturbParams(**{key.replace("-", "_"): parse(settings[key])
+                                for key, parse in parsers.items() if key in settings})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

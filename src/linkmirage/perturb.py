@@ -255,6 +255,18 @@ class _StepPlan:
     def changed_labels(self) -> list:
         return sorted(self.subgraphs)
 
+    def redraws(self, ids) -> bool:
+        """Whether drawing this step takes fresh randomness that can touch ``ids``.
+
+        It does when the community of one of the ids is re-perturbed, or a
+        pair that is not reused lists one of them among its marginal nodes.
+        Otherwise the ids' edges are carried from the previous step.
+        """
+        own = set(self.clustering.label_of(ids).tolist())
+        return bool(own & set(self.diff.changed)) or any(
+            np.isin(ids, np.concatenate([task.nodes_a, task.nodes_b])).any()
+            for task in self.pair_tasks if (task.a, task.b) not in self.reused_pairs)
+
 
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness).
@@ -291,6 +303,16 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     return _StepPlan(clustering=clustering, diff=diff,
                      subgraphs=subgraphs, pair_tasks=pair_tasks,
                      reused_pairs=reused_pairs, left=left)
+
+
+def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
+    """The step plan of every snapshot, each laid out against the one before."""
+    plans, prev = [], None
+    for g_t in seq.snapshots:
+        plan = build_step_plan(g_t, prev, params)
+        plans.append(plan)
+        prev = (g_t, plan.clustering, {(task.a, task.b) for task in plan.pair_tasks})
+    return plans
 
 
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams,

@@ -13,9 +13,10 @@ enumeration.
 
 Re-perturbations of the LinkMirage mechanism draw every step through
 ``perturb._sample_step``, the function that makes the release, with the
-sample's previous step as the carried edges. One pass over the samples
-yields both the prefix match counts (read by ``posterior_probability``) and
-the per-step counts (read by ``indistinguishability_series``).
+sample's previous step as the carried edges. Both estimators share one
+Monte Carlo core, ``_world_counts``, and one bootstrap, ``_bootstrap``:
+``posterior_probability`` reads the prefix match counts and
+``indistinguishability_series`` the per-step counts of innovation steps.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _perturb_edges, _sample_step, _step_edges,
-                      build_step_plan)
+from .perturb import PerturbParams, _perturb_edges, _plan_chain, _sample_step, _step_edges
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class LinkQuery:
     t: int
     u: int
     v: int
-    truth: bool | None = None
 
     def __post_init__(self):
         if self.u == self.v:
@@ -147,33 +146,30 @@ def prior_probability(query: LinkQuery, model: PriorModel,
 # -- posterior via feature-likelihood surrogate -------------------------------
 
 
+# width of the degree bins; exact-degree matching makes the Monte Carlo
+# likelihood collapse on realistic sizes
 DEGREE_BIN = 3
 
 
-def _edge_feature(edges: np.ndarray, u: int, v: int,
-                  degree_bin: int = DEGREE_BIN) -> tuple[int, int, int]:
+def _edge_feature(edges: np.ndarray, u: int, v: int) -> tuple[int, int, int]:
     """Queried-edge presence plus the binned perturbed degree pair.
 
-    Degrees are discretized into bins of width ``degree_bin`` so the match
-    probability of a feature stays bounded away from zero; exact-degree
-    matching makes the Monte Carlo likelihood collapse on realistic sizes.
+    Rows may list an edge in either orientation. Degrees are discretized
+    into bins of width ``DEGREE_BIN`` so the match probability of a feature
+    stays bounded away from zero.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    lo, hi = (u, v) if u < v else (v, u)
-    present = int(bool(((edges[:, 0] == lo) & (edges[:, 1] == hi)).any())) \
-        if edges.size else 0
-    du = int(((edges[:, 0] == u) | (edges[:, 1] == u)).sum()) if edges.size else 0
-    dv = int(((edges[:, 0] == v) | (edges[:, 1] == v)).sum()) if edges.size else 0
-    return (present, du // degree_bin, dv // degree_bin)
+    # column compares: a row-wise any() over two columns is several times slower
+    at_u = (edges[:, 0] == u) | (edges[:, 1] == u)
+    at_v = (edges[:, 0] == v) | (edges[:, 1] == v)
+    return (int((at_u & at_v).any()), int(np.count_nonzero(at_u)) // DEGREE_BIN,
+            int(np.count_nonzero(at_v)) // DEGREE_BIN)
 
 
-def observed_features(perturbed, query: LinkQuery,
-                      degree_bin: int = DEGREE_BIN) -> tuple:
+def observed_features(perturbed, query: LinkQuery) -> tuple:
     """Per-timestamp feature tuple of the observed perturbed prefix 0..t."""
-    feats = []
-    for g in perturbed[:query.t + 1]:
-        feats.append(_edge_feature(g.edges, query.u, query.v, degree_bin))
-    return tuple(feats)
+    return tuple(_edge_feature(g.edges, query.u, query.v)
+                 for g in perturbed[:query.t + 1])
 
 
 def _hypothesis_world(seq: TemporalGraphSequence, query: LinkQuery,
@@ -202,17 +198,9 @@ class _SequenceSampler:
         self.world = world
         self.params = params
         self.mechanism = mechanism
-        self.plans = None
-        if mechanism == "linkmirage":
-            self.plans = []
-            prev = None
-            for g_t in world.snapshots:
-                plan = build_step_plan(g_t, prev, params)
-                self.plans.append(plan)
-                prev = (g_t, plan.clustering, {(task.a, task.b) for task in plan.pair_tasks})
+        self.plans = _plan_chain(world, params) if mechanism == "linkmirage" else None
 
-    def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
-                        degree_bin: int = DEGREE_BIN) -> tuple:
+    def sample_features(self, uv: tuple[int, int], rng: np.random.Generator) -> tuple:
         u, v = uv
         if self.mechanism == "static":
             draws = [_perturb_edges(g_t, self.params.k, rng) for g_t in self.world.snapshots]
@@ -224,44 +212,56 @@ class _SequenceSampler:
         else:
             # custom mechanism: callable(world, rng) -> list of edge arrays
             draws = self.mechanism(self.world, rng)
-        return tuple(_edge_feature(edges, u, v, degree_bin) for edges in draws)
-
-    def innovation_steps(self, uv: tuple[int, int]) -> list:
-        """Which timestamps draw fresh randomness that can touch (u, v).
-
-        Verbatim-reused steps replicate the previous features of the queried
-        pair deterministically, so they contribute no new evidence: their
-        likelihood factor is exactly 1. A step innovates when the community
-        of u or v is re-perturbed, or a non-reused inter pair lists u or v
-        among its marginal nodes.
-        """
-        if self.plans is None:
-            return [True] * len(self.world)
-        out = []
-        for t, plan in enumerate(self.plans):
-            own = set(plan.clustering.label_of(uv).tolist())
-            out.append(t == 0 or bool(own & set(plan.diff.changed)) or any(
-                np.isin(uv, np.concatenate([task.nodes_a, task.nodes_b])).any()
-                for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs))
-        return out
+        return tuple(_edge_feature(edges, u, v) for edges in draws)
 
 
-def _match_counts(sampler: _SequenceSampler, observed: tuple,
-                  uv: tuple[int, int], n_samples: int, rng: np.random.Generator,
-                  degree_bin: int = DEGREE_BIN) -> tuple[np.ndarray, np.ndarray]:
-    """(prefix, per-step) match counts over n_samples re-perturbations.
+def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
+                  params: PerturbParams, mechanism, n_samples: int,
+                  rng: np.random.Generator) -> dict:
+    """Match counts of the observed prefix 0..t in both hypothesis worlds.
 
-    prefix[t] counts samples whose features match the observation at every
-    step up to t; per-step[t] counts those that match at step t.
+    Re-perturbs each world ``n_samples`` times from its own child of ``rng``
+    and returns {present: (prefix, step, innovates)} for present True, then
+    False: prefix[s] counts the samples that match the observation at every
+    step up to s, step[s] those that match at step s, and innovates[s] says
+    whether step s draws fresh randomness that can touch the queried pair.
+    Any other step carries the pair's edges from the step before, so it adds
+    no new evidence. The first step always innovates.
     """
-    prefix = np.zeros(len(observed), dtype=np.int64)
-    step = np.zeros(len(observed), dtype=np.int64)
-    for _ in range(n_samples):
-        feats = sampler.sample_features(uv, rng, degree_bin)
-        match = np.array([f == o for f, o in zip(feats, observed)], dtype=bool)
-        step += match
-        prefix += np.logical_and.accumulate(match)
-    return prefix, step
+    if n_samples < 100:
+        raise ValueError("posterior estimation needs n_samples >= 100")
+    observed = observed_features(perturbed, query)
+    uv = (query.u, query.v)
+    out = {}
+    for present in (True, False):
+        sampler = _SequenceSampler(_hypothesis_world(seq, query, present), params, mechanism)
+        stream = rng.spawn(1)[0]
+        prefix = np.zeros(len(observed), dtype=np.int64)
+        step = np.zeros(len(observed), dtype=np.int64)
+        for _ in range(n_samples):
+            feats = sampler.sample_features(uv, stream)
+            match = np.array([f == o for f, o in zip(feats, observed)], dtype=bool)
+            step += match
+            prefix += np.logical_and.accumulate(match)
+        innovates = ([True] * len(observed) if sampler.plans is None else
+                     [t == 0 or plan.redraws(uv) for t, plan in enumerate(sampler.plans)])
+        out[present] = (prefix, step, innovates)
+    return out
+
+
+def _likelihood(count, n_samples: int) -> float:
+    """Add-one smoothed match frequency."""
+    return (count + 1.0) / (n_samples + 2.0)
+
+
+def _bootstrap(rng: np.random.Generator, counts: dict, n_samples: int) -> dict:
+    """200 binomial bootstrap replicates of each world's match counts,
+    {present: array (200,) + shape of its counts}, drawn for True and then
+    False from one child of ``rng``."""
+    boot_rng = rng.spawn(1)[0]
+    return {present: boot_rng.binomial(n_samples, np.asarray(counts[present]) / n_samples,
+                                       size=(200,) + np.shape(counts[present]))
+            for present in (True, False)}
 
 
 def _bayes(prior: float, like_with: float, like_without: float) -> float:
@@ -274,8 +274,7 @@ def _bayes(prior: float, like_with: float, like_without: float) -> float:
 def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
                           perturbed, model: PriorModel, params: PerturbParams,
                           n_samples: int, rng: np.random.Generator,
-                          mechanism="linkmirage",
-                          degree_bin: int = DEGREE_BIN) -> PosteriorEstimate:
+                          mechanism="linkmirage") -> PosteriorEstimate:
     """Monte Carlo worst-case posterior of the queried link.
 
     Builds the two hypothesis worlds (original prefix with the link forced
@@ -284,32 +283,16 @@ def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
     re-perturbations, and combines with the calibrated prior. The standard
     error comes from a binomial bootstrap of the two match counts.
     """
-    if n_samples < 100:
-        raise ValueError("posterior estimation needs n_samples >= 100")
     prior = prior_probability(query, model, seq)
-    observed = observed_features(perturbed, query, degree_bin)
-    uv = (query.u, query.v)
-    t = query.t
-
-    counts = {}
-    for present in (True, False):
-        world = _hypothesis_world(seq, query, present)
-        sampler = _SequenceSampler(world, params, mechanism)
-        counts[present] = _match_counts(sampler, observed, uv, n_samples,
-                                        rng.spawn(1)[0], degree_bin)[0][t]
-    c1, c0 = int(counts[True]), int(counts[False])
-    like1 = (c1 + 1.0) / (n_samples + 2.0)
-    like0 = (c0 + 1.0) / (n_samples + 2.0)
+    worlds = _world_counts(seq, query, perturbed, params, mechanism, n_samples, rng)
+    counts = {present: int(prefix[query.t]) for present, (prefix, _, _) in worlds.items()}
+    like1, like0 = _likelihood(counts[True], n_samples), _likelihood(counts[False], n_samples)
     post = _bayes(prior, like1, like0)
 
-    boot_rng = rng.spawn(1)[0]
-    reps = 200
-    b1 = boot_rng.binomial(n_samples, max(c1, 0) / n_samples, size=reps)
-    b0 = boot_rng.binomial(n_samples, max(c0, 0) / n_samples, size=reps)
-    boots = [_bayes(prior, (x1 + 1.0) / (n_samples + 2.0),
-                    (x0 + 1.0) / (n_samples + 2.0)) for x1, x0 in zip(b1, b0)]
-    se = float(np.std(boots))
-    degenerate = (c1 == 0 and c0 == 0)
+    boot = _bootstrap(rng, counts, n_samples)
+    se = float(np.std([_bayes(prior, _likelihood(x1, n_samples), _likelihood(x0, n_samples))
+                       for x1, x0 in zip(boot[True], boot[False])]))
+    degenerate = counts[True] == 0 and counts[False] == 0
     if degenerate:
         se = max(se, 0.25)
     # keep probability +- 2*SE inside the [-0.05, 1.05] sanity band
@@ -343,8 +326,7 @@ def _bayes_log(prior: float, loglike_with: float, loglike_without: float) -> flo
 def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechanism: dict,
                                 query: LinkQuery, model: PriorModel,
                                 params: PerturbParams, n_samples: int,
-                                rng: np.random.Generator,
-                                degree_bin: int = DEGREE_BIN) -> dict:
+                                rng: np.random.Generator) -> dict:
     """Entropy of the posterior per timestamp for each mechanism.
 
     ``perturbed_by_mechanism`` maps mechanism name ('linkmirage'/'static') to
@@ -355,47 +337,31 @@ def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechani
     re-perturbations per world serves every prefix. Returns
     {mechanism: [(t, entropy_bits, entropy_se), ...]}.
     """
-    if n_samples < 100:
-        raise ValueError("posterior estimation needs n_samples >= 100")
     horizon = len(seq)
     full_query = LinkQuery(t=horizon - 1, u=query.u, v=query.v)
     prior = prior_probability(full_query, model, seq)
-    uv = (query.u, query.v)
     out = {}
     for mech, perturbed in perturbed_by_mechanism.items():
-        observed = observed_features(perturbed, full_query, degree_bin)
-        counts, innov = {}, {}
-        for present in (True, False):
-            world = _hypothesis_world(seq, full_query, present)
-            sampler = _SequenceSampler(world, params, mech)
-            innov[present] = sampler.innovation_steps(uv)
-            counts[present] = _match_counts(sampler, observed, uv, n_samples,
-                                            rng.spawn(1)[0], degree_bin)[1]
+        worlds = _world_counts(seq, full_query, perturbed, params, mech, n_samples, rng)
+        boot = _bootstrap(rng, {present: step for present, (_, step, _) in worlds.items()},
+                          n_samples)
 
-        def prefix_loglike(step_counts, steps_innovate, t):
+        def prefix_loglike(present, t, step_counts):
             total = 0.0
             for s in range(t + 1):
-                if steps_innovate[s]:
-                    total += math.log((step_counts[s] + 1.0) / (n_samples + 2.0))
+                if worlds[present][2][s]:
+                    total += math.log(_likelihood(step_counts[s], n_samples))
             return total
 
-        rows = []
-        boot_rng = rng.spawn(1)[0]
-        reps = 200
-        boot = {present: boot_rng.binomial(
-            n_samples, np.asarray(counts[present]) / n_samples,
-            size=(reps, horizon)) for present in (True, False)}
-        for t in range(horizon):
-            post = _bayes_log(prior,
-                              prefix_loglike(counts[True], innov[True], t),
-                              prefix_loglike(counts[False], innov[False], t))
-            ents = [indistinguishability(_bayes_log(
-                prior,
-                prefix_loglike(boot[True][r], innov[True], t),
-                prefix_loglike(boot[False][r], innov[False], t)))
-                for r in range(reps)]
-            rows.append((t, indistinguishability(post), float(np.std(ents))))
-        out[mech] = rows
+        def entropy(t, with_counts, without_counts):
+            return indistinguishability(_bayes_log(
+                prior, prefix_loglike(True, t, with_counts),
+                prefix_loglike(False, t, without_counts)))
+
+        out[mech] = [(t, entropy(t, worlds[True][1], worlds[False][1]),
+                      float(np.std([entropy(t, x1, x0)
+                                    for x1, x0 in zip(boot[True], boot[False])])))
+                     for t in range(horizon)]
     return out
 
 

@@ -298,6 +298,7 @@ def test_self_verification_never_false_positive(rng):
     scenario = make_scenario(rng, walk_length=3, routes_per_node=2, honest_n=12)
     combined = scenario.build_combined(rng)
     result = sybil_eval(scenario, combined, rng)
+    assert sorted(result) == ["attack_edges_after", "false_positive_rate"]
     # with a single honest node there are no cross pairs to reject
     single = SybilScenario(honest_graph=Graph([], vertices=[0]), sybil_size=3,
                            attack_edges=1, walk_length=2, routes_per_node=2)

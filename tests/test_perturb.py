@@ -1,3 +1,4 @@
+import itertools
 import signal
 from contextlib import contextmanager
 
@@ -10,6 +11,7 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, Perturbatio
                         linkmirage_sequence, linkmirage_step, perturb_intercluster,
                         perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
+from linkmirage import privacy
 from linkmirage.perturb import (_pair_tasks, _sample_step, _step_rng, build_step_plan,
                                draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
@@ -267,7 +269,8 @@ def vertex_leaves_sequence():
     return TemporalGraphSequence([g0, g1])
 
 
-def test_carried_edges_of_a_departed_vertex_are_dropped():
+def test_carried_edges_of_a_departed_vertex_are_dropped(monkeypatch):
+    monkeypatch.setattr(privacy, "DEGREE_BIN", 1)
     seq = vertex_leaves_sequence()
     params = PerturbParams(k=2, m=0, theta=0.8, seed=3)
     graphs, records = linkmirage_run(seq, params)
@@ -279,10 +282,10 @@ def test_carried_edges_of_a_departed_vertex_are_dropped():
     assert any(5 in e for e in records[0].intra[0].tolist())
     # the sampler carries its own draws through the same filter: vertex 5
     # has no perturbed edge at t=1, as in the release
-    assert _edge_feature(graphs[1].edges, 5, 4, degree_bin=1)[:2] == (0, 0)
+    assert _edge_feature(graphs[1].edges, 5, 4)[:2] == (0, 0)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        present, degree_5, _ = sampler.sample_features((5, 4), rng, degree_bin=1)[1]
+        present, degree_5, _ = sampler.sample_features((5, 4), rng)[1]
         assert (present, degree_5) == (0, 0)
 
 
@@ -427,6 +430,30 @@ def test_carry_filter_matches_the_membership_rule(m, theta):
             moved += bool(plans[t].left)
     # matched communities hold the same vertices at theta = 1, so none leave
     assert (moved > 0) == (theta < 1.0)
+
+
+def reference_innovation(plan, uv):
+    """Oracle: a step innovates when the community of u or v is re-perturbed,
+    or a non-reused inter pair lists u or v among its marginal nodes."""
+    own = set(plan.clustering.label_of(uv).tolist())
+    return bool(own & set(plan.diff.changed)) or any(
+        np.isin(uv, np.concatenate([task.nodes_a, task.nodes_b])).any()
+        for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs)
+
+
+@pytest.mark.parametrize("seq, pairs", [
+    (small_overlap_sequence(), [(0, 1), (1, 2), (20, 21), (5, 45), (0, 25), (3, 61)]),
+    (moved_vertex_sequence(), [(5, 4), (5, 7), (4, 7), (0, 11)]),
+])
+def test_redraws_matches_the_innovation_rule(seq, pairs):
+    params = PerturbParams(k=2, m=1, theta=0.7, seed=3)
+    flags = []
+    for (u, v), present in itertools.product(pairs, (True, False)):
+        world = _hypothesis_world(seq, LinkQuery(t=len(seq) - 1, u=u, v=v), present)
+        for plan in _SequenceSampler(world, params, "linkmirage").plans:
+            flags.append(plan.redraws((u, v)))
+            assert flags[-1] == reference_innovation(plan, (u, v))
+    assert True in flags and False in flags
 
 
 @pytest.mark.parametrize("m", [0, 1])

@@ -10,11 +10,13 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         TemporalGraphSequence, TransitionMatrix, anti_aggregation,
                         anti_aggregation_aggregated, estimation_error_bound_check,
                         indistinguishability, indistinguishability_series,
-                        linkmirage_sequence, matrix_power,
-                        perturb_static_baseline_sequence, posterior_probability,
-                        prior_probability, transition_matrix, tv_distance)
+                        linkmirage_run, linkmirage_sequence, matrix_power,
+                        perturb_static_baseline_sequence, planted_partition_graph,
+                        posterior_probability, prior_probability, transition_matrix,
+                        tv_distance)
 from linkmirage import privacy
-from linkmirage.privacy import fit_logistic_1d
+from linkmirage.perturb import _sample_step, _step_edges
+from linkmirage.privacy import _SequenceSampler, _edge_feature, fit_logistic_1d
 
 
 # -- prior ---------------------------------------------------------------------
@@ -44,7 +46,6 @@ def test_prior_zero_common_neighbors_low():
 def test_prior_calibration_tracks_heldout_frequency(rng):
     # fit on one planted graph; mean prediction over a balanced held-out set
     # should reproduce the held-out positive frequency (0.5) within 0.1
-    from linkmirage import planted_partition_graph
     g, _ = planted_partition_graph([10, 10], 0.55, 0.05, rng)
     seq = TemporalGraphSequence([g])
     model = PriorModel(seed=3)
@@ -297,6 +298,29 @@ def test_single_community_mechanisms_agree():
     assert abs(h_l - h_s) <= 3 * (se_l + se_s) + 0.05
 
 
+def test_sampled_features_read_inter_rows_in_either_orientation():
+    # inter rows are drawn as (member of the smaller label, member of the
+    # larger); permuted ids make many of them (larger id, smaller id)
+    g, _ = planted_partition_graph([10, 10], 0.6, 0.15, np.random.default_rng(1))
+    ids = np.random.default_rng(7).permutation(20)
+    seq = TemporalGraphSequence([Graph(ids[g.edges], vertices=ids)])
+    for seed in range(3):
+        params = PerturbParams(k=2, seed=seed)
+        graphs, records = linkmirage_run(seq, params)
+        rows = np.concatenate(list(records[0].inter.values()))
+        u, v = (int(x) for x in rows[rows[:, 0] > rows[:, 1]][0])
+        plan = _SequenceSampler(seq, params, "linkmirage").plans[0]
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            edges = _step_edges(*_sample_step(plan, None, params, rng))
+            assert _edge_feature(edges, u, v) == \
+                _edge_feature(Graph(edges, vertices=ids).edges, u, v)
+        # the released link is reproduced, so the posterior moves off its prior
+        est = posterior_probability(LinkQuery(t=0, u=u, v=v), seq, graphs,
+                                    PriorModel(seed=1), params, 200, rng)
+        assert not est.degenerate
+
+
 
 # -- pinned estimator outputs ---------------------------------------------------
 # Exact values of the Monte Carlo estimators on a fixture that mixes changed
@@ -318,11 +342,11 @@ def _pinned_inputs():
     ("static", (0.6792442268149151, 0.10484552205258854, 100, 0.5142845033165181,
                 0.0196078431372549, 0.00980392156862745, False)),
 ])
-def test_posterior_outputs_pinned(mech, fields):
+def test_posterior_outputs_pinned(monkeypatch, mech, fields):
+    monkeypatch.setattr(privacy, "DEGREE_BIN", 8)
     seq, params, observed, query, model = _pinned_inputs()
     est = posterior_probability(query, seq, observed[mech], model, params, 100,
-                                np.random.default_rng(8), mechanism=mech,
-                                degree_bin=8)
+                                np.random.default_rng(8), mechanism=mech)
     assert (est.probability, est.standard_error, est.samples, est.prior,
             est.likelihood_with, est.likelihood_without, est.degenerate) == fields
 

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 import linkmirage
-from linkmirage import (Clustering, Graph, PerturbParams, PriorModel, TemporalGraphSequence,
-                        UtilityReport, estimation_error_bound_check, evolving_sequence,
-                        linkmirage_step, pagerank, planted_partition_graph, spectral_metrics)
+from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PriorModel,
+                        TemporalGraphSequence, UtilityReport, estimation_error_bound_check,
+                        evolving_sequence, indistinguishability_series, linkmirage_step,
+                        pagerank, planted_partition_graph, posterior_probability,
+                        spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
 from linkmirage.perturb import _StepPlan
-from linkmirage.privacy import fit_logistic_1d
+from linkmirage.privacy import (_SequenceSampler, _edge_feature, fit_logistic_1d,
+                                observed_features)
 from linkmirage.utility import mixing_time, slem
 
 
@@ -59,6 +62,10 @@ def test_prior_model_holds_only_what_varies():
     assert [f.name for f in dataclasses.fields(PriorModel)] == ["negatives_per_positive", "seed"]
 
 
+def test_link_query_holds_only_what_is_set():
+    assert [f.name for f in dataclasses.fields(LinkQuery)] == ["t", "u", "v"]
+
+
 @pytest.mark.parametrize("func, removed", [
     (fit_logistic_1d, "max_iter"),
     (pagerank, "tol"), (pagerank, "max_iter"),
@@ -66,6 +73,9 @@ def test_prior_model_holds_only_what_varies():
     (mixing_time, "max_steps"), (spectral_metrics, "max_steps"),
     (estimation_error_bound_check, "consistency_tol"),
     (TransitionMatrix.check_stochastic, "tol"),
+    (_edge_feature, "degree_bin"), (observed_features, "degree_bin"),
+    (_SequenceSampler.sample_features, "degree_bin"),
+    (posterior_probability, "degree_bin"), (indistinguishability_series, "degree_bin"),
 ])
 def test_single_valued_options_are_constants(func, removed):
     assert removed not in inspect.signature(func).parameters
