@@ -8,7 +8,7 @@ dynamic pipeline reuses from one snapshot to the next.
 import numpy as np
 
 from linkmirage import (PerturbParams, classify_communities, evolving_sequence,
-                        linkmirage_run, perturb_static_baseline_sequence)
+                        group_edges, linkmirage_run, perturb_static_baseline_sequence)
 
 
 def main():
@@ -23,6 +23,8 @@ def main():
     params = PerturbParams(k=2, m=2, theta=0.8, seed=42)
     perturbed, records = linkmirage_run(seq, params)
     baseline = perturb_static_baseline_sequence(seq, k=2, seed=42)
+    # each release's intra edges by community label; a label without one is absent
+    intra = [group_edges(g, r.clustering)[0] for g, r in zip(perturbed, records)]
 
     print("\nselective perturbation:")
     for t, record in enumerate(records):
@@ -32,9 +34,9 @@ def main():
             continue
         diff = classify_communities(records[t - 1].clustering,
                                     record.clustering, params.theta)
-        copied = sum(len(record.intra[c]) for _, c in diff.unchanged)
-        dropped = sum(len(records[t - 1].intra[p]) for p, _ in diff.unchanged) - copied
-        total_edges = sum(len(e) for e in record.intra.values())
+        copied = sum(len(intra[t].get(c, ())) for _, c in diff.unchanged)
+        dropped = sum(len(intra[t - 1].get(p, ())) for p, _ in diff.unchanged) - copied
+        total_edges = sum(len(e) for e in intra[t].values())
         print(f"  t={t}: {n_comm} communities, {len(diff.unchanged)} unchanged, "
               f"{len(diff.changed)} re-perturbed; "
               f"{copied}/{total_edges} intra edges copied from t={t - 1}, "

@@ -8,11 +8,11 @@ coefficient, assortativity, spectral quantities.
 
 import numpy as np
 
-from linkmirage import (Graph, PerturbParams, TemporalGraphSequence,
-                        cluster_static, expected_degree_report, linkmirage_run,
-                        modularity, pagerank, planted_partition_graph, ratio_cut,
-                        spectral_metrics, structural_metrics, transition_matrix,
-                        tv_distance, ud_upper_bound, utility_distance)
+from linkmirage import (PerturbParams, TemporalGraphSequence, cluster_static,
+                        expected_degree_report, linkmirage_run, modularity, pagerank,
+                        planted_partition_graph, ratio_cut, spectral_metrics,
+                        structural_metrics, ud_upper_bound, utility_distance)
+from linkmirage.utility import community_tv
 
 
 def largest_component(graph):
@@ -52,13 +52,7 @@ def main():
     params = PerturbParams(k=2, seed=5)
     perturbed, records = linkmirage_run(seq, params)
     clustering = records[0].clustering
-    eps = 0.0
-    for label, members in clustering.communities.items():
-        sub = g.subgraph(members)
-        intra = [e for e in records[0].intra[label]
-                 if int(e[0]) in members and int(e[1]) in members]
-        eps = max(eps, tv_distance(transition_matrix(sub),
-                                   transition_matrix(Graph(intra, vertices=sub.vertices))))
+    eps = community_tv(g, perturbed[0], clustering)
     delta = ratio_cut(g, clustering)
     l = 2
     measured = utility_distance(seq, perturbed, l).aggregate

@@ -8,7 +8,7 @@ from .markov import (TransitionMatrix, matrix_power, random_walk,
 from .clustering import (Clustering, CommunityDiff, changed_link_set,
                          classify_communities, cluster_static, freed_vertices,
                          modularity, recluster_dynamic)
-from .perturb import (PerturbParams, PerturbationRecord, hay_baseline,
+from .perturb import (PerturbParams, PerturbationRecord, group_edges, hay_baseline,
                       hay_baseline_sequence, linkmirage_run, linkmirage_sequence,
                       linkmirage_step, perturb_intercluster, perturb_static,
                       perturb_static_baseline_sequence)
@@ -35,7 +35,7 @@ __all__ = [
     "tv_distance", "tv_distance_common", "walk_terminals",
     "Clustering", "CommunityDiff", "changed_link_set", "classify_communities",
     "cluster_static", "freed_vertices", "modularity", "recluster_dynamic",
-    "PerturbParams", "PerturbationRecord", "hay_baseline",
+    "PerturbParams", "PerturbationRecord", "group_edges", "hay_baseline",
     "hay_baseline_sequence", "linkmirage_run", "linkmirage_sequence",
     "linkmirage_step", "perturb_intercluster", "perturb_static",
     "perturb_static_baseline_sequence",

@@ -8,11 +8,13 @@ endpoint makes the start distribution stationary, which is what preserves
 every vertex's expected degree exactly, for any k.
 
 The dynamic pipeline re-clusters each snapshot against the previous one,
-reuses the previous perturbation for unchanged communities and for
-inter-community pairs whose both sides are unchanged, and re-perturbs only
-what changed. A copied edge is kept only while both endpoints stay in the
-matched communities. Below theta = 1 a match may gain members; a joiner gets
-no copied edge there and is perturbed fresh when its community next changes.
+copies the previous release, grouped by the previous partition's labels, for
+unchanged communities and for inter-community pairs whose both sides are
+unchanged, and re-perturbs only what changed. So a record holds only the
+partition; its edges are the release's. A copied edge is kept only while
+both endpoints stay in the matched communities. Below theta = 1 a match may
+gain members; a joiner gets no copied edge there and is perturbed fresh when
+its community next changes.
 A step is laid out once as a deterministic plan and drawn by one function,
 ``_sample_step``, which the posterior and the degree check call too.
 """
@@ -20,7 +22,7 @@ A step is laid out once as a deterministic plan and drawn by one function,
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,53 +68,32 @@ class PerturbParams:
 
 @dataclass
 class PerturbationRecord:
-    """Per-community and per-pair perturbed edges of one timestamp.
+    """The partition of one timestamp.
 
-    Unchanged communities at t+1 copy their entry, dropping edges of members
-    that left; that is what makes selective perturbation possible. The record
-    holds only what that reuse reads: the partition and the perturbed edges.
+    Reuse at t+1 copies the release of t grouped by this partition's labels
+    (``group_edges``), so the record holds only the partition.
     """
 
     timestamp: int
     clustering: Clustering
-    intra: dict = field(default_factory=dict)   # label -> ndarray (m, 2)
-    inter: dict = field(default_factory=dict)   # (a, b) -> ndarray (m, 2)
 
     def validate(self) -> None:
-        """Raise ValueError at the first edge outside its community or pair."""
-        checks = [("intra", (c, c), e, f"leaves community {c}") for c, e in self.intra.items()]
-        checks += [("inter", (a, b), e, f"does not cross ({a},{b})")
-                   for (a, b), e in self.inter.items()]
-        for kind, pair, edges, what in checks:
-            edges = np.asarray(edges).reshape(-1, 2)
-            bad = (np.sort(self.clustering.label_of(edges), axis=1) != sorted(pair)).any(axis=1)
-            if bad.any():
-                u, v = edges[np.argmax(bad)]
-                raise ValueError(f"{kind} edge ({u},{v}) {what}")
+        """No-op: a record holds no edges to check. Kept while the benchmark
+        harness (``perfbench``) still calls it."""
 
     def to_json_obj(self) -> dict:
         return {
             "timestamp": self.timestamp,
             "communities": {str(lab): sorted(mem)
                             for lab, mem in self.clustering.communities.items()},
-            "intra": {str(lab): np.asarray(e).reshape(-1, 2).tolist()
-                      for lab, e in self.intra.items()},
-            "inter": {f"{a},{b}": np.asarray(e).reshape(-1, 2).tolist()
-                      for (a, b), e in self.inter.items()},
         }
 
     @staticmethod
     def from_json_obj(obj) -> "PerturbationRecord":
-        record = PerturbationRecord(
+        return PerturbationRecord(
             timestamp=int(obj["timestamp"]),
             clustering=Clustering.from_groups(obj["communities"].values()),
         )
-        record.intra = {int(lab): np.asarray(e, dtype=np.int64).reshape(-1, 2)
-                        for lab, e in obj["intra"].items()}
-        record.inter = {tuple(int(x) for x in key.split(",")):
-                        np.asarray(e, dtype=np.int64).reshape(-1, 2)
-                        for key, e in obj["inter"].items()}
-        return record
 
 
 # -- static perturbation ----------------------------------------------------
@@ -188,27 +169,38 @@ class _PairTask:
         return np.column_stack([self.nodes_a[ai], self.nodes_b[bj]])
 
 
+def group_edges(graph: Graph, clustering: Clustering) -> tuple[dict, dict]:
+    """The edges of ``graph`` grouped by the labels of both endpoints, in the
+    layout of one step draw: (intra by label, inter by (a, b) with a < b),
+    keys ascending. Each edge is oriented (vertex in a, vertex in b), as
+    ``_PairTask.sample`` draws it. An entry that holds no edge has no key.
+    """
+    ends = _edge_labels(graph, clustering)
+    flip = ends[:, 0] > ends[:, 1]
+    edges = graph.edges.copy()
+    edges[flip], ends[flip] = edges[flip, ::-1], ends[flip, ::-1]
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    edges, ends = edges[order], ends[order]
+    # labels are >= 0, so prepending -1 makes row 0 start a group too
+    starts = np.flatnonzero(np.diff(ends[:, 0], prepend=-1) | np.diff(ends[:, 1], prepend=-1))
+    intra, inter = {}, {}
+    for (a, b), part in zip(ends[starts].tolist(), np.split(edges, starts[1:])):
+        if a == b:
+            intra[a] = part
+        else:
+            inter[(a, b)] = part
+    return intra, inter
+
+
 def _pair_tasks(graph: Graph, clustering: Clustering) -> list:
     """Marginal-node structure of every community pair with >= 1 inter edge,
     sorted by (a, b) with a < b."""
-    ends = _edge_labels(graph, clustering)
-    cross = ends[:, 0] != ends[:, 1]
-    if not cross.any():
-        return []
-    # orient every inter edge as (vertex in a, vertex in b), then group by (a, b)
-    flip = (ends[:, 0] > ends[:, 1])[cross, None]
-    edges = np.where(flip, graph.edges[cross, ::-1], graph.edges[cross])
-    ends = np.where(flip, ends[cross, ::-1], ends[cross])
-    order = np.lexsort((ends[:, 1], ends[:, 0]))
-    edges, ends = edges[order], ends[order]
-    bounds = np.flatnonzero((ends[1:] != ends[:-1]).any(axis=1)) + 1
     tasks = []
-    for lo, hi in zip([0] + bounds.tolist(), bounds.tolist() + [len(ends)]):
-        a, b = ends[lo].tolist()
-        nodes_a, deg_a = np.unique(edges[lo:hi, 0], return_counts=True)
-        nodes_b, deg_b = np.unique(edges[lo:hi, 1], return_counts=True)
+    for (a, b), edges in group_edges(graph, clustering)[1].items():
+        nodes_a, deg_a = np.unique(edges[:, 0], return_counts=True)
+        nodes_b, deg_b = np.unique(edges[:, 1], return_counts=True)
         tasks.append(_PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
-                               deg_a=deg_a, deg_b=deg_b, n_edges=hi - lo))
+                               deg_a=deg_a, deg_b=deg_b, n_edges=len(edges)))
     return tasks
 
 
@@ -271,8 +263,9 @@ class _StepPlan:
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness).
 
-    ``prev`` is None at t=0, otherwise (previous graph, previous clustering,
-    previous inter-pair keys).
+    ``prev`` is None at t=0, otherwise (previous graph, previous clustering).
+    A pair is reused when its two communities match previous ones that were
+    connected in the previous graph.
     """
     left = {}
     if prev is None:
@@ -280,7 +273,8 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
         diff = classify_communities(None, clustering, params.theta)
         prev_pairs = ()
     else:
-        prev_graph, prev_clustering, prev_pairs = prev
+        prev_graph, prev_clustering = prev
+        prev_pairs = group_edges(prev_graph, prev_clustering)[1].keys()
         changed = changed_link_set(prev_graph, g_t)
         clustering = recluster_dynamic(g_t, prev_clustering, changed, params.m)
         diff = classify_communities(prev_clustering, clustering, params.theta)
@@ -311,7 +305,7 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
     for g_t in seq.snapshots:
         plan = build_step_plan(g_t, prev, params)
         plans.append(plan)
-        prev = (g_t, plan.clustering, {(task.a, task.b) for task in plan.pair_tasks})
+        prev = (g_t, plan.clustering)
     return plans
 
 
@@ -321,12 +315,12 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
     """Draw one step perturbation with reuse: (intra by label, inter by pair).
 
     ``carried`` is None at t=0, otherwise the previous step's (intra, inter)
-    edges. Unchanged communities and reused pairs copy their carried edges,
-    minus those touching ``plan.left``: ids that moved out of the matched
-    previous community or left the snapshot. Changed communities are drawn
-    by ``draw(subgraph, k, stream)`` and the other pairs are rewired, from
-    child streams spawned in canonical order: changed labels ascending, then
-    pair tasks ascending.
+    edges; a missing key is an empty entry. Unchanged communities and reused
+    pairs copy their carried edges, minus those touching ``plan.left``: ids
+    that moved out of the matched previous community or left the snapshot.
+    Changed communities are drawn by ``draw(subgraph, k, stream)`` and the
+    other pairs are rewired, from child streams spawned in canonical order:
+    changed labels ascending, then pair tasks ascending.
     """
     labels = plan.changed_labels
     children = rng.spawn(len(labels) + len(plan.pair_tasks))
@@ -338,7 +332,8 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
         # "sort" skips the lookup-table set-up that dominates for a few ids
         return edges[~np.isin(edges, np.concatenate(gone), kind="sort").any(axis=1)]
 
-    intra = {label: carry(carried[0][prev_label], prev_label)
+    empty = np.empty((0, 2), dtype=np.int64)
+    intra = {label: carry(carried[0].get(prev_label, empty), prev_label)
              for prev_label, label in plan.diff.unchanged}
 
     def one(label, stream):
@@ -350,7 +345,8 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
     else:
         intra.update((label, one(label, stream)) for label, stream in zip(labels, children))
 
-    inter = {pair: carry(carried[1][key], *key) for pair, key in plan.reused_pairs.items()}
+    inter = {pair: carry(carried[1].get(key, empty), *key)
+             for pair, key in plan.reused_pairs.items()}
     for task, stream in zip(plan.pair_tasks, children[len(labels):]):
         if (task.a, task.b) not in plan.reused_pairs:
             inter[(task.a, task.b)] = task.sample(stream, params.inter_cluster_form)
@@ -373,27 +369,23 @@ def linkmirage_step(g_t: Graph, prev, params: PerturbParams,
                     threads: int = 1) -> tuple[Graph, PerturbationRecord]:
     """One timestamp of the selective perturbation pipeline.
 
-    ``prev`` is None at t=0, otherwise (previous graph, previous record).
-    At t=0 every community is perturbed; at t>0 unchanged communities and
-    unchanged inter pairs copy the recorded edges of the members that stayed
-    and only the rest is re-sampled. Draws from timestamp t's stream of ``params.seed``,
-    so it is deterministic given (inputs, params) and independent of thread
-    count.
+    ``prev`` is None at t=0, otherwise (previous snapshot, previous record,
+    previous release). At t=0 every community is perturbed; at t>0 unchanged
+    communities and unchanged inter pairs copy the previous release's edges
+    of the members that stayed, grouped by ``group_edges``, and only the rest
+    is re-sampled. Draws from timestamp t's stream of ``params.seed``, so it
+    is deterministic given (inputs, params) and independent of thread count.
     """
-    t = 0 if prev is None else prev[1].timestamp + 1
-    carried = None
-    layout = None
+    t, layout, carried = 0, None, None
     if prev is not None:
-        prev_graph, prev_record = prev
-        carried = (prev_record.intra, prev_record.inter)
-        layout = (prev_graph, prev_record.clustering, prev_record.inter.keys())
+        prev_graph, prev_record, prev_release = prev
+        t = prev_record.timestamp + 1
+        layout = (prev_graph, prev_record.clustering)
+        carried = group_edges(prev_release, prev_record.clustering)
     plan = build_step_plan(g_t, layout, params)
-    intra, inter = _sample_step(plan, carried, params, _step_rng(params.seed, t),
-                                threads=threads)
-    record = PerturbationRecord(timestamp=t, clustering=plan.clustering,
-                                intra=intra, inter=inter)
-    g_prime = Graph(_step_edges(intra, inter), vertices=g_t.vertices)
-    return g_prime, record
+    draw = _sample_step(plan, carried, params, _step_rng(params.seed, t), threads=threads)
+    g_prime = Graph(_step_edges(*draw), vertices=g_t.vertices)
+    return g_prime, PerturbationRecord(timestamp=t, clustering=plan.clustering)
 
 
 def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams,
@@ -405,7 +397,7 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams,
         g_prime, record = linkmirage_step(g_t, prev, params, threads=threads)
         graphs.append(g_prime)
         records.append(record)
-        prev = (g_t, record)
+        prev = (g_t, record, g_prime)
     return graphs, records
 
 

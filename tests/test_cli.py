@@ -305,7 +305,7 @@ PERTURB_PINS = {
         "g_prime_0.txt": "d900385e6311bdb0",
         "g_prime_1.txt": "d900385e6311bdb0",
         "provenance.json": "21ae452387a2ceeb",
-        "record.json": "6fcf509fb32e6970"},
+        "record.json": "ee20f49f26a7bcd3"},
     ("static-baseline", "1"): {
         "g_prime_0.txt": "2675a405f61906ad",
         "g_prime_1.txt": "18d06d9224bd526d",
@@ -318,7 +318,7 @@ PERTURB_PINS = {
         "g_prime_0.txt": "2a03e68e140b5078",
         "g_prime_1.txt": "2a03e68e140b5078",
         "provenance.json": "51c6ec022c0f07ac",
-        "record.json": "09b019304e061400"},
+        "record.json": "74d90a6c72d810ca"},
     ("static-baseline", "2"): {
         "g_prime_0.txt": "7c55e5be7dbf6a69",
         "g_prime_1.txt": "b6d7d6b0f34df242",

@@ -287,7 +287,7 @@ def test_linkmirage_run_outputs_pinned():
     record_text = canonical_json([r.to_json_obj() for r in records])
     edge_bytes = b"".join(g.edges.tobytes() for g in graphs)
     assert hashlib.sha256(record_text.encode()).hexdigest() == \
-        "c53b8785e7898aa01ca85c034624475bde30b780c3e77f5ac24663783e45535d"
+        "0749307ce3f226773fc21be033080c732ad29f3d4b526d6cee572a874a230f13"
     assert hashlib.sha256(edge_bytes).hexdigest() == \
         "18bdbcb97e561083b419deea191e2335eabfaac2439c4c773ebffb6b1dedcf53"
 

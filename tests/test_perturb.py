@@ -7,14 +7,18 @@ import pytest
 
 from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
-                        TemporalGraphSequence, evolving_sequence, hay_baseline, linkmirage_run,
+                        TemporalGraphSequence, evolving_sequence, group_edges,
+                        hay_baseline, linkmirage_run,
                         linkmirage_sequence, linkmirage_step, perturb_intercluster,
                         perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
 from linkmirage import privacy
-from linkmirage.perturb import (_pair_tasks, _sample_step, _step_rng, build_step_plan,
-                               draw_walker_edges)
+from linkmirage.graphs import _canonical_edges
+from linkmirage.perturb import (_pair_tasks, _sample_step, _step_edges, _step_rng,
+                               build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
+
+EMPTY = np.empty((0, 2), dtype=np.int64)    # a grouped entry that holds no edge
 
 
 def test_single_edge_k1_is_forced(rng):
@@ -140,12 +144,43 @@ def test_step_identical_snapshots_identical_outputs():
     assert graphs[0] == graphs[1] == graphs[2]
 
 
+def k2_beside_planted_blocks():
+    """Two planted blocks and a separate K2 {100, 101}: a k=2 walk on K2 always
+    returns to its start, so that community draws no edge."""
+    g, _ = planted_partition_graph([8, 8], 0.7, 0.1, np.random.default_rng(9))
+    return Graph(np.vstack([g.edges, [(100, 101)]]))
+
+
+def k4s_with_two_bridges():
+    """Two K4 blocks joined by (0, 4) and (1, 5): each of the four cells of
+    their pair grid draws with probability 1/2, so the pair can draw nothing."""
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return Graph(k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 4), (1, 5)])
+
+
+@pytest.mark.parametrize("g, seed, entry", [(k2_beside_planted_blocks(), 1, 100),
+                                            (k4s_with_two_bridges(), 0, (0, 4))],
+                         ids=["intra", "inter"])
+def test_an_entry_that_drew_no_edge_is_carried_empty(g, seed, entry):
+    # the grouped release has no key for an entry that drew no edge; the
+    # carry reads it as empty
+    params = PerturbParams(k=2, seed=seed)
+    graphs, records = linkmirage_run(TemporalGraphSequence([g, g]), params)
+    plan = build_step_plan(g, (g, records[0].clustering), params)
+    assert entry in [prev for prev, _ in plan.diff.unchanged] + list(plan.reused_pairs.values())
+    intra, inter = group_edges(graphs[0], records[0].clustering)
+    assert entry not in intra and entry not in inter
+    assert graphs[1] == graphs[0]
+
+
 def test_step_vertex_preservation_and_intra_closure():
     g, _ = planted_partition_graph([10, 10], 0.6, 0.08, np.random.default_rng(3))
     params = PerturbParams(k=2, seed=7)
     g_prime, record = linkmirage_step(g, None, params)
     assert np.array_equal(g_prime.vertices, g.vertices)
-    record.validate()   # intra edges inside communities, inter edges across
+    # intra edges inside communities, inter edges across
+    draw, = release_draws(TemporalGraphSequence([g]), params, [g_prime])
+    check_draw(record.clustering, draw)
 
 
 def test_step_compose_oracle_t0():
@@ -183,10 +218,11 @@ def test_reuse_verbatim_for_unchanged_communities():
     params = PerturbParams(k=2, m=1, theta=0.8, seed=29)
     seq = TemporalGraphSequence([g0, g1])
     graphs, records = linkmirage_run(seq, params)
+    (prev_intra, _), (cur_intra, _) = map(group_edges, graphs, [r.clustering for r in records])
     reused = 0
     for prev_label, cur_label in _unchanged_pairs(records):
-        prev_edges = {tuple(e) for e in np.asarray(records[0].intra[prev_label]).tolist()}
-        cur_edges = {tuple(e) for e in np.asarray(records[1].intra[cur_label]).tolist()}
+        prev_edges = {tuple(e) for e in prev_intra.get(prev_label, EMPTY).tolist()}
+        cur_edges = {tuple(e) for e in cur_intra.get(cur_label, EMPTY).tolist()}
         assert prev_edges == cur_edges
         reused += 1
     assert reused >= 1
@@ -242,23 +278,22 @@ def test_static_baseline_walker_degree_preserved(rng):
 
 
 def test_posterior_plans_and_kernel_reproduce_the_release():
-    # the posterior's plans, fed the release's stream and previous record,
-    # give every record exactly: the posterior re-runs the released mechanism
+    # the posterior's plans, fed the release's stream and the previous
+    # release, give every release exactly: the posterior re-runs the released
+    # mechanism
     seq = small_overlap_sequence()
     params = PerturbParams(k=2, m=1, theta=0.8, seed=5)
-    _, records = linkmirage_run(seq, params)
+    graphs, records = linkmirage_run(seq, params)
     plans = _SequenceSampler(seq, params, "linkmirage").plans
     assert any(p.diff.unchanged and p.diff.changed for p in plans[1:])
     assert any(p.reused_pairs and len(p.reused_pairs) < len(p.pair_tasks)
                for p in plans[1:])
     carried = None
     for t, (plan, record) in enumerate(zip(plans, records)):
-        intra, inter = _sample_step(plan, carried, params, _step_rng(params.seed, t))
+        draw = _sample_step(plan, carried, params, _step_rng(params.seed, t))
         assert plan.clustering == record.clustering
-        for got, want in ((intra, record.intra), (inter, record.inter)):
-            assert list(got) == list(want)
-            assert all(np.array_equal(got[key], want[key]) for key in want)
-        carried = (record.intra, record.inter)
+        assert groups_match(draw, graphs[t], record.clustering)
+        carried = group_edges(graphs[t], record.clustering)
 
 
 def vertex_leaves_sequence():
@@ -277,9 +312,9 @@ def test_carried_edges_of_a_departed_vertex_are_dropped(monkeypatch):
     sampler = _SequenceSampler(seq, params, "linkmirage")
     plan = sampler.plans[1]
     assert plan.diff.unchanged == [(0, 0), (6, 6)] and plan.reused_pairs
-    records[1].validate()
+    check_draw(records[1].clustering, release_draws(seq, params, graphs)[1])
     assert not graphs[1].has_vertex(5)
-    assert any(5 in e for e in records[0].intra[0].tolist())
+    assert any(5 in e for e in group_edges(graphs[0], records[0].clustering)[0][0].tolist())
     # the sampler carries its own draws through the same filter: vertex 5
     # has no perturbed edge at t=1, as in the release
     assert _edge_feature(graphs[1].edges, 5, 4)[:2] == (0, 0)
@@ -292,67 +327,102 @@ def test_carried_edges_of_a_departed_vertex_are_dropped(monkeypatch):
 def test_prev_record_roundtrips_through_json():
     g, _ = planted_partition_graph([6, 6], 0.7, 0.1, np.random.default_rng(8))
     _, record = linkmirage_step(g, None, PerturbParams(k=1, seed=13))
-    from linkmirage import PerturbationRecord
     obj = record.to_json_obj()
-    assert set(obj) == {"timestamp", "communities", "intra", "inter"}
+    assert set(obj) == {"timestamp", "communities"}
     clone = PerturbationRecord.from_json_obj(obj)
     assert clone.to_json_obj() == obj
     assert clone.timestamp == record.timestamp
     assert clone.clustering == record.clustering
-    for label in record.intra:
-        assert np.array_equal(np.asarray(clone.intra[label]),
-                              np.asarray(record.intra[label]))
 
 
-def reference_validate(record):
+def reference_validate(clustering, draw):
     """Oracle: the per-edge loop over frozenset communities."""
-    for label, edges in record.intra.items():
-        members = record.clustering.communities[label]
+    intra, inter = draw
+    for label, edges in intra.items():
+        members = clustering.communities[label]
         for u, v in np.asarray(edges).reshape(-1, 2):
             if int(u) not in members or int(v) not in members:
                 raise ValueError(f"intra edge ({u},{v}) leaves community {label}")
-    for (a, b), edges in record.inter.items():
-        ca = record.clustering.communities[a]
-        cb = record.clustering.communities[b]
+    for (a, b), edges in inter.items():
+        ca = clustering.communities[a]
+        cb = clustering.communities[b]
         for u, v in np.asarray(edges).reshape(-1, 2):
             u, v = int(u), int(v)
             if not ((u in ca and v in cb) or (u in cb and v in ca)):
                 raise ValueError(f"inter edge ({u},{v}) does not cross ({a},{b})")
 
 
-def validation_message(validate, record):
+def validation_message(clustering, draw):
     try:
-        validate(record)
+        reference_validate(clustering, draw)
     except ValueError as err:
         return str(err)
     return None
 
 
-def with_edge_moved(record, rng):
-    """A copy of ``record`` with one edge of each entry bent to a random vertex."""
-    vertices = record.clustering.vertices
-    bent = PerturbationRecord(timestamp=record.timestamp, clustering=record.clustering)
-    for src, dst in ((record.intra, bent.intra), (record.inter, bent.inter)):
+def groups_match(draw, graph, clustering):
+    """Whether ``graph`` grouped by ``clustering`` holds exactly the draw's
+    entries, as canonical edges; an entry that drew no edge may have no key."""
+    return all(set(got) <= set(want) and all(
+        np.array_equal(_canonical_edges(got.get(key, EMPTY)), _canonical_edges(edges))
+        for key, edges in want.items())
+        for got, want in zip(group_edges(graph, clustering), draw))
+
+
+def regroups(clustering, draw):
+    """Whether grouping the drawn graph gives the draw back; a draw with a
+    self-loop is no graph, so it never does."""
+    edges = _step_edges(*draw)
+    return not (edges[:, 0] == edges[:, 1]).any() and \
+        groups_match(draw, Graph(edges), clustering)
+
+
+def check_draw(clustering, draw):
+    """The oracle accepts the draw, and grouping the drawn graph gives it back."""
+    reference_validate(clustering, draw)
+    assert regroups(clustering, draw)
+
+
+def release_draws(seq, params, graphs):
+    """Every step draw behind a ``linkmirage_run`` release: re-drawn from its
+    plan and the release's stream, each carrying the draw before it as the
+    posterior does. Each gives the release of its step."""
+    draws, carried = [], None
+    for t, plan in enumerate(_SequenceSampler(seq, params, "linkmirage").plans):
+        carried = _sample_step(plan, carried, params, _step_rng(params.seed, t))
+        assert graphs[t] == Graph(_step_edges(*carried), vertices=seq.snapshots[t].vertices)
+        draws.append(carried)
+    return draws
+
+
+def with_edge_moved(draw, clustering, rng):
+    """A copy of ``draw`` with one edge of each entry bent to a random vertex."""
+    bent = ({}, {})
+    for src, dst in zip(draw, bent):
         for key, edges in src.items():
             edges = np.array(edges).reshape(-1, 2)
             if len(edges):
-                edges[rng.integers(len(edges)), rng.integers(2)] = rng.choice(vertices)
+                edges[rng.integers(len(edges)), rng.integers(2)] = rng.choice(clustering.vertices)
             dst[key] = edges
     return bent
 
 
-def test_validate_matches_frozenset_oracle():
-    runs = [linkmirage_run(small_overlap_sequence(), PerturbParams(k=2, m=m, theta=0.8, seed=5))
+def test_grouping_matches_frozenset_oracle():
+    runs = [(small_overlap_sequence(), PerturbParams(k=2, m=m, theta=0.8, seed=5))
             for m in (0, 1, 2)]
     for seed in range(3):
         seq = evolving_sequence([30, 30], 0.25, 0.02, 4, 0.85,
                                 np.random.default_rng(300 + seed))
-        runs.append(linkmirage_run(seq, PerturbParams(k=2, seed=seed)))
-    records = [record for _, run_records in runs for record in run_records]
+        runs.append((seq, PerturbParams(k=2, seed=seed)))
+    cases = []
+    for seq, params in runs:
+        graphs, records = linkmirage_run(seq, params)
+        draws = release_draws(seq, params, graphs)
+        cases += [(record.clustering, draw) for record, draw in zip(records, draws)]
     rng = np.random.default_rng(8)
-    records += [with_edge_moved(record, rng) for record in records for _ in range(3)]
-    messages = [validation_message(PerturbationRecord.validate, r) for r in records]
-    assert messages == [validation_message(reference_validate, r) for r in records]
+    cases += [(c, with_edge_moved(draw, c, rng)) for c, draw in cases for _ in range(3)]
+    messages = [validation_message(c, draw) for c, draw in cases]
+    assert [m is None for m in messages] == [regroups(c, draw) for c, draw in cases]
     assert None in messages
     assert any(m and m.startswith("intra") for m in messages)
     assert any(m and m.startswith("inter") for m in messages)
@@ -387,9 +457,9 @@ reuse_grid = pytest.mark.parametrize("m, theta", [(m, theta) for m in (0, 1, 2)
 @reuse_grid
 def test_every_release_record_validates(m, theta):
     for seq, params in reuse_fixtures(m, theta):
-        _, records = linkmirage_run(seq, params)
-        for record in records:
-            record.validate()
+        graphs, records = linkmirage_run(seq, params)
+        for record, draw in zip(records, release_draws(seq, params, graphs)):
+            check_draw(record.clustering, draw)
         # the posterior's own draws, carried through the same kernel, in
         # both hypothesis worlds
         query = LinkQuery(t=len(seq) - 1, u=0, v=1)
@@ -401,7 +471,7 @@ def test_every_release_record_validates(m, theta):
                 carried = None
                 for t, plan in enumerate(plans):
                     carried = _sample_step(plan, carried, params, rng)
-                    PerturbationRecord(t, plan.clustering, *carried).validate()
+                    check_draw(plan.clustering, carried)
 
 
 def reference_carry(plan, carried):
@@ -409,8 +479,8 @@ def reference_carry(plan, carried):
     endpoints' current labels are the entry's label (intra) or, sorted, its
     pair (inter)."""
     label_of = plan.clustering.label_of
-    intra = {label: carried[0][prev] for prev, label in plan.diff.unchanged}
-    inter = {pair: carried[1][key] for pair, key in plan.reused_pairs.items()}
+    intra = {label: carried[0].get(prev, EMPTY) for prev, label in plan.diff.unchanged}
+    inter = {pair: carried[1].get(key, EMPTY) for pair, key in plan.reused_pairs.items()}
     return ({label: e[(label_of(e) == label).all(axis=1)] for label, e in intra.items()},
             {pair: e[(np.sort(label_of(e), axis=1) == pair).all(axis=1)]
              for pair, e in inter.items()})
@@ -420,10 +490,10 @@ def reference_carry(plan, carried):
 def test_carry_filter_matches_the_membership_rule(m, theta):
     moved = 0
     for seq, params in reuse_fixtures(m, theta):
-        _, records = linkmirage_run(seq, params)
+        graphs, records = linkmirage_run(seq, params)
         plans = _SequenceSampler(seq, params, "linkmirage").plans
         for t in range(1, len(plans)):
-            carried = (records[t - 1].intra, records[t - 1].inter)
+            carried = group_edges(graphs[t - 1], records[t - 1].clustering)
             got = _sample_step(plans[t], carried, params, _step_rng(params.seed, t))
             for got_part, want_part in zip(got, reference_carry(plans[t], carried)):
                 assert all(np.array_equal(got_part[key], want) for key, want in want_part.items())
@@ -464,11 +534,12 @@ def test_a_vertex_moving_between_matched_communities_carries_no_edge(m):
     plan = _SequenceSampler(seq, params, "linkmirage").plans[1]
     assert plan.diff.unchanged == [(0, 0), (6, 5)] and plan.reused_pairs == {(0, 5): (0, 6)}
     assert {p: ids.tolist() for p, ids in plan.left.items()} == {0: [5]}
-    assert (records[0].intra[0] == 5).any()
-    records[1].validate()
+    (intra_0, _), (intra_1, _) = map(group_edges, graphs, [r.clustering for r in records])
+    assert (intra_0[0] == 5).any()
+    check_draw(records[1].clustering, release_draws(seq, params, graphs)[1])
     # the joiner gets no copied edge in its new community and keeps none of
     # its old ones: it is perturbed fresh only when block B next changes
-    assert np.array_equal(records[1].intra[5], records[0].intra[6])
+    assert np.array_equal(intra_1[5], intra_0[6])
     assert not (graphs[1].edges == 5).any()
 
 

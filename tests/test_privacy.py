@@ -9,7 +9,7 @@ from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         TemporalGraphSequence, TransitionMatrix, anti_aggregation,
                         anti_aggregation_aggregated, estimation_error_bound_check,
-                        indistinguishability, indistinguishability_series,
+                        group_edges, indistinguishability, indistinguishability_series,
                         linkmirage_run, linkmirage_sequence, matrix_power,
                         perturb_static_baseline_sequence, planted_partition_graph,
                         posterior_probability, prior_probability, transition_matrix,
@@ -307,7 +307,7 @@ def test_sampled_features_read_inter_rows_in_either_orientation():
     for seed in range(3):
         params = PerturbParams(k=2, seed=seed)
         graphs, records = linkmirage_run(seq, params)
-        rows = np.concatenate(list(records[0].inter.values()))
+        rows = np.concatenate(list(group_edges(graphs[0], records[0].clustering)[1].values()))
         u, v = (int(x) for x in rows[rows[:, 0] > rows[:, 1]][0])
         plan = _SequenceSampler(seq, params, "linkmirage").plans[0]
         rng = np.random.default_rng(seed)

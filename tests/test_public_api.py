@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import linkmirage
-from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PriorModel,
-                        TemporalGraphSequence, UtilityReport, estimation_error_bound_check,
+from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
+                        PriorModel, TemporalGraphSequence, UtilityReport,
+                        estimation_error_bound_check,
                         evolving_sequence, indistinguishability_series, linkmirage_step,
                         pagerank, planted_partition_graph, posterior_probability,
                         spectral_metrics)
@@ -51,6 +52,10 @@ def test_clustering_is_one_label_array():
     assert [f.name for f in dataclasses.fields(Clustering)] == ["vertices", "labels"]
     clustering = Clustering.from_groups([[0, 1], [2]])
     assert not hasattr(clustering, "assignment") and not hasattr(clustering, "covers")
+
+
+def test_record_holds_only_its_partition():
+    assert [f.name for f in dataclasses.fields(PerturbationRecord)] == ["timestamp", "clustering"]
 
 
 def test_step_plan_has_one_membership_map():
