@@ -20,10 +20,11 @@ import numpy as np
 
 from . import __version__
 from .appeval import SybilScenario, attack_probability, sampling_report, sybil_eval
-from .clustering import Clustering, cluster_static, modularity
-from .graphs import GraphFormatError, load_edge_list, load_sequence, write_edge_list
-from .perturb import (INTER_FORMS, PerturbParams, hay_baseline,
-                      hay_baseline_sequence, linkmirage_run, linkmirage_step,
+from .clustering import cluster_static, modularity
+from .graphs import (GraphFormatError, TemporalGraphSequence, load_edge_list,
+                     load_sequence, write_edge_list)
+from .perturb import (INTER_FORMS, PerturbationRecord, PerturbParams, hay_baseline,
+                      hay_baseline_sequence, linkmirage_run,
                       perturb_static_baseline_sequence)
 from .privacy import (LinkQuery, PriorModel, anti_aggregation,
                       anti_aggregation_aggregated, indistinguishability,
@@ -110,23 +111,25 @@ def _params_from(settings) -> PerturbParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _release(seq, mechanism, params, settings) -> tuple[list, list | None]:
+    """(released graphs, records) of ``seq`` under ``mechanism``; only a
+    linkmirage release has records."""
+    if mechanism == "linkmirage":
+        return linkmirage_run(seq, params, threads=int(settings.get("threads", 1)))
+    if mechanism == "static-baseline":
+        return perturb_static_baseline_sequence(seq, params.k, params.seed), None
+    if mechanism == "hay-baseline":
+        r_frac = float(settings.get("hay-r", 0.5))
+        return hay_baseline_sequence(seq, params.seed, r_fraction=r_frac), None
+    raise ConfigError(f"mechanism must be one of {MECHANISMS}")
+
+
 def cmd_perturb(args) -> int:
     settings = _merged(args, _RELEASE_KEYS + ("threads",), ("manifest", "out"))
     mechanism = str(settings.get("mechanism", "linkmirage"))
-    if mechanism not in MECHANISMS:
-        raise ConfigError(f"mechanism must be one of {MECHANISMS}")
     params = _params_from(settings)
-    threads = int(settings.get("threads", 1))
-
     seq = load_sequence(settings["manifest"])
-    records = None
-    if mechanism == "linkmirage":
-        graphs, records = linkmirage_run(seq, params, threads=threads)
-    elif mechanism == "static-baseline":
-        graphs = perturb_static_baseline_sequence(seq, params.k, params.seed)
-    else:
-        r_frac = float(settings.get("hay-r", 0.5))
-        graphs = hay_baseline_sequence(seq, params.seed, r_fraction=r_frac)
+    graphs, records = _release(seq, mechanism, params, settings)
 
     out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -270,7 +273,7 @@ def _ud_rows(settings, seq, perturbed, l_values) -> tuple[list, dict]:
     deltas, eps = None, 0.0
     if settings.get("mechanism", "linkmirage") == "linkmirage" and os.path.exists(record_path):
         with open(record_path, "r", encoding="ascii") as fh:
-            clusterings = [Clustering.from_groups(r["communities"].values())
+            clusterings = [PerturbationRecord.from_json_obj(r).clustering
                            for r in json.load(fh)["records"]]
         if clusterings:
             deltas = [ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)]
@@ -369,8 +372,9 @@ def cmd_eval(args) -> int:
         except KeyError as exc:
             raise ConfigError(f"scenario file missing key {exc}") from exc
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
-        combined = scenario.build_combined(rng)
-        g_prime, _ = linkmirage_step(combined, None, params)
+        combined = TemporalGraphSequence([scenario.build_combined(rng)])
+        mechanism = str(settings.get("mechanism", "linkmirage"))
+        (g_prime,), _ = _release(combined, mechanism, params, settings)
         result = sybil_eval(scenario, g_prime, rng)
         rows.append((0, "sybil-false-positive-rate", result["false_positive_rate"]))
         rows.append((0, "sybil-attack-edges-after",
@@ -383,7 +387,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    settings = _merged(args, ("out",), ("out",))
+    # accepts the release settings the other stages share; reads only "out"
+    settings = _merged(args, _RELEASE_KEYS + ("threads",), ("out",))
     out_dir = settings["out"]
     rows = []
     for name in ("metrics.csv", "eval.csv"):

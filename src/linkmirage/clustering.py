@@ -6,7 +6,9 @@ modularity gain. The dynamic step works from the previous partition: on
 graph evolution, vertices near changed links are freed from their previous
 communities, the untouched remainder of each community is frozen into one
 virtual node, and the agglomeration is re-run over virtual nodes plus freed
-singletons. Both return only the resulting partition.
+singletons. Both are one call of ``_agglomerate(graph, basis)``, whose basis
+is the singletons or the frozen remainders plus freed singletons, and both
+return only the resulting partition.
 
 Community labels are the minimum member vertex id, which makes merges and
 tie-breaking deterministic.
@@ -118,104 +120,88 @@ def modularity(graph: Graph, clustering: Clustering) -> float:
     return q
 
 
-class _GreedyMerger:
+def _agglomerate(graph: Graph, basis: Clustering) -> tuple[Clustering, list]:
     """Exact lazy-greedy agglomeration over the communities of a basis.
 
     The basis is a ``Clustering`` of the graph's vertices; edge weights
     between its communities count underlying graph edges, so quotient
     modularity equals modularity of the expanded partition. Gain of merging
-    i,j is w_ij/m - 2*a_i*a_j.
+    a,b is w_ab/m - 2*s_a*s_b, with s_c = d_c/2m.
 
     The heap is lazy (Minoux's accelerated greedy). Invariant: every live
     pair with a positive gain has an entry whose key is at least its current
-    gain. When ``other`` merges into ``parent``, only the pairs (parent, x)
-    with x adjacent to ``other`` can gain, and only those are pushed. Every
-    other pair (parent, y) keeps its old key as an upper bound: w_py is
-    fixed, a_parent only grows, and float multiply and subtract round
-    monotonically. A popped entry whose key differs from the recomputed gain
-    is pushed again with that gain, or dropped when it is not positive. So
-    the first popped entry whose key equals its gain is the maximum-gain
-    pair, ties broken on the smallest (min label, max label), and the merge
-    sequence is the one an eagerly re-keyed heap would produce.
+    gain. When b merges into a, only the pairs (a, x) with x adjacent to b
+    can gain, and only those are pushed. Every other pair (a, y) keeps its
+    old key as an upper bound: w_ay is fixed, s_a only grows, and float
+    multiply and subtract round monotonically. A popped entry whose key
+    differs from the recomputed gain is pushed again with that gain, or
+    dropped when it is not positive. So the first popped entry whose key
+    equals its gain is the maximum-gain pair, ties broken on the smallest
+    (a, b) with a < b, and the merge sequence is the one an eagerly re-keyed
+    heap would produce. Returns the partition and the merge events
+    ``(a, b, gain)``, b merged into a, in merge order.
     """
+    m = graph.num_edges
+    if m == 0:
+        return basis, []
+    labels, owner = np.unique(basis.labels, return_inverse=True)
+    strength = np.bincount(owner, weights=graph.degrees, minlength=labels.size) / (2.0 * m)
+    strength = dict(zip(labels.tolist(), strength.tolist()))   # live labels only
+    neighbors = {label: {} for label in strength}              # label -> {label: weight}
 
-    def __init__(self, graph: Graph, basis: Clustering):
-        self.m = graph.num_edges
-        self.basis = basis
-        self.strength = {}      # a_c = d_c / 2m, live labels only
-        self.neighbors = {}     # label -> {other label: cross-edge weight}
-        self.events = []        # (child_a, child_b, parent, delta) per merge
-        self.heap = []
-        if self.m == 0:
-            return
-        self.labels, self.owner = np.unique(basis.labels, return_inverse=True)
-        strength = np.bincount(self.owner, weights=graph.degrees,
-                               minlength=self.labels.size) / (2.0 * self.m)
-        self.strength = dict(zip(self.labels.tolist(), strength.tolist()))
-        self.neighbors = {label: {} for label in self.strength}
-
-        # canonical (lower, upper) owner-index pairs of the cross edges
-        ends = self.owner[graph.edge_positions]
-        ends = ends[ends[:, 0] != ends[:, 1]]
-        keys, weights = np.unique(ends.min(axis=1) * strength.size + ends.max(axis=1),
-                                  return_counts=True)
-        lo, hi = np.divmod(keys, strength.size)
-        for a, b, w in zip(self.labels[lo].tolist(), self.labels[hi].tolist(),
-                           weights.tolist()):
-            self.neighbors[a][b] = self.neighbors[b][a] = w
-            self._push(a, b)
-
-    def _gain(self, a: int, b: int) -> float:
-        w = self.neighbors[a].get(b, 0)
-        return w / self.m - 2.0 * self.strength[a] * self.strength[b]
-
-    def _push(self, a: int, b: int) -> None:
-        a, b = (a, b) if a < b else (b, a)
-        gain = self._gain(a, b)
-        # a pair's gain can only rise when a merge brings it new cross weight,
-        # and _merge pushes exactly those pairs, so non-positive candidates
-        # can safely be dropped here
+    # canonical (lower, upper) owner-index pairs of the cross edges; owner
+    # indices ascend with labels, so each pair comes out as (a, b) with a < b
+    ends = owner[graph.edge_positions]
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    keys, weights = np.unique(ends.min(axis=1) * labels.size + ends.max(axis=1),
+                              return_counts=True)
+    lower, upper = np.divmod(keys, labels.size)
+    heap = []
+    for a, b, w in zip(labels[lower].tolist(), labels[upper].tolist(), weights.tolist()):
+        neighbors[a][b] = neighbors[b][a] = w
+        gain = w / m - 2.0 * strength[a] * strength[b]
+        # a pair's gain can only rise when a merge brings it new cross
+        # weight, and those pairs are pushed then, so non-positive candidates
+        # are dropped here and below
         if gain > 0.0:
-            heapq.heappush(self.heap, (-gain, a, b))
+            heap.append((-gain, a, b))
+    heapq.heapify(heap)
 
-    def run(self) -> None:
-        heap = self.heap
-        while heap:
-            neg_gain, a, b = heapq.heappop(heap)
-            if a not in self.strength or b not in self.strength:
-                continue
-            gain = self._gain(a, b)
-            if gain == -neg_gain:
-                self._merge(a, b, gain)
-            elif gain > 0.0:
+    events = []
+    into = {}                   # merged-away label -> the label it merged into
+    while heap:
+        neg_gain, a, b = heapq.heappop(heap)
+        if a not in strength or b not in strength:
+            continue
+        gain = neighbors[a].get(b, 0) / m - 2.0 * strength[a] * strength[b]
+        if gain != -neg_gain:
+            if gain > 0.0:
                 heapq.heappush(heap, (-gain, a, b))
+            continue
+        # b merges into a, the smaller label
+        events.append((a, b, gain))
+        into[b] = a
+        strength[a] += strength.pop(b)
+        nbr_a = neighbors[a]
+        nbr_b = neighbors.pop(b)
+        nbr_a.pop(b, None)
+        nbr_b.pop(a, None)
+        for x, w in nbr_b.items():
+            nbr_x = neighbors[x]
+            del nbr_x[b]
+            nbr_x[a] = nbr_a[x] = w_ax = nbr_a.get(x, 0) + w
+            lo, hi = (a, x) if a < x else (x, a)
+            gain = w_ax / m - 2.0 * strength[lo] * strength[hi]
+            if gain > 0.0:
+                heapq.heappush(heap, (-gain, lo, hi))
 
-    def _merge(self, a: int, b: int, gain: float) -> None:
-        parent = min(a, b)
-        other = max(a, b)
-        self.events.append((a, b, parent, gain))
-        self.strength[parent] += self.strength.pop(other)
-        nbr_p = self.neighbors[parent]
-        nbr_o = self.neighbors.pop(other)
-        nbr_p.pop(other, None)
-        nbr_o.pop(parent, None)
-        for x, w in nbr_o.items():
-            nbr_x = self.neighbors[x]
-            del nbr_x[other]
-            nbr_x[parent] = nbr_p[x] = nbr_p.get(x, 0) + w
-            self._push(parent, x)
-
-    def clustering(self) -> Clustering:
-        # walking the events backwards maps each merged-away label to the
-        # label its community ends under
-        final = {}
-        for a, b, parent, _ in reversed(self.events):
-            final[max(a, b)] = final.get(parent, parent)
-        if not final:
-            return self.basis
-        labels = self.labels.copy()
-        labels[np.searchsorted(self.labels, list(final))] = list(final.values())
-        return Clustering(vertices=self.basis.vertices, labels=labels[self.owner])
+    # a label merges only into a smaller one, so in ascending order each
+    # target's final label is known before it is read
+    for b in sorted(into):
+        into[b] = into.get(into[b], into[b])
+    final = labels.copy()
+    final[np.searchsorted(labels, list(into))] = list(into.values())
+    return Clustering(vertices=basis.vertices, labels=final[owner]), events
 
 
 def cluster_static(graph: Graph) -> Clustering:
@@ -227,9 +213,9 @@ def cluster_static(graph: Graph) -> Clustering:
     """
     if graph.num_vertices == 0:
         raise ValueError("cannot cluster an empty graph")
-    merger = _GreedyMerger(graph, Clustering(vertices=graph.vertices, labels=graph.vertices))
-    merger.run()
-    return merger.clustering()
+    clustering, _ = _agglomerate(graph, Clustering(vertices=graph.vertices,
+                                                   labels=graph.vertices))
+    return clustering
 
 
 def _freed_mask(graph: Graph, changed_links, m_hops: int) -> np.ndarray:
@@ -259,9 +245,8 @@ def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,
     prev_labels = prev.label_of(ids)
     new = prev_labels < 0
     freed = new | _freed_mask(graph, changed_links, m_hops)
-    merger = _GreedyMerger(graph, _grouped(ids, np.where(freed, -1 - ids, prev_labels)))
-    merger.run()
-    greedy_clustering = merger.clustering()
+    greedy_clustering, _ = _agglomerate(graph, _grouped(ids, np.where(freed, -1 - ids,
+                                                                      prev_labels)))
     frozen_clustering = _grouped(ids, np.where(new, -1 - ids, prev_labels))
     if modularity(graph, frozen_clustering) > modularity(graph, greedy_clustering) + 1e-15:
         return frozen_clustering

@@ -238,7 +238,9 @@ def _absent_pairs(graph: Graph, count: int, rng: np.random.Generator,
     Each attempt draws u, then v, with a scalar ``rng.integers(0, n)``; equal
     positions, edges, ``exclude`` pairs and repeats are rejected. After
     ``50 * count + 1000`` attempts it returns what it has, so a graph too
-    dense to hold ``count`` absent pairs ends the loop.
+    dense to hold ``count`` absent pairs ends the loop. It also ends as soon
+    as the last absent pair is drawn, so on a dense graph it returns every
+    absent pair without drawing on to the cap.
     """
     n = graph.num_vertices
     ends = graph.edge_positions
@@ -251,6 +253,8 @@ def _absent_pairs(graph: Graph, count: int, rng: np.random.Generator,
         if u != v and u * n + v not in taken:
             taken.add(u * n + v)
             pairs.append((u, v))
+            if len(taken) == n * (n - 1) // 2:
+                break
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from linkmirage import (Graph, anti_aggregation, load_edge_list,
-                        planted_partition_graph, write_edge_list)
+from linkmirage import (Graph, SybilScenario, TemporalGraphSequence, anti_aggregation,
+                        load_edge_list, load_sequence, perturb_static_baseline_sequence,
+                        planted_partition_graph, sybil_eval, write_edge_list)
 from linkmirage.cli import MECHANISMS, METRICS, main
 
 
@@ -229,6 +230,49 @@ def test_eval_sybil_scenario(workspace, tmp_path):
                     "1,sampling-outside-envelope,5",
                     "0,sybil-false-positive-rate,0.671875",
                     "0,sybil-attack-edges-after,2"]
+
+
+def test_eval_sybil_rows_follow_the_mechanism(workspace, tmp_path):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    scenario_path = tmp_path / "sybil.cfg"
+    scenario_path.write_text("regions = 6\ng = 2\nw = 4\nr = 4\nseeds = 1\n")
+    args = ["--manifest", str(manifest), "--out", str(out), "--k", "1", "--seed", "5",
+            "--mechanism", "static-baseline"]
+    assert main(["perturb"] + args) == 0
+    assert main(["eval"] + args + ["--scenario", str(scenario_path)]) == 0
+    rows = [line.split(",") for line in (out / "eval.csv").read_text().splitlines()[2:]]
+    # the same scenario stream, released by the static baseline
+    scenario = SybilScenario(honest_graph=load_sequence(str(manifest))[0], sybil_size=6,
+                             attack_edges=2, walk_length=4, routes_per_node=4)
+    rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(101,)))
+    combined = TemporalGraphSequence([scenario.build_combined(rng)])
+    want = sybil_eval(scenario, perturb_static_baseline_sequence(combined, 1, 5)[0], rng)
+    assert [(t, metric, float(value)) for t, metric, value in rows[-2:]] == [
+        ("0", "sybil-false-positive-rate", want["false_positive_rate"]),
+        ("0", "sybil-attack-edges-after", float(want["attack_edges_after"]))]
+
+
+def test_one_config_file_drives_every_stage(workspace, tmp_path):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"manifest = {manifest}\nout = {out}\nk = 2\nseed = 4\n")
+    assert main(["perturb", "--config", str(cfg)]) == 0
+    assert main(["metrics", "--config", str(cfg), "--metric", "ud"]) == 0
+    assert main(["eval", "--config", str(cfg), "--f", "0.2"]) == 0
+    assert main(["report", "--config", str(cfg)]) == 0
+    text = (out / "report.csv").read_text()
+    assert "metrics.csv" in text and "eval.csv" in text
+
+
+def test_unknown_mechanism_in_config_exits_2(workspace, tmp_path, capsys):
+    root, manifest, _ = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"manifest = {manifest}\nout = {tmp_path / 'out'}\nmechanism = bogus\n")
+    assert main(["perturb", "--config", str(cfg)]) == 2
+    assert "mechanism must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_concatenates(workspace, tmp_path):

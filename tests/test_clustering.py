@@ -14,7 +14,7 @@ from linkmirage import (Clustering, Graph, PerturbParams,
                         evolving_sequence, freed_vertices, linkmirage_run, modularity,
                         recluster_dynamic, ring_of_blocks)
 from linkmirage import clustering as clustering_module
-from linkmirage.clustering import _GreedyMerger
+from linkmirage.clustering import _agglomerate
 from linkmirage.reporting import canonical_json
 
 
@@ -59,7 +59,7 @@ class EagerMerger:
 
     After each merge every (parent, x) pair is pushed again with its fresh
     gain, so the heap always holds the exact gain of every live pair. The
-    library's lazy merger must reproduce its merge events exactly.
+    library's lazy agglomeration must reproduce its merge events exactly.
     """
 
     def __init__(self, graph, basis):
@@ -130,7 +130,7 @@ class EagerMerger:
 
 
 def assert_same_merges(graph, basis):
-    """Lazy and eager mergers agree event for event.
+    """Lazy agglomeration and the eager merger agree event for event.
 
     Gains are positive and finite, so float equality of ``delta`` is
     equality bit for bit.
@@ -138,10 +138,10 @@ def assert_same_merges(graph, basis):
     basis = [set(b) for b in basis]
     eager = EagerMerger(graph, basis)
     eager.run()
-    lazy = _GreedyMerger(graph, Clustering.from_groups(basis))
-    lazy.run()
-    assert lazy.events == eager.events
-    assert sorted(map(sorted, lazy.clustering().communities.values())) == \
+    clustering, events = _agglomerate(graph, Clustering.from_groups(basis))
+    assert all(parent == a for a, _, parent, _ in eager.events)
+    assert events == [(a, b, delta) for a, b, _, delta in eager.events]
+    assert sorted(map(sorted, clustering.communities.values())) == \
         sorted(map(sorted, eager.members.values()))
 
 
@@ -209,10 +209,21 @@ def test_two_k4_cliques_found_exactly(two_k4_bridge):
 
 
 def greedy_events(graph):
-    """(child_a, child_b, parent, delta) of every merge from singletons."""
-    merger = _GreedyMerger(graph, Clustering.from_groups([[v] for v in graph.vertices]))
-    merger.run()
-    return merger.events
+    """(a, b, delta) of every merge from singletons, b merged into a."""
+    return _agglomerate(graph, Clustering.from_groups([[v] for v in graph.vertices]))[1]
+
+
+def test_cluster_static_agglomerates_singletons_once(two_k4_bridge):
+    bases = []
+
+    def spy_agglomerate(graph, basis):
+        bases.append(basis)
+        return _agglomerate(graph, basis)
+
+    with mock.patch.object(clustering_module, "_agglomerate", spy_agglomerate):
+        got = cluster_static(two_k4_bridge)
+    assert bases == [Clustering.from_groups([[v] for v in two_k4_bridge.vertices])]
+    assert got == _agglomerate(two_k4_bridge, bases[0])[0]
 
 
 def test_single_edge_merges():
@@ -222,7 +233,7 @@ def test_single_edge_merges():
     # direct formula: merged Q=0 beats singletons Q=-1/2
     assert brute_force_modularity(g, [[0, 1]]) > brute_force_modularity(g, [[0], [1]])
     events = greedy_events(g)
-    assert len(events) == 1 and events[0][3] > 0
+    assert events == [(0, 1, events[0][2])] and events[0][2] > 0
 
 
 def test_edgeless_graph_stays_singletons():
@@ -236,7 +247,7 @@ def test_greedy_deltas_positive_and_sum_to_modularity(rng):
     for _ in range(10):
         g = random_graph(12, 0.3, rng, ensure_edge=True)
         clustering = cluster_static(g)
-        deltas = [delta for _, _, _, delta in greedy_events(g)]
+        deltas = [delta for _, _, delta in greedy_events(g)]
         assert all(delta > 0 for delta in deltas)
         m = g.num_edges
         q_singletons = -sum((g.degree(v) / (2 * m)) ** 2 for v in g.vertices)
@@ -439,24 +450,22 @@ def test_recluster_partitions_match_set_oracle(rng):
         for m_hops in (0, 1, 2):
             basis, frozen = reference_recluster_partitions(g_cur, prev, changed, m_hops)
             bases, scored = [], []
-            real_merger, real_modularity = _GreedyMerger, modularity
+            real_agglomerate, real_modularity = _agglomerate, modularity
 
-            def spy_merger(graph, b):
+            def spy_agglomerate(graph, b):
                 bases.append(b)
-                return real_merger(graph, b)
+                return real_agglomerate(graph, b)
 
             def spy_modularity(graph, c):
                 scored.append(c)
                 return real_modularity(graph, c)
 
-            with mock.patch.object(clustering_module, "_GreedyMerger", spy_merger), \
+            with mock.patch.object(clustering_module, "_agglomerate", spy_agglomerate), \
                     mock.patch.object(clustering_module, "modularity", spy_modularity):
                 got = recluster_dynamic(g_cur, prev, changed, m_hops)
             assert bases == [basis]
             assert any(c == frozen for c in scored)
-            merger = _GreedyMerger(g_cur, basis)
-            merger.run()
-            greedy = merger.clustering()
+            greedy, _ = _agglomerate(g_cur, basis)
             want = frozen if modularity(g_cur, frozen) > modularity(g_cur, greedy) + 1e-15 \
                 else greedy
             assert got == want

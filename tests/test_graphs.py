@@ -289,6 +289,23 @@ def test_absent_pairs_are_distinct_non_edges(rng):
         assert not any(g.has_edge(*g.vertices[p]) for p in pairs)
 
 
+@pytest.mark.parametrize("count", [4, 50])
+def test_absent_pairs_of_a_dense_graph_stop_at_the_last_one(count):
+    # K_12 minus 3 edges: once the third absent pair is drawn no pair is
+    # left, so the loop ends there instead of drawing on to its cap
+    missing = {(7, 9), (0, 11), (2, 3)}
+    g = Graph([(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) not in missing])
+    rng = np.random.default_rng(0)
+    pairs = _absent_pairs(g, count, rng)
+    replay, found = np.random.default_rng(0), []
+    while len(found) < len(missing):
+        pair = tuple(sorted((int(replay.integers(0, 12)), int(replay.integers(0, 12)))))
+        if pair in missing and pair not in found:
+            found.append(pair)
+    assert list(map(tuple, pairs.tolist())) == found
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_absent_pairs_stop_at_the_attempt_cap(n):
     # a complete graph has no absent pair: every attempt is rejected, and the

@@ -29,6 +29,7 @@ def test_every_exported_name_resolves_once():
 @pytest.mark.parametrize("module, name", [
     ("linkmirage.privacy", "common_neighbors"),
     ("linkmirage.cli", "_community_tv"),
+    ("linkmirage.clustering", "_GreedyMerger"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
