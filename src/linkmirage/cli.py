@@ -1,9 +1,10 @@
 """Command-line pipeline: perturb -> metrics -> eval -> report.
 
 Every stage writes machine-readable outputs stamped with a provenance hash
-of the perturbation-relevant configuration, so downstream stages can refuse
-stale artifacts. Outputs are byte-identical across reruns and thread counts
-for a fixed (config, seed).
+of the resolved release (``provenance``), so downstream stages refuse
+artifacts of another release. Each setting is declared once, in ``KEYS``.
+Outputs are byte-identical across reruns and thread counts for a fixed
+(config, seed).
 
 Exit codes: 0 ok, 2 invalid config, 3 I/O failure, 4 missing or stale
 dependency artifact.
@@ -12,17 +13,20 @@ dependency artifact.
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .appeval import SybilScenario, attack_probability, sampling_report, sybil_eval
 from .clustering import cluster_static, modularity
-from .graphs import (GraphFormatError, TemporalGraphSequence, load_edge_list,
-                     load_sequence, write_edge_list)
+from .graphs import TemporalGraphSequence, load_edge_list, load_sequence, write_edge_list
 from .perturb import (INTER_FORMS, PerturbationRecord, PerturbParams, hay_baseline,
                       hay_baseline_sequence, linkmirage_run,
                       perturb_static_baseline_sequence)
@@ -66,74 +70,134 @@ def read_config_file(path) -> dict:
     return out
 
 
-def _merged(args: argparse.Namespace, keys, required=()) -> dict:
-    """Resolved settings: config file first, explicit flags override; every
-    key in ``required`` must be set by one of them."""
-    settings = {}
-    if getattr(args, "config", None):
-        file_conf = read_config_file(args.config)
-        unknown = set(file_conf) - set(keys)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_conf)
-    for key in keys:
-        attr = key.replace("-", "_")
-        val = getattr(args, attr, None)
-        if val is not None:
-            settings[key] = val
-    for key in required:
-        if key not in settings:
-            raise ConfigError(f"{args.command} needs --{key}")
-    return settings
+# A kind is (parse, what it must be): ``parse`` maps a flag's or a config
+# line's text to the typed value and raises ValueError or KeyError on a bad one.
+
+def _one_of(options) -> tuple:
+    return (lambda text: options[options.index(text)]), f"one of {', '.join(options)}"
 
 
-# settings every stage reads to find a release; all but "out" determine it
-_RELEASE_KEYS = ("manifest", "out", "mechanism", "k", "m", "theta", "seed",
-                 "inter-cluster-form", "hay-r")
+def _at_least_1(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
-def _perturb_config(settings) -> dict:
-    """The subset of settings that determines perturbation outputs."""
-    return {k: str(settings[k]) for k in _RELEASE_KEYS if k != "out" and k in settings}
+def _metric_names(text) -> tuple:
+    names = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not names or not set(names) <= set(METRICS):
+        raise ValueError(text)
+    return names
 
 
-def provenance_hash(settings) -> str:
-    return sha256_text(canonical_json(_perturb_config(settings)))
+def _query(text) -> tuple:
+    u, v, t = (int(x) for x in text.split(","))
+    return u, v, t
+
+
+_TRUTH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_PATH = (str, "a path")
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_INTS = (lambda text: tuple(int(x) for x in text.split(",")), "comma-separated integers")
+_BOOL = (lambda text: _TRUTH[text.lower()], f"one of {', '.join(_TRUTH)}")
+_METRIC_NAMES = (_metric_names, f"comma-separated names from {', '.join(METRICS)}")
+
+_Key = namedtuple("_Key", "kind default help stages")
+_EVERY = ("perturb", "metrics", "eval", "report")
+
+# Every setting, once: its kind, its default (None: unset unless given), its
+# help and the commands that accept it. A --flag and a config-file line go
+# through the same parser, and PerturbParams fields keep PerturbParams' defaults.
+KEYS = {
+    "manifest": _Key(_PATH, None, "newline-separated edge-list paths", _EVERY),
+    "out": _Key(_PATH, None, "output directory", _EVERY),
+    "mechanism": _Key(_one_of(MECHANISMS), "linkmirage", "release mechanism", _EVERY),
+    "k": _Key(_INT, PerturbParams.k, "random-walk perturbation length", _EVERY),
+    "m": _Key(_INT, PerturbParams.m, "freeing radius for re-clustering", _EVERY),
+    "theta": _Key(_FLOAT, PerturbParams.theta, "unchanged-community overlap threshold", _EVERY),
+    "seed": _Key(_INT, PerturbParams.seed, "root of every random stream", _EVERY),
+    "inter-cluster-form": _Key(_one_of(INTER_FORMS), PerturbParams.inter_cluster_form,
+                               "inter-community rewiring probability", _EVERY),
+    "hay-r": _Key(_FLOAT, 0.5, "r/m fraction for the hay baseline", _EVERY),
+    "threads": _Key((_at_least_1, "an integer >= 1"), 1, "linkmirage worker threads", _EVERY),
+    "metric": _Key(_METRIC_NAMES, None, "metrics to compute", ("metrics",)),
+    "samples": _Key(_INT, 200, "Monte Carlo samples for posteriors", ("metrics",)),
+    "l": _Key(_INTS, (2,), "application parameters for ud", ("metrics",)),
+    "query": _Key((_query, "'u,v,t'"), None, "link query", ("metrics",)),
+    "epsilon": _Key(_FLOAT, 0.05, "mixing-time threshold", ("metrics",)),
+    "damping": _Key(_FLOAT, 0.85, "pagerank damping", ("metrics",)),
+    "lazy": _Key(_BOOL, False, "true to use the lazy chain (P+I)/2", ("metrics",)),
+    "f": _Key(_FLOAT, None, "per-node malicious probability", ("eval",)),
+    "target": _Key(_INTS, (), "target vertices", ("eval",)),
+    "scenario": _Key(_PATH, None, "sybil scenario config file", ("eval",)),
+}
+# the keys that determine a release, besides its input snapshots
+_RELEASE_KEYS = ("mechanism", "hay-r", *(f.name.replace("_", "-") for f in fields(PerturbParams)))
+
+
+def _parse(key, text, where):
+    parse, must_be = KEYS[key].kind
+    try:
+        return parse(text)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{where}{key} must be {must_be}, got {text!r}") from None
+
+
+def _settings(args: argparse.Namespace, required=()) -> dict:
+    """Every key the command accepts, typed: a flag overrides the config file,
+    which overrides the key's default; each key in ``required`` must be given."""
+    keys = [key for key, spec in KEYS.items() if args.command in spec.stages]
+    file_conf = read_config_file(args.config) if args.config else {}
+    unknown = set(file_conf) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    given = {key: _parse(key, text, f"{args.config}: ") for key, text in file_conf.items()}
+    given.update({key: _parse(key, vars(args)[key], "--") for key in keys
+                  if vars(args)[key] is not None})
+    missing = [key for key in required if key not in given]
+    if missing:
+        raise ConfigError(f"{args.command} needs --{missing[0]}")
+    return {key: given[key] if key in given else KEYS[key].default for key in keys}
+
+
+def provenance(settings, seq) -> tuple[str, dict]:
+    """(hash, config) of what determines a release: ``_RELEASE_KEYS`` after
+    defaults, and a digest of the loaded snapshots' edge arrays."""
+    digest = hashlib.sha256()
+    for g in seq.snapshots:
+        edges = np.ascontiguousarray(g.edges, dtype="<i8")
+        digest.update(len(edges).to_bytes(8, "little"))
+        digest.update(edges.tobytes())
+    config = {**{key: settings[key] for key in _RELEASE_KEYS}, "snapshots": digest.hexdigest()}
+    return sha256_text(canonical_json(config)), config
 
 
 def _params_from(settings) -> PerturbParams:
-    """The settings' pipeline knobs; unset ones keep ``PerturbParams``' defaults."""
-    parsers = {"k": int, "m": int, "theta": float, "seed": int, "inter-cluster-form": str}
-    try:
-        return PerturbParams(**{key.replace("-", "_"): parse(settings[key])
-                                for key, parse in parsers.items() if key in settings})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PerturbParams(**{f.name: settings[f.name.replace("_", "-")]
+                            for f in fields(PerturbParams)})
 
 
-def _release(seq, mechanism, params, settings) -> tuple[list, list | None]:
-    """(released graphs, records) of ``seq`` under ``mechanism``; only a
-    linkmirage release has records."""
-    if mechanism == "linkmirage":
-        return linkmirage_run(seq, params, threads=int(settings.get("threads", 1)))
-    if mechanism == "static-baseline":
+def _release(seq, params, settings) -> tuple[list, list | None]:
+    """(released graphs, records) of ``seq`` under the settings' mechanism;
+    only a linkmirage release has records."""
+    if settings["mechanism"] == "linkmirage":
+        return linkmirage_run(seq, params, threads=settings["threads"])
+    if settings["mechanism"] == "static-baseline":
         return perturb_static_baseline_sequence(seq, params.k, params.seed), None
-    if mechanism == "hay-baseline":
-        r_frac = float(settings.get("hay-r", 0.5))
-        return hay_baseline_sequence(seq, params.seed, r_fraction=r_frac), None
-    raise ConfigError(f"mechanism must be one of {MECHANISMS}")
+    return hay_baseline_sequence(seq, params.seed, r_fraction=settings["hay-r"]), None
 
 
 def cmd_perturb(args) -> int:
-    settings = _merged(args, _RELEASE_KEYS + ("threads",), ("manifest", "out"))
-    mechanism = str(settings.get("mechanism", "linkmirage"))
+    settings = _settings(args, ("manifest", "out"))
     params = _params_from(settings)
     seq = load_sequence(settings["manifest"])
-    graphs, records = _release(seq, mechanism, params, settings)
+    graphs, records = _release(seq, params, settings)
 
     out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)
-    phash = provenance_hash(settings)
+    phash, config = provenance(settings, seq)
     for t, g in enumerate(graphs):
         write_edge_list(g, os.path.join(out_dir, f"g_prime_{t}.txt"),
                         header_lines=[f"provenance: {phash}"])
@@ -143,18 +207,20 @@ def cmd_perturb(args) -> int:
                     "records": [r.to_json_obj() for r in records]})
     write_json(os.path.join(out_dir, "provenance.json"),
                {"provenance": phash, "seed": params.seed, "version": __version__,
-                "mechanism": mechanism, "config": _perturb_config(settings)})
+                "mechanism": settings["mechanism"], "config": config})
     return EXIT_OK
 
 
-def _load_outputs(settings, seq) -> list:
+def _load_outputs(settings, seq) -> tuple[list, str]:
+    """(released graphs, provenance hash) of the release the settings determine."""
     out_dir = settings["out"]
+    phash, _ = provenance(settings, seq)
     prov_path = os.path.join(out_dir, "provenance.json")
     if not os.path.exists(prov_path):
         raise MissingArtifactError(f"no provenance.json in {out_dir}; run perturb first")
     with open(prov_path, "r", encoding="ascii") as fh:
         prov = json.load(fh)
-    if prov["provenance"] != provenance_hash(settings):
+    if prov["provenance"] != phash:
         raise MissingArtifactError(
             "perturbation outputs were produced under a different configuration")
     graphs = []
@@ -164,35 +230,29 @@ def _load_outputs(settings, seq) -> list:
             raise MissingArtifactError(f"missing perturbed snapshot {path}")
         # edge lists cannot carry isolated vertices; restore the snapshot's set
         graphs.append(load_edge_list(path).with_vertices(g_t.vertices))
-    return graphs
+    return graphs, phash
 
 
-def _posterior(settings, params, seq, perturbed, n_samples) -> tuple:
+def _posterior(settings, params, seq, perturbed) -> tuple:
     """(t, estimate) of the --query link under the release's mechanism."""
-    if "query" not in settings:
+    if settings["query"] is None:
         raise ConfigError("anti-inference metrics need --query u,v,t")
-    try:
-        u, v, t = (int(x) for x in str(settings["query"]).split(","))
-    except ValueError:
-        raise ConfigError("--query expects 'u,v,t'") from None
+    u, v, t = settings["query"]
     if not 0 <= t < len(seq):
         raise ConfigError(f"--query t={t} is outside 0..{len(seq) - 1}")
     for x in (u, v):
         if not seq[t].has_vertex(x):
             raise ConfigError(f"--query vertex {x} is not in snapshot {t}")
-    mechanism = str(settings.get("mechanism", "linkmirage"))
-    if mechanism == "hay-baseline":
-        r_frac = float(settings.get("hay-r", 0.5))
-
+    if settings["mechanism"] == "hay-baseline":
         def mech(world, rng):
-            return [hay_baseline(g, int(round(r_frac * g.num_edges)), rng).edges
+            return [hay_baseline(g, int(round(settings["hay-r"] * g.num_edges)), rng).edges
                     for g in world.snapshots]
     else:
-        mech = "linkmirage" if mechanism == "linkmirage" else "static"
+        mech = "linkmirage" if settings["mechanism"] == "linkmirage" else "static"
     rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(97,)))
     return t, posterior_probability(LinkQuery(t=t, u=u, v=v), seq, perturbed,
                                     PriorModel(seed=params.seed), params,
-                                    n_samples, rng, mechanism=mech)
+                                    settings["samples"], rng, mechanism=mech)
 
 
 # Row producers give (t, metric, value, stderr, n_samples) rows. Query ones take
@@ -230,7 +290,7 @@ def _modularity_rows(settings, params, seq, perturbed, t):
 
 
 def _pagerank_rows(settings, params, seq, perturbed, t):
-    damping = float(settings.get("damping", 0.85))
+    damping = settings["damping"]
     delta = np.abs(pagerank(seq[t], damping) - pagerank(perturbed[t], damping))
     return [(t, "pagerank-mean-delta", float(delta.mean()), 0.0, 0)]
 
@@ -244,12 +304,9 @@ def _structural_rows(settings, params, seq, perturbed, t):
 
 
 def _spectral_rows(settings, params, seq, perturbed, t):
-    eps = float(settings.get("epsilon", 0.05))
-    lazy = str(settings.get("lazy", "false")).lower() in ("1", "true", "yes")
-
     def measure(g):
         try:
-            sm = spectral_metrics(g, epsilon=eps, lazy=lazy)
+            sm = spectral_metrics(g, epsilon=settings["epsilon"], lazy=settings["lazy"])
         except ValueError:   # disconnected graphs have no single walk spectrum
             return [("slem", float("nan")), ("mixing-time", float("nan"))]
         tau = float(sm["mixing_time"]) if sm["mixing_converged"] else float("nan")
@@ -266,12 +323,12 @@ _SNAPSHOT_PRODUCERS = (("anti-aggregation", _anti_aggregation_rows),
                        ("spectral", _spectral_rows))
 
 
-def _ud_rows(settings, seq, perturbed, l_values) -> tuple[list, dict]:
+def _ud_rows(settings, seq, perturbed) -> tuple[list, dict]:
     """ud-l<l> rows, and a utility_l<l>.csv table per l with each t's ratio
     cut and the bound when a linkmirage release left its record.json."""
     record_path = os.path.join(settings["out"], "record.json")
     deltas, eps = None, 0.0
-    if settings.get("mechanism", "linkmirage") == "linkmirage" and os.path.exists(record_path):
+    if settings["mechanism"] == "linkmirage" and os.path.exists(record_path):
         with open(record_path, "r", encoding="ascii") as fh:
             clusterings = [PerturbationRecord.from_json_obj(r).clustering
                            for r in json.load(fh)["records"]]
@@ -279,7 +336,7 @@ def _ud_rows(settings, seq, perturbed, l_values) -> tuple[list, dict]:
             deltas = [ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)]
             eps = max(map(community_tv, seq.snapshots, perturbed, clusterings))
     rows, tables = [], {}
-    for l in l_values:
+    for l in settings["l"]:
         per_t = list(enumerate(utility_distance(seq, perturbed, l).per_timestamp))
         bound = ud_upper_bound(eps, deltas, l) if deltas else float("nan")
         rows += [(t, f"ud-l{l}", ud, 0.0, 0) for t, ud in per_t]
@@ -289,37 +346,27 @@ def _ud_rows(settings, seq, perturbed, l_values) -> tuple[list, dict]:
 
 
 def cmd_metrics(args) -> int:
-    settings = _merged(args, _RELEASE_KEYS + ("metric", "samples", "l", "query", "epsilon",
-                                              "damping", "lazy", "threads"),
-                       ("manifest", "out", "metric"))
-    metrics = [m.strip() for m in str(settings["metric"]).split(",") if m.strip()]
-    if not metrics:
-        raise ConfigError("empty metric selection")
-    for m in metrics:
-        if m not in METRICS:
-            raise ConfigError(f"unknown metric {m!r}; choose from {METRICS}")
+    settings = _settings(args, ("manifest", "out", "metric"))
+    metrics = settings["metric"]
     params = _params_from(settings)
     seq = load_sequence(settings["manifest"])
-    perturbed = _load_outputs(settings, seq)
-    n_samples = int(settings.get("samples", 200))
-    l_values = [int(x) for x in str(settings.get("l", "2")).split(",")]
+    perturbed, phash = _load_outputs(settings, seq)
 
     rows, tables = [], {}
     if any(name in metrics for name, _ in _QUERY_PRODUCERS):
-        t, est = _posterior(settings, params, seq, perturbed, n_samples)
+        t, est = _posterior(settings, params, seq, perturbed)
         rows += [row for name, produce in _QUERY_PRODUCERS if name in metrics
-                 for row in produce(t, est, n_samples)]
+                 for row in produce(t, est, settings["samples"])]
     for t in range(len(seq)):
         rows += [row for name, produce in _SNAPSHOT_PRODUCERS if name in metrics
                  for row in produce(settings, params, seq, perturbed, t)]
     if "ud" in metrics:
-        ud_rows, tables = _ud_rows(settings, seq, perturbed, l_values)
+        ud_rows, tables = _ud_rows(settings, seq, perturbed)
         rows += ud_rows
 
-    out_dir, phash = settings["out"], provenance_hash(settings)
-    mechanism = str(settings.get("mechanism", "linkmirage"))
+    out_dir = settings["out"]
     header = ("t", "mechanism", "metric", "value", "stderr", "n_samples")
-    rows = [(t, mechanism, *rest) for t, *rest in rows]
+    rows = [(t, settings["mechanism"], *rest) for t, *rest in rows]
     for name, table in tables.items():
         write_csv(os.path.join(out_dir, name), ("t", "ud", "delta", "bound"), table,
                   comment_lines=[f"provenance: {phash}"])
@@ -330,29 +377,20 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _read_scenario(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"scenario file not found: {path}")
-    return read_config_file(path)
-
-
 def cmd_eval(args) -> int:
-    settings = _merged(args, _RELEASE_KEYS + ("f", "target", "scenario", "threads"),
-                       ("manifest", "out"))
+    settings = _settings(args, ("manifest", "out"))
     params = _params_from(settings)
     seq = load_sequence(settings["manifest"])
-    perturbed = _load_outputs(settings, seq)
-    phash = provenance_hash(settings)
+    perturbed, phash = _load_outputs(settings, seq)
     rows = []
 
-    if "f" in settings:
-        f = float(settings["f"])
-        targets = [int(x) for x in str(settings.get("target", "")).split(",") if x != ""] \
-            or [int(seq[0].vertices[0])]
+    if settings["f"] is not None:
+        targets = settings["target"] or (int(seq[0].vertices[0]),)
         for v in targets:
             if not all(g.has_vertex(v) for g in perturbed):
                 raise ConfigError(f"--target vertex {v} is not in every snapshot")
-        series = np.mean([attack_probability(perturbed, v, f) for v in targets], axis=0)
+        series = np.mean([attack_probability(perturbed, v, settings["f"]) for v in targets],
+                         axis=0)
         for t, val in enumerate(series):
             rows.append((t, "attack-probability", float(val)))
 
@@ -360,8 +398,10 @@ def cmd_eval(args) -> int:
     rows.append((len(seq) - 1, f"sampling-probability-k{params.k}", sr.probability))
     rows.append((len(seq) - 1, "sampling-outside-envelope", float(sr.outside_envelope)))
 
-    if "scenario" in settings:
-        sc = _read_scenario(settings["scenario"])
+    if settings["scenario"] is not None:
+        if not os.path.exists(settings["scenario"]):
+            raise ConfigError(f"scenario file not found: {settings['scenario']}")
+        sc = read_config_file(settings["scenario"])
         try:
             scenario = SybilScenario(honest_graph=seq[0],
                                      sybil_size=int(sc["regions"]),
@@ -373,8 +413,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"scenario file missing key {exc}") from exc
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
         combined = TemporalGraphSequence([scenario.build_combined(rng)])
-        mechanism = str(settings.get("mechanism", "linkmirage"))
-        (g_prime,), _ = _release(combined, mechanism, params, settings)
+        (g_prime,), _ = _release(combined, params, settings)
         result = sybil_eval(scenario, g_prime, rng)
         rows.append((0, "sybil-false-positive-rate", result["false_positive_rate"]))
         rows.append((0, "sybil-attack-edges-after",
@@ -388,26 +427,15 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     # accepts the release settings the other stages share; reads only "out"
-    settings = _merged(args, _RELEASE_KEYS + ("threads",), ("out",))
-    out_dir = settings["out"]
-    rows = []
+    out_dir = _settings(args, ("out",))["out"]
+    columns, rows = ("t", "mechanism", "metric", "value", "stderr"), []
     for name in ("metrics.csv", "eval.csv"):
         path = os.path.join(out_dir, name)
-        if not os.path.exists(path):
-            continue
-        with open(path, "r", encoding="ascii") as fh:
-            header = None
-            for line in fh:
-                if line.startswith("#") or not line.strip():
-                    continue
-                cells = line.rstrip("\n").split(",")
-                if header is None:
-                    header = cells
-                    continue
-                entry = dict(zip(header, cells))
-                rows.append((entry.get("t", ""), entry.get("mechanism", ""),
-                             entry.get("metric", ""), entry.get("value", ""),
-                             entry.get("stderr", ""), name))
+        if os.path.exists(path):
+            with open(path, "r", encoding="ascii") as fh:
+                lines = [line for line in fh if line.strip() and not line.startswith("#")]
+            rows += [(*(entry.get(c) or "" for c in columns), name)
+                     for entry in csv.DictReader(lines)]
     if not rows:
         raise MissingArtifactError(f"no metrics.csv or eval.csv under {out_dir}")
     comments = []
@@ -416,7 +444,7 @@ def cmd_report(args) -> int:
         with open(prov_path, "r", encoding="ascii") as fh:
             comments.append(f"provenance: {json.load(fh)['provenance']}")
     write_csv(os.path.join(out_dir, "report.csv"),
-              ("t", "mechanism", "metric", "value", "stderr", "source"), rows,
+              (*columns, "source"), rows,
               comment_lines=comments)
     return EXIT_OK
 
@@ -426,45 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linkmirage",
         description="Obfuscate temporal social graphs and measure privacy/utility.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, summary in (
+            ("perturb", cmd_perturb, "write perturbed edge lists"),
+            ("metrics", cmd_metrics, "compute privacy/utility metrics"),
+            ("eval", cmd_eval, "application-level evaluators"),
+            ("report", cmd_report, "concatenate stage CSVs into report.csv")):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--manifest", help="newline-separated edge-list paths")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--mechanism", choices=MECHANISMS)
-        p.add_argument("--k", type=int, help="random-walk perturbation length")
-        p.add_argument("--m", type=int, help="freeing radius for re-clustering")
-        p.add_argument("--theta", type=float, help="unchanged-community overlap threshold")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--inter-cluster-form", choices=INTER_FORMS)
-        p.add_argument("--hay-r", type=float, help="r/m fraction for the hay baseline")
-        p.add_argument("--threads", type=int)
-
-    p = sub.add_parser("perturb", help="write perturbed edge lists")
-    common(p)
-    p.set_defaults(func=cmd_perturb)
-
-    p = sub.add_parser("metrics", help="compute privacy/utility metrics")
-    common(p)
-    p.add_argument("--metric", help="comma-separated: " + ",".join(METRICS))
-    p.add_argument("--samples", type=int, help="Monte Carlo samples for posteriors")
-    p.add_argument("--l", help="comma-separated application parameters for ud")
-    p.add_argument("--query", help="link query as u,v,t")
-    p.add_argument("--epsilon", type=float, help="mixing-time threshold")
-    p.add_argument("--damping", type=float, help="pagerank damping")
-    p.add_argument("--lazy", help="true to use the lazy chain (P+I)/2")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("eval", help="application-level evaluators")
-    common(p)
-    p.add_argument("--f", type=float, help="per-node malicious probability")
-    p.add_argument("--target", help="comma-separated target vertices")
-    p.add_argument("--scenario", help="sybil scenario config file")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="concatenate stage CSVs into report.csv")
-    common(p)
-    p.set_defaults(func=cmd_report)
+        for key, spec in KEYS.items():
+            if name in spec.stages:
+                p.add_argument(f"--{key}", dest=key, help=f"{spec.help}; {spec.kind[1]}")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -473,13 +473,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (GraphFormatError, ValueError) as exc:
+    except ValueError as exc:   # ConfigError and GraphFormatError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, FileNotFoundError) as exc:

@@ -238,23 +238,22 @@ def _absent_pairs(graph: Graph, count: int, rng: np.random.Generator,
     Each attempt draws u, then v, with a scalar ``rng.integers(0, n)``; equal
     positions, edges, ``exclude`` pairs and repeats are rejected. After
     ``50 * count + 1000`` attempts it returns what it has, so a graph too
-    dense to hold ``count`` absent pairs ends the loop. It also ends as soon
-    as the last absent pair is drawn, so on a dense graph it returns every
-    absent pair without drawing on to the cap.
+    dense to hold ``count`` absent pairs ends the loop. No attempt is made
+    once no absent pair is left: a dense graph returns every absent pair
+    without drawing on to the cap, and a complete graph draws nothing.
     """
     n = graph.num_vertices
     ends = graph.edge_positions
     taken = set((ends[:, 0] * n + ends[:, 1]).tolist())    # pair a < b has key a*n + b
     taken.update(min(a, b) * n + max(a, b) for a, b in exclude)
     pairs, attempts = [], 0
-    while len(pairs) < count and attempts < 50 * count + 1000:
+    while (len(pairs) < count and len(taken) < n * (n - 1) // 2
+           and attempts < 50 * count + 1000):
         attempts += 1
         u, v = sorted((int(rng.integers(0, n)), int(rng.integers(0, n))))
         if u != v and u * n + v not in taken:
             taken.add(u * n + v)
             pairs.append((u, v))
-            if len(taken) == n * (n - 1) // 2:
-                break
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from linkmirage import (Graph, SybilScenario, TemporalGraphSequence, anti_aggregation,
                         load_edge_list, load_sequence, perturb_static_baseline_sequence,
                         planted_partition_graph, sybil_eval, write_edge_list)
-from linkmirage.cli import MECHANISMS, METRICS, main
+from linkmirage.cli import KEYS, MECHANISMS, METRICS, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -133,19 +136,97 @@ def test_metrics_empty_selection_is_config_error(workspace, tmp_path):
     assert main(["metrics"] + args + ["--metric", " "]) == 2
 
 
+# one malformed value per typed key; f and target are read by eval only
+BAD_VALUES = {"mechanism": "bogus", "k": "two", "m": "1.5", "theta": "x", "seed": "5x",
+              "inter-cluster-form": "circle", "hay-r": "half", "threads": "0",
+              "metric": "ud,bogus", "samples": "x", "l": "abc", "query": "0,1",
+              "epsilon": "x", "damping": "x", "lazy": "maybe", "f": "x", "target": "a"}
+
+
 @pytest.mark.parametrize("flags, conf", [(["--l", "abc"], ""), (["--l", "1,,2"], ""),
-                                         ([], "samples = x\n")])
-def test_metrics_malformed_l_or_samples_exit2_for_any_metric(workspace, tmp_path,
+                                         ([], "samples = x\n")]
+                         + [([f"--{key}", bad], "") for key, bad in BAD_VALUES.items()]
+                         + [([], f"{key} = {bad}\n") for key, bad in BAD_VALUES.items()])
+def test_metrics_malformed_l_or_samples_exit2_for_any_metric(workspace, tmp_path, capsys,
                                                               flags, conf):
+    # a flag and a config line go through the same parser
     root, manifest, _ = workspace
     out = tmp_path / "out"
     args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
     assert main(["perturb"] + args) == 0
-    if conf:   # --samples is typed by argparse; a config file value is not
+    before = read_tree(out)
+    key = flags[0][2:] if flags else conf.split(" = ")[0]
+    stage = ["eval"] if key in ("f", "target") else ["metrics", "--metric", "modularity"]
+    if conf:
         (tmp_path / "bad.conf").write_text(conf)
         flags = ["--config", str(tmp_path / "bad.conf")]
-    assert main(["metrics"] + args + ["--metric", "modularity"] + flags) == 2
-    assert not (out / "metrics.csv").exists()
+    capsys.readouterr()
+    assert main(stage + args + flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert read_tree(out) == before
+
+
+def readme_cli_section() -> str:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read().split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_cli_commands() -> list:
+    """Argument lists of the README's CLI block, continuation lines joined."""
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("linkmirage ")]
+
+
+def test_readme_names_every_cli_key():
+    section = readme_cli_section()
+    assert [key for key in KEYS if f"`{key}`" not in section] == []
+
+
+def test_readme_cli_block_runs_as_written(workspace, tmp_path, monkeypatch):
+    root, manifest, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sybil.cfg").write_text("regions = 6\ng = 2\nw = 4\nr = 4\nseeds = 1\n")
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["perturb", "metrics", "eval", "report"]
+    for argv in commands:
+        argv = [str(manifest) if a == "data/manifest.txt" else a for a in argv]
+        assert main(argv) == 0, argv
+
+
+EXPLICIT_DEFAULTS = ["--mechanism", "linkmirage", "--k", "2", "--m", "2", "--theta", "0.8",
+                     "--inter-cluster-form", "appendixC", "--hay-r", "0.5"]
+
+
+@pytest.mark.parametrize("case, code", [("explicit-defaults", 0), ("config-spelling", 0),
+                                        ("copied-manifest", 0), ("edited-input", 4)])
+def test_later_stages_accept_exactly_the_same_release(workspace, tmp_path, case, code):
+    # provenance covers the resolved settings and the loaded snapshots, not
+    # how the settings were spelled or where the manifest lives
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    perturb = ["perturb", "--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    later = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    if case == "explicit-defaults":
+        assert main(perturb[:3] + ["--out", str(tmp_path / "omitted"), "--seed", "5"]) == 0
+        perturb += EXPLICIT_DEFAULTS
+    elif case == "config-spelling":
+        (tmp_path / "run.cfg").write_text("seed = 05\ntheta = 0.80\n")
+        perturb = perturb[:5] + ["--config", str(tmp_path / "run.cfg")]
+        later += ["--theta", "0.8"]
+    elif case == "copied-manifest":
+        (root / "copy.txt").write_text(manifest.read_text())
+        later[1] = str(root / "copy.txt")
+    assert main(perturb) == 0
+    if case == "explicit-defaults":
+        assert ((out / "provenance.json").read_bytes()
+                == (tmp_path / "omitted" / "provenance.json").read_bytes())
+    if case == "edited-input":
+        lines = (root / "g1.txt").read_text().splitlines()
+        (root / "g1.txt").write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["metrics"] + later + ["--metric", "ud"]) == code
+    assert main(["eval"] + later + ["--f", "0.1"]) == code
 
 
 def test_metrics_without_perturb_outputs_exit4(workspace, tmp_path):
@@ -318,7 +399,12 @@ def test_config_file_with_flag_override(workspace, tmp_path):
 # -- byte-level pins -------------------------------------------------------------
 # sha256 digests of CLI outputs on the workspace fixture, recorded before the
 # metric rows were split into per-metric producers and before the hay
-# comparator drew its fake edges through the shared absent-pair sampler.
+# comparator drew its fake edges through the shared absent-pair sampler. They
+# were re-recorded when the provenance hash came to cover the resolved release
+# instead of the settings as spelled: with the provenance values and
+# provenance.json's config block masked, every file is byte-identical to the
+# earlier one. The runs use absolute temporary paths, so the pins also show
+# that no path enters the outputs.
 
 ALL_METRICS = ",".join(METRICS)
 
@@ -328,12 +414,10 @@ def file_digests(out_dir, names):
             for name in names}
 
 
-def run_metrics(workspace, monkeypatch, mechanism, metric):
-    root, _, _ = workspace
-    # relative paths keep the provenance hash free of the temporary directory
-    monkeypatch.chdir(root)
+def run_metrics(workspace, mechanism, metric):
+    root, manifest, _ = workspace
     out = root / "out"
-    args = ["--manifest", "manifest.txt", "--out", "out", "--k", "2",
+    args = ["--manifest", str(manifest), "--out", str(out), "--k", "2",
             "--seed", "5", "--mechanism", mechanism]
     assert main(["perturb"] + args) == 0
     assert main(["metrics"] + args + ["--metric", metric, "--query", "0,15,1",
@@ -346,98 +430,97 @@ def run_metrics(workspace, monkeypatch, mechanism, metric):
 
 PERTURB_PINS = {
     ("linkmirage", "1"): {
-        "g_prime_0.txt": "d900385e6311bdb0",
-        "g_prime_1.txt": "d900385e6311bdb0",
-        "provenance.json": "21ae452387a2ceeb",
-        "record.json": "ee20f49f26a7bcd3"},
+        "g_prime_0.txt": "385ca2f519ff569e",
+        "g_prime_1.txt": "385ca2f519ff569e",
+        "provenance.json": "5692c0168a108d74",
+        "record.json": "4fdabbff463e4ac6"},
     ("static-baseline", "1"): {
-        "g_prime_0.txt": "2675a405f61906ad",
-        "g_prime_1.txt": "18d06d9224bd526d",
-        "provenance.json": "ec5de3a22cd72d62"},
+        "g_prime_0.txt": "04b0219ffbad5c92",
+        "g_prime_1.txt": "4ad6efff165060f2",
+        "provenance.json": "f321a18d74e712ad"},
     ("hay-baseline", "1"): {
-        "g_prime_0.txt": "196bd2c214126ccb",
-        "g_prime_1.txt": "18c9e6f23d1f6dcb",
-        "provenance.json": "c22e520a8b10defc"},
+        "g_prime_0.txt": "7f6f01ad0914e817",
+        "g_prime_1.txt": "8197a89bd0d6fe43",
+        "provenance.json": "fd0c31af765790cd"},
     ("linkmirage", "2"): {
-        "g_prime_0.txt": "2a03e68e140b5078",
-        "g_prime_1.txt": "2a03e68e140b5078",
-        "provenance.json": "51c6ec022c0f07ac",
-        "record.json": "74d90a6c72d810ca"},
+        "g_prime_0.txt": "6555f8082f2f62ed",
+        "g_prime_1.txt": "6555f8082f2f62ed",
+        "provenance.json": "5c30b4cb293f8ce2",
+        "record.json": "6c039e8834706370"},
     ("static-baseline", "2"): {
-        "g_prime_0.txt": "7c55e5be7dbf6a69",
-        "g_prime_1.txt": "b6d7d6b0f34df242",
-        "provenance.json": "e88044ba3fae8b34"},
+        "g_prime_0.txt": "afebe89ba6126e04",
+        "g_prime_1.txt": "471d61226fd7b1c6",
+        "provenance.json": "b1ed3a653cc9e2c7"},
     ("hay-baseline", "2"): {
-        "g_prime_0.txt": "aa13c6749b5983a8",
-        "g_prime_1.txt": "4438bdba010a353e",
-        "provenance.json": "986b9072c47efe7c"},
+        "g_prime_0.txt": "26e74cf4031ce32b",
+        "g_prime_1.txt": "cc482e40d4e890d9",
+        "provenance.json": "d39d0d830c1cd030"},
 }
 METRICS_PINS = {
     "linkmirage": {
-        "metrics.csv": "dbb6ed6f98a478bf",
-        "metrics.json": "1d5d0dfac4ce85a0",
-        "utility_l1.csv": "ee44fe7380ababaf",
-        "utility_l2.csv": "2ad988cf3b6db87e"},
+        "metrics.csv": "02d954b73d1556ad",
+        "metrics.json": "5d12f6eaaba6d948",
+        "utility_l1.csv": "e5afa3d99c955feb",
+        "utility_l2.csv": "d256b4935b063997"},
     "static-baseline": {
-        "metrics.csv": "2b90fd0c775f8dec",
-        "metrics.json": "67ad18008032629e",
-        "utility_l1.csv": "d3a528b99e8b0ee7",
-        "utility_l2.csv": "02ad936c1425f60d"},
+        "metrics.csv": "c69a59c5956d195a",
+        "metrics.json": "6e211f6c5d99170e",
+        "utility_l1.csv": "f3cf137a74847260",
+        "utility_l2.csv": "96ad44c7daada04f"},
     "hay-baseline": {
-        "metrics.csv": "546f0dcc88e1d097",
-        "metrics.json": "3a1312ddb286baeb",
-        "utility_l1.csv": "7b4ebc692f36865c",
-        "utility_l2.csv": "8c1e3cf658311dbc"},
+        "metrics.csv": "0d63b9cf232ce43a",
+        "metrics.json": "4264f701be6a7331",
+        "utility_l1.csv": "ffa1f8e53cc7bb60",
+        "utility_l2.csv": "5bc37d67a0afe91b"},
 }
 METRIC_PINS = {
     "anti-inference": {
-        "metrics.csv": "5ec1111e1f0654bb",
-        "metrics.json": "b556e04fbb2613e5"},
+        "metrics.csv": "56c4721b3a0972de",
+        "metrics.json": "40d10f8a20fb6c59"},
     "indistinguishability": {
-        "metrics.csv": "b5acdf7aff2c5004",
-        "metrics.json": "1dfbbfa0526f517b"},
+        "metrics.csv": "268d7cb70ea58458",
+        "metrics.json": "c4896bc8188a57f4"},
     "anti-aggregation": {
-        "metrics.csv": "c7d0254e9aea06d6",
-        "metrics.json": "08e2a2c7845a7aae"},
+        "metrics.csv": "be7610efa358166b",
+        "metrics.json": "c78e80734e529d8a"},
     "ud": {
-        "metrics.csv": "2954de4e713f041a",
-        "metrics.json": "51d9b8f0cde6dd0b",
-        "utility_l1.csv": "ee44fe7380ababaf",
-        "utility_l2.csv": "2ad988cf3b6db87e"},
+        "metrics.csv": "a02da8645b7797d8",
+        "metrics.json": "118ce7c46734a96d",
+        "utility_l1.csv": "e5afa3d99c955feb",
+        "utility_l2.csv": "d256b4935b063997"},
     "modularity": {
-        "metrics.csv": "b81f57608b22ca8c",
-        "metrics.json": "0047f4dd26e7a3e1"},
+        "metrics.csv": "689714c8d9290e28",
+        "metrics.json": "1c7e2b663290d185"},
     "pagerank": {
-        "metrics.csv": "66cfd872c08df73a",
-        "metrics.json": "16ac6c1a88a56586"},
+        "metrics.csv": "39d6bc2046a3bd6b",
+        "metrics.json": "47fd56160ed5a1ec"},
     "structural": {
-        "metrics.csv": "a91a2c70f8819682",
-        "metrics.json": "2c96c37fc0bef4ee"},
+        "metrics.csv": "bd829b39e8ae0a75",
+        "metrics.json": "aa298f69ef8e9270"},
     "spectral": {
-        "metrics.csv": "d91bc5bfc04f657b",
-        "metrics.json": "c5b065301a73af9f"},
+        "metrics.csv": "38b730e2fe2c8b70",
+        "metrics.json": "c3bae7161f761f30"},
 }
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 @pytest.mark.parametrize("seed", ["1", "2"])
-def test_perturb_outputs_pinned(workspace, monkeypatch, mechanism, seed):
-    root, _, _ = workspace
-    monkeypatch.chdir(root)
+def test_perturb_outputs_pinned(workspace, mechanism, seed):
+    root, manifest, _ = workspace
     out = root / "out"
-    assert main(["perturb", "--manifest", "manifest.txt", "--out", "out",
+    assert main(["perturb", "--manifest", str(manifest), "--out", str(out),
                  "--mechanism", mechanism, "--seed", seed]) == 0
     got = file_digests(out, sorted(os.listdir(out)))
     assert got == PERTURB_PINS[(mechanism, seed)]
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-def test_metrics_outputs_pinned(workspace, monkeypatch, mechanism):
-    got = run_metrics(workspace, monkeypatch, mechanism, ALL_METRICS)
+def test_metrics_outputs_pinned(workspace, mechanism):
+    got = run_metrics(workspace, mechanism, ALL_METRICS)
     assert got == METRICS_PINS[mechanism]
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_single_metric_outputs_pinned(workspace, monkeypatch, metric):
-    got = run_metrics(workspace, monkeypatch, "linkmirage", metric)
+def test_single_metric_outputs_pinned(workspace, metric):
+    got = run_metrics(workspace, "linkmirage", metric)
     assert got == METRIC_PINS[metric]

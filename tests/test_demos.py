@@ -1,5 +1,8 @@
-"""The narrative demos run to completion against the current library API."""
+"""The narrative demos run to completion against the current library API and
+print the text pinned below."""
 
+import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,14 +11,30 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# sha256 of each demo's stdout; two runs print the same bytes
+STDOUT_SHA256 = {
+    "perturbation_demo.py": "e38764756b2fd29329bc36fbf5391c259a9775170c6a42699d3f3160c34592e0",
+    "utility_demo.py": "3db018b2e7a45599bb004fc9b1eeca08585760afa28d376e4df222fe59317f9c",
+    "applications_demo.py": "1e96cf99d972967ac4c7c8fd3d573dc5b5f37f56e39ca93f7de6c4cbbe8fecb3",
+    "privacy_demo.py": "c63bf547a132bf601feb450704d2ec7610427d62efb54612d8b8294964c4e5f7",
+}
 
-@pytest.mark.parametrize("demo", ["perturbation_demo.py", "utility_demo.py",
-                                  "applications_demo.py", "privacy_demo.py"])
-def test_demo_exits_zero(demo):
+
+@functools.lru_cache(maxsize=None)
+def run_demo(demo) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    return subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          cwd=ROOT, env=env, capture_output=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", list(STDOUT_SHA256))
+def test_demo_exits_zero(demo):
+    proc = run_demo(demo)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+
+
+@pytest.mark.parametrize("demo", list(STDOUT_SHA256))
+def test_demo_stdout_pinned(demo):
+    assert hashlib.sha256(run_demo(demo).stdout).hexdigest() == STDOUT_SHA256[demo]

@@ -307,14 +307,24 @@ def test_absent_pairs_of_a_dense_graph_stop_at_the_last_one(count):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_absent_pairs_stop_at_the_attempt_cap(n):
-    # a complete graph has no absent pair: every attempt is rejected, and the
-    # loop ends after 50 * count + 1000 attempts of two scalar draws each
-    count = 3
+def test_absent_pairs_of_a_complete_graph_draw_nothing(n):
+    # no absent pair is left before the first attempt, so the generator is untouched
     rng = np.random.default_rng(0)
-    pairs = _absent_pairs(complete(n), count, rng)
+    pairs = _absent_pairs(complete(n), 3, rng)
     assert pairs.shape == (0, 2)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_absent_pairs_stop_at_the_attempt_cap():
+    # K_100 minus one edge: the stream never draws the one absent pair, so the
+    # loop ends after 50 * count + 1000 attempts of two scalar draws each
+    n, count, missing = 100, 1, (3, 7)
+    g = Graph([(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != missing])
+    rng = np.random.default_rng(0)
+    pairs = _absent_pairs(g, count, rng)
     replay = np.random.default_rng(0)
-    for _ in range(2 * (50 * count + 1000)):
-        replay.integers(0, n)
+    drawn = [tuple(sorted((int(replay.integers(0, n)), int(replay.integers(0, n)))))
+             for _ in range(50 * count + 1000)]
+    assert missing not in drawn
+    assert pairs.shape == (0, 2)
     assert rng.bit_generator.state == replay.bit_generator.state
