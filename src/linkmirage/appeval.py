@@ -103,8 +103,13 @@ class SybilScenario:
     routes_per_node: int
 
     def __post_init__(self):
-        if self.attack_edges < 1 or self.walk_length < 1 or self.routes_per_node < 1:
-            raise ValueError("attack_edges, walk_length and routes_per_node must be >= 1")
+        if min(self.sybil_size, self.attack_edges, self.walk_length, self.routes_per_node) < 1:
+            raise ValueError("sybil_size, attack_edges, walk_length and routes_per_node "
+                             "must be >= 1")
+        pairs = self.honest_graph.num_vertices * self.sybil_size
+        if self.attack_edges > pairs:
+            raise ValueError(f"attack_edges {self.attack_edges} exceeds the {pairs} "
+                             f"honest-Sybil vertex pairs")
 
     @property
     def honest_ids(self) -> np.ndarray:

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .appeval import SybilScenario, attack_probability, sampling_report, sybil_eval
 from .clustering import cluster_static, modularity
-from .graphs import TemporalGraphSequence, load_edge_list, load_sequence, write_edge_list
+from .graphs import (TemporalGraphSequence, _content_lines, load_edge_list, load_sequence,
+                     write_edge_list)
 from .perturb import (INTER_FORMS, PerturbationRecord, PerturbParams, hay_baseline,
                       hay_baseline_sequence, linkmirage_run,
                       perturb_static_baseline_sequence)
@@ -34,7 +35,7 @@ from .privacy import (LinkQuery, PriorModel, anti_aggregation,
                       anti_aggregation_aggregated, indistinguishability,
                       posterior_probability)
 from .reporting import canonical_json, sha256_text, write_csv, write_json
-from .utility import (community_tv, pagerank, ratio_cut, spectral_metrics,
+from .utility import (community_tv, is_connected, pagerank, ratio_cut, spectral_metrics,
                       structural_metrics, ud_upper_bound, utility_distance)
 
 MECHANISMS = ("linkmirage", "static-baseline", "hay-baseline")
@@ -58,15 +59,11 @@ class MissingArtifactError(RuntimeError):
 def read_config_file(path) -> dict:
     """Plain 'key = value' lines, '#' comments; keys mirror the CLI flags."""
     out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = body.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, body, _ in _content_lines(path):
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = body.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -77,11 +74,13 @@ def _one_of(options) -> tuple:
     return (lambda text: options[options.index(text)]), f"one of {', '.join(options)}"
 
 
-def _at_least_1(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _checked(parse, ok):
+    def parse_checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return parse_checked
 
 
 def _metric_names(text) -> tuple:
@@ -100,6 +99,8 @@ _TRUTH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 _PATH = (str, "a path")
 _INT = (int, "an integer")
 _FLOAT = (float, "a number")
+_AT_LEAST_1 = (_checked(int, lambda value: value >= 1), "an integer >= 1")
+_EPSILON = (_checked(float, lambda value: 0.0 < value < 0.5), "a number in (0, 0.5)")
 _INTS = (lambda text: tuple(int(x) for x in text.split(",")), "comma-separated integers")
 _BOOL = (lambda text: _TRUTH[text.lower()], f"one of {', '.join(_TRUTH)}")
 _METRIC_NAMES = (_metric_names, f"comma-separated names from {', '.join(METRICS)}")
@@ -121,12 +122,12 @@ KEYS = {
     "inter-cluster-form": _Key(_one_of(INTER_FORMS), PerturbParams.inter_cluster_form,
                                "inter-community rewiring probability", _EVERY),
     "hay-r": _Key(_FLOAT, 0.5, "r/m fraction for the hay baseline", _EVERY),
-    "threads": _Key((_at_least_1, "an integer >= 1"), 1, "linkmirage worker threads", _EVERY),
+    "threads": _Key(_AT_LEAST_1, 1, "linkmirage worker threads", _EVERY),
     "metric": _Key(_METRIC_NAMES, None, "metrics to compute", ("metrics",)),
     "samples": _Key(_INT, 200, "Monte Carlo samples for posteriors", ("metrics",)),
     "l": _Key(_INTS, (2,), "application parameters for ud", ("metrics",)),
     "query": _Key((_query, "'u,v,t'"), None, "link query", ("metrics",)),
-    "epsilon": _Key(_FLOAT, 0.05, "mixing-time threshold", ("metrics",)),
+    "epsilon": _Key(_EPSILON, 0.05, "mixing-time threshold", ("metrics",)),
     "damping": _Key(_FLOAT, 0.85, "pagerank damping", ("metrics",)),
     "lazy": _Key(_BOOL, False, "true to use the lazy chain (P+I)/2", ("metrics",)),
     "f": _Key(_FLOAT, None, "per-node malicious probability", ("eval",)),
@@ -305,10 +306,9 @@ def _structural_rows(settings, params, seq, perturbed, t):
 
 def _spectral_rows(settings, params, seq, perturbed, t):
     def measure(g):
-        try:
-            sm = spectral_metrics(g, epsilon=settings["epsilon"], lazy=settings["lazy"])
-        except ValueError:   # disconnected graphs have no single walk spectrum
+        if not is_connected(g):   # disconnected graphs have no single walk spectrum
             return [("slem", float("nan")), ("mixing-time", float("nan"))]
+        sm = spectral_metrics(g, epsilon=settings["epsilon"], lazy=settings["lazy"])
         tau = float(sm["mixing_time"]) if sm["mixing_converged"] else float("nan")
         return [("slem", sm["slem"]), ("mixing-time", tau)]
     return _per_graph(seq, perturbed, t, measure)

@@ -277,6 +277,16 @@ class TemporalGraphSequence:
 # -- file formats ----------------------------------------------------------
 
 
+def _content_lines(path):
+    """(line number, body, line as read) of each line of an ascii text file
+    whose body, the line without its '#' comment and outer whitespace, is set."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if body:
+                yield lineno, body, line
+
+
 def load_edge_list(path) -> Graph:
     """Read a whitespace-separated edge list ('u v' per line, '#' comments).
 
@@ -286,25 +296,20 @@ def load_edge_list(path) -> Graph:
         On unparseable lines or self-loops, reporting path and line number.
     """
     edges = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'u v', got {line.strip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: vertex ids must be integers, got {line.strip()!r}") from None
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"{path}:{lineno}: vertex ids must be nonnegative")
-            if u == v:
-                raise GraphFormatError(f"{path}:{lineno}: self-loop {u}-{v} rejected")
-            edges.append((u, v))
+    for lineno, body, line in _content_lines(path):
+        parts = body.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'u v', got {line.strip()!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}:{lineno}: vertex ids must be integers, got {line.strip()!r}") from None
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"{path}:{lineno}: vertex ids must be nonnegative")
+        if u == v:
+            raise GraphFormatError(f"{path}:{lineno}: self-loop {u}-{v} rejected")
+        edges.append((u, v))
     return Graph(edges)
 
 
@@ -323,12 +328,7 @@ def load_sequence(manifest_path) -> TemporalGraphSequence:
     directory), in timestamp order.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    paths = []
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        for line in fh:
-            body = line.split("#", 1)[0].strip()
-            if body:
-                paths.append(body if os.path.isabs(body) else os.path.join(base, body))
+    paths = [os.path.join(base, body) for _, body, _ in _content_lines(manifest_path)]
     if not paths:
         raise GraphFormatError(f"{manifest_path}: manifest lists no edge-list files")
     for p in paths:

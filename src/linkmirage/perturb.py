@@ -247,17 +247,12 @@ class _StepPlan:
     def changed_labels(self) -> list:
         return sorted(self.subgraphs)
 
-    def redraws(self, ids) -> bool:
-        """Whether drawing this step takes fresh randomness that can touch ``ids``.
-
-        It does when the community of one of the ids is re-perturbed, or a
-        pair that is not reused lists one of them among its marginal nodes.
-        Otherwise the ids' edges are carried from the previous step.
-        """
-        own = set(self.clustering.label_of(ids).tolist())
-        return bool(own & set(self.diff.changed)) or any(
-            np.isin(ids, np.concatenate([task.nodes_a, task.nodes_b])).any()
-            for task in self.pair_tasks if (task.a, task.b) not in self.reused_pairs)
+    def carries(self, ids) -> bool:
+        """Whether this step copies edges that can touch ``ids``: it does when
+        the community of one of the ids is matched to a previous one. A
+        changed community, and every pair it is in, is drawn fresh."""
+        return bool(set(self.clustering.label_of(ids).tolist())
+                    & {label for _, label in self.diff.unchanged})
 
 
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":

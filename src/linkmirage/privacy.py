@@ -13,10 +13,11 @@ enumeration.
 
 Re-perturbations of the LinkMirage mechanism draw every step through
 ``perturb._sample_step``, the function that makes the release, with the
-sample's previous step as the carried edges. Both estimators share one
-Monte Carlo core, ``_world_counts``, and one bootstrap, ``_bootstrap``:
-``posterior_probability`` reads the prefix match counts and
-``indistinguishability_series`` the per-step counts of innovation steps.
+sample's previous step as the carried edges. The likelihood of a prefix is
+the product, over its runs of dependent steps (``_world_counts``), of the
+joint match frequency within the run, which is exact for both mechanisms.
+``posterior_probability`` is row t of the per-t posterior that
+``indistinguishability_series`` maps to entropy.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class LinkQuery:
         return (min(self.u, self.v), max(self.u, self.v))
 
 
+NEGATIVES_PER_POSITIVE = 1.0    # absent pairs the prior samples per snapshot edge
+
+
 @dataclass(frozen=True)
 class PriorModel:
     """Link-prediction prior: logistic calibration of common-neighbor counts.
@@ -56,15 +60,18 @@ class PriorModel:
     The posterior conditions its hypothesis worlds on the full original
     sequence except the queried link (the worst-case adversary); the prior
     is the calibrated scorer's probability for that link, clipped to
-    [0.01, 0.99].
+    [0.01, 0.99]. ``seed`` draws the calibration's absent pairs.
     """
 
-    negatives_per_positive: float = 1.0
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class PosteriorEstimate:
+    """``likelihood_with`` and ``likelihood_without`` are products, over the
+    prefix's runs of dependent steps, of each run's add-one smoothed joint
+    match frequency (c + 1) / (n + 2)."""
+
     probability: float
     standard_error: float
     samples: int
@@ -127,7 +134,7 @@ def prior_probability(query: LinkQuery, model: PriorModel,
     ends = graph.edge_positions
     pos = ends[(ends[:, 0] != qpair[0]) | (ends[:, 1] != qpair[1])]
     rng = np.random.default_rng(np.random.SeedSequence(model.seed))
-    n_neg = max(1, int(round(model.negatives_per_positive * max(len(pos), 1))))
+    n_neg = max(1, int(round(NEGATIVES_PER_POSITIVE * max(len(pos), 1))))
     neg = _absent_pairs(graph, n_neg, rng, exclude=[qpair])
     pairs = np.concatenate([pos, neg, [qpair]])
     adj = graph.adjacency()
@@ -221,12 +228,12 @@ def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
     """Match counts of the observed prefix 0..t in both hypothesis worlds.
 
     Re-perturbs each world ``n_samples`` times from its own child of ``rng``
-    and returns {present: (prefix, step, innovates)} for present True, then
-    False: prefix[s] counts the samples that match the observation at every
-    step up to s, step[s] those that match at step s, and innovates[s] says
-    whether step s draws fresh randomness that can touch the queried pair.
-    Any other step carries the pair's edges from the step before, so it adds
-    no new evidence. The first step always innovates.
+    and returns {present: (counts, fresh)} for present True, then False.
+    fresh[s] says that step s carries nothing the query's features read:
+    every step of a mechanism without plans, and a LinkMirage step that
+    ``_StepPlan.carries`` does not flag. So a fresh step starts a run of
+    dependent steps, independent of the runs before it, and counts[s] counts
+    the samples that match every step of s's run up to s.
     """
     if n_samples < 100:
         raise ValueError("posterior estimation needs n_samples >= 100")
@@ -236,39 +243,58 @@ def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
     for present in (True, False):
         sampler = _SequenceSampler(_hypothesis_world(seq, query, present), params, mechanism)
         stream = rng.spawn(1)[0]
-        prefix = np.zeros(len(observed), dtype=np.int64)
-        step = np.zeros(len(observed), dtype=np.int64)
-        for _ in range(n_samples):
-            feats = sampler.sample_features(uv, stream)
-            match = np.array([f == o for f, o in zip(feats, observed)], dtype=bool)
-            step += match
-            prefix += np.logical_and.accumulate(match)
-        innovates = ([True] * len(observed) if sampler.plans is None else
-                     [t == 0 or plan.redraws(uv) for t, plan in enumerate(sampler.plans)])
-        out[present] = (prefix, step, innovates)
+        match = np.array([[f == o for f, o in zip(sampler.sample_features(uv, stream), observed)]
+                          for _ in range(n_samples)], dtype=bool)
+        fresh = np.array([True] * len(observed) if sampler.plans is None else
+                         [not plan.carries(uv) for plan in sampler.plans])
+        counts = np.zeros(len(observed), dtype=np.int64)
+        matched = np.ones(n_samples, dtype=bool)
+        for s in range(len(observed)):
+            matched = match[:, s] if fresh[s] else matched & match[:, s]
+            counts[s] = np.count_nonzero(matched)
+        out[present] = (counts, fresh)
     return out
 
 
-def _likelihood(count, n_samples: int) -> float:
-    """Add-one smoothed match frequency."""
-    return (count + 1.0) / (n_samples + 2.0)
-
-
-def _bootstrap(rng: np.random.Generator, counts: dict, n_samples: int) -> dict:
+def _bootstrap(rng: np.random.Generator, worlds: dict, n_samples: int) -> dict:
     """200 binomial bootstrap replicates of each world's match counts,
-    {present: array (200,) + shape of its counts}, drawn for True and then
-    False from one child of ``rng``."""
+    {present: array (200, T)}, drawn for True and then False from one child
+    of ``rng``."""
     boot_rng = rng.spawn(1)[0]
-    return {present: boot_rng.binomial(n_samples, np.asarray(counts[present]) / n_samples,
-                                       size=(200,) + np.shape(counts[present]))
-            for present in (True, False)}
+    return {present: boot_rng.binomial(n_samples, counts / n_samples, size=(200, counts.size))
+            for present, (counts, _) in worlds.items()}
 
 
-def _bayes(prior: float, like_with: float, like_without: float) -> float:
-    denom = prior * like_with + (1.0 - prior) * like_without
-    if denom <= 0.0:
-        return prior
-    return prior * like_with / denom
+def _log_likelihoods(counts: np.ndarray, fresh: np.ndarray, n_samples: int) -> np.ndarray:
+    """Log-likelihood of the observed prefix 0..t for every t on the last axis
+    of ``counts``: the sum, over the runs up to t, of log (c + 1) / (n + 2),
+    the add-one smoothed match frequency at the run's last step up to t."""
+    # math.log, not np.log: the two round differently in the last bit
+    logs = np.vectorize(math.log, otypes=[float])((counts + 1.0) / (n_samples + 2.0))
+    closed = np.cumsum(np.where(fresh[1:], logs[..., :-1], 0.0), axis=-1)
+    return np.concatenate([np.zeros_like(logs[..., :1]), closed], axis=-1) + logs
+
+
+def _bayes_log(prior: float, loglike_with: float, loglike_without: float) -> float:
+    # posterior odds in log space to survive long-horizon products
+    log_odds = math.log(prior / (1.0 - prior)) + loglike_with - loglike_without
+    if log_odds > 35:
+        return 1.0
+    if log_odds < -35:
+        return 0.0
+    return 1.0 / (1.0 + math.exp(-log_odds))
+
+
+def _posteriors(prior: float, worlds: dict, n_samples: int,
+                rng: np.random.Generator) -> tuple:
+    """(posterior at every t, the same for each of 200 bootstrap replicates of
+    the counts as rows of a (200, T) array, log-likelihoods {present: (T,)})."""
+    boot = _bootstrap(rng, worlds, n_samples)
+    loglike = {present: _log_likelihoods(np.vstack([counts, boot[present]]), fresh, n_samples)
+               for present, (counts, fresh) in worlds.items()}
+    rows = np.vectorize(lambda with_, without: _bayes_log(prior, with_, without),
+                        otypes=[float])(loglike[True], loglike[False])
+    return rows[0], rows[1:], {present: rows_[0] for present, rows_ in loglike.items()}
 
 
 def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
@@ -279,27 +305,27 @@ def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
 
     Builds the two hypothesis worlds (original prefix with the link forced
     present/absent), estimates the likelihood of the observed perturbed
-    prefix under each by the feature surrogate over ``n_samples`` fresh
-    re-perturbations, and combines with the calibrated prior. The standard
-    error comes from a binomial bootstrap of the two match counts.
+    prefix under each over ``n_samples`` fresh re-perturbations, and combines
+    with the calibrated prior: row t of the posterior series that
+    ``indistinguishability_series`` reads. The standard error comes from a
+    binomial bootstrap of the match counts. The estimate is degenerate when
+    some step matched no sample of either world.
     """
     prior = prior_probability(query, model, seq)
     worlds = _world_counts(seq, query, perturbed, params, mechanism, n_samples, rng)
-    counts = {present: int(prefix[query.t]) for present, (prefix, _, _) in worlds.items()}
-    like1, like0 = _likelihood(counts[True], n_samples), _likelihood(counts[False], n_samples)
-    post = _bayes(prior, like1, like0)
-
-    boot = _bootstrap(rng, counts, n_samples)
-    se = float(np.std([_bayes(prior, _likelihood(x1, n_samples), _likelihood(x0, n_samples))
-                       for x1, x0 in zip(boot[True], boot[False])]))
-    degenerate = counts[True] == 0 and counts[False] == 0
+    post, boot, loglike = _posteriors(prior, worlds, n_samples, rng)
+    t = query.t
+    probability = float(post[t])
+    se = float(np.std(boot[:, t]))
+    degenerate = bool(((worlds[True][0] == 0) & (worlds[False][0] == 0)).any())
     if degenerate:
         se = max(se, 0.25)
     # keep probability +- 2*SE inside the [-0.05, 1.05] sanity band
-    se = min(se, (1.05 - post) / 2.0, (post + 0.05) / 2.0)
-    return PosteriorEstimate(probability=float(post), standard_error=se,
+    se = min(se, (1.05 - probability) / 2.0, (probability + 0.05) / 2.0)
+    return PosteriorEstimate(probability=probability, standard_error=se,
                              samples=n_samples, prior=prior,
-                             likelihood_with=like1, likelihood_without=like0,
+                             likelihood_with=math.exp(loglike[True][t]),
+                             likelihood_without=math.exp(loglike[False][t]),
                              degenerate=degenerate)
 
 
@@ -313,16 +339,6 @@ def indistinguishability(posterior: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def _bayes_log(prior: float, loglike_with: float, loglike_without: float) -> float:
-    # posterior odds in log space to survive long-horizon products
-    log_odds = math.log(prior / (1.0 - prior)) + loglike_with - loglike_without
-    if log_odds > 35:
-        return 1.0
-    if log_odds < -35:
-        return 0.0
-    return 1.0 / (1.0 + math.exp(-log_odds))
-
-
 def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechanism: dict,
                                 query: LinkQuery, model: PriorModel,
                                 params: PerturbParams, n_samples: int,
@@ -330,11 +346,9 @@ def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechani
     """Entropy of the posterior per timestamp for each mechanism.
 
     ``perturbed_by_mechanism`` maps mechanism name ('linkmirage'/'static') to
-    its observed perturbed sequence. The prefix likelihood factorizes over
-    innovation steps: perturbations are independent across timestamps given
-    the hypothesis world, and a verbatim-reused step replicates the queried
-    pair's feature deterministically (factor 1). One batch of
-    re-perturbations per world serves every prefix. Returns
+    its observed perturbed sequence. One batch of re-perturbations per world
+    serves every prefix: row t is the posterior ``posterior_probability``
+    gives at t, with the prior of the last timestamp. Returns
     {mechanism: [(t, entropy_bits, entropy_se), ...]}.
     """
     horizon = len(seq)
@@ -343,24 +357,9 @@ def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechani
     out = {}
     for mech, perturbed in perturbed_by_mechanism.items():
         worlds = _world_counts(seq, full_query, perturbed, params, mech, n_samples, rng)
-        boot = _bootstrap(rng, {present: step for present, (_, step, _) in worlds.items()},
-                          n_samples)
-
-        def prefix_loglike(present, t, step_counts):
-            total = 0.0
-            for s in range(t + 1):
-                if worlds[present][2][s]:
-                    total += math.log(_likelihood(step_counts[s], n_samples))
-            return total
-
-        def entropy(t, with_counts, without_counts):
-            return indistinguishability(_bayes_log(
-                prior, prefix_loglike(True, t, with_counts),
-                prefix_loglike(False, t, without_counts)))
-
-        out[mech] = [(t, entropy(t, worlds[True][1], worlds[False][1]),
-                      float(np.std([entropy(t, x1, x0)
-                                    for x1, x0 in zip(boot[True], boot[False])])))
+        post, boot, _ = _posteriors(prior, worlds, n_samples, rng)
+        out[mech] = [(t, indistinguishability(post[t]),
+                      float(np.std([indistinguishability(p) for p in boot[:, t]])))
                      for t in range(horizon)]
     return out
 

@@ -11,6 +11,7 @@ from linkmirage import (Graph, PerturbParams, SybilScenario, TemporalGraphSequen
                         ring_of_blocks, sampling_probability, sampling_report,
                         sybil_eval, union_graph)
 from linkmirage.appeval import _reverse_positions, count_attack_edges
+from test_perturb import time_limit
 
 
 # -- attack probability ---------------------------------------------------------
@@ -276,6 +277,25 @@ def test_sybil_eval_memory_stays_linear_in_the_graph():
 def reference_attack_edges(graph, honest_ids):
     honest = set(int(v) for v in honest_ids)
     return sum(1 for u, v in graph.edges.tolist() if (u in honest) != (v in honest))
+
+
+@pytest.mark.parametrize("sybil_size, attack_edges", [(2, 7), (0, 1)])
+def test_sybil_scenario_that_cannot_be_built_is_rejected(sybil_size, attack_edges):
+    # 3 honest x 2 Sybil vertices give 6 distinct attack-edge pairs; building 7
+    # would never finish
+    honest = Graph([(0, 1), (1, 2)])
+    with time_limit(10), pytest.raises(ValueError):
+        SybilScenario(honest_graph=honest, sybil_size=sybil_size, attack_edges=attack_edges,
+                      walk_length=2, routes_per_node=2).build_combined(np.random.default_rng(0))
+
+
+def test_sybil_scenario_with_every_attack_pair_builds():
+    honest = Graph([(0, 1), (1, 2)])
+    scenario = SybilScenario(honest_graph=honest, sybil_size=2, attack_edges=6,
+                             walk_length=2, routes_per_node=2)
+    with time_limit(10):
+        combined = scenario.build_combined(np.random.default_rng(0))
+    assert count_attack_edges(combined, honest.vertices) == 6
 
 
 def test_attack_edge_count_matches_per_edge_loop():

@@ -9,6 +9,7 @@ from linkmirage import (Graph, SybilScenario, TemporalGraphSequence, anti_aggreg
                         load_edge_list, load_sequence, perturb_static_baseline_sequence,
                         planted_partition_graph, sybil_eval, write_edge_list)
 from linkmirage.cli import KEYS, MECHANISMS, METRICS, main
+from test_perturb import time_limit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -146,7 +147,10 @@ BAD_VALUES = {"mechanism": "bogus", "k": "two", "m": "1.5", "theta": "x", "seed"
 @pytest.mark.parametrize("flags, conf", [(["--l", "abc"], ""), (["--l", "1,,2"], ""),
                                          ([], "samples = x\n")]
                          + [([f"--{key}", bad], "") for key, bad in BAD_VALUES.items()]
-                         + [([], f"{key} = {bad}\n") for key, bad in BAD_VALUES.items()])
+                         + [([], f"{key} = {bad}\n") for key, bad in BAD_VALUES.items()]
+                         # a mixing-time threshold lies in (0, 0.5)
+                         + [(["--epsilon", bad], "") for bad in ("-1", "0.7")]
+                         + [([], f"epsilon = {bad}\n") for bad in ("-1", "0.7")])
 def test_metrics_malformed_l_or_samples_exit2_for_any_metric(workspace, tmp_path, capsys,
                                                               flags, conf):
     # a flag and a config line go through the same parser
@@ -266,6 +270,19 @@ def test_eval_missing_scenario_file_exit2(workspace, tmp_path):
     assert main(["perturb"] + args) == 0
     rc = main(["eval"] + args + ["--scenario", str(tmp_path / "nope.cfg")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("regions, g", [(0, 1), (2, 33)])
+def test_eval_sybil_scenario_that_cannot_be_built_exit2(workspace, tmp_path, regions, g):
+    # 16 honest vertices and 2 Sybil ones have 32 attack-edge pairs
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    scenario = tmp_path / "sybil.cfg"
+    scenario.write_text(f"regions = {regions}\ng = {g}\nw = 4\nr = 4\nseeds = 1\n")
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    with time_limit(10):
+        assert main(["eval"] + args + ["--scenario", str(scenario)]) == 2
 
 
 def test_metrics_query_vertex_absent_exit2(workspace, tmp_path):
@@ -458,28 +475,28 @@ PERTURB_PINS = {
 }
 METRICS_PINS = {
     "linkmirage": {
-        "metrics.csv": "02d954b73d1556ad",
-        "metrics.json": "5d12f6eaaba6d948",
+        "metrics.csv": "42f0cb091d68eb5c",
+        "metrics.json": "0aa517fac561542f",
         "utility_l1.csv": "e5afa3d99c955feb",
         "utility_l2.csv": "d256b4935b063997"},
     "static-baseline": {
-        "metrics.csv": "c69a59c5956d195a",
-        "metrics.json": "6e211f6c5d99170e",
+        "metrics.csv": "74599b7792b8cf3f",
+        "metrics.json": "6002628158a8b383",
         "utility_l1.csv": "f3cf137a74847260",
         "utility_l2.csv": "96ad44c7daada04f"},
     "hay-baseline": {
-        "metrics.csv": "0d63b9cf232ce43a",
-        "metrics.json": "4264f701be6a7331",
+        "metrics.csv": "f33d19086e07b542",
+        "metrics.json": "f76c5fd2db20a0ab",
         "utility_l1.csv": "ffa1f8e53cc7bb60",
         "utility_l2.csv": "5bc37d67a0afe91b"},
 }
 METRIC_PINS = {
     "anti-inference": {
-        "metrics.csv": "56c4721b3a0972de",
-        "metrics.json": "40d10f8a20fb6c59"},
+        "metrics.csv": "235dab238b57101a",
+        "metrics.json": "2b2531658df027c5"},
     "indistinguishability": {
-        "metrics.csv": "268d7cb70ea58458",
-        "metrics.json": "c4896bc8188a57f4"},
+        "metrics.csv": "3beceac16c180f50",
+        "metrics.json": "55973dd1c3a5d02f"},
     "anti-aggregation": {
         "metrics.csv": "be7610efa358166b",
         "metrics.json": "c78e80734e529d8a"},

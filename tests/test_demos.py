@@ -16,7 +16,7 @@ STDOUT_SHA256 = {
     "perturbation_demo.py": "e38764756b2fd29329bc36fbf5391c259a9775170c6a42699d3f3160c34592e0",
     "utility_demo.py": "3db018b2e7a45599bb004fc9b1eeca08585760afa28d376e4df222fe59317f9c",
     "applications_demo.py": "1e96cf99d972967ac4c7c8fd3d573dc5b5f37f56e39ca93f7de6c4cbbe8fecb3",
-    "privacy_demo.py": "c63bf547a132bf601feb450704d2ec7610427d62efb54612d8b8294964c4e5f7",
+    "privacy_demo.py": "2e8adacbb2f8329550f094790f07a4744099f54d2f62923e1cbd2b887b90e67e",
 }
 
 

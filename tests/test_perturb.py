@@ -502,28 +502,46 @@ def test_carry_filter_matches_the_membership_rule(m, theta):
     assert (moved > 0) == (theta < 1.0)
 
 
-def reference_innovation(plan, uv):
-    """Oracle: a step innovates when the community of u or v is re-perturbed,
-    or a non-reused inter pair lists u or v among its marginal nodes."""
-    own = set(plan.clustering.label_of(uv).tolist())
-    return bool(own & set(plan.diff.changed)) or any(
-        np.isin(uv, np.concatenate([task.nodes_a, task.nodes_b])).any()
-        for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs)
+def reference_carries(plan, uv):
+    """Oracle: a step carries edges the pair's features read when u or v is a
+    member of a current community matched to a previous one."""
+    return any(set(uv) & plan.clustering.communities[label] for _, label in plan.diff.unchanged)
 
 
-@pytest.mark.parametrize("seq, pairs", [
-    (small_overlap_sequence(), [(0, 1), (1, 2), (20, 21), (5, 45), (0, 25), (3, 61)]),
-    (moved_vertex_sequence(), [(5, 4), (5, 7), (4, 7), (0, 11)]),
+def edges_at(edges, uv):
+    """The canonical edges of a draw that touch u or v."""
+    edges = _canonical_edges(edges)
+    return edges[np.isin(edges, uv).any(axis=1)]
+
+
+# the moved-vertex blocks are both matched at t=1, so only t=0 is fresh there
+@pytest.mark.parametrize("seq, pairs, fresh_later", [
+    (small_overlap_sequence(), [(0, 1), (1, 2), (20, 21), (5, 45), (0, 25), (3, 61)], True),
+    (moved_vertex_sequence(), [(5, 4), (5, 7), (4, 7), (0, 11)], False),
 ])
-def test_redraws_matches_the_innovation_rule(seq, pairs):
+def test_carries_matches_the_matched_community_rule(seq, pairs, fresh_later):
     params = PerturbParams(k=2, m=1, theta=0.7, seed=3)
-    flags = []
+    rng = np.random.default_rng(0)
+    flags, fresh_after_t0 = [], 0
     for (u, v), present in itertools.product(pairs, (True, False)):
         world = _hypothesis_world(seq, LinkQuery(t=len(seq) - 1, u=u, v=v), present)
+        carried = None
         for plan in _SequenceSampler(world, params, "linkmirage").plans:
-            flags.append(plan.redraws((u, v)))
-            assert flags[-1] == reference_innovation(plan, (u, v))
+            flags.append(plan.carries((u, v)))
+            assert flags[-1] == reference_carries(plan, (u, v))
+            if carried is not None and not flags[-1]:
+                # a step that carries nothing at u or v draws the same edges
+                # there whatever the step before it drew
+                seed = int(rng.integers(1 << 32))
+                drawn = [edges_at(_step_edges(*_sample_step(plan, prev, params,
+                                                            np.random.default_rng(seed))),
+                                  [u, v])
+                         for prev in (carried, ({}, {}))]
+                assert np.array_equal(*drawn)
+                fresh_after_t0 += 1
+            carried = _sample_step(plan, carried, params, rng)
     assert True in flags and False in flags
+    assert (fresh_after_t0 > 0) == fresh_later
 
 
 @pytest.mark.parametrize("m", [0, 1])

@@ -15,7 +15,7 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         posterior_probability, prior_probability, transition_matrix,
                         tv_distance)
 from linkmirage import privacy
-from linkmirage.perturb import _sample_step, _step_edges
+from linkmirage.perturb import _plan_chain, _sample_step, _step_edges
 from linkmirage.privacy import _SequenceSampler, _edge_feature, fit_logistic_1d
 
 
@@ -74,7 +74,7 @@ def reference_prior(query, model, seq):
     qpair = query.pair
     pos_pairs = [(u, v) for u, v in graph.edges.tolist() if (u, v) != qpair]
     rng = np.random.default_rng(np.random.SeedSequence(model.seed))
-    n_neg = max(1, int(round(model.negatives_per_positive * max(len(pos_pairs), 1))))
+    n_neg = max(1, int(round(privacy.NEGATIVES_PER_POSITIVE * max(len(pos_pairs), 1))))
     ids = graph.vertices
     existing = set(map(tuple, graph.edges.tolist()))
     neg_pairs, seen, attempts = [], set(), 0
@@ -98,7 +98,7 @@ def reference_prior(query, model, seq):
     return float(min(max(prob, 0.01), 0.99))
 
 
-def test_prior_matches_the_pairwise_loop(rng):
+def test_prior_matches_the_pairwise_loop(monkeypatch, rng):
     for trial in range(25):
         n = int(rng.integers(3, 25))
         base = random_graph(n, rng.uniform(0.05, 0.9), rng, ensure_edge=True)
@@ -107,7 +107,8 @@ def test_prior_matches_the_pairwise_loop(rng):
         # the queried pair is an edge in some trials and absent in others
         u, v = (int(x) for x in rng.choice(ids, size=2, replace=False))
         query = LinkQuery(t=0, u=u, v=v)
-        model = PriorModel(seed=trial, negatives_per_positive=rng.choice([0.5, 1.0, 3.0]))
+        monkeypatch.setattr(privacy, "NEGATIVES_PER_POSITIVE", rng.choice([0.5, 1.0, 3.0]))
+        model = PriorModel(seed=trial)
         assert prior_probability(query, model, seq) == reference_prior(query, model, seq)
 
 
@@ -231,6 +232,152 @@ def test_posterior_matches_enumeration(name):
     assert est.prior == prior
 
 
+# -- posterior at t = 1: exactness against enumeration of both steps -------------
+
+
+def walk_distribution(graph, uv):
+    """Exact distribution of the fake edges touching u or v that one k = 1
+    static pass over ``graph`` draws, as {frozenset of canonical edges: p}.
+    A k = 1 walk never returns to its start, so no redraw is enumerated."""
+    touches = set(uv).intersection
+    dist = {frozenset(): 1.0}
+    for a, b in graph.edges.tolist():
+        outcomes = {}
+        for start in (a, b):
+            nbrs = graph.neighbors(start).tolist()
+            for w in nbrs:
+                edge = (min(start, w), max(start, w)) if touches((start, w)) else None
+                outcomes[edge] = outcomes.get(edge, 0.0) + 0.5 / len(nbrs)
+        nxt = {}
+        for edges, p in dist.items():
+            for edge, q in outcomes.items():
+                key = edges | {edge} if edge else edges
+                nxt[key] = nxt.get(key, 0.0) + p * q
+        dist = nxt
+    return dist
+
+
+def pair_distribution(task, form, uv):
+    """Exact distribution of the rewired cells of one pair that touch u or v."""
+    dist = {frozenset(): 1.0}
+    grid = task.probabilities(form)
+    for (i, a), (j, b) in itertools.product(enumerate(task.nodes_a.tolist()),
+                                            enumerate(task.nodes_b.tolist())):
+        if {a, b} & set(uv):
+            p, nxt = float(grid[i, j]), {}
+            for edges, q in dist.items():
+                on = edges | {(min(a, b), max(a, b))}
+                nxt[on] = nxt.get(on, 0.0) + q * p
+                nxt[edges] = nxt.get(edges, 0.0) + q * (1.0 - p)
+            dist = nxt
+    return dist
+
+
+def enumerated_feature(edges, uv):
+    u, v = uv
+    return (int((min(uv), max(uv)) in edges),
+            sum(u in e for e in edges) // privacy.DEGREE_BIN,
+            sum(v in e for e in edges) // privacy.DEGREE_BIN)
+
+
+def exact_likelihood(world, params, uv, observed):
+    """Exact probability of the observed feature sequence in a LinkMirage
+    hypothesis world at k = 1. Tracks, per grouped entry of each step's draw,
+    the set of edges touching u or v: a fresh entry is enumerated, a carried
+    one is the previous step's entry minus the edges of members who left."""
+    mass = {(): 1.0}   # entries of the draws that match so far -> probability
+    for plan, obs in zip(_plan_chain(world, params), observed):
+        fresh = [(("intra", label), walk_distribution(plan.subgraphs[label], uv))
+                 for label in plan.changed_labels]
+        fresh += [(("inter", (task.a, task.b)),
+                   pair_distribution(task, params.inter_cluster_form, uv))
+                  for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs]
+        keys = [key for key, _ in fresh]
+        nxt = {}
+        for entries, p in mass.items():
+            prev = dict(entries)
+
+            def carry(key, *prev_labels):
+                gone = {x for label in prev_labels for x in plan.left.get(label, [])}
+                return frozenset(e for e in prev.get(key, ()) if not gone & set(e))
+
+            carried = [(("intra", label), carry(("intra", prev_label), prev_label))
+                       for prev_label, label in plan.diff.unchanged]
+            carried += [(("inter", pair), carry(("inter", key), *key))
+                        for pair, key in plan.reused_pairs.items()]
+            for combo in itertools.product(*(d.items() for _, d in fresh)):
+                drawn = carried + [(key, edges) for key, (edges, _) in zip(keys, combo)]
+                if enumerated_feature(set().union(*(e for _, e in drawn)), uv) == obs:
+                    state = tuple(sorted(drawn))
+                    nxt[state] = nxt.get(state, 0.0) + p * math.prod(q for _, q in combo)
+        mass = nxt
+    return sum(mass.values())
+
+
+def bridged_blocks(*extra, drop=()):
+    """Triangles {0, 1, 2} and {3, 4, 5} bridged by (2, 3), edited."""
+    base = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+    return Graph([e for e in base + list(extra) if e not in drop and not set(e) & set(drop)])
+
+
+def reuses_query_block(plan, uv):
+    # u's block is matched; a pair listing u is redrawn
+    return plan.carries(uv) and any(
+        uv[0] in np.concatenate([task.nodes_a, task.nodes_b])
+        for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs)
+
+
+def reuses_pair_at_u(plan, uv):
+    return any(uv[0] in np.concatenate([task.nodes_a, task.nodes_b])
+               for task in plan.pair_tasks if (task.a, task.b) in plan.reused_pairs)
+
+
+def member_leaves_u(plan, uv):
+    prev_of_u = plan.diff.prev_for.get(int(plan.clustering.label_of(uv[0])))
+    return prev_of_u in plan.left
+
+
+# (t = 0 snapshot, t = 1 snapshot, params, query (u, v), shape of step 1 in
+# both hypothesis worlds); the observation is the release at seed 0
+T1_CASES = {
+    "query-block-reused-pair-redrawn": (
+        bridged_blocks(drop=(5,)), bridged_blocks(), dict(theta=1.0), (2, 0),
+        reuses_query_block),
+    "reused-pair-at-u": (
+        bridged_blocks(), bridged_blocks((1, 4)), {}, (2, 0), reuses_pair_at_u),
+    # 1 leaves u's block and u moves into it from v's
+    "member-leaves": (
+        bridged_blocks(), Graph([(0, 2), (2, 3), (2, 4), (3, 5)]), dict(theta=0.5), (4, 5),
+        member_leaves_u),
+    "both-blocks-changed": (
+        bridged_blocks(), bridged_blocks(drop=[(0, 2), (1, 2)]), {}, (4, 5),
+        lambda plan, uv: not plan.carries(uv)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(T1_CASES))
+def test_posterior_matches_enumeration_at_t1(monkeypatch, case):
+    # bins of width 1 keep every degree the walks can change in the feature
+    monkeypatch.setattr(privacy, "DEGREE_BIN", 1)
+    g0, g1, settings, uv, shape = T1_CASES[case]
+    seq = TemporalGraphSequence([g0, g1])
+    params = PerturbParams(k=1, seed=0, **settings)
+    query = LinkQuery(t=1, u=uv[0], v=uv[1])
+    observed = linkmirage_sequence(seq, params)
+    features = privacy.observed_features(observed, query)
+    like = {}
+    for present in (True, False):
+        world = privacy._hypothesis_world(seq, query, present)
+        assert shape(_plan_chain(world, params)[1], uv)
+        like[present] = exact_likelihood(world, params, uv, features)
+    model = PriorModel(seed=5)
+    prior = prior_probability(query, model, seq)
+    expected = prior * like[True] / (prior * like[True] + (1 - prior) * like[False])
+    est = posterior_probability(query, seq, observed, model, params, 10_000,
+                                np.random.default_rng(99))
+    assert abs(est.probability - expected) <= 0.02
+
+
 def test_posterior_equal_likelihoods_returns_prior():
     g = Graph([(0, 1), (1, 2)])
     seq = TemporalGraphSequence([g])
@@ -337,10 +484,10 @@ def _pinned_inputs():
 
 
 @pytest.mark.parametrize("mech, fields", [
-    ("linkmirage", (0.7605624974574272, 0.09121098814085515, 100, 0.5142845033165181,
-                    0.029411764705882353, 0.00980392156862745, False)),
-    ("static", (0.6792442268149151, 0.10484552205258854, 100, 0.5142845033165181,
-                0.0196078431372549, 0.00980392156862745, False)),
+    ("linkmirage", (0.943363217006526, 0.02362595365547823, 100, 0.5142845033165181,
+                    0.021168328923264798, 0.0013456362937331809, False)),
+    ("static", (0.7552438591209992, 0.11362274341001942, 100, 0.5142845033165181,
+                0.006535947712418302, 0.002242727156221968, False)),
 ])
 def test_posterior_outputs_pinned(monkeypatch, mech, fields):
     monkeypatch.setattr(privacy, "DEGREE_BIN", 8)
@@ -356,9 +503,9 @@ def test_indistinguishability_series_pinned():
     series = indistinguishability_series(seq, observed, query, model, params, 100,
                                          np.random.default_rng(9))
     assert series == {
-        "linkmirage": [(0, 0.9949052316391817, 0.02326651120145236),
-                       (1, 0.9519972322809956, 0.12817340451138115),
-                       (2, 0.5721044777317448, 0.2056531289092397)],
+        "linkmirage": [(0, 0.9949052316391817, 0.026291532416618423),
+                       (1, 0.9519972322809956, 0.13638847119676437),
+                       (2, 0.9993038870046398, 0.08417332251066055)],
         "static": [(0, 0.9052014402531667, 0.13576789938327105),
                    (1, 0.987465589766094, 0.11778403095721308),
                    (2, 0.9874655897660941, 0.11778403095721311)]}

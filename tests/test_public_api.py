@@ -30,6 +30,8 @@ def test_every_exported_name_resolves_once():
     ("linkmirage.privacy", "common_neighbors"),
     ("linkmirage.cli", "_community_tv"),
     ("linkmirage.clustering", "_GreedyMerger"),
+    ("linkmirage.privacy", "_bayes"),
+    ("linkmirage.privacy", "_likelihood"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
@@ -64,8 +66,12 @@ def test_step_plan_has_one_membership_map():
     assert "left" in names and "present" not in names
 
 
+def test_step_plan_has_one_dependence_rule():
+    assert hasattr(_StepPlan, "carries") and not hasattr(_StepPlan, "redraws")
+
+
 def test_prior_model_holds_only_what_varies():
-    assert [f.name for f in dataclasses.fields(PriorModel)] == ["negatives_per_positive", "seed"]
+    assert [f.name for f in dataclasses.fields(PriorModel)] == ["seed"]
 
 
 def test_link_query_holds_only_what_is_set():
