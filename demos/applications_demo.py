@@ -7,10 +7,10 @@ a Sybil-defense protocol run on the released topology.
 
 import numpy as np
 
-from linkmirage import (PerturbParams, SybilScenario, attack_probability,
-                        er_graph, evolving_sequence, linkmirage_sequence,
-                        linkmirage_step, perturb_static_baseline_sequence,
-                        sampling_report, sybil_eval)
+from linkmirage import (PerturbParams, SybilScenario, TemporalGraphSequence,
+                        attack_probability, er_graph, evolving_sequence,
+                        linkmirage_run, linkmirage_sequence,
+                        perturb_static_baseline_sequence, sampling_report, sybil_eval)
 from linkmirage.appeval import count_attack_edges
 
 
@@ -43,7 +43,8 @@ def main():
     scenario = SybilScenario(honest_graph=honest, sybil_size=25, attack_edges=8,
                              walk_length=12, routes_per_node=70)
     combined = scenario.build_combined(np.random.default_rng(4))
-    released, _ = linkmirage_step(combined, None, PerturbParams(k=2, seed=3))
+    (released,), _ = linkmirage_run(TemporalGraphSequence([combined]),
+                                    PerturbParams(k=2, seed=3))
     for name, graph in (("original", combined), ("released", released)):
         result = sybil_eval(scenario, graph, np.random.default_rng(8))
         print(f"  {name:9s} false positive rate {result['false_positive_rate']:.3f}, "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -56,17 +57,6 @@ class MissingArtifactError(RuntimeError):
     pass
 
 
-def read_config_file(path) -> dict:
-    """Plain 'key = value' lines, '#' comments; keys mirror the CLI flags."""
-    out = {}
-    for lineno, body, _ in _content_lines(path):
-        if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = body.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
 # A kind is (parse, what it must be): ``parse`` maps a flag's or a config
 # line's text to the typed value and raises ValueError or KeyError on a bad one.
 
@@ -100,6 +90,8 @@ _PATH = (str, "a path")
 _INT = (int, "an integer")
 _FLOAT = (float, "a number")
 _AT_LEAST_1 = (_checked(int, lambda value: value >= 1), "an integer >= 1")
+_SEED = (_checked(int, lambda value: value >= 0), "an integer >= 0")
+_FRACTION = (_checked(float, lambda value: 0.0 <= value <= 1.0), "a number in [0, 1]")
 _EPSILON = (_checked(float, lambda value: 0.0 < value < 0.5), "a number in (0, 0.5)")
 _INTS = (lambda text: tuple(int(x) for x in text.split(",")), "comma-separated integers")
 _BOOL = (lambda text: _TRUTH[text.lower()], f"one of {', '.join(_TRUTH)}")
@@ -118,10 +110,10 @@ KEYS = {
     "k": _Key(_INT, PerturbParams.k, "random-walk perturbation length", _EVERY),
     "m": _Key(_INT, PerturbParams.m, "freeing radius for re-clustering", _EVERY),
     "theta": _Key(_FLOAT, PerturbParams.theta, "unchanged-community overlap threshold", _EVERY),
-    "seed": _Key(_INT, PerturbParams.seed, "root of every random stream", _EVERY),
+    "seed": _Key(_SEED, PerturbParams.seed, "root of every random stream", _EVERY),
     "inter-cluster-form": _Key(_one_of(INTER_FORMS), PerturbParams.inter_cluster_form,
                                "inter-community rewiring probability", _EVERY),
-    "hay-r": _Key(_FLOAT, 0.5, "r/m fraction for the hay baseline", _EVERY),
+    "hay-r": _Key(_FRACTION, 0.5, "r/m fraction for the hay baseline", _EVERY),
     "threads": _Key(_AT_LEAST_1, 1, "linkmirage worker threads", _EVERY),
     "metric": _Key(_METRIC_NAMES, None, "metrics to compute", ("metrics",)),
     "samples": _Key(_INT, 200, "Monte Carlo samples for posteriors", ("metrics",)),
@@ -137,30 +129,45 @@ KEYS = {
 # the keys that determine a release, besides its input snapshots
 _RELEASE_KEYS = ("mechanism", "hay-r", *(f.name.replace("_", "-") for f in fields(PerturbParams)))
 
+# Every key of a Sybil scenario file and its kind; all but ``seeds`` (default:
+# the release seed) are required.
+SCENARIO_KEYS = {"regions": _INT, "g": _INT, "w": _INT, "r": _INT, "seeds": _SEED}
 
-def _parse(key, text, where):
-    parse, must_be = KEYS[key].kind
+
+def _parse(kind, key, text, where):
+    parse, must_be = kind
     try:
         return parse(text)
     except (ValueError, KeyError):
         raise ConfigError(f"{where}{key} must be {must_be}, got {text!r}") from None
 
 
+def read_config_file(path, kinds) -> dict:
+    """The typed values of a file of 'key = value' lines and '#' comments, each
+    key one of ``kinds`` (key -> kind). A bad line, an unknown key and a bad
+    value each raise a ConfigError that names the file, the line and the key."""
+    given = {}
+    for lineno, body, _ in _content_lines(path):
+        key, eq, text = (part.strip() for part in body.partition("="))
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in kinds:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key}")
+        given[key] = _parse(kinds[key], key, text, f"{path}:{lineno}: ")
+    return given
+
+
 def _settings(args: argparse.Namespace, required=()) -> dict:
     """Every key the command accepts, typed: a flag overrides the config file,
     which overrides the key's default; each key in ``required`` must be given."""
-    keys = [key for key, spec in KEYS.items() if args.command in spec.stages]
-    file_conf = read_config_file(args.config) if args.config else {}
-    unknown = set(file_conf) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    given = {key: _parse(key, text, f"{args.config}: ") for key, text in file_conf.items()}
-    given.update({key: _parse(key, vars(args)[key], "--") for key in keys
+    kinds = {key: spec.kind for key, spec in KEYS.items() if args.command in spec.stages}
+    given = read_config_file(args.config, kinds) if args.config else {}
+    given.update({key: _parse(kind, key, vars(args)[key], "--") for key, kind in kinds.items()
                   if vars(args)[key] is not None})
     missing = [key for key in required if key not in given]
     if missing:
         raise ConfigError(f"{args.command} needs --{missing[0]}")
-    return {key: given[key] if key in given else KEYS[key].default for key in keys}
+    return {key: given[key] if key in given else KEYS[key].default for key in kinds}
 
 
 def provenance(settings, seq) -> tuple[str, dict]:
@@ -385,7 +392,11 @@ def cmd_eval(args) -> int:
     rows = []
 
     if settings["f"] is not None:
-        targets = settings["target"] or (int(seq[0].vertices[0]),)
+        # the default target is the smallest vertex present in every snapshot
+        common = functools.reduce(np.intersect1d, [g.vertices for g in perturbed])
+        targets = settings["target"] or tuple(common[:1].tolist())
+        if not targets:
+            raise ConfigError("no vertex is in every snapshot, so --f needs a --target")
         for v in targets:
             if not all(g.has_vertex(v) for g in perturbed):
                 raise ConfigError(f"--target vertex {v} is not in every snapshot")
@@ -399,19 +410,17 @@ def cmd_eval(args) -> int:
     rows.append((len(seq) - 1, "sampling-outside-envelope", float(sr.outside_envelope)))
 
     if settings["scenario"] is not None:
-        if not os.path.exists(settings["scenario"]):
-            raise ConfigError(f"scenario file not found: {settings['scenario']}")
-        sc = read_config_file(settings["scenario"])
-        try:
-            scenario = SybilScenario(honest_graph=seq[0],
-                                     sybil_size=int(sc["regions"]),
-                                     attack_edges=int(sc["g"]),
-                                     walk_length=int(sc["w"]),
-                                     routes_per_node=int(sc["r"]))
-            seed = int(sc.get("seeds", params.seed))
-        except KeyError as exc:
-            raise ConfigError(f"scenario file missing key {exc}") from exc
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+        path = settings["scenario"]
+        if not os.path.exists(path):
+            raise ConfigError(f"scenario file not found: {path}")
+        sc = {"seeds": params.seed, **read_config_file(path, SCENARIO_KEYS)}
+        missing = [key for key in SCENARIO_KEYS if key not in sc]
+        if missing:
+            raise ConfigError(f"{path}: missing key {missing[0]}")
+        scenario = SybilScenario(honest_graph=seq[0], sybil_size=sc["regions"],
+                                 attack_edges=sc["g"], walk_length=sc["w"],
+                                 routes_per_node=sc["r"])
+        rng = np.random.default_rng(np.random.SeedSequence(sc["seeds"], spawn_key=(101,)))
         combined = TemporalGraphSequence([scenario.build_combined(rng)])
         (g_prime,), _ = _release(combined, params, settings)
         result = sybil_eval(scenario, g_prime, rng)

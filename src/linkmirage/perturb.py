@@ -8,15 +8,16 @@ endpoint makes the start distribution stationary, which is what preserves
 every vertex's expected degree exactly, for any k.
 
 The dynamic pipeline re-clusters each snapshot against the previous one,
-copies the previous release, grouped by the previous partition's labels, for
-unchanged communities and for inter-community pairs whose both sides are
-unchanged, and re-perturbs only what changed. So a record holds only the
-partition; its edges are the release's. A copied edge is kept only while
-both endpoints stay in the matched communities. Below theta = 1 a match may
-gain members; a joiner gets no copied edge there and is perturbed fresh when
-its community next changes.
-A step is laid out once as a deterministic plan and drawn by one function,
-``_sample_step``, which the posterior and the degree check call too.
+copies the previous step's draw for unchanged communities and for
+inter-community pairs whose both sides are unchanged, and re-perturbs only
+what changed. So a record holds only the partition; its edges are the
+release's. A copied edge is kept only while both endpoints stay in the
+matched communities. Below theta = 1 a match may gain members; a joiner gets
+no copied edge there and is perturbed fresh when its community next changes.
+A step is laid out once as a deterministic plan (``_plan_chain``) and drawn
+by one function, ``_sample_step``; ``_draws`` folds it over the plans,
+carrying each draw into the next. The release and the posterior run that
+one fold, and the degree check draws through ``_sample_step`` too.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class PerturbParams:
 class PerturbationRecord:
     """The partition of one timestamp.
 
-    Reuse at t+1 copies the release of t grouped by this partition's labels
-    (``group_edges``), so the record holds only the partition.
+    The release's edges are the step's draw, keyed by these labels
+    (``group_edges`` regroups them), so the record holds only the partition.
     """
 
     timestamp: int
@@ -258,9 +259,9 @@ class _StepPlan:
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness).
 
-    ``prev`` is None at t=0, otherwise (previous graph, previous clustering).
-    A pair is reused when its two communities match previous ones that were
-    connected in the previous graph.
+    ``prev`` is None at t=0, otherwise (previous graph, previous plan). A
+    pair is reused when its two communities match previous ones that were
+    connected in the previous graph: a pair task of the previous plan.
     """
     left = {}
     if prev is None:
@@ -268,8 +269,9 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
         diff = classify_communities(None, clustering, params.theta)
         prev_pairs = ()
     else:
-        prev_graph, prev_clustering = prev
-        prev_pairs = group_edges(prev_graph, prev_clustering)[1].keys()
+        prev_graph, prev_plan = prev
+        prev_clustering = prev_plan.clustering
+        prev_pairs = {(task.a, task.b) for task in prev_plan.pair_tasks}
         changed = changed_link_set(prev_graph, g_t)
         clustering = recluster_dynamic(g_t, prev_clustering, changed, params.m)
         diff = classify_communities(prev_clustering, clustering, params.theta)
@@ -300,7 +302,7 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
     for g_t in seq.snapshots:
         plan = build_step_plan(g_t, prev, params)
         plans.append(plan)
-        prev = (g_t, plan.clustering)
+        prev = (g_t, plan)
     return plans
 
 
@@ -309,10 +311,11 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
                  draw=_perturb_edges) -> tuple[dict, dict]:
     """Draw one step perturbation with reuse: (intra by label, inter by pair).
 
-    ``carried`` is None at t=0, otherwise the previous step's (intra, inter)
-    edges; a missing key is an empty entry. Unchanged communities and reused
-    pairs copy their carried edges, minus those touching ``plan.left``: ids
-    that moved out of the matched previous community or left the snapshot.
+    ``carried`` is None at t=0, otherwise the previous step's draw, which
+    holds an entry for every previous label and every previous pair task.
+    Unchanged communities and reused pairs copy their carried entries, minus
+    the edges touching ``plan.left``: ids that moved out of the matched
+    previous community or left the snapshot.
     Changed communities are drawn by ``draw(subgraph, k, stream)`` and the
     other pairs are rewired, from child streams spawned in canonical order:
     changed labels ascending, then pair tasks ascending.
@@ -327,8 +330,7 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
         # "sort" skips the lookup-table set-up that dominates for a few ids
         return edges[~np.isin(edges, np.concatenate(gone), kind="sort").any(axis=1)]
 
-    empty = np.empty((0, 2), dtype=np.int64)
-    intra = {label: carry(carried[0].get(prev_label, empty), prev_label)
+    intra = {label: carry(carried[0][prev_label], prev_label)
              for prev_label, label in plan.diff.unchanged}
 
     def one(label, stream):
@@ -340,7 +342,7 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
     else:
         intra.update((label, one(label, stream)) for label, stream in zip(labels, children))
 
-    inter = {pair: carry(carried[1].get(key, empty), *key)
+    inter = {pair: carry(carried[1][key], *key)
              for pair, key in plan.reused_pairs.items()}
     for task, stream in zip(plan.pair_tasks, children[len(labels):]):
         if (task.a, task.b) not in plan.reused_pairs:
@@ -360,40 +362,29 @@ def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Gene
         np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
 
 
-def linkmirage_step(g_t: Graph, prev, params: PerturbParams,
-                    threads: int = 1) -> tuple[Graph, PerturbationRecord]:
-    """One timestamp of the selective perturbation pipeline.
-
-    ``prev`` is None at t=0, otherwise (previous snapshot, previous record,
-    previous release). At t=0 every community is perturbed; at t>0 unchanged
-    communities and unchanged inter pairs copy the previous release's edges
-    of the members that stayed, grouped by ``group_edges``, and only the rest
-    is re-sampled. Draws from timestamp t's stream of ``params.seed``, so it
-    is deterministic given (inputs, params) and independent of thread count.
-    """
-    t, layout, carried = 0, None, None
-    if prev is not None:
-        prev_graph, prev_record, prev_release = prev
-        t = prev_record.timestamp + 1
-        layout = (prev_graph, prev_record.clustering)
-        carried = group_edges(prev_release, prev_record.clustering)
-    plan = build_step_plan(g_t, layout, params)
-    draw = _sample_step(plan, carried, params, _step_rng(params.seed, t), threads=threads)
-    g_prime = Graph(_step_edges(*draw), vertices=g_t.vertices)
-    return g_prime, PerturbationRecord(timestamp=t, clustering=plan.clustering)
+def _draws(plans, params: PerturbParams, streams, threads: int = 1):
+    """Yield the step draw of each plan in turn, each drawn from its stream of
+    ``streams`` and carrying the draw before it."""
+    carried = None
+    for plan, rng in zip(plans, streams):
+        carried = _sample_step(plan, carried, params, rng, threads=threads)
+        yield carried
 
 
 def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams,
                    threads: int = 1) -> tuple[list, list]:
-    """Fold the step over a sequence; returns (perturbed graphs, records)."""
-    graphs, records = [], []
-    prev = None
-    for g_t in seq.snapshots:
-        g_prime, record = linkmirage_step(g_t, prev, params, threads=threads)
-        graphs.append(g_prime)
-        records.append(record)
-        prev = (g_t, record, g_prime)
-    return graphs, records
+    """The selective pipeline over a sequence: (perturbed graphs, records).
+
+    At t=0 every community is perturbed; at t>0 unchanged communities and
+    pairs copy the previous draw's edges of the members that stayed, and the
+    rest is re-sampled from timestamp t's stream of ``params.seed``. So the
+    release depends only on (inputs, params), not on the thread count.
+    """
+    plans = _plan_chain(seq, params)
+    streams = (_step_rng(params.seed, t) for t in range(len(plans)))
+    graphs = [Graph(_step_edges(*draw), vertices=g_t.vertices)
+              for draw, g_t in zip(_draws(plans, params, streams, threads), seq.snapshots)]
+    return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]
 
 
 def linkmirage_sequence(seq: TemporalGraphSequence, params: PerturbParams,

@@ -11,17 +11,18 @@ queried pair (edge presence plus the perturbed degree pair, per timestamp),
 with add-one smoothing. On small graphs this is validated against exhaustive
 enumeration.
 
-Re-perturbations of the LinkMirage mechanism draw every step through
-``perturb._sample_step``, the function that makes the release, with the
-sample's previous step as the carried edges. The likelihood of a prefix is
-the product, over its runs of dependent steps (``_world_counts``), of the
-joint match frequency within the run, which is exact for both mechanisms.
+Re-perturbations of the LinkMirage mechanism run ``perturb._draws``, the
+fold that makes the release, over the world's plans from one stream. The
+likelihood of a prefix is the product, over its runs of dependent steps
+(``_world_counts``), of the joint match frequency within the run, which is
+exact for both mechanisms.
 ``posterior_probability`` is row t of the per-t posterior that
 ``indistinguishability_series`` maps to entropy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import PerturbParams, _perturb_edges, _plan_chain, _sample_step, _step_edges
+from .perturb import PerturbParams, _draws, _perturb_edges, _plan_chain, _step_edges
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,8 @@ class _SequenceSampler:
         if self.mechanism == "static":
             draws = [_perturb_edges(g_t, self.params.k, rng) for g_t in self.world.snapshots]
         elif self.mechanism == "linkmirage":
-            draws, carried = [], None
-            for plan in self.plans:
-                carried = _sample_step(plan, carried, self.params, rng)
-                draws.append(_step_edges(*carried))
+            draws = [_step_edges(*draw)
+                     for draw in _draws(self.plans, self.params, itertools.repeat(rng))]
         else:
             # custom mechanism: callable(world, rng) -> list of edge arrays
             draws = self.mechanism(self.world, rng)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from linkmirage import (Graph, PerturbParams, SybilScenario, TemporalGraphSequence,
-                        attack_probability, er_graph, k_hop_graph, linkmirage_step,
+                        attack_probability, er_graph, k_hop_graph, linkmirage_run,
                         ring_of_blocks, sampling_probability, sampling_report,
                         sybil_eval, union_graph)
 from linkmirage.appeval import _reverse_positions, count_attack_edges
@@ -120,7 +120,7 @@ def test_sampling_report_matches_tuple_sets_on_a_release():
     rng = np.random.default_rng(17)
     seq = TemporalGraphSequence([random_graph(25, 0.15, rng, ensure_edge=True)
                                  for _ in range(3)])
-    released = [linkmirage_step(g, None, PerturbParams(k=3, seed=t))[0]
+    released = [linkmirage_run(TemporalGraphSequence([g]), PerturbParams(k=3, seed=t))[0][0]
                 for t, g in enumerate(seq.snapshots)]
     for k in (1, 2):
         report = sampling_report(released, seq, k)
@@ -302,7 +302,8 @@ def test_attack_edge_count_matches_per_edge_loop():
     rng = np.random.default_rng(12)
     scenario = make_scenario(rng, walk_length=2, routes_per_node=1, honest_n=40)
     combined = scenario.build_combined(rng)
-    released = linkmirage_step(combined, None, PerturbParams(k=2, seed=1))[0]
+    (released,), _ = linkmirage_run(TemporalGraphSequence([combined]),
+                                    PerturbParams(k=2, seed=1))
     for graph in (combined, released, Graph(vertices=[0, 1])):
         assert count_attack_edges(graph, scenario.honest_ids) == \
             reference_attack_edges(graph, scenario.honest_ids)
@@ -349,7 +350,8 @@ def test_attack_edges_roughly_preserved_by_perturbation():
         scenario = make_scenario(rng, walk_length=4, routes_per_node=4, honest_n=60)
         combined = scenario.build_combined(rng)
         before = count_attack_edges(combined, scenario.honest_ids)
-        g_prime, _ = linkmirage_step(combined, None, PerturbParams(k=2, seed=seed))
+        (g_prime,), _ = linkmirage_run(TemporalGraphSequence([combined]),
+                                       PerturbParams(k=2, seed=seed))
         after = count_attack_edges(g_prime, scenario.honest_ids)
         ratios.append((after + 1) / (before + 1))
     mean_ratio = float(np.mean(ratios))

@@ -142,6 +142,9 @@ BAD_VALUES = {"mechanism": "bogus", "k": "two", "m": "1.5", "theta": "x", "seed"
               "inter-cluster-form": "circle", "hay-r": "half", "threads": "0",
               "metric": "ud,bogus", "samples": "x", "l": "abc", "query": "0,1",
               "epsilon": "x", "damping": "x", "lazy": "maybe", "f": "x", "target": "a"}
+# well-formed values outside a key's range: a seed is an integer >= 0 and
+# hay-r a fraction in [0, 1]
+OUT_OF_RANGE = [("seed", "-1"), ("hay-r", "2"), ("hay-r", "-0.5")]
 
 
 @pytest.mark.parametrize("flags, conf", [(["--l", "abc"], ""), (["--l", "1,,2"], ""),
@@ -150,7 +153,9 @@ BAD_VALUES = {"mechanism": "bogus", "k": "two", "m": "1.5", "theta": "x", "seed"
                          + [([], f"{key} = {bad}\n") for key, bad in BAD_VALUES.items()]
                          # a mixing-time threshold lies in (0, 0.5)
                          + [(["--epsilon", bad], "") for bad in ("-1", "0.7")]
-                         + [([], f"epsilon = {bad}\n") for bad in ("-1", "0.7")])
+                         + [([], f"epsilon = {bad}\n") for bad in ("-1", "0.7")]
+                         + [([f"--{key}", bad], "") for key, bad in OUT_OF_RANGE]
+                         + [([], f"{key} = {bad}\n") for key, bad in OUT_OF_RANGE])
 def test_metrics_malformed_l_or_samples_exit2_for_any_metric(workspace, tmp_path, capsys,
                                                               flags, conf):
     # a flag and a config line go through the same parser
@@ -169,6 +174,18 @@ def test_metrics_malformed_l_or_samples_exit2_for_any_metric(workspace, tmp_path
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
     assert read_tree(out) == before
+
+
+@pytest.mark.parametrize("key, bad", OUT_OF_RANGE)
+def test_perturb_out_of_range_value_exit2(workspace, tmp_path, capsys, key, bad):
+    # under linkmirage too, where hay-r is not read: it enters the provenance
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    assert main(["perturb", "--manifest", str(manifest), "--out", str(out),
+                 "--mechanism", "linkmirage", f"--{key}", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not out.exists()
 
 
 def readme_cli_section() -> str:
@@ -283,6 +300,63 @@ def test_eval_sybil_scenario_that_cannot_be_built_exit2(workspace, tmp_path, reg
     assert main(["perturb"] + args) == 0
     with time_limit(10):
         assert main(["eval"] + args + ["--scenario", str(scenario)]) == 2
+
+
+SCENARIO = {"regions": "6", "g": "2", "w": "4", "r": "4", "seeds": "1"}
+
+
+@pytest.mark.parametrize("key, line", [("seed", "seed = 9"), ("regions", "regions = four"),
+                                       ("seeds", "seeds = -1")])
+def test_eval_unknown_or_malformed_scenario_key_exit2(workspace, tmp_path, capsys, key, line):
+    # one line naming the scenario file and the key
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    scenario = tmp_path / "sybil.cfg"
+    lines = {**{k: f"{k} = {v}" for k, v in SCENARIO.items()}, key: line}
+    scenario.write_text("\n".join(lines.values()) + "\n")
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    capsys.readouterr()
+    assert main(["eval"] + args + ["--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(scenario) in err and f" {key}" in err
+    assert not (out / "eval.csv").exists()
+
+
+def write_sequence(root, snaps) -> str:
+    for t, g in enumerate(snaps):
+        write_edge_list(g, root / f"s{t}.txt")
+    manifest = root / "seq_manifest.txt"
+    manifest.write_text("".join(f"s{t}.txt\n" for t in range(len(snaps))))
+    return str(manifest)
+
+
+def test_eval_default_target_is_in_every_snapshot(workspace, tmp_path):
+    # vertex 0, the first vertex of snapshot 0, leaves at t=1
+    root, _, (g0, _) = workspace
+    g1 = Graph([e for e in g0.edges.tolist() if 0 not in e])
+    assert g1.has_vertex(1)
+    manifest = write_sequence(root, [g0, g1])
+    csvs = []
+    for target in ([], ["--target", "1"]):
+        out = tmp_path / f"out{len(target)}"
+        args = ["--manifest", manifest, "--out", str(out), "--seed", "5"]
+        assert main(["perturb"] + args) == 0
+        assert main(["eval"] + args + ["--f", "0.1"] + target) == 0
+        csvs.append((out / "eval.csv").read_text())
+    assert csvs[0] == csvs[1]
+
+
+def test_eval_without_a_common_vertex_needs_a_target(workspace, tmp_path, capsys):
+    root, _, _ = workspace
+    manifest = write_sequence(root, [Graph([(0, 1)]), Graph([(2, 3)])])
+    out = tmp_path / "out"
+    args = ["--manifest", manifest, "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    capsys.readouterr()
+    assert main(["eval"] + args + ["--f", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no vertex is in every snapshot" in err
 
 
 def test_metrics_query_vertex_absent_exit2(workspace, tmp_path):

@@ -9,13 +9,13 @@ from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
                         TemporalGraphSequence, evolving_sequence, group_edges,
                         hay_baseline, linkmirage_run,
-                        linkmirage_sequence, linkmirage_step, perturb_intercluster,
+                        linkmirage_sequence, perturb_intercluster,
                         perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
-from linkmirage import privacy
+from linkmirage import perturb, privacy
 from linkmirage.graphs import _canonical_edges
-from linkmirage.perturb import (_pair_tasks, _sample_step, _step_edges, _step_rng,
-                               build_step_plan, draw_walker_edges)
+from linkmirage.perturb import (_draws, _pair_tasks, _plan_chain, _sample_step, _step_edges,
+                               _step_rng, build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 
 EMPTY = np.empty((0, 2), dtype=np.int64)    # a grouped entry that holds no edge
@@ -163,20 +163,38 @@ def k4s_with_two_bridges():
                          ids=["intra", "inter"])
 def test_an_entry_that_drew_no_edge_is_carried_empty(g, seed, entry):
     # the grouped release has no key for an entry that drew no edge; the
-    # carry reads it as empty
+    # carried draw holds it empty
     params = PerturbParams(k=2, seed=seed)
-    graphs, records = linkmirage_run(TemporalGraphSequence([g, g]), params)
-    plan = build_step_plan(g, (g, records[0].clustering), params)
+    seq = TemporalGraphSequence([g, g])
+    graphs, records = linkmirage_run(seq, params)
+    plan = _plan_chain(seq, params)[1]
     assert entry in [prev for prev, _ in plan.diff.unchanged] + list(plan.reused_pairs.values())
     intra, inter = group_edges(graphs[0], records[0].clustering)
     assert entry not in intra and entry not in inter
+    intra, inter = release_draws(seq, params, graphs)[0]
+    assert len((intra | inter)[entry]) == 0
     assert graphs[1] == graphs[0]
+
+
+def test_a_run_groups_each_snapshot_once(monkeypatch):
+    # one grouping per plan, for its pair tasks; the previous release and
+    # the previous snapshot are not regrouped
+    calls = []
+
+    def counted(graph, clustering):
+        calls.append(graph)
+        return group_edges(graph, clustering)
+
+    monkeypatch.setattr(perturb, "group_edges", counted)
+    seq = small_overlap_sequence()
+    linkmirage_run(seq, PerturbParams(k=2, m=1, theta=0.8, seed=5))
+    assert len(calls) == len(seq) == 3
 
 
 def test_step_vertex_preservation_and_intra_closure():
     g, _ = planted_partition_graph([10, 10], 0.6, 0.08, np.random.default_rng(3))
     params = PerturbParams(k=2, seed=7)
-    g_prime, record = linkmirage_step(g, None, params)
+    (g_prime,), (record,) = linkmirage_run(TemporalGraphSequence([g]), params)
     assert np.array_equal(g_prime.vertices, g.vertices)
     # intra edges inside communities, inter edges across
     draw, = release_draws(TemporalGraphSequence([g]), params, [g_prime])
@@ -188,7 +206,7 @@ def test_step_compose_oracle_t0():
     # labels ascending, then inter pairs ascending
     g, _ = planted_partition_graph([8, 8], 0.7, 0.1, np.random.default_rng(9))
     params = PerturbParams(k=1, seed=23)
-    g_prime, record = linkmirage_step(g, None, params)
+    (g_prime,), _ = linkmirage_run(TemporalGraphSequence([g]), params)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=23, spawn_key=(0, 0)))
     plan = build_step_plan(g, None, params)
@@ -326,7 +344,7 @@ def test_carried_edges_of_a_departed_vertex_are_dropped(monkeypatch):
 
 def test_prev_record_roundtrips_through_json():
     g, _ = planted_partition_graph([6, 6], 0.7, 0.1, np.random.default_rng(8))
-    _, record = linkmirage_step(g, None, PerturbParams(k=1, seed=13))
+    _, (record,) = linkmirage_run(TemporalGraphSequence([g]), PerturbParams(k=1, seed=13))
     obj = record.to_json_obj()
     assert set(obj) == {"timestamp", "communities"}
     clone = PerturbationRecord.from_json_obj(obj)
@@ -387,11 +405,10 @@ def release_draws(seq, params, graphs):
     """Every step draw behind a ``linkmirage_run`` release: re-drawn from its
     plan and the release's stream, each carrying the draw before it as the
     posterior does. Each gives the release of its step."""
-    draws, carried = [], None
-    for t, plan in enumerate(_SequenceSampler(seq, params, "linkmirage").plans):
-        carried = _sample_step(plan, carried, params, _step_rng(params.seed, t))
-        assert graphs[t] == Graph(_step_edges(*carried), vertices=seq.snapshots[t].vertices)
-        draws.append(carried)
+    plans = _SequenceSampler(seq, params, "linkmirage").plans
+    draws = list(_draws(plans, params, (_step_rng(params.seed, t) for t in range(len(plans)))))
+    for t, draw in enumerate(draws):
+        assert graphs[t] == Graph(_step_edges(*draw), vertices=seq.snapshots[t].vertices)
     return draws
 
 
@@ -468,10 +485,8 @@ def test_every_release_record_validates(m, theta):
             plans = _SequenceSampler(_hypothesis_world(seq, query, present), params,
                                      "linkmirage").plans
             for _ in range(3):
-                carried = None
-                for t, plan in enumerate(plans):
-                    carried = _sample_step(plan, carried, params, rng)
-                    check_draw(plan.clustering, carried)
+                for plan, draw in zip(plans, _draws(plans, params, itertools.repeat(rng))):
+                    check_draw(plan.clustering, draw)
 
 
 def reference_carry(plan, carried):
@@ -479,8 +494,8 @@ def reference_carry(plan, carried):
     endpoints' current labels are the entry's label (intra) or, sorted, its
     pair (inter)."""
     label_of = plan.clustering.label_of
-    intra = {label: carried[0].get(prev, EMPTY) for prev, label in plan.diff.unchanged}
-    inter = {pair: carried[1].get(key, EMPTY) for pair, key in plan.reused_pairs.items()}
+    intra = {label: carried[0][prev] for prev, label in plan.diff.unchanged}
+    inter = {pair: carried[1][key] for pair, key in plan.reused_pairs.items()}
     return ({label: e[(label_of(e) == label).all(axis=1)] for label, e in intra.items()},
             {pair: e[(np.sort(label_of(e), axis=1) == pair).all(axis=1)]
              for pair, e in inter.items()})
@@ -490,12 +505,11 @@ def reference_carry(plan, carried):
 def test_carry_filter_matches_the_membership_rule(m, theta):
     moved = 0
     for seq, params in reuse_fixtures(m, theta):
-        graphs, records = linkmirage_run(seq, params)
+        graphs, _ = linkmirage_run(seq, params)
         plans = _SequenceSampler(seq, params, "linkmirage").plans
+        draws = release_draws(seq, params, graphs)
         for t in range(1, len(plans)):
-            carried = group_edges(graphs[t - 1], records[t - 1].clustering)
-            got = _sample_step(plans[t], carried, params, _step_rng(params.seed, t))
-            for got_part, want_part in zip(got, reference_carry(plans[t], carried)):
+            for got_part, want_part in zip(draws[t], reference_carry(plans[t], draws[t - 1])):
                 assert all(np.array_equal(got_part[key], want) for key, want in want_part.items())
             moved += bool(plans[t].left)
     # matched communities hold the same vertices at theta = 1, so none leave
@@ -531,12 +545,13 @@ def test_carries_matches_the_matched_community_rule(seq, pairs, fresh_later):
             assert flags[-1] == reference_carries(plan, (u, v))
             if carried is not None and not flags[-1]:
                 # a step that carries nothing at u or v draws the same edges
-                # there whatever the step before it drew
+                # there whatever the step before it drew, even nothing at all
                 seed = int(rng.integers(1 << 32))
+                emptied = tuple({key: EMPTY for key in part} for part in carried)
                 drawn = [edges_at(_step_edges(*_sample_step(plan, prev, params,
                                                             np.random.default_rng(seed))),
                                   [u, v])
-                         for prev in (carried, ({}, {}))]
+                         for prev in (carried, emptied)]
                 assert np.array_equal(*drawn)
                 fresh_after_t0 += 1
             carried = _sample_step(plan, carried, params, rng)

@@ -2,15 +2,14 @@ import dataclasses
 import importlib
 import inspect
 
-import numpy as np
 import pytest
 
 import linkmirage
-from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
+from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
                         PriorModel, TemporalGraphSequence, UtilityReport,
                         estimation_error_bound_check,
-                        evolving_sequence, indistinguishability_series, linkmirage_step,
-                        pagerank, planted_partition_graph, posterior_probability,
+                        evolving_sequence, indistinguishability_series,
+                        pagerank, posterior_probability,
                         spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
@@ -32,6 +31,7 @@ def test_every_exported_name_resolves_once():
     ("linkmirage.clustering", "_GreedyMerger"),
     ("linkmirage.privacy", "_bayes"),
     ("linkmirage.privacy", "_likelihood"),
+    ("linkmirage.perturb", "linkmirage_step"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
@@ -104,11 +104,3 @@ def test_evolving_sequence_keeps_no_block_map():
 def test_graph_has_no_neighbor_positions():
     assert not hasattr(Graph, "neighbor_positions")
 
-
-def test_linkmirage_step_returns_graph_and_record():
-    g, _ = planted_partition_graph([6, 6], 0.7, 0.1, np.random.default_rng(2))
-    out = linkmirage_step(g, None, PerturbParams(k=1, seed=4))
-    assert len(out) == 2
-    g_prime, record = out
-    assert isinstance(g_prime, Graph)
-    assert record.timestamp == 0
