@@ -144,15 +144,19 @@ def _parse(kind, key, text, where):
 
 def read_config_file(path, kinds) -> dict:
     """The typed values of a file of 'key = value' lines and '#' comments, each
-    key one of ``kinds`` (key -> kind). A bad line, an unknown key and a bad
-    value each raise a ConfigError that names the file, the line and the key."""
-    given = {}
+    key one of ``kinds`` (key -> kind). A bad line, an unknown key, a bad
+    value and a key set twice each raise a ConfigError that names the file,
+    the line and the key."""
+    given, first = {}, {}
     for lineno, body, _ in _content_lines(path):
         key, eq, text = (part.strip() for part in body.partition("="))
         if not eq:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         if key not in kinds:
             raise ConfigError(f"{path}:{lineno}: unknown key {key}")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key} is already set on line {first[key]}")
+        first[key] = lineno
         given[key] = _parse(kinds[key], key, text, f"{path}:{lineno}: ")
     return given
 
@@ -390,6 +394,9 @@ def cmd_eval(args) -> int:
     seq = load_sequence(settings["manifest"])
     perturbed, phash = _load_outputs(settings, seq)
     rows = []
+    for v in settings["target"]:
+        if not all(g.has_vertex(v) for g in perturbed):
+            raise ConfigError(f"--target vertex {v} is not in every snapshot")
 
     if settings["f"] is not None:
         # the default target is the smallest vertex present in every snapshot
@@ -397,9 +404,6 @@ def cmd_eval(args) -> int:
         targets = settings["target"] or tuple(common[:1].tolist())
         if not targets:
             raise ConfigError("no vertex is in every snapshot, so --f needs a --target")
-        for v in targets:
-            if not all(g.has_vertex(v) for g in perturbed):
-                raise ConfigError(f"--target vertex {v} is not in every snapshot")
         series = np.mean([attack_probability(perturbed, v, settings["f"]) for v in targets],
                          axis=0)
         for t, val in enumerate(series):

@@ -17,11 +17,13 @@ no copied edge there and is perturbed fresh when its community next changes.
 A step is laid out once as a deterministic plan (``_plan_chain``) and drawn
 by one function, ``_sample_step``; ``_draws`` folds it over the plans,
 carrying each draw into the next. The release and the posterior run that
-one fold, and the degree check draws through ``_sample_step`` too.
+one fold, the posterior building only the entries its query reads
+(``_reads``), and the degree check draws through ``_sample_step`` too.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -256,6 +258,29 @@ class _StepPlan:
                     & {label for _, label in self.diff.unchanged})
 
 
+def _reads(plans, ids) -> list:
+    """Per plan, the step-draw entries that edges touching ``ids`` come from:
+    (labels, pairs) of the intra and inter entries a draw must build.
+
+    At each step these are the entries of the ids' communities and every pair
+    task with one of them as an end, plus what the next step's entries copy:
+    the previous label of an unchanged community and the previous key of a
+    reused pair, back to t = 0. An entry holds only edges between members of
+    its communities, so no other entry has an edge touching ``ids``.
+    """
+    reads = []
+    labels, pairs = set(), set()    # what the step after needs from this one
+    for plan in reversed(plans):
+        own = set(plan.clustering.label_of(ids).tolist()) - {-1}
+        labels |= own
+        pairs |= {(task.a, task.b) for task in plan.pair_tasks if {task.a, task.b} & own}
+        reads.append((labels, pairs))
+        prev_for = plan.diff.prev_for
+        labels = {prev_for[label] for label in labels if label in prev_for}
+        pairs = {plan.reused_pairs[pair] for pair in pairs if pair in plan.reused_pairs}
+    return reads[::-1]
+
+
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness).
 
@@ -308,20 +333,33 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
 
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
                  rng: np.random.Generator, threads: int = 1,
-                 draw=_perturb_edges) -> tuple[dict, dict]:
+                 draw=_perturb_edges, reads=None) -> tuple[dict, dict]:
     """Draw one step perturbation with reuse: (intra by label, inter by pair).
 
     ``carried`` is None at t=0, otherwise the previous step's draw, which
-    holds an entry for every previous label and every previous pair task.
-    Unchanged communities and reused pairs copy their carried entries, minus
-    the edges touching ``plan.left``: ids that moved out of the matched
-    previous community or left the snapshot.
+    holds every entry this step copies. Unchanged communities and reused
+    pairs copy their carried entries, minus the edges touching
+    ``plan.left``: ids that moved out of the matched previous community or
+    left the snapshot.
     Changed communities are drawn by ``draw(subgraph, k, stream)`` and the
     other pairs are rewired, from child streams spawned in canonical order:
     changed labels ascending, then pair tasks ascending.
+    ``reads`` is None to build every entry, as the release does, or one step
+    of ``_reads``: the (labels, pairs) to build, the rest left out. Every
+    child is spawned either way, but a generator is made only for an entry
+    that is built. Each child feeds one entry alone, so an entry that is
+    built is the same as in the full draw.
     """
     labels = plan.changed_labels
-    children = rng.spawn(len(labels) + len(plan.pair_tasks))
+    # what ``rng.spawn`` advances, without a generator per child
+    children = rng.bit_generator.seed_seq.spawn(len(labels) + len(plan.pair_tasks))
+    if reads is None:
+        reads = ({label for _, label in plan.diff.unchanged} | set(labels),
+                 {(task.a, task.b) for task in plan.pair_tasks})
+    read_labels, read_pairs = reads
+
+    def stream(i):
+        return np.random.Generator(type(rng.bit_generator)(children[i]))
 
     def carry(edges, *prev_labels):
         gone = [plan.left[p] for p in prev_labels if p in plan.left]
@@ -331,22 +369,25 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
         return edges[~np.isin(edges, np.concatenate(gone), kind="sort").any(axis=1)]
 
     intra = {label: carry(carried[0][prev_label], prev_label)
-             for prev_label, label in plan.diff.unchanged}
+             for prev_label, label in plan.diff.unchanged if label in read_labels}
+    fresh = [(label, i) for i, label in enumerate(labels) if label in read_labels]
 
-    def one(label, stream):
-        return draw(plan.subgraphs[label], params.k, stream)
+    def one(entry):
+        label, i = entry
+        return label, draw(plan.subgraphs[label], params.k, stream(i))
 
-    if threads > 1 and len(labels) > 1:
+    if threads > 1 and len(fresh) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            intra.update(zip(labels, pool.map(one, labels, children)))
+            intra.update(pool.map(one, fresh))
     else:
-        intra.update((label, one(label, stream)) for label, stream in zip(labels, children))
+        intra.update(map(one, fresh))
 
     inter = {pair: carry(carried[1][key], *key)
-             for pair, key in plan.reused_pairs.items()}
-    for task, stream in zip(plan.pair_tasks, children[len(labels):]):
-        if (task.a, task.b) not in plan.reused_pairs:
-            inter[(task.a, task.b)] = task.sample(stream, params.inter_cluster_form)
+             for pair, key in plan.reused_pairs.items() if pair in read_pairs}
+    for i, task in enumerate(plan.pair_tasks, len(labels)):
+        pair = (task.a, task.b)
+        if pair in read_pairs and pair not in plan.reused_pairs:
+            inter[pair] = task.sample(stream(i), params.inter_cluster_form)
     return intra, inter
 
 
@@ -362,12 +403,17 @@ def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Gene
         np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
 
 
-def _draws(plans, params: PerturbParams, streams, threads: int = 1):
+def _draws(plans, params: PerturbParams, streams, threads: int = 1, reads=None):
     """Yield the step draw of each plan in turn, each drawn from its stream of
-    ``streams`` and carrying the draw before it."""
+    ``streams`` and carrying the draw before it.
+
+    ``reads`` is None to build every entry, or ``_reads(plans, ids)`` to
+    build only the entries that edges touching ``ids`` come from. The
+    streams are left in the same state either way.
+    """
     carried = None
-    for plan, rng in zip(plans, streams):
-        carried = _sample_step(plan, carried, params, rng, threads=threads)
+    for plan, rng, read in zip(plans, streams, reads or itertools.repeat(None)):
+        carried = _sample_step(plan, carried, params, rng, threads=threads, reads=read)
         yield carried
 
 

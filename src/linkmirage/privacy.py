@@ -12,10 +12,15 @@ with add-one smoothing. On small graphs this is validated against exhaustive
 enumeration.
 
 Re-perturbations of the LinkMirage mechanism run ``perturb._draws``, the
-fold that makes the release, over the world's plans from one stream. The
-likelihood of a prefix is the product, over its runs of dependent steps
-(``_world_counts``), of the joint match frequency within the run, which is
-exact for both mechanisms.
+fold that makes the release, over the world's plans from one stream. A
+re-perturbation builds only the step-draw entries the features can read
+(``perturb._reads``): at each step the intra entries of u's and v's
+communities and every pair with one of them as an end, plus the entries of
+earlier steps those copy. Every child stream is still spawned, so each entry
+built, and so each feature, equals the full draw's. The likelihood of a
+prefix is the product, over its runs of dependent steps (``_world_counts``),
+of the joint match frequency within the run, which is exact for both
+mechanisms.
 ``posterior_probability`` is row t of the per-t posterior that
 ``indistinguishability_series`` maps to entropy.
 """
@@ -31,7 +36,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import PerturbParams, _draws, _perturb_edges, _plan_chain, _step_edges
+from .perturb import (PerturbParams, _draws, _perturb_edges, _plan_chain, _reads,
+                      _step_edges)
 
 
 @dataclass(frozen=True)
@@ -207,14 +213,17 @@ class _SequenceSampler:
         self.params = params
         self.mechanism = mechanism
         self.plans = _plan_chain(world, params) if mechanism == "linkmirage" else None
+        self._reads_by_uv = {}
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator) -> tuple:
         u, v = uv
         if self.mechanism == "static":
             draws = [_perturb_edges(g_t, self.params.k, rng) for g_t in self.world.snapshots]
         elif self.mechanism == "linkmirage":
-            draws = [_step_edges(*draw)
-                     for draw in _draws(self.plans, self.params, itertools.repeat(rng))]
+            if uv not in self._reads_by_uv:
+                self._reads_by_uv[uv] = _reads(self.plans, uv)
+            draws = [_step_edges(*draw) for draw in _draws(
+                self.plans, self.params, itertools.repeat(rng), reads=self._reads_by_uv[uv])]
         else:
             # custom mechanism: callable(world, rng) -> list of edge arrays
             draws = self.mechanism(self.world, rng)

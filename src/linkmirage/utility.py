@@ -97,16 +97,20 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     raw walk per edge, before self-loop redraws and deduplication, so a
     self-terminal walk counts 2 at its vertex. z is the standardized
     deviation of the Monte Carlo mean from the original degree.
+
+    The plan is laid out on the graph relabelled by position, so walker ends
+    are positions already. Relabelling keeps the id order, so clustering,
+    labels and every draw are those of the original ids.
     """
     if trials < 1000:
         raise ValueError("degree expectation needs >= 1000 trials")
-    plan = build_step_plan(graph, None, params)
-    ids = graph.vertices
-    acc = np.zeros(ids.size, dtype=np.float64)
-    acc2 = np.zeros(ids.size, dtype=np.float64)
+    n = graph.num_vertices
+    plan = build_step_plan(Graph(graph.edge_positions, vertices=np.arange(n)), None, params)
+    acc = np.zeros(n, dtype=np.float64)
+    acc2 = np.zeros(n, dtype=np.float64)
     for _ in range(trials):
         ends = _step_edges(*_sample_step(plan, None, params, rng, draw=_walker_edges))
-        d = np.bincount(np.searchsorted(ids, ends.ravel()), minlength=ids.size)
+        d = np.bincount(ends.ravel(), minlength=n)
         acc += d
         acc2 += d.astype(np.float64) ** 2
     mean = acc / trials

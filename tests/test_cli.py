@@ -388,6 +388,22 @@ def test_eval_target_absent_exit2(workspace, tmp_path):
     assert rc == 2
 
 
+def test_eval_target_absent_without_f_exit2(workspace, tmp_path, capsys):
+    # the target is checked whether or not --f asks for the attack series
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    errors = []
+    for f in (["--f", "0.1"], []):
+        capsys.readouterr()
+        assert main(["eval"] + args + f + ["--target", "999"]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not (out / "eval.csv").exists()
+    assert errors[0] == errors[1]
+    assert errors[0].count("\n") == 1 and "--target vertex 999" in errors[0]
+
+
 def test_eval_sybil_scenario(workspace, tmp_path):
     root, manifest, _ = workspace
     out = tmp_path / "out"
@@ -485,6 +501,32 @@ def test_config_file_with_flag_override(workspace, tmp_path):
     p1 = (out / "provenance.json").read_text()
     p2 = (out2 / "provenance.json").read_text()
     assert p1 != p2
+
+
+def test_config_key_set_twice_exits_2(workspace, tmp_path, capsys):
+    # one line naming the file, the second line and the key; nothing is written
+    root, manifest, _ = workspace
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"manifest = {manifest}\nout = {out}\nseed = 1\n# again\nseed = 2\n")
+    assert main(["perturb", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{cfg}:5:" in err and " seed " in err
+    assert not out.exists()
+
+
+def test_eval_scenario_key_set_twice_exits_2(workspace, tmp_path, capsys):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    scenario = tmp_path / "sybil.cfg"
+    scenario.write_text("".join(f"{k} = {v}\n" for k, v in SCENARIO.items()) + "g = 3\n")
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    capsys.readouterr()
+    assert main(["eval"] + args + ["--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{scenario}:{len(SCENARIO) + 1}:" in err and " g " in err
+    assert not (out / "eval.csv").exists()
 
 
 # -- byte-level pins -------------------------------------------------------------

@@ -14,8 +14,8 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, Perturbatio
                         planted_partition_graph)
 from linkmirage import perturb, privacy
 from linkmirage.graphs import _canonical_edges
-from linkmirage.perturb import (_draws, _pair_tasks, _plan_chain, _sample_step, _step_edges,
-                               _step_rng, build_step_plan, draw_walker_edges)
+from linkmirage.perturb import (_draws, _pair_tasks, _plan_chain, _reads, _sample_step,
+                               _step_edges, _step_rng, build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 
 EMPTY = np.empty((0, 2), dtype=np.int64)    # a grouped entry that holds no edge
@@ -340,6 +340,79 @@ def test_carried_edges_of_a_departed_vertex_are_dropped(monkeypatch):
     for _ in range(50):
         present, degree_5, _ = sampler.sample_features((5, 4), rng)[1]
         assert (present, degree_5) == (0, 0)
+
+
+# -- localized posterior draws ---------------------------------------------------
+
+
+def three_block_sequence():
+    """The audit's shape, small: three blocks, block 0 churns and grows."""
+    return evolving_sequence([30, 30, 30], 0.2, 0.01, 4, 0.8, np.random.default_rng(3),
+                             keep_edge=(30, 31), churn_blocks=[0], new_vertices_per_step=6)
+
+
+# (sequence, params, query (u, v), which steps start a run of dependent steps)
+LOCALIZED_CASES = {
+    "small-overlap": (small_overlap_sequence, dict(k=2, m=1, theta=0.8, seed=5), (1, 2),
+                      [True, True, True]),
+    "vertex-leaves": (vertex_leaves_sequence, dict(k=2, m=0, theta=0.8, seed=3), (5, 4),
+                      [True, False]),
+    "three-blocks": (three_block_sequence, dict(k=2, m=2, theta=0.8, seed=1), (30, 31),
+                     [True, False, False, False]),
+    "three-blocks-two-runs": (three_block_sequence, dict(k=2, m=2, theta=0.8, seed=1),
+                              (15, 47), [True, False, False, True]),
+    # both arrive at t = 2 and join a matched community, whose t = 1 entries
+    # only the closure reads
+    "three-blocks-joiners": (three_block_sequence, dict(k=2, m=2, theta=0.8, seed=1),
+                             (96, 97), [True, True, False, False]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCALIZED_CASES))
+def test_localized_draws_equal_the_full_draw(case):
+    make, settings, uv, fresh = LOCALIZED_CASES[case]
+    params = PerturbParams(**settings)
+    sampler = _SequenceSampler(make(), params, "linkmirage")
+    plans = sampler.plans
+    assert [not plan.carries(uv) for plan in plans] == fresh
+    reads = _reads(plans, uv)
+    assert any(len(labels) + len(pairs)
+               < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
+               for (labels, pairs), plan in zip(reads, plans))
+    full_rng, local_rng, sampler_rng = (np.random.default_rng(7) for _ in range(3))
+    for _ in range(30):
+        full = list(_draws(plans, params, itertools.repeat(full_rng)))
+        local = list(_draws(plans, params, itertools.repeat(local_rng), reads=reads))
+        for (intra, inter), (l_intra, l_inter), (labels, pairs) in zip(full, local, reads):
+            assert set(l_intra) == labels and set(l_inter) == pairs
+            assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
+            assert all(np.array_equal(l_inter[pair], inter[pair]) for pair in pairs)
+        assert sampler.sample_features(uv, sampler_rng) == \
+            tuple(_edge_feature(_step_edges(*draw), *uv) for draw in full)
+
+
+def test_localized_draws_leave_the_stream_as_the_full_draw():
+    params = PerturbParams(k=2, m=2, theta=0.8, seed=1)
+    sampler = _SequenceSampler(three_block_sequence(), params, "linkmirage")
+    full_rng, local_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(5):
+        list(_draws(sampler.plans, params, itertools.repeat(full_rng)))
+        sampler.sample_features((30, 31), local_rng)
+    assert full_rng.spawn(1)[0].random(4).tolist() == local_rng.spawn(1)[0].random(4).tolist()
+    assert full_rng.random() == local_rng.random()
+
+
+def test_reads_of_identical_snapshots_reach_back_to_t0():
+    # every step after t = 0 copies all its entries, so each step reads the
+    # entries of t = 0 that the query touches
+    g, _ = planted_partition_graph([8, 8, 8], 0.7, 0.1, np.random.default_rng(2))
+    plans = _plan_chain(TemporalGraphSequence([g, g, g]), PerturbParams(k=2, seed=0))
+    assert all(not plan.diff.changed and len(plan.reused_pairs) == len(plan.pair_tasks)
+               for plan in plans[1:])
+    (label,) = set(plans[0].clustering.label_of([0, 1]).tolist())
+    pairs = {(task.a, task.b) for task in plans[0].pair_tasks if label in (task.a, task.b)}
+    assert pairs and len(pairs) < len(plans[0].pair_tasks)
+    assert _reads(plans, (0, 1)) == [({label}, pairs)] * 3
 
 
 def test_prev_record_roundtrips_through_json():

@@ -13,7 +13,8 @@ from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         ratio_cut, spectral_metrics, structural_metrics,
                         transition_matrix, tv_distance, ud_upper_bound,
                         utility_distance)
-from linkmirage.utility import (_symmetrized_walk, community_tv, is_bipartite,
+from linkmirage.perturb import _sample_step, _step_edges, build_step_plan
+from linkmirage.utility import (_symmetrized_walk, _walker_edges, community_tv, is_bipartite,
                                is_connected, mixing_time, slem)
 
 
@@ -161,6 +162,22 @@ def test_degree_report_means_pinned():
     assert report.mean.sum() == 418.102
     assert hashlib.sha256(report.mean.tobytes()).hexdigest() == \
         "3b9d8d4b37c115019bb147d6cec34110c4662ebfe7d9d81e95f59eb75ff2f5ed"
+
+
+def test_degree_report_matches_the_plan_on_the_graph_ids():
+    # sparse, shuffled ids: the report equals the one laid out and drawn on
+    # the ids themselves, with each trial's ends looked up by position
+    g = small_overlap_sequence()[2]
+    ids = np.random.default_rng(4).permutation(1000)[:g.num_vertices] * 7 + 3
+    g = Graph(ids[np.searchsorted(g.vertices, g.edges)], vertices=ids)
+    params = PerturbParams(k=2, seed=5)
+    report = expected_degree_report(g, params, 1000, np.random.default_rng(10))
+    plan, rng = build_step_plan(g, None, params), np.random.default_rng(10)
+    acc = np.zeros(g.num_vertices)
+    for _ in range(1000):
+        ends = _step_edges(*_sample_step(plan, None, params, rng, draw=_walker_edges))
+        acc += np.bincount(np.searchsorted(g.vertices, ends.ravel()), minlength=g.num_vertices)
+    assert np.array_equal(report.mean, acc / 1000)
 
 
 def test_degree_report_requires_trials():
