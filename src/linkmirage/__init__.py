@@ -10,7 +10,7 @@ from .clustering import (Clustering, CommunityDiff, changed_link_set,
                          modularity, recluster_dynamic)
 from .perturb import (PerturbParams, PerturbationRecord, group_edges, hay_baseline,
                       hay_baseline_sequence, linkmirage_run, linkmirage_sequence,
-                      perturb_intercluster, perturb_static, perturb_static_baseline_sequence)
+                      perturb_static, perturb_static_baseline_sequence)
 from .privacy import (BoundCheck, LinkQuery, PosteriorEstimate, PriorModel,
                       anti_aggregation, anti_aggregation_aggregated,
                       estimation_error_bound_check, indistinguishability,
@@ -36,7 +36,7 @@ __all__ = [
     "cluster_static", "freed_vertices", "modularity", "recluster_dynamic",
     "PerturbParams", "PerturbationRecord", "group_edges", "hay_baseline",
     "hay_baseline_sequence", "linkmirage_run", "linkmirage_sequence",
-    "perturb_intercluster", "perturb_static", "perturb_static_baseline_sequence",
+    "perturb_static", "perturb_static_baseline_sequence",
     "BoundCheck", "LinkQuery", "PosteriorEstimate", "PriorModel",
     "anti_aggregation", "anti_aggregation_aggregated",
     "estimation_error_bound_check", "indistinguishability",

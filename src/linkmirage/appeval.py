@@ -115,10 +115,6 @@ class SybilScenario:
     def honest_ids(self) -> np.ndarray:
         return self.honest_graph.vertices
 
-    def sybil_ids(self) -> np.ndarray:
-        first = int(self.honest_graph.vertices.max()) + 1
-        return np.arange(first, first + self.sybil_size, dtype=np.int64)
-
     def build_combined(self, rng: np.random.Generator) -> Graph:
         honest = self.honest_graph
         n_h = honest.num_vertices

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed edge-list or manifest files (reports file:line)."""
+    """Raised for malformed input text files (reports file:line)."""
 
 
 def _id_array(values) -> np.ndarray:
@@ -279,9 +279,16 @@ class TemporalGraphSequence:
 
 def _content_lines(path):
     """(line number, body, line as read) of each line of an ascii text file
-    whose body, the line without its '#' comment and outer whitespace, is set."""
-    with open(path, "r", encoding="ascii") as fh:
+    whose body, the line without its '#' comment and outer whitespace, is set.
+
+    Every text input is read here: edge lists, manifests, config files and
+    scenario files. A line with a byte outside ASCII, even in a comment,
+    raises GraphFormatError naming the file and the line.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise GraphFormatError(f"{path}:{lineno}: not ASCII")
             body = line.split("#", 1)[0].strip()
             if body:
                 yield lineno, body, line

@@ -14,11 +14,13 @@ what changed. So a record holds only the partition; its edges are the
 release's. A copied edge is kept only while both endpoints stay in the
 matched communities. Below theta = 1 a match may gain members; a joiner gets
 no copied edge there and is perturbed fresh when its community next changes.
-A step is laid out once as a deterministic plan (``_plan_chain``) and drawn
-by one function, ``_sample_step``; ``_draws`` folds it over the plans,
-carrying each draw into the next. The release and the posterior run that
-one fold, the posterior building only the entries its query reads
-(``_reads``), and the degree check draws through ``_sample_step`` too.
+A step is laid out once as a deterministic plan (``_plan_chain``), from one
+grouping of the snapshot's edges by community (``group_edges``): its changed
+community subgraphs and its inter-community pair tasks. It is drawn by one
+function, ``_sample_step``; ``_draws`` folds it over the plans, carrying each
+draw into the next. The release and the posterior run that one fold, the
+posterior building only the entries its query reads (``_reads``), and the
+degree check draws through ``_sample_step`` too.
 """
 
 from __future__ import annotations
@@ -151,6 +153,15 @@ def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
 
 @dataclass(frozen=True)
 class _PairTask:
+    """Inter-community rewiring of one community pair (a, b), a < b.
+
+    Every pair of marginal nodes (i in a, j in b) gets an edge independently
+    with probability min(1, p_ij). The default form p_ij =
+    deg_a(i)*deg_b(j)/|E_ab| preserves every marginal node's expected
+    inter-degree; the asymmetric "algorithm1" form multiplies by
+    |v_a|/(|v_a|+|v_b|). Degrees and |E_ab| count only edges between a and b.
+    """
+
     a: int
     b: int
     nodes_a: np.ndarray     # marginal raw ids in a
@@ -158,6 +169,15 @@ class _PairTask:
     deg_a: np.ndarray       # inter-degrees, aligned with nodes_a
     deg_b: np.ndarray
     n_edges: int            # |E_ab|
+
+    @staticmethod
+    def of(a: int, b: int, edges: np.ndarray) -> "_PairTask":
+        """The marginal-node structure of the pair (a, b) from its edges, each
+        oriented (vertex in a, vertex in b) as ``group_edges`` gives them."""
+        nodes_a, deg_a = np.unique(edges[:, 0], return_counts=True)
+        nodes_b, deg_b = np.unique(edges[:, 1], return_counts=True)
+        return _PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
+                         deg_a=deg_a, deg_b=deg_b, n_edges=len(edges))
 
     def probabilities(self, form: str) -> np.ndarray:
         grid = np.outer(self.deg_a, self.deg_b) / float(self.n_edges)
@@ -195,37 +215,6 @@ def group_edges(graph: Graph, clustering: Clustering) -> tuple[dict, dict]:
     return intra, inter
 
 
-def _pair_tasks(graph: Graph, clustering: Clustering) -> list:
-    """Marginal-node structure of every community pair with >= 1 inter edge,
-    sorted by (a, b) with a < b."""
-    tasks = []
-    for (a, b), edges in group_edges(graph, clustering)[1].items():
-        nodes_a, deg_a = np.unique(edges[:, 0], return_counts=True)
-        nodes_b, deg_b = np.unique(edges[:, 1], return_counts=True)
-        tasks.append(_PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
-                               deg_a=deg_a, deg_b=deg_b, n_edges=len(edges)))
-    return tasks
-
-
-def perturb_intercluster(graph: Graph, clustering: Clustering,
-                         rng: np.random.Generator,
-                         form: str = "appendixC") -> dict:
-    """Rewire inter-community links; returns {(a, b): edge array}.
-
-    For each community pair connected in the original graph, every pair of
-    marginal nodes (i in a, j in b) gets an edge independently with
-    probability min(1, p_ij). The default form p_ij = deg_a(i)*deg_b(j)/|E_ab|
-    preserves every marginal node's expected inter-degree; the asymmetric
-    "algorithm1" form multiplies by |v_a|/(|v_a|+|v_b|) with a the smaller
-    community label. Degrees and |E_ab| count only edges between a and b.
-    """
-    if form not in INTER_FORMS:
-        raise ValueError(f"unknown inter-cluster form {form!r}")
-    tasks = _pair_tasks(graph, clustering)
-    streams = rng.spawn(len(tasks))
-    return {(t.a, t.b): t.sample(s, form) for t, s in zip(tasks, streams)}
-
-
 # -- selective dynamic pipeline ----------------------------------------------
 
 
@@ -242,13 +231,9 @@ class _StepPlan:
     clustering: Clustering
     diff: CommunityDiff
     subgraphs: dict          # label -> community subgraph (changed labels only)
-    pair_tasks: list
+    pair_tasks: list         # one _PairTask per connected community pair, ascending
     reused_pairs: dict       # (a, b) -> previous pair key whose edges are copied
     left: dict               # matched previous label -> its ids outside the match now
-
-    @property
-    def changed_labels(self) -> list:
-        return sorted(self.subgraphs)
 
     def carries(self, ids) -> bool:
         """Whether this step copies edges that can touch ``ids``: it does when
@@ -284,9 +269,12 @@ def _reads(plans, ids) -> list:
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness).
 
-    ``prev`` is None at t=0, otherwise (previous graph, previous plan). A
-    pair is reused when its two communities match previous ones that were
-    connected in the previous graph: a pair task of the previous plan.
+    ``prev`` is None at t=0, otherwise (previous graph, previous plan). The
+    step is laid out from one ``group_edges`` of ``g_t``: each changed
+    community's subgraph is its intra group over all its members (so isolated
+    members are kept, as in ``g_t.subgraph``), and each inter group is a pair
+    task. A pair is reused when its two communities match previous ones that
+    were connected in the previous graph: a pair task of the previous plan.
     """
     left = {}
     if prev is None:
@@ -304,9 +292,10 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
         left = {p: gone for p, c in diff.unchanged
                 if (gone := ids[(prev_clustering.labels == p) & (now != c)]).size}
 
-    subgraphs = {label: g_t.subgraph(clustering.communities[label])
+    intra, inter = group_edges(g_t, clustering)
+    subgraphs = {label: Graph(intra.get(label, ()), vertices=clustering.communities[label])
                  for label in diff.changed}
-    pair_tasks = _pair_tasks(g_t, clustering)
+    pair_tasks = [_PairTask.of(a, b, edges) for (a, b), edges in inter.items()]
     prev_for = diff.prev_for
     reused_pairs = {}
     for task in pair_tasks:
@@ -350,7 +339,7 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
     that is built. Each child feeds one entry alone, so an entry that is
     built is the same as in the full draw.
     """
-    labels = plan.changed_labels
+    labels = plan.diff.changed
     # what ``rng.spawn`` advances, without a generator per child
     children = rng.bit_generator.seed_seq.spawn(len(labels) + len(plan.pair_tasks))
     if reads is None:
@@ -449,15 +438,13 @@ def perturb_static_baseline_sequence(seq: TemporalGraphSequence, k: int,
 # -- r-delete / r-insert comparator -------------------------------------------
 
 
-def hay_baseline(graph: Graph, r: int | None, rng: np.random.Generator) -> Graph:
+def hay_baseline(graph: Graph, r: int, rng: np.random.Generator) -> Graph:
     """Delete r uniformly chosen real edges and insert r uniform fake ones.
 
-    r defaults to round(0.5 * |E|). The output has exactly |E| edges. Raises
-    ValueError when ``_absent_pairs`` finds fewer than r fake edges.
+    The output has exactly |E| edges. Raises ValueError when
+    ``_absent_pairs`` finds fewer than r fake edges.
     """
     m = graph.num_edges
-    if r is None:
-        r = int(round(0.5 * m))
     if not 0 <= r <= m:
         raise ValueError("r must lie in [0, |E|]")
     kept = np.delete(graph.edges, rng.choice(m, size=r, replace=False) if r else [], axis=0)

@@ -15,9 +15,8 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """JSON with sorted keys and 17-significant-digit floats."""
-    pad = " " * indent
 
     def render(o, depth):
         inner = " " * (2 * (depth + 1))
@@ -51,7 +50,7 @@ def canonical_json(obj, indent: int = 0) -> str:
             return render(o.tolist(), depth)
         raise TypeError(f"cannot serialize {type(o)!r}")
 
-    return pad + render(obj, 0) + "\n"
+    return render(obj, 0) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -8,34 +8,36 @@ from .clustering import Clustering
 from .graphs import Graph, TemporalGraphSequence
 
 
-def _sample_pairs(n_left, n_right, count, rng, offset_left=0, offset_right=0,
-                  same_set=False, forbidden=None):
-    """Sample ``count`` distinct vertex pairs by rejection; O(count) expected."""
-    chosen = set(forbidden or ())
-    out = []
-    while len(out) < count:
-        need = count - len(out)
+def _sample_pairs(edges: set, n_left, n_right, count, rng, offset_left=0, offset_right=0):
+    """Add ``count`` distinct vertex pairs (u, v), u < v, to the set ``edges``
+    by rejection, in place; O(count) expected.
+
+    u is drawn from offset_left + [0, n_left) and v from offset_right +
+    [0, n_right). A pair already in ``edges`` and a pair with u == v are
+    rejected, so every generator grows one edge set and never copies it.
+    """
+    target = len(edges) + count
+    while len(edges) < target:
+        need = target - len(edges)
         a = rng.integers(0, n_left, size=2 * need + 4) + offset_left
         b = rng.integers(0, n_right, size=2 * need + 4) + offset_right
         for u, v in zip(a.tolist(), b.tolist()):
-            if same_set and u == v:
+            if u == v:
                 continue
             key = (u, v) if u < v else (v, u)
-            if key in chosen:
+            if key in edges:
                 continue
-            chosen.add(key)
-            out.append(key)
-            if len(out) == count:
+            edges.add(key)
+            if len(edges) == target:
                 break
-    return out
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator, first_id: int = 0) -> Graph:
     """Erdos-Renyi G(n, p) with vertex ids first_id..first_id+n-1."""
     total = n * (n - 1) // 2
     m = int(rng.binomial(total, p)) if total else 0
-    edges = _sample_pairs(n, n, min(m, total), rng,
-                          offset_left=first_id, offset_right=first_id, same_set=True)
+    edges = set()
+    _sample_pairs(edges, n, n, min(m, total), rng, offset_left=first_id, offset_right=first_id)
     return Graph(edges, vertices=range(first_id, first_id + n))
 
 
@@ -44,54 +46,53 @@ def planted_partition_graph(sizes, p_in: float, p_out: float,
                             first_id: int = 0) -> tuple[Graph, Clustering]:
     """Planted-partition graph; returns the graph and its true block partition."""
     starts = np.concatenate([[first_id], first_id + np.cumsum(sizes)])
-    edges = []
+    edges = set()
     blocks = []
     for bi, size in enumerate(sizes):
         lo = int(starts[bi])
         blocks.append(range(lo, lo + size))
         total = size * (size - 1) // 2
         m = int(rng.binomial(total, p_in)) if total else 0
-        edges += _sample_pairs(size, size, min(m, total), rng,
-                               offset_left=lo, offset_right=lo, same_set=True)
+        _sample_pairs(edges, size, size, min(m, total), rng, offset_left=lo, offset_right=lo)
     for bi in range(len(sizes)):
         for bj in range(bi + 1, len(sizes)):
             total = sizes[bi] * sizes[bj]
             m = int(rng.binomial(total, p_out)) if total else 0
-            edges += _sample_pairs(sizes[bi], sizes[bj], min(m, total), rng,
-                                   offset_left=int(starts[bi]),
-                                   offset_right=int(starts[bj]))
+            _sample_pairs(edges, sizes[bi], sizes[bj], min(m, total), rng,
+                          offset_left=int(starts[bi]), offset_right=int(starts[bj]))
     n = int(sum(sizes))
     graph = Graph(edges, vertices=range(first_id, first_id + n))
     return graph, Clustering.from_groups(blocks)
 
 
+RING_WIDTH = 3      # clockwise neighbours each ring_of_blocks block is wired to
+
+
 def ring_of_blocks(n_blocks: int, block_size: int, p_in: float,
-                   inter_per_pair: int, rng: np.random.Generator,
-                   ring_width: int = 3) -> Graph:
-    """Blocks on a ring, each wired to its ``ring_width`` clockwise neighbors.
+                   inter_per_pair: int, rng: np.random.Generator) -> Graph:
+    """Blocks on a ring, each wired to its ``RING_WIDTH`` clockwise neighbors.
 
     The community quotient has bounded degree, so the per-community local
     structure stays constant as the graph grows; the family is used for
-    edge-count scaling experiments.
+    edge-count scaling experiments. With fewer than RING_WIDTH + 1 blocks a
+    block pair is wired more than once, each time with ``inter_per_pair``
+    new edges.
     """
     edges = set()
     for b in range(n_blocks):
         base = b * block_size
         total = block_size * (block_size - 1) // 2
         m = int(rng.binomial(total, p_in)) if total else 0
-        edges.update(_sample_pairs(block_size, block_size, min(m, total), rng,
-                                   offset_left=base, offset_right=base,
-                                   same_set=True))
+        _sample_pairs(edges, block_size, block_size, min(m, total), rng,
+                      offset_left=base, offset_right=base)
     for b in range(n_blocks):
-        for d in range(1, ring_width + 1):
+        for d in range(1, RING_WIDTH + 1):
             c = (b + d) % n_blocks
             if c == b:
                 continue
-            edges.update(_sample_pairs(block_size, block_size, inter_per_pair, rng,
-                                       offset_left=b * block_size,
-                                       offset_right=c * block_size,
-                                       forbidden=edges))
-    return Graph(sorted(edges), vertices=range(n_blocks * block_size))
+            _sample_pairs(edges, block_size, block_size, inter_per_pair, rng,
+                          offset_left=b * block_size, offset_right=c * block_size)
+    return Graph(edges, vertices=range(n_blocks * block_size))
 
 
 def evolving_sequence(sizes, p_in: float, p_out: float, length: int,

@@ -515,6 +515,35 @@ def test_config_key_set_twice_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["g1.txt", "manifest.txt", "run.cfg"])
+def test_non_ascii_byte_exits_2_naming_the_file_and_line(workspace, tmp_path, capsys, name):
+    # a UTF-8 byte in an edge list, a manifest or a config file, even inside
+    # a '#' comment, is one line naming the file and the line; nothing is written
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"manifest = {manifest}\nout = {out}\nseed = 1\n")
+    bad = root / name
+    first, rest = bad.read_bytes().split(b"\n", 1)
+    bad.write_bytes(first + b"\n# caf\xc3\xa9\n" + rest)
+    assert main(["perturb", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {bad}:2: not ASCII\n"
+    assert not out.exists()
+
+
+def test_eval_scenario_non_ascii_byte_exits_2(workspace, tmp_path, capsys):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    scenario = tmp_path / "sybil.cfg"
+    scenario.write_bytes(b"regions = 4  # r\xc3\xa9gions\n")
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    capsys.readouterr()
+    assert main(["eval"] + args + ["--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err == f"config error: {scenario}:1: not ASCII\n"
+    assert not (out / "eval.csv").exists()
+
+
 def test_eval_scenario_key_set_twice_exits_2(workspace, tmp_path, capsys):
     root, manifest, _ = workspace
     out = tmp_path / "out"

@@ -9,12 +9,11 @@ from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
                         TemporalGraphSequence, evolving_sequence, group_edges,
                         hay_baseline, linkmirage_run,
-                        linkmirage_sequence, perturb_intercluster,
-                        perturb_static, perturb_static_baseline_sequence,
+                        linkmirage_sequence, perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph)
 from linkmirage import perturb, privacy
 from linkmirage.graphs import _canonical_edges
-from linkmirage.perturb import (_draws, _pair_tasks, _plan_chain, _reads, _sample_step,
+from linkmirage.perturb import (_PairTask, _draws, _plan_chain, _reads, _sample_step,
                                _step_edges, _step_rng, build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 
@@ -84,9 +83,17 @@ def two_singleton_clustering():
     return Clustering.from_groups([[0], [1]])
 
 
+def rewire(graph, clustering, rng, form="appendixC"):
+    """{(a, b): edges} of one inter-community rewiring: every pair task of the
+    graph's one grouping, drawn by ``_PairTask.sample`` from its own child."""
+    inter = group_edges(graph, clustering)[1]
+    return {pair: _PairTask.of(*pair, edges).sample(child, form)
+            for (pair, edges), child in zip(inter.items(), rng.spawn(len(inter)))}
+
+
 def test_intercluster_appendixc_forced_edge(rng):
     g = Graph([(0, 1)])
-    out = perturb_intercluster(g, two_singleton_clustering(), rng, form="appendixC")
+    out = rewire(g, two_singleton_clustering(), rng, form="appendixC")
     assert [tuple(e) for e in out[(0, 1)]] == [(0, 1)]
 
 
@@ -94,7 +101,7 @@ def test_intercluster_algorithm1_half_probability(rng):
     g = Graph([(0, 1)])
     c = two_singleton_clustering()
     n = 10_000
-    hits = sum(len(perturb_intercluster(g, c, rng, form="algorithm1")[(0, 1)])
+    hits = sum(len(rewire(g, c, rng, form="algorithm1")[(0, 1)])
                for _ in range(n))
     assert abs(hits / n - 0.5) <= 3 * np.sqrt(0.25 / n)
 
@@ -102,7 +109,7 @@ def test_intercluster_algorithm1_half_probability(rng):
 def test_intercluster_pair_without_marginals_contributes_nothing(rng):
     g = Graph([(0, 1), (2, 3)], vertices=[0, 1, 2, 3])
     c = Clustering.from_groups([[0, 1], [2, 3]])
-    assert perturb_intercluster(g, c, rng) == {}
+    assert rewire(g, c, rng) == {}
 
 
 def test_intercluster_expected_degree_appendixc(rng):
@@ -118,7 +125,7 @@ def test_intercluster_expected_degree_appendixc(rng):
     trials = 8_000
     acc = {v: 0 for v in inter_deg}
     for _ in range(trials):
-        edges = perturb_intercluster(g, c, rng, form="appendixC")[(0, 5)]
+        edges = rewire(g, c, rng, form="appendixC")[(0, 5)]
         for u, v in edges:
             acc[int(u)] += 1
             acc[int(v)] += 1
@@ -210,7 +217,7 @@ def test_step_compose_oracle_t0():
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=23, spawn_key=(0, 0)))
     plan = build_step_plan(g, None, params)
-    labels = plan.changed_labels
+    labels = plan.diff.changed
     children = rng.spawn(len(labels) + len(plan.pair_tasks))
     edges = []
     for label, child in zip(labels, children[:len(labels)]):
@@ -649,7 +656,14 @@ def test_a_vertex_moving_between_matched_communities_carries_no_edge(m):
     assert not (graphs[1].edges == 5).any()
 
 
-def test_pair_tasks_match_per_edge_oracle(rng):
+def plan_on(graph, clustering, monkeypatch):
+    """The t = 0 plan of ``graph`` laid out on ``clustering``, not on the one
+    ``cluster_static`` finds; every community of a t = 0 plan is changed."""
+    monkeypatch.setattr(perturb, "cluster_static", lambda g: clustering)
+    return build_step_plan(graph, None, PerturbParams())
+
+
+def test_pair_tasks_match_per_edge_oracle(rng, monkeypatch):
     for _ in range(20):
         n = int(rng.integers(2, 40))
         base = random_graph(n, rng.uniform(0.05, 0.5), rng)
@@ -665,7 +679,7 @@ def test_pair_tasks_match_per_edge_oracle(rng):
             if cu != cv:
                 key, pair = ((cu, cv), (u, v)) if cu < cv else ((cv, cu), (v, u))
                 groups.setdefault(key, []).append(pair)
-        tasks = _pair_tasks(g, c)
+        tasks = plan_on(g, c, monkeypatch).pair_tasks
         assert [(t.a, t.b) for t in tasks] == sorted(groups)
         for task in tasks:
             pairs = np.asarray(groups[(task.a, task.b)])
@@ -676,6 +690,40 @@ def test_pair_tasks_match_per_edge_oracle(rng):
             for got, want in ((task.nodes_a, nodes_a), (task.deg_a, deg_a),
                               (task.nodes_b, nodes_b), (task.deg_b, deg_b)):
                 assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_plan_subgraphs_are_the_induced_subgraphs(rng, monkeypatch):
+    # a changed community's subgraph is its intra group of the one grouping
+    # over all its members: the induced subgraph, isolated members included
+    def check(g_t, plan):
+        assert sorted(plan.subgraphs) == plan.diff.changed
+        for label in plan.diff.changed:
+            assert plan.subgraphs[label] == g_t.subgraph(plan.clustering.communities[label])
+
+    changed = 0
+    for seq in (small_overlap_sequence(), vertex_leaves_sequence()):
+        for m, theta in ((0, 0.8), (1, 1.0), (2, 0.5)):
+            plans = _plan_chain(seq, PerturbParams(k=2, m=m, theta=theta, seed=5))
+            for g_t, plan in zip(seq.snapshots, plans):
+                check(g_t, plan)
+            changed += sum(len(plan.diff.changed) for plan in plans[1:])
+    assert changed
+
+    lone = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        base = random_graph(n, rng.uniform(0.05, 0.5), rng)
+        # sparse, unordered ids, plus one id with no edge at all
+        ids = rng.permutation(np.arange(n) * 7 + 3)
+        g = Graph(ids[base.edges], vertices=np.append(ids, 7 * n + 5))
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=n + 1)
+        c = Clustering.from_groups([g.vertices[labels == k] for k in np.unique(labels)])
+        plan = plan_on(g, c, monkeypatch)
+        assert plan.diff.changed == sorted(c.communities)
+        check(g, plan)
+        lone += sum(sub.num_vertices - np.unique(sub.edges).size
+                    for sub in plan.subgraphs.values())
+    assert lone
 
 
 # -- hay baseline -----------------------------------------------------------------
@@ -750,7 +798,7 @@ def time_limit(seconds):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("r", [1, 2, None])
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_hay_baseline_on_a_complete_graph_raises(n, r):
     g = Graph([(i, j) for i in range(n) for j in range(i + 1, n)])
     with time_limit(10), pytest.raises(ValueError, match="too dense"):

@@ -288,7 +288,7 @@ def exact_likelihood(world, params, uv, observed):
     mass = {(): 1.0}   # entries of the draws that match so far -> probability
     for plan, obs in zip(_plan_chain(world, params), observed):
         fresh = [(("intra", label), walk_distribution(plan.subgraphs[label], uv))
-                 for label in plan.changed_labels]
+                 for label in plan.diff.changed]
         fresh += [(("inter", (task.a, task.b)),
                    pair_distribution(task, params.inter_cluster_form, uv))
                   for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs]

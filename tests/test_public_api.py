@@ -6,16 +6,18 @@ import pytest
 
 import linkmirage
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
-                        PriorModel, TemporalGraphSequence, UtilityReport,
+                        PriorModel, SybilScenario, TemporalGraphSequence, UtilityReport,
                         estimation_error_bound_check,
                         evolving_sequence, indistinguishability_series,
-                        pagerank, posterior_probability,
+                        pagerank, posterior_probability, ring_of_blocks,
                         spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
 from linkmirage.perturb import _StepPlan
 from linkmirage.privacy import (_SequenceSampler, _edge_feature, fit_logistic_1d,
                                 observed_features)
+from linkmirage.reporting import canonical_json
+from linkmirage.synth import _sample_pairs
 from linkmirage.utility import mixing_time, slem
 
 
@@ -32,6 +34,8 @@ def test_every_exported_name_resolves_once():
     ("linkmirage.privacy", "_bayes"),
     ("linkmirage.privacy", "_likelihood"),
     ("linkmirage.perturb", "linkmirage_step"),
+    ("linkmirage.perturb", "perturb_intercluster"),
+    ("linkmirage.perturb", "_pair_tasks"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
@@ -70,6 +74,11 @@ def test_step_plan_has_one_dependence_rule():
     assert hasattr(_StepPlan, "carries") and not hasattr(_StepPlan, "redraws")
 
 
+def test_unread_members_and_defaults_are_gone():
+    assert not hasattr(_StepPlan, "changed_labels")     # plan.diff.changed is that list
+    assert not hasattr(SybilScenario, "sybil_ids")
+
+
 def test_prior_model_holds_only_what_varies():
     assert [f.name for f in dataclasses.fields(PriorModel)] == ["seed"]
 
@@ -88,6 +97,8 @@ def test_link_query_holds_only_what_is_set():
     (_edge_feature, "degree_bin"), (observed_features, "degree_bin"),
     (_SequenceSampler.sample_features, "degree_bin"),
     (posterior_probability, "degree_bin"), (indistinguishability_series, "degree_bin"),
+    (canonical_json, "indent"), (ring_of_blocks, "ring_width"),
+    (_sample_pairs, "same_set"), (_sample_pairs, "forbidden"),
 ])
 def test_single_valued_options_are_constants(func, removed):
     assert removed not in inspect.signature(func).parameters

@@ -1,0 +1,108 @@
+import numpy as np
+import pytest
+
+from linkmirage import Graph, er_graph, planted_partition_graph, ring_of_blocks
+
+
+# -- the generators as they were when each pair sampler copied its forbidden set
+
+
+def reference_sample_pairs(n_left, n_right, count, rng, offset_left=0, offset_right=0,
+                           same_set=False, forbidden=None):
+    chosen = set(forbidden or ())
+    out = []
+    while len(out) < count:
+        need = count - len(out)
+        a = rng.integers(0, n_left, size=2 * need + 4) + offset_left
+        b = rng.integers(0, n_right, size=2 * need + 4) + offset_right
+        for u, v in zip(a.tolist(), b.tolist()):
+            if same_set and u == v:
+                continue
+            key = (u, v) if u < v else (v, u)
+            if key in chosen:
+                continue
+            chosen.add(key)
+            out.append(key)
+            if len(out) == count:
+                break
+    return out
+
+
+def reference_ring_of_blocks(n_blocks, block_size, p_in, inter_per_pair, rng, ring_width=3):
+    edges = set()
+    for b in range(n_blocks):
+        base = b * block_size
+        total = block_size * (block_size - 1) // 2
+        m = int(rng.binomial(total, p_in)) if total else 0
+        edges.update(reference_sample_pairs(block_size, block_size, min(m, total), rng,
+                                            offset_left=base, offset_right=base,
+                                            same_set=True))
+    for b in range(n_blocks):
+        for d in range(1, ring_width + 1):
+            c = (b + d) % n_blocks
+            if c == b:
+                continue
+            edges.update(reference_sample_pairs(block_size, block_size, inter_per_pair, rng,
+                                                offset_left=b * block_size,
+                                                offset_right=c * block_size,
+                                                forbidden=edges))
+    return Graph(sorted(edges), vertices=range(n_blocks * block_size))
+
+
+def reference_planted_partition(sizes, p_in, p_out, rng, first_id=0):
+    starts = np.concatenate([[first_id], first_id + np.cumsum(sizes)])
+    edges = []
+    for bi, size in enumerate(sizes):
+        lo = int(starts[bi])
+        total = size * (size - 1) // 2
+        m = int(rng.binomial(total, p_in)) if total else 0
+        edges += reference_sample_pairs(size, size, min(m, total), rng,
+                                        offset_left=lo, offset_right=lo, same_set=True)
+    for bi in range(len(sizes)):
+        for bj in range(bi + 1, len(sizes)):
+            total = sizes[bi] * sizes[bj]
+            m = int(rng.binomial(total, p_out)) if total else 0
+            edges += reference_sample_pairs(sizes[bi], sizes[bj], min(m, total), rng,
+                                            offset_left=int(starts[bi]),
+                                            offset_right=int(starts[bj]))
+    return Graph(edges, vertices=range(first_id, first_id + int(sum(sizes))))
+
+
+def reference_er(n, p, rng, first_id=0):
+    total = n * (n - 1) // 2
+    m = int(rng.binomial(total, p)) if total else 0
+    edges = reference_sample_pairs(n, n, min(m, total), rng, offset_left=first_id,
+                                   offset_right=first_id, same_set=True)
+    return Graph(edges, vertices=range(first_id, first_id + n))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4, 5, 6, 7, 10, 40])
+def test_ring_of_blocks_equals_the_copying_sampler(n_blocks):
+    # below 4 blocks a block pair is wired more than once, each time with
+    # pairs the earlier wirings did not draw
+    for block_size in (4, 9, 25):
+        for seed in range(5):
+            got = ring_of_blocks(n_blocks, block_size, 0.3, 3, np.random.default_rng(seed))
+            want = reference_ring_of_blocks(n_blocks, block_size, 0.3, 3,
+                                            np.random.default_rng(seed))
+            assert got == want, (n_blocks, block_size, seed)
+
+
+def test_ring_of_blocks_wires_repeated_pairs_with_new_edges():
+    # 2 blocks of 4: the pair (0, 1) is wired 4 times, 3 new edges each time
+    g = ring_of_blocks(2, 4, 0.0, 3, np.random.default_rng(0))
+    assert g.num_edges == 12 and (g.edges[:, 0] < 4).all() and (g.edges[:, 1] >= 4).all()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_planted_partition_and_er_equal_the_copying_sampler(seed):
+    for sizes, p_in, p_out, first_id in (([8, 8], 0.6, 0.08, 0), ([20, 5, 13], 0.3, 0.05, 7),
+                                         ([1, 4], 0.5, 0.5, 2)):
+        got, blocks = planted_partition_graph(sizes, p_in, p_out, np.random.default_rng(seed),
+                                              first_id=first_id)
+        assert got == reference_planted_partition(sizes, p_in, p_out,
+                                                  np.random.default_rng(seed), first_id)
+        assert sorted(map(len, blocks.communities.values())) == sorted(sizes)
+    for n, p, first_id in ((1, 0.5, 0), (12, 0.3, 0), (30, 0.9, 100)):
+        assert er_graph(n, p, np.random.default_rng(seed), first_id) == \
+            reference_er(n, p, np.random.default_rng(seed), first_id)
