@@ -3,8 +3,9 @@
 Every stage writes machine-readable outputs stamped with a provenance hash
 of the resolved release (``provenance``), so downstream stages refuse
 artifacts of another release. Each setting is declared once, in ``KEYS``.
-Outputs are byte-identical across reruns and thread counts for a fixed
-(config, seed).
+Outputs are byte-identical across reruns for a fixed (config, seed). Draws
+run in one thread; the ``threads`` key is accepted and checked, and has no
+effect.
 
 Exit codes: 0 ok, 2 invalid config, 3 I/O failure, 4 missing or stale
 dependency artifact.
@@ -114,7 +115,8 @@ KEYS = {
     "inter-cluster-form": _Key(_one_of(INTER_FORMS), PerturbParams.inter_cluster_form,
                                "inter-community rewiring probability", _EVERY),
     "hay-r": _Key(_FRACTION, 0.5, "r/m fraction for the hay baseline", _EVERY),
-    "threads": _Key(_AT_LEAST_1, 1, "linkmirage worker threads", _EVERY),
+    "threads": _Key(_AT_LEAST_1, 1, "accepted and ignored: draws run in one thread "
+                     "(the key goes with ROADMAP item 1)", _EVERY),
     "metric": _Key(_METRIC_NAMES, None, "metrics to compute", ("metrics",)),
     "samples": _Key(_INT, 200, "Monte Carlo samples for posteriors", ("metrics",)),
     "l": _Key(_INTS, (2,), "application parameters for ud", ("metrics",)),
@@ -195,7 +197,7 @@ def _release(seq, params, settings) -> tuple[list, list | None]:
     """(released graphs, records) of ``seq`` under the settings' mechanism;
     only a linkmirage release has records."""
     if settings["mechanism"] == "linkmirage":
-        return linkmirage_run(seq, params, threads=settings["threads"])
+        return linkmirage_run(seq, params)
     if settings["mechanism"] == "static-baseline":
         return perturb_static_baseline_sequence(seq, params.k, params.seed), None
     return hay_baseline_sequence(seq, params.seed, r_fraction=settings["hay-r"]), None

@@ -18,6 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 
+# the largest vertex id: ids are stored as int64
+_MAX_ID = np.iinfo(np.int64).max
+
+
 class GraphFormatError(ValueError):
     """Raised for malformed input text files (reports file:line)."""
 
@@ -300,7 +304,8 @@ def load_edge_list(path) -> Graph:
     Raises
     ------
     GraphFormatError
-        On unparseable lines or self-loops, reporting path and line number.
+        On unparseable lines, ids outside [0, 2**63 - 1] or self-loops,
+        reporting path and line number.
     """
     edges = []
     for lineno, body, line in _content_lines(path):
@@ -314,6 +319,8 @@ def load_edge_list(path) -> Graph:
                 f"{path}:{lineno}: vertex ids must be integers, got {line.strip()!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"{path}:{lineno}: vertex ids must be nonnegative")
+        if u > _MAX_ID or v > _MAX_ID:
+            raise GraphFormatError(f"{path}:{lineno}: vertex ids must be at most 2**63 - 1")
         if u == v:
             raise GraphFormatError(f"{path}:{lineno}: self-loop {u}-{v} rejected")
         edges.append((u, v))

@@ -26,7 +26,6 @@ degree check draws through ``_sample_step`` too.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +127,6 @@ def _perturb_edges(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray
         loop = starts == terms
         if not loop.any():
             break
-        terms = terms.copy()
         terms[loop] = walk_terminals(graph, starts[loop], k, rng)
     keep = starts != terms
     ids = graph.vertices
@@ -321,8 +319,8 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
 
 
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
-                 rng: np.random.Generator, threads: int = 1,
-                 draw=_perturb_edges, reads=None) -> tuple[dict, dict]:
+                 rng: np.random.Generator, draw=_perturb_edges,
+                 reads=None) -> tuple[dict, dict]:
     """Draw one step perturbation with reuse: (intra by label, inter by pair).
 
     ``carried`` is None at t=0, otherwise the previous step's draw, which
@@ -359,17 +357,8 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
 
     intra = {label: carry(carried[0][prev_label], prev_label)
              for prev_label, label in plan.diff.unchanged if label in read_labels}
-    fresh = [(label, i) for i, label in enumerate(labels) if label in read_labels]
-
-    def one(entry):
-        label, i = entry
-        return label, draw(plan.subgraphs[label], params.k, stream(i))
-
-    if threads > 1 and len(fresh) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            intra.update(pool.map(one, fresh))
-    else:
-        intra.update(map(one, fresh))
+    intra.update((label, draw(plan.subgraphs[label], params.k, stream(i)))
+                 for i, label in enumerate(labels) if label in read_labels)
 
     inter = {pair: carry(carried[1][key], *key)
              for pair, key in plan.reused_pairs.items() if pair in read_pairs}
@@ -392,7 +381,7 @@ def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Gene
         np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
 
 
-def _draws(plans, params: PerturbParams, streams, threads: int = 1, reads=None):
+def _draws(plans, params: PerturbParams, streams, reads=None):
     """Yield the step draw of each plan in turn, each drawn from its stream of
     ``streams`` and carrying the draw before it.
 
@@ -402,30 +391,28 @@ def _draws(plans, params: PerturbParams, streams, threads: int = 1, reads=None):
     """
     carried = None
     for plan, rng, read in zip(plans, streams, reads or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, rng, threads=threads, reads=read)
+        carried = _sample_step(plan, carried, params, rng, reads=read)
         yield carried
 
 
-def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams,
-                   threads: int = 1) -> tuple[list, list]:
+def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[list, list]:
     """The selective pipeline over a sequence: (perturbed graphs, records).
 
     At t=0 every community is perturbed; at t>0 unchanged communities and
     pairs copy the previous draw's edges of the members that stayed, and the
     rest is re-sampled from timestamp t's stream of ``params.seed``. So the
-    release depends only on (inputs, params), not on the thread count.
+    release depends only on (inputs, params). Draws run in one thread.
     """
     plans = _plan_chain(seq, params)
     streams = (_step_rng(params.seed, t) for t in range(len(plans)))
     graphs = [Graph(_step_edges(*draw), vertices=g_t.vertices)
-              for draw, g_t in zip(_draws(plans, params, streams, threads), seq.snapshots)]
+              for draw, g_t in zip(_draws(plans, params, streams), seq.snapshots)]
     return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]
 
 
-def linkmirage_sequence(seq: TemporalGraphSequence, params: PerturbParams,
-                        threads: int = 1) -> list:
+def linkmirage_sequence(seq: TemporalGraphSequence, params: PerturbParams) -> list:
     """Perturbed graph for every snapshot of the sequence."""
-    return linkmirage_run(seq, params, threads=threads)[0]
+    return linkmirage_run(seq, params)[0]
 
 
 def perturb_static_baseline_sequence(seq: TemporalGraphSequence, k: int,

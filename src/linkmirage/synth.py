@@ -113,10 +113,11 @@ def evolving_sequence(sizes, p_in: float, p_out: float, length: int,
         raise ValueError("overlap must lie in (0, 1]")
     sizes = list(sizes)
     g0, blocks = planted_partition_graph(sizes, p_in, p_out, rng)
+    protected = None
     if keep_edge is not None:
         u, v = int(keep_edge[0]), int(keep_edge[1])
-        g0 = Graph(np.vstack([g0.edges, [[min(u, v), max(u, v)]]]),
-                   vertices=g0.vertices)
+        protected = (min(u, v), max(u, v))
+        g0 = Graph(np.vstack([g0.edges, [protected]]), vertices=g0.vertices)
     block_members = {lab: sorted(mem) for lab, mem in blocks.communities.items()}
     next_id = int(g0.vertices.max()) + 1
     all_labels = sorted(block_members)
@@ -130,10 +131,6 @@ def evolving_sequence(sizes, p_in: float, p_out: float, length: int,
     for _ in range(1, length):
         prev = snaps[-1]
         edge_list = [tuple(e) for e in prev.edges.tolist()]
-        protected = None
-        if keep_edge is not None:
-            protected = (min(int(keep_edge[0]), int(keep_edge[1])),
-                         max(int(keep_edge[0]), int(keep_edge[1])))
         removable = [e for e in edge_list
                      if e != protected
                      and (e[0] in churn_vertices or e[1] in churn_vertices)]
@@ -173,12 +170,12 @@ def evolving_sequence(sizes, p_in: float, p_out: float, length: int,
             v_new = next_id
             next_id += 1
             vertices.add(v_new)
-            n_attach = max(1, int(rng.integers(1, 4)))
+            n_attach = int(rng.integers(1, 4))
             picks = rng.choice(len(mem), size=min(n_attach, len(mem)), replace=False)
-            for pi in np.atleast_1d(picks):
+            for pi in picks:
                 e = (min(v_new, mem[int(pi)]), max(v_new, mem[int(pi)]))
                 existing.add(e)
             block_members[bi] = mem + [v_new]
 
-        snaps.append(Graph(sorted(existing), vertices=sorted(vertices)))
+        snaps.append(Graph(existing, vertices=vertices))
     return TemporalGraphSequence(snaps)

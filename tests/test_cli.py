@@ -531,6 +531,18 @@ def test_non_ascii_byte_exits_2_naming_the_file_and_line(workspace, tmp_path, ca
     assert not out.exists()
 
 
+def test_vertex_id_beyond_int64_exits_2_naming_the_file_and_line(workspace, tmp_path, capsys):
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    bad = root / "g1.txt"
+    bad.write_text(bad.read_text() + f"{2**63} 1\n")
+    line = bad.read_text().count("\n")
+    assert main(["perturb", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{bad}:{line}:" in err and "2**63 - 1" in err
+    assert not out.exists()
+
+
 def test_eval_scenario_non_ascii_byte_exits_2(workspace, tmp_path, capsys):
     root, manifest, _ = workspace
     out = tmp_path / "out"

@@ -15,7 +15,8 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         posterior_probability, prior_probability, transition_matrix,
                         tv_distance)
 from linkmirage import privacy
-from linkmirage.perturb import _plan_chain, _sample_step, _step_edges
+from linkmirage.perturb import (_plan_chain, _sample_step, _step_edges,
+                               perturb_static_baseline_sequence)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, fit_logistic_1d
 
 
@@ -375,6 +376,31 @@ def test_posterior_matches_enumeration_at_t1(monkeypatch, case):
     expected = prior * like[True] / (prior * like[True] + (1 - prior) * like[False])
     est = posterior_probability(query, seq, observed, model, params, 10_000,
                                 np.random.default_rng(99))
+    assert abs(est.probability - expected) <= 0.02
+
+
+def test_static_posterior_matches_enumeration_at_t1(monkeypatch):
+    # a star that gains an edge; (1, 3) is absent at both steps, so neither
+    # world is ruled out and the exact posterior lies inside (0.05, 0.95)
+    monkeypatch.setattr(privacy, "DEGREE_BIN", 1)
+    seq = TemporalGraphSequence([Graph([(0, 1), (0, 2), (0, 3)]),
+                                 Graph([(0, 1), (0, 2), (0, 3), (2, 3)])])
+    uv = (1, 3)
+    query = LinkQuery(t=1, u=uv[0], v=uv[1])
+    params = PerturbParams(k=1, seed=0)
+    observed = perturb_static_baseline_sequence(seq, 1, 3)
+    features = privacy.observed_features(observed, query)
+    # static steps are drawn independently: the likelihood is a product over t
+    like = {present: math.prod(
+        enumerate_static_feature_distribution(g_t, uv, degree_bin=1).get(f, 0.0)
+        for g_t, f in zip(privacy._hypothesis_world(seq, query, present).snapshots, features))
+        for present in (True, False)}
+    model = PriorModel(seed=5)
+    prior = prior_probability(query, model, seq)
+    expected = prior * like[True] / (prior * like[True] + (1 - prior) * like[False])
+    assert 0.05 < expected < 0.95
+    est = posterior_probability(query, seq, observed, model, params, 10_000,
+                                np.random.default_rng(99), mechanism="static")
     assert abs(est.probability - expected) <= 0.02
 
 

@@ -13,7 +13,8 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
                         spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
-from linkmirage.perturb import _StepPlan
+from linkmirage.perturb import (_StepPlan, _draws, _sample_step, linkmirage_run,
+                                linkmirage_sequence)
 from linkmirage.privacy import (_SequenceSampler, _edge_feature, fit_logistic_1d,
                                 observed_features)
 from linkmirage.reporting import canonical_json
@@ -99,6 +100,8 @@ def test_link_query_holds_only_what_is_set():
     (posterior_probability, "degree_bin"), (indistinguishability_series, "degree_bin"),
     (canonical_json, "indent"), (ring_of_blocks, "ring_width"),
     (_sample_pairs, "same_set"), (_sample_pairs, "forbidden"),
+    (_sample_step, "threads"), (_draws, "threads"),
+    (linkmirage_run, "threads"), (linkmirage_sequence, "threads"),
 ])
 def test_single_valued_options_are_constants(func, removed):
     assert removed not in inspect.signature(func).parameters

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linkmirage import Graph, er_graph, planted_partition_graph, ring_of_blocks
+from linkmirage import (Graph, TemporalGraphSequence, er_graph, evolving_sequence,
+                        planted_partition_graph, ring_of_blocks)
 
 
 # -- the generators as they were when each pair sampler copied its forbidden set
@@ -76,6 +77,86 @@ def reference_er(n, p, rng, first_id=0):
     return Graph(edges, vertices=range(first_id, first_id + n))
 
 
+# -- evolving_sequence as it was before its dead work went
+
+
+def reference_evolving_sequence(sizes, p_in, p_out, length, overlap, rng, keep_edge=None,
+                                new_vertices_per_step=0, churn_blocks=None):
+    if not 0.0 < overlap <= 1.0:
+        raise ValueError("overlap must lie in (0, 1]")
+    sizes = list(sizes)
+    g0, blocks = planted_partition_graph(sizes, p_in, p_out, rng)
+    if keep_edge is not None:
+        u, v = int(keep_edge[0]), int(keep_edge[1])
+        g0 = Graph(np.vstack([g0.edges, [[min(u, v), max(u, v)]]]),
+                   vertices=g0.vertices)
+    block_members = {lab: sorted(mem) for lab, mem in blocks.communities.items()}
+    next_id = int(g0.vertices.max()) + 1
+    all_labels = sorted(block_members)
+    churn_labels = all_labels if churn_blocks is None \
+        else [all_labels[i] for i in churn_blocks]
+    churn_vertices = set()
+    for lab in churn_labels:
+        churn_vertices.update(block_members[lab])
+
+    snaps = [g0]
+    for _ in range(1, length):
+        prev = snaps[-1]
+        edge_list = [tuple(e) for e in prev.edges.tolist()]
+        protected = None
+        if keep_edge is not None:
+            protected = (min(int(keep_edge[0]), int(keep_edge[1])),
+                         max(int(keep_edge[0]), int(keep_edge[1])))
+        removable = [e for e in edge_list
+                     if e != protected
+                     and (e[0] in churn_vertices or e[1] in churn_vertices)]
+        removable_set = set(removable)
+        stable = [e for e in edge_list if e not in removable_set]
+        n_churn = int(round((1.0 - overlap) * len(edge_list)))
+        n_churn = min(n_churn, len(removable))
+        drop_idx = set(rng.choice(len(removable), size=n_churn, replace=False).tolist()) \
+            if n_churn else set()
+        kept = [e for i, e in enumerate(removable) if i not in drop_idx] + stable
+
+        existing = set(kept)
+        added = []
+        while len(added) < n_churn:
+            bi = churn_labels[int(rng.integers(0, len(churn_labels)))]
+            intra = rng.random() < (p_in / (p_in + p_out * max(len(all_labels) - 1, 1)))
+            mem_a = block_members[bi]
+            if intra and len(mem_a) >= 2:
+                u, v = rng.choice(len(mem_a), size=2, replace=False)
+                cand = (mem_a[int(u)], mem_a[int(v)])
+            else:
+                bj = all_labels[int(rng.integers(0, len(all_labels)))]
+                if bj == bi:
+                    continue
+                mem_b = block_members[bj]
+                cand = (mem_a[int(rng.integers(0, len(mem_a)))],
+                        mem_b[int(rng.integers(0, len(mem_b)))])
+            cand = (min(cand), max(cand))
+            if cand[0] != cand[1] and cand not in existing:
+                existing.add(cand)
+                added.append(cand)
+
+        vertices = set(int(x) for x in prev.vertices)
+        for _ in range(new_vertices_per_step):
+            bi = churn_labels[int(rng.integers(0, len(churn_labels)))]
+            mem = block_members[bi]
+            v_new = next_id
+            next_id += 1
+            vertices.add(v_new)
+            n_attach = max(1, int(rng.integers(1, 4)))
+            picks = rng.choice(len(mem), size=min(n_attach, len(mem)), replace=False)
+            for pi in np.atleast_1d(picks):
+                e = (min(v_new, mem[int(pi)]), max(v_new, mem[int(pi)]))
+                existing.add(e)
+            block_members[bi] = mem + [v_new]
+
+        snaps.append(Graph(sorted(existing), vertices=sorted(vertices)))
+    return TemporalGraphSequence(snaps)
+
+
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4, 5, 6, 7, 10, 40])
 def test_ring_of_blocks_equals_the_copying_sampler(n_blocks):
     # below 4 blocks a block pair is wired more than once, each time with
@@ -106,3 +187,20 @@ def test_planted_partition_and_er_equal_the_copying_sampler(seed):
     for n, p, first_id in ((1, 0.5, 0), (12, 0.3, 0), (30, 0.9, 100)):
         assert er_graph(n, p, np.random.default_rng(seed), first_id) == \
             reference_er(n, p, np.random.default_rng(seed), first_id)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("sizes, p_in, p_out, length, overlap, extra", [
+    ([8, 8], 0.6, 0.08, 4, 0.8, {}),
+    ([12, 6, 10], 0.4, 0.05, 5, 0.7, {"keep_edge": (0, 1)}),
+    ([10, 10, 10], 0.3, 0.03, 4, 0.9, {"churn_blocks": [0, 2], "new_vertices_per_step": 2}),
+    ([2, 9], 0.5, 0.1, 6, 0.6, {"keep_edge": (3, 0), "churn_blocks": [0],
+                                "new_vertices_per_step": 3}),
+])
+def test_evolving_sequence_equals_the_reference(seed, sizes, p_in, p_out, length, overlap,
+                                                extra):
+    got = evolving_sequence(sizes, p_in, p_out, length, overlap, np.random.default_rng(seed),
+                            **extra)
+    want = reference_evolving_sequence(sizes, p_in, p_out, length, overlap,
+                                       np.random.default_rng(seed), **extra)
+    assert got.snapshots == want.snapshots
