@@ -7,8 +7,8 @@ Outputs are byte-identical across reruns for a fixed (config, seed). Draws
 run in one thread; the ``threads`` key is accepted and checked, and has no
 effect.
 
-Exit codes: 0 ok, 2 invalid config, 3 I/O failure, 4 missing or stale
-dependency artifact.
+Exit codes: 0 ok, 2 invalid config, 3 I/O failure, 4 missing, stale or
+malformed dependency artifact.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .appeval import SybilScenario, attack_probability, sampling_report, sybil_e
 from .clustering import cluster_static, modularity
 from .graphs import (TemporalGraphSequence, _content_lines, load_edge_list, load_sequence,
                      write_edge_list)
-from .perturb import (INTER_FORMS, PerturbationRecord, PerturbParams, hay_baseline,
+from .perturb import (PerturbationRecord, PerturbParams, hay_baseline,
                       hay_baseline_sequence, linkmirage_run,
                       perturb_static_baseline_sequence)
 from .privacy import (LinkQuery, PriorModel, anti_aggregation,
@@ -112,8 +112,6 @@ KEYS = {
     "m": _Key(_INT, PerturbParams.m, "freeing radius for re-clustering", _EVERY),
     "theta": _Key(_FLOAT, PerturbParams.theta, "unchanged-community overlap threshold", _EVERY),
     "seed": _Key(_SEED, PerturbParams.seed, "root of every random stream", _EVERY),
-    "inter-cluster-form": _Key(_one_of(INTER_FORMS), PerturbParams.inter_cluster_form,
-                               "inter-community rewiring probability", _EVERY),
     "hay-r": _Key(_FRACTION, 0.5, "r/m fraction for the hay baseline", _EVERY),
     "threads": _Key(_AT_LEAST_1, 1, "accepted and ignored: draws run in one thread "
                      "(the key goes with ROADMAP item 1)", _EVERY),
@@ -129,7 +127,7 @@ KEYS = {
     "scenario": _Key(_PATH, None, "sybil scenario config file", ("eval",)),
 }
 # the keys that determine a release, besides its input snapshots
-_RELEASE_KEYS = ("mechanism", "hay-r", *(f.name.replace("_", "-") for f in fields(PerturbParams)))
+_RELEASE_KEYS = ("mechanism", "hay-r", *(f.name for f in fields(PerturbParams)))
 
 # Every key of a Sybil scenario file and its kind; all but ``seeds`` (default:
 # the release seed) are required.
@@ -189,8 +187,7 @@ def provenance(settings, seq) -> tuple[str, dict]:
 
 
 def _params_from(settings) -> PerturbParams:
-    return PerturbParams(**{f.name: settings[f.name.replace("_", "-")]
-                            for f in fields(PerturbParams)})
+    return PerturbParams(**{f.name: settings[f.name] for f in fields(PerturbParams)})
 
 
 def _release(seq, params, settings) -> tuple[list, list | None]:
@@ -225,6 +222,20 @@ def cmd_perturb(args) -> int:
     return EXIT_OK
 
 
+def _read_artifact(path, key, parse=None):
+    """The ``key`` entry of the JSON object in the artifact at ``path``, through
+    ``parse`` if given. Content that is not such an object, or an entry that
+    ``parse`` rejects, raises a MissingArtifactError naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            obj = json.load(fh)
+        # a list or a scalar raises TypeError here, a missing key KeyError
+        return parse(obj[key]) if parse else obj[key]
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise MissingArtifactError(f"{path} is not a JSON object with a valid {key!r} "
+                                   "entry; run perturb again") from None
+
+
 def _load_outputs(settings, seq) -> tuple[list, str]:
     """(released graphs, provenance hash) of the release the settings determine."""
     out_dir = settings["out"]
@@ -232,9 +243,7 @@ def _load_outputs(settings, seq) -> tuple[list, str]:
     prov_path = os.path.join(out_dir, "provenance.json")
     if not os.path.exists(prov_path):
         raise MissingArtifactError(f"no provenance.json in {out_dir}; run perturb first")
-    with open(prov_path, "r", encoding="ascii") as fh:
-        prov = json.load(fh)
-    if prov["provenance"] != phash:
+    if _read_artifact(prov_path, "provenance") != phash:
         raise MissingArtifactError(
             "perturbation outputs were produced under a different configuration")
     graphs = []
@@ -342,12 +351,12 @@ def _ud_rows(settings, seq, perturbed) -> tuple[list, dict]:
     record_path = os.path.join(settings["out"], "record.json")
     deltas, eps = None, 0.0
     if settings["mechanism"] == "linkmirage" and os.path.exists(record_path):
-        with open(record_path, "r", encoding="ascii") as fh:
-            clusterings = [PerturbationRecord.from_json_obj(r).clustering
-                           for r in json.load(fh)["records"]]
-        if clusterings:
-            deltas = [ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)]
-            eps = max(map(community_tv, seq.snapshots, perturbed, clusterings))
+        # one record per snapshot: zip(strict=True) raises ValueError otherwise
+        clusterings = _read_artifact(record_path, "records", lambda records: [
+            PerturbationRecord.from_json_obj(r).clustering
+            for _, r in zip(seq.snapshots, records, strict=True)])
+        deltas = [ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)]
+        eps = max(map(community_tv, seq.snapshots, perturbed, clusterings))
     rows, tables = [], {}
     for l in settings["l"]:
         per_t = list(enumerate(utility_distance(seq, perturbed, l).per_timestamp))
@@ -456,8 +465,7 @@ def cmd_report(args) -> int:
     comments = []
     prov_path = os.path.join(out_dir, "provenance.json")
     if os.path.exists(prov_path):
-        with open(prov_path, "r", encoding="ascii") as fh:
-            comments.append(f"provenance: {json.load(fh)['provenance']}")
+        comments.append(f"provenance: {_read_artifact(prov_path, 'provenance')}")
     write_csv(os.path.join(out_dir, "report.csv"),
               (*columns, "source"), rows,
               comment_lines=comments)

@@ -35,8 +35,6 @@ from .clustering import (Clustering, CommunityDiff, _edge_labels, changed_link_s
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, _canonical_edges
 from .markov import walk_terminals
 
-INTER_FORMS = ("appendixC", "algorithm1")
-
 # spawn_key namespaces so mechanisms never share streams for the same (seed, t)
 _NS_DYNAMIC = 0
 _NS_STATIC = 1
@@ -50,14 +48,14 @@ class PerturbParams:
     k is the random-walk length (larger k = more noise), m the freeing
     radius for dynamic re-clustering, theta the unchanged-community overlap
     threshold, and seed the root of every derived random stream. Every
-    community is perturbed with the same walk length k.
+    community is perturbed with the same walk length k, and every community
+    pair is rewired by one rule, p_ij = deg_a(i)*deg_b(j)/|E_ab| (``_PairTask``).
     """
 
     k: int = 2
     m: int = 2
     theta: float = 0.8
     seed: int = 0
-    inter_cluster_form: str = "appendixC"
 
     def __post_init__(self):
         if self.k < 1:
@@ -66,8 +64,6 @@ class PerturbParams:
             raise ValueError("freeing radius m must be >= 0")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.inter_cluster_form not in INTER_FORMS:
-            raise ValueError(f"inter_cluster_form must be one of {INTER_FORMS}")
 
 
 @dataclass
@@ -154,10 +150,9 @@ class _PairTask:
     """Inter-community rewiring of one community pair (a, b), a < b.
 
     Every pair of marginal nodes (i in a, j in b) gets an edge independently
-    with probability min(1, p_ij). The default form p_ij =
-    deg_a(i)*deg_b(j)/|E_ab| preserves every marginal node's expected
-    inter-degree; the asymmetric "algorithm1" form multiplies by
-    |v_a|/(|v_a|+|v_b|). Degrees and |E_ab| count only edges between a and b.
+    with probability min(1, p_ij), p_ij = deg_a(i)*deg_b(j)/|E_ab|, which
+    preserves every marginal node's expected inter-degree. Degrees and |E_ab|
+    count only edges between a and b.
     """
 
     a: int
@@ -177,15 +172,11 @@ class _PairTask:
         return _PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
                          deg_a=deg_a, deg_b=deg_b, n_edges=len(edges))
 
-    def probabilities(self, form: str) -> np.ndarray:
-        grid = np.outer(self.deg_a, self.deg_b) / float(self.n_edges)
-        if form == "algorithm1":
-            grid = grid * (self.nodes_a.size
-                           / float(self.nodes_a.size + self.nodes_b.size))
-        return np.minimum(grid, 1.0)
+    def probabilities(self) -> np.ndarray:
+        return np.minimum(np.outer(self.deg_a, self.deg_b) / float(self.n_edges), 1.0)
 
-    def sample(self, rng: np.random.Generator, form: str) -> np.ndarray:
-        mask = rng.random((self.nodes_a.size, self.nodes_b.size)) < self.probabilities(form)
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        mask = rng.random((self.nodes_a.size, self.nodes_b.size)) < self.probabilities()
         ai, bj = np.nonzero(mask)
         return np.column_stack([self.nodes_a[ai], self.nodes_b[bj]])
 
@@ -365,7 +356,7 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
     for i, task in enumerate(plan.pair_tasks, len(labels)):
         pair = (task.a, task.b)
         if pair in read_pairs and pair not in plan.reused_pairs:
-            inter[pair] = task.sample(stream(i), params.inter_cluster_form)
+            inter[pair] = task.sample(stream(i))
     return intra, inter
 
 

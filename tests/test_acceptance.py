@@ -95,7 +95,7 @@ def entropy_series(overlap_runs):
 def test_criterion_1_degree_expectation():
     rng = np.random.default_rng(42)
     g, _ = planted_partition_graph([50, 50, 50, 50], 0.12, 0.01, rng)
-    params = PerturbParams(k=2, seed=7, inter_cluster_form="appendixC")
+    params = PerturbParams(k=2, seed=7)
     start = time.time()
     rep = expected_degree_report(g, params, 5000, np.random.default_rng(3))
     elapsed = time.time() - start

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import shlex
 
@@ -137,7 +138,9 @@ def test_metrics_empty_selection_is_config_error(workspace, tmp_path):
     assert main(["metrics"] + args + ["--metric", " "]) == 2
 
 
-# one malformed value per typed key; f and target are read by eval only
+# one malformed value per typed key; f and target are read by eval only.
+# inter-cluster-form is a release key that was removed: its config line is an
+# unknown key, and argparse rejects its flag.
 BAD_VALUES = {"mechanism": "bogus", "k": "two", "m": "1.5", "theta": "x", "seed": "5x",
               "inter-cluster-form": "circle", "hay-r": "half", "threads": "0",
               "metric": "ud,bogus", "samples": "x", "l": "abc", "query": "0,1",
@@ -170,10 +173,32 @@ def test_metrics_malformed_l_or_samples_exit2_for_any_metric(workspace, tmp_path
         (tmp_path / "bad.conf").write_text(conf)
         flags = ["--config", str(tmp_path / "bad.conf")]
     capsys.readouterr()
-    assert main(stage + args + flags) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and key in err
+    if key in KEYS or conf:
+        assert main(stage + args + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(stage + args + flags)
+        assert exc.value.code == 2
     assert read_tree(out) == before
+
+
+def test_removed_inter_cluster_form_key_exits_2(workspace, tmp_path, capsys):
+    # the inter-community rule has one form, so its former key is unknown,
+    # even at its former default
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    perturb = ["perturb", "--manifest", str(manifest), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(perturb + ["--inter-cluster-form", "appendixC"])
+    assert exc.value.code == 2
+    (tmp_path / "run.cfg").write_text("inter-cluster-form = appendixC\n")
+    capsys.readouterr()
+    assert main(perturb + ["--config", str(tmp_path / "run.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "run.cfg:1: unknown key inter-cluster-form" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, bad", OUT_OF_RANGE)
@@ -217,7 +242,7 @@ def test_readme_cli_block_runs_as_written(workspace, tmp_path, monkeypatch):
 
 
 EXPLICIT_DEFAULTS = ["--mechanism", "linkmirage", "--k", "2", "--m", "2", "--theta", "0.8",
-                     "--inter-cluster-form", "appendixC", "--hay-r", "0.5"]
+                     "--hay-r", "0.5"]
 
 
 @pytest.mark.parametrize("case, code", [("explicit-defaults", 0), ("config-spelling", 0),
@@ -265,6 +290,36 @@ def test_metrics_stale_provenance_exit4(workspace, tmp_path):
     assert main(["perturb"] + base + ["--seed", "5"]) == 0
     rc = main(["metrics"] + base + ["--seed", "6", "--metric", "ud"])
     assert rc == 4
+
+
+@pytest.mark.parametrize("name, content, stage", [
+    ("provenance.json", "{}", ["metrics", "--metric", "ud"]),
+    ("provenance.json", "[]", ["eval", "--f", "0.1"]),
+    ("provenance.json", '{"provenance": "5692', ["metrics", "--metric", "modularity"]),
+    ("provenance.json", '"provenance"', ["report"]),
+    ("record.json", '{"provenance": 1, "records": 5}', ["metrics", "--metric", "ud"]),
+    ("record.json", '{"records": [{"timestamp": 0}, {"timestamp": 1}]}',
+     ["metrics", "--metric", "ud"]),
+    # one record for the fixture's two snapshots
+    ("record.json", json.dumps({"records": [{"timestamp": 0, "communities": {"0": [*range(16)]}}]}),
+     ["metrics", "--metric", "ud"]),
+])
+def test_malformed_artifact_exits_4_naming_the_file(workspace, tmp_path, capsys,
+                                                     name, content, stage):
+    # content that is not JSON, not an object, lacks its entry or holds
+    # another number of records than snapshots
+    root, manifest, _ = workspace
+    out = tmp_path / "out"
+    args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
+    assert main(["perturb"] + args) == 0
+    assert main(["metrics"] + args + ["--metric", "modularity"]) == 0
+    (out / name).write_text(content)
+    before = read_tree(out)
+    capsys.readouterr()
+    assert main(stage + args) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / name) in err
+    assert read_tree(out) == before
 
 
 def test_eval_attack_series_monotone(workspace, tmp_path):
@@ -575,7 +630,8 @@ def test_eval_scenario_key_set_twice_exits_2(workspace, tmp_path, capsys):
 # metric rows were split into per-metric producers and before the hay
 # comparator drew its fake edges through the shared absent-pair sampler. They
 # were re-recorded when the provenance hash came to cover the resolved release
-# instead of the settings as spelled: with the provenance values and
+# instead of the settings as spelled, and again when the inter-community form
+# left the release settings: each time, with the provenance values and
 # provenance.json's config block masked, every file is byte-identical to the
 # earlier one. The runs use absolute temporary paths, so the pins also show
 # that no path enters the outputs.
@@ -604,76 +660,76 @@ def run_metrics(workspace, mechanism, metric):
 
 PERTURB_PINS = {
     ("linkmirage", "1"): {
-        "g_prime_0.txt": "385ca2f519ff569e",
-        "g_prime_1.txt": "385ca2f519ff569e",
-        "provenance.json": "5692c0168a108d74",
-        "record.json": "4fdabbff463e4ac6"},
+        "g_prime_0.txt": "0b253dff8a5a8256",
+        "g_prime_1.txt": "0b253dff8a5a8256",
+        "provenance.json": "4d505148da0542a3",
+        "record.json": "67d0ca7c6b531087"},
     ("static-baseline", "1"): {
-        "g_prime_0.txt": "04b0219ffbad5c92",
-        "g_prime_1.txt": "4ad6efff165060f2",
-        "provenance.json": "f321a18d74e712ad"},
+        "g_prime_0.txt": "af71ad8a056815a5",
+        "g_prime_1.txt": "579f822d5e8303c9",
+        "provenance.json": "ad013ee3cde14032"},
     ("hay-baseline", "1"): {
-        "g_prime_0.txt": "7f6f01ad0914e817",
-        "g_prime_1.txt": "8197a89bd0d6fe43",
-        "provenance.json": "fd0c31af765790cd"},
+        "g_prime_0.txt": "ee4fce73f16430cf",
+        "g_prime_1.txt": "6642c59b03842f77",
+        "provenance.json": "a82d151730edc07e"},
     ("linkmirage", "2"): {
-        "g_prime_0.txt": "6555f8082f2f62ed",
-        "g_prime_1.txt": "6555f8082f2f62ed",
-        "provenance.json": "5c30b4cb293f8ce2",
-        "record.json": "6c039e8834706370"},
+        "g_prime_0.txt": "2890b8cd805093df",
+        "g_prime_1.txt": "2890b8cd805093df",
+        "provenance.json": "415200da2e745144",
+        "record.json": "b100bb5124708b82"},
     ("static-baseline", "2"): {
-        "g_prime_0.txt": "afebe89ba6126e04",
-        "g_prime_1.txt": "471d61226fd7b1c6",
-        "provenance.json": "b1ed3a653cc9e2c7"},
+        "g_prime_0.txt": "5428b7ba929f4ba4",
+        "g_prime_1.txt": "7821a9c6afd75428",
+        "provenance.json": "fec3a6b3ec7c78a8"},
     ("hay-baseline", "2"): {
-        "g_prime_0.txt": "26e74cf4031ce32b",
-        "g_prime_1.txt": "cc482e40d4e890d9",
-        "provenance.json": "d39d0d830c1cd030"},
+        "g_prime_0.txt": "bce249584d43e4e2",
+        "g_prime_1.txt": "ba296747adbbb6cb",
+        "provenance.json": "52f0e5faa2d419eb"},
 }
 METRICS_PINS = {
     "linkmirage": {
-        "metrics.csv": "42f0cb091d68eb5c",
-        "metrics.json": "0aa517fac561542f",
-        "utility_l1.csv": "e5afa3d99c955feb",
-        "utility_l2.csv": "d256b4935b063997"},
+        "metrics.csv": "5ae4ca142ffd1d8f",
+        "metrics.json": "3b694173e2bccd9d",
+        "utility_l1.csv": "7685bbb3fd458740",
+        "utility_l2.csv": "960c8ccdb956985a"},
     "static-baseline": {
-        "metrics.csv": "74599b7792b8cf3f",
-        "metrics.json": "6002628158a8b383",
-        "utility_l1.csv": "f3cf137a74847260",
-        "utility_l2.csv": "96ad44c7daada04f"},
+        "metrics.csv": "eb6f63f827053028",
+        "metrics.json": "423bf0658e70956e",
+        "utility_l1.csv": "e8896a87f0936628",
+        "utility_l2.csv": "d5d606360fe39c82"},
     "hay-baseline": {
-        "metrics.csv": "f33d19086e07b542",
-        "metrics.json": "f76c5fd2db20a0ab",
-        "utility_l1.csv": "ffa1f8e53cc7bb60",
-        "utility_l2.csv": "5bc37d67a0afe91b"},
+        "metrics.csv": "57d43c394deb1743",
+        "metrics.json": "e8d15dd6dbe70944",
+        "utility_l1.csv": "1e6e7988cbe0ed34",
+        "utility_l2.csv": "8a22cf5590421cf8"},
 }
 METRIC_PINS = {
     "anti-inference": {
-        "metrics.csv": "235dab238b57101a",
-        "metrics.json": "2b2531658df027c5"},
+        "metrics.csv": "004539cfdcab81db",
+        "metrics.json": "c7bcc513ab845968"},
     "indistinguishability": {
-        "metrics.csv": "3beceac16c180f50",
-        "metrics.json": "55973dd1c3a5d02f"},
+        "metrics.csv": "459dab21eac2d1d0",
+        "metrics.json": "0b3ff73633ed9797"},
     "anti-aggregation": {
-        "metrics.csv": "be7610efa358166b",
-        "metrics.json": "c78e80734e529d8a"},
+        "metrics.csv": "b5f9a827ad1d1b62",
+        "metrics.json": "5fb34a1bea28bda9"},
     "ud": {
-        "metrics.csv": "a02da8645b7797d8",
-        "metrics.json": "118ce7c46734a96d",
-        "utility_l1.csv": "e5afa3d99c955feb",
-        "utility_l2.csv": "d256b4935b063997"},
+        "metrics.csv": "3b52febb3dc15ec3",
+        "metrics.json": "0df574e22dc6d188",
+        "utility_l1.csv": "7685bbb3fd458740",
+        "utility_l2.csv": "960c8ccdb956985a"},
     "modularity": {
-        "metrics.csv": "689714c8d9290e28",
-        "metrics.json": "1c7e2b663290d185"},
+        "metrics.csv": "5ef627320da72c10",
+        "metrics.json": "0793c1789ef1b161"},
     "pagerank": {
-        "metrics.csv": "39d6bc2046a3bd6b",
-        "metrics.json": "47fd56160ed5a1ec"},
+        "metrics.csv": "415d65a1d3a89d5c",
+        "metrics.json": "6a6ee84f22a262f6"},
     "structural": {
-        "metrics.csv": "bd829b39e8ae0a75",
-        "metrics.json": "aa298f69ef8e9270"},
+        "metrics.csv": "492cc967c19dedfd",
+        "metrics.json": "c5171357e86eba57"},
     "spectral": {
-        "metrics.csv": "38b730e2fe2c8b70",
-        "metrics.json": "c3bae7161f761f30"},
+        "metrics.csv": "52e85e111b2a151c",
+        "metrics.json": "0fa72bc050d489cb"},
 }
 
 

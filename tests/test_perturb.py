@@ -83,27 +83,18 @@ def two_singleton_clustering():
     return Clustering.from_groups([[0], [1]])
 
 
-def rewire(graph, clustering, rng, form="appendixC"):
+def rewire(graph, clustering, rng):
     """{(a, b): edges} of one inter-community rewiring: every pair task of the
     graph's one grouping, drawn by ``_PairTask.sample`` from its own child."""
     inter = group_edges(graph, clustering)[1]
-    return {pair: _PairTask.of(*pair, edges).sample(child, form)
+    return {pair: _PairTask.of(*pair, edges).sample(child)
             for (pair, edges), child in zip(inter.items(), rng.spawn(len(inter)))}
 
 
 def test_intercluster_appendixc_forced_edge(rng):
     g = Graph([(0, 1)])
-    out = rewire(g, two_singleton_clustering(), rng, form="appendixC")
+    out = rewire(g, two_singleton_clustering(), rng)
     assert [tuple(e) for e in out[(0, 1)]] == [(0, 1)]
-
-
-def test_intercluster_algorithm1_half_probability(rng):
-    g = Graph([(0, 1)])
-    c = two_singleton_clustering()
-    n = 10_000
-    hits = sum(len(rewire(g, c, rng, form="algorithm1")[(0, 1)])
-               for _ in range(n))
-    assert abs(hits / n - 0.5) <= 3 * np.sqrt(0.25 / n)
 
 
 def test_intercluster_pair_without_marginals_contributes_nothing(rng):
@@ -125,7 +116,7 @@ def test_intercluster_expected_degree_appendixc(rng):
     trials = 8_000
     acc = {v: 0 for v in inter_deg}
     for _ in range(trials):
-        edges = rewire(g, c, rng, form="appendixC")[(0, 5)]
+        edges = rewire(g, c, rng)[(0, 5)]
         for u, v in edges:
             acc[int(u)] += 1
             acc[int(v)] += 1
@@ -223,7 +214,7 @@ def test_step_compose_oracle_t0():
     for label, child in zip(labels, children[:len(labels)]):
         edges.append(perturb_static(plan.subgraphs[label], 1, child).edges)
     for task, child in zip(plan.pair_tasks, children[len(labels):]):
-        edges.append(task.sample(child, "appendixC"))
+        edges.append(task.sample(child))
     expected = Graph(np.vstack([e.reshape(-1, 2) for e in edges]),
                      vertices=g.vertices)
     assert g_prime == expected

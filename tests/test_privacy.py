@@ -258,10 +258,10 @@ def walk_distribution(graph, uv):
     return dist
 
 
-def pair_distribution(task, form, uv):
+def pair_distribution(task, uv):
     """Exact distribution of the rewired cells of one pair that touch u or v."""
     dist = {frozenset(): 1.0}
-    grid = task.probabilities(form)
+    grid = task.probabilities()
     for (i, a), (j, b) in itertools.product(enumerate(task.nodes_a.tolist()),
                                             enumerate(task.nodes_b.tolist())):
         if {a, b} & set(uv):
@@ -290,8 +290,7 @@ def exact_likelihood(world, params, uv, observed):
     for plan, obs in zip(_plan_chain(world, params), observed):
         fresh = [(("intra", label), walk_distribution(plan.subgraphs[label], uv))
                  for label in plan.diff.changed]
-        fresh += [(("inter", (task.a, task.b)),
-                   pair_distribution(task, params.inter_cluster_form, uv))
+        fresh += [(("inter", (task.a, task.b)), pair_distribution(task, uv))
                   for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs]
         keys = [key for key, _ in fresh]
         nxt = {}

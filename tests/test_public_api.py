@@ -6,7 +6,7 @@ import pytest
 
 import linkmirage
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
-                        PriorModel, SybilScenario, TemporalGraphSequence, UtilityReport,
+                        PerturbParams, PriorModel, SybilScenario, TemporalGraphSequence, UtilityReport,
                         estimation_error_bound_check,
                         evolving_sequence, indistinguishability_series,
                         pagerank, posterior_probability, ring_of_blocks,
@@ -37,6 +37,7 @@ def test_every_exported_name_resolves_once():
     ("linkmirage.perturb", "linkmirage_step"),
     ("linkmirage.perturb", "perturb_intercluster"),
     ("linkmirage.perturb", "_pair_tasks"),
+    ("linkmirage.perturb", "INTER_FORMS"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
@@ -60,6 +61,11 @@ def test_clustering_is_one_label_array():
     assert [f.name for f in dataclasses.fields(Clustering)] == ["vertices", "labels"]
     clustering = Clustering.from_groups([[0, 1], [2]])
     assert not hasattr(clustering, "assignment") and not hasattr(clustering, "covers")
+
+
+def test_perturb_params_hold_one_rewiring_rule():
+    # the inter-community rule has one form, so no field selects it
+    assert [f.name for f in dataclasses.fields(PerturbParams)] == ["k", "m", "theta", "seed"]
 
 
 def test_record_holds_only_its_partition():
