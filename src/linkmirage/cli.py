@@ -8,7 +8,9 @@ run in one thread; the ``threads`` key is accepted and checked, and has no
 effect.
 
 Exit codes: 0 ok, 2 invalid config, 3 I/O failure, 4 missing, stale or
-malformed dependency artifact.
+malformed dependency artifact (``provenance.json``, ``record.json``,
+``g_prime_<t>.txt``, or a stage CSV that ``report`` finds stamped with
+another release's hash).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .perturb import (PerturbationRecord, PerturbParams, hay_baseline,
 from .privacy import (LinkQuery, PriorModel, anti_aggregation,
                       anti_aggregation_aggregated, indistinguishability,
                       posterior_probability)
-from .reporting import canonical_json, sha256_text, write_csv, write_json
+from .reporting import json_text, sha256_text, write_csv, write_json
 from .utility import (community_tv, is_connected, pagerank, ratio_cut, spectral_metrics,
                       structural_metrics, ud_upper_bound, utility_distance)
 
@@ -183,7 +185,7 @@ def provenance(settings, seq) -> tuple[str, dict]:
         digest.update(len(edges).to_bytes(8, "little"))
         digest.update(edges.tobytes())
     config = {**{key: settings[key] for key in _RELEASE_KEYS}, "snapshots": digest.hexdigest()}
-    return sha256_text(canonical_json(config)), config
+    return sha256_text(json_text(config)), config
 
 
 def _params_from(settings) -> PerturbParams:
@@ -251,8 +253,15 @@ def _load_outputs(settings, seq) -> tuple[list, str]:
         path = os.path.join(out_dir, f"g_prime_{t}.txt")
         if not os.path.exists(path):
             raise MissingArtifactError(f"missing perturbed snapshot {path}")
+        try:
+            released = load_edge_list(path)
+        except ValueError as exc:   # GraphFormatError names the file and line
+            raise MissingArtifactError(f"{exc}; run perturb again") from None
+        if not np.isin(released.vertices, g_t.vertices).all():
+            raise MissingArtifactError(f"{path} has a vertex that is not in snapshot {t}; "
+                                       "run perturb again")
         # edge lists cannot carry isolated vertices; restore the snapshot's set
-        graphs.append(load_edge_list(path).with_vertices(g_t.vertices))
+        graphs.append(released.with_vertices(g_t.vertices))
     return graphs, phash
 
 
@@ -349,14 +358,18 @@ def _ud_rows(settings, seq, perturbed) -> tuple[list, dict]:
     """ud-l<l> rows, and a utility_l<l>.csv table per l with each t's ratio
     cut and the bound when a linkmirage release left its record.json."""
     record_path = os.path.join(settings["out"], "record.json")
+
+    def bound_terms(records) -> tuple[list, float]:
+        # one record per snapshot: zip(strict=True) raises ValueError otherwise,
+        # and ratio_cut does on a partition that leaves a vertex out
+        clusterings = [PerturbationRecord.from_json_obj(r).clustering
+                       for _, r in zip(seq.snapshots, records, strict=True)]
+        return ([ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)],
+                max(map(community_tv, seq.snapshots, perturbed, clusterings)))
+
     deltas, eps = None, 0.0
     if settings["mechanism"] == "linkmirage" and os.path.exists(record_path):
-        # one record per snapshot: zip(strict=True) raises ValueError otherwise
-        clusterings = _read_artifact(record_path, "records", lambda records: [
-            PerturbationRecord.from_json_obj(r).clustering
-            for _, r in zip(seq.snapshots, records, strict=True)])
-        deltas = [ratio_cut(g, c) for g, c in zip(seq.snapshots, clusterings)]
-        eps = max(map(community_tv, seq.snapshots, perturbed, clusterings))
+        deltas, eps = _read_artifact(record_path, "records", bound_terms)
     rows, tables = [], {}
     for l in settings["l"]:
         per_t = list(enumerate(utility_distance(seq, perturbed, l).per_timestamp))
@@ -452,23 +465,27 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     # accepts the release settings the other stages share; reads only "out"
     out_dir = _settings(args, ("out",))["out"]
+    prov_path = os.path.join(out_dir, "provenance.json")
+    if not os.path.exists(prov_path):
+        raise MissingArtifactError(f"no provenance.json in {out_dir}; run perturb first")
+    stamp = f"provenance: {_read_artifact(prov_path, 'provenance')}"
     columns, rows = ("t", "mechanism", "metric", "value", "stderr"), []
     for name in ("metrics.csv", "eval.csv"):
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
             with open(path, "r", encoding="ascii") as fh:
+                if fh.readline() != f"# {stamp}\n":
+                    raise MissingArtifactError(
+                        f"{path} is not stamped with the release in {prov_path}; "
+                        f"run {name.removesuffix('.csv')} again")
                 lines = [line for line in fh if line.strip() and not line.startswith("#")]
             rows += [(*(entry.get(c) or "" for c in columns), name)
                      for entry in csv.DictReader(lines)]
     if not rows:
         raise MissingArtifactError(f"no metrics.csv or eval.csv under {out_dir}")
-    comments = []
-    prov_path = os.path.join(out_dir, "provenance.json")
-    if os.path.exists(prov_path):
-        comments.append(f"provenance: {_read_artifact(prov_path, 'provenance')}")
     write_csv(os.path.join(out_dir, "report.csv"),
               (*columns, "source"), rows,
-              comment_lines=comments)
+              comment_lines=[stamp])
     return EXIT_OK
 
 

@@ -303,11 +303,20 @@ def test_metrics_stale_provenance_exit4(workspace, tmp_path):
     # one record for the fixture's two snapshots
     ("record.json", json.dumps({"records": [{"timestamp": 0, "communities": {"0": [*range(16)]}}]}),
      ["metrics", "--metric", "ud"]),
+    # a partition that leaves 14 of the fixture's 16 vertices out
+    ("record.json", json.dumps({"records": [{"timestamp": t, "communities": {"0": [0, 1]}}
+                                            for t in range(2)]}),
+     ["metrics", "--metric", "ud"]),
+    ("g_prime_0.txt", "3 3\n", ["metrics", "--metric", "modularity"]),
+    ("g_prime_1.txt", "3 3\n", ["eval", "--f", "0.1"]),
+    # a vertex the snapshot does not hold
+    ("g_prime_0.txt", "3 99\n", ["metrics", "--metric", "modularity"]),
 ])
 def test_malformed_artifact_exits_4_naming_the_file(workspace, tmp_path, capsys,
                                                      name, content, stage):
-    # content that is not JSON, not an object, lacks its entry or holds
-    # another number of records than snapshots
+    # content that is not JSON, not an object, lacks its entry, holds another
+    # number of records than snapshots or a partition that does not cover its
+    # snapshot; an edge list with a self-loop or a vertex outside its snapshot
     root, manifest, _ = workspace
     out = tmp_path / "out"
     args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
@@ -320,6 +329,45 @@ def test_malformed_artifact_exits_4_naming_the_file(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(out / name) in err
     assert read_tree(out) == before
+
+
+def test_report_refuses_a_csv_of_another_release(workspace, tmp_path, capsys):
+    root, manifest, _ = workspace
+    one = root / "one.txt"
+    one.write_text("g0.txt\n")
+    out = tmp_path / "out"
+    base = ["--manifest", str(one), "--out", str(out)]
+    assert main(["perturb"] + base + ["--seed", "5"]) == 0
+    assert main(["metrics"] + base + ["--seed", "5", "--metric", "modularity"]) == 0
+    assert main(["perturb"] + base + ["--seed", "6"]) == 0
+    assert main(["eval"] + base + ["--seed", "6", "--f", "0.2"]) == 0
+    before = read_tree(out)
+    capsys.readouterr()
+    # metrics.csv holds the seed-5 release's rows; provenance.json is seed 6's
+    assert main(["report", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / "metrics.csv") in err
+    assert read_tree(out) == before
+
+
+def test_metrics_json_of_a_disconnected_snapshot_loads(tmp_path):
+    g, _ = planted_partition_graph([8, 8], 0.6, 0.0, np.random.default_rng(3))
+    write_edge_list(g, tmp_path / "g0.txt")
+    (tmp_path / "manifest.txt").write_text("g0.txt\n")
+    out = tmp_path / "out"
+    args = ["--manifest", str(tmp_path / "manifest.txt"), "--out", str(out)]
+    assert main(["perturb"] + args) == 0
+    assert main(["metrics"] + args + ["--metric", "spectral,modularity"]) == 0
+    with open(out / "metrics.json") as fh:
+        rows = json.load(fh)["rows"]
+    cells = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[2:]]
+    assert len(rows) == len(cells) == 6
+    # no walk spectrum on a disconnected snapshot: slem and mixing-time are NaN
+    assert sum(np.isnan(row["value"]) for row in rows) == 4
+    for row, cell in zip(rows, cells):
+        assert row["metric"] == cell[2]
+        for column, text in zip(("value", "stderr"), cell[3:5]):
+            assert row[column] == float(text) or np.isnan(row[column]) and text == "nan"
 
 
 def test_eval_attack_series_monotone(workspace, tmp_path):
@@ -469,10 +517,10 @@ def test_eval_sybil_scenario(workspace, tmp_path):
     assert main(["eval"] + args + ["--scenario", str(scenario)]) == 0
     rows = (out / "eval.csv").read_text().splitlines()[2:]
     # values pinned from the pairwise-loop evaluator
-    assert rows == ["1,sampling-probability-k1,0.75609756097560976",
-                    "1,sampling-outside-envelope,5",
+    assert rows == ["1,sampling-probability-k1,0.7560975609756098",
+                    "1,sampling-outside-envelope,5.0",
                     "0,sybil-false-positive-rate,0.671875",
-                    "0,sybil-attack-edges-after,2"]
+                    "0,sybil-attack-edges-after,2.0"]
 
 
 def test_eval_sybil_rows_follow_the_mechanism(workspace, tmp_path):
@@ -633,8 +681,11 @@ def test_eval_scenario_key_set_twice_exits_2(workspace, tmp_path, capsys):
 # instead of the settings as spelled, and again when the inter-community form
 # left the release settings: each time, with the provenance values and
 # provenance.json's config block masked, every file is byte-identical to the
-# earlier one. The runs use absolute temporary paths, so the pins also show
-# that no path enters the outputs.
+# earlier one. They were re-recorded once more when the standard library came
+# to write every JSON and CSV value: split into tokens, each file then differs
+# only in its provenance values and in floats spelled in their shortest form,
+# each of which parses to the same double as before. The runs use absolute
+# temporary paths, so the pins also show that no path enters the outputs.
 
 ALL_METRICS = ",".join(METRICS)
 
@@ -660,76 +711,76 @@ def run_metrics(workspace, mechanism, metric):
 
 PERTURB_PINS = {
     ("linkmirage", "1"): {
-        "g_prime_0.txt": "0b253dff8a5a8256",
-        "g_prime_1.txt": "0b253dff8a5a8256",
-        "provenance.json": "4d505148da0542a3",
-        "record.json": "67d0ca7c6b531087"},
+        "g_prime_0.txt": "1d76f2575b6849c7",
+        "g_prime_1.txt": "1d76f2575b6849c7",
+        "provenance.json": "e29897258c20b6a1",
+        "record.json": "452acc9a2946f6b7"},
     ("static-baseline", "1"): {
-        "g_prime_0.txt": "af71ad8a056815a5",
-        "g_prime_1.txt": "579f822d5e8303c9",
-        "provenance.json": "ad013ee3cde14032"},
+        "g_prime_0.txt": "444348dd0db95a65",
+        "g_prime_1.txt": "0cbfbb138967d1b7",
+        "provenance.json": "83d8d08fba14276c"},
     ("hay-baseline", "1"): {
-        "g_prime_0.txt": "ee4fce73f16430cf",
-        "g_prime_1.txt": "6642c59b03842f77",
-        "provenance.json": "a82d151730edc07e"},
+        "g_prime_0.txt": "497f9a2d77bce9c2",
+        "g_prime_1.txt": "2164e393877478ac",
+        "provenance.json": "95ee66bfd228e7dc"},
     ("linkmirage", "2"): {
-        "g_prime_0.txt": "2890b8cd805093df",
-        "g_prime_1.txt": "2890b8cd805093df",
-        "provenance.json": "415200da2e745144",
-        "record.json": "b100bb5124708b82"},
+        "g_prime_0.txt": "666fbb5f141838ab",
+        "g_prime_1.txt": "666fbb5f141838ab",
+        "provenance.json": "82dd365755dcd24f",
+        "record.json": "3daa63374febbff1"},
     ("static-baseline", "2"): {
-        "g_prime_0.txt": "5428b7ba929f4ba4",
-        "g_prime_1.txt": "7821a9c6afd75428",
-        "provenance.json": "fec3a6b3ec7c78a8"},
+        "g_prime_0.txt": "a945dd33951364ea",
+        "g_prime_1.txt": "0cd08c3881dbc388",
+        "provenance.json": "6ea720af37e3d8fb"},
     ("hay-baseline", "2"): {
-        "g_prime_0.txt": "bce249584d43e4e2",
-        "g_prime_1.txt": "ba296747adbbb6cb",
-        "provenance.json": "52f0e5faa2d419eb"},
+        "g_prime_0.txt": "0971e1e408ba0a6a",
+        "g_prime_1.txt": "3f77fe16aeb65c4e",
+        "provenance.json": "4aa45c4d6f240be8"},
 }
 METRICS_PINS = {
     "linkmirage": {
-        "metrics.csv": "5ae4ca142ffd1d8f",
-        "metrics.json": "3b694173e2bccd9d",
-        "utility_l1.csv": "7685bbb3fd458740",
-        "utility_l2.csv": "960c8ccdb956985a"},
+        "metrics.csv": "ff7e923580f498ea",
+        "metrics.json": "9f7c0d16154b9123",
+        "utility_l1.csv": "15e43ca981e5904a",
+        "utility_l2.csv": "bdfab96d305ee5d6"},
     "static-baseline": {
-        "metrics.csv": "eb6f63f827053028",
-        "metrics.json": "423bf0658e70956e",
-        "utility_l1.csv": "e8896a87f0936628",
-        "utility_l2.csv": "d5d606360fe39c82"},
+        "metrics.csv": "44d8b8eb690171b8",
+        "metrics.json": "e6544d835a261f97",
+        "utility_l1.csv": "182f10c219956931",
+        "utility_l2.csv": "47065bebf88ebd33"},
     "hay-baseline": {
-        "metrics.csv": "57d43c394deb1743",
-        "metrics.json": "e8d15dd6dbe70944",
-        "utility_l1.csv": "1e6e7988cbe0ed34",
-        "utility_l2.csv": "8a22cf5590421cf8"},
+        "metrics.csv": "16986b2f1d14efcc",
+        "metrics.json": "4ff76a3ec935104a",
+        "utility_l1.csv": "c6c18daf57dc8598",
+        "utility_l2.csv": "808f302f5ea1fe08"},
 }
 METRIC_PINS = {
     "anti-inference": {
-        "metrics.csv": "004539cfdcab81db",
-        "metrics.json": "c7bcc513ab845968"},
+        "metrics.csv": "d6f643df35305ce7",
+        "metrics.json": "ff1e4b8a22e25ef2"},
     "indistinguishability": {
-        "metrics.csv": "459dab21eac2d1d0",
-        "metrics.json": "0b3ff73633ed9797"},
+        "metrics.csv": "d59933f5c76b0766",
+        "metrics.json": "8bda6a9e85990841"},
     "anti-aggregation": {
-        "metrics.csv": "b5f9a827ad1d1b62",
-        "metrics.json": "5fb34a1bea28bda9"},
+        "metrics.csv": "46129ce57a7300b1",
+        "metrics.json": "195477e92ec74f0b"},
     "ud": {
-        "metrics.csv": "3b52febb3dc15ec3",
-        "metrics.json": "0df574e22dc6d188",
-        "utility_l1.csv": "7685bbb3fd458740",
-        "utility_l2.csv": "960c8ccdb956985a"},
+        "metrics.csv": "c8412e3cb91fb7a7",
+        "metrics.json": "f0bdd15c561f99b1",
+        "utility_l1.csv": "15e43ca981e5904a",
+        "utility_l2.csv": "bdfab96d305ee5d6"},
     "modularity": {
-        "metrics.csv": "5ef627320da72c10",
-        "metrics.json": "0793c1789ef1b161"},
+        "metrics.csv": "4d5ffc4adbd941a8",
+        "metrics.json": "73b530808b6bd45e"},
     "pagerank": {
-        "metrics.csv": "415d65a1d3a89d5c",
-        "metrics.json": "6a6ee84f22a262f6"},
+        "metrics.csv": "e59e53e8cb9e0e38",
+        "metrics.json": "e98ff12df8965515"},
     "structural": {
-        "metrics.csv": "492cc967c19dedfd",
-        "metrics.json": "c5171357e86eba57"},
+        "metrics.csv": "53c15f7685129ea2",
+        "metrics.json": "567d8f9e6115832d"},
     "spectral": {
-        "metrics.csv": "52e85e111b2a151c",
-        "metrics.json": "0fa72bc050d489cb"},
+        "metrics.csv": "f972d025ee9f76a5",
+        "metrics.json": "6831edd16a379dfa"},
 }
 
 

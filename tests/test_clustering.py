@@ -15,7 +15,7 @@ from linkmirage import (Clustering, Graph, PerturbParams,
                         recluster_dynamic, ring_of_blocks)
 from linkmirage import clustering as clustering_module
 from linkmirage.clustering import _agglomerate
-from linkmirage.reporting import canonical_json
+from linkmirage.reporting import json_text
 
 
 def all_partitions(items):
@@ -295,7 +295,7 @@ def test_linkmirage_run_outputs_pinned():
     seq = evolving_sequence([30] * 6, 0.3, 0.02, 4, 0.97, np.random.default_rng(2024),
                             new_vertices_per_step=3, churn_blocks=[0, 1])
     graphs, records = linkmirage_run(seq, PerturbParams(k=2, m=0, theta=0.8, seed=7))
-    record_text = canonical_json([r.to_json_obj() for r in records])
+    record_text = json_text([r.to_json_obj() for r in records])
     edge_bytes = b"".join(g.edges.tobytes() for g in graphs)
     assert hashlib.sha256(record_text.encode()).hexdigest() == \
         "0749307ce3f226773fc21be033080c732ad29f3d4b526d6cee572a874a230f13"

@@ -17,7 +17,6 @@ from linkmirage.perturb import (_StepPlan, _draws, _sample_step, linkmirage_run,
                                 linkmirage_sequence)
 from linkmirage.privacy import (_SequenceSampler, _edge_feature, fit_logistic_1d,
                                 observed_features)
-from linkmirage.reporting import canonical_json
 from linkmirage.synth import _sample_pairs
 from linkmirage.utility import mixing_time, slem
 
@@ -38,6 +37,9 @@ def test_every_exported_name_resolves_once():
     ("linkmirage.perturb", "perturb_intercluster"),
     ("linkmirage.perturb", "_pair_tasks"),
     ("linkmirage.perturb", "INTER_FORMS"),
+    ("linkmirage.reporting", "canonical_json"),
+    ("linkmirage.reporting", "fmt_float"),
+    ("linkmirage.reporting", "csv_cell"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
@@ -104,7 +106,7 @@ def test_link_query_holds_only_what_is_set():
     (_edge_feature, "degree_bin"), (observed_features, "degree_bin"),
     (_SequenceSampler.sample_features, "degree_bin"),
     (posterior_probability, "degree_bin"), (indistinguishability_series, "degree_bin"),
-    (canonical_json, "indent"), (ring_of_blocks, "ring_width"),
+    (ring_of_blocks, "ring_width"),
     (_sample_pairs, "same_set"), (_sample_pairs, "forbidden"),
     (_sample_step, "threads"), (_draws, "threads"),
     (linkmirage_run, "threads"), (linkmirage_sequence, "threads"),
