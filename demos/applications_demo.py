@@ -9,8 +9,8 @@ import numpy as np
 
 from linkmirage import (PerturbParams, SybilScenario, TemporalGraphSequence,
                         attack_probability, er_graph, evolving_sequence,
-                        linkmirage_run, linkmirage_sequence,
-                        perturb_static_baseline_sequence, sampling_report, sybil_eval)
+                        linkmirage_run, perturb_static_baseline_sequence,
+                        sampling_report, sybil_eval)
 from linkmirage.appeval import count_attack_edges
 
 
@@ -19,7 +19,7 @@ def main():
     seq = evolving_sequence(sizes=[70, 70, 70], p_in=0.09, p_out=0.003,
                             length=5, overlap=0.8, rng=rng, churn_blocks=[0])
     params = PerturbParams(k=2, seed=19)
-    lm = linkmirage_sequence(seq, params)
+    lm = linkmirage_run(seq, params)[0]
     st = perturb_static_baseline_sequence(seq, k=2, seed=19)
 
     target = int(seq[0].vertices[5])

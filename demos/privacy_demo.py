@@ -10,7 +10,7 @@ import numpy as np
 
 from linkmirage import (LinkQuery, PerturbParams, PriorModel,
                         anti_aggregation_aggregated, evolving_sequence,
-                        indistinguishability_series, linkmirage_sequence,
+                        indistinguishability_series, linkmirage_run,
                         perturb_static_baseline_sequence, posterior_probability,
                         prior_probability)
 
@@ -22,7 +22,7 @@ def main():
                             keep_edge=(80, 81), churn_blocks=[0],
                             new_vertices_per_step=20)
     params = PerturbParams(k=2, seed=11)
-    lm = linkmirage_sequence(seq, params)
+    lm = linkmirage_run(seq, params)[0]
     st = perturb_static_baseline_sequence(seq, k=2, seed=11)
 
     query = LinkQuery(t=4, u=80, v=81)

@@ -81,10 +81,6 @@ def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingRe
                           outside_envelope=int(inside.size - np.count_nonzero(inside)))
 
 
-def sampling_probability(perturbed, seq: TemporalGraphSequence, k: int) -> float:
-    return sampling_report(perturbed, seq, k).probability
-
-
 # -- Sybil defense harness -----------------------------------------------------
 
 

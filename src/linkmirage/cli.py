@@ -10,7 +10,7 @@ effect.
 Exit codes: 0 ok, 2 invalid config, 3 I/O failure, 4 missing, stale or
 malformed dependency artifact (``provenance.json``, ``record.json``,
 ``g_prime_<t>.txt``, or a stage CSV that ``report`` finds stamped with
-another release's hash).
+another release's hash or holding a byte that is not ASCII).
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ KEYS = {
     "theta": _Key(_FLOAT, PerturbParams.theta, "unchanged-community overlap threshold", _EVERY),
     "seed": _Key(_SEED, PerturbParams.seed, "root of every random stream", _EVERY),
     "hay-r": _Key(_FRACTION, 0.5, "r/m fraction for the hay baseline", _EVERY),
-    "threads": _Key(_AT_LEAST_1, 1, "accepted and ignored: draws run in one thread "
-                     "(the key goes with ROADMAP item 1)", _EVERY),
+    "threads": _Key(_AT_LEAST_1, 1, "accepted and ignored: draws run in one thread", _EVERY),
     "metric": _Key(_METRIC_NAMES, None, "metrics to compute", ("metrics",)),
     "samples": _Key(_INT, 200, "Monte Carlo samples for posteriors", ("metrics",)),
     "l": _Key(_INTS, (2,), "application parameters for ud", ("metrics",)),
@@ -473,12 +472,17 @@ def cmd_report(args) -> int:
     for name in ("metrics.csv", "eval.csv"):
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
-                if fh.readline() != f"# {stamp}\n":
-                    raise MissingArtifactError(
-                        f"{path} is not stamped with the release in {prov_path}; "
-                        f"run {name.removesuffix('.csv')} again")
-                lines = [line for line in fh if line.strip() and not line.startswith("#")]
+            stage = name.removesuffix(".csv")
+            try:
+                with open(path, "r", encoding="ascii") as fh:
+                    if fh.readline() != f"# {stamp}\n":
+                        raise MissingArtifactError(
+                            f"{path} is not stamped with the release in {prov_path}; "
+                            f"run {stage} again")
+                    lines = [line for line in fh if line.strip() and not line.startswith("#")]
+            except UnicodeDecodeError:
+                raise MissingArtifactError(f"{path} holds a byte that is not ASCII; "
+                                           f"run {stage} again") from None
             rows += [(*(entry.get(c) or "" for c in columns), name)
                      for entry in csv.DictReader(lines)]
     if not rows:

@@ -142,9 +142,6 @@ class Graph:
     def has_vertex(self, v: int) -> bool:
         return self._position(v) >= 0
 
-    def degree(self, v: int) -> int:
-        return int(self._degrees[self.index_of(v)])
-
     @property
     def degrees(self) -> np.ndarray:
         """Degrees indexed by internal position."""
@@ -200,14 +197,6 @@ class Graph:
             reached = self._indices[offsets + np.arange(offsets.size)]
             frontier = np.unique(reached[dist[reached] < 0])
         return dist
-
-    def has_edge(self, u: int, v: int) -> bool:
-        iu, iv = self._position(u), self._position(v)
-        if iu < 0 or iv < 0:
-            return False
-        row = self._indices[self._indptr[iu]:self._indptr[iu + 1]]
-        pos = np.searchsorted(row, iv)
-        return bool(pos < row.size and row[pos] == iv)
 
     # -- derived graphs ----------------------------------------------------
 

@@ -14,8 +14,6 @@ import scipy.sparse as sp
 
 from .graphs import Graph
 
-ROW_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -23,22 +21,6 @@ class TransitionMatrix:
 
     ids: np.ndarray          # raw vertex ids; row/column order
     matrix: sp.csr_matrix    # shape (n, n)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.ids.size)
-
-    def row(self, v: int) -> np.ndarray:
-        """Dense probability row for raw vertex id v."""
-        i = int(np.searchsorted(self.ids, v))
-        if i >= self.ids.size or self.ids[i] != v:
-            raise KeyError(f"vertex {v} not in matrix")
-        return np.asarray(self.matrix.getrow(i).todense()).ravel()
-
-    def check_stochastic(self) -> bool:
-        sums = np.asarray(self.matrix.sum(axis=1)).ravel()
-        return bool(np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL)
-                    and self.matrix.data.min(initial=0.0) >= -ROW_SUM_TOL)
 
 
 def transition_matrix(graph: Graph) -> TransitionMatrix:
@@ -83,14 +65,6 @@ def walk_terminals(graph: Graph, starts: np.ndarray, length: int,
     return cur
 
 
-def random_walk(graph: Graph, start: int, length: int,
-                rng: np.random.Generator) -> int:
-    """Terminal raw id of one length-step walk from ``start``."""
-    pos = np.array([graph.index_of(start)], dtype=np.int64)
-    term = walk_terminals(graph, pos, length, rng)
-    return int(graph.vertices[term[0]])
-
-
 def tv_distance(p: TransitionMatrix, q: TransitionMatrix) -> float:
     """Average over rows of the total-variation distance between row pairs.
 
@@ -98,7 +72,7 @@ def tv_distance(p: TransitionMatrix, q: TransitionMatrix) -> float:
     """
     if not np.array_equal(p.ids, q.ids):
         raise ValueError("transition matrices are over different vertex sets")
-    n = p.dimension
+    n = p.ids.size
     if n == 0:
         return 0.0
     diff = (p.matrix - q.matrix).tocsr()

@@ -401,11 +401,6 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[l
     return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]
 
 
-def linkmirage_sequence(seq: TemporalGraphSequence, params: PerturbParams) -> list:
-    """Perturbed graph for every snapshot of the sequence."""
-    return linkmirage_run(seq, params)[0]
-
-
 def perturb_static_baseline_sequence(seq: TemporalGraphSequence, k: int,
                                      seed: int) -> list:
     """Whole-snapshot static perturbation, independently at each timestamp."""

@@ -17,11 +17,11 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         anti_aggregation_aggregated, cluster_static,
                         estimation_error_bound_check, evolving_sequence,
                         expected_degree_report, indistinguishability_series,
-                        linkmirage_run, linkmirage_sequence, matrix_power,
+                        linkmirage_run, matrix_power,
                         modularity, perturb_static, perturb_static_baseline_sequence,
                         planted_partition_graph, posterior_probability,
                         prior_probability, ratio_cut, ring_of_blocks,
-                        sampling_probability, transition_matrix, tv_distance,
+                        sampling_report, transition_matrix, tv_distance,
                         ud_upper_bound, utility_distance)
 from linkmirage.cli import main as cli_main
 from linkmirage.privacy import _hypothesis_world, observed_features
@@ -70,7 +70,7 @@ def overlap_runs():
     for seed in range(N_SEEDS):
         seq = overlap_fixture(seed)
         params = PerturbParams(k=2, seed=seed, theta=0.8, m=2)
-        lm = linkmirage_sequence(seq, params)
+        lm, _ = linkmirage_run(seq, params)
         st = perturb_static_baseline_sequence(seq, 2, seed)
         runs.append((seq, params, lm, st))
     return runs
@@ -272,9 +272,9 @@ def test_criterion_9_modularity_preservation():
     def perturbed_q(graphs):
         return [modularity(gp, cluster_static(gp)) for gp in graphs]
 
-    q_lm2 = np.mean(perturbed_q([linkmirage_sequence(seq, PerturbParams(k=2, seed=s))[0]
+    q_lm2 = np.mean(perturbed_q([linkmirage_run(seq, PerturbParams(k=2, seed=s))[0][0]
                                  for s in range(N_SEEDS)]))
-    q_lm10 = np.mean(perturbed_q([linkmirage_sequence(seq, PerturbParams(k=10, seed=s))[0]
+    q_lm10 = np.mean(perturbed_q([linkmirage_run(seq, PerturbParams(k=10, seed=s))[0][0]
                                   for s in range(N_SEEDS)]))
     q_st10 = np.mean(perturbed_q([perturb_static_baseline_sequence(seq, 10, s)[0]
                                   for s in range(N_SEEDS)]))
@@ -292,8 +292,8 @@ def test_criterion_9_modularity_preservation():
 def test_criterion_10_sampling_probability_ordering(overlap_runs):
     lm_ps, st_ps = [], []
     for seq, params, lm, st in overlap_runs:
-        lm_ps.append(sampling_probability(lm, seq, 2))
-        st_ps.append(sampling_probability(st, seq, 2))
+        lm_ps.append(sampling_report(lm, seq, 2).probability)
+        st_ps.append(sampling_report(st, seq, 2).probability)
     lm_mean, st_mean = float(np.mean(lm_ps)), float(np.mean(st_ps))
     report(10, lm_mean <= st_mean,
            f"sampling probability p: LinkMirage {lm_mean:.4f} <= static "
@@ -320,12 +320,12 @@ def test_criterion_11_edge_linear_scaling():
     seqs = {"10k": scaling_sequence(0.16, 20, 11),
             "20k": scaling_sequence(0.335, 40, 11)}
     times = {n: [] for n in seqs}
-    linkmirage_sequence(seqs["10k"], PerturbParams(k=2, seed=99))   # warm-up
+    linkmirage_run(seqs["10k"], PerturbParams(k=2, seed=99))   # warm-up
     for run in range(5):
         # interleave the two sizes so machine drift cancels out of the ratio
         for name, seq in seqs.items():
             start = time.time()
-            linkmirage_sequence(seq, PerturbParams(k=2, seed=run))
+            linkmirage_run(seq, PerturbParams(k=2, seed=run))
             times[name].append(time.time() - start)
     med = {n: float(np.median(ts)) for n, ts in times.items()}
     ratio = med["20k"] / med["10k"]
@@ -382,7 +382,7 @@ def test_criterion_13_mixing_time_and_slem_bounds():
             skipped += 1
             continue
         seq = TemporalGraphSequence([g])
-        gp = linkmirage_sequence(seq, PerturbParams(k=2, seed=seed))[0]
+        gp = linkmirage_run(seq, PerturbParams(k=2, seed=seed))[0][0]
         if not is_connected(gp) or is_bipartite(gp):
             skipped += 1
             continue

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_graph
 from linkmirage import (Graph, PerturbParams, SybilScenario, TemporalGraphSequence,
                         attack_probability, er_graph, k_hop_graph, linkmirage_run,
-                        ring_of_blocks, sampling_probability, sampling_report,
-                        sybil_eval, union_graph)
+                        ring_of_blocks, sampling_report, sybil_eval, union_graph)
 from linkmirage.appeval import _reverse_positions, count_attack_edges
 from test_perturb import time_limit
 
@@ -79,7 +78,7 @@ def test_k_hop_graph_matches_bfs_oracle(rng):
 def test_sampling_probability_identity_case(rng):
     g = random_graph(10, 0.4, rng, ensure_edge=True)
     seq = TemporalGraphSequence([g, g])
-    assert sampling_probability([g, g], seq, 1) == pytest.approx(1.0)
+    assert sampling_report([g, g], seq, 1).probability == pytest.approx(1.0)
 
 
 def test_sampling_report_envelope_accounting(rng):
@@ -132,7 +131,7 @@ def test_sampling_probability_edgeless_errors():
     g = Graph(vertices=[0, 1])
     seq = TemporalGraphSequence([g])
     with pytest.raises(ValueError):
-        sampling_probability([g], seq, 2)
+        sampling_report([g], seq, 2)
 
 
 # -- sybil harness -------------------------------------------------------------------
@@ -220,7 +219,7 @@ def test_sybil_fp_matches_reference_with_an_isolated_honest_vertex():
     scenario = SybilScenario(honest_graph=honest, sybil_size=10, attack_edges=4,
                              walk_length=5, routes_per_node=6)
     combined = scenario.build_combined(rng)
-    assert combined.degree(40) == 0
+    assert combined.degrees[combined.index_of(40)] == 0
     assert_matches_reference(scenario, combined, 6)
 
 

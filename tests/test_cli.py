@@ -350,6 +350,26 @@ def test_report_refuses_a_csv_of_another_release(workspace, tmp_path, capsys):
     assert read_tree(out) == before
 
 
+@pytest.mark.parametrize("stage", ["metrics", "eval"])
+def test_report_names_a_stage_csv_that_is_not_ascii(workspace, tmp_path, capsys, stage):
+    root, _, _ = workspace
+    one = root / "one.txt"
+    one.write_text("g0.txt\n")
+    out = tmp_path / "out"
+    base = ["--manifest", str(one), "--out", str(out)]
+    assert main(["perturb"] + base) == 0
+    assert main(["metrics"] + base + ["--metric", "modularity"]) == 0
+    assert main(["eval"] + base + ["--f", "0.2"]) == 0
+    with open(out / f"{stage}.csv", "ab") as fh:
+        fh.write(b"0,x,\xe9\n")
+    before = read_tree(out)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / f"{stage}.csv") in err
+    assert read_tree(out) == before
+
+
 def test_metrics_json_of_a_disconnected_snapshot_loads(tmp_path):
     g, _ = planted_partition_graph([8, 8], 0.6, 0.0, np.random.default_rng(3))
     write_edge_list(g, tmp_path / "g0.txt")

@@ -46,10 +46,11 @@ def brute_force_modularity(graph, groups):
     if m == 0:
         return 0.0
     q = 0.0
+    degree = dict(zip(graph.vertices.tolist(), graph.degrees.tolist()))
     for group in groups:
         members = set(group)
         e_c = sum(1 for u, v in graph.edges if int(u) in members and int(v) in members)
-        d_c = sum(graph.degree(v) for v in members)
+        d_c = sum(degree[v] for v in members)
         q += e_c / m - (d_c / (2 * m)) ** 2
     return q
 
@@ -78,8 +79,9 @@ class EagerMerger:
                 owner[v] = label
         if self.m == 0:
             return
+        degree = dict(zip(graph.vertices.tolist(), graph.degrees.tolist()))
         for label, mem in self.members.items():
-            self.strength[label] = sum(graph.degree(v) for v in mem) / (2.0 * self.m)
+            self.strength[label] = sum(degree[v] for v in mem) / (2.0 * self.m)
             self.neighbors[label] = {}
         for u, v in graph.edges:
             cu, cv = owner[int(u)], owner[int(v)]
@@ -250,7 +252,7 @@ def test_greedy_deltas_positive_and_sum_to_modularity(rng):
         deltas = [delta for _, _, delta in greedy_events(g)]
         assert all(delta > 0 for delta in deltas)
         m = g.num_edges
-        q_singletons = -sum((g.degree(v) / (2 * m)) ** 2 for v in g.vertices)
+        q_singletons = -sum((d / (2 * m)) ** 2 for d in g.degrees.tolist())
         q = q_singletons + sum(deltas)
         assert q == pytest.approx(modularity(g, clustering), abs=1e-12)
 

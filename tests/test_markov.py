@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from linkmirage import (Graph, matrix_power, random_walk, transition_matrix,
-                        tv_distance, tv_distance_common)
+from linkmirage import (Graph, matrix_power, transition_matrix, tv_distance,
+                        tv_distance_common, walk_terminals)
 
 
 def dense_tv(p, q):
@@ -16,24 +16,38 @@ def dense_tv(p, q):
     return 0.5 * np.abs(a - b).sum(axis=1).mean()
 
 
+def assert_stochastic(p):
+    """Every row sums to 1 and no entry is negative, within 1e-9."""
+    sums = np.asarray(p.matrix.sum(axis=1)).ravel()
+    assert np.all(np.abs(sums - 1.0) <= 1e-9)
+    assert p.matrix.data.min(initial=0.0) >= -1e-9
+
+
+def walk_ends(graph, start, length, n_walkers, rng):
+    """Raw terminal ids of ``n_walkers`` walks from raw id ``start``, drawn
+    with one ``walk_terminals`` call."""
+    starts = np.full(n_walkers, graph.index_of(start), dtype=np.int64)
+    return graph.vertices[walk_terminals(graph, starts, length, rng)]
+
+
 def test_triangle_rows_are_half(triangle):
     p = transition_matrix(triangle)
     for v in (0, 1, 2):
-        row = p.row(v)
+        row = p.matrix.toarray()[v]
         assert row[v] == 0.0
         assert sorted(row[row > 0].tolist()) == [0.5, 0.5]
 
 
 def test_path_middle_row(path3):
     p = transition_matrix(path3)
-    assert p.row(1).tolist() == [0.5, 0.0, 0.5]
+    assert p.matrix.toarray()[1].tolist() == [0.5, 0.0, 0.5]
 
 
 def test_isolated_vertex_gets_lazy_self_loop():
     g = Graph([(0, 1)], vertices=[0, 1, 2])
     p = transition_matrix(g)
-    assert p.row(2).tolist() == [0.0, 0.0, 1.0]
-    assert p.check_stochastic()
+    assert p.matrix.toarray()[2].tolist() == [0.0, 0.0, 1.0]
+    assert_stochastic(p)
 
 
 def test_matrix_power_one_is_identity_case(triangle):
@@ -43,7 +57,7 @@ def test_matrix_power_one_is_identity_case(triangle):
 
 def test_matrix_power_path_two_steps(path3):
     p2 = matrix_power(transition_matrix(path3), 2)
-    assert np.allclose(p2.row(0), [0.5, 0.0, 0.5])
+    assert np.allclose(p2.matrix.toarray()[0], [0.5, 0.0, 0.5])
 
 
 def test_matrix_power_matches_dense_oracle(rng):
@@ -57,7 +71,7 @@ def test_rows_remain_stochastic_under_powers(rng):
     for _ in range(20):
         g = random_graph(int(rng.integers(2, 15)), rng.uniform(0.1, 0.8), rng)
         p = matrix_power(transition_matrix(g), int(rng.integers(1, 5)))
-        assert p.check_stochastic()
+        assert_stochastic(p)
 
 
 def test_power_composition(rng):
@@ -72,22 +86,22 @@ def test_power_composition(rng):
 
 
 def test_walk_length_zero_returns_start(triangle, rng):
-    assert random_walk(triangle, 2, 0, rng) == 2
+    assert walk_ends(triangle, 2, 0, 1, rng).tolist() == [2]
 
 
 def test_walk_single_neighbor_is_forced(rng):
     g = Graph([(0, 1)])
-    assert random_walk(g, 0, 1, rng) == 1
+    assert walk_ends(g, 0, 1, 1, rng).tolist() == [1]
 
 
 def test_walk_from_isolated_vertex_stays(rng):
     g = Graph([(0, 1)], vertices=[0, 1, 5])
-    assert random_walk(g, 5, 3, rng) == 5
+    assert walk_ends(g, 5, 3, 1, rng).tolist() == [5]
 
 
 def test_walk_terminal_frequency_matches_row(triangle, rng):
     # K3 from 0, one step: each neighbor with probability 1/2
-    hits = np.array([random_walk(triangle, 0, 1, rng) for _ in range(10_000)])
+    hits = walk_ends(triangle, 0, 1, 10_000, rng)
     freq1 = (hits == 1).mean()
     assert abs(freq1 - 0.5) < 0.02
 
@@ -97,8 +111,8 @@ def test_walk_terminal_distribution_matches_power(rng):
     l, n_samples = 3, 10_000
     start = int(g.vertices[0])
     p_l = matrix_power(transition_matrix(g), l)
-    expected = p_l.row(start)
-    hits = np.array([random_walk(g, start, l, rng) for _ in range(n_samples)])
+    expected = p_l.matrix.toarray()[g.index_of(start)]
+    hits = walk_ends(g, start, l, n_samples, rng)
     for pos, v in enumerate(g.vertices):
         freq = (hits == v).mean()
         sigma = np.sqrt(max(expected[pos] * (1 - expected[pos]), 1e-12) / n_samples)

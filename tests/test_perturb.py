@@ -8,9 +8,8 @@ import pytest
 from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
                         TemporalGraphSequence, evolving_sequence, group_edges,
-                        hay_baseline, linkmirage_run,
-                        linkmirage_sequence, perturb_static, perturb_static_baseline_sequence,
-                        planted_partition_graph)
+                        hay_baseline, linkmirage_run, perturb_static,
+                        perturb_static_baseline_sequence, planted_partition_graph)
 from linkmirage import perturb, privacy
 from linkmirage.graphs import _canonical_edges
 from linkmirage.perturb import (_PairTask, _draws, _plan_chain, _reads, _sample_step,
@@ -54,7 +53,7 @@ def test_path_two_hop_edge_probability(rng):
     p_edge = 0.5 * (1.0 - 0.5 ** 11)
     expected = 1.0 - (1.0 - p_edge) ** 2
     n = 20_000
-    hits = sum(perturb_static(g, 2, rng).has_edge(0, 2) for _ in range(n))
+    hits = sum([0, 2] in perturb_static(g, 2, rng).edges.tolist() for _ in range(n))
     sigma = np.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) <= 3 * sigma
 
@@ -138,7 +137,7 @@ def small_sequence():
 def test_step_identical_snapshots_identical_outputs():
     seq = small_sequence()
     params = PerturbParams(k=2, seed=11)
-    graphs = linkmirage_sequence(seq, params)
+    graphs = linkmirage_run(seq, params)[0]
     assert graphs[0] == graphs[1] == graphs[2]
 
 
@@ -253,9 +252,9 @@ def _unchanged_pairs(records):
 def test_sequence_determinism():
     seq = small_sequence()
     params = PerturbParams(k=2, seed=99)
-    a = linkmirage_sequence(seq, params)
-    b = linkmirage_sequence(seq, params)
-    c = linkmirage_sequence(seq, params)
+    a = linkmirage_run(seq, params)[0]
+    b = linkmirage_run(seq, params)[0]
+    c = linkmirage_run(seq, params)[0]
     assert all(x == y for x, y in zip(a, b))
     assert all(x == y for x, y in zip(a, c))
 
@@ -263,7 +262,7 @@ def test_sequence_determinism():
 def test_length_one_sequence_is_static_linkmirage():
     g, _ = planted_partition_graph([8, 8], 0.7, 0.1, np.random.default_rng(2))
     seq = TemporalGraphSequence([g])
-    graphs = linkmirage_sequence(seq, PerturbParams(k=1, seed=5))
+    graphs, _ = linkmirage_run(seq, PerturbParams(k=1, seed=5))
     assert len(graphs) == 1
     assert np.array_equal(graphs[0].vertices, g.vertices)
 
@@ -300,7 +299,7 @@ def test_posterior_plans_and_kernel_reproduce_the_release():
     seq = small_overlap_sequence()
     params = PerturbParams(k=2, m=1, theta=0.8, seed=5)
     graphs, records = linkmirage_run(seq, params)
-    plans = _SequenceSampler(seq, params, "linkmirage").plans
+    plans = _plan_chain(seq, params)
     assert any(p.diff.unchanged and p.diff.changed for p in plans[1:])
     assert any(p.reused_pairs and len(p.reused_pairs) < len(p.pair_tasks)
                for p in plans[1:])
@@ -476,7 +475,7 @@ def release_draws(seq, params, graphs):
     """Every step draw behind a ``linkmirage_run`` release: re-drawn from its
     plan and the release's stream, each carrying the draw before it as the
     posterior does. Each gives the release of its step."""
-    plans = _SequenceSampler(seq, params, "linkmirage").plans
+    plans = _plan_chain(seq, params)
     draws = list(_draws(plans, params, (_step_rng(params.seed, t) for t in range(len(plans)))))
     for t, draw in enumerate(draws):
         assert graphs[t] == Graph(_step_edges(*draw), vertices=seq.snapshots[t].vertices)
@@ -553,8 +552,7 @@ def test_every_release_record_validates(m, theta):
         query = LinkQuery(t=len(seq) - 1, u=0, v=1)
         rng = np.random.default_rng(params.seed)
         for present in (True, False):
-            plans = _SequenceSampler(_hypothesis_world(seq, query, present), params,
-                                     "linkmirage").plans
+            plans = _plan_chain(_hypothesis_world(seq, query, present), params)
             for _ in range(3):
                 for plan, draw in zip(plans, _draws(plans, params, itertools.repeat(rng))):
                     check_draw(plan.clustering, draw)
@@ -577,7 +575,7 @@ def test_carry_filter_matches_the_membership_rule(m, theta):
     moved = 0
     for seq, params in reuse_fixtures(m, theta):
         graphs, _ = linkmirage_run(seq, params)
-        plans = _SequenceSampler(seq, params, "linkmirage").plans
+        plans = _plan_chain(seq, params)
         draws = release_draws(seq, params, graphs)
         for t in range(1, len(plans)):
             for got_part, want_part in zip(draws[t], reference_carry(plans[t], draws[t - 1])):
@@ -611,7 +609,7 @@ def test_carries_matches_the_matched_community_rule(seq, pairs, fresh_later):
     for (u, v), present in itertools.product(pairs, (True, False)):
         world = _hypothesis_world(seq, LinkQuery(t=len(seq) - 1, u=u, v=v), present)
         carried = None
-        for plan in _SequenceSampler(world, params, "linkmirage").plans:
+        for plan in _plan_chain(world, params):
             flags.append(plan.carries((u, v)))
             assert flags[-1] == reference_carries(plan, (u, v))
             if carried is not None and not flags[-1]:
@@ -635,7 +633,7 @@ def test_a_vertex_moving_between_matched_communities_carries_no_edge(m):
     seq = moved_vertex_sequence()
     params = PerturbParams(k=2, m=m, theta=0.7, seed=3)
     graphs, records = linkmirage_run(seq, params)
-    plan = _SequenceSampler(seq, params, "linkmirage").plans[1]
+    plan = _plan_chain(seq, params)[1]
     assert plan.diff.unchanged == [(0, 0), (6, 5)] and plan.reused_pairs == {(0, 5): (0, 6)}
     assert {p: ids.tolist() for p, ids in plan.left.items()} == {0: [5]}
     (intra_0, _), (intra_1, _) = map(group_edges, graphs, [r.clustering for r in records])
@@ -799,6 +797,6 @@ def test_hay_baseline_on_a_complete_graph_raises(n, r):
 def test_hay_baseline_short_of_absent_pairs_raises():
     # K5 minus one edge has a single absent pair, so r = 2 cannot be met
     g = Graph([(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
-    assert hay_baseline(g, 1, np.random.default_rng(1)).has_edge(0, 1)
+    assert [0, 1] in hay_baseline(g, 1, np.random.default_rng(1)).edges.tolist()
     with time_limit(10), pytest.raises(ValueError, match="found 1 of the 2"):
         hay_baseline(g, 2, np.random.default_rng(1))

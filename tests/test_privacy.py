@@ -10,14 +10,14 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         TemporalGraphSequence, TransitionMatrix, anti_aggregation,
                         anti_aggregation_aggregated, estimation_error_bound_check,
                         group_edges, indistinguishability, indistinguishability_series,
-                        linkmirage_run, linkmirage_sequence, matrix_power,
+                        linkmirage_run, matrix_power,
                         perturb_static_baseline_sequence, planted_partition_graph,
                         posterior_probability, prior_probability, transition_matrix,
                         tv_distance)
 from linkmirage import privacy
 from linkmirage.perturb import (_plan_chain, _sample_step, _step_edges,
                                perturb_static_baseline_sequence)
-from linkmirage.privacy import _SequenceSampler, _edge_feature, fit_logistic_1d
+from linkmirage.privacy import _edge_feature, fit_logistic_1d
 
 
 # -- prior ---------------------------------------------------------------------
@@ -363,7 +363,7 @@ def test_posterior_matches_enumeration_at_t1(monkeypatch, case):
     seq = TemporalGraphSequence([g0, g1])
     params = PerturbParams(k=1, seed=0, **settings)
     query = LinkQuery(t=1, u=uv[0], v=uv[1])
-    observed = linkmirage_sequence(seq, params)
+    observed = linkmirage_run(seq, params)[0]
     features = privacy.observed_features(observed, query)
     like = {}
     for present in (True, False):
@@ -455,12 +455,12 @@ def test_single_community_mechanisms_agree():
     # a graph that clusters into one community makes the dynamic mechanism
     # distributionally identical to the static one: equal entropy within MC error
     from linkmirage import (cluster_static, indistinguishability_series,
-                            linkmirage_sequence, perturb_static_baseline_sequence)
+                            linkmirage_run, perturb_static_baseline_sequence)
     g = Graph([(i, j) for i in range(6) for j in range(i + 1, 6)])
     assert len(cluster_static(g)) == 1
     seq = TemporalGraphSequence([g])
     params = PerturbParams(k=2, seed=3)
-    lm = linkmirage_sequence(seq, params)
+    lm = linkmirage_run(seq, params)[0]
     st = perturb_static_baseline_sequence(seq, 2, 3)
     series = indistinguishability_series(
         seq, {"linkmirage": lm, "static": st}, LinkQuery(t=0, u=0, v=1),
@@ -481,7 +481,7 @@ def test_sampled_features_read_inter_rows_in_either_orientation():
         graphs, records = linkmirage_run(seq, params)
         rows = np.concatenate(list(group_edges(graphs[0], records[0].clustering)[1].values()))
         u, v = (int(x) for x in rows[rows[:, 0] > rows[:, 1]][0])
-        plan = _SequenceSampler(seq, params, "linkmirage").plans[0]
+        plan = _plan_chain(seq, params)[0]
         rng = np.random.default_rng(seed)
         for _ in range(20):
             edges = _step_edges(*_sample_step(plan, None, params, rng))
@@ -503,7 +503,7 @@ def test_sampled_features_read_inter_rows_in_either_orientation():
 def _pinned_inputs():
     seq = small_overlap_sequence()
     params = PerturbParams(k=2, m=1, theta=0.8, seed=5)
-    observed = {"linkmirage": linkmirage_sequence(seq, params),
+    observed = {"linkmirage": linkmirage_run(seq, params)[0],
                 "static": perturb_static_baseline_sequence(seq, 2, 5)}
     return seq, params, observed, LinkQuery(t=2, u=1, v=2), PriorModel(seed=1)
 
