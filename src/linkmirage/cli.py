@@ -10,7 +10,9 @@ effect.
 Exit codes: 0 ok, 2 invalid config, 3 I/O failure, 4 missing, stale or
 malformed dependency artifact (``provenance.json``, ``record.json``,
 ``g_prime_<t>.txt``, or a stage CSV that ``report`` finds stamped with
-another release's hash or holding a byte that is not ASCII).
+another release's hash or holding a byte that is not ASCII). A
+``g_prime_<t>.txt`` or ``record.json`` stamped with another release's hash
+is stale, and ``ud`` on a linkmirage release needs its ``record.json``.
 """
 
 from __future__ import annotations
@@ -245,13 +247,17 @@ def _load_outputs(settings, seq) -> tuple[list, str]:
     if not os.path.exists(prov_path):
         raise MissingArtifactError(f"no provenance.json in {out_dir}; run perturb first")
     if _read_artifact(prov_path, "provenance") != phash:
-        raise MissingArtifactError(
-            "perturbation outputs were produced under a different configuration")
+        raise MissingArtifactError(f"{prov_path} was written under a different configuration; "
+                                   "run perturb again")
     graphs = []
     for t, g_t in enumerate(seq.snapshots):
         path = os.path.join(out_dir, f"g_prime_{t}.txt")
         if not os.path.exists(path):
             raise MissingArtifactError(f"missing perturbed snapshot {path}")
+        with open(path, "rb") as fh:
+            if fh.readline() != f"# provenance: {phash}\n".encode():
+                raise MissingArtifactError(f"{path} is not stamped with the release in "
+                                           f"{prov_path}; run perturb again")
         try:
             released = load_edge_list(path)
         except ValueError as exc:   # GraphFormatError names the file and line
@@ -339,7 +345,7 @@ def _spectral_rows(settings, params, seq, perturbed, t):
         if not is_connected(g):   # disconnected graphs have no single walk spectrum
             return [("slem", float("nan")), ("mixing-time", float("nan"))]
         sm = spectral_metrics(g, epsilon=settings["epsilon"], lazy=settings["lazy"])
-        tau = float(sm["mixing_time"]) if sm["mixing_converged"] else float("nan")
+        tau = float("nan") if sm["mixing_time"] is None else float(sm["mixing_time"])
         return [("slem", sm["slem"]), ("mixing-time", tau)]
     return _per_graph(seq, perturbed, t, measure)
 
@@ -353,10 +359,11 @@ _SNAPSHOT_PRODUCERS = (("anti-aggregation", _anti_aggregation_rows),
                        ("spectral", _spectral_rows))
 
 
-def _ud_rows(settings, seq, perturbed) -> tuple[list, dict]:
+def _ud_rows(settings, seq, perturbed, phash) -> tuple[list, dict]:
     """ud-l<l> rows, and a utility_l<l>.csv table per l with each t's ratio
-    cut and the bound when a linkmirage release left its record.json."""
+    cut, and the bound for a linkmirage release, read from its record.json."""
     record_path = os.path.join(settings["out"], "record.json")
+    prov_path = os.path.join(settings["out"], "provenance.json")
 
     def bound_terms(records) -> tuple[list, float]:
         # one record per snapshot: zip(strict=True) raises ValueError otherwise,
@@ -367,7 +374,13 @@ def _ud_rows(settings, seq, perturbed) -> tuple[list, dict]:
                 max(map(community_tv, seq.snapshots, perturbed, clusterings)))
 
     deltas, eps = None, 0.0
-    if settings["mechanism"] == "linkmirage" and os.path.exists(record_path):
+    if settings["mechanism"] == "linkmirage":
+        if not os.path.exists(record_path):
+            raise MissingArtifactError(f"missing perturbation record {record_path}; "
+                                       "run perturb again")
+        if _read_artifact(record_path, "provenance") != phash:
+            raise MissingArtifactError(f"{record_path} is not stamped with the release in "
+                                       f"{prov_path}; run perturb again")
         deltas, eps = _read_artifact(record_path, "records", bound_terms)
     rows, tables = [], {}
     for l in settings["l"]:
@@ -395,7 +408,7 @@ def cmd_metrics(args) -> int:
         rows += [row for name, produce in _SNAPSHOT_PRODUCERS if name in metrics
                  for row in produce(settings, params, seq, perturbed, t)]
     if "ud" in metrics:
-        ud_rows, tables = _ud_rows(settings, seq, perturbed)
+        ud_rows, tables = _ud_rows(settings, seq, perturbed, phash)
         rows += ud_rows
 
     out_dir = settings["out"]

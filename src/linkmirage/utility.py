@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .clustering import _edge_labels
 from .graphs import Graph, TemporalGraphSequence
@@ -203,63 +202,39 @@ def is_bipartite(graph: Graph) -> bool:
     return not ((ends[:, 0] - ends[:, 1]) % 2 == 0).any()
 
 
-def _symmetrized_walk(graph: Graph) -> sp.csr_matrix:
-    """D^-1/2 A D^-1/2 over internal positions; needs every degree > 0."""
-    n = graph.num_vertices
-    indices = graph.csr_adjacency[1]
-    inv_sqrt = 1.0 / np.sqrt(graph.degrees.astype(np.float64))
-    data = inv_sqrt[np.repeat(np.arange(n), graph.degrees)] * inv_sqrt[indices]
-    return graph.adjacency(data)
-
-
 def slem(graph: Graph, lazy: bool = False) -> float:
-    """Second largest eigenvalue modulus of the walk matrix.
-
-    Power iteration on the degree-symmetrized operator with the stationary
-    direction deflated, until successive norms differ by less than 1e-13 or
-    200,000 steps; with ``lazy`` the chain is (P+I)/2.
-    """
+    """Second largest eigenvalue modulus of the walk matrix, from one dense
+    symmetric eigensolve of D^-1/2 A D^-1/2, which has the walk's spectrum;
+    with ``lazy`` the chain is (P+I)/2. Holds an n x n matrix."""
     if not is_connected(graph):
         raise ValueError("SLEM is defined here for connected graphs only")
     n = graph.num_vertices
     if n <= 1:
         return 0.0
-    s = _symmetrized_walk(graph)
+    inv_sqrt = 1.0 / np.sqrt(graph.degrees.astype(np.float64))
+    s = graph.adjacency().toarray()
+    s *= inv_sqrt
+    s *= inv_sqrt[:, None]
     if lazy:
-        s = 0.5 * (s + sp.identity(n, format="csr"))
-    top = np.sqrt(graph.degrees.astype(np.float64))
-    top /= np.linalg.norm(top)
-    x = np.random.default_rng(0xD1CE).standard_normal(n)
-    x -= (top @ x) * top
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(200_000):
-        y = s @ x
-        y -= (top @ y) * top
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        if abs(norm - est) < 1e-13:
-            return float(norm)
-        est = norm
-        x = y / norm
-    return float(est)
+        s *= 0.5
+        s[np.diag_indices(n)] += 0.5
+    eigs = np.linalg.eigvalsh(s)
+    return float(max(abs(eigs[0]), abs(eigs[-2])))
 
 
-def mixing_time(graph: Graph, epsilon: float,
-                lazy: bool = False) -> tuple[int | None, bool]:
+def mixing_time(graph: Graph, epsilon: float, lazy: bool = False) -> int | None:
     """Smallest r <= 10,000 with max_v TV(P^r(v), pi) < epsilon, by direct
-    row powers.
+    row powers of the dense n x n walk matrix; None when no such r exists.
 
-    Returns (r, converged). Bipartite chains never converge unless ``lazy``
-    applies (P+I)/2, and are reported immediately as not converged.
+    Bipartite chains never converge unless ``lazy`` applies (P+I)/2, and
+    return None at once.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
     if not is_connected(graph):
         raise ValueError("mixing time is defined here for connected graphs only")
     if is_bipartite(graph) and not lazy and graph.num_vertices > 1:
-        return None, False
+        return None
     p = transition_matrix(graph).matrix.toarray()
     if lazy:
         p = 0.5 * (p + np.eye(graph.num_vertices))
@@ -269,13 +244,12 @@ def mixing_time(graph: Graph, epsilon: float,
     for r in range(1, 10_001):
         worst = 0.5 * np.abs(m - pi).sum(axis=1).max()
         if worst < epsilon:
-            return r, True
+            return r
         m = m @ p
-    return None, False
+    return None
 
 
 def spectral_metrics(graph: Graph, epsilon: float = 0.05, lazy: bool = False) -> dict:
     """SLEM and mixing time of a connected graph's walk."""
-    tau, converged = mixing_time(graph, epsilon, lazy=lazy)
-    return {"slem": slem(graph, lazy=lazy), "mixing_time": tau,
-            "mixing_converged": converged}
+    tau = mixing_time(graph, epsilon, lazy=lazy)
+    return {"slem": slem(graph, lazy=lazy), "mixing_time": tau}

@@ -283,13 +283,36 @@ def test_metrics_without_perturb_outputs_exit4(workspace, tmp_path):
     assert rc == 4
 
 
-def test_metrics_stale_provenance_exit4(workspace, tmp_path):
+def test_metrics_stale_provenance_exit4(workspace, tmp_path, capsys):
     root, manifest, _ = workspace
     out = tmp_path / "out"
     base = ["--manifest", str(manifest), "--out", str(out)]
     assert main(["perturb"] + base + ["--seed", "5"]) == 0
+    capsys.readouterr()
     rc = main(["metrics"] + base + ["--seed", "6", "--metric", "ud"])
     assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / "provenance.json") in err
+
+
+# test_malformed_artifact_exits_4_naming_the_file copies the file of the
+# seed-6 release for ANOTHER_RELEASE, and deletes the file for None
+ANOTHER_RELEASE = "the seed-6 release's file"
+
+
+def with_stamp(name, content, stamp):
+    """``content`` stamped with the release's hash where its format has a place
+    for one: the first line of an edge list, the ``provenance`` entry of a
+    record.json object."""
+    if name.startswith("g_prime_"):
+        return f"# provenance: {stamp}\n{content}"
+    try:
+        obj = json.loads(content)
+    except ValueError:
+        return content
+    if name == "record.json" and isinstance(obj, dict):
+        return json.dumps({**obj, "provenance": stamp})
+    return content
 
 
 @pytest.mark.parametrize("name, content, stage", [
@@ -311,18 +334,32 @@ def test_metrics_stale_provenance_exit4(workspace, tmp_path):
     ("g_prime_1.txt", "3 3\n", ["eval", "--f", "0.1"]),
     # a vertex the snapshot does not hold
     ("g_prime_0.txt", "3 99\n", ["metrics", "--metric", "modularity"]),
+    ("g_prime_0.txt", ANOTHER_RELEASE, ["metrics", "--metric", "modularity"]),
+    ("record.json", ANOTHER_RELEASE, ["metrics", "--metric", "ud"]),
+    ("record.json", None, ["metrics", "--metric", "ud"]),
 ])
 def test_malformed_artifact_exits_4_naming_the_file(workspace, tmp_path, capsys,
                                                      name, content, stage):
     # content that is not JSON, not an object, lacks its entry, holds another
     # number of records than snapshots or a partition that does not cover its
-    # snapshot; an edge list with a self-loop or a vertex outside its snapshot
+    # snapshot; an edge list with a self-loop or a vertex outside its snapshot,
+    # each stamped with the release so that it reaches its own check; an edge
+    # list or record.json of another release, and no record.json at all
     root, manifest, _ = workspace
     out = tmp_path / "out"
     args = ["--manifest", str(manifest), "--out", str(out), "--seed", "5"]
     assert main(["perturb"] + args) == 0
     assert main(["metrics"] + args + ["--metric", "modularity"]) == 0
-    (out / name).write_text(content)
+    if content is None:
+        (out / name).unlink()
+    elif content == ANOTHER_RELEASE:
+        other = tmp_path / "other"
+        assert main(["perturb", "--manifest", str(manifest), "--out", str(other),
+                     "--seed", "6"]) == 0
+        (out / name).write_bytes((other / name).read_bytes())
+    else:
+        stamp = json.loads((out / "provenance.json").read_text())["provenance"]
+        (out / name).write_text(with_stamp(name, content, stamp))
     before = read_tree(out)
     capsys.readouterr()
     assert main(stage + args) == 4
@@ -704,8 +741,14 @@ def test_eval_scenario_key_set_twice_exits_2(workspace, tmp_path, capsys):
 # earlier one. They were re-recorded once more when the standard library came
 # to write every JSON and CSV value: split into tokens, each file then differs
 # only in its provenance values and in floats spelled in their shortest form,
-# each of which parses to the same double as before. The runs use absolute
-# temporary paths, so the pins also show that no path enters the outputs.
+# each of which parses to the same double as before. The spectral pins (the
+# three all-metric ones and the single spectral one) were re-recorded when the
+# SLEM came to be read from one dense symmetric eigensolve instead of a power
+# iteration whose stop rule fired before it converged: with the slem-* values
+# masked, every file is byte-identical to the earlier one, and each new slem-*
+# value lies within 2e-15 of numpy's eigvals of the walk matrix (the old ones
+# were up to 4.2e-11 off). The runs use absolute temporary paths, so the pins
+# also show that no path enters the outputs.
 
 ALL_METRICS = ",".join(METRICS)
 
@@ -759,18 +802,18 @@ PERTURB_PINS = {
 }
 METRICS_PINS = {
     "linkmirage": {
-        "metrics.csv": "ff7e923580f498ea",
-        "metrics.json": "9f7c0d16154b9123",
+        "metrics.csv": "4b9b611286cdfd2e",
+        "metrics.json": "6cb42966105a14e7",
         "utility_l1.csv": "15e43ca981e5904a",
         "utility_l2.csv": "bdfab96d305ee5d6"},
     "static-baseline": {
-        "metrics.csv": "44d8b8eb690171b8",
-        "metrics.json": "e6544d835a261f97",
+        "metrics.csv": "5d1219545b77ae9a",
+        "metrics.json": "864a88db780aaa49",
         "utility_l1.csv": "182f10c219956931",
         "utility_l2.csv": "47065bebf88ebd33"},
     "hay-baseline": {
-        "metrics.csv": "16986b2f1d14efcc",
-        "metrics.json": "4ff76a3ec935104a",
+        "metrics.csv": "59996400a9cae98d",
+        "metrics.json": "80bc073630c71cc0",
         "utility_l1.csv": "c6c18daf57dc8598",
         "utility_l2.csv": "808f302f5ea1fe08"},
 }
@@ -799,8 +842,8 @@ METRIC_PINS = {
         "metrics.csv": "53c15f7685129ea2",
         "metrics.json": "567d8f9e6115832d"},
     "spectral": {
-        "metrics.csv": "f972d025ee9f76a5",
-        "metrics.json": "6831edd16a379dfa"},
+        "metrics.csv": "d66c6bba20ac6fe8",
+        "metrics.json": "0ac8a737ed72758a"},
 }
 
 

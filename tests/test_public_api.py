@@ -1,12 +1,16 @@
 import ast
 import dataclasses
+import functools
 import importlib
+import importlib.util
 import inspect
 import pathlib
+import re
 
 import pytest
 
 import linkmirage
+import linkmirage.cli
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
                         PerturbParams, PriorModel, SybilScenario, TemporalGraphSequence, UtilityReport,
                         estimation_error_bound_check,
@@ -59,6 +63,27 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert set(linkmirage.__all__) - used == set(UNUSED_EXPORTS)
 
 
+def test_benchmark_reaches_the_library_through_live_names():
+    # perfbench's tracer wraps library names by path and skips one that no
+    # longer resolves, so a rename would blind its span without failing a run;
+    # graphs.edge_set has had no site since Graph.edge_set went
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    blind = {name for name, paths in tracer.SITES.items()
+             if all(tracer._resolve(path) is None for path in paths)}
+    assert blind <= {"graphs.edge_set"}
+    # every lm.<name> (lm is the imported linkmirage) that the workloads read
+    read = set().union(*(re.findall(r"\blm\.([A-Za-z_][\w.]*)", path.read_text())
+                         for path in (ROOT / "perfbench").glob("*.py")))
+    assert "linkmirage_run" in read
+    gone = [name for name in sorted(read)
+            if functools.reduce(lambda owner, attr: getattr(owner, attr, None),
+                                name.split("."), linkmirage) is None]
+    assert not gone
+
+
 @pytest.mark.parametrize("module, name", [
     ("linkmirage.privacy", "common_neighbors"),
     ("linkmirage.cli", "_community_tv"),
@@ -76,6 +101,7 @@ def test_every_export_has_a_caller_outside_the_tests():
     ("linkmirage.markov", "ROW_SUM_TOL"),
     ("linkmirage.appeval", "sampling_probability"),
     ("linkmirage.perturb", "linkmirage_sequence"),
+    ("linkmirage.utility", "_symmetrized_walk"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
