@@ -138,8 +138,19 @@ def _agglomerate(graph: Graph, basis: Clustering) -> tuple[Clustering, list]:
     dropped when it is not positive. So the first popped entry whose key
     equals its gain is the maximum-gain pair, ties broken on the smallest
     (a, b) with a < b, and the merge sequence is the one an eagerly re-keyed
-    heap would produce. Returns the partition and the merge events
-    ``(a, b, gain)``, b merged into a, in merge order.
+    heap would produce.
+
+    An entry that names a merged-away label is dead: it is skipped whenever
+    it is popped. A merge of b kills the entries of b's other pairs and any
+    further entry of (a, b), about ``len(nbr_b) + 1``; a running count of
+    these, less the dead pops, estimates how many the heap holds. When a
+    merge leaves that count above half the heap, the heap is rebuilt from
+    the entries whose two labels are both live. This is exact:
+    keys ``(-gain, a, b)`` are totally ordered and a dead entry is never
+    acted on, so dropping dead entries cannot change the pop sequence of the
+    live ones; the count only decides when the rebuild happens. Returns the
+    partition and the merge events ``(a, b, gain)``, b merged into a, in
+    merge order.
     """
     m = graph.num_edges
     if m == 0:
@@ -169,9 +180,11 @@ def _agglomerate(graph: Graph, basis: Clustering) -> tuple[Clustering, list]:
 
     events = []
     into = {}                   # merged-away label -> the label it merged into
+    dead = 0                    # estimated dead entries in the heap
     while heap:
         neg_gain, a, b = heapq.heappop(heap)
         if a not in strength or b not in strength:
+            dead -= 1
             continue
         gain = neighbors[a].get(b, 0) / m - 2.0 * strength[a] * strength[b]
         if gain != -neg_gain:
@@ -194,6 +207,11 @@ def _agglomerate(graph: Graph, basis: Clustering) -> tuple[Clustering, list]:
             gain = w_ax / m - 2.0 * strength[lo] * strength[hi]
             if gain > 0.0:
                 heapq.heappush(heap, (-gain, lo, hi))
+        dead += len(nbr_b) + 1
+        if 2 * dead > len(heap):
+            heap = [e for e in heap if e[1] in strength and e[2] in strength]
+            heapq.heapify(heap)
+            dead = 0
 
     # a label merges only into a smaller one, so in ascending order each
     # target's final label is known before it is read

@@ -12,6 +12,7 @@ breadth-first distances over it (``hops``).
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,8 +288,40 @@ def _content_lines(path):
                 yield lineno, body, line
 
 
+# the start of a line that is not blank or 'u v' in ASCII digits, with or
+# without a '#' comment and a CR before its LF; the match is anchored to one
+# line, so the search backtracks over a line and not over the whole file
+_PLAIN_LINE_MISS = re.compile(
+    rb"^(?![ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?(?:#[^\r\n]*)?\r?$)", re.M)
+_COMMENT = re.compile(rb"#[^\n]*")
+
+
+def _plain_edges(data: bytes):
+    """The (m, 2) int64 id rows of an edge list's bytes, read in one array
+    step; None unless every line is blank or plain 'u v' with u != v and
+    both ids at most 2**63 - 1."""
+    if not data.isascii() or _PLAIN_LINE_MISS.search(data):
+        return None
+    if b"#" in data:
+        data = _COMMENT.sub(b"", data)
+    try:
+        ids = np.array(data.split(), dtype=np.uint64)
+    except OverflowError:           # an id of 2**64 or more
+        return None
+    if (ids > _MAX_ID).any():
+        return None
+    rows = ids.astype(np.int64).reshape(-1, 2)
+    if (rows[:, 0] == rows[:, 1]).any():
+        return None
+    return rows
+
+
 def load_edge_list(path) -> Graph:
     """Read a whitespace-separated edge list ('u v' per line, '#' comments).
+
+    A file of plain lines is parsed as one array (``_plain_edges``); any
+    other file is read line by line, which accepts whatever ``int`` does
+    (``+5``, ``1_000``, other whitespace) and names the first bad line.
 
     Raises
     ------
@@ -296,6 +329,10 @@ def load_edge_list(path) -> Graph:
         On unparseable lines, ids outside [0, 2**63 - 1] or self-loops,
         reporting path and line number.
     """
+    with open(path, "rb") as fh:
+        rows = _plain_edges(fh.read())
+    if rows is not None:
+        return Graph(rows)
     edges = []
     for lineno, body, line in _content_lines(path):
         parts = body.split()
@@ -321,7 +358,7 @@ def write_edge_list(graph: Graph, path, header_lines=()) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write("".join(f"{u} {v}\n" for u, v in graph.edges.tolist()))
+        fh.write(("%d %d\n" * graph.num_edges) % tuple(graph.edges.ravel().tolist()))
 
 
 def load_sequence(manifest_path) -> TemporalGraphSequence:

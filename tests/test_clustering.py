@@ -274,6 +274,28 @@ def test_lazy_merger_matches_eager_on_ring_of_blocks():
     assert_same_merges(g, [{int(v)} for v in g.vertices])
 
 
+def test_lazy_merger_matches_eager_when_the_heap_is_compacted(monkeypatch):
+    # the recluster_dynamic shape at release scale: each block minus its
+    # freed vertices is one frozen node, and about 30% of vertices are freed
+    # singletons, enough merges for the heap to be rebuilt without its dead
+    # entries (every heapify after the first)
+    g = ring_of_blocks(80, 50, 0.16, 20, np.random.default_rng(3))
+    freed = np.random.default_rng(4).random(g.num_vertices) < 0.3
+    ids = g.vertices.tolist()
+    basis = [{v for v in ids[b * 50:(b + 1) * 50] if not freed[v]} for b in range(80)]
+    basis = [b for b in basis if b] + [{v} for v in ids if freed[v]]
+    heapify_calls = []
+    heapify = clustering_module.heapq.heapify
+
+    def counting_heapify(heap):
+        heapify_calls.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(clustering_module.heapq, "heapify", counting_heapify)
+    assert_same_merges(g, basis)
+    assert len(heapify_calls) > 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=30),
        st.floats(min_value=0.05, max_value=0.6),

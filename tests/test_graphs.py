@@ -1,12 +1,18 @@
+import os
+import tempfile
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from linkmirage import (Graph, GraphFormatError, load_edge_list, load_sequence,
                         union_graph, write_edge_list)
-from linkmirage.graphs import _absent_pairs, _canonical_edges, _edge_keys
+from linkmirage import graphs
+from linkmirage.graphs import _absent_pairs, _canonical_edges, _edge_keys, _plain_edges
 
 
 def test_edges_canonicalized_and_deduped():
@@ -194,6 +200,73 @@ def test_load_edge_list_reports_parse_error_line(tmp_path):
     p.write_text("0 1\nnot an edge here\n")
     with pytest.raises(GraphFormatError, match=r":2:"):
         load_edge_list(p)
+
+
+@pytest.mark.parametrize("data, edges, plain", [
+    (b"007 010\n0 1\n", [(7, 10), (0, 1)], True),
+    (b"0\t1\n\t2 \t3\t\n", [(0, 1), (2, 3)], True),
+    (b"0 1\r\n\r\n1 2\r\n", [(0, 1), (1, 2)], True),
+    (b"\n0 1\n   \n\n1 2\n\n", [(0, 1), (1, 2)], True),
+    (b"0 1\n1 2", [(0, 1), (1, 2)], True),
+    (b"# provenance: abc\n# t=0\n0 1 # trailing\n1 2#x\n  # indented\n",
+     [(0, 1), (1, 2)], True),
+    (f"{2**63 - 1} 0\n".encode(), [(0, 2**63 - 1)], True),
+    (b"", [], True),
+    (b"# nothing\n", [], True),
+    (b"+5 6\n", [(5, 6)], False),
+    (b"1_000 2\n", [(1000, 2)], False),
+    (b"0 1\r1 2\r", [(0, 1), (1, 2)], False),
+    (b"0\x0c1\n", [(0, 1)], False),
+    (b"# a\r1 2\n", [(1, 2)], False),
+])
+def test_load_edge_list_reads_as_the_line_loop(tmp_path, monkeypatch, data, edges, plain):
+    p = tmp_path / "g.txt"
+    p.write_bytes(data)
+    assert (_plain_edges(data) is not None) == plain
+    g = load_edge_list(p)
+    assert g == Graph(edges)
+    monkeypatch.setattr(graphs, "_plain_edges", lambda data: None)
+    assert load_edge_list(p) == g
+
+
+def _read(path):
+    try:
+        return load_edge_list(path)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["0", "1", "7", "00", "+", "_", "-", "x", " ", "\t",
+                                 "\r", "\n", "\r\n", "\x0c", "#", "\xe9",
+                                 str(2**63), str(2**64)]), max_size=12))
+def test_load_edge_list_fuzz_matches_the_line_loop(pieces):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "wb") as fh:
+            fh.write("".join(pieces).encode("latin-1"))
+        result = _read(path)
+        with mock.patch.object(graphs, "_plain_edges", return_value=None):
+            assert _read(path) == result
+
+
+@pytest.mark.parametrize("data, message", [
+    (f"0 1\n{2**63} 1\n".encode(), "2: vertex ids must be at most 2**63 - 1"),
+    (f"0 1\n\n1 {2**64 + 5}\n".encode(), "3: vertex ids must be at most 2**63 - 1"),
+    (b"0 1\n1 2 3\n", "2: expected 'u v', got '1 2 3'"),
+    (b"0 1\n# c\n7 # seven\n", "3: expected 'u v', got '7 # seven'"),
+    (b"0 1\n0 x\n", "2: vertex ids must be integers, got '0 x'"),
+    (b"0 1\n-1 2\n", "2: vertex ids must be nonnegative"),
+    (b"0 1\n1 2\n3 3\n", "3: self-loop 3-3 rejected"),
+    (b"0 1\n1 2 # caf\xc3\xa9\n", "2: not ASCII"),
+])
+def test_load_edge_list_names_the_bad_line(tmp_path, data, message):
+    p = tmp_path / "g.txt"
+    p.write_bytes(data)
+    assert _plain_edges(data) is None
+    with pytest.raises(GraphFormatError) as excinfo:
+        load_edge_list(p)
+    assert str(excinfo.value) == f"{p}:{message}"
 
 
 def test_edge_list_roundtrip(tmp_path):
