@@ -46,18 +46,23 @@ def matrix_power(p: TransitionMatrix, l: int) -> TransitionMatrix:
     return TransitionMatrix(ids=p.ids, matrix=acc.tocsr())
 
 
-def walk_terminals(graph: Graph, starts: np.ndarray, length: int,
-                   rng: np.random.Generator) -> np.ndarray:
+def walk_terminals(graph: Graph, starts: np.ndarray,
+                   uniforms: np.ndarray) -> np.ndarray:
     """Terminals of simultaneous random walks from internal positions.
 
-    One uniform draw per walker per step; walkers on isolated vertices stay
-    put. Vectorized over walkers so a perturbation pass costs O(k|E|).
+    ``uniforms`` holds one row of U(0, 1) draws per step, each over the
+    walkers of ``starts``, behind the same leading axes as ``starts`` (a
+    sample axis, say): shape (..., length, walkers) for starts of shape
+    (..., walkers). A walker steps to the neighbor its uniform picks among
+    its sorted neighbors; walkers on isolated vertices stay put. Vectorized
+    over every walker, so a perturbation pass costs O(k|E|) array work.
     """
     indptr, indices = graph.csr_adjacency
     cur = np.asarray(starts, dtype=np.int64).copy()
-    for _ in range(length):
+    uniforms = np.asarray(uniforms)
+    for i in range(uniforms.shape[-2]):
+        u = uniforms[..., i, :]
         d = indptr[cur + 1] - indptr[cur]
-        u = rng.random(cur.size)
         step = np.minimum((u * d).astype(np.int64), np.maximum(d - 1, 0))
         if indices.size:
             flat = np.minimum(indptr[cur] + step, indices.size - 1)

@@ -17,10 +17,16 @@ no copied edge there and is perturbed fresh when its community next changes.
 A step is laid out once as a deterministic plan (``_plan_chain``), from one
 grouping of the snapshot's edges by community (``group_edges``): its changed
 community subgraphs and its inter-community pair tasks. It is drawn by one
-function, ``_sample_step``; ``_draws`` folds it over the plans, carrying each
-draw into the next. The release and the posterior run that one fold, the
-posterior building only the entries its query reads (``_reads``), and the
-degree check draws through ``_sample_step`` too.
+function, ``_sample_step``, for a block of S samples at once: each entry is
+an array of rows [sample, a, b]. ``_draws`` folds it over the plans,
+carrying each draw into the next. The release is the block S = 1 over one
+stream per timestamp; the posterior runs the same fold over blocks of
+re-perturbations, building only the entries its query reads (``_reads``),
+and the degree check draws its trials in blocks through ``_sample_step``
+too. A block's child streams come from one ``spawn`` in the order drawing
+its samples one at a time would spawn them (``_spawn``), and each entry
+reads its own child's stream, so a block draws what the samples drawn one
+at a time would draw.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .clustering import (Clustering, CommunityDiff, _edge_labels, changed_link_set,
                          classify_communities, cluster_static, recluster_dynamic)
-from .graphs import Graph, TemporalGraphSequence, _absent_pairs, _canonical_edges
+from .graphs import Graph, TemporalGraphSequence, _absent_pairs
 from .markov import walk_terminals
 
 # spawn_key namespaces so mechanisms never share streams for the same (seed, t)
@@ -99,34 +105,63 @@ class PerturbationRecord:
 # -- static perturbation ----------------------------------------------------
 
 
-def draw_walker_edges(graph: Graph, k: int,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One raw fake edge per original edge, as (starts, terminals) positions.
+def draw_walker_edges(graph: Graph, k: int, gens) -> tuple[np.ndarray, np.ndarray]:
+    """One raw fake edge per original edge in each of S samples, as (starts,
+    terminals) positions of shape (S, |E|), sample s drawn from ``gens[s]``.
 
-    Each edge starts a k-hop walk at a uniformly chosen endpoint. Terminals
-    may equal their start (self-loop); callers decide how to handle that.
+    Each edge starts a k-hop walk at a uniformly chosen endpoint. A sample
+    draws one block of (k + 1)|E| uniforms: the endpoint picks, then one row
+    per step. Terminals may equal their start (self-loop); callers decide how
+    to handle that.
     """
     ends = graph.edge_positions
-    if ends.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pick = rng.random(ends.shape[0]) < 0.5
-    starts = np.where(pick, ends[:, 0], ends[:, 1])
-    terms = walk_terminals(graph, starts, k, rng)
+    uniforms = np.empty((len(gens), k + 1, ends.shape[0]))
+    for gen, block in zip(gens, uniforms):
+        gen.random(out=block)
+    starts = np.where(uniforms[:, 0] < 0.5, ends[:, 0], ends[:, 1])
+    return starts, walk_terminals(graph, starts, uniforms[:, 1:])
+
+
+def _walks(graph: Graph, k: int, gens) -> tuple[np.ndarray, np.ndarray]:
+    """``draw_walker_edges`` with the static scheme's redraws: a walk that
+    returns to its start is redrawn up to 10 times. Each round draws k rows of
+    uniforms per sample that has such walks, then walks them all at once."""
+    starts, terms = draw_walker_edges(graph, k, gens)
+    # flat views: the walkers of sample s are s*|E| .. (s+1)*|E| - 1
+    flat_starts, flat_terms = starts.reshape(-1), terms.reshape(-1)
+    for _ in range(10):
+        loop = np.flatnonzero(flat_starts == flat_terms)
+        if not loop.size:
+            break
+        counts = np.bincount(loop // starts.shape[1], minlength=len(gens)).tolist()
+        uniforms = np.concatenate([gen.random((k, c)) for gen, c in zip(gens, counts) if c],
+                                  axis=1)
+        flat_terms[loop] = walk_terminals(graph, flat_starts[loop], uniforms)
     return starts, terms
 
 
-def _perturb_edges(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Array core of ``perturb_static``: the canonical fake edge array."""
-    starts, terms = draw_walker_edges(graph, k, rng)
-    for _ in range(10):
-        loop = starts == terms
-        if not loop.any():
-            break
-        terms[loop] = walk_terminals(graph, starts[loop], k, rng)
-    keep = starts != terms
-    ids = graph.vertices
-    return _canonical_edges(np.column_stack([ids[starts[keep]], ids[terms[keep]]]))
+def _canonical_pairs(sample: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sample, lo, hi) of the pairs (a, b), lo < hi, each sample's pairs
+    deduplicated and sorted: ``_canonical_edges`` per sample."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo, sample))
+    sample, lo, hi = sample[order], lo[order], hi[order]
+    # column compares: a row-wise any() over the columns is slower
+    first = np.ones(sample.size, dtype=bool)
+    first[1:] = (sample[1:] != sample[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return sample[first], lo[first], hi[first]
+
+
+def _perturb_rows(graph: Graph, k: int, gens) -> np.ndarray:
+    """Array core of ``perturb_static`` for S samples: rows [sample, a, b],
+    a < b, each sample's fake edges deduplicated and sorted."""
+    starts, terms = _walks(graph, k, gens)
+    keep = np.flatnonzero(starts != terms)
+    # positions follow the id order, so a canonical position pair is one of ids
+    sample, lo, hi = _canonical_pairs(keep // graph.num_edges, starts.reshape(-1)[keep],
+                                      terms.reshape(-1)[keep])
+    return np.column_stack([sample, graph.vertices[lo], graph.vertices[hi]])
 
 
 def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
@@ -139,7 +174,7 @@ def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     """
     if k < 1:
         raise ValueError("walk length k must be >= 1")
-    return Graph(_perturb_edges(graph, k, rng), vertices=graph.vertices)
+    return Graph(_perturb_rows(graph, k, [rng])[:, 1:], vertices=graph.vertices)
 
 
 # -- inter-community rewiring ------------------------------------------------
@@ -175,10 +210,14 @@ class _PairTask:
     def probabilities(self) -> np.ndarray:
         return np.minimum(np.outer(self.deg_a, self.deg_b) / float(self.n_edges), 1.0)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        mask = rng.random((self.nodes_a.size, self.nodes_b.size)) < self.probabilities()
-        ai, bj = np.nonzero(mask)
-        return np.column_stack([self.nodes_a[ai], self.nodes_b[bj]])
+    def sample(self, gens) -> np.ndarray:
+        """Rows [sample, a, b] of S rewirings, sample s drawn from ``gens[s]``:
+        the samples' grids of uniforms stacked, read by one ``nonzero``."""
+        grid = np.empty((len(gens), self.nodes_a.size, self.nodes_b.size))
+        for gen, cells in zip(gens, grid):
+            gen.random(out=cells)
+        sample, ai, bj = np.nonzero(grid < self.probabilities())
+        return np.column_stack([sample, self.nodes_a[ai], self.nodes_b[bj]])
 
 
 def group_edges(graph: Graph, clustering: Clustering) -> tuple[dict, dict]:
@@ -214,7 +253,8 @@ class _StepPlan:
     The plan holds no perturbed edges: ``_sample_step`` takes the previous
     step's edges as an argument. So the release, the posterior's hypothesis
     re-perturbations and the degree check draw through the same function,
-    thousands of times per plan, without re-clustering.
+    in blocks of samples, thousands of samples per plan, without
+    re-clustering.
     """
 
     clustering: Clustering
@@ -309,46 +349,92 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
     return plans
 
 
-def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
-                 rng: np.random.Generator, draw=_perturb_edges,
-                 reads=None) -> tuple[dict, dict]:
-    """Draw one step perturbation with reuse: (intra by label, inter by pair).
+# array entries a block of samples holds at most: walk uniforms, grid cells,
+# and _CHILD_ENTRIES per child seed spawned. A child's SeedSequence, with the
+# generator built from it, takes about 1 KB; counting it as 2 KB kept the
+# peak RSS of the benchmark's audit workload (2-vCPU VM) within 0.2 MB of
+# drawing one sample at a time, where 0.5 KB added 0.6 MB
+_BLOCK_ENTRIES = 1 << 16
+_CHILD_ENTRIES = 256
 
-    ``carried`` is None at t=0, otherwise the previous step's draw, which
-    holds every entry this step copies. Unchanged communities and reused
-    pairs copy their carried entries, minus the edges touching
-    ``plan.left``: ids that moved out of the matched previous community or
-    left the snapshot.
-    Changed communities are drawn by ``draw(subgraph, k, stream)`` and the
-    other pairs are rewired, from child streams spawned in canonical order:
-    changed labels ascending, then pair tasks ascending.
+
+def _block_sizes(n: int, per_sample: int) -> list:
+    """Sizes of the blocks that n samples of ``per_sample`` array entries each
+    are drawn in, in order: as many samples as ``_BLOCK_ENTRIES`` holds, and at
+    least one."""
+    size = max(1, _BLOCK_ENTRIES // max(1, per_sample))
+    return [min(size, n - start) for start in range(0, n, size)]
+
+
+def _entries(plans, k: int, reads=None) -> int:
+    """Array entries one sample of a fold over ``plans`` holds: its child
+    seeds, (k + 1) walk uniforms per edge of each changed community and one
+    grid cell per node pair of each pair drawn fresh, of the entries
+    ``reads`` builds."""
+    total = 0
+    for plan, read in zip(plans, reads or itertools.repeat(None)):
+        labels = plan.diff.changed
+        tasks = [task for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs]
+        total += _CHILD_ENTRIES * (len(labels) + len(plan.pair_tasks))
+        if read is not None:
+            labels = [label for label in labels if label in read[0]]
+            tasks = [task for task in tasks if (task.a, task.b) in read[1]]
+        total += (k + 1) * sum(plan.subgraphs[label].num_edges for label in labels)
+        total += sum(task.nodes_a.size * task.nodes_b.size for task in tasks)
+    return total
+
+
+def _spawn(rng: np.random.Generator, samples: int, plans) -> list:
+    """The child seeds of ``samples`` successive draws of ``plans`` from
+    ``rng``, from one ``spawn`` of its seed sequence: per plan, a (samples,
+    entries) array. The order is sample-major, then plan, then entry (changed
+    labels ascending, then pair tasks ascending), as drawing the samples one
+    at a time would spawn them, and ``rng`` is left in that state too."""
+    counts = [len(plan.diff.changed) + len(plan.pair_tasks) for plan in plans]
+    seeds = np.empty(samples * sum(counts), dtype=object)
+    seeds[:] = rng.bit_generator.seed_seq.spawn(seeds.size)
+    return np.split(seeds.reshape(samples, -1), np.cumsum(counts)[:-1], axis=1)
+
+
+def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children,
+                 bit_generator, draw=_perturb_rows, reads=None) -> tuple[dict, dict]:
+    """Draw S samples of one step perturbation with reuse: (intra by label,
+    inter by pair), each entry an array of rows [sample, a, b].
+
+    ``carried`` is None at t=0, otherwise the previous step's draw of the
+    same samples, which holds every entry this step copies. Unchanged
+    communities and reused pairs copy their carried entries, minus the rows
+    touching ``plan.left``: ids that moved out of the matched previous
+    community or left the snapshot.
+    ``children`` is the (S, entries) array of child seeds from ``_spawn``,
+    one column per changed label (ascending), then per pair task (ascending,
+    reused or not). Sample s draws an entry from a ``bit_generator`` seeded
+    by its column's child s. Changed communities are drawn by
+    ``draw(subgraph, k, generators)`` and the other pairs are rewired.
     ``reads`` is None to build every entry, as the release does, or one step
-    of ``_reads``: the (labels, pairs) to build, the rest left out. Every
-    child is spawned either way, but a generator is made only for an entry
-    that is built. Each child feeds one entry alone, so an entry that is
-    built is the same as in the full draw.
+    of ``_reads``: the (labels, pairs) to build, the rest left out. A
+    generator is made only for an entry that is built. Each child feeds one
+    entry alone, so an entry that is built is the same as in the full draw.
     """
     labels = plan.diff.changed
-    # what ``rng.spawn`` advances, without a generator per child
-    children = rng.bit_generator.seed_seq.spawn(len(labels) + len(plan.pair_tasks))
     if reads is None:
         reads = ({label for _, label in plan.diff.unchanged} | set(labels),
                  {(task.a, task.b) for task in plan.pair_tasks})
     read_labels, read_pairs = reads
 
-    def stream(i):
-        return np.random.Generator(type(rng.bit_generator)(children[i]))
+    def streams(i):
+        return [np.random.Generator(bit_generator(seed)) for seed in children[:, i]]
 
-    def carry(edges, *prev_labels):
+    def carry(rows, *prev_labels):
         gone = [plan.left[p] for p in prev_labels if p in plan.left]
         if not gone:
-            return edges
+            return rows
         # "sort" skips the lookup-table set-up that dominates for a few ids
-        return edges[~np.isin(edges, np.concatenate(gone), kind="sort").any(axis=1)]
+        return rows[~np.isin(rows[:, 1:], np.concatenate(gone), kind="sort").any(axis=1)]
 
     intra = {label: carry(carried[0][prev_label], prev_label)
              for prev_label, label in plan.diff.unchanged if label in read_labels}
-    intra.update((label, draw(plan.subgraphs[label], params.k, stream(i)))
+    intra.update((label, draw(plan.subgraphs[label], params.k, streams(i)))
                  for i, label in enumerate(labels) if label in read_labels)
 
     inter = {pair: carry(carried[1][key], *key)
@@ -356,14 +442,15 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams,
     for i, task in enumerate(plan.pair_tasks, len(labels)):
         pair = (task.a, task.b)
         if pair in read_pairs and pair not in plan.reused_pairs:
-            inter[pair] = task.sample(stream(i))
+            inter[pair] = task.sample(streams(i))
     return intra, inter
 
 
-def _step_edges(intra: dict, inter: dict) -> np.ndarray:
-    """Every edge of one step draw in one array; duplicates are kept."""
+def _step_rows(intra: dict, inter: dict) -> np.ndarray:
+    """Every row [sample, a, b] of one step draw in one array; duplicates are
+    kept."""
     pieces = [*intra.values(), *inter.values()]
-    return np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)
+    return np.concatenate(pieces) if pieces else np.empty((0, 3), np.int64)
 
 
 def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Generator:
@@ -372,17 +459,17 @@ def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Gene
         np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
 
 
-def _draws(plans, params: PerturbParams, streams, reads=None):
-    """Yield the step draw of each plan in turn, each drawn from its stream of
-    ``streams`` and carrying the draw before it.
+def _draws(plans, params: PerturbParams, children, bit_generator, reads=None):
+    """Yield the step draw of each plan in turn for one block of samples,
+    each drawn from its (S, entries) array of ``children`` and carrying the
+    draw before it.
 
     ``reads`` is None to build every entry, or ``_reads(plans, ids)`` to
-    build only the entries that edges touching ``ids`` come from. The
-    streams are left in the same state either way.
+    build only the entries that edges touching ``ids`` come from.
     """
     carried = None
-    for plan, rng, read in zip(plans, streams, reads or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, rng, reads=read)
+    for plan, seeds, read in zip(plans, children, reads or itertools.repeat(None)):
+        carried = _sample_step(plan, carried, params, seeds, bit_generator, reads=read)
         yield carried
 
 
@@ -395,9 +482,12 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[l
     release depends only on (inputs, params). Draws run in one thread.
     """
     plans = _plan_chain(seq, params)
-    streams = (_step_rng(params.seed, t) for t in range(len(plans)))
-    graphs = [Graph(_step_edges(*draw), vertices=g_t.vertices)
-              for draw, g_t in zip(_draws(plans, params, streams), seq.snapshots)]
+    children = [_spawn(_step_rng(params.seed, t), 1, [plan])[0]
+                for t, plan in enumerate(plans)]
+    # the bit generator of default_rng, which _step_rng makes
+    draws = _draws(plans, params, children, np.random.PCG64)
+    graphs = [Graph(_step_rows(*draw)[:, 1:], vertices=g_t.vertices)
+              for draw, g_t in zip(draws, seq.snapshots)]
     return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]
 
 

@@ -12,12 +12,16 @@ with add-one smoothing. On small graphs this is validated against exhaustive
 enumeration.
 
 Re-perturbations of the LinkMirage mechanism run ``perturb._draws``, the
-fold that makes the release, over the world's plans from one stream. A
+fold that makes the release, over the world's plans, in blocks of samples
+whose child streams come from one spawn of one stream (``perturb._spawn``),
+in the order drawing the samples one at a time would spawn them. A
 re-perturbation builds only the step-draw entries the features can read
 (``perturb._reads``): at each step the intra entries of u's and v's
 communities and every pair with one of them as an end, plus the entries of
 earlier steps those copy. Every child stream is still spawned, so each entry
-built, and so each feature, equals the full draw's. The likelihood of a
+built, and so each feature, equals the full draw's. The static mechanism
+draws each snapshot whole from the one stream, sample after sample, and
+reads only the walks with an end at u or v. The likelihood of a
 prefix is the product, over its runs of dependent steps (``_world_counts``),
 of the joint match frequency within the run, which is exact for both
 mechanisms.
@@ -27,7 +31,6 @@ mechanisms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +39,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _draws, _perturb_edges, _plan_chain, _reads,
-                      _step_edges)
+from .perturb import (PerturbParams, _block_sizes, _canonical_pairs, _draws, _entries,
+                      _plan_chain, _reads, _spawn, _step_rows, _walks)
 
 
 @dataclass(frozen=True)
@@ -173,11 +176,21 @@ def _edge_feature(edges: np.ndarray, u: int, v: int) -> tuple[int, int, int]:
     stays bounded away from zero.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.column_stack([np.zeros(len(edges), dtype=np.int64), edges])
+    return tuple(_edge_features(rows, u, v, 1)[0].tolist())
+
+
+def _edge_features(rows: np.ndarray, u: int, v: int, samples: int) -> np.ndarray:
+    """``_edge_feature`` of each of ``samples`` samples' rows [sample, a, b],
+    as a (samples, 3) array."""
+    sample, a, b = rows.T
     # column compares: a row-wise any() over two columns is several times slower
-    at_u = (edges[:, 0] == u) | (edges[:, 1] == u)
-    at_v = (edges[:, 0] == v) | (edges[:, 1] == v)
-    return (int((at_u & at_v).any()), int(np.count_nonzero(at_u)) // DEGREE_BIN,
-            int(np.count_nonzero(at_v)) // DEGREE_BIN)
+    at_u = (a == u) | (b == u)
+    at_v = (a == v) | (b == v)
+    return np.column_stack([
+        np.bincount(sample[at_u & at_v], minlength=samples) > 0,
+        np.bincount(sample[at_u], minlength=samples) // DEGREE_BIN,
+        np.bincount(sample[at_v], minlength=samples) // DEGREE_BIN])
 
 
 def observed_features(perturbed, query: LinkQuery) -> tuple:
@@ -215,19 +228,51 @@ class _SequenceSampler:
         self.plans = _plan_chain(world, params) if mechanism == "linkmirage" else None
         self._reads_by_uv = {}
 
-    def sample_features(self, uv: tuple[int, int], rng: np.random.Generator) -> tuple:
+    def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
+                        n: int) -> np.ndarray:
+        """The features of n successive re-perturbations from ``rng``, an
+        (n, snapshots, 3) array: row s holds sample s's ``_edge_feature`` per
+        snapshot.
+
+        LinkMirage samples are drawn in blocks (``perturb._block_sizes``),
+        one ``_draws`` fold per block; the static mechanism and a custom
+        callable (world, rng) -> list of edge arrays draw one sample at a
+        time.
+        """
         u, v = uv
-        if self.mechanism == "static":
-            draws = [_perturb_edges(g_t, self.params.k, rng) for g_t in self.world.snapshots]
-        elif self.mechanism == "linkmirage":
+        if self.mechanism == "linkmirage":
             if uv not in self._reads_by_uv:
                 self._reads_by_uv[uv] = _reads(self.plans, uv)
-            draws = [_step_edges(*draw) for draw in _draws(
-                self.plans, self.params, itertools.repeat(rng), reads=self._reads_by_uv[uv])]
+            reads = self._reads_by_uv[uv]
+            blocks = []
+            for size in _block_sizes(n, _entries(self.plans, self.params.k, reads)):
+                draws = _draws(self.plans, self.params, _spawn(rng, size, self.plans),
+                               type(rng.bit_generator), reads)
+                blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, size)
+                                        for draw in draws], axis=1))
+            return np.concatenate(blocks)
+        if self.mechanism == "static":
+            pieces = [self._static_edges_at(g_t, rng, u, v)
+                      for _ in range(n) for g_t in self.world.snapshots]
         else:
-            # custom mechanism: callable(world, rng) -> list of edge arrays
-            draws = self.mechanism(self.world, rng)
-        return tuple(_edge_feature(edges, u, v) for edges in draws)
+            # custom mechanism: callable(world, rng) -> one edge array per snapshot
+            pieces = [np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+                      for _ in range(n) for edges in self.mechanism(self.world, rng)]
+        # one feature row per (sample, snapshot), counted in one pass
+        index = np.repeat(np.arange(len(pieces)), [len(edges) for edges in pieces])
+        rows = np.column_stack([index, np.concatenate(pieces)])
+        if self.mechanism == "static":
+            rows = np.column_stack(_canonical_pairs(*rows.T))
+        return _edge_features(rows, u, v, len(pieces)).reshape(n, len(self.world), 3)
+
+    def _static_edges_at(self, g_t: Graph, rng: np.random.Generator, u: int, v: int):
+        """The raw fake edges, as ids, of one static perturbation of the whole
+        snapshot ``g_t`` that touch u or v; every walk is drawn, but only
+        these are kept, for ``_canonical_pairs`` to deduplicate."""
+        (starts,), (terms,) = _walks(g_t, self.params.k, [rng])
+        a, b = g_t.vertices[starts], g_t.vertices[terms]
+        at = ((a == u) | (a == v) | (b == u) | (b == v)) & (starts != terms)
+        return np.column_stack([a[at], b[at]])
 
 
 def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
@@ -250,9 +295,8 @@ def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
     out = {}
     for present in (True, False):
         sampler = _SequenceSampler(_hypothesis_world(seq, query, present), params, mechanism)
-        stream = rng.spawn(1)[0]
-        match = np.array([[f == o for f, o in zip(sampler.sample_features(uv, stream), observed)]
-                          for _ in range(n_samples)], dtype=bool)
+        features = sampler.sample_features(uv, rng.spawn(1)[0], n_samples)
+        match = (features == np.array(observed)).all(axis=2)
         fresh = np.array([True] * len(observed) if sampler.plans is None else
                          [not plan.carries(uv) for plan in sampler.plans])
         counts = np.zeros(len(observed), dtype=np.int64)

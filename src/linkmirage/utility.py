@@ -10,8 +10,8 @@ import numpy as np
 from .clustering import _edge_labels
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
-from .perturb import (PerturbParams, _sample_step, _step_edges, build_step_plan,
-                      draw_walker_edges)
+from .perturb import (PerturbParams, _block_sizes, _entries, _sample_step, _spawn,
+                      _step_rows, build_step_plan, draw_walker_edges)
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,13 @@ class DegreeReport:
     trials: int
 
 
-def _walker_edges(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One raw walk per edge as (start, terminal) ids, self-terminal walks kept."""
-    starts, terms = draw_walker_edges(graph, k, rng)
-    return graph.vertices[np.column_stack([starts, terms])]
+def _walker_rows(graph: Graph, k: int, gens) -> np.ndarray:
+    """One raw walk per edge in each of S samples as rows [sample, start id,
+    terminal id], sample-major; self-terminal walks are kept."""
+    starts, terms = draw_walker_edges(graph, k, gens)
+    sample = np.repeat(np.arange(len(gens)), starts.shape[1])
+    return np.column_stack([sample, graph.vertices[starts.ravel()],
+                            graph.vertices[terms.ravel()]])
 
 
 def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
@@ -97,6 +100,10 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     self-terminal walk counts 2 at its vertex. z is the standardized
     deviation of the Monte Carlo mean from the original degree.
 
+    Trials are drawn in blocks (``perturb._block_sizes``), each one
+    ``_sample_step`` call whose degree counts one ``bincount`` reads. A
+    block spawns its children as the trials drawn one at a time would, so
+    every trial, and the report, is the same whatever the block size.
     The plan is laid out on the graph relabelled by position, so walker ends
     are positions already. Relabelling keeps the id order, so clustering,
     labels and every draw are those of the original ids.
@@ -107,11 +114,16 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     plan = build_step_plan(Graph(graph.edge_positions, vertices=np.arange(n)), None, params)
     acc = np.zeros(n, dtype=np.float64)
     acc2 = np.zeros(n, dtype=np.float64)
-    for _ in range(trials):
-        ends = _step_edges(*_sample_step(plan, None, params, rng, draw=_walker_edges))
-        d = np.bincount(ends.ravel(), minlength=n)
-        acc += d
-        acc2 += d.astype(np.float64) ** 2
+    # a trial holds its draw's entries and one row of degree counts
+    for size in _block_sizes(trials, _entries([plan], params.k) + n):
+        children, = _spawn(rng, size, [plan])
+        rows = _step_rows(*_sample_step(plan, None, params, children,
+                                        type(rng.bit_generator), draw=_walker_rows))
+        keys = rows[:, :1] * n + rows[:, 1:]
+        d = np.bincount(keys.ravel(), minlength=size * n).reshape(size, n)
+        # integer sums: exact, so the block size changes no bit of the report
+        acc += d.sum(axis=0)
+        acc2 += (d * d).sum(axis=0)
     mean = acc / trials
     var = np.maximum(acc2 / trials - mean ** 2, 0.0)
     se = np.sqrt(var / trials)

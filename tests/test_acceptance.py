@@ -7,6 +7,7 @@ a directional trend on synthetic fixtures, at its stated tolerance.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,13 +97,21 @@ def test_criterion_1_degree_expectation():
     rng = np.random.default_rng(42)
     g, _ = planted_partition_graph([50, 50, 50, 50], 0.12, 0.01, rng)
     params = PerturbParams(k=2, seed=7)
+    # trials are drawn in blocks of bounded size: about 1 MiB at the peak,
+    # where one block of all 5000 trials takes about 195 MiB
+    tracemalloc.start()
     start = time.time()
-    rep = expected_degree_report(g, params, 5000, np.random.default_rng(3))
-    elapsed = time.time() - start
+    try:
+        rep = expected_degree_report(g, params, 5000, np.random.default_rng(3))
+        elapsed = time.time() - start
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
     frac = float((np.abs(rep.z_score) <= 3.0).mean())
-    report(1, frac >= 0.99 and elapsed < 120.0,
+    report(1, frac >= 0.99 and elapsed < 120.0 and peak_mib < 4.0,
            f"degree expectation: {frac:.2%} of vertices with |z|<=3 "
-           f"(>=99% required), {elapsed:.1f}s (<120s required)")
+           f"(>=99% required), {elapsed:.1f}s (<120s required), "
+           f"{peak_mib:.1f} MiB traced peak (<4 MiB required)")
 
 
 # -- criterion 2 -------------------------------------------------------------------

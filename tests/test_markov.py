@@ -25,9 +25,9 @@ def assert_stochastic(p):
 
 def walk_ends(graph, start, length, n_walkers, rng):
     """Raw terminal ids of ``n_walkers`` walks from raw id ``start``, drawn
-    with one ``walk_terminals`` call."""
+    with one ``walk_terminals`` call, one row of uniforms per step."""
     starts = np.full(n_walkers, graph.index_of(start), dtype=np.int64)
-    return graph.vertices[walk_terminals(graph, starts, length, rng)]
+    return graph.vertices[walk_terminals(graph, starts, rng.random((length, n_walkers)))]
 
 
 def test_triangle_rows_are_half(triangle):

@@ -5,15 +5,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_graph, small_overlap_sequence
+from conftest import (edge_draw, random_graph, sample_draws, sample_step,
+                      small_overlap_sequence, step_edges)
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
                         TemporalGraphSequence, evolving_sequence, group_edges,
                         hay_baseline, linkmirage_run, perturb_static,
                         perturb_static_baseline_sequence, planted_partition_graph)
 from linkmirage import perturb, privacy
 from linkmirage.graphs import _canonical_edges
-from linkmirage.perturb import (_PairTask, _draws, _plan_chain, _reads, _sample_step,
-                               _step_edges, _step_rng, build_step_plan, draw_walker_edges)
+from linkmirage.perturb import (_PairTask, _draws, _plan_chain, _reads, _spawn, _step_rng,
+                               build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 
 EMPTY = np.empty((0, 2), dtype=np.int64)    # a grouped entry that holds no edge
@@ -65,7 +66,7 @@ def test_walker_degree_expectation_k3(rng):
     acc = np.zeros(3)
     acc2 = np.zeros(3)
     for _ in range(trials):
-        starts, terms = draw_walker_edges(g, 1, rng)
+        (starts,), (terms,) = draw_walker_edges(g, 1, [rng])
         d = np.bincount(starts, minlength=3) + np.bincount(terms, minlength=3)
         acc += d
         acc2 += d.astype(float) ** 2
@@ -86,7 +87,7 @@ def rewire(graph, clustering, rng):
     """{(a, b): edges} of one inter-community rewiring: every pair task of the
     graph's one grouping, drawn by ``_PairTask.sample`` from its own child."""
     inter = group_edges(graph, clustering)[1]
-    return {pair: _PairTask.of(*pair, edges).sample(child)
+    return {pair: _PairTask.of(*pair, edges).sample([child])[:, 1:]
             for (pair, edges), child in zip(inter.items(), rng.spawn(len(inter)))}
 
 
@@ -213,7 +214,7 @@ def test_step_compose_oracle_t0():
     for label, child in zip(labels, children[:len(labels)]):
         edges.append(perturb_static(plan.subgraphs[label], 1, child).edges)
     for task, child in zip(plan.pair_tasks, children[len(labels):]):
-        edges.append(task.sample(child))
+        edges.append(task.sample([child])[:, 1:])
     expected = Graph(np.vstack([e.reshape(-1, 2) for e in edges]),
                      vertices=g.vertices)
     assert g_prime == expected
@@ -281,7 +282,7 @@ def test_static_baseline_walker_degree_preserved(rng):
     acc = np.zeros(n)
     acc2 = np.zeros(n)
     for _ in range(trials):
-        starts, terms = draw_walker_edges(g, 2, rng)
+        (starts,), (terms,) = draw_walker_edges(g, 2, [rng])
         d = np.bincount(starts, minlength=n) + np.bincount(terms, minlength=n)
         acc += d
         acc2 += d.astype(float) ** 2
@@ -305,7 +306,7 @@ def test_posterior_plans_and_kernel_reproduce_the_release():
                for p in plans[1:])
     carried = None
     for t, (plan, record) in enumerate(zip(plans, records)):
-        draw = _sample_step(plan, carried, params, _step_rng(params.seed, t))
+        draw = sample_step(plan, carried, params, _step_rng(params.seed, t))
         assert plan.clustering == record.clustering
         assert groups_match(draw, graphs[t], record.clustering)
         carried = group_edges(graphs[t], record.clustering)
@@ -333,10 +334,8 @@ def test_carried_edges_of_a_departed_vertex_are_dropped(monkeypatch):
     # the sampler carries its own draws through the same filter: vertex 5
     # has no perturbed edge at t=1, as in the release
     assert _edge_feature(graphs[1].edges, 5, 4)[:2] == (0, 0)
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        present, degree_5, _ = sampler.sample_features((5, 4), rng)[1]
-        assert (present, degree_5) == (0, 0)
+    features = sampler.sample_features((5, 4), np.random.default_rng(4), 50)
+    assert (features[:, 1, :2] == 0).all()
 
 
 # -- localized posterior draws ---------------------------------------------------
@@ -377,26 +376,30 @@ def test_localized_draws_equal_the_full_draw(case):
                < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
                for (labels, pairs), plan in zip(reads, plans))
     full_rng, local_rng, sampler_rng = (np.random.default_rng(7) for _ in range(3))
+    features = []
     for _ in range(30):
-        full = list(_draws(plans, params, itertools.repeat(full_rng)))
-        local = list(_draws(plans, params, itertools.repeat(local_rng), reads=reads))
+        full = sample_draws(plans, params, full_rng)
+        local = sample_draws(plans, params, local_rng, reads)
         for (intra, inter), (l_intra, l_inter), (labels, pairs) in zip(full, local, reads):
             assert set(l_intra) == labels and set(l_inter) == pairs
             assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
             assert all(np.array_equal(l_inter[pair], inter[pair]) for pair in pairs)
-        assert sampler.sample_features(uv, sampler_rng) == \
-            tuple(_edge_feature(_step_edges(*draw), *uv) for draw in full)
+        features.append([_edge_feature(step_edges(*draw), *uv) for draw in full])
+    # one call draws the 30 samples in blocks, as 30 draws of one sample do
+    assert np.array_equal(sampler.sample_features(uv, sampler_rng, 30), features)
 
 
 def test_localized_draws_leave_the_stream_as_the_full_draw():
-    params = PerturbParams(k=2, m=2, theta=0.8, seed=1)
-    sampler = _SequenceSampler(three_block_sequence(), params, "linkmirage")
-    full_rng, local_rng = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(5):
-        list(_draws(sampler.plans, params, itertools.repeat(full_rng)))
-        sampler.sample_features((30, 31), local_rng)
-    assert full_rng.spawn(1)[0].random(4).tolist() == local_rng.spawn(1)[0].random(4).tolist()
-    assert full_rng.random() == local_rng.random()
+    for case, (make, settings, uv, _) in sorted(LOCALIZED_CASES.items()):
+        params = PerturbParams(**settings)
+        sampler = _SequenceSampler(make(), params, "linkmirage")
+        full_rng, local_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(5):
+            sample_draws(sampler.plans, params, full_rng)
+        sampler.sample_features(uv, local_rng, 5)
+        assert full_rng.spawn(1)[0].random(4).tolist() == \
+            local_rng.spawn(1)[0].random(4).tolist(), case
+        assert full_rng.random() == local_rng.random(), case
 
 
 def test_reads_of_identical_snapshots_reach_back_to_t0():
@@ -460,7 +463,7 @@ def groups_match(draw, graph, clustering):
 def regroups(clustering, draw):
     """Whether grouping the drawn graph gives the draw back; a draw with a
     self-loop is no graph, so it never does."""
-    edges = _step_edges(*draw)
+    edges = step_edges(*draw)
     return not (edges[:, 0] == edges[:, 1]).any() and \
         groups_match(draw, Graph(edges), clustering)
 
@@ -476,9 +479,10 @@ def release_draws(seq, params, graphs):
     plan and the release's stream, each carrying the draw before it as the
     posterior does. Each gives the release of its step."""
     plans = _plan_chain(seq, params)
-    draws = list(_draws(plans, params, (_step_rng(params.seed, t) for t in range(len(plans)))))
+    children = [_spawn(_step_rng(params.seed, t), 1, [plan])[0] for t, plan in enumerate(plans)]
+    draws = [edge_draw(draw) for draw in _draws(plans, params, children, np.random.PCG64)]
     for t, draw in enumerate(draws):
-        assert graphs[t] == Graph(_step_edges(*draw), vertices=seq.snapshots[t].vertices)
+        assert graphs[t] == Graph(step_edges(*draw), vertices=seq.snapshots[t].vertices)
     return draws
 
 
@@ -554,7 +558,7 @@ def test_every_release_record_validates(m, theta):
         for present in (True, False):
             plans = _plan_chain(_hypothesis_world(seq, query, present), params)
             for _ in range(3):
-                for plan, draw in zip(plans, _draws(plans, params, itertools.repeat(rng))):
+                for plan, draw in zip(plans, sample_draws(plans, params, rng)):
                     check_draw(plan.clustering, draw)
 
 
@@ -617,13 +621,13 @@ def test_carries_matches_the_matched_community_rule(seq, pairs, fresh_later):
                 # there whatever the step before it drew, even nothing at all
                 seed = int(rng.integers(1 << 32))
                 emptied = tuple({key: EMPTY for key in part} for part in carried)
-                drawn = [edges_at(_step_edges(*_sample_step(plan, prev, params,
-                                                            np.random.default_rng(seed))),
+                drawn = [edges_at(step_edges(*sample_step(plan, prev, params,
+                                                          np.random.default_rng(seed))),
                                   [u, v])
                          for prev in (carried, emptied)]
                 assert np.array_equal(*drawn)
                 fresh_after_t0 += 1
-            carried = _sample_step(plan, carried, params, rng)
+            carried = sample_step(plan, carried, params, rng)
     assert True in flags and False in flags
     assert (fresh_after_t0 > 0) == fresh_later
 

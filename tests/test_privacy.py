@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_graph, small_overlap_sequence
+from conftest import random_graph, sample_step, small_overlap_sequence, step_edges
 from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         TemporalGraphSequence, TransitionMatrix, anti_aggregation,
                         anti_aggregation_aggregated, estimation_error_bound_check,
@@ -14,9 +14,8 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         perturb_static_baseline_sequence, planted_partition_graph,
                         posterior_probability, prior_probability, transition_matrix,
                         tv_distance)
-from linkmirage import privacy
-from linkmirage.perturb import (_plan_chain, _sample_step, _step_edges,
-                               perturb_static_baseline_sequence)
+from linkmirage import perturb, privacy
+from linkmirage.perturb import _plan_chain, perturb_static_baseline_sequence
 from linkmirage.privacy import _edge_feature, fit_logistic_1d
 
 
@@ -484,7 +483,7 @@ def test_sampled_features_read_inter_rows_in_either_orientation():
         plan = _plan_chain(seq, params)[0]
         rng = np.random.default_rng(seed)
         for _ in range(20):
-            edges = _step_edges(*_sample_step(plan, None, params, rng))
+            edges = step_edges(*sample_step(plan, None, params, rng))
             assert _edge_feature(edges, u, v) == \
                 _edge_feature(Graph(edges, vertices=ids).edges, u, v)
         # the released link is reproduced, so the posterior moves off its prior
@@ -521,6 +520,23 @@ def test_posterior_outputs_pinned(monkeypatch, mech, fields):
                                 np.random.default_rng(8), mechanism=mech)
     assert (est.probability, est.standard_error, est.samples, est.prior,
             est.likelihood_with, est.likelihood_without, est.degenerate) == fields
+
+
+def test_posterior_blocks_change_no_draw(monkeypatch):
+    # blocks of 7 re-perturbations, the last one shorter, give the estimate
+    # bit for bit
+    seq, params, observed, query, model = _pinned_inputs()
+
+    def estimate():
+        return posterior_probability(query, seq, observed["linkmirage"], model, params, 100,
+                                     np.random.default_rng(8))
+
+    default = estimate()
+    plans = _plan_chain(privacy._hypothesis_world(seq, query, True), params)
+    per_sample = perturb._entries(plans, params.k, perturb._reads(plans, (query.u, query.v)))
+    monkeypatch.setattr(perturb, "_BLOCK_ENTRIES", 7 * per_sample)
+    assert perturb._block_sizes(100, per_sample) == [7] * 14 + [2]
+    assert estimate() == default
 
 
 def test_indistinguishability_series_pinned():

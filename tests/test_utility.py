@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, small_overlap_sequence
+from conftest import random_graph, sample_step, small_overlap_sequence, step_edges
 from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         expected_degree_report, linkmirage_run, pagerank,
                         planted_partition_graph, ratio_cut, spectral_metrics, structural_metrics,
                         transition_matrix, tv_distance, ud_upper_bound,
                         utility_distance)
-from linkmirage.perturb import _sample_step, _step_edges, build_step_plan
-from linkmirage.utility import (_walker_edges, community_tv, is_bipartite, is_connected,
+from linkmirage import perturb
+from linkmirage.perturb import build_step_plan
+from linkmirage.utility import (_walker_rows, community_tv, is_bipartite, is_connected,
                                mixing_time, slem)
 
 
@@ -175,9 +176,22 @@ def test_degree_report_matches_the_plan_on_the_graph_ids():
     plan, rng = build_step_plan(g, None, params), np.random.default_rng(10)
     acc = np.zeros(g.num_vertices)
     for _ in range(1000):
-        ends = _step_edges(*_sample_step(plan, None, params, rng, draw=_walker_edges))
+        ends = step_edges(*sample_step(plan, None, params, rng, draw=_walker_rows))
         acc += np.bincount(np.searchsorted(g.vertices, ends.ravel()), minlength=g.num_vertices)
     assert np.array_equal(report.mean, acc / 1000)
+
+
+def test_degree_report_blocks_change_no_draw(monkeypatch):
+    # blocks of 7 trials, the last one shorter, give the report bit for bit
+    g = small_overlap_sequence()[2]
+    params = PerturbParams(k=2, seed=5)
+    default = expected_degree_report(g, params, 1000, np.random.default_rng(10))
+    per_trial = perturb._entries([build_step_plan(g, None, params)], params.k) + g.num_vertices
+    monkeypatch.setattr(perturb, "_BLOCK_ENTRIES", 7 * per_trial)
+    assert perturb._block_sizes(1000, per_trial) == [7] * 142 + [6]
+    blocked = expected_degree_report(g, params, 1000, np.random.default_rng(10))
+    assert blocked.mean.tobytes() == default.mean.tobytes()
+    assert blocked.z_score.tobytes() == default.z_score.tobytes()
 
 
 def test_degree_report_requires_trials():
