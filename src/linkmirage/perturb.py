@@ -153,11 +153,17 @@ def _canonical_pairs(sample: np.ndarray, a: np.ndarray,
     return sample[first], lo[first], hi[first]
 
 
-def _perturb_rows(graph: Graph, k: int, gens) -> np.ndarray:
+def _perturb_rows(graph: Graph, k: int, gens, ends=None) -> np.ndarray:
     """Array core of ``perturb_static`` for S samples: rows [sample, a, b],
-    a < b, each sample's fake edges deduplicated and sorted."""
+    a < b, each sample's fake edges deduplicated and sorted. With ``ends``
+    (ids), only the fake edges with an end among them are kept; every walk
+    is still drawn, so the streams are read as without."""
     starts, terms = _walks(graph, k, gens)
-    keep = np.flatnonzero(starts != terms)
+    keep = starts != terms
+    if ends is not None:
+        at = np.isin(graph.vertices, ends)
+        keep &= at[starts] | at[terms]
+    keep = np.flatnonzero(keep)
     # positions follow the id order, so a canonical position pair is one of ids
     sample, lo, hi = _canonical_pairs(keep // graph.num_edges, starts.reshape(-1)[keep],
                                       terms.reshape(-1)[keep])
@@ -271,6 +277,27 @@ class _StepPlan:
         return bool(set(self.clustering.label_of(ids).tolist())
                     & {label for _, label in self.diff.unchanged})
 
+    @property
+    def children(self) -> int:
+        """Child seeds a draw spawns: one per changed label, then one per pair
+        task, reused or not."""
+        return len(self.diff.changed) + len(self.pair_tasks)
+
+    def drawn(self, reads=None):
+        """The entries a draw builds from its child seeds, in column order:
+        (column, label, None) per changed label, ascending, then (column,
+        (a, b), task) per pair task that is not reused. ``reads`` is None for
+        every such entry, or one step of ``_reads``: the (labels, pairs) to
+        build, the rest left out."""
+        labels = self.diff.changed
+        for column, label in enumerate(labels):
+            if reads is None or label in reads[0]:
+                yield column, label, None
+        for column, task in enumerate(self.pair_tasks, len(labels)):
+            pair = (task.a, task.b)
+            if pair not in self.reused_pairs and (reads is None or pair in reads[1]):
+                yield column, pair, task
+
 
 def _reads(plans, ids) -> list:
     """Per plan, the step-draw entries that edges touching ``ids`` come from:
@@ -350,12 +377,15 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
 
 
 # array entries a block of samples holds at most: walk uniforms, grid cells,
-# and _CHILD_ENTRIES per child seed spawned. A child's SeedSequence, with the
-# generator built from it, takes about 1 KB; counting it as 2 KB kept the
-# peak RSS of the benchmark's audit workload (2-vCPU VM) within 0.2 MB of
-# drawing one sample at a time, where 0.5 KB added 0.6 MB
+# _SEED_ENTRIES per child seed spawned and _GENERATOR_ENTRIES per entry built.
+# Under tracemalloc a child SeedSequence takes about 360 B and the generator
+# built from it about 550 B; each is counted at about twice that. This
+# budget keeps the peak RSS of the benchmark's audit workload (2-vCPU VM)
+# within the spread of drawing one sample at a time; at 1 << 15 its degree
+# check was no faster than that
 _BLOCK_ENTRIES = 1 << 16
-_CHILD_ENTRIES = 256
+_SEED_ENTRIES = 96
+_GENERATOR_ENTRIES = 160
 
 
 def _block_sizes(n: int, per_sample: int) -> list:
@@ -368,36 +398,48 @@ def _block_sizes(n: int, per_sample: int) -> list:
 
 def _entries(plans, k: int, reads=None) -> int:
     """Array entries one sample of a fold over ``plans`` holds: its child
-    seeds, (k + 1) walk uniforms per edge of each changed community and one
-    grid cell per node pair of each pair drawn fresh, of the entries
-    ``reads`` builds."""
+    seeds, and for each entry ``_StepPlan.drawn`` builds, its generator and
+    its (k + 1) walk uniforms per community edge or one grid cell per node
+    pair."""
     total = 0
     for plan, read in zip(plans, reads or itertools.repeat(None)):
-        labels = plan.diff.changed
-        tasks = [task for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs]
-        total += _CHILD_ENTRIES * (len(labels) + len(plan.pair_tasks))
-        if read is not None:
-            labels = [label for label in labels if label in read[0]]
-            tasks = [task for task in tasks if (task.a, task.b) in read[1]]
-        total += (k + 1) * sum(plan.subgraphs[label].num_edges for label in labels)
-        total += sum(task.nodes_a.size * task.nodes_b.size for task in tasks)
+        total += _SEED_ENTRIES * plan.children
+        for _, label, task in plan.drawn(read):
+            total += _GENERATOR_ENTRIES + (
+                (k + 1) * plan.subgraphs[label].num_edges if task is None
+                else task.nodes_a.size * task.nodes_b.size)
     return total
+
+
+@dataclass(frozen=True)
+class _Children:
+    """The child seeds of one plan for a block of S samples: an (S,
+    ``plan.children``) array, and the bit generator each child seeds, that
+    of the stream they were spawned from."""
+
+    seeds: np.ndarray
+    bit_generator: type
+
+    def streams(self, column: int) -> list:
+        """One generator per sample, from the column's children."""
+        return [np.random.Generator(self.bit_generator(seed)) for seed in self.seeds[:, column]]
 
 
 def _spawn(rng: np.random.Generator, samples: int, plans) -> list:
     """The child seeds of ``samples`` successive draws of ``plans`` from
-    ``rng``, from one ``spawn`` of its seed sequence: per plan, a (samples,
-    entries) array. The order is sample-major, then plan, then entry (changed
-    labels ascending, then pair tasks ascending), as drawing the samples one
-    at a time would spawn them, and ``rng`` is left in that state too."""
-    counts = [len(plan.diff.changed) + len(plan.pair_tasks) for plan in plans]
+    ``rng``, from one ``spawn`` of its seed sequence: a ``_Children`` per
+    plan. The order is sample-major, then plan, then entry (changed labels
+    ascending, then pair tasks ascending), as drawing the samples one at a
+    time would spawn them, and ``rng`` is left in that state too."""
+    counts = [plan.children for plan in plans]
     seeds = np.empty(samples * sum(counts), dtype=object)
     seeds[:] = rng.bit_generator.seed_seq.spawn(seeds.size)
-    return np.split(seeds.reshape(samples, -1), np.cumsum(counts)[:-1], axis=1)
+    return [_Children(part, type(rng.bit_generator))
+            for part in np.split(seeds.reshape(samples, -1), np.cumsum(counts)[:-1], axis=1)]
 
 
-def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children,
-                 bit_generator, draw=_perturb_rows, reads=None) -> tuple[dict, dict]:
+def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children: _Children,
+                 draw=_perturb_rows, reads=None) -> tuple[dict, dict]:
     """Draw S samples of one step perturbation with reuse: (intra by label,
     inter by pair), each entry an array of rows [sample, a, b].
 
@@ -406,24 +448,21 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children,
     communities and reused pairs copy their carried entries, minus the rows
     touching ``plan.left``: ids that moved out of the matched previous
     community or left the snapshot.
-    ``children`` is the (S, entries) array of child seeds from ``_spawn``,
-    one column per changed label (ascending), then per pair task (ascending,
-    reused or not). Sample s draws an entry from a ``bit_generator`` seeded
-    by its column's child s. Changed communities are drawn by
-    ``draw(subgraph, k, generators)`` and the other pairs are rewired.
+    ``children`` holds the block's child seeds from ``_spawn``, one column
+    per changed label (ascending), then per pair task (ascending, reused or
+    not). Sample s draws an entry from a generator seeded by its column's
+    child s. Changed communities are drawn by ``draw(subgraph, k,
+    generators)`` and the other pairs are rewired.
     ``reads`` is None to build every entry, as the release does, or one step
     of ``_reads``: the (labels, pairs) to build, the rest left out. A
-    generator is made only for an entry that is built. Each child feeds one
-    entry alone, so an entry that is built is the same as in the full draw.
+    generator is made only for an entry that is built (``_StepPlan.drawn``).
+    Each child feeds one entry alone, so an entry that is built is the same
+    as in the full draw.
     """
-    labels = plan.diff.changed
     if reads is None:
-        reads = ({label for _, label in plan.diff.unchanged} | set(labels),
+        reads = ({label for _, label in plan.diff.unchanged} | set(plan.diff.changed),
                  {(task.a, task.b) for task in plan.pair_tasks})
     read_labels, read_pairs = reads
-
-    def streams(i):
-        return [np.random.Generator(bit_generator(seed)) for seed in children[:, i]]
 
     def carry(rows, *prev_labels):
         gone = [plan.left[p] for p in prev_labels if p in plan.left]
@@ -434,15 +473,13 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children,
 
     intra = {label: carry(carried[0][prev_label], prev_label)
              for prev_label, label in plan.diff.unchanged if label in read_labels}
-    intra.update((label, draw(plan.subgraphs[label], params.k, streams(i)))
-                 for i, label in enumerate(labels) if label in read_labels)
-
     inter = {pair: carry(carried[1][key], *key)
              for pair, key in plan.reused_pairs.items() if pair in read_pairs}
-    for i, task in enumerate(plan.pair_tasks, len(labels)):
-        pair = (task.a, task.b)
-        if pair in read_pairs and pair not in plan.reused_pairs:
-            inter[pair] = task.sample(streams(i))
+    for column, key, task in plan.drawn(reads):
+        if task is None:
+            intra[key] = draw(plan.subgraphs[key], params.k, children.streams(column))
+        else:
+            inter[key] = task.sample(children.streams(column))
     return intra, inter
 
 
@@ -459,17 +496,17 @@ def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Gene
         np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
 
 
-def _draws(plans, params: PerturbParams, children, bit_generator, reads=None):
+def _draws(plans, params: PerturbParams, children, reads=None, draw=_perturb_rows):
     """Yield the step draw of each plan in turn for one block of samples,
-    each drawn from its (S, entries) array of ``children`` and carrying the
-    draw before it.
+    each drawn from its ``_Children`` and carrying the draw before it.
 
     ``reads`` is None to build every entry, or ``_reads(plans, ids)`` to
-    build only the entries that edges touching ``ids`` come from.
+    build only the entries that edges touching ``ids`` come from. ``draw``
+    draws the changed communities, as in ``_sample_step``.
     """
     carried = None
-    for plan, seeds, read in zip(plans, children, reads or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, seeds, bit_generator, reads=read)
+    for plan, plan_children, read in zip(plans, children, reads or itertools.repeat(None)):
+        carried = _sample_step(plan, carried, params, plan_children, draw, read)
         yield carried
 
 
@@ -484,8 +521,7 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[l
     plans = _plan_chain(seq, params)
     children = [_spawn(_step_rng(params.seed, t), 1, [plan])[0]
                 for t, plan in enumerate(plans)]
-    # the bit generator of default_rng, which _step_rng makes
-    draws = _draws(plans, params, children, np.random.PCG64)
+    draws = _draws(plans, params, children)
     graphs = [Graph(_step_rows(*draw)[:, 1:], vertices=g_t.vertices)
               for draw, g_t in zip(draws, seq.snapshots)]
     return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]

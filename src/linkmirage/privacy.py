@@ -19,9 +19,12 @@ re-perturbation builds only the step-draw entries the features can read
 (``perturb._reads``): at each step the intra entries of u's and v's
 communities and every pair with one of them as an end, plus the entries of
 earlier steps those copy. Every child stream is still spawned, so each entry
-built, and so each feature, equals the full draw's. The static mechanism
-draws each snapshot whole from the one stream, sample after sample, and
-reads only the walks with an end at u or v. The likelihood of a
+built equals the full draw's at u and v, and so does each feature. A
+community draw walks every edge but keeps only the fake edges with an end
+at u or v: the features read no other row, and a carry only drops rows.
+The static mechanism draws each snapshot whole from the one stream, sample
+after sample, and keeps the same rows; a custom mechanism's samples keep
+them too, so no sample holds a whole-snapshot draw. The likelihood of a
 prefix is the product, over its runs of dependent steps (``_world_counts``),
 of the joint match frequency within the run, which is exact for both
 mechanisms.
@@ -31,6 +34,7 @@ mechanisms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +43,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _block_sizes, _canonical_pairs, _draws, _entries,
-                      _plan_chain, _reads, _spawn, _step_rows, _walks)
+from .perturb import (PerturbParams, _block_sizes, _draws, _entries, _perturb_rows,
+                      _plan_chain, _reads, _spawn, _step_rows)
 
 
 @dataclass(frozen=True)
@@ -237,42 +241,36 @@ class _SequenceSampler:
         LinkMirage samples are drawn in blocks (``perturb._block_sizes``),
         one ``_draws`` fold per block; the static mechanism and a custom
         callable (world, rng) -> list of edge arrays draw one sample at a
-        time.
+        time. Each draw keeps only its rows with an end at u or v, the rows
+        the features read, so a sample holds no whole-snapshot draw.
         """
         u, v = uv
         if self.mechanism == "linkmirage":
             if uv not in self._reads_by_uv:
                 self._reads_by_uv[uv] = _reads(self.plans, uv)
             reads = self._reads_by_uv[uv]
+            at_uv = functools.partial(_perturb_rows, ends=uv)
             blocks = []
             for size in _block_sizes(n, _entries(self.plans, self.params.k, reads)):
                 draws = _draws(self.plans, self.params, _spawn(rng, size, self.plans),
-                               type(rng.bit_generator), reads)
+                               reads, at_uv)
                 blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, size)
                                         for draw in draws], axis=1))
             return np.concatenate(blocks)
         if self.mechanism == "static":
-            pieces = [self._static_edges_at(g_t, rng, u, v)
+            pieces = [_perturb_rows(g_t, self.params.k, [rng], uv)[:, 1:]
                       for _ in range(n) for g_t in self.world.snapshots]
         else:
             # custom mechanism: callable(world, rng) -> one edge array per snapshot
-            pieces = [np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-                      for _ in range(n) for edges in self.mechanism(self.world, rng)]
+            pieces = []
+            for _ in range(n):
+                for edges in self.mechanism(self.world, rng):
+                    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+                    pieces.append(edges[np.isin(edges, uv).any(axis=1)])
         # one feature row per (sample, snapshot), counted in one pass
         index = np.repeat(np.arange(len(pieces)), [len(edges) for edges in pieces])
         rows = np.column_stack([index, np.concatenate(pieces)])
-        if self.mechanism == "static":
-            rows = np.column_stack(_canonical_pairs(*rows.T))
         return _edge_features(rows, u, v, len(pieces)).reshape(n, len(self.world), 3)
-
-    def _static_edges_at(self, g_t: Graph, rng: np.random.Generator, u: int, v: int):
-        """The raw fake edges, as ids, of one static perturbation of the whole
-        snapshot ``g_t`` that touch u or v; every walk is drawn, but only
-        these are kept, for ``_canonical_pairs`` to deduplicate."""
-        (starts,), (terms,) = _walks(g_t, self.params.k, [rng])
-        a, b = g_t.vertices[starts], g_t.vertices[terms]
-        at = ((a == u) | (a == v) | (b == u) | (b == v)) & (starts != terms)
-        return np.column_stack([a[at], b[at]])
 
 
 def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,

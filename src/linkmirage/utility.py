@@ -11,7 +11,7 @@ from .clustering import _edge_labels
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
 from .perturb import (PerturbParams, _block_sizes, _entries, _sample_step, _spawn,
-                      _step_rows, build_step_plan, draw_walker_edges)
+                      build_step_plan, draw_walker_edges)
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,10 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     deviation of the Monte Carlo mean from the original degree.
 
     Trials are drawn in blocks (``perturb._block_sizes``), each one
-    ``_sample_step`` call whose degree counts one ``bincount`` reads. A
-    block spawns its children as the trials drawn one at a time would, so
-    every trial, and the report, is the same whatever the block size.
+    ``_sample_step`` call whose degree counts one ``bincount`` per entry
+    reads. A block spawns its children as the trials drawn one at a time
+    would, so every trial, and the report, is the same whatever the block
+    size.
     The plan is laid out on the graph relabelled by position, so walker ends
     are positions already. Relabelling keeps the id order, so clustering,
     labels and every draw are those of the original ids.
@@ -117,10 +118,12 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     # a trial holds its draw's entries and one row of degree counts
     for size in _block_sizes(trials, _entries([plan], params.k) + n):
         children, = _spawn(rng, size, [plan])
-        rows = _step_rows(*_sample_step(plan, None, params, children,
-                                        type(rng.bit_generator), draw=_walker_rows))
-        keys = rows[:, :1] * n + rows[:, 1:]
-        d = np.bincount(keys.ravel(), minlength=size * n).reshape(size, n)
+        intra, inter = _sample_step(plan, None, params, children, draw=_walker_rows)
+        d = np.zeros(size * n, dtype=np.int64)
+        # one bincount per entry: the block's rows are never copied into one array
+        for rows in (*intra.values(), *inter.values()):
+            d += np.bincount((rows[:, :1] * n + rows[:, 1:]).ravel(), minlength=size * n)
+        d = d.reshape(size, n)
         # integer sums: exact, so the block size changes no bit of the report
         acc += d.sum(axis=0)
         acc2 += (d * d).sum(axis=0)

@@ -71,11 +71,9 @@ def sample_step(plan, carried, params, rng, **kwargs):
         carried = tuple({key: np.column_stack([np.zeros(len(edges), np.int64), edges])
                          for key, edges in part.items()} for part in carried)
     (children,) = _spawn(rng, 1, [plan])
-    return edge_draw(_sample_step(plan, carried, params, children,
-                                  type(rng.bit_generator), **kwargs))
+    return edge_draw(_sample_step(plan, carried, params, children, **kwargs))
 
 
 def sample_draws(plans, params, rng, reads=None):
     """One sample of the ``_draws`` fold over ``plans`` from ``rng``."""
-    return [edge_draw(draw) for draw in _draws(plans, params, _spawn(rng, 1, plans),
-                                               type(rng.bit_generator), reads)]
+    return [edge_draw(draw) for draw in _draws(plans, params, _spawn(rng, 1, plans), reads)]

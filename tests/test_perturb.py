@@ -39,6 +39,21 @@ def test_no_self_loops_or_duplicates(rng):
         assert (gp.edges[:, 0] < gp.edges[:, 1]).all()
 
 
+def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
+    # keeping only the fake edges at the ends still draws every walk: the
+    # rows kept, and the streams afterwards, are those of the full draw
+    for _ in range(20):
+        g = random_graph(30, 0.2, rng, ensure_edge=True)
+        ends = rng.choice(g.vertices, size=2, replace=False)
+        seed = int(rng.integers(2 ** 32))
+        full_gens, end_gens = ([np.random.default_rng([seed, s]) for s in range(3)]
+                               for _ in range(2))
+        full = perturb._perturb_rows(g, 2, full_gens)
+        at = perturb._perturb_rows(g, 2, end_gens, ends)
+        assert np.array_equal(at, full[np.isin(full[:, 1:], ends).any(axis=1)])
+        assert [gen.random() for gen in full_gens] == [gen.random() for gen in end_gens]
+
+
 def test_perturb_static_deterministic():
     g = Graph([(0, 1), (1, 2), (0, 2), (2, 3)])
     a = perturb_static(g, 2, np.random.default_rng(42))
@@ -480,7 +495,7 @@ def release_draws(seq, params, graphs):
     posterior does. Each gives the release of its step."""
     plans = _plan_chain(seq, params)
     children = [_spawn(_step_rng(params.seed, t), 1, [plan])[0] for t, plan in enumerate(plans)]
-    draws = [edge_draw(draw) for draw in _draws(plans, params, children, np.random.PCG64)]
+    draws = [edge_draw(draw) for draw in _draws(plans, params, children)]
     for t, draw in enumerate(draws):
         assert graphs[t] == Graph(step_edges(*draw), vertices=seq.snapshots[t].vertices)
     return draws

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,30 @@ def test_posterior_degenerate_flagged():
     assert est.standard_error == pytest.approx(cap)
     assert -0.05 <= est.probability - 2 * est.standard_error
     assert est.probability + 2 * est.standard_error <= 1.05
+
+
+def test_custom_mechanism_samples_hold_only_the_rows_at_u_and_v():
+    # a custom mechanism that returns whole snapshots: 100 samples of 3 x
+    # 10,000 rows would hold 48 MB, but each sample keeps only its rows at u
+    # or v, and the features are those of the whole snapshots
+    world = small_overlap_sequence()
+    uv = (3, 7)
+
+    def whole_snapshots(world, rng):
+        return [rng.integers(0, 1000, size=(10_000, 2)) for _ in world.snapshots]
+
+    sampler = privacy._SequenceSampler(world, PerturbParams(k=2, seed=0), whole_snapshots)
+    tracemalloc.start()
+    try:
+        features = sampler.sample_features(uv, np.random.default_rng(5), 100)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    rng = np.random.default_rng(5)
+    want = [[_edge_feature(edges, *uv) for edges in whole_snapshots(world, rng)]
+            for _ in range(100)]
+    assert np.array_equal(features, want)
+    assert peak_mib < 4.0
 
 
 def test_posterior_requires_samples():
