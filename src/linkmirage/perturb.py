@@ -19,14 +19,20 @@ grouping of the snapshot's edges by community (``group_edges``): its changed
 community subgraphs and its inter-community pair tasks. It is drawn by one
 function, ``_sample_step``, for a block of S samples at once: each entry is
 an array of rows [sample, a, b]. ``_draws`` folds it over the plans,
-carrying each draw into the next. The release is the block S = 1 over one
-stream per timestamp; the posterior runs the same fold over blocks of
+carrying each draw into the next. The release is the block S = 1 under one
+key per timestamp; the posterior runs the same fold over blocks of
 re-perturbations, building only the entries its query reads (``_reads``),
 and the degree check draws its trials in blocks through ``_sample_step``
-too. A block's child streams come from one ``spawn`` in the order drawing
-its samples one at a time would spawn them (``_spawn``), and each entry
-reads its own child's stream, so a block draws what the samples drawn one
-at a time would draw.
+too.
+
+Randomness is keyed, not streamed. Every uniform is a pure function of its
+key and counter, computed with SplitMix64's finalizer on uint64 arrays
+(``_hash``, ``_uniforms``): a sample's key hashes a root key with the
+sample index, an entry's key hashes that with the entry's community label
+or pair (a, b), and a walker's uniforms sit at its own counters, one per
+step and redraw round (``_walker_counters``); a pair grid's cell at its
+index. So an entry drawn alone, a block of samples, and any block size all
+draw the same edges, and no seed or generator is made per entry or sample.
 """
 
 from __future__ import annotations
@@ -45,6 +51,100 @@ from .markov import walk_terminals
 _NS_DYNAMIC = 0
 _NS_STATIC = 1
 _NS_HAY = 2
+
+# -- keyed uniforms ----------------------------------------------------------
+
+# SplitMix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
+# finalizer's multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA_64 = np.uint64(_GAMMA)
+_ONE_64 = np.uint64(1)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = tuple(np.uint64(shift) for shift in (30, 27, 31))
+# a float64 in [1, 2): 52 random mantissa bits under the exponent of 1
+_SHIFT_MANTISSA = np.uint64(12)
+_ONE_EXPONENT = np.uint64(0x3FF0000000000000)
+_MASK = (1 << 64) - 1
+# uniforms finished at a time: a chunk and its temporary stay in cache, which
+# made 1M-element hashes 3x faster than whole-array passes (2-vCPU VM)
+_CHUNK = 1 << 15
+
+
+def _finalize(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64's finalizer, in place on a uint64 array ``z`` (wraparound
+    arithmetic), with ``tmp`` scratch of its shape: a bijection that
+    scatters neighbouring inputs."""
+    np.right_shift(z, _SHIFTS[0], out=tmp)
+    z ^= tmp
+    z *= _MIX_1
+    np.right_shift(z, _SHIFTS[1], out=tmp)
+    z ^= tmp
+    z *= _MIX_2
+    np.right_shift(z, _SHIFTS[2], out=tmp)
+    z ^= tmp
+
+
+def _increment(part) -> np.ndarray | np.uint64:
+    """gamma * (part + 1) mod 2**64, for an int or an integer array."""
+    if isinstance(part, np.ndarray):
+        inc = np.add(part, _ONE_64, dtype=np.uint64, casting="unsafe")
+        inc *= _GAMMA_64
+        return inc
+    return np.uint64((int(part) + 1) * _GAMMA & _MASK)
+
+
+def _hash(key, *parts) -> np.ndarray:
+    """Keys derived from ``key`` (an int or uint64 array) by hashing in each
+    part in turn: key <- mix(key + gamma * (part + 1)), a SplitMix64 output of
+    state ``key``. Parts are ints or integer arrays; the result broadcasts
+    over them, as a uint64 array of at least one dimension.
+
+    A child key is a hash, never a sum: with sums, the stream of sample s + 1
+    would be that of sample s shifted by one counter. A key is hashed into
+    children or read through ``_uniforms``, never both."""
+    key = np.array(key, dtype=np.uint64, ndmin=1)
+    for part in parts:
+        key = key + _increment(part)
+        _finalize(key, np.empty_like(key))
+    return key
+
+
+def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """U[0, 1) floats of 52 bits, mix(key + gamma * (counter + 1)) for every
+    key and counter broadcast together: SplitMix64 at those counters of
+    those keys' streams. Each float is made in place of its hash, so the
+    result is the one array the sum made."""
+    z = keys + _increment(counters)
+    flat = z.reshape(-1)
+    tmp = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
+    for start in range(0, flat.size, _CHUNK):
+        x = flat[start:start + _CHUNK]
+        _finalize(x, tmp[:x.size])
+        x >>= _SHIFT_MANTISSA
+        x |= _ONE_EXPONENT
+        u = x.view(np.float64)
+        u -= 1.0
+    return flat.view(np.float64).reshape(z.shape)
+
+
+def _root_key(rng: np.random.Generator) -> int:
+    """One raw 64-bit draw from ``rng``: the root key of a keyed draw."""
+    return int(rng.integers(1 << 64, dtype=np.uint64))
+
+
+def _step_key(seed: int, t: int) -> np.ndarray:
+    """The sample key of timestamp t of a LinkMirage release, as an array of
+    one: sample 0 under the timestamp's root key, one raw draw of its
+    ``SeedSequence``."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(_NS_DYNAMIC, t))
+    return _hash(seq.generate_state(1, np.uint64), 0)
+
+
+def _step_rng(seed: int, t: int, namespace: int) -> np.random.Generator:
+    """The stream of timestamp t under one mechanism's spawn-key namespace."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
 
 
 @dataclass(frozen=True)
@@ -105,37 +205,47 @@ class PerturbationRecord:
 # -- static perturbation ----------------------------------------------------
 
 
-def draw_walker_edges(graph: Graph, k: int, gens) -> tuple[np.ndarray, np.ndarray]:
-    """One raw fake edge per original edge in each of S samples, as (starts,
-    terminals) positions of shape (S, |E|), sample s drawn from ``gens[s]``.
+_REDRAWS = 10    # rounds a self-looping walk is redrawn in before it is dropped
 
-    Each edge starts a k-hop walk at a uniformly chosen endpoint. A sample
-    draws one block of (k + 1)|E| uniforms: the endpoint picks, then one row
-    per step. Terminals may equal their start (self-loop); callers decide how
+
+def _walker_counters(walkers: np.ndarray, k: int, first: int, count: int) -> np.ndarray:
+    """Counters ``first .. first + count - 1`` of each walker's own block, as
+    a (count, walkers) array. Walker w owns 1 + (1 + _REDRAWS)k counters from
+    w(1 + (1 + _REDRAWS)k): its endpoint pick, then k steps per round, the
+    first walk being round 0."""
+    return walkers * (1 + (1 + _REDRAWS) * k) + np.arange(first, first + count)[:, None]
+
+
+def draw_walker_edges(graph: Graph, k: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One raw fake edge per original edge in each of S samples, as (starts,
+    terminals) positions of shape (S, |E|), sample s keyed by ``keys[s]``.
+
+    Each edge starts a k-hop walk at a uniformly chosen endpoint. Walker w
+    (the edge's position) reads its endpoint pick and its k steps at its own
+    counters (``_walker_counters``), so each walk depends only on its key and
+    its edge. Terminals may equal their start (self-loop); callers decide how
     to handle that.
     """
     ends = graph.edge_positions
-    uniforms = np.empty((len(gens), k + 1, ends.shape[0]))
-    for gen, block in zip(gens, uniforms):
-        gen.random(out=block)
+    counters = _walker_counters(np.arange(ends.shape[0]), k, 0, k + 1)
+    uniforms = _uniforms(keys[:, None, None], counters)
     starts = np.where(uniforms[:, 0] < 0.5, ends[:, 0], ends[:, 1])
     return starts, walk_terminals(graph, starts, uniforms[:, 1:])
 
 
-def _walks(graph: Graph, k: int, gens) -> tuple[np.ndarray, np.ndarray]:
+def _walks(graph: Graph, k: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``draw_walker_edges`` with the static scheme's redraws: a walk that
-    returns to its start is redrawn up to 10 times. Each round draws k rows of
-    uniforms per sample that has such walks, then walks them all at once."""
-    starts, terms = draw_walker_edges(graph, k, gens)
+    returns to its start is redrawn up to ``_REDRAWS`` times. Round r reads
+    each such walker's round-r counters, and walks them all at once."""
+    starts, terms = draw_walker_edges(graph, k, keys)
     # flat views: the walkers of sample s are s*|E| .. (s+1)*|E| - 1
     flat_starts, flat_terms = starts.reshape(-1), terms.reshape(-1)
-    for _ in range(10):
+    for round_ in range(1, _REDRAWS + 1):
         loop = np.flatnonzero(flat_starts == flat_terms)
         if not loop.size:
             break
-        counts = np.bincount(loop // starts.shape[1], minlength=len(gens)).tolist()
-        uniforms = np.concatenate([gen.random((k, c)) for gen, c in zip(gens, counts) if c],
-                                  axis=1)
+        sample, walker = np.divmod(loop, starts.shape[1])
+        uniforms = _uniforms(keys[sample], _walker_counters(walker, k, 1 + round_ * k, k))
         flat_terms[loop] = walk_terminals(graph, flat_starts[loop], uniforms)
     return starts, terms
 
@@ -153,12 +263,12 @@ def _canonical_pairs(sample: np.ndarray, a: np.ndarray,
     return sample[first], lo[first], hi[first]
 
 
-def _perturb_rows(graph: Graph, k: int, gens, ends=None) -> np.ndarray:
-    """Array core of ``perturb_static`` for S samples: rows [sample, a, b],
-    a < b, each sample's fake edges deduplicated and sorted. With ``ends``
-    (ids), only the fake edges with an end among them are kept; every walk
-    is still drawn, so the streams are read as without."""
-    starts, terms = _walks(graph, k, gens)
+def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None) -> np.ndarray:
+    """Array core of ``perturb_static`` for S samples keyed by ``keys``: rows
+    [sample, a, b], a < b, each sample's fake edges deduplicated and sorted.
+    With ``ends`` (ids), only the fake edges with an end among them are
+    kept."""
+    starts, terms = _walks(graph, k, keys)
     keep = starts != terms
     if ends is not None:
         at = np.isin(graph.vertices, ends)
@@ -176,11 +286,13 @@ def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     Deletes all original edges; each original edge is replaced by the fake
     edge (start, terminal) of its k-hop walk. Walks that return to their
     start are redrawn up to 10 times and dropped if still self-looping;
-    duplicate fake edges collapse. The vertex set is preserved.
+    duplicate fake edges collapse. The vertex set is preserved. The draw is
+    keyed by one raw draw from ``rng`` (``_root_key``).
     """
     if k < 1:
         raise ValueError("walk length k must be >= 1")
-    return Graph(_perturb_rows(graph, k, [rng])[:, 1:], vertices=graph.vertices)
+    keys = np.array([_root_key(rng)], dtype=np.uint64)
+    return Graph(_perturb_rows(graph, k, keys)[:, 1:], vertices=graph.vertices)
 
 
 # -- inter-community rewiring ------------------------------------------------
@@ -216,12 +328,13 @@ class _PairTask:
     def probabilities(self) -> np.ndarray:
         return np.minimum(np.outer(self.deg_a, self.deg_b) / float(self.n_edges), 1.0)
 
-    def sample(self, gens) -> np.ndarray:
-        """Rows [sample, a, b] of S rewirings, sample s drawn from ``gens[s]``:
-        the samples' grids of uniforms stacked, read by one ``nonzero``."""
-        grid = np.empty((len(gens), self.nodes_a.size, self.nodes_b.size))
-        for gen, cells in zip(gens, grid):
-            gen.random(out=cells)
+    def sample(self, keys: np.ndarray) -> np.ndarray:
+        """Rows [sample, a, b] of S rewirings, sample s keyed by ``keys[s]``:
+        cell (i, j) reads counter i*|nodes_b| + j, and the samples' grids are
+        read by one ``nonzero``."""
+        cells = np.arange(self.nodes_a.size * self.nodes_b.size).reshape(
+            self.nodes_a.size, self.nodes_b.size)
+        grid = _uniforms(keys[:, None, None], cells)
         sample, ai, bj = np.nonzero(grid < self.probabilities())
         return np.column_stack([sample, self.nodes_a[ai], self.nodes_b[bj]])
 
@@ -277,26 +390,18 @@ class _StepPlan:
         return bool(set(self.clustering.label_of(ids).tolist())
                     & {label for _, label in self.diff.unchanged})
 
-    @property
-    def children(self) -> int:
-        """Child seeds a draw spawns: one per changed label, then one per pair
-        task, reused or not."""
-        return len(self.diff.changed) + len(self.pair_tasks)
-
     def drawn(self, reads=None):
-        """The entries a draw builds from its child seeds, in column order:
-        (column, label, None) per changed label, ascending, then (column,
-        (a, b), task) per pair task that is not reused. ``reads`` is None for
+        """The entries a draw builds: (label, None) per changed label, then
+        ((a, b), task) per pair task that is not reused. ``reads`` is None for
         every such entry, or one step of ``_reads``: the (labels, pairs) to
         build, the rest left out."""
-        labels = self.diff.changed
-        for column, label in enumerate(labels):
+        for label in self.diff.changed:
             if reads is None or label in reads[0]:
-                yield column, label, None
-        for column, task in enumerate(self.pair_tasks, len(labels)):
+                yield label, None
+        for task in self.pair_tasks:
             pair = (task.a, task.b)
             if pair not in self.reused_pairs and (reads is None or pair in reads[1]):
-                yield column, pair, task
+                yield pair, task
 
 
 def _reads(plans, ids) -> list:
@@ -376,16 +481,12 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
     return plans
 
 
-# array entries a block of samples holds at most: walk uniforms, grid cells,
-# _SEED_ENTRIES per child seed spawned and _GENERATOR_ENTRIES per entry built.
-# Under tracemalloc a child SeedSequence takes about 360 B and the generator
-# built from it about 550 B; each is counted at about twice that. This
-# budget keeps the peak RSS of the benchmark's audit workload (2-vCPU VM)
-# within the spread of drawing one sample at a time; at 1 << 15 its degree
-# check was no faster than that
+# array entries (walk uniforms, grid cells) a block of samples holds at most.
+# A block's walks hold about 11 words per walker at their peak, so this
+# budget is about 2 MB. On the benchmark's audit workload (2-vCPU VM) the
+# task took 0.55, 0.69 and 0.89 s at 1 << 16, 15 and 14, and peak RSS was
+# 72.7, 72.0 and 71.8 MB
 _BLOCK_ENTRIES = 1 << 16
-_SEED_ENTRIES = 96
-_GENERATOR_ENTRIES = 160
 
 
 def _block_sizes(n: int, per_sample: int) -> list:
@@ -397,48 +498,22 @@ def _block_sizes(n: int, per_sample: int) -> list:
 
 
 def _entries(plans, k: int, reads=None) -> int:
-    """Array entries one sample of a fold over ``plans`` holds: its child
-    seeds, and for each entry ``_StepPlan.drawn`` builds, its generator and
-    its (k + 1) walk uniforms per community edge or one grid cell per node
-    pair."""
-    total = 0
-    for plan, read in zip(plans, reads or itertools.repeat(None)):
-        total += _SEED_ENTRIES * plan.children
-        for _, label, task in plan.drawn(read):
-            total += _GENERATOR_ENTRIES + (
-                (k + 1) * plan.subgraphs[label].num_edges if task is None
-                else task.nodes_a.size * task.nodes_b.size)
-    return total
+    """Array entries one sample of a fold over ``plans`` holds: for each entry
+    ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per community edge or
+    one grid cell per node pair."""
+    return sum((k + 1) * plan.subgraphs[key].num_edges if task is None
+               else task.nodes_a.size * task.nodes_b.size
+               for plan, read in zip(plans, reads or itertools.repeat(None))
+               for key, task in plan.drawn(read))
 
 
-@dataclass(frozen=True)
-class _Children:
-    """The child seeds of one plan for a block of S samples: an (S,
-    ``plan.children``) array, and the bit generator each child seeds, that
-    of the stream they were spawned from."""
-
-    seeds: np.ndarray
-    bit_generator: type
-
-    def streams(self, column: int) -> list:
-        """One generator per sample, from the column's children."""
-        return [np.random.Generator(self.bit_generator(seed)) for seed in self.seeds[:, column]]
+def _blocks(n: int, per_sample: int) -> list:
+    """The sample indices 0 .. n - 1 split into the blocks of
+    ``_block_sizes(n, per_sample)``, in order."""
+    return np.split(np.arange(n), np.cumsum(_block_sizes(n, per_sample))[:-1])
 
 
-def _spawn(rng: np.random.Generator, samples: int, plans) -> list:
-    """The child seeds of ``samples`` successive draws of ``plans`` from
-    ``rng``, from one ``spawn`` of its seed sequence: a ``_Children`` per
-    plan. The order is sample-major, then plan, then entry (changed labels
-    ascending, then pair tasks ascending), as drawing the samples one at a
-    time would spawn them, and ``rng`` is left in that state too."""
-    counts = [plan.children for plan in plans]
-    seeds = np.empty(samples * sum(counts), dtype=object)
-    seeds[:] = rng.bit_generator.seed_seq.spawn(seeds.size)
-    return [_Children(part, type(rng.bit_generator))
-            for part in np.split(seeds.reshape(samples, -1), np.cumsum(counts)[:-1], axis=1)]
-
-
-def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children: _Children,
+def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarray,
                  draw=_perturb_rows, reads=None) -> tuple[dict, dict]:
     """Draw S samples of one step perturbation with reuse: (intra by label,
     inter by pair), each entry an array of rows [sample, a, b].
@@ -448,16 +523,14 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children: _Chi
     communities and reused pairs copy their carried entries, minus the rows
     touching ``plan.left``: ids that moved out of the matched previous
     community or left the snapshot.
-    ``children`` holds the block's child seeds from ``_spawn``, one column
-    per changed label (ascending), then per pair task (ascending, reused or
-    not). Sample s draws an entry from a generator seeded by its column's
-    child s. Changed communities are drawn by ``draw(subgraph, k,
-    generators)`` and the other pairs are rewired.
-    ``reads`` is None to build every entry, as the release does, or one step
-    of ``_reads``: the (labels, pairs) to build, the rest left out. A
-    generator is made only for an entry that is built (``_StepPlan.drawn``).
-    Each child feeds one entry alone, so an entry that is built is the same
-    as in the full draw.
+    ``keys`` holds the S samples' keys at this step. Sample s draws the
+    entry of changed label L under ``_hash(keys[s], 0, L)``, with ``draw(
+    subgraph, k, entry keys)``, and rewires the pair (a, b) that is not
+    reused under ``_hash(keys[s], 1, a, b)``. ``reads`` is None to build
+    every entry, as the release does, or one step of ``_reads``: the
+    (labels, pairs) to build, the rest left out (``_StepPlan.drawn``). An
+    entry's draw depends only on its key, so an entry that is built is the
+    same as in the full draw, whatever else is built.
     """
     if reads is None:
         reads = ({label for _, label in plan.diff.unchanged} | set(plan.diff.changed),
@@ -475,11 +548,11 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, children: _Chi
              for prev_label, label in plan.diff.unchanged if label in read_labels}
     inter = {pair: carry(carried[1][key], *key)
              for pair, key in plan.reused_pairs.items() if pair in read_pairs}
-    for column, key, task in plan.drawn(reads):
+    for key, task in plan.drawn(reads):
         if task is None:
-            intra[key] = draw(plan.subgraphs[key], params.k, children.streams(column))
+            intra[key] = draw(plan.subgraphs[key], params.k, _hash(keys, 0, key))
         else:
-            inter[key] = task.sample(children.streams(column))
+            inter[key] = task.sample(_hash(keys, 1, *key))
     return intra, inter
 
 
@@ -490,23 +563,18 @@ def _step_rows(intra: dict, inter: dict) -> np.ndarray:
     return np.concatenate(pieces) if pieces else np.empty((0, 3), np.int64)
 
 
-def _step_rng(seed: int, t: int, namespace: int = _NS_DYNAMIC) -> np.random.Generator:
-    """The stream of timestamp t under one mechanism's spawn-key namespace."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(namespace, t)))
-
-
-def _draws(plans, params: PerturbParams, children, reads=None, draw=_perturb_rows):
+def _draws(plans, params: PerturbParams, keys, reads=None, draw=_perturb_rows):
     """Yield the step draw of each plan in turn for one block of samples,
-    each drawn from its ``_Children`` and carrying the draw before it.
+    each drawn under its array of the samples' keys in ``keys`` and carrying
+    the draw before it.
 
     ``reads`` is None to build every entry, or ``_reads(plans, ids)`` to
     build only the entries that edges touching ``ids`` come from. ``draw``
     draws the changed communities, as in ``_sample_step``.
     """
     carried = None
-    for plan, plan_children, read in zip(plans, children, reads or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, plan_children, draw, read)
+    for plan, step_keys, read in zip(plans, keys, reads or itertools.repeat(None)):
+        carried = _sample_step(plan, carried, params, step_keys, draw, read)
         yield carried
 
 
@@ -515,13 +583,12 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[l
 
     At t=0 every community is perturbed; at t>0 unchanged communities and
     pairs copy the previous draw's edges of the members that stayed, and the
-    rest is re-sampled from timestamp t's stream of ``params.seed``. So the
-    release depends only on (inputs, params). Draws run in one thread.
+    rest is re-sampled under timestamp t's key of ``params.seed``
+    (``_step_key``). So the release depends only on (inputs, params). Draws
+    run in one thread.
     """
     plans = _plan_chain(seq, params)
-    children = [_spawn(_step_rng(params.seed, t), 1, [plan])[0]
-                for t, plan in enumerate(plans)]
-    draws = _draws(plans, params, children)
+    draws = _draws(plans, params, [_step_key(params.seed, t) for t in range(len(plans))])
     graphs = [Graph(_step_rows(*draw)[:, 1:], vertices=g_t.vertices)
               for draw, g_t in zip(draws, seq.snapshots)]
     return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]

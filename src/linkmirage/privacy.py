@@ -11,20 +11,20 @@ queried pair (edge presence plus the perturbed degree pair, per timestamp),
 with add-one smoothing. On small graphs this is validated against exhaustive
 enumeration.
 
-Re-perturbations of the LinkMirage mechanism run ``perturb._draws``, the
-fold that makes the release, over the world's plans, in blocks of samples
-whose child streams come from one spawn of one stream (``perturb._spawn``),
-in the order drawing the samples one at a time would spawn them. A
-re-perturbation builds only the step-draw entries the features can read
-(``perturb._reads``): at each step the intra entries of u's and v's
-communities and every pair with one of them as an end, plus the entries of
-earlier steps those copy. Every child stream is still spawned, so each entry
-built equals the full draw's at u and v, and so does each feature. A
-community draw walks every edge but keeps only the fake edges with an end
-at u or v: the features read no other row, and a carry only drops rows.
-The static mechanism draws each snapshot whole from the one stream, sample
-after sample, and keeps the same rows; a custom mechanism's samples keep
-them too, so no sample holds a whole-snapshot draw. The likelihood of a
+Re-perturbations are keyed (``perturb._hash``): one raw draw from the
+caller's stream gives a root key, and sample s at step t draws under the
+hash of (root, t, s). So samples run in blocks of any size with the same
+draws. LinkMirage re-perturbations run ``perturb._draws``, the fold that
+makes the release, over the world's plans. A re-perturbation builds only
+the step-draw entries the features can read (``perturb._reads``): at each
+step the intra entries of u's and v's communities and every pair with one
+of them as an end, plus the entries of earlier steps those copy. Each entry
+draws under its own key, so each entry built equals the full draw's, and
+so does each feature. A community draw walks every edge but keeps only the
+fake edges with an end at u or v: the features read no other row, and a
+carry only drops rows. The static mechanism draws each snapshot whole and
+keeps the same rows; a custom mechanism's samples keep them too, so no
+sample holds a whole-snapshot draw. The likelihood of a
 prefix is the product, over its runs of dependent steps (``_world_counts``),
 of the joint match frequency within the run, which is exact for both
 mechanisms.
@@ -43,8 +43,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _block_sizes, _draws, _entries, _perturb_rows,
-                      _plan_chain, _reads, _spawn, _step_rows)
+from .perturb import (PerturbParams, _blocks, _draws, _entries, _hash, _perturb_rows,
+                      _plan_chain, _reads, _root_key, _step_rows)
 
 
 @dataclass(frozen=True)
@@ -234,43 +234,52 @@ class _SequenceSampler:
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
                         n: int) -> np.ndarray:
-        """The features of n successive re-perturbations from ``rng``, an
-        (n, snapshots, 3) array: row s holds sample s's ``_edge_feature`` per
-        snapshot.
+        """The features of n re-perturbations, an (n, snapshots, 3) array:
+        row s holds sample s's ``_edge_feature`` per snapshot.
 
-        LinkMirage samples are drawn in blocks (``perturb._block_sizes``),
-        one ``_draws`` fold per block; the static mechanism and a custom
-        callable (world, rng) -> list of edge arrays draw one sample at a
-        time. Each draw keeps only its rows with an end at u or v, the rows
-        the features read, so a sample holds no whole-snapshot draw.
+        LinkMirage and static samples take one raw draw from ``rng`` as
+        their root key (``perturb._root_key``); sample s at step t draws
+        under ``_hash(root, t, s)``. They run in blocks
+        (``perturb._blocks``): one ``_draws`` fold per block, or one
+        ``_perturb_rows`` call per block and snapshot. A custom callable
+        (world, rng) -> list of edge arrays draws one sample at a time from
+        ``rng``. Each draw keeps only its rows with an end at u or v, the
+        rows the features read, so a sample holds no whole-snapshot draw.
         """
         u, v = uv
+        k, steps = self.params.k, len(self.world)
         if self.mechanism == "linkmirage":
             if uv not in self._reads_by_uv:
                 self._reads_by_uv[uv] = _reads(self.plans, uv)
             reads = self._reads_by_uv[uv]
             at_uv = functools.partial(_perturb_rows, ends=uv)
+            root = _root_key(rng)
             blocks = []
-            for size in _block_sizes(n, _entries(self.plans, self.params.k, reads)):
-                draws = _draws(self.plans, self.params, _spawn(rng, size, self.plans),
-                               reads, at_uv)
-                blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, size)
-                                        for draw in draws], axis=1))
+            for samples in _blocks(n, _entries(self.plans, k, reads)):
+                keys = [_hash(root, t, samples) for t in range(steps)]
+                blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, samples.size)
+                                        for draw in _draws(self.plans, self.params, keys,
+                                                           reads, at_uv)], axis=1))
             return np.concatenate(blocks)
+        # rows [sample * snapshots + t, a, b]: one feature row per (sample,
+        # snapshot), counted in one pass
+        pieces = []
         if self.mechanism == "static":
-            pieces = [_perturb_rows(g_t, self.params.k, [rng], uv)[:, 1:]
-                      for _ in range(n) for g_t in self.world.snapshots]
+            root = _root_key(rng)
+            for t, g_t in enumerate(self.world.snapshots):
+                for samples in _blocks(n, (k + 1) * g_t.num_edges):
+                    rows = _perturb_rows(g_t, k, _hash(root, t, samples), uv)
+                    rows[:, 0] = samples[rows[:, 0]] * steps + t
+                    pieces.append(rows)
         else:
             # custom mechanism: callable(world, rng) -> one edge array per snapshot
-            pieces = []
-            for _ in range(n):
-                for edges in self.mechanism(self.world, rng):
+            for s in range(n):
+                for t, edges in enumerate(self.mechanism(self.world, rng)):
                     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-                    pieces.append(edges[np.isin(edges, uv).any(axis=1)])
-        # one feature row per (sample, snapshot), counted in one pass
-        index = np.repeat(np.arange(len(pieces)), [len(edges) for edges in pieces])
-        rows = np.column_stack([index, np.concatenate(pieces)])
-        return _edge_features(rows, u, v, len(pieces)).reshape(n, len(self.world), 3)
+                    edges = edges[np.isin(edges, uv).any(axis=1)]
+                    pieces.append(np.column_stack([np.full(len(edges), s * steps + t), edges]))
+        rows = np.concatenate(pieces)
+        return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
 
 
 def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,

@@ -3,6 +3,7 @@ expectation, and the graph analytics used to audit perturbed topologies."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .clustering import _edge_labels
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
-from .perturb import (PerturbParams, _block_sizes, _entries, _sample_step, _spawn,
+from .perturb import (PerturbParams, _blocks, _entries, _hash, _root_key, _sample_step,
                       build_step_plan, draw_walker_edges)
 
 
@@ -80,13 +81,15 @@ class DegreeReport:
     trials: int
 
 
-def _walker_rows(graph: Graph, k: int, gens) -> np.ndarray:
-    """One raw walk per edge in each of S samples as rows [sample, start id,
-    terminal id], sample-major; self-terminal walks are kept."""
-    starts, terms = draw_walker_edges(graph, k, gens)
-    sample = np.repeat(np.arange(len(gens)), starts.shape[1])
-    return np.column_stack([sample, graph.vertices[starts.ravel()],
-                            graph.vertices[terms.ravel()]])
+def _walker_rows(graph: Graph, k: int, keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """One raw walk per edge in each of S samples, keyed by ``keys``, as rows
+    [sample, start, terminal], sample-major; self-terminal walks are kept.
+    Ends are positions in ``ids``, sorted ids that hold every vertex of
+    ``graph``."""
+    starts, terms = draw_walker_edges(graph, k, keys)
+    names = np.searchsorted(ids, graph.vertices)
+    sample = np.repeat(np.arange(keys.size), starts.shape[1])
+    return np.column_stack([sample, names[starts.ravel()], names[terms.ravel()]])
 
 
 def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
@@ -100,25 +103,30 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     self-terminal walk counts 2 at its vertex. z is the standardized
     deviation of the Monte Carlo mean from the original degree.
 
-    Trials are drawn in blocks (``perturb._block_sizes``), each one
-    ``_sample_step`` call whose degree counts one ``bincount`` per entry
-    reads. A block spawns its children as the trials drawn one at a time
-    would, so every trial, and the report, is the same whatever the block
-    size.
-    The plan is laid out on the graph relabelled by position, so walker ends
-    are positions already. Relabelling keeps the id order, so clustering,
-    labels and every draw are those of the original ids.
+    Trials are keyed: one raw draw from ``rng`` gives a root key, and trial
+    s draws under ``_hash(root, s)``. They run in blocks
+    (``perturb._blocks``), each one ``_sample_step`` call whose degree
+    counts one ``bincount`` per entry reads. So every trial, and the report,
+    is the same whatever the block size, and no seed is spawned.
+    The plan is laid out on the graph's own ids, whose labels key the draws:
+    a trial's walks and rewirings are those a release of the graph under
+    the trial's key draws before its self-loop redraws.
     """
     if trials < 1000:
         raise ValueError("degree expectation needs >= 1000 trials")
     n = graph.num_vertices
-    plan = build_step_plan(Graph(graph.edge_positions, vertices=np.arange(n)), None, params)
+    plan = build_step_plan(graph, None, params)
     acc = np.zeros(n, dtype=np.float64)
     acc2 = np.zeros(n, dtype=np.float64)
+    root = _root_key(rng)
+    walks = functools.partial(_walker_rows, ids=graph.vertices)
     # a trial holds its draw's entries and one row of degree counts
-    for size in _block_sizes(trials, _entries([plan], params.k) + n):
-        children, = _spawn(rng, size, [plan])
-        intra, inter = _sample_step(plan, None, params, children, draw=_walker_rows)
+    for samples in _blocks(trials, _entries([plan], params.k) + n):
+        size = samples.size
+        intra, inter = _sample_step(plan, None, params, _hash(root, samples), draw=walks)
+        # walks end at positions already; rewired rows name ids
+        for rows in inter.values():
+            rows[:, 1:] = np.searchsorted(graph.vertices, rows[:, 1:])
         d = np.zeros(size * n, dtype=np.int64)
         # one bincount per entry: the block's rows are never copied into one array
         for rows in (*intra.values(), *inter.values()):

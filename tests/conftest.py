@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linkmirage import Graph
-from linkmirage.perturb import _draws, _sample_step, _spawn
+from linkmirage.perturb import _draws, _hash, _sample_step
 
 
 @pytest.fixture
@@ -50,8 +50,13 @@ def small_overlap_sequence():
 
 # -- one sample of a step draw ----------------------------------------------
 # ``perturb._sample_step`` draws a block of samples with rows [sample, a, b];
-# these helpers draw a block of one from a stream, as a release step does,
+# these helpers draw a block of one under one key, as a release step does,
 # and hold its entries as (m, 2) edge arrays, as ``group_edges`` gives them.
+
+
+def keys_from(rng, n=1):
+    """n sample keys, raw 64-bit draws from ``rng``."""
+    return rng.integers(1 << 64, size=n, dtype=np.uint64)
 
 
 def edge_draw(draw):
@@ -65,15 +70,18 @@ def step_edges(intra, inter):
     return np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)
 
 
-def sample_step(plan, carried, params, rng, **kwargs):
-    """One sample of ``_sample_step`` from ``rng``, carrying (m, 2) entries."""
+def sample_step(plan, carried, params, sample_key, **kwargs):
+    """One sample of ``_sample_step`` under ``sample_key`` (an int, or a uint64
+    array of one), carrying (m, 2) entries."""
     if carried is not None:
         carried = tuple({key: np.column_stack([np.zeros(len(edges), np.int64), edges])
                          for key, edges in part.items()} for part in carried)
-    (children,) = _spawn(rng, 1, [plan])
-    return edge_draw(_sample_step(plan, carried, params, children, **kwargs))
+    return edge_draw(_sample_step(plan, carried, params, _hash(sample_key), **kwargs))
 
 
-def sample_draws(plans, params, rng, reads=None):
-    """One sample of the ``_draws`` fold over ``plans`` from ``rng``."""
-    return [edge_draw(draw) for draw in _draws(plans, params, _spawn(rng, 1, plans), reads)]
+def sample_draws(plans, params, root, sample=0, reads=None):
+    """Sample ``sample`` of the ``_draws`` fold over ``plans`` under the root
+    key ``root``, keyed as the posterior keys it: step t under
+    ``_hash(root, t, sample)``."""
+    keys = [_hash(root, t, sample) for t in range(len(plans))]
+    return [edge_draw(draw) for draw in _draws(plans, params, keys, reads)]

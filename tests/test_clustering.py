@@ -324,7 +324,7 @@ def test_linkmirage_run_outputs_pinned():
     assert hashlib.sha256(record_text.encode()).hexdigest() == \
         "0749307ce3f226773fc21be033080c732ad29f3d4b526d6cee572a874a230f13"
     assert hashlib.sha256(edge_bytes).hexdigest() == \
-        "18bdbcb97e561083b419deea191e2335eabfaac2439c4c773ebffb6b1dedcf53"
+        "647689fe64d0bae43c40558fe996705261ad9f754ed458f65450089349531e27"
 
 
 # -- dynamic re-clustering --------------------------------------------------------

@@ -13,10 +13,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # sha256 of each demo's stdout; two runs print the same bytes
 STDOUT_SHA256 = {
-    "perturbation_demo.py": "e38764756b2fd29329bc36fbf5391c259a9775170c6a42699d3f3160c34592e0",
-    "utility_demo.py": "3db018b2e7a45599bb004fc9b1eeca08585760afa28d376e4df222fe59317f9c",
-    "applications_demo.py": "1e96cf99d972967ac4c7c8fd3d573dc5b5f37f56e39ca93f7de6c4cbbe8fecb3",
-    "privacy_demo.py": "2e8adacbb2f8329550f094790f07a4744099f54d2f62923e1cbd2b887b90e67e",
+    "perturbation_demo.py": "4d9f64a295e7270a2cf0a96a33509b1b31d876dde909f7ccf27f48833dece5aa",
+    "utility_demo.py": "db916641f045056a873951075e9b57e7654ff4b251a56174184bb559d4aec983",
+    "applications_demo.py": "ed7dbc1b71ef4bb5e16faeab83541c9fee71098b28ff03224d8eb258def62d1f",
+    "privacy_demo.py": "f813ce9c3c6e83b8dcc3cec134665d1abedd725911cb52e1379865762912abd8",
 }
 
 

@@ -5,16 +5,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (edge_draw, random_graph, sample_draws, sample_step,
+from conftest import (edge_draw, keys_from, random_graph, sample_draws, sample_step,
                       small_overlap_sequence, step_edges)
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
-                        TemporalGraphSequence, evolving_sequence, group_edges,
-                        hay_baseline, linkmirage_run, perturb_static,
+                        TemporalGraphSequence, evolving_sequence, expected_degree_report,
+                        group_edges, hay_baseline, linkmirage_run, perturb_static,
                         perturb_static_baseline_sequence, planted_partition_graph)
 from linkmirage import perturb, privacy
 from linkmirage.graphs import _canonical_edges
-from linkmirage.perturb import (_PairTask, _draws, _plan_chain, _reads, _spawn, _step_rng,
-                               build_step_plan, draw_walker_edges)
+from linkmirage.perturb import (_PairTask, _draws, _hash, _plan_chain, _reads, _root_key,
+                               _step_key, build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 
 EMPTY = np.empty((0, 2), dtype=np.int64)    # a grouped entry that holds no edge
@@ -40,18 +40,15 @@ def test_no_self_loops_or_duplicates(rng):
 
 
 def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
-    # keeping only the fake edges at the ends still draws every walk: the
-    # rows kept, and the streams afterwards, are those of the full draw
+    # keeping only the fake edges at the ends: the rows kept are those of the
+    # full draw under the same keys
     for _ in range(20):
         g = random_graph(30, 0.2, rng, ensure_edge=True)
         ends = rng.choice(g.vertices, size=2, replace=False)
-        seed = int(rng.integers(2 ** 32))
-        full_gens, end_gens = ([np.random.default_rng([seed, s]) for s in range(3)]
-                               for _ in range(2))
-        full = perturb._perturb_rows(g, 2, full_gens)
-        at = perturb._perturb_rows(g, 2, end_gens, ends)
+        keys = keys_from(rng, 3)
+        full = perturb._perturb_rows(g, 2, keys)
+        at = perturb._perturb_rows(g, 2, keys, ends)
         assert np.array_equal(at, full[np.isin(full[:, 1:], ends).any(axis=1)])
-        assert [gen.random() for gen in full_gens] == [gen.random() for gen in end_gens]
 
 
 def test_perturb_static_deterministic():
@@ -59,6 +56,63 @@ def test_perturb_static_deterministic():
     a = perturb_static(g, 2, np.random.default_rng(42))
     b = perturb_static(g, 2, np.random.default_rng(42))
     assert a == b
+
+
+def test_perturb_static_is_a_block_of_one_under_its_key(rng):
+    # perturb_static draws under one raw draw of its stream; in a block, each
+    # sample draws what a block of one under its key draws
+    for _ in range(10):
+        g = random_graph(25, 0.2, rng, ensure_edge=True)
+        seed = int(rng.integers(1 << 32))
+        key = _root_key(np.random.default_rng(seed))
+        static = perturb_static(g, 2, np.random.default_rng(seed))
+        assert static == Graph(perturb._perturb_rows(g, 2, _hash(key))[:, 1:], vertices=g.vertices)
+        keys = np.append(keys_from(rng, 4), key).astype(np.uint64)
+        block = perturb._perturb_rows(g, 2, keys)
+        for s, one in enumerate(keys):
+            assert np.array_equal(block[block[:, 0] == s, 1:],
+                                  perturb._perturb_rows(g, 2, _hash(one))[:, 1:])
+
+
+def test_keyed_uniforms_are_uniform_and_streams_do_not_overlap():
+    n = 200_000
+    counters = np.arange(n)
+    root = _hash(12345, 7)
+
+    def stream(*parts):
+        return perturb._uniforms(_hash(root, *parts), counters)
+
+    u = stream(3)
+    assert abs(u.mean() - 0.5) < 0.005 and abs(u.var() - 1 / 12) < 0.002
+    assert u.min() >= 0.0 and u.max() < 1.0
+    # neighbouring samples, and neighbouring labels of one sample, side by
+    # side and offset by one counter: a key made by adding the index to its
+    # parent would make the second stream the first shifted by one
+    for a, b in ((stream(3), stream(4)), (stream(3, 0, 10), stream(3, 0, 11)),
+                 (stream(3, 1, 0, 5), stream(3, 1, 0, 6))):
+        for x, y in ((a, b), (a[1:], b[:-1]), (a[:-1], b[1:])):
+            assert abs(np.corrcoef(x, y)[0, 1]) < 0.015
+        assert not np.isin(a, b).any()
+
+
+def test_keyed_draws_spawn_no_child_seed(monkeypatch):
+    # keyed draws read one raw draw from the caller's stream and spawn no
+    # child seed; a release makes one seed sequence per timestamp
+    seq = small_overlap_sequence()
+    params = PerturbParams(k=2, m=1, theta=0.8, seed=5)
+    for mechanism in ("linkmirage", "static"):
+        rng = np.random.default_rng(3)
+        _SequenceSampler(seq, params, mechanism).sample_features((1, 2), rng, 100)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0, mechanism
+    rng = np.random.default_rng(3)
+    perturb_static(seq[0], 2, rng)
+    expected_degree_report(seq[0], params, 1000, rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    made, real = [], np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *args, **kwargs: made.append(1) or real(*args, **kwargs))
+    linkmirage_run(seq, params)
+    assert len(made) == len(seq)
 
 
 def test_path_two_hop_edge_probability(rng):
@@ -81,7 +135,7 @@ def test_walker_degree_expectation_k3(rng):
     acc = np.zeros(3)
     acc2 = np.zeros(3)
     for _ in range(trials):
-        (starts,), (terms,) = draw_walker_edges(g, 1, [rng])
+        (starts,), (terms,) = draw_walker_edges(g, 1, keys_from(rng))
         d = np.bincount(starts, minlength=3) + np.bincount(terms, minlength=3)
         acc += d
         acc2 += d.astype(float) ** 2
@@ -100,10 +154,10 @@ def two_singleton_clustering():
 
 def rewire(graph, clustering, rng):
     """{(a, b): edges} of one inter-community rewiring: every pair task of the
-    graph's one grouping, drawn by ``_PairTask.sample`` from its own child."""
+    graph's one grouping, drawn by ``_PairTask.sample`` under its own key."""
     inter = group_edges(graph, clustering)[1]
-    return {pair: _PairTask.of(*pair, edges).sample([child])[:, 1:]
-            for (pair, edges), child in zip(inter.items(), rng.spawn(len(inter)))}
+    return {pair: _PairTask.of(*pair, edges).sample(keys_from(rng))[:, 1:]
+            for pair, edges in inter.items()}
 
 
 def test_intercluster_appendixc_forced_edge(rng):
@@ -172,7 +226,7 @@ def k4s_with_two_bridges():
 
 
 @pytest.mark.parametrize("g, seed, entry", [(k2_beside_planted_blocks(), 1, 100),
-                                            (k4s_with_two_bridges(), 0, (0, 4))],
+                                            (k4s_with_two_bridges(), 3, (0, 4))],
                          ids=["intra", "inter"])
 def test_an_entry_that_drew_no_edge_is_carried_empty(g, seed, entry):
     # the grouped release has no key for an entry that drew no edge; the
@@ -215,21 +269,19 @@ def test_step_vertex_preservation_and_intra_closure():
 
 
 def test_step_compose_oracle_t0():
-    # the step's randomness is spawned in canonical order: changed community
-    # labels ascending, then inter pairs ascending
+    # each entry draws under its own key: the release's sample key at t = 0
+    # hashed with (0, label) for a community and (1, a, b) for a pair
     g, _ = planted_partition_graph([8, 8], 0.7, 0.1, np.random.default_rng(9))
     params = PerturbParams(k=1, seed=23)
     (g_prime,), _ = linkmirage_run(TemporalGraphSequence([g]), params)
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=23, spawn_key=(0, 0)))
+    key = _step_key(23, 0)
     plan = build_step_plan(g, None, params)
-    labels = plan.diff.changed
-    children = rng.spawn(len(labels) + len(plan.pair_tasks))
     edges = []
-    for label, child in zip(labels, children[:len(labels)]):
-        edges.append(perturb_static(plan.subgraphs[label], 1, child).edges)
-    for task, child in zip(plan.pair_tasks, children[len(labels):]):
-        edges.append(task.sample([child])[:, 1:])
+    for label in plan.diff.changed:
+        edges.append(perturb._perturb_rows(plan.subgraphs[label], 1, _hash(key, 0, label))[:, 1:])
+    for task in plan.pair_tasks:
+        edges.append(task.sample(_hash(key, 1, task.a, task.b))[:, 1:])
     expected = Graph(np.vstack([e.reshape(-1, 2) for e in edges]),
                      vertices=g.vertices)
     assert g_prime == expected
@@ -297,7 +349,7 @@ def test_static_baseline_walker_degree_preserved(rng):
     acc = np.zeros(n)
     acc2 = np.zeros(n)
     for _ in range(trials):
-        (starts,), (terms,) = draw_walker_edges(g, 2, [rng])
+        (starts,), (terms,) = draw_walker_edges(g, 2, keys_from(rng))
         d = np.bincount(starts, minlength=n) + np.bincount(terms, minlength=n)
         acc += d
         acc2 += d.astype(float) ** 2
@@ -321,7 +373,7 @@ def test_posterior_plans_and_kernel_reproduce_the_release():
                for p in plans[1:])
     carried = None
     for t, (plan, record) in enumerate(zip(plans, records)):
-        draw = sample_step(plan, carried, params, _step_rng(params.seed, t))
+        draw = sample_step(plan, carried, params, _step_key(params.seed, t))
         assert plan.clustering == record.clustering
         assert groups_match(draw, graphs[t], record.clustering)
         carried = group_edges(graphs[t], record.clustering)
@@ -390,31 +442,31 @@ def test_localized_draws_equal_the_full_draw(case):
     assert any(len(labels) + len(pairs)
                < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
                for (labels, pairs), plan in zip(reads, plans))
-    full_rng, local_rng, sampler_rng = (np.random.default_rng(7) for _ in range(3))
+    root = _root_key(np.random.default_rng(7))
     features = []
-    for _ in range(30):
-        full = sample_draws(plans, params, full_rng)
-        local = sample_draws(plans, params, local_rng, reads)
+    for sample in range(30):
+        full = sample_draws(plans, params, root, sample)
+        local = sample_draws(plans, params, root, sample, reads)
         for (intra, inter), (l_intra, l_inter), (labels, pairs) in zip(full, local, reads):
             assert set(l_intra) == labels and set(l_inter) == pairs
             assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
             assert all(np.array_equal(l_inter[pair], inter[pair]) for pair in pairs)
         features.append([_edge_feature(step_edges(*draw), *uv) for draw in full])
     # one call draws the 30 samples in blocks, as 30 draws of one sample do
-    assert np.array_equal(sampler.sample_features(uv, sampler_rng, 30), features)
+    assert np.array_equal(sampler.sample_features(uv, np.random.default_rng(7), 30), features)
 
 
 def test_localized_draws_leave_the_stream_as_the_full_draw():
+    # the localized draw reads one root key from the stream, whatever it
+    # builds, and spawns no child
     for case, (make, settings, uv, _) in sorted(LOCALIZED_CASES.items()):
         params = PerturbParams(**settings)
         sampler = _SequenceSampler(make(), params, "linkmirage")
         full_rng, local_rng = np.random.default_rng(11), np.random.default_rng(11)
-        for _ in range(5):
-            sample_draws(sampler.plans, params, full_rng)
+        sample_draws(sampler.plans, params, _root_key(full_rng))
         sampler.sample_features(uv, local_rng, 5)
-        assert full_rng.spawn(1)[0].random(4).tolist() == \
-            local_rng.spawn(1)[0].random(4).tolist(), case
-        assert full_rng.random() == local_rng.random(), case
+        assert full_rng.bit_generator.state == local_rng.bit_generator.state, case
+        assert local_rng.bit_generator.seed_seq.n_children_spawned == 0, case
 
 
 def test_reads_of_identical_snapshots_reach_back_to_t0():
@@ -494,21 +546,25 @@ def release_draws(seq, params, graphs):
     plan and the release's stream, each carrying the draw before it as the
     posterior does. Each gives the release of its step."""
     plans = _plan_chain(seq, params)
-    children = [_spawn(_step_rng(params.seed, t), 1, [plan])[0] for t, plan in enumerate(plans)]
-    draws = [edge_draw(draw) for draw in _draws(plans, params, children)]
+    keys = [_step_key(params.seed, t) for t in range(len(plans))]
+    draws = [edge_draw(draw) for draw in _draws(plans, params, keys)]
     for t, draw in enumerate(draws):
         assert graphs[t] == Graph(step_edges(*draw), vertices=seq.snapshots[t].vertices)
     return draws
 
 
 def with_edge_moved(draw, clustering, rng):
-    """A copy of ``draw`` with one edge of each entry bent to a random vertex."""
+    """A copy of ``draw`` with one edge of each entry bent to a random vertex
+    other than its far end: a draw never holds a self-loop, which the
+    membership oracle would accept and no graph can hold."""
     bent = ({}, {})
     for src, dst in zip(draw, bent):
         for key, edges in src.items():
             edges = np.array(edges).reshape(-1, 2)
             if len(edges):
-                edges[rng.integers(len(edges)), rng.integers(2)] = rng.choice(clustering.vertices)
+                row, end = rng.integers(len(edges)), rng.integers(2)
+                others = clustering.vertices[clustering.vertices != edges[row, 1 - end]]
+                edges[row, end] = rng.choice(others)
             dst[key] = edges
     return bent
 
@@ -573,7 +629,7 @@ def test_every_release_record_validates(m, theta):
         for present in (True, False):
             plans = _plan_chain(_hypothesis_world(seq, query, present), params)
             for _ in range(3):
-                for plan, draw in zip(plans, sample_draws(plans, params, rng)):
+                for plan, draw in zip(plans, sample_draws(plans, params, _root_key(rng))):
                     check_draw(plan.clustering, draw)
 
 
@@ -636,13 +692,11 @@ def test_carries_matches_the_matched_community_rule(seq, pairs, fresh_later):
                 # there whatever the step before it drew, even nothing at all
                 seed = int(rng.integers(1 << 32))
                 emptied = tuple({key: EMPTY for key in part} for part in carried)
-                drawn = [edges_at(step_edges(*sample_step(plan, prev, params,
-                                                          np.random.default_rng(seed))),
-                                  [u, v])
+                drawn = [edges_at(step_edges(*sample_step(plan, prev, params, seed)), [u, v])
                          for prev in (carried, emptied)]
                 assert np.array_equal(*drawn)
                 fresh_after_t0 += 1
-            carried = sample_step(plan, carried, params, rng)
+            carried = sample_step(plan, carried, params, _root_key(rng))
     assert True in flags and False in flags
     assert (fresh_after_t0 > 0) == fresh_later
 

@@ -16,7 +16,7 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         posterior_probability, prior_probability, transition_matrix,
                         tv_distance)
 from linkmirage import perturb, privacy
-from linkmirage.perturb import _plan_chain, perturb_static_baseline_sequence
+from linkmirage.perturb import _plan_chain, _root_key, perturb_static_baseline_sequence
 from linkmirage.privacy import _edge_feature, fit_logistic_1d
 
 
@@ -508,7 +508,7 @@ def test_sampled_features_read_inter_rows_in_either_orientation():
         plan = _plan_chain(seq, params)[0]
         rng = np.random.default_rng(seed)
         for _ in range(20):
-            edges = step_edges(*sample_step(plan, None, params, rng))
+            edges = step_edges(*sample_step(plan, None, params, _root_key(rng)))
             assert _edge_feature(edges, u, v) == \
                 _edge_feature(Graph(edges, vertices=ids).edges, u, v)
         # the released link is reproduced, so the posterior moves off its prior
@@ -533,10 +533,10 @@ def _pinned_inputs():
 
 
 @pytest.mark.parametrize("mech, fields", [
-    ("linkmirage", (0.943363217006526, 0.02362595365547823, 100, 0.5142845033165181,
-                    0.021168328923264798, 0.0013456362937331809, False)),
-    ("static", (0.7552438591209992, 0.11362274341001942, 100, 0.5142845033165181,
-                0.006535947712418302, 0.002242727156221968, False)),
+    ("linkmirage", (0.7194164971629008, 0.11243326987326091, 100, 0.5142845033165181,
+                    0.0004655072332662403, 0.00019223375624759725, False)),
+    ("static", (0.5058127416937387, 0.1382087996791016, 100, 0.5142845033165181,
+                0.0080342402243481, 0.008311282990704931, False)),
 ])
 def test_posterior_outputs_pinned(monkeypatch, mech, fields):
     monkeypatch.setattr(privacy, "DEGREE_BIN", 8)
@@ -549,19 +549,31 @@ def test_posterior_outputs_pinned(monkeypatch, mech, fields):
 
 def test_posterior_blocks_change_no_draw(monkeypatch):
     # blocks of 7 re-perturbations, the last one shorter, give the estimate
-    # bit for bit
+    # and the features bit for bit, for both mechanisms
     seq, params, observed, query, model = _pinned_inputs()
+    world = privacy._hypothesis_world(seq, query, True)
+    uv = (query.u, query.v)
+    plans = _plan_chain(world, params)
+    per_sample = {
+        "linkmirage": perturb._entries(plans, params.k, perturb._reads(plans, uv)),
+        # a static block draws one snapshot at a time; the largest sets blocks of 7
+        "static": (params.k + 1) * max(g.num_edges for g in world.snapshots)}
+    for mech, entries in per_sample.items():
+        def estimate():
+            return posterior_probability(query, seq, observed[mech], model, params, 100,
+                                         np.random.default_rng(8), mechanism=mech)
 
-    def estimate():
-        return posterior_probability(query, seq, observed["linkmirage"], model, params, 100,
-                                     np.random.default_rng(8))
+        def features():
+            return privacy._SequenceSampler(world, params, mech).sample_features(
+                uv, np.random.default_rng(8), 100)
 
-    default = estimate()
-    plans = _plan_chain(privacy._hypothesis_world(seq, query, True), params)
-    per_sample = perturb._entries(plans, params.k, perturb._reads(plans, (query.u, query.v)))
-    monkeypatch.setattr(perturb, "_BLOCK_ENTRIES", 7 * per_sample)
-    assert perturb._block_sizes(100, per_sample) == [7] * 14 + [2]
-    assert estimate() == default
+        default = estimate(), features()
+        with monkeypatch.context() as patch:
+            patch.setattr(perturb, "_BLOCK_ENTRIES", 7 * entries)
+            assert perturb._block_sizes(100, entries) == [7] * 14 + [2]
+            blocked = estimate(), features()
+        assert blocked[0] == default[0], mech
+        assert blocked[1].tobytes() == default[1].tobytes(), mech
 
 
 def test_indistinguishability_series_pinned():
@@ -569,12 +581,12 @@ def test_indistinguishability_series_pinned():
     series = indistinguishability_series(seq, observed, query, model, params, 100,
                                          np.random.default_rng(9))
     assert series == {
-        "linkmirage": [(0, 0.9949052316391817, 0.026291532416618423),
-                       (1, 0.9519972322809956, 0.13638847119676437),
-                       (2, 0.9993038870046398, 0.08417332251066055)],
-        "static": [(0, 0.9052014402531667, 0.13576789938327105),
-                   (1, 0.987465589766094, 0.11778403095721308),
-                   (2, 0.9874655897660941, 0.11778403095721311)]}
+        "linkmirage": [(0, 0.9638169039177191, 0.10972428748821451),
+                       (1, 0.9938272489266561, 0.10764960362753125),
+                       (2, 0.9950482971160097, 0.12015278929023492)],
+        "static": [(0, 0.99504829711601, 0.09144623202443186),
+                   (1, 0.8782377696705312, 0.1627391950359577),
+                   (2, 0.8568992935642386, 0.17560689227660367)]}
 
 # -- anti-aggregation -------------------------------------------------------------
 
