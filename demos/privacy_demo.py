@@ -36,9 +36,11 @@ def main():
         est = posterior_probability(query, seq, graphs, model, params,
                                     n_samples=400,
                                     rng=np.random.default_rng(5), mechanism=mech)
+        # degenerate: some step matched no re-perturbation of either world,
+        # so that step weighs both worlds alike
         print(f"  {name}: posterior {est.probability:.3f} "
               f"(+- {est.standard_error:.3f}), |posterior-prior| = "
-              f"{abs(est.probability - est.prior):.3f}")
+              f"{abs(est.probability - est.prior):.3f}, degenerate: {est.degenerate}")
 
     print("\nindistinguishability (posterior entropy, bits) per timestamp:")
     series = indistinguishability_series(

@@ -21,9 +21,11 @@ function, ``_sample_step``, for a block of S samples at once: each entry is
 an array of rows [sample, a, b]. ``_draws`` folds it over the plans,
 carrying each draw into the next. The release is the block S = 1 under one
 key per timestamp; the posterior runs the same fold over blocks of
-re-perturbations, building only the entries its query reads (``_reads``),
-and the degree check draws its trials in blocks through ``_sample_step``
-too.
+re-perturbations, building only the entries its query reads (``_reads``)
+and of those only the part that can touch the queried ids, their k-hop
+ball (``_balls``): a community's walkers whose edge has an end within k
+hops of them, and a pair grid's rows and columns of them. The degree check
+draws its trials in blocks through ``_sample_step`` too, whole.
 
 Randomness is keyed, not streamed. Every uniform is a pure function of its
 key and counter, computed with SplitMix64's finalizer on uint64 arrays
@@ -31,8 +33,9 @@ key and counter, computed with SplitMix64's finalizer on uint64 arrays
 sample index, an entry's key hashes that with the entry's community label
 or pair (a, b), and a walker's uniforms sit at its own counters, one per
 step and redraw round (``_walker_counters``); a pair grid's cell at its
-index. So an entry drawn alone, a block of samples, and any block size all
-draw the same edges, and no seed or generator is made per entry or sample.
+index. So an entry drawn alone, a block of samples, any block size, and a
+ball's walkers and cells drawn alone all draw the same edges, and no seed or
+generator is made per entry or sample.
 """
 
 from __future__ import annotations
@@ -216,38 +219,60 @@ def _walker_counters(walkers: np.ndarray, k: int, first: int, count: int) -> np.
     return walkers * (1 + (1 + _REDRAWS) * k) + np.arange(first, first + count)[:, None]
 
 
-def draw_walker_edges(graph: Graph, k: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One raw fake edge per original edge in each of S samples, as (starts,
-    terminals) positions of shape (S, |E|), sample s keyed by ``keys[s]``.
+def draw_walker_edges(graph: Graph, k: int, keys: np.ndarray,
+                      walkers=None) -> tuple[np.ndarray, np.ndarray]:
+    """One raw fake edge per walker in each of S samples, as (starts,
+    terminals) positions of shape (S, walkers), sample s keyed by
+    ``keys[s]``. The walkers are the edge positions ``walkers``, ascending,
+    or every edge when None.
 
-    Each edge starts a k-hop walk at a uniformly chosen endpoint. Walker w
-    (the edge's position) reads its endpoint pick and its k steps at its own
-    counters (``_walker_counters``), so each walk depends only on its key and
-    its edge. Terminals may equal their start (self-loop); callers decide how
-    to handle that.
+    Each walker starts a k-hop walk at a uniformly chosen endpoint of its
+    edge. Walker w (the edge's position) reads its endpoint pick and its k
+    steps at its own counters (``_walker_counters``), so each walk depends
+    only on its key and its edge, and a walker drawn among a few walks as it
+    does among all. Terminals may equal their start (self-loop); callers
+    decide how to handle that.
     """
-    ends = graph.edge_positions
-    counters = _walker_counters(np.arange(ends.shape[0]), k, 0, k + 1)
+    if walkers is None:
+        ends, walkers = graph.edge_positions, np.arange(graph.num_edges)
+    else:
+        ends = graph.edge_positions[walkers]
+    counters = _walker_counters(walkers, k, 0, k + 1)
     uniforms = _uniforms(keys[:, None, None], counters)
     starts = np.where(uniforms[:, 0] < 0.5, ends[:, 0], ends[:, 1])
     return starts, walk_terminals(graph, starts, uniforms[:, 1:])
 
 
-def _walks(graph: Graph, k: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _walks(graph: Graph, k: int, keys: np.ndarray,
+           walkers=None) -> tuple[np.ndarray, np.ndarray]:
     """``draw_walker_edges`` with the static scheme's redraws: a walk that
     returns to its start is redrawn up to ``_REDRAWS`` times. Round r reads
-    each such walker's round-r counters, and walks them all at once."""
-    starts, terms = draw_walker_edges(graph, k, keys)
-    # flat views: the walkers of sample s are s*|E| .. (s+1)*|E| - 1
+    each such walker's round-r counters, and walks them all at once. Only
+    ``walkers`` walk, as there."""
+    starts, terms = draw_walker_edges(graph, k, keys, walkers)
+    # flat views: the walkers of sample s are s*W .. (s+1)*W - 1, W walkers a sample
     flat_starts, flat_terms = starts.reshape(-1), terms.reshape(-1)
     for round_ in range(1, _REDRAWS + 1):
         loop = np.flatnonzero(flat_starts == flat_terms)
         if not loop.size:
             break
         sample, walker = np.divmod(loop, starts.shape[1])
+        if walkers is not None:
+            walker = walkers[walker]
         uniforms = _uniforms(keys[sample], _walker_counters(walker, k, 1 + round_ * k, k))
         flat_terms[loop] = walk_terminals(graph, flat_starts[loop], uniforms)
     return starts, terms
+
+
+def _ball(graph: Graph, k: int, ends) -> np.ndarray:
+    """Positions of the edges of ``graph`` with an end within k hops of the
+    ids ``ends``, ascending (ids absent from the graph reach nothing): the
+    walkers whose fake edges can touch ``ends``. A fake edge starts at an end
+    of its walker's edge and ends at most k hops from there, redraws
+    included, so no other walker draws one."""
+    near = graph.hops(np.flatnonzero(np.isin(graph.vertices, ends)), k) >= 0
+    pos = graph.edge_positions
+    return np.flatnonzero(near[pos[:, 0]] | near[pos[:, 1]])
 
 
 def _canonical_pairs(sample: np.ndarray, a: np.ndarray,
@@ -263,20 +288,30 @@ def _canonical_pairs(sample: np.ndarray, a: np.ndarray,
     return sample[first], lo[first], hi[first]
 
 
-def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None) -> np.ndarray:
+def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None,
+                  walkers=None) -> np.ndarray:
     """Array core of ``perturb_static`` for S samples keyed by ``keys``: rows
     [sample, a, b], a < b, each sample's fake edges deduplicated and sorted.
+
     With ``ends`` (ids), only the fake edges with an end among them are
-    kept."""
-    starts, terms = _walks(graph, k, keys)
+    kept, and only the walkers that can draw one walk: ``walkers``, the
+    k-ball of ``ends`` that ``_ball`` gives, found here when None. Each
+    walker reads its own counters, so the rows kept are the full draw's rows
+    at ``ends``. A ball that holds every edge walks them all, as the full
+    draw does."""
+    if ends is not None:
+        walkers = _ball(graph, k, ends) if walkers is None else walkers
+        if walkers.size == graph.num_edges:
+            walkers = None
+    starts, terms = _walks(graph, k, keys, walkers)
     keep = starts != terms
     if ends is not None:
         at = np.isin(graph.vertices, ends)
         keep &= at[starts] | at[terms]
     keep = np.flatnonzero(keep)
     # positions follow the id order, so a canonical position pair is one of ids
-    sample, lo, hi = _canonical_pairs(keep // graph.num_edges, starts.reshape(-1)[keep],
-                                      terms.reshape(-1)[keep])
+    sample, lo, hi = _canonical_pairs(keep // starts.shape[1],
+                                      starts.reshape(-1)[keep], terms.reshape(-1)[keep])
     return np.column_stack([sample, graph.vertices[lo], graph.vertices[hi]])
 
 
@@ -325,17 +360,35 @@ class _PairTask:
         return _PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
                          deg_a=deg_a, deg_b=deg_b, n_edges=len(edges))
 
-    def probabilities(self) -> np.ndarray:
-        return np.minimum(np.outer(self.deg_a, self.deg_b) / float(self.n_edges), 1.0)
+    def probabilities(self, cells=None) -> np.ndarray:
+        """min(1, p_ij) on the whole grid, or at the flat cells
+        i*|nodes_b| + j of ``cells``."""
+        if cells is None:
+            return np.minimum(np.outer(self.deg_a, self.deg_b) / float(self.n_edges), 1.0)
+        i, j = np.divmod(cells, self.nodes_b.size)
+        return np.minimum(self.deg_a[i] * self.deg_b[j] / float(self.n_edges), 1.0)
 
-    def sample(self, keys: np.ndarray) -> np.ndarray:
+    def cells_at(self, ends) -> np.ndarray:
+        """The flat cells, ascending, of the grid rows and columns of the ids
+        ``ends``: every cell whose rewired edge can touch them."""
+        rows = np.flatnonzero(np.isin(self.nodes_a, ends))
+        cols = np.flatnonzero(np.isin(self.nodes_b, ends))
+        width = self.nodes_b.size
+        return np.union1d((rows[:, None] * width + np.arange(width)).ravel(),
+                          (np.arange(self.nodes_a.size)[:, None] * width + cols).ravel())
+
+    def sample(self, keys: np.ndarray, cells=None) -> np.ndarray:
         """Rows [sample, a, b] of S rewirings, sample s keyed by ``keys[s]``:
-        cell (i, j) reads counter i*|nodes_b| + j, and the samples' grids are
-        read by one ``nonzero``."""
-        cells = np.arange(self.nodes_a.size * self.nodes_b.size).reshape(
-            self.nodes_a.size, self.nodes_b.size)
-        grid = _uniforms(keys[:, None, None], cells)
-        sample, ai, bj = np.nonzero(grid < self.probabilities())
+        cell (i, j) reads counter i*|nodes_b| + j, and the samples' cells are
+        read by one ``nonzero``. ``cells`` (from ``cells_at``) draws only
+        those cells, the rows of the whole grid's draw that they hold; None
+        draws the whole grid."""
+        if cells is None:
+            cells, p = np.arange(self.nodes_a.size * self.nodes_b.size), self.probabilities()
+        else:
+            p = self.probabilities(cells)
+        sample, at = np.nonzero(_uniforms(keys[:, None], cells) < p.reshape(-1))
+        ai, bj = np.divmod(cells[at], self.nodes_b.size)
         return np.column_stack([sample, self.nodes_a[ai], self.nodes_b[bj]])
 
 
@@ -427,6 +480,32 @@ def _reads(plans, ids) -> list:
     return reads[::-1]
 
 
+@dataclass(frozen=True)
+class _Ball:
+    """What a draw kept to the rows at ``ids`` draws of one step's entries:
+    per community label, its k-ball walkers (``_ball``), and per pair, the
+    grid cells in the rows and columns of ``ids`` (``_PairTask.cells_at``)."""
+
+    ids: tuple
+    walkers: dict            # label -> edge positions in the community subgraph
+    cells: dict              # (a, b) -> flat grid cells
+
+
+def _balls(plans, reads, ids, k: int) -> list:
+    """Per plan, the ``_Ball`` of ``ids`` over the entries one step of
+    ``reads`` builds, each found once for every block drawn after."""
+    balls = []
+    for plan, read in zip(plans, reads):
+        walkers, cells = {}, {}
+        for key, task in plan.drawn(read):
+            if task is None:
+                walkers[key] = _ball(plan.subgraphs[key], k, ids)
+            else:
+                cells[key] = task.cells_at(ids)
+        balls.append(_Ball(tuple(ids), walkers, cells))
+    return balls
+
+
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness).
 
@@ -497,14 +576,22 @@ def _block_sizes(n: int, per_sample: int) -> list:
     return [min(size, n - start) for start in range(0, n, size)]
 
 
-def _entries(plans, k: int, reads=None) -> int:
+def _entries(plans, k: int, reads=None, balls=None) -> int:
     """Array entries one sample of a fold over ``plans`` holds: for each entry
-    ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per community edge or
-    one grid cell per node pair."""
-    return sum((k + 1) * plan.subgraphs[key].num_edges if task is None
-               else task.nodes_a.size * task.nodes_b.size
-               for plan, read in zip(plans, reads or itertools.repeat(None))
-               for key, task in plan.drawn(read))
+    ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per walker and one per
+    grid cell. A community walks every edge and a pair draws its whole grid,
+    or, with ``balls`` (``_balls``), only its ball's walkers and cells."""
+    total = 0
+    for plan, read, ball in zip(plans, reads or itertools.repeat(None),
+                                balls or itertools.repeat(None)):
+        for key, task in plan.drawn(read):
+            if task is None:
+                total += (k + 1) * (plan.subgraphs[key].num_edges if ball is None
+                                    else ball.walkers[key].size)
+            else:
+                total += (task.nodes_a.size * task.nodes_b.size if ball is None
+                          else ball.cells[key].size)
+    return total
 
 
 def _blocks(n: int, per_sample: int) -> list:
@@ -514,7 +601,7 @@ def _blocks(n: int, per_sample: int) -> list:
 
 
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarray,
-                 draw=_perturb_rows, reads=None) -> tuple[dict, dict]:
+                 draw=_perturb_rows, reads=None, ball=None) -> tuple[dict, dict]:
     """Draw S samples of one step perturbation with reuse: (intra by label,
     inter by pair), each entry an array of rows [sample, a, b].
 
@@ -530,7 +617,12 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
     every entry, as the release does, or one step of ``_reads``: the
     (labels, pairs) to build, the rest left out (``_StepPlan.drawn``). An
     entry's draw depends only on its key, so an entry that is built is the
-    same as in the full draw, whatever else is built.
+    same as in the full draw, whatever else is built. ``ball`` is None to
+    draw each entry built whole, or the step's ``_Ball`` of the ids a
+    posterior queries: each community then draws only its ball's walkers
+    with ``_perturb_rows`` (in place of ``draw``) and keeps the rows at the
+    ids, and each pair draws only their grid rows and columns. Walkers and
+    cells read their own counters, so these are the full draw's rows there.
     """
     if reads is None:
         reads = ({label for _, label in plan.diff.unchanged} | set(plan.diff.changed),
@@ -550,9 +642,13 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
              for pair, key in plan.reused_pairs.items() if pair in read_pairs}
     for key, task in plan.drawn(reads):
         if task is None:
-            intra[key] = draw(plan.subgraphs[key], params.k, _hash(keys, 0, key))
+            entry_keys = _hash(keys, 0, key)
+            intra[key] = (draw(plan.subgraphs[key], params.k, entry_keys) if ball is None else
+                          _perturb_rows(plan.subgraphs[key], params.k, entry_keys,
+                                        ball.ids, ball.walkers[key]))
         else:
-            inter[key] = task.sample(_hash(keys, 1, *key))
+            inter[key] = task.sample(_hash(keys, 1, *key),
+                                     None if ball is None else ball.cells[key])
     return intra, inter
 
 
@@ -563,18 +659,21 @@ def _step_rows(intra: dict, inter: dict) -> np.ndarray:
     return np.concatenate(pieces) if pieces else np.empty((0, 3), np.int64)
 
 
-def _draws(plans, params: PerturbParams, keys, reads=None, draw=_perturb_rows):
+def _draws(plans, params: PerturbParams, keys, reads=None, draw=_perturb_rows, balls=None):
     """Yield the step draw of each plan in turn for one block of samples,
     each drawn under its array of the samples' keys in ``keys`` and carrying
     the draw before it.
 
     ``reads`` is None to build every entry, or ``_reads(plans, ids)`` to
     build only the entries that edges touching ``ids`` come from. ``draw``
-    draws the changed communities, as in ``_sample_step``.
+    draws the changed communities, as in ``_sample_step``. ``balls`` is
+    None, or ``_balls(plans, reads, ids, k)`` to draw of those entries only
+    the rows at ``ids``, from their k-balls.
     """
     carried = None
-    for plan, step_keys, read in zip(plans, keys, reads or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, step_keys, draw, read)
+    for plan, step_keys, read, ball in zip(plans, keys, reads or itertools.repeat(None),
+                                           balls or itertools.repeat(None)):
+        carried = _sample_step(plan, carried, params, step_keys, draw, read, ball)
         yield carried
 
 

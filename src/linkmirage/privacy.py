@@ -20,11 +20,14 @@ the step-draw entries the features can read (``perturb._reads``): at each
 step the intra entries of u's and v's communities and every pair with one
 of them as an end, plus the entries of earlier steps those copy. Each entry
 draws under its own key, so each entry built equals the full draw's, and
-so does each feature. A community draw walks every edge but keeps only the
-fake edges with an end at u or v: the features read no other row, and a
-carry only drops rows. The static mechanism draws each snapshot whole and
-keeps the same rows; a custom mechanism's samples keep them too, so no
-sample holds a whole-snapshot draw. The likelihood of a
+so does each feature. Of each entry a re-perturbation draws only the
+k-hop ball of u and v (``perturb._balls``): a community walks the walkers
+whose edge has an end within k hops of u or v, a pair grid draws the rows
+and columns of u and v, and only the fake edges with an end at u or v are
+kept. The features read no other row, and a carry only drops rows. The
+static mechanism walks each snapshot's ball the same way; a custom
+mechanism's samples keep the same rows, so no sample holds a
+whole-snapshot draw. The likelihood of a
 prefix is the product, over its runs of dependent steps (``_world_counts``),
 of the joint match frequency within the run, which is exact for both
 mechanisms.
@@ -34,7 +37,6 @@ mechanisms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +45,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _blocks, _draws, _entries, _hash, _perturb_rows,
-                      _plan_chain, _reads, _root_key, _step_rows)
+from .perturb import (PerturbParams, _ball, _balls, _blocks, _draws, _entries, _hash,
+                      _perturb_rows, _plan_chain, _reads, _root_key, _step_rows)
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,20 @@ class _SequenceSampler:
         self.params = params
         self.mechanism = mechanism
         self.plans = _plan_chain(world, params) if mechanism == "linkmirage" else None
-        self._reads_by_uv = {}
+        self._balls_by_uv = {}
+
+    def _balls_at(self, uv: tuple[int, int]):
+        """What a sample draws at the queried pair, found once per pair: for
+        LinkMirage (``_reads``, ``_balls``) of the plans, for the static
+        mechanism each snapshot's k-ball walkers (``perturb._ball``)."""
+        if uv not in self._balls_by_uv:
+            k = self.params.k
+            if self.plans is not None:
+                reads = _reads(self.plans, uv)
+                self._balls_by_uv[uv] = reads, _balls(self.plans, reads, uv, k)
+            else:
+                self._balls_by_uv[uv] = [_ball(g_t, k, uv) for g_t in self.world.snapshots]
+        return self._balls_by_uv[uv]
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
                         n: int) -> np.ndarray:
@@ -240,35 +255,37 @@ class _SequenceSampler:
         LinkMirage and static samples take one raw draw from ``rng`` as
         their root key (``perturb._root_key``); sample s at step t draws
         under ``_hash(root, t, s)``. They run in blocks
-        (``perturb._blocks``): one ``_draws`` fold per block, or one
-        ``_perturb_rows`` call per block and snapshot. A custom callable
+        (``perturb._blocks``) sized by what they draw: one ``_draws`` fold
+        per block, or one ``_perturb_rows`` call per block and snapshot.
+        Each draws only the k-ball of the queried pair: the walkers whose
+        edge has an end within k hops of u or v, and the grid rows and
+        columns of u and v, and keeps only its rows with an end at u or v,
+        the rows the features read. Walkers and cells read their own
+        counters, so the features are the full draw's. A custom callable
         (world, rng) -> list of edge arrays draws one sample at a time from
-        ``rng``. Each draw keeps only its rows with an end at u or v, the
-        rows the features read, so a sample holds no whole-snapshot draw.
+        ``rng`` and keeps the same rows, so no sample holds a whole-snapshot
+        draw.
         """
         u, v = uv
         k, steps = self.params.k, len(self.world)
         if self.mechanism == "linkmirage":
-            if uv not in self._reads_by_uv:
-                self._reads_by_uv[uv] = _reads(self.plans, uv)
-            reads = self._reads_by_uv[uv]
-            at_uv = functools.partial(_perturb_rows, ends=uv)
+            reads, balls = self._balls_at(uv)
             root = _root_key(rng)
             blocks = []
-            for samples in _blocks(n, _entries(self.plans, k, reads)):
+            for samples in _blocks(n, _entries(self.plans, k, reads, balls)):
                 keys = [_hash(root, t, samples) for t in range(steps)]
                 blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, samples.size)
                                         for draw in _draws(self.plans, self.params, keys,
-                                                           reads, at_uv)], axis=1))
+                                                           reads, balls=balls)], axis=1))
             return np.concatenate(blocks)
         # rows [sample * snapshots + t, a, b]: one feature row per (sample,
         # snapshot), counted in one pass
         pieces = []
         if self.mechanism == "static":
             root = _root_key(rng)
-            for t, g_t in enumerate(self.world.snapshots):
-                for samples in _blocks(n, (k + 1) * g_t.num_edges):
-                    rows = _perturb_rows(g_t, k, _hash(root, t, samples), uv)
+            for t, (g_t, walkers) in enumerate(zip(self.world.snapshots, self._balls_at(uv))):
+                for samples in _blocks(n, (k + 1) * walkers.size):
+                    rows = _perturb_rows(g_t, k, _hash(root, t, samples), uv, walkers)
                     rows[:, 0] = samples[rows[:, 0]] * steps + t
                     pieces.append(rows)
         else:

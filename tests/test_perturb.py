@@ -16,6 +16,7 @@ from linkmirage.graphs import _canonical_edges
 from linkmirage.perturb import (_PairTask, _draws, _hash, _plan_chain, _reads, _root_key,
                                _step_key, build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
+from test_acceptance import overlap_fixture
 
 EMPTY = np.empty((0, 2), dtype=np.int64)    # a grouped entry that holds no edge
 
@@ -40,15 +41,54 @@ def test_no_self_loops_or_duplicates(rng):
 
 
 def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
-    # keeping only the fake edges at the ends: the rows kept are those of the
-    # full draw under the same keys
-    for _ in range(20):
-        g = random_graph(30, 0.2, rng, ensure_edge=True)
-        ends = rng.choice(g.vertices, size=2, replace=False)
+    # keeping only the fake edges at the ends, and walking only the walkers
+    # of their k-ball: the rows kept are those of the full draw under the
+    # same keys, for k = 1 to 3
+    local = {"part": 0, "all": 0}
+
+    def check(g, k, ends):
         keys = keys_from(rng, 3)
-        full = perturb._perturb_rows(g, 2, keys)
-        at = perturb._perturb_rows(g, 2, keys, ends)
-        assert np.array_equal(at, full[np.isin(full[:, 1:], ends).any(axis=1)])
+        full = perturb._perturb_rows(g, k, keys)
+        want = full[np.isin(full[:, 1:], ends).any(axis=1)]
+        walkers = perturb._ball(g, k, ends)
+        local["part" if walkers.size < g.num_edges else "all"] += 1
+        assert np.array_equal(perturb._perturb_rows(g, k, keys, ends), want)
+        assert np.array_equal(perturb._perturb_rows(g, k, keys, ends, walkers), want)
+        return walkers
+
+    for k in (1, 2, 3):
+        for _ in range(20):
+            # sparse graphs, two isolated ids (n and n + 1) among the vertices
+            n = int(rng.integers(10, 60))
+            base = random_graph(n, 3.0 / n, rng, ensure_edge=True)
+            g = Graph(base.edges, vertices=range(n + 2))
+            check(g, k, rng.choice(n, size=2, replace=False))
+            check(g, k, (n, int(rng.integers(n))))
+            # ends absent from the graph, or isolated: an empty ball, no row
+            for ends in ((n + 5, n + 6), (n, n + 1)):
+                assert not check(g, k, ends).size
+                assert not perturb._perturb_rows(g, k, keys_from(rng, 3), ends).size
+        # a ball that holds every edge walks them all
+        path = Graph([(0, 1), (1, 2), (2, 3)])
+        assert check(path, k, (1, 2)).size == path.num_edges
+    assert local["part"] and local["all"]
+
+
+def test_pair_grid_cells_at_ends_are_the_full_grids_rows_at_them(rng):
+    # a rewiring that draws only the grid rows and columns of the ends keeps
+    # the full grid's rows at them, in the same order
+    for _ in range(30):
+        nodes_a = np.sort(rng.choice(50, size=int(rng.integers(1, 12)), replace=False))
+        nodes_b = 100 + np.sort(rng.choice(50, size=int(rng.integers(1, 12)), replace=False))
+        cells = [(a, b) for a in nodes_a for b in nodes_b if rng.random() < 0.4]
+        task = _PairTask.of(0, 1, np.array(cells or [(nodes_a[0], nodes_b[0])]))
+        keys = keys_from(rng, 4)
+        full = task.sample(keys)
+        u, v = rng.choice(task.nodes_a), rng.choice(task.nodes_b)
+        for ends in ((u, v), (u, 999), (999, v), (998, 999)):
+            at = task.sample(keys, task.cells_at(ends))
+            assert np.array_equal(at, full[np.isin(full[:, 1:], ends).any(axis=1)])
+        assert task.cells_at((u, v)).size == task.nodes_a.size + task.nodes_b.size - 1
 
 
 def test_perturb_static_deterministic():
@@ -428,6 +468,9 @@ LOCALIZED_CASES = {
     # only the closure reads
     "three-blocks-joiners": (three_block_sequence, dict(k=2, m=2, theta=0.8, seed=1),
                              (96, 97), [True, True, False, False]),
+    # the acceptance suite's overlap fixture, which the benchmark's audit runs
+    "audit": (lambda: overlap_fixture(0), dict(k=2, m=2, theta=0.8, seed=0), (100, 101),
+              [True, False, False, False, False]),
 }
 
 
@@ -452,8 +495,21 @@ def test_localized_draws_equal_the_full_draw(case):
             assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
             assert all(np.array_equal(l_inter[pair], inter[pair]) for pair in pairs)
         features.append([_edge_feature(step_edges(*draw), *uv) for draw in full])
-    # one call draws the 30 samples in blocks, as 30 draws of one sample do
-    assert np.array_equal(sampler.sample_features(uv, np.random.default_rng(7), 30), features)
+    # one call draws the 30 samples in blocks, as 30 draws of one sample do,
+    # and draws of each entry only its k-ball: fewer walkers and cells, but
+    # for two K6 blocks, whose 2-balls hold every edge
+    balls = perturb._balls(plans, reads, uv, params.k)
+    assert (perturb._entries(plans, params.k, reads, balls)
+            < perturb._entries(plans, params.k, reads)) == (case != "vertex-leaves")
+    local = sampler.sample_features(uv, np.random.default_rng(7), 30)
+    assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
+    # the static mechanism: each snapshot walked whole under the same keys
+    static = _SequenceSampler(sampler.world, params, "static")
+    root = _root_key(np.random.default_rng(7))
+    features = [[_edge_feature(perturb._perturb_rows(g_t, params.k, _hash(root, t, s))[:, 1:], *uv)
+                 for t, g_t in enumerate(static.world.snapshots)] for s in range(30)]
+    local = static.sample_features(uv, np.random.default_rng(7), 30)
+    assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
 
 
 def test_localized_draws_leave_the_stream_as_the_full_draw():

@@ -554,10 +554,14 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
     world = privacy._hypothesis_world(seq, query, True)
     uv = (query.u, query.v)
     plans = _plan_chain(world, params)
+    reads = perturb._reads(plans, uv)
+    # a sample draws the k-balls of the queried pair only
     per_sample = {
-        "linkmirage": perturb._entries(plans, params.k, perturb._reads(plans, uv)),
-        # a static block draws one snapshot at a time; the largest sets blocks of 7
-        "static": (params.k + 1) * max(g.num_edges for g in world.snapshots)}
+        "linkmirage": perturb._entries(plans, params.k, reads,
+                                       perturb._balls(plans, reads, uv, params.k)),
+        # a static block draws one snapshot's ball at a time; the largest sets blocks of 7
+        "static": (params.k + 1) * max(perturb._ball(g, params.k, uv).size
+                                       for g in world.snapshots)}
     for mech, entries in per_sample.items():
         def estimate():
             return posterior_probability(query, seq, observed[mech], model, params, 100,
@@ -568,10 +572,17 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
                 uv, np.random.default_rng(8), 100)
 
         default = estimate(), features()
+        sizes = []
+
+        def blocks(n, per_sample):
+            sizes.append(perturb._block_sizes(n, per_sample))
+            return perturb._blocks(n, per_sample)
+
         with monkeypatch.context() as patch:
             patch.setattr(perturb, "_BLOCK_ENTRIES", 7 * entries)
-            assert perturb._block_sizes(100, entries) == [7] * 14 + [2]
+            patch.setattr(privacy, "_blocks", blocks)
             blocked = estimate(), features()
+        assert [7] * 14 + [2] in sizes, mech
         assert blocked[0] == default[0], mech
         assert blocked[1].tobytes() == default[1].tobytes(), mech
 
