@@ -294,15 +294,9 @@ def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None,
     [sample, a, b], a < b, each sample's fake edges deduplicated and sorted.
 
     With ``ends`` (ids), only the fake edges with an end among them are
-    kept, and only the walkers that can draw one walk: ``walkers``, the
-    k-ball of ``ends`` that ``_ball`` gives, found here when None. Each
-    walker reads its own counters, so the rows kept are the full draw's rows
-    at ``ends``. A ball that holds every edge walks them all, as the full
-    draw does."""
-    if ends is not None:
-        walkers = _ball(graph, k, ends) if walkers is None else walkers
-        if walkers.size == graph.num_edges:
-            walkers = None
+    kept. Only the edge positions ``walkers`` walk, or every edge when None.
+    Each walker reads its own counters, so with ``walkers`` the k-ball of
+    ``ends`` (``_ball``) the rows kept are the full draw's rows at ``ends``."""
     starts, terms = _walks(graph, k, keys, walkers)
     keep = starts != terms
     if ends is not None:
@@ -444,17 +438,21 @@ class _StepPlan:
                     & {label for _, label in self.diff.unchanged})
 
     def drawn(self, reads=None):
-        """The entries a draw builds: (label, None) per changed label, then
-        ((a, b), task) per pair task that is not reused. ``reads`` is None for
-        every such entry, or one step of ``_reads``: the (labels, pairs) to
-        build, the rest left out."""
+        """The entries a draw builds: (label, None, walkers) per changed
+        label, then ((a, b), task, cells) per pair task that is not reused.
+        ``reads`` is None for every such entry, or one step of ``_reads``: the
+        (labels, pairs) to build, the rest left out, or of ``_balls``: the
+        same keys, each mapped to the part of the query's ball its entry
+        draws. Walkers and cells are None where an entry is drawn whole."""
+        labels, pairs = (None, None) if reads is None else reads
+        ball = isinstance(labels, dict)
         for label in self.diff.changed:
-            if reads is None or label in reads[0]:
-                yield label, None
+            if labels is None or label in labels:
+                yield label, None, labels[label] if ball else None
         for task in self.pair_tasks:
             pair = (task.a, task.b)
-            if pair not in self.reused_pairs and (reads is None or pair in reads[1]):
-                yield pair, task
+            if pair not in self.reused_pairs and (pairs is None or pair in pairs):
+                yield pair, task, pairs[pair] if ball else None
 
 
 def _reads(plans, ids) -> list:
@@ -480,29 +478,22 @@ def _reads(plans, ids) -> list:
     return reads[::-1]
 
 
-@dataclass(frozen=True)
-class _Ball:
-    """What a draw kept to the rows at ``ids`` draws of one step's entries:
-    per community label, its k-ball walkers (``_ball``), and per pair, the
-    grid cells in the rows and columns of ``ids`` (``_PairTask.cells_at``)."""
-
-    ids: tuple
-    walkers: dict            # label -> edge positions in the community subgraph
-    cells: dict              # (a, b) -> flat grid cells
-
-
-def _balls(plans, reads, ids, k: int) -> list:
-    """Per plan, the ``_Ball`` of ``ids`` over the entries one step of
-    ``reads`` builds, each found once for every block drawn after."""
+def _balls(plans, ids, k: int) -> list:
+    """``_reads(plans, ids)`` with the k-hop ball of ``ids`` in each entry:
+    per plan, (label -> walkers, pair -> cells) over the same keys. A
+    changed community maps to its walkers that can touch ``ids`` (``_ball``),
+    a pair that is not reused to its grid cells in the rows and columns of
+    ``ids`` (``_PairTask.cells_at``), and an entry the step copies to None.
+    Each is found once, for every block drawn after."""
     balls = []
-    for plan, read in zip(plans, reads):
-        walkers, cells = {}, {}
-        for key, task in plan.drawn(read):
+    for plan, read in zip(plans, _reads(plans, ids)):
+        walkers, cells = dict.fromkeys(read[0]), dict.fromkeys(read[1])
+        for key, task, _ in plan.drawn(read):
             if task is None:
                 walkers[key] = _ball(plan.subgraphs[key], k, ids)
             else:
                 cells[key] = task.cells_at(ids)
-        balls.append(_Ball(tuple(ids), walkers, cells))
+        balls.append((walkers, cells))
     return balls
 
 
@@ -576,21 +567,19 @@ def _block_sizes(n: int, per_sample: int) -> list:
     return [min(size, n - start) for start in range(0, n, size)]
 
 
-def _entries(plans, k: int, reads=None, balls=None) -> int:
+def _entries(plans, k: int, reads=None) -> int:
     """Array entries one sample of a fold over ``plans`` holds: for each entry
     ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per walker and one per
     grid cell. A community walks every edge and a pair draws its whole grid,
-    or, with ``balls`` (``_balls``), only its ball's walkers and cells."""
+    or, with ``reads`` from ``_balls``, only its ball's walkers and cells."""
     total = 0
-    for plan, read, ball in zip(plans, reads or itertools.repeat(None),
-                                balls or itertools.repeat(None)):
-        for key, task in plan.drawn(read):
+    for plan, read in zip(plans, reads or itertools.repeat(None)):
+        for key, task, ball in plan.drawn(read):
             if task is None:
                 total += (k + 1) * (plan.subgraphs[key].num_edges if ball is None
-                                    else ball.walkers[key].size)
+                                    else ball.size)
             else:
-                total += (task.nodes_a.size * task.nodes_b.size if ball is None
-                          else ball.cells[key].size)
+                total += task.nodes_a.size * task.nodes_b.size if ball is None else ball.size
     return total
 
 
@@ -601,7 +590,7 @@ def _blocks(n: int, per_sample: int) -> list:
 
 
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarray,
-                 draw=_perturb_rows, reads=None, ball=None) -> tuple[dict, dict]:
+                 draw=_perturb_rows, reads=None) -> tuple[dict, dict]:
     """Draw S samples of one step perturbation with reuse: (intra by label,
     inter by pair), each entry an array of rows [sample, a, b].
 
@@ -617,12 +606,12 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
     every entry, as the release does, or one step of ``_reads``: the
     (labels, pairs) to build, the rest left out (``_StepPlan.drawn``). An
     entry's draw depends only on its key, so an entry that is built is the
-    same as in the full draw, whatever else is built. ``ball`` is None to
-    draw each entry built whole, or the step's ``_Ball`` of the ids a
-    posterior queries: each community then draws only its ball's walkers
-    with ``_perturb_rows`` (in place of ``draw``) and keeps the rows at the
-    ids, and each pair draws only their grid rows and columns. Walkers and
-    cells read their own counters, so these are the full draw's rows there.
+    same as in the full draw, whatever else is built. With ``reads`` from
+    ``_balls`` of the ids a posterior queries, each community draws only its
+    ball's walkers, with ``draw(..., walkers=...)``, a ``_perturb_rows``
+    that keeps the rows at those ids, and each pair only the grid rows and
+    columns of the ids. Walkers and cells read their own counters, so these
+    are the full draw's rows at the ids.
     """
     if reads is None:
         reads = ({label for _, label in plan.diff.unchanged} | set(plan.diff.changed),
@@ -640,15 +629,13 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
              for prev_label, label in plan.diff.unchanged if label in read_labels}
     inter = {pair: carry(carried[1][key], *key)
              for pair, key in plan.reused_pairs.items() if pair in read_pairs}
-    for key, task in plan.drawn(reads):
+    for key, task, ball in plan.drawn(reads):
         if task is None:
-            entry_keys = _hash(keys, 0, key)
-            intra[key] = (draw(plan.subgraphs[key], params.k, entry_keys) if ball is None else
-                          _perturb_rows(plan.subgraphs[key], params.k, entry_keys,
-                                        ball.ids, ball.walkers[key]))
+            graph, entry_keys = plan.subgraphs[key], _hash(keys, 0, key)
+            intra[key] = (draw(graph, params.k, entry_keys) if ball is None
+                          else draw(graph, params.k, entry_keys, walkers=ball))
         else:
-            inter[key] = task.sample(_hash(keys, 1, *key),
-                                     None if ball is None else ball.cells[key])
+            inter[key] = task.sample(_hash(keys, 1, *key), ball)
     return intra, inter
 
 
@@ -659,21 +646,19 @@ def _step_rows(intra: dict, inter: dict) -> np.ndarray:
     return np.concatenate(pieces) if pieces else np.empty((0, 3), np.int64)
 
 
-def _draws(plans, params: PerturbParams, keys, reads=None, draw=_perturb_rows, balls=None):
+def _draws(plans, params: PerturbParams, keys, reads=None, draw=_perturb_rows):
     """Yield the step draw of each plan in turn for one block of samples,
     each drawn under its array of the samples' keys in ``keys`` and carrying
     the draw before it.
 
-    ``reads`` is None to build every entry, or ``_reads(plans, ids)`` to
-    build only the entries that edges touching ``ids`` come from. ``draw``
-    draws the changed communities, as in ``_sample_step``. ``balls`` is
-    None, or ``_balls(plans, reads, ids, k)`` to draw of those entries only
-    the rows at ``ids``, from their k-balls.
+    ``reads`` is None to build every entry, ``_reads(plans, ids)`` to build
+    only the entries that edges touching ``ids`` come from, or ``_balls(
+    plans, ids, k)`` to draw of those only their k-balls of ``ids``. ``draw``
+    draws the changed communities, as in ``_sample_step``.
     """
     carried = None
-    for plan, step_keys, read, ball in zip(plans, keys, reads or itertools.repeat(None),
-                                           balls or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, step_keys, draw, read, ball)
+    for plan, step_keys, read in zip(plans, keys, reads or itertools.repeat(None)):
+        carried = _sample_step(plan, carried, params, step_keys, draw, read)
         yield carried
 
 

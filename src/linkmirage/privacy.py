@@ -37,6 +37,7 @@ mechanisms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
 from .perturb import (PerturbParams, _ball, _balls, _blocks, _draws, _entries, _hash,
-                      _perturb_rows, _plan_chain, _reads, _root_key, _step_rows)
+                      _perturb_rows, _plan_chain, _root_key, _step_rows)
 
 
 @dataclass(frozen=True)
@@ -236,15 +237,12 @@ class _SequenceSampler:
 
     def _balls_at(self, uv: tuple[int, int]):
         """What a sample draws at the queried pair, found once per pair: for
-        LinkMirage (``_reads``, ``_balls``) of the plans, for the static
-        mechanism each snapshot's k-ball walkers (``perturb._ball``)."""
+        LinkMirage the plans' ``_balls``, for the static mechanism each
+        snapshot's k-ball walkers (``perturb._ball``)."""
         if uv not in self._balls_by_uv:
             k = self.params.k
-            if self.plans is not None:
-                reads = _reads(self.plans, uv)
-                self._balls_by_uv[uv] = reads, _balls(self.plans, reads, uv, k)
-            else:
-                self._balls_by_uv[uv] = [_ball(g_t, k, uv) for g_t in self.world.snapshots]
+            self._balls_by_uv[uv] = (_balls(self.plans, uv, k) if self.plans is not None
+                                     else [_ball(g_t, k, uv) for g_t in self.world.snapshots])
         return self._balls_by_uv[uv]
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
@@ -269,14 +267,15 @@ class _SequenceSampler:
         u, v = uv
         k, steps = self.params.k, len(self.world)
         if self.mechanism == "linkmirage":
-            reads, balls = self._balls_at(uv)
+            reads = self._balls_at(uv)
+            at_uv = functools.partial(_perturb_rows, ends=uv)
             root = _root_key(rng)
             blocks = []
-            for samples in _blocks(n, _entries(self.plans, k, reads, balls)):
+            for samples in _blocks(n, _entries(self.plans, k, reads)):
                 keys = [_hash(root, t, samples) for t in range(steps)]
                 blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, samples.size)
                                         for draw in _draws(self.plans, self.params, keys,
-                                                           reads, balls=balls)], axis=1))
+                                                           reads, at_uv)], axis=1))
             return np.concatenate(blocks)
         # rows [sample * snapshots + t, a, b]: one feature row per (sample,
         # snapshot), counted in one pass

@@ -79,9 +79,9 @@ def sample_step(plan, carried, params, sample_key, **kwargs):
     return edge_draw(_sample_step(plan, carried, params, _hash(sample_key), **kwargs))
 
 
-def sample_draws(plans, params, root, sample=0, reads=None):
+def sample_draws(plans, params, root, sample=0, reads=None, **kwargs):
     """Sample ``sample`` of the ``_draws`` fold over ``plans`` under the root
     key ``root``, keyed as the posterior keys it: step t under
     ``_hash(root, t, sample)``."""
     keys = [_hash(root, t, sample) for t in range(len(plans))]
-    return [edge_draw(draw) for draw in _draws(plans, params, keys, reads)]
+    return [edge_draw(draw) for draw in _draws(plans, params, keys, reads, **kwargs)]

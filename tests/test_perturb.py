@@ -1,3 +1,4 @@
+import functools
 import itertools
 import signal
 from contextlib import contextmanager
@@ -54,6 +55,9 @@ def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
         local["part" if walkers.size < g.num_edges else "all"] += 1
         assert np.array_equal(perturb._perturb_rows(g, k, keys, ends), want)
         assert np.array_equal(perturb._perturb_rows(g, k, keys, ends, walkers), want)
+        if walkers.size == g.num_edges:
+            # every edge's walker, selected, walks as the whole graph does
+            assert np.array_equal(perturb._perturb_rows(g, k, keys, walkers=walkers), full)
         return walkers
 
     for k in (1, 2, 3):
@@ -68,7 +72,7 @@ def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
             for ends in ((n + 5, n + 6), (n, n + 1)):
                 assert not check(g, k, ends).size
                 assert not perturb._perturb_rows(g, k, keys_from(rng, 3), ends).size
-        # a ball that holds every edge walks them all
+        # a ball that holds every edge
         path = Graph([(0, 1), (1, 2), (2, 3)])
         assert check(path, k, (1, 2)).size == path.num_edges
     assert local["part"] and local["all"]
@@ -485,21 +489,32 @@ def test_localized_draws_equal_the_full_draw(case):
     assert any(len(labels) + len(pairs)
                < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
                for (labels, pairs), plan in zip(reads, plans))
+    balls = perturb._balls(plans, uv, params.k)
+    at_uv = functools.partial(perturb._perturb_rows, ends=uv)
+
+    def at(edges):
+        return edges[np.isin(edges, uv).any(axis=1)]
+
     root = _root_key(np.random.default_rng(7))
     features = []
     for sample in range(30):
         full = sample_draws(plans, params, root, sample)
         local = sample_draws(plans, params, root, sample, reads)
-        for (intra, inter), (l_intra, l_inter), (labels, pairs) in zip(full, local, reads):
-            assert set(l_intra) == labels and set(l_inter) == pairs
+        # drawing only the balls gives each entry's rows at the queried pair
+        ball = sample_draws(plans, params, root, sample, balls, draw=at_uv)
+        for (intra, inter), (l_intra, l_inter), (b_intra, b_inter), (labels, pairs) in zip(
+                full, local, ball, reads):
+            assert set(l_intra) == set(b_intra) == labels
+            assert set(l_inter) == set(b_inter) == pairs
             assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
             assert all(np.array_equal(l_inter[pair], inter[pair]) for pair in pairs)
+            assert all(np.array_equal(b_intra[label], at(intra[label])) for label in labels)
+            assert all(np.array_equal(b_inter[pair], at(inter[pair])) for pair in pairs)
         features.append([_edge_feature(step_edges(*draw), *uv) for draw in full])
     # one call draws the 30 samples in blocks, as 30 draws of one sample do,
     # and draws of each entry only its k-ball: fewer walkers and cells, but
     # for two K6 blocks, whose 2-balls hold every edge
-    balls = perturb._balls(plans, reads, uv, params.k)
-    assert (perturb._entries(plans, params.k, reads, balls)
+    assert (perturb._entries(plans, params.k, balls)
             < perturb._entries(plans, params.k, reads)) == (case != "vertex-leaves")
     local = sampler.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()

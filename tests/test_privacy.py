@@ -554,11 +554,9 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
     world = privacy._hypothesis_world(seq, query, True)
     uv = (query.u, query.v)
     plans = _plan_chain(world, params)
-    reads = perturb._reads(plans, uv)
     # a sample draws the k-balls of the queried pair only
     per_sample = {
-        "linkmirage": perturb._entries(plans, params.k, reads,
-                                       perturb._balls(plans, reads, uv, params.k)),
+        "linkmirage": perturb._entries(plans, params.k, perturb._balls(plans, uv, params.k)),
         # a static block draws one snapshot's ball at a time; the largest sets blocks of 7
         "static": (params.k + 1) * max(perturb._ball(g, params.k, uv).size
                                        for g in world.snapshots)}
