@@ -24,8 +24,10 @@ key per timestamp; the posterior runs the same fold over blocks of
 re-perturbations, building only the entries its query reads (``_reads``)
 and of those only the part that can touch the queried ids, their k-hop
 ball (``_balls``): a community's walkers whose edge has an end within k
-hops of them, and a pair grid's rows and columns of them. The degree check
-draws its trials in blocks through ``_sample_step`` too, whole.
+hops of them, and a pair grid's rows and columns of them. The static
+mechanism's posterior runs the same fold over ``_static_plans``, which hold
+each snapshot as one changed community. The degree check draws its trials in
+blocks through ``_sample_step`` too, whole.
 
 Randomness is keyed, not streamed. Every uniform is a pure function of its
 key and counter, computed with SplitMix64's finalizer on uint64 arrays
@@ -551,11 +553,28 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
     return plans
 
 
-# array entries (walk uniforms, grid cells) a block of samples holds at most.
-# A block's walks hold about 11 words per walker at their peak, so this
-# budget is about 2 MB. On the benchmark's audit workload (2-vCPU VM) the
-# task took 0.55, 0.69 and 0.89 s at 1 << 16, 15 and 14, and peak RSS was
-# 72.7, 72.0 and 71.8 MB
+def _static_plans(seq: TemporalGraphSequence) -> list:
+    """The static mechanism as a plan chain: per snapshot, one changed
+    community that is the whole snapshot, labelled by its smallest id, whose
+    subgraph is the snapshot itself. Nothing is clustered, matched, carried
+    or rewired, so ``_draws`` walks each snapshot afresh under the entry key
+    ``_hash(sample key, 0, label)``. A snapshot without ids has no community."""
+    plans = []
+    for g_t in seq.snapshots:
+        ids = g_t.vertices
+        label = ids[:1]
+        plans.append(_StepPlan(clustering=Clustering(vertices=ids, labels=label.repeat(ids.size)),
+                               diff=CommunityDiff(unchanged=[], changed=label.tolist()),
+                               subgraphs=dict.fromkeys(label.tolist(), g_t), pair_tasks=[],
+                               reused_pairs={}, left={}))
+    return plans
+
+
+# array entries (walk uniforms, grid cells) a block of samples holds at most
+# in one step. A block's walks hold about 11 words per walker at their peak,
+# so this budget is about 2 MB. On the benchmark's audit workload (2-vCPU VM)
+# the task took 0.39-0.41, 0.48-0.49 and 0.65-0.69 s at 1 << 16, 15 and 14,
+# and peak RSS was 72.7, 71.9 and 71.4 MB
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -568,19 +587,25 @@ def _block_sizes(n: int, per_sample: int) -> list:
 
 
 def _entries(plans, k: int, reads=None) -> int:
-    """Array entries one sample of a fold over ``plans`` holds: for each entry
-    ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per walker and one per
-    grid cell. A community walks every edge and a pair draws its whole grid,
-    or, with ``reads`` from ``_balls``, only its ball's walkers and cells."""
-    total = 0
-    for plan, read in zip(plans, reads or itertools.repeat(None)):
+    """Array entries one sample of a fold over ``plans`` holds at its largest
+    step: for each entry ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per
+    walker and one per grid cell. A community walks every edge and a pair
+    draws its whole grid, or, with ``reads`` from ``_balls``, only its ball's
+    walkers and cells. A fold draws one step at a time and carries only rows
+    into the next, so its largest step, not the sum of its steps, sizes a
+    block."""
+    def step(plan, read):
+        total = 0
         for key, task, ball in plan.drawn(read):
             if task is None:
                 total += (k + 1) * (plan.subgraphs[key].num_edges if ball is None
                                     else ball.size)
             else:
                 total += task.nodes_a.size * task.nodes_b.size if ball is None else ball.size
-    return total
+        return total
+
+    return max(itertools.starmap(step, zip(plans, reads or itertools.repeat(None))),
+               default=0)
 
 
 def _blocks(n: int, per_sample: int) -> list:

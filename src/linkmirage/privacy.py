@@ -14,23 +14,23 @@ enumeration.
 Re-perturbations are keyed (``perturb._hash``): one raw draw from the
 caller's stream gives a root key, and sample s at step t draws under the
 hash of (root, t, s). So samples run in blocks of any size with the same
-draws. LinkMirage re-perturbations run ``perturb._draws``, the fold that
-makes the release, over the world's plans. A re-perturbation builds only
-the step-draw entries the features can read (``perturb._reads``): at each
-step the intra entries of u's and v's communities and every pair with one
-of them as an end, plus the entries of earlier steps those copy. Each entry
-draws under its own key, so each entry built equals the full draw's, and
-so does each feature. Of each entry a re-perturbation draws only the
-k-hop ball of u and v (``perturb._balls``): a community walks the walkers
-whose edge has an end within k hops of u or v, a pair grid draws the rows
-and columns of u and v, and only the fake edges with an end at u or v are
-kept. The features read no other row, and a carry only drops rows. The
-static mechanism walks each snapshot's ball the same way; a custom
-mechanism's samples keep the same rows, so no sample holds a
-whole-snapshot draw. The likelihood of a
-prefix is the product, over its runs of dependent steps (``_world_counts``),
-of the joint match frequency within the run, which is exact for both
-mechanisms.
+draws. Both mechanisms re-perturb through ``perturb._draws``, the fold that
+makes the LinkMirage release, over the world's plans: LinkMirage's
+``_plan_chain``, or the static mechanism's ``_static_plans``, which hold
+each snapshot as one changed community. A re-perturbation builds only the
+step-draw entries the features can read (``perturb._reads``): at each step
+the intra entries of u's and v's communities and every pair with one of
+them as an end, plus the entries of earlier steps those copy. Each entry
+draws under its own key, so each entry built equals the full draw's, and so
+does each feature. Of each entry a re-perturbation draws only the k-hop
+ball of u and v (``perturb._balls``): a community walks the walkers whose
+edge has an end within k hops of u or v, a pair grid draws the rows and
+columns of u and v, and only the fake edges with an end at u or v are kept.
+The features read no other row, and a carry only drops rows. A custom
+mechanism's samples keep the same rows, so no sample holds a whole-snapshot
+draw. The likelihood of a prefix is the product, over its runs of dependent
+steps (``_world_counts``), of the joint match frequency within the run,
+which is exact for both mechanisms.
 ``posterior_probability`` is row t of the per-t posterior that
 ``indistinguishability_series`` maps to entropy.
 """
@@ -46,8 +46,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _ball, _balls, _blocks, _draws, _entries, _hash,
-                      _perturb_rows, _plan_chain, _root_key, _step_rows)
+from .perturb import (PerturbParams, _balls, _blocks, _draws, _entries, _hash,
+                      _perturb_rows, _plan_chain, _root_key, _static_plans, _step_rows)
 
 
 @dataclass(frozen=True)
@@ -224,25 +224,31 @@ def _hypothesis_world(seq: TemporalGraphSequence, query: LinkQuery,
     return TemporalGraphSequence(snaps)
 
 
+# the plan chain each named mechanism re-perturbs a world over
+_MECHANISM_PLANS = {"linkmirage": _plan_chain,
+                    "static": lambda world, params: _static_plans(world)}
+
+
 class _SequenceSampler:
-    """Re-perturbs a fixed hypothesis world; clustering work done once."""
+    """Re-perturbs a fixed hypothesis world over its plan chain, built once;
+    a custom mechanism, callable(world, rng) -> edge arrays, has no plans."""
 
     def __init__(self, world: TemporalGraphSequence, params: PerturbParams,
                  mechanism):
+        if not callable(mechanism) and mechanism not in _MECHANISM_PLANS:
+            raise ValueError(f"mechanism must be 'linkmirage', 'static' or a callable, "
+                             f"not {mechanism!r}")
         self.world = world
         self.params = params
         self.mechanism = mechanism
-        self.plans = _plan_chain(world, params) if mechanism == "linkmirage" else None
+        self.plans = None if callable(mechanism) else _MECHANISM_PLANS[mechanism](world, params)
         self._balls_by_uv = {}
 
     def _balls_at(self, uv: tuple[int, int]):
-        """What a sample draws at the queried pair, found once per pair: for
-        LinkMirage the plans' ``_balls``, for the static mechanism each
-        snapshot's k-ball walkers (``perturb._ball``)."""
+        """What a sample draws at the queried pair, the plans' ``_balls``,
+        found once per pair."""
         if uv not in self._balls_by_uv:
-            k = self.params.k
-            self._balls_by_uv[uv] = (_balls(self.plans, uv, k) if self.plans is not None
-                                     else [_ball(g_t, k, uv) for g_t in self.world.snapshots])
+            self._balls_by_uv[uv] = _balls(self.plans, uv, self.params.k)
         return self._balls_by_uv[uv]
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
@@ -250,52 +256,41 @@ class _SequenceSampler:
         """The features of n re-perturbations, an (n, snapshots, 3) array:
         row s holds sample s's ``_edge_feature`` per snapshot.
 
-        LinkMirage and static samples take one raw draw from ``rng`` as
-        their root key (``perturb._root_key``); sample s at step t draws
-        under ``_hash(root, t, s)``. They run in blocks
-        (``perturb._blocks``) sized by what they draw: one ``_draws`` fold
-        per block, or one ``_perturb_rows`` call per block and snapshot.
-        Each draws only the k-ball of the queried pair: the walkers whose
-        edge has an end within k hops of u or v, and the grid rows and
-        columns of u and v, and keeps only its rows with an end at u or v,
-        the rows the features read. Walkers and cells read their own
-        counters, so the features are the full draw's. A custom callable
-        (world, rng) -> list of edge arrays draws one sample at a time from
-        ``rng`` and keeps the same rows, so no sample holds a whole-snapshot
-        draw.
+        A planned mechanism takes one raw draw from ``rng`` as its root key
+        (``perturb._root_key``); sample s at step t draws under
+        ``_hash(root, t, s)``. Samples run in blocks (``perturb._blocks``)
+        sized by the largest step they draw (``perturb._entries``), one
+        ``_draws`` fold over the plans per block. Each draws only the k-ball
+        of the queried pair: the walkers whose edge has an end within k hops
+        of u or v, and the grid rows and columns of u and v, and keeps only
+        its rows with an end at u or v, the rows the features read. Walkers
+        and cells read their own counters, so the features are the full
+        draw's. A custom callable draws one sample at a time from ``rng``
+        and keeps the same rows, so no sample holds a whole-snapshot draw.
         """
         u, v = uv
-        k, steps = self.params.k, len(self.world)
-        if self.mechanism == "linkmirage":
-            reads = self._balls_at(uv)
-            at_uv = functools.partial(_perturb_rows, ends=uv)
-            root = _root_key(rng)
-            blocks = []
-            for samples in _blocks(n, _entries(self.plans, k, reads)):
-                keys = [_hash(root, t, samples) for t in range(steps)]
-                blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, samples.size)
-                                        for draw in _draws(self.plans, self.params, keys,
-                                                           reads, at_uv)], axis=1))
-            return np.concatenate(blocks)
-        # rows [sample * snapshots + t, a, b]: one feature row per (sample,
-        # snapshot), counted in one pass
-        pieces = []
-        if self.mechanism == "static":
-            root = _root_key(rng)
-            for t, (g_t, walkers) in enumerate(zip(self.world.snapshots, self._balls_at(uv))):
-                for samples in _blocks(n, (k + 1) * walkers.size):
-                    rows = _perturb_rows(g_t, k, _hash(root, t, samples), uv, walkers)
-                    rows[:, 0] = samples[rows[:, 0]] * steps + t
-                    pieces.append(rows)
-        else:
-            # custom mechanism: callable(world, rng) -> one edge array per snapshot
+        steps = len(self.world)
+        if self.plans is None:
+            # rows [sample * snapshots + t, a, b]: one feature row per
+            # (sample, snapshot), counted in one pass
+            pieces = []
             for s in range(n):
                 for t, edges in enumerate(self.mechanism(self.world, rng)):
                     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
                     edges = edges[np.isin(edges, uv).any(axis=1)]
                     pieces.append(np.column_stack([np.full(len(edges), s * steps + t), edges]))
-        rows = np.concatenate(pieces)
-        return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
+            rows = np.concatenate(pieces)
+            return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
+        reads = self._balls_at(uv)
+        at_uv = functools.partial(_perturb_rows, ends=uv)
+        root = _root_key(rng)
+        blocks = []
+        for samples in _blocks(n, _entries(self.plans, self.params.k, reads)):
+            keys = [_hash(root, t, samples) for t in range(steps)]
+            blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, samples.size)
+                                    for draw in _draws(self.plans, self.params, keys,
+                                                       reads, at_uv)], axis=1))
+        return np.concatenate(blocks)
 
 
 def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
@@ -305,11 +300,12 @@ def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
 
     Re-perturbs each world ``n_samples`` times from its own child of ``rng``
     and returns {present: (counts, fresh)} for present True, then False.
-    fresh[s] says that step s carries nothing the query's features read:
-    every step of a mechanism without plans, and a LinkMirage step that
-    ``_StepPlan.carries`` does not flag. So a fresh step starts a run of
-    dependent steps, independent of the runs before it, and counts[s] counts
-    the samples that match every step of s's run up to s.
+    fresh[s] says that step s carries nothing the query's features read: a
+    step that ``_StepPlan.carries`` does not flag, which is every step of a
+    static plan, and every step of a custom callable, which has no plans. So
+    a fresh step starts a run of dependent steps, independent of the runs
+    before it, and counts[s] counts the samples that match every step of s's
+    run up to s.
     """
     if n_samples < 100:
         raise ValueError("posterior estimation needs n_samples >= 100")

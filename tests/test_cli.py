@@ -812,8 +812,8 @@ METRICS_PINS = {
         "utility_l1.csv": "91a2ddfe0891ea5a",
         "utility_l2.csv": "ff456b56fbeabf5a"},
     "static-baseline": {
-        "metrics.csv": "d25549f82da5232d",
-        "metrics.json": "5090c91d634beee7",
+        "metrics.csv": "edd7fe5c4e77f280",
+        "metrics.json": "c3186d95fb017c20",
         "utility_l1.csv": "9e0546d6746620ea",
         "utility_l2.csv": "228fe3bf6488ebef"},
     "hay-baseline": {

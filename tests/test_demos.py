@@ -16,7 +16,7 @@ STDOUT_SHA256 = {
     "perturbation_demo.py": "4d9f64a295e7270a2cf0a96a33509b1b31d876dde909f7ccf27f48833dece5aa",
     "utility_demo.py": "db916641f045056a873951075e9b57e7654ff4b251a56174184bb559d4aec983",
     "applications_demo.py": "ed7dbc1b71ef4bb5e16faeab83541c9fee71098b28ff03224d8eb258def62d1f",
-    "privacy_demo.py": "936d9fa5961932f5a5a02023542daabfdc70a4b64935d5fb323805a91eaa2e3c",
+    "privacy_demo.py": "61115c7c56a973ca2d99a0032b44b83dc18f7fbd4498094fe2ff2a1543365052",
 }
 
 

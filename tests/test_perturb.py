@@ -518,13 +518,18 @@ def test_localized_draws_equal_the_full_draw(case):
             < perturb._entries(plans, params.k, reads)) == (case != "vertex-leaves")
     local = sampler.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
-    # the static mechanism: each snapshot walked whole under the same keys
+    # the static mechanism: the same fold over its plans, each snapshot's
+    # unlocalized draw under the same keys
     static = _SequenceSampler(sampler.world, params, "static")
+    static_plans = perturb._static_plans(sampler.world)
     root = _root_key(np.random.default_rng(7))
-    features = [[_edge_feature(perturb._perturb_rows(g_t, params.k, _hash(root, t, s))[:, 1:], *uv)
-                 for t, g_t in enumerate(static.world.snapshots)] for s in range(30)]
+    features = [[_edge_feature(step_edges(*draw), *uv)
+                 for draw in sample_draws(static_plans, params, root, s)] for s in range(30)]
     local = static.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
+    # whose balls hold fewer walkers than whole snapshots, but for two K6 blocks
+    assert (perturb._entries(static_plans, params.k, perturb._balls(static_plans, uv, params.k))
+            < perturb._entries(static_plans, params.k)) == (case != "vertex-leaves")
 
 
 def test_localized_draws_leave_the_stream_as_the_full_draw():

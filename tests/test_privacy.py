@@ -535,8 +535,8 @@ def _pinned_inputs():
 @pytest.mark.parametrize("mech, fields", [
     ("linkmirage", (0.7194164971629008, 0.11243326987326091, 100, 0.5142845033165181,
                     0.0004655072332662403, 0.00019223375624759725, False)),
-    ("static", (0.5058127416937387, 0.1382087996791016, 100, 0.5142845033165181,
-                0.0080342402243481, 0.008311282990704931, False)),
+    ("static", (0.16966512681017953, 0.08269922592248845, 100, 0.5142845033165181,
+                0.0012438654816020992, 0.006445484768301786, False)),
 ])
 def test_posterior_outputs_pinned(monkeypatch, mech, fields):
     monkeypatch.setattr(privacy, "DEGREE_BIN", 8)
@@ -553,14 +553,11 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
     seq, params, observed, query, model = _pinned_inputs()
     world = privacy._hypothesis_world(seq, query, True)
     uv = (query.u, query.v)
-    plans = _plan_chain(world, params)
-    # a sample draws the k-balls of the queried pair only
-    per_sample = {
-        "linkmirage": perturb._entries(plans, params.k, perturb._balls(plans, uv, params.k)),
-        # a static block draws one snapshot's ball at a time; the largest sets blocks of 7
-        "static": (params.k + 1) * max(perturb._ball(g, params.k, uv).size
-                                       for g in world.snapshots)}
-    for mech, entries in per_sample.items():
+    for mech in ("linkmirage", "static"):
+        # a sample draws the k-balls of the queried pair only, one step at a time
+        plans = privacy._SequenceSampler(world, params, mech).plans
+        entries = perturb._entries(plans, params.k, perturb._balls(plans, uv, params.k))
+
         def estimate():
             return posterior_probability(query, seq, observed[mech], model, params, 100,
                                          np.random.default_rng(8), mechanism=mech)
@@ -585,6 +582,14 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
         assert blocked[1].tobytes() == default[1].tobytes(), mech
 
 
+def test_unknown_mechanism_is_refused_by_name():
+    seq, params, observed, query, model = _pinned_inputs()
+    for mech in ("Static", "hay", None):
+        with pytest.raises(ValueError, match="'linkmirage', 'static' or a callable"):
+            posterior_probability(query, seq, observed["static"], model, params, 100,
+                                  np.random.default_rng(8), mechanism=mech)
+
+
 def test_indistinguishability_series_pinned():
     seq, params, observed, query, model = _pinned_inputs()
     series = indistinguishability_series(seq, observed, query, model, params, 100,
@@ -593,9 +598,9 @@ def test_indistinguishability_series_pinned():
         "linkmirage": [(0, 0.9638169039177191, 0.10972428748821451),
                        (1, 0.9938272489266561, 0.10764960362753125),
                        (2, 0.9950482971160097, 0.12015278929023492)],
-        "static": [(0, 0.99504829711601, 0.09144623202443186),
-                   (1, 0.8782377696705312, 0.1627391950359577),
-                   (2, 0.8568992935642386, 0.17560689227660367)]}
+        "static": [(0, 0.631621376122844, 0.1368105643880887),
+                   (1, 0.42397989415147186, 0.17481822589430085),
+                   (2, 0.708493690583893, 0.1821126113042007)]}
 
 # -- anti-aggregation -------------------------------------------------------------
 
