@@ -3,12 +3,14 @@ de-anonymization sampling probability, and a small Sybil-defense harness."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, TemporalGraphSequence, _canonical_edges, _edge_keys, _id_array
+from .graphs import Graph, TemporalGraphSequence, _id_array
 from .synth import er_graph
 
 
@@ -26,24 +28,34 @@ def attack_probability(perturbed, v: int, f: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _k_hop_edges(graph: Graph, k: int) -> np.ndarray:
-    """(lo, hi) id rows of every pair of vertices at distance <= k."""
+def _k_hop_edges(graph: Graph, k: int) -> sp.csr_matrix:
+    """Pairs of vertices at distance <= k, as an n x n bool CSR pattern over
+    the graph's positions that holds only the strict upper triangle.
+
+    The pattern is that of A (A + I)^(k-1), whose strict upper triangle is
+    the one of (A + I)^k; at k = 1 it is the graph's own upper adjacency.
+    Products of bool matrices stay bool (a sum is an or), so no k overflows.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    n = graph.num_vertices
     adj = graph.adjacency(np.ones(2 * graph.num_edges, dtype=bool))
-    reach = adj.copy()
-    frontier = adj
-    for _ in range(k - 1):
-        frontier = (frontier @ adj).astype(bool)
-        reach = (reach + frontier).astype(bool)
-    reach = sp.triu(reach, k=1).tocoo()
-    ids = graph.vertices
-    return np.column_stack([ids[reach.row], ids[reach.col]])
+    reach = adj
+    if k > 1:
+        step = adj + sp.identity(n, dtype=bool, format="csr")
+        for _ in range(k - 1):
+            reach = reach @ step
+    rows = np.repeat(np.arange(n, dtype=reach.indices.dtype), np.diff(reach.indptr))
+    upper = reach.indices > rows
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[upper], minlength=n))])
+    return sp.csr_matrix((reach.data[upper], reach.indices[upper], indptr), shape=(n, n))
 
 
 def k_hop_graph(graph: Graph, k: int) -> Graph:
     """Graph connecting every pair of vertices at distance <= k."""
-    return Graph(_k_hop_edges(graph, k), vertices=graph.vertices)
+    pairs = _k_hop_edges(graph, k).tocoo()
+    ids = graph.vertices
+    return Graph(np.column_stack([ids[pairs.row], ids[pairs.col]]), vertices=ids)
 
 
 @dataclass(frozen=True)
@@ -54,9 +66,22 @@ class SamplingReport:
     outside_envelope: int      # perturbed edges not inside the k-hop union
 
 
-def _union_edges(edge_arrays) -> np.ndarray:
-    """Canonical (m, 2) edge array of the union of the given edge arrays."""
-    return _canonical_edges(np.concatenate(edge_arrays))
+def _in_id_space(pattern: sp.csr_matrix, vertices: np.ndarray,
+                 ids: np.ndarray) -> sp.csr_matrix:
+    """``pattern``, over the positions of ``vertices``, as a pattern over the
+    positions of ``ids``, a sorted superset of ``vertices``.
+
+    The map from positions to positions keeps their order, so each row moves
+    whole and an upper-triangular pattern stays upper triangular.
+    """
+    if vertices.size == ids.size:
+        return pattern
+    pos = np.searchsorted(ids, vertices)
+    counts = np.zeros(ids.size, dtype=np.int64)
+    counts[pos] = np.diff(pattern.indptr)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((pattern.data, pos[pattern.indices], indptr),
+                         shape=(ids.size, ids.size))
 
 
 def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingReport:
@@ -65,20 +90,30 @@ def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingRe
     p = |union of perturbed edges| / |union of k-hop edges|. Inter-community
     rewiring can place edges outside the k-hop envelope; those stay in the
     numerator and are counted separately.
+
+    Every snapshot's k-hop pattern and every release's upper adjacency (its
+    1-hop pattern) is placed over the positions of one id space, the union
+    of all their vertex ids, so each union is a sum of bool sparse matrices
+    and the edges outside the envelope are nnz(pert) minus the nnz of the
+    elementwise product of pert and khop.
     """
     perturbed = list(perturbed)
     if len(perturbed) != len(seq):
         raise ValueError("perturbed and original sequences are misaligned")
-    pert_union = _union_edges([g.edges for g in perturbed])
-    khop_union = _union_edges([_k_hop_edges(g, k) for g in seq.snapshots])
-    if not khop_union.size:
+    ids = np.unique(np.concatenate([g.vertices for g in perturbed + list(seq.snapshots)]))
+
+    def union(graphs, hops):
+        return reduce(operator.add, (_in_id_space(_k_hop_edges(g, hops), g.vertices, ids)
+                                     for g in graphs))
+
+    pert = union(perturbed, 1)
+    khop = union(seq.snapshots, k)
+    if not khop.nnz:
         raise ValueError("k-hop union is empty (edgeless input)")
-    pert_keys, khop_keys = _edge_keys(pert_union, khop_union)
-    inside = np.isin(pert_keys, khop_keys, assume_unique=True)
-    return SamplingReport(probability=len(pert_union) / len(khop_union),
-                          perturbed_union_edges=len(pert_union),
-                          k_hop_union_edges=len(khop_union),
-                          outside_envelope=int(inside.size - np.count_nonzero(inside)))
+    return SamplingReport(probability=pert.nnz / khop.nnz,
+                          perturbed_union_edges=pert.nnz,
+                          k_hop_union_edges=khop.nnz,
+                          outside_envelope=pert.nnz - pert.multiply(khop).nnz)
 
 
 # -- Sybil defense harness -----------------------------------------------------
@@ -146,6 +181,23 @@ def _reverse_positions(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.searchsorted(rows * n + indices, indices * n + rows)
 
 
+def _slot_order(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.lexsort((keys, rows))`` for nonnegative int ``rows`` below 2**52
+    and float ``keys`` in [0, 1), from one float argsort when it can.
+
+    rows + keys / 2 lies in [row, row + 1/2] after rounding, and rounding
+    keeps order, so the rows stay apart and each row's keys stay in order.
+    Unless rounding made two of these sums equal, their argsort, whatever
+    its algorithm, is the one order that lexsort gives.
+    """
+    packed = rows + 0.5 * keys
+    order = np.argsort(packed)
+    packed = packed[order]
+    if (packed[1:] == packed[:-1]).any():
+        return np.lexsort((keys, rows))
+    return order
+
+
 def _random_routes(graph: Graph, rng: np.random.Generator,
                    routes_per_node: int, walk_length: int) -> np.ndarray:
     """Tails of random routes, one per vertex per instance.
@@ -155,27 +207,28 @@ def _random_routes(graph: Graph, rng: np.random.Generator,
     Each instance draws fresh permutation routing tables: a route entering
     node y through incoming slot s leaves through slot pi_y[s], so routes
     that meet on an edge stay merged; that convergence is what makes honest
-    tails intersect. A route is its current directed position e = x -> y;
-    the slot of x in y's row is rev[e] - indptr[y], so with every vertex's
-    table laid out along the CSR rows one hop is
-    e <- indptr[y] + table[rev[e]], taken by all routes at once.
+    tails intersect.
+
+    An instance makes two draws. First ``rng.random(2m)``, one key per CSR
+    slot; sorting the slots by (row, key) (``_slot_order``) lists each
+    row's slots in the order of a uniform permutation, so
+    ``order[indptr[y] + s]`` is the position of y's slot pi_y[s]. Then one
+    ``rng.integers(0, degrees)`` over the vertices with an edge, in vertex
+    order, draws every start slot. A route is its current directed position
+    e = x -> y, and x sits in y's row at slot rev[e] - indptr[y], so one hop
+    is e <- order[rev[e]], taken by all routes at once.
     """
     indptr, indices = graph.csr_adjacency
-    degrees = graph.degrees.tolist()
-    starts = np.flatnonzero(graph.degrees)
-    start_degrees = graph.degrees[starts].tolist()
+    degrees = graph.degrees
+    rows = np.repeat(np.arange(degrees.size), degrees)
+    starts = np.flatnonzero(degrees)
     rev = _reverse_positions(indptr, indices)
-    tails = np.full((routes_per_node, len(degrees)), -1, dtype=np.int64)
+    tails = np.full((routes_per_node, degrees.size), -1, dtype=np.int64)
     for instance in range(routes_per_node):
-        # the stream order is fixed: every vertex's table (isolated ones
-        # included), then one first slot per vertex with an edge, vertex by
-        # vertex; a vectorised integers(0, degrees) would draw other numbers
-        table = np.concatenate([np.empty(0, dtype=np.int64)]
-                               + [rng.permutation(d) for d in degrees])
-        first = np.array([rng.integers(0, d) for d in start_degrees], dtype=np.int64)
-        e = indptr[starts] + first
+        order = _slot_order(rows, rng.random(indices.size))
+        e = indptr[starts] + rng.integers(0, degrees[starts])
         for _ in range(walk_length - 1):
-            e = indptr[indices[e]] + table[rev[e]]
+            e = order[rev[e]]
         tails[instance, starts] = np.minimum(e, rev[e])
     return tails
 
@@ -215,10 +268,11 @@ def sybil_eval(scenario: SybilScenario, g_prime: Graph,
     A verifier accepts a suspect when their route tails intersect; the false
     positive rate is the fraction of honest suspects rejected, averaged over
     honest verifiers (self-pairs count as accepted). Also reports the number
-    of edges crossing the honest/Sybil cut in ``g_prime``. Cost: the route
-    draws are O(routes * n) scalar draws, the walks O(routes * walk_length *
-    n) array work, and the tail overlap a sparse product over honest rows;
-    memory is O(m + routes * n) plus one block of the product.
+    of edges crossing the honest/Sybil cut in ``g_prime``. Cost: two draws
+    and one O(m log m) sort of the CSR slots per route instance, the walks
+    O(routes * walk_length * n) array work, and the tail overlap a sparse
+    product over honest rows; memory is O(m + routes * n) plus one block of
+    the product.
     """
     ids = g_prime.vertices
     honest_ids = scenario.honest_ids

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from conftest import random_graph
 from linkmirage import (Graph, PerturbParams, SybilScenario, TemporalGraphSequence,
                         attack_probability, er_graph, k_hop_graph, linkmirage_run,
                         ring_of_blocks, sampling_report, sybil_eval, union_graph)
-from linkmirage.appeval import _reverse_positions, count_attack_edges
+from linkmirage.appeval import (_random_routes, _reverse_positions, _slot_order,
+                               count_attack_edges)
 from test_perturb import time_limit
 
 
@@ -62,17 +64,40 @@ def bfs_distances(g, src):
     return dist
 
 
+def bfs_k_hop_pairs(g, k):
+    """Oracle: the (lo, hi) id pairs at distance 1..k, from one BFS per vertex."""
+    pairs = set()
+    for v in g.vertices:
+        for w, d in bfs_distances(g, v).items():
+            if 0 < d <= k and int(v) < w:
+                pairs.add((int(v), w))
+    return pairs
+
+
 def test_k_hop_graph_matches_bfs_oracle(rng):
     g = random_graph(12, 0.25, rng, ensure_edge=True)
     for k in (1, 2, 3):
         gk = k_hop_graph(g, k)
-        expected = set()
-        for v in g.vertices:
-            dist = bfs_distances(g, v)
-            for w, d in dist.items():
-                if 0 < d <= k and int(v) < w:
-                    expected.add((int(v), w))
-        assert gk.edges.tolist() == [list(e) for e in sorted(expected)]
+        assert gk.edges.tolist() == [list(e) for e in sorted(bfs_k_hop_pairs(g, k))]
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(vertices=[3, 8, 9]),                                  # edgeless
+    Graph([(2, 5), (5, 6), (10, 12)], vertices=[0, 7, 20]),     # isolated vertices
+    Graph([(0, 1), (1, 2), (2, 3), (3, 4)]),                    # a path of diameter 4
+], ids=["edgeless", "isolated-vertices", "path"])
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_k_hop_graph_edge_cases_match_bfs_oracle(graph, k):
+    # k = 5 and 9 exceed every diameter here: the k-hop graph is the
+    # transitive closure, and further products add nothing
+    gk = k_hop_graph(graph, k)
+    assert gk.edges.tolist() == [list(e) for e in sorted(bfs_k_hop_pairs(graph, k))]
+    assert np.array_equal(gk.vertices, graph.vertices)
+
+
+def test_k_hop_graph_refuses_k_zero():
+    with pytest.raises(ValueError):
+        k_hop_graph(Graph([(0, 1)]), 0)
 
 
 def test_sampling_probability_identity_case(rng):
@@ -90,10 +115,10 @@ def test_sampling_report_envelope_accounting(rng):
 
 
 def tuple_set_sampling_report(perturbed, seq, k):
-    """Oracle: the report from Python tuple sets of the two unions."""
+    """Oracle: the report from Python tuple sets of the two unions, the
+    k-hop one read off BFS distances."""
     pert = set(map(tuple, union_graph(perturbed).edges.tolist()))
-    khop = set(map(tuple, union_graph([k_hop_graph(g, k) for g in seq.snapshots])
-                   .edges.tolist()))
+    khop = set().union(*(bfs_k_hop_pairs(g, k) for g in seq.snapshots))
     return (len(pert) / len(khop), len(pert), len(khop), len(pert - khop))
 
 
@@ -127,6 +152,53 @@ def test_sampling_report_matches_tuple_sets_on_a_release():
         assert report.outside_envelope > 0
 
 
+@st.composite
+def sampling_sequences(draw):
+    """A sequence over ids 0..11 whose vertex sets change from one snapshot
+    to the next, one release per snapshot, and k; a snapshot may be
+    edgeless and a release may hold id 40, found in no snapshot."""
+
+    def graph(ids):
+        ends = st.sampled_from(sorted(ids))
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=14))
+        return Graph([(u, v) for u, v in pairs if u != v], vertices=ids)
+
+    length = draw(st.integers(min_value=1, max_value=4))
+    vertex_sets = [draw(st.sets(st.integers(0, 11), min_size=1)) for _ in range(length)]
+    edgeless = draw(st.integers(min_value=-1, max_value=length - 1))
+    stranger = draw(st.integers(min_value=-1, max_value=length - 1))
+    snapshots = [Graph(vertices=ids) if t == edgeless else graph(ids)
+                 for t, ids in enumerate(vertex_sets)]
+    released = [graph(ids | {40} if t == stranger else ids)
+                for t, ids in enumerate(vertex_sets)]
+    return released, TemporalGraphSequence(snapshots), draw(st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampling_sequences())
+def test_sampling_report_matches_tuple_sets_property(case):
+    released, seq, k = case
+    if not any(g.num_edges for g in seq.snapshots):
+        with pytest.raises(ValueError):
+            sampling_report(released, seq, k)
+        return
+    assert report_fields(sampling_report(released, seq, k)) == \
+        tuple_set_sampling_report(released, seq, k)
+
+
+def test_sampling_report_places_every_graph_in_one_id_space():
+    # the snapshots' vertex sets grow, shrink and differ from the releases';
+    # release 1 holds id 40, in no snapshot; snapshot 2 is edgeless
+    seq = TemporalGraphSequence([Graph([(0, 1), (1, 2)]),
+                                 Graph([(1, 2), (2, 5), (5, 9)], vertices=[7]),
+                                 Graph(vertices=[2, 3])])
+    released = [Graph([(0, 2)]), Graph([(1, 9), (5, 40)]), Graph([(2, 3)])]
+    for k in (1, 2, 3):
+        assert report_fields(sampling_report(released, seq, k)) == \
+            tuple_set_sampling_report(released, seq, k)
+    assert sampling_report(released, seq, 1).outside_envelope == 4
+
+
 def test_sampling_probability_edgeless_errors():
     g = Graph(vertices=[0, 1])
     seq = TemporalGraphSequence([g])
@@ -154,14 +226,17 @@ def reference_random_routes(graph, rng, routes_per_node, walk_length):
         row = indices[indptr[y]:indptr[y + 1]]
         return int(np.searchsorted(row, x))
 
+    degrees = np.diff(indptr)
     for _instance in range(routes_per_node):
-        tables = [rng.permutation(int(indptr[v + 1] - indptr[v])) for v in range(n)]
+        # one key per CSR slot; a row's table lists its slots by key
+        keys = rng.random(indices.size)
+        tables = [np.argsort(keys[indptr[v]:indptr[v + 1]], kind="stable")
+                  for v in range(n)]
+        firsts = iter(rng.integers(0, degrees[degrees > 0]).tolist())
         for v in range(n):
-            deg = int(indptr[v + 1] - indptr[v])
-            if not deg:
+            if not degrees[v]:
                 continue
-            first = int(rng.integers(0, deg))
-            prev, cur = v, int(indices[indptr[v] + first])
+            prev, cur = v, int(indices[indptr[v] + next(firsts)])
             for _ in range(walk_length - 1):
                 out_slot = int(tables[cur][slot(cur, prev)])
                 nxt = int(indices[indptr[cur] + out_slot])
@@ -209,7 +284,7 @@ def test_sybil_fp_matches_reference_on_ring_of_blocks():
                              walk_length=10, routes_per_node=25)
     combined = scenario.build_combined(rng)
     fp = assert_matches_reference(scenario, combined, [1, 4])
-    assert fp == 0.787984
+    assert fp == 0.78932
 
 
 def test_sybil_fp_matches_reference_with_an_isolated_honest_vertex():
@@ -254,6 +329,46 @@ def test_sybil_fp_matches_reference_property(n, p, walk_length, routes, seed):
                              walk_length=walk_length, routes_per_node=routes)
     combined = scenario.build_combined(rng)
     assert_matches_reference(scenario, combined, seed + 1)
+
+
+def test_route_tables_and_start_slots_are_uniform():
+    # a star with centre 0 and leaves 1..3: at walk length 2 the route of
+    # leaf v enters 0 through slot v - 1 and ends on the edge that 0's table
+    # sends that slot to, so the leaves' tails spell out the table; the
+    # centre's route ends on its start edge. Edge ids 0..2 are 0's slots.
+    star = Graph([(0, 1), (0, 2), (0, 3)])
+    instances = 3000
+    tails = _random_routes(star, np.random.default_rng(11), instances, 2)
+    tables = [tuple(row) for row in tails[:, 1:].tolist()]
+    counts = {perm: tables.count(perm) for perm in itertools.permutations(range(3))}
+    assert sum(counts.values()) == instances
+    starts = np.bincount(tails[:, 0], minlength=3)
+    for observed, p in [(c, 1 / 6) for c in counts.values()] + \
+                       [(c, 1 / 3) for c in starts.tolist()]:
+        mean, sd = instances * p, np.sqrt(instances * p * (1 - p))
+        assert abs(observed - mean) <= 5 * sd, (observed, mean)
+
+
+def test_slot_order_is_the_lexsort_of_rows_and_keys():
+    rng = np.random.default_rng(4)
+    rows = np.repeat(np.arange(300), rng.integers(0, 6, 300))
+    keys = rng.random(rows.size)
+    assert np.array_equal(_slot_order(rows, keys), np.lexsort((keys, rows)))
+    # equal keys in a row, and keys one ulp apart in a row too large to
+    # tell them apart in rows + keys / 2: ties that the argsort cannot order
+    for rows, keys in [(np.array([0, 0, 0, 1, 1]), np.array([0.5, 0.25, 0.5, 0.1, 0.1])),
+                       (np.array([2**40, 2**40, 2**40]),
+                        np.array([0.3, np.nextafter(0.3, 0), 0.1]))]:
+        assert np.array_equal(_slot_order(rows, keys), np.lexsort((keys, rows)))
+
+
+def test_sybil_eval_is_fixed_by_its_seed():
+    rng = np.random.default_rng(6)
+    scenario = make_scenario(rng, walk_length=5, routes_per_node=8, honest_n=60)
+    combined = scenario.build_combined(rng)
+    first, second = (sybil_eval(scenario, combined, np.random.default_rng(21))
+                     for _ in range(2))
+    assert first == second
 
 
 def test_sybil_eval_memory_stays_linear_in_the_graph():

@@ -576,7 +576,7 @@ def test_eval_sybil_scenario(workspace, tmp_path):
     # values pinned from the pairwise-loop evaluator
     assert rows == ["1,sampling-probability-k1,0.7804878048780488",
                     "1,sampling-outside-envelope,3.0",
-                    "0,sybil-false-positive-rate,0.7109375",
+                    "0,sybil-false-positive-rate,0.703125",
                     "0,sybil-attack-edges-after,2.0"]
 
 
