@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
@@ -127,6 +127,14 @@ def report_fields(report):
             report.k_hop_union_edges, report.outside_envelope)
 
 
+# the snapshots' vertex sets grow, shrink and differ from the releases';
+# release 1 holds id 40, in no snapshot; snapshot 2 is edgeless
+ID_SPACE_CASE = ([Graph([(0, 2)]), Graph([(1, 9), (5, 40)]), Graph([(2, 3)])],
+                 TemporalGraphSequence([Graph([(0, 1), (1, 2)]),
+                                        Graph([(1, 2), (2, 5), (5, 9)], vertices=[7]),
+                                        Graph(vertices=[2, 3])]))
+
+
 def test_sampling_report_counts_edges_outside_the_envelope():
     # two paths far apart; the release links their ends and drops a path edge
     g0 = Graph([(0, 1), (1, 2), (2, 3), (10, 11), (11, 12)])
@@ -138,6 +146,8 @@ def test_sampling_report_counts_edges_outside_the_envelope():
     assert report_fields(report) == tuple_set_sampling_report(released, seq, 2)
     assert report.outside_envelope == 3       # (0, 12), (3, 10), (1, 13)
     assert report.perturbed_union_edges == 6
+    # no released edge of ID_SPACE_CASE joins two ids that a snapshot joins
+    assert sampling_report(*ID_SPACE_CASE, 1).outside_envelope == 4
 
 
 def test_sampling_report_matches_tuple_sets_on_a_release():
@@ -176,6 +186,9 @@ def sampling_sequences(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(sampling_sequences())
+@example((*ID_SPACE_CASE, 1))
+@example((*ID_SPACE_CASE, 2))
+@example((*ID_SPACE_CASE, 3))
 def test_sampling_report_matches_tuple_sets_property(case):
     released, seq, k = case
     if not any(g.num_edges for g in seq.snapshots):
@@ -184,19 +197,6 @@ def test_sampling_report_matches_tuple_sets_property(case):
         return
     assert report_fields(sampling_report(released, seq, k)) == \
         tuple_set_sampling_report(released, seq, k)
-
-
-def test_sampling_report_places_every_graph_in_one_id_space():
-    # the snapshots' vertex sets grow, shrink and differ from the releases';
-    # release 1 holds id 40, in no snapshot; snapshot 2 is edgeless
-    seq = TemporalGraphSequence([Graph([(0, 1), (1, 2)]),
-                                 Graph([(1, 2), (2, 5), (5, 9)], vertices=[7]),
-                                 Graph(vertices=[2, 3])])
-    released = [Graph([(0, 2)]), Graph([(1, 9), (5, 40)]), Graph([(2, 3)])]
-    for k in (1, 2, 3):
-        assert report_fields(sampling_report(released, seq, k)) == \
-            tuple_set_sampling_report(released, seq, k)
-    assert sampling_report(released, seq, 1).outside_envelope == 4
 
 
 def test_sampling_probability_edgeless_errors():
