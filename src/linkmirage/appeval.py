@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, TemporalGraphSequence, _id_array
+from .graphs import Graph, TemporalGraphSequence, _id_array, _in_id_space
 from .synth import er_graph
 
 
@@ -61,24 +61,6 @@ class SamplingReport:
     perturbed_union_edges: int
     k_hop_union_edges: int
     outside_envelope: int      # perturbed edges not inside the k-hop union
-
-
-def _in_id_space(pattern: sp.csr_matrix, vertices: np.ndarray,
-                 ids: np.ndarray) -> sp.csr_matrix:
-    """``pattern``, over the positions of ``vertices``, as a pattern over the
-    positions of ``ids``, a sorted superset of ``vertices``.
-
-    The map from positions to positions keeps their order, so each row moves
-    whole and an upper-triangular pattern stays upper triangular.
-    """
-    if vertices.size == ids.size:
-        return pattern
-    pos = np.searchsorted(ids, vertices)
-    counts = np.zeros(ids.size, dtype=np.int64)
-    counts[pos] = np.diff(pattern.indptr)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((pattern.data, pos[pattern.indices], indptr),
-                         shape=(ids.size, ids.size))
 
 
 def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingReport:

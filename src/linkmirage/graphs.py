@@ -38,21 +38,48 @@ def _canonical_edges(edges) -> np.ndarray:
     """Deduplicated (min,max) edge array, lexicographically sorted."""
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                      dtype=np.int64)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
     arr = arr.reshape(-1, 2)
     if (arr[:, 0] == arr[:, 1]).any():
         bad = arr[arr[:, 0] == arr[:, 1]][0, 0]
         raise ValueError(f"self-loop on vertex {bad} is not allowed")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    # sort rows on (lo, hi) and keep the first of each run of equal rows:
-    # the result of np.unique(axis=0), without its slow row-view sort
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    first = np.ones(lo.size, dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return np.column_stack([lo[first], hi[first]])
+    lo, hi = _unique_rows(np.minimum(arr[:, 0], arr[:, 1]),
+                          np.maximum(arr[:, 0], arr[:, 1]))
+    return np.column_stack([lo, hi])
+
+
+def _unique_rows(*columns) -> tuple:
+    """The distinct rows of equal-length columns, sorted on the first column,
+    then the next: the columns of np.unique(axis=0) without its slow
+    row-view sort. The rows are lexsorted and the first of each run of equal
+    rows is kept."""
+    order = np.lexsort(columns[::-1])
+    columns = [c[order] for c in columns]
+    # column compares: a row-wise any() over the columns is slower
+    first = np.zeros(order.size, dtype=bool)
+    first[:1] = True
+    for c in columns:
+        first[1:] |= c[1:] != c[:-1]
+    return tuple(c[first] for c in columns)
+
+
+def _in_id_space(matrix: sp.csr_matrix, vertices: np.ndarray,
+                 ids: np.ndarray) -> sp.csr_matrix:
+    """``matrix``, over the positions of ``vertices``, as a matrix over the
+    positions of ``ids``, a sorted superset of ``vertices``; rows and
+    columns of ids outside ``vertices`` are empty.
+
+    The map from positions to positions keeps their order, so each row moves
+    whole, with its entries in the order they had, and an upper-triangular
+    matrix stays upper triangular.
+    """
+    if vertices.size == ids.size:
+        return matrix
+    pos = np.searchsorted(ids, vertices)
+    counts = np.zeros(ids.size, dtype=np.int64)
+    counts[pos] = np.diff(matrix.indptr)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((matrix.data, pos[matrix.indices], indptr),
+                         shape=(ids.size, ids.size))
 
 
 def _edge_keys(*edge_arrays) -> list:
@@ -88,25 +115,19 @@ class Graph:
         self._ids = ids
         self._edges = edge_arr
 
-        # CSR adjacency over internal positions, neighbor lists sorted.
-        n = ids.size
-        if edge_arr.size:
-            iu = np.searchsorted(ids, edge_arr[:, 0])
-            iv = np.searchsorted(ids, edge_arr[:, 1])
-            both = np.concatenate([np.column_stack([iu, iv]),
-                                   np.column_stack([iv, iu])])
-            order = np.lexsort((both[:, 1], both[:, 0]))
-            both = both[order]
-            counts = np.bincount(both[:, 0], minlength=n)
-            self._indices = np.ascontiguousarray(both[:, 1])
-        else:
-            counts = np.zeros(n, dtype=np.int64)
-            self._indices = np.empty(0, dtype=np.int64)
+        # the edges as internal positions, and the CSR adjacency over them,
+        # neighbor lists sorted
+        pos = np.searchsorted(ids, edge_arr)
+        both = np.concatenate([pos, pos[:, ::-1]])
+        both = both[np.lexsort((both[:, 1], both[:, 0]))]
+        counts = np.bincount(both[:, 0], minlength=ids.size)
+        self._edge_positions = pos
+        self._indices = np.ascontiguousarray(both[:, 1])
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self._degrees = counts.astype(np.int64)
-        for a in (self._ids, self._edges, self._indptr, self._indices, self._degrees):
+        for a in (self._ids, self._edges, self._edge_positions, self._indptr,
+                  self._indices, self._degrees):
             a.flags.writeable = False
-        self._edge_positions = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -160,16 +181,9 @@ class Graph:
 
     @property
     def edge_positions(self) -> np.ndarray:
-        """Internal positions of ``edges``, shape (m, 2); computed on first use.
-
-        The canonical edges are the CSR's upper triangle read row by row.
-        """
-        if self._edge_positions is None:
-            rows = np.repeat(np.arange(self._ids.size), self._degrees)
-            upper = self._indices > rows
-            pos = np.column_stack([rows[upper], self._indices[upper]])
-            pos.flags.writeable = False
-            self._edge_positions = pos
+        """Internal positions of ``edges``, shape (m, 2), read-only: the
+        constructor's binary search of the edge ids, which its CSR is built
+        from."""
         return self._edge_positions
 
     def adjacency(self, data=None) -> sp.csr_matrix:

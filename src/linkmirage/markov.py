@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph
+from .graphs import Graph, _in_id_space
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ def tv_distance(p: TransitionMatrix, q: TransitionMatrix) -> float:
 def tv_distance_common(p: TransitionMatrix, q: TransitionMatrix) -> tuple[float, int]:
     """Row-averaged TV over the common vertex set of two matrices.
 
-    Rows are compared in the union column space without renormalization;
-    returns (value, number of common vertices averaged over).
+    Both matrices are moved into the union id space (``graphs._in_id_space``)
+    and their rows compared there without renormalization; returns (value,
+    number of common vertices averaged over).
     """
     common = np.intersect1d(p.ids, q.ids)
     if common.size == 0:
@@ -96,14 +97,7 @@ def tv_distance_common(p: TransitionMatrix, q: TransitionMatrix) -> tuple[float,
     if np.array_equal(p.ids, q.ids):
         return tv_distance(p, q), int(common.size)
     union = np.union1d(p.ids, q.ids)
-
-    def embed(m: TransitionMatrix) -> sp.csr_matrix:
-        rows = np.searchsorted(union, m.ids)
-        proj = sp.csr_matrix((np.ones(m.ids.size), (rows, np.arange(m.ids.size))),
-                             shape=(union.size, m.ids.size))
-        return (proj @ m.matrix @ proj.T).tocsr()
-
-    diff = (embed(p) - embed(q)).tocsr()
+    diff = (_in_id_space(p.matrix, p.ids, union) - _in_id_space(q.matrix, q.ids, union)).tocsr()
     rows = np.searchsorted(union, common)
     total = sum(np.abs(diff.getrow(r).data).sum() for r in rows)
     return float(0.5 * total / common.size), int(common.size)

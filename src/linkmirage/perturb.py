@@ -49,7 +49,7 @@ import numpy as np
 
 from .clustering import (Clustering, CommunityDiff, _edge_labels, changed_link_set,
                          classify_communities, cluster_static, recluster_dynamic)
-from .graphs import Graph, TemporalGraphSequence, _absent_pairs
+from .graphs import Graph, TemporalGraphSequence, _absent_pairs, _unique_rows
 from .markov import walk_terminals
 
 # spawn_key namespaces so mechanisms never share streams for the same (seed, t)
@@ -280,14 +280,9 @@ def _ball(graph: Graph, k: int, ends) -> np.ndarray:
 def _canonical_pairs(sample: np.ndarray, a: np.ndarray,
                      b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sample, lo, hi) of the pairs (a, b), lo < hi, each sample's pairs
-    deduplicated and sorted: ``_canonical_edges`` per sample."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.lexsort((hi, lo, sample))
-    sample, lo, hi = sample[order], lo[order], hi[order]
-    # column compares: a row-wise any() over the columns is slower
-    first = np.ones(sample.size, dtype=bool)
-    first[1:] = (sample[1:] != sample[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return sample[first], lo[first], hi[first]
+    deduplicated and sorted: the distinct rows (``graphs._unique_rows``) of
+    (sample, lo, hi)."""
+    return _unique_rows(sample, np.minimum(a, b), np.maximum(a, b))
 
 
 def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None,
@@ -356,11 +351,8 @@ class _PairTask:
         return _PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
                          deg_a=deg_a, deg_b=deg_b, n_edges=len(edges))
 
-    def probabilities(self, cells=None) -> np.ndarray:
-        """min(1, p_ij) on the whole grid, or at the flat cells
-        i*|nodes_b| + j of ``cells``."""
-        if cells is None:
-            return np.minimum(np.outer(self.deg_a, self.deg_b) / float(self.n_edges), 1.0)
+    def probabilities(self, cells) -> np.ndarray:
+        """min(1, p_ij) at the flat cells i*|nodes_b| + j of ``cells``."""
         i, j = np.divmod(cells, self.nodes_b.size)
         return np.minimum(self.deg_a[i] * self.deg_b[j] / float(self.n_edges), 1.0)
 
@@ -380,10 +372,8 @@ class _PairTask:
         those cells, the rows of the whole grid's draw that they hold; None
         draws the whole grid."""
         if cells is None:
-            cells, p = np.arange(self.nodes_a.size * self.nodes_b.size), self.probabilities()
-        else:
-            p = self.probabilities(cells)
-        sample, at = np.nonzero(_uniforms(keys[:, None], cells) < p.reshape(-1))
+            cells = np.arange(self.nodes_a.size * self.nodes_b.size)
+        sample, at = np.nonzero(_uniforms(keys[:, None], cells) < self.probabilities(cells))
         ai, bj = np.divmod(cells[at], self.nodes_b.size)
         return np.column_stack([sample, self.nodes_a[ai], self.nodes_b[bj]])
 

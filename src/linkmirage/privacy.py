@@ -242,14 +242,6 @@ class _SequenceSampler:
         self.params = params
         self.mechanism = mechanism
         self.plans = None if callable(mechanism) else _MECHANISM_PLANS[mechanism](world, params)
-        self._balls_by_uv = {}
-
-    def _balls_at(self, uv: tuple[int, int]):
-        """What a sample draws at the queried pair, the plans' ``_balls``,
-        found once per pair."""
-        if uv not in self._balls_by_uv:
-            self._balls_by_uv[uv] = _balls(self.plans, uv, self.params.k)
-        return self._balls_by_uv[uv]
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
                         n: int) -> np.ndarray:
@@ -281,7 +273,7 @@ class _SequenceSampler:
                     pieces.append(np.column_stack([np.full(len(edges), s * steps + t), edges]))
             rows = np.concatenate(pieces)
             return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
-        reads = self._balls_at(uv)
+        reads = _balls(self.plans, uv, self.params.k)
         at_uv = functools.partial(_perturb_rows, ends=uv)
         root = _root_key(rng)
         blocks = []

@@ -42,10 +42,10 @@ def er_graph(n: int, p: float, rng: np.random.Generator, first_id: int = 0) -> G
 
 
 def planted_partition_graph(sizes, p_in: float, p_out: float,
-                            rng: np.random.Generator,
-                            first_id: int = 0) -> tuple[Graph, Clustering]:
-    """Planted-partition graph; returns the graph and its true block partition."""
-    starts = np.concatenate([[first_id], first_id + np.cumsum(sizes)])
+                            rng: np.random.Generator) -> tuple[Graph, Clustering]:
+    """Planted-partition graph on ids 0..n-1; returns the graph and its true
+    block partition."""
+    starts = np.concatenate([[0], np.cumsum(sizes)])
     edges = set()
     blocks = []
     for bi, size in enumerate(sizes):
@@ -61,7 +61,7 @@ def planted_partition_graph(sizes, p_in: float, p_out: float,
             _sample_pairs(edges, sizes[bi], sizes[bj], min(m, total), rng,
                           offset_left=int(starts[bi]), offset_right=int(starts[bj]))
     n = int(sum(sizes))
-    graph = Graph(edges, vertices=range(first_id, first_id + n))
+    graph = Graph(edges, vertices=range(n))
     return graph, Clustering.from_groups(blocks)
 
 

@@ -12,7 +12,8 @@ from conftest import random_graph
 from linkmirage import (Graph, GraphFormatError, load_edge_list, load_sequence,
                         union_graph, write_edge_list)
 from linkmirage import graphs
-from linkmirage.graphs import _absent_pairs, _canonical_edges, _edge_keys, _plain_edges
+from linkmirage.graphs import (_absent_pairs, _canonical_edges, _edge_keys, _plain_edges,
+                               _unique_rows)
 
 
 def test_edges_canonicalized_and_deduped():
@@ -31,6 +32,18 @@ def test_canonical_edges_match_row_unique():
         want = np.unique(np.sort(arr, axis=1), axis=0)
         got = _canonical_edges(arr)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+        # (sample, lo, hi) rows, as the samples of a perturbation draw them
+        rows = np.column_stack([rng.integers(0, 3, size=len(arr)), np.sort(arr, axis=1)])
+        rows = np.vstack([rows, rows[::2]])
+        got = np.column_stack(_unique_rows(*rows.T))
+        assert np.array_equal(got, np.unique(rows, axis=0))
+    # rows that differ only in their sample
+    sample, lo, hi = _unique_rows(np.array([2, 0, 2, 1]), np.array([4, 4, 4, 4]),
+                                  np.array([9, 9, 9, 9]))
+    assert sample.tolist() == [0, 1, 2] and lo.tolist() == [4] * 3 and hi.tolist() == [9] * 3
+    empty = np.empty(0, dtype=np.int64)
+    assert all(np.array_equal(c, empty) for c in _unique_rows(empty, empty, empty))
+    assert _canonical_edges(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
 
 
 def test_self_loop_rejected():

@@ -183,6 +183,34 @@ def test_tv_common_restricts_to_shared_vertices():
     assert n_common == 3
     # rows 0 and 1 differ only through row 2's extra neighbor
     assert 0.0 < value < 1.0
+    # random pairs over id sets that differ, isolated vertices included,
+    # against the rows of both matrices laid out densely in the union id space
+    rng = np.random.default_rng(11)
+
+    def shifted_graph():
+        n = int(rng.integers(2, 25))
+        ids = np.sort(rng.choice(40, size=n, replace=False))
+        base = random_graph(n, rng.uniform(0.0, 0.4), rng)
+        return Graph(ids[base.edges], vertices=ids)
+
+    checked = 0
+    while checked < 300:
+        p = matrix_power(transition_matrix(shifted_graph()), int(rng.integers(1, 4)))
+        q = transition_matrix(shifted_graph())
+        common = np.intersect1d(p.ids, q.ids)
+        if not common.size:
+            continue
+        union = np.union1d(p.ids, q.ids)
+        rows = []
+        for m in (p, q):
+            dense = np.zeros((union.size, union.size))
+            at = np.searchsorted(union, m.ids)
+            dense[np.ix_(at, at)] = m.matrix.toarray()
+            rows.append(dense[np.searchsorted(union, common)])
+        want = 0.5 * np.abs(rows[0] - rows[1]).sum(axis=1).mean()
+        value, n_common = tv_distance_common(p, q)
+        assert n_common == common.size and abs(value - want) <= 1e-12
+        checked += 1
 
 
 def loop_transition_matrix(graph):

@@ -261,7 +261,8 @@ def walk_distribution(graph, uv):
 def pair_distribution(task, uv):
     """Exact distribution of the rewired cells of one pair that touch u or v."""
     dist = {frozenset(): 1.0}
-    grid = task.probabilities()
+    width = task.nodes_b.size
+    grid = task.probabilities(np.arange(task.nodes_a.size * width)).reshape(-1, width)
     for (i, a), (j, b) in itertools.product(enumerate(task.nodes_a.tolist()),
                                             enumerate(task.nodes_b.tolist())):
         if {a, b} & set(uv):

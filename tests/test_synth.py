@@ -50,8 +50,8 @@ def reference_ring_of_blocks(n_blocks, block_size, p_in, inter_per_pair, rng, ri
     return Graph(sorted(edges), vertices=range(n_blocks * block_size))
 
 
-def reference_planted_partition(sizes, p_in, p_out, rng, first_id=0):
-    starts = np.concatenate([[first_id], first_id + np.cumsum(sizes)])
+def reference_planted_partition(sizes, p_in, p_out, rng):
+    starts = np.concatenate([[0], np.cumsum(sizes)])
     edges = []
     for bi, size in enumerate(sizes):
         lo = int(starts[bi])
@@ -66,7 +66,7 @@ def reference_planted_partition(sizes, p_in, p_out, rng, first_id=0):
             edges += reference_sample_pairs(sizes[bi], sizes[bj], min(m, total), rng,
                                             offset_left=int(starts[bi]),
                                             offset_right=int(starts[bj]))
-    return Graph(edges, vertices=range(first_id, first_id + int(sum(sizes))))
+    return Graph(edges, vertices=range(int(sum(sizes))))
 
 
 def reference_er(n, p, rng, first_id=0):
@@ -177,12 +177,11 @@ def test_ring_of_blocks_wires_repeated_pairs_with_new_edges():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_planted_partition_and_er_equal_the_copying_sampler(seed):
-    for sizes, p_in, p_out, first_id in (([8, 8], 0.6, 0.08, 0), ([20, 5, 13], 0.3, 0.05, 7),
-                                         ([1, 4], 0.5, 0.5, 2)):
-        got, blocks = planted_partition_graph(sizes, p_in, p_out, np.random.default_rng(seed),
-                                              first_id=first_id)
+    for sizes, p_in, p_out in (([8, 8], 0.6, 0.08), ([20, 5, 13], 0.3, 0.05),
+                               ([1, 4], 0.5, 0.5)):
+        got, blocks = planted_partition_graph(sizes, p_in, p_out, np.random.default_rng(seed))
         assert got == reference_planted_partition(sizes, p_in, p_out,
-                                                  np.random.default_rng(seed), first_id)
+                                                  np.random.default_rng(seed))
         assert sorted(map(len, blocks.communities.values())) == sorted(sizes)
     for n, p, first_id in ((1, 0.5, 0), (12, 0.3, 0), (30, 0.9, 100)):
         assert er_graph(n, p, np.random.default_rng(seed), first_id) == \
