@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _edge_keys
+from .graphs import _MAX_ID, Graph, _edge_keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +90,18 @@ class CommunityDiff:
         return {cur: prev for prev, cur in self.unchanged}
 
 
-def _edge_labels(graph: Graph, clustering: Clustering) -> np.ndarray:
-    """Community labels of both endpoints of every edge, shape (m, 2).
+def _edge_communities(graph: Graph, clustering: Clustering) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, ends): the community labels of the graph's vertices,
+    ascending and distinct, and the index in ``labels`` of both endpoints of
+    every edge, shape (m, 2). Indices order as their labels do.
 
     Raises ValueError when ``clustering`` leaves a vertex of ``graph`` out.
     """
     labels = clustering.label_of(graph.vertices)
     if (labels < 0).any():
         raise ValueError("clustering does not cover every vertex of the graph")
-    return labels[graph.edge_positions]
+    labels, comm = np.unique(labels, return_inverse=True)
+    return labels, comm[graph.edge_positions]
 
 
 def modularity(graph: Graph, clustering: Clustering) -> float:
@@ -140,50 +143,65 @@ def _agglomerate(graph: Graph, basis: Clustering) -> tuple[Clustering, list]:
     (a, b) with a < b, and the merge sequence is the one an eagerly re-keyed
     heap would produce.
 
-    An entry that names a merged-away label is dead: it is skipped whenever
+    Every community is held as its owner index 0..L-1, its rank among the
+    basis labels: strengths, liveness and neighbor weights are lists over
+    owners, and heap entries name owners. Owners ascend with labels, so
+    every comparison of pairs, ties included, is the comparison of their
+    labels; labels are read back only for the events and the partition. The
+    initial gains are one array expression with the float operations of the
+    loop, and the initial heap is their positive entries sorted on
+    ``(-gain, a, b)``, which is already a heap.
+
+    An entry that names a merged-away owner is dead: it is skipped whenever
     it is popped. A merge of b kills the entries of b's other pairs and any
     further entry of (a, b), about ``len(nbr_b) + 1``; a running count of
     these, less the dead pops, estimates how many the heap holds. When a
     merge leaves that count above half the heap, the heap is rebuilt from
-    the entries whose two labels are both live. This is exact:
+    the entries whose two owners are both live. This is exact:
     keys ``(-gain, a, b)`` are totally ordered and a dead entry is never
     acted on, so dropping dead entries cannot change the pop sequence of the
     live ones; the count only decides when the rebuild happens. Returns the
-    partition and the merge events ``(a, b, gain)``, b merged into a, in
-    merge order.
+    partition and the merge events ``(a, b, gain)`` in labels, b merged into
+    a, in merge order.
     """
     m = graph.num_edges
     if m == 0:
         return basis, []
     labels, owner = np.unique(basis.labels, return_inverse=True)
-    strength = np.bincount(owner, weights=graph.degrees, minlength=labels.size) / (2.0 * m)
-    strength = dict(zip(labels.tolist(), strength.tolist()))   # live labels only
-    neighbors = {label: {} for label in strength}              # label -> {label: weight}
+    size = labels.size
+    strength = np.bincount(owner, weights=graph.degrees, minlength=size) / (2.0 * m)
 
-    # canonical (lower, upper) owner-index pairs of the cross edges; owner
-    # indices ascend with labels, so each pair comes out as (a, b) with a < b
+    # the canonical (a, b) owner pairs, a < b, of the cross edges, weighted
+    # by their edge counts
     ends = owner[graph.edge_positions]
     ends = ends[ends[:, 0] != ends[:, 1]]
-    keys, weights = np.unique(ends.min(axis=1) * labels.size + ends.max(axis=1),
-                              return_counts=True)
-    lower, upper = np.divmod(keys, labels.size)
-    heap = []
-    for a, b, w in zip(labels[lower].tolist(), labels[upper].tolist(), weights.tolist()):
+    keys, weights = np.unique(np.minimum(ends[:, 0], ends[:, 1]) * size
+                              + np.maximum(ends[:, 0], ends[:, 1]), return_counts=True)
+    lower, upper = np.divmod(keys, size)
+    # every reference to owner i is to the one int owners[i], in the dicts
+    # and in the heap alike, not to one int per array element read
+    owners = list(range(size))
+    neighbors = [{} for _ in owners]        # owner -> {owner: weight}
+    for a, b, w in zip(map(owners.__getitem__, lower.tolist()),
+                       map(owners.__getitem__, upper.tolist()), weights.tolist()):
         neighbors[a][b] = neighbors[b][a] = w
-        gain = w / m - 2.0 * strength[a] * strength[b]
-        # a pair's gain can only rise when a merge brings it new cross
-        # weight, and those pairs are pushed then, so non-positive candidates
-        # are dropped here and below
-        if gain > 0.0:
-            heap.append((-gain, a, b))
-    heapq.heapify(heap)
+    # the loop's gain, with the same float operations in the same order; a
+    # pair's gain can only rise when a merge brings it new cross weight, and
+    # those pairs are pushed then, so non-positive candidates are dropped
+    # here and below
+    gain = weights / m - 2.0 * strength[lower] * strength[upper]
+    up = np.flatnonzero(gain > 0.0)
+    up = up[np.lexsort((upper[up], lower[up], -gain[up]))]
+    heap = list(zip((-gain[up]).tolist(), map(owners.__getitem__, lower[up].tolist()),
+                    map(owners.__getitem__, upper[up].tolist())))
+    strength = strength.tolist()
 
     events = []
-    into = {}                   # merged-away label -> the label it merged into
+    into = list(range(size))    # the owner each owner merged into; itself while live
     dead = 0                    # estimated dead entries in the heap
     while heap:
         neg_gain, a, b = heapq.heappop(heap)
-        if a not in strength or b not in strength:
+        if into[a] != a or into[b] != b:
             dead -= 1
             continue
         gain = neighbors[a].get(b, 0) / m - 2.0 * strength[a] * strength[b]
@@ -191,12 +209,12 @@ def _agglomerate(graph: Graph, basis: Clustering) -> tuple[Clustering, list]:
             if gain > 0.0:
                 heapq.heappush(heap, (-gain, a, b))
             continue
-        # b merges into a, the smaller label
+        # b merges into a, the smaller owner
         events.append((a, b, gain))
         into[b] = a
-        strength[a] += strength.pop(b)
-        nbr_a = neighbors[a]
-        nbr_b = neighbors.pop(b)
+        strength[a] += strength[b]
+        nbr_a, nbr_b = neighbors[a], neighbors[b]
+        neighbors[b] = None
         nbr_a.pop(b, None)
         nbr_b.pop(a, None)
         for x, w in nbr_b.items():
@@ -209,17 +227,17 @@ def _agglomerate(graph: Graph, basis: Clustering) -> tuple[Clustering, list]:
                 heapq.heappush(heap, (-gain, lo, hi))
         dead += len(nbr_b) + 1
         if 2 * dead > len(heap):
-            heap = [e for e in heap if e[1] in strength and e[2] in strength]
+            heap = [e for e in heap if into[e[1]] == e[1] and into[e[2]] == e[2]]
             heapq.heapify(heap)
             dead = 0
 
-    # a label merges only into a smaller one, so in ascending order each
-    # target's final label is known before it is read
-    for b in sorted(into):
-        into[b] = into.get(into[b], into[b])
-    final = labels.copy()
-    final[np.searchsorted(labels, list(into))] = list(into.values())
-    return Clustering(vertices=basis.vertices, labels=final[owner]), events
+    # an owner merges only into a smaller one, so in ascending order each
+    # target's final owner is known before it is read
+    for b in range(size):
+        into[b] = into[into[b]]
+    names = labels.tolist()
+    events = [(names[a], names[b], gain) for a, b, gain in events]
+    return Clustering(vertices=basis.vertices, labels=labels[into][owner]), events
 
 
 def cluster_static(graph: Graph) -> Clustering:
@@ -273,13 +291,22 @@ def recluster_dynamic(graph: Graph, prev: Clustering, changed_links,
 
 def changed_link_set(prev_graph: Graph, cur_graph: Graph) -> set:
     """Symmetric difference of edge sets; covers edges of added/removed vertices."""
-    # set operations on row keys find the changed rows; only those become
-    # Python tuples
-    prev, cur = prev_graph.edges, cur_graph.edges
-    prev_keys, cur_keys = _edge_keys(prev, cur)
-    changed = np.concatenate([prev[~np.isin(prev_keys, cur_keys, assume_unique=True)],
-                              cur[~np.isin(cur_keys, prev_keys, assume_unique=True)]])
+    # edge keys over the union of the two vertex sets ascend, so each graph's
+    # rows missing from the other are found by binary search; only the
+    # changed rows become Python tuples
+    ids = np.union1d(prev_graph.vertices, cur_graph.vertices)
+    prev_keys, cur_keys = _edge_keys(prev_graph, ids), _edge_keys(cur_graph, ids)
+    changed = np.concatenate([prev_graph.edges[_missing(prev_keys, cur_keys)],
+                              cur_graph.edges[_missing(cur_keys, prev_keys)]])
     return set(map(tuple, changed.tolist()))
+
+
+def _missing(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` absent from ``others``, both ascending edge keys.
+    Edge keys stay below the int64 maximum, which is appended to ``others``
+    so that every lookup lands on an entry."""
+    others = np.append(others, _MAX_ID)
+    return others[np.searchsorted(others, keys)] != keys
 
 
 def classify_communities(prev: Clustering | None, cur: Clustering,

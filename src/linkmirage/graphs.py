@@ -3,10 +3,13 @@
 Vertex ids are arbitrary nonnegative integers that are stable across time
 (the same id denotes the same user in every snapshot). Internally every
 graph remaps its ids to dense positions 0..n-1 for sparse indexing; the
-position of a raw id is its index in the sorted ``vertices`` array, found
-by binary search (``index_of``). ``Graph`` owns that arithmetic: its edges
-as positions (``edge_positions``), its sparse adjacency (``adjacency``) and
-breadth-first distances over it (``hops``).
+position of a raw id is its index in the sorted ``vertices`` array. The
+constructor finds every position in one argsort (``_unique_inverse``), then
+orders, deduplicates and lays out the edges by one int64 key per edge over
+those positions; ``index_of`` finds one position by binary search. ``Graph`` owns that
+arithmetic: its edges as positions (``edge_positions``), edge keys in the
+id space of a vertex superset (``_edge_keys``), its sparse adjacency
+(``adjacency``) and breadth-first distances over it (``hops``).
 """
 
 from __future__ import annotations
@@ -34,19 +37,6 @@ def _id_array(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.int64)
 
 
-def _canonical_edges(edges) -> np.ndarray:
-    """Deduplicated (min,max) edge array, lexicographically sorted."""
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                     dtype=np.int64)
-    arr = arr.reshape(-1, 2)
-    if (arr[:, 0] == arr[:, 1]).any():
-        bad = arr[arr[:, 0] == arr[:, 1]][0, 0]
-        raise ValueError(f"self-loop on vertex {bad} is not allowed")
-    lo, hi = _unique_rows(np.minimum(arr[:, 0], arr[:, 1]),
-                          np.maximum(arr[:, 0], arr[:, 1]))
-    return np.column_stack([lo, hi])
-
-
 def _unique_rows(*columns) -> tuple:
     """The distinct rows of equal-length columns, sorted on the first column,
     then the next: the columns of np.unique(axis=0) without its slow
@@ -60,6 +50,33 @@ def _unique_rows(*columns) -> tuple:
     for c in columns:
         first[1:] |= c[1:] != c[:-1]
     return tuple(c[first] for c in columns)
+
+
+def _edge_ends(edges) -> np.ndarray:
+    """The ids of an edge list as one int64 array, two per edge in row
+    order. Raises ValueError on a self-loop."""
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
+                     dtype=np.int64).reshape(-1, 2)
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        raise ValueError(f"self-loop on vertex {arr[loops][0, 0]} is not allowed")
+    return arr.ravel()
+
+
+def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D int array, from
+    one argsort and fewer full-size temporaries: the sorted distinct values
+    and the index of each value among them."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    index = np.cumsum(first)
+    index -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = index
+    return ordered[first], inverse
 
 
 def _in_id_space(matrix: sp.csr_matrix, vertices: np.ndarray,
@@ -82,12 +99,15 @@ def _in_id_space(matrix: sp.csr_matrix, vertices: np.ndarray,
                          shape=(ids.size, ids.size))
 
 
-def _edge_keys(*edge_arrays) -> list:
-    """One int64 key per row of each (m, 2) id array, for set operations on
-    rows: a * n + b, with a and b the positions of the row's ids among the n
-    ids of all the arrays, so equal rows get equal keys across arrays."""
-    ids = np.unique(np.concatenate([e.ravel() for e in edge_arrays]))
-    return [np.searchsorted(ids, e) @ np.array([ids.size, 1]) for e in edge_arrays]
+def _edge_keys(graph: Graph, ids: np.ndarray) -> np.ndarray:
+    """One int64 key a * n + b per edge of ``graph``, with a < b the
+    positions of its ends among the n ids of ``ids``, a sorted superset of
+    the graph's vertices. The keys ascend, as the edges do, and two graphs
+    keyed over the same ``ids`` give equal keys exactly to equal edges."""
+    pos = graph.edge_positions
+    if graph.num_vertices != ids.size:
+        pos = np.searchsorted(ids, graph.vertices)[pos]
+    return pos[:, 0] * ids.size + pos[:, 1]
 
 
 class Graph:
@@ -105,26 +125,32 @@ class Graph:
     __slots__ = ("_ids", "_edges", "_indptr", "_indices", "_degrees", "_edge_positions")
 
     def __init__(self, edges=(), vertices=None):
-        edge_arr = _canonical_edges(edges)
-        ids = edge_arr.ravel()
+        # the edge ends, two per edge in row order, then the extra vertices
+        ids = _edge_ends(edges)
+        count = ids.size
         if vertices is not None:
             ids = np.concatenate([ids, _id_array(vertices)])
-        ids = np.unique(ids)
+        ids, inverse = _unique_inverse(ids)
         if ids.size and ids[0] < 0:
             raise ValueError("vertex ids must be nonnegative")
         self._ids = ids
-        self._edges = edge_arr
 
-        # the edges as internal positions, and the CSR adjacency over them,
-        # neighbor lists sorted
-        pos = np.searchsorted(ids, edge_arr)
-        both = np.concatenate([pos, pos[:, ::-1]])
-        both = both[np.lexsort((both[:, 1], both[:, 0]))]
-        counts = np.bincount(both[:, 0], minlength=ids.size)
-        self._edge_positions = pos
-        self._indices = np.ascontiguousarray(both[:, 1])
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._degrees = counts.astype(np.int64)
+        # each edge as the key lo * n + hi of its end positions (n**2 < 2**63
+        # for any n below 3e9): the distinct keys ascending are the distinct
+        # edges in (lo, hi) order, and the keys of both orientations sorted
+        # are the CSR entries row by row, neighbor lists sorted
+        n = ids.size
+        u, v = inverse[:count:2], inverse[1:count:2]
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        lo, hi = np.divmod(keys, n)
+        self._edge_positions = np.column_stack([lo, hi])
+        self._edges = ids[self._edge_positions]
+        self._indices = np.concatenate([keys, hi * n + lo])
+        self._indices.sort()
+        self._indices %= n
+        self._degrees = np.bincount(self._edge_positions.ravel(), minlength=n)
+        self._indptr = np.concatenate([[0], np.cumsum(self._degrees)])
         for a in (self._ids, self._edges, self._edge_positions, self._indptr,
                   self._indices, self._degrees):
             a.flags.writeable = False
@@ -182,8 +208,8 @@ class Graph:
     @property
     def edge_positions(self) -> np.ndarray:
         """Internal positions of ``edges``, shape (m, 2), read-only: the
-        constructor's binary search of the edge ids, which its CSR is built
-        from."""
+        deduplicated position keys the constructor orders the edges by and
+        builds its CSR from, split back into (lo, hi) rows."""
         return self._edge_positions
 
     def adjacency(self, data=None) -> sp.csr_matrix:

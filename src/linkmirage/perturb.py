@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import (Clustering, CommunityDiff, _edge_labels, changed_link_set,
+from .clustering import (Clustering, CommunityDiff, _edge_communities, changed_link_set,
                          classify_communities, cluster_static, recluster_dynamic)
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, _unique_rows
 from .markov import walk_terminals
@@ -384,16 +384,20 @@ def group_edges(graph: Graph, clustering: Clustering) -> tuple[dict, dict]:
     keys ascending. Each edge is oriented (vertex in a, vertex in b), as
     ``_PairTask.sample`` draws it. An entry that holds no edge has no key.
     """
-    ends = _edge_labels(graph, clustering)
+    # community indices ascend with the labels, so one stable sort of the
+    # key a * c + b of each oriented edge's indices orders the edges as the
+    # (a, b) label pairs do, each group keeping its edges in edge order
+    labels, ends = _edge_communities(graph, clustering)
     flip = ends[:, 0] > ends[:, 1]
     edges = graph.edges.copy()
     edges[flip], ends[flip] = edges[flip, ::-1], ends[flip, ::-1]
-    order = np.lexsort((ends[:, 1], ends[:, 0]))
-    edges, ends = edges[order], ends[order]
-    # labels are >= 0, so prepending -1 makes row 0 start a group too
-    starts = np.flatnonzero(np.diff(ends[:, 0], prepend=-1) | np.diff(ends[:, 1], prepend=-1))
+    keys = ends[:, 0] * labels.size + ends[:, 1]
+    order = np.argsort(keys, kind="stable")
+    edges, keys = edges[order], keys[order]
+    # keys are >= 0, so prepending -1 makes row 0 start a group too
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
     intra, inter = {}, {}
-    for (a, b), part in zip(ends[starts].tolist(), np.split(edges, starts[1:])):
+    for (a, b), part in zip(labels[ends[order[starts]]].tolist(), np.split(edges, starts[1:])):
         if a == b:
             intra[a] = part
         else:

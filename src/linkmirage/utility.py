@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _edge_labels
+from .clustering import _edge_communities
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
 from .perturb import (PerturbParams, _blocks, _entries, _hash, _root_key, _sample_step,
@@ -50,7 +50,7 @@ def ratio_cut(graph: Graph, clustering) -> float:
     """Inter-community edge count divided by vertex count."""
     if graph.num_vertices == 0:
         return 0.0
-    ends = _edge_labels(graph, clustering)
+    _, ends = _edge_communities(graph, clustering)
     return int(np.count_nonzero(ends[:, 0] != ends[:, 1])) / graph.num_vertices
 
 

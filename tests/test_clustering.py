@@ -15,6 +15,7 @@ from linkmirage import (Clustering, Graph, PerturbParams,
                         recluster_dynamic, ring_of_blocks)
 from linkmirage import clustering as clustering_module
 from linkmirage.clustering import _agglomerate
+from linkmirage.graphs import _edge_keys
 from linkmirage.reporting import json_text
 
 
@@ -268,6 +269,32 @@ def test_lazy_merger_matches_eager_on_fixtures(triangle, path3, two_k4_bridge, r
         assert_same_merges(g, [{int(v)} for v in g.vertices])
 
 
+def petersen_edges():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return outer + spokes + inner
+
+
+@pytest.mark.parametrize("edges", [
+    [(i, (i + 1) % 12) for i in range(12)],             # 12-cycle
+    [(i, j) for i in range(3) for j in range(3, 6)],    # K3,3
+    petersen_edges(),                                   # 3-regular
+], ids=["cycle12", "k33", "petersen"])
+@pytest.mark.parametrize("relabel", [False, True])
+def test_lazy_merger_matches_eager_when_every_initial_gain_ties(edges, relabel):
+    # regular graphs give every singleton pair the same first gain, so the
+    # initial heap order is decided by (a, b) alone; sparse shuffled ids put
+    # the labels in another order than the construction's
+    edges = np.array(edges)
+    if relabel:
+        ids = np.random.default_rng(5).permutation(edges.max() + 1) * 1000 + 7
+        edges = ids[edges]
+    g = Graph(edges)
+    assert len(set(g.degrees.tolist())) == 1
+    assert_same_merges(g, [{int(v)} for v in g.vertices])
+
+
 def test_lazy_merger_matches_eager_on_ring_of_blocks():
     g = ring_of_blocks(80, 50, 0.16, 20, np.random.default_rng(3))
     assert 19000 < g.num_edges < 21000
@@ -278,7 +305,8 @@ def test_lazy_merger_matches_eager_when_the_heap_is_compacted(monkeypatch):
     # the recluster_dynamic shape at release scale: each block minus its
     # freed vertices is one frozen node, and about 30% of vertices are freed
     # singletons, enough merges for the heap to be rebuilt without its dead
-    # entries (every heapify after the first)
+    # entries; the initial heap is built sorted, so every heapify is such a
+    # rebuild
     g = ring_of_blocks(80, 50, 0.16, 20, np.random.default_rng(3))
     freed = np.random.default_rng(4).random(g.num_vertices) < 0.3
     ids = g.vertices.tolist()
@@ -293,7 +321,7 @@ def test_lazy_merger_matches_eager_when_the_heap_is_compacted(monkeypatch):
 
     monkeypatch.setattr(clustering_module.heapq, "heapify", counting_heapify)
     assert_same_merges(g, basis)
-    assert len(heapify_calls) > 1
+    assert len(heapify_calls) == 7
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,6 +439,13 @@ def test_changed_link_set_is_the_tuple_symmetric_difference(rng):
         g_cur = Graph(ids[cur.edges], vertices=ids[cur.vertices])
         want = set(map(tuple, g_prev.edges.tolist())) ^ set(map(tuple, g_cur.edges.tolist()))
         assert changed_link_set(g_prev, g_cur) == want
+        # the keys over the shared id space ascend and spell out their edges,
+        # so they are equal exactly for equal rows
+        union = np.union1d(g_prev.vertices, g_cur.vertices)
+        for g in (g_prev, g_cur):
+            keys = _edge_keys(g, union)
+            assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+            assert np.array_equal(union[np.column_stack(np.divmod(keys, union.size))], g.edges)
 
 
 def test_recluster_never_worse_than_frozen(rng):

@@ -5,15 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
 from linkmirage import (Graph, GraphFormatError, load_edge_list, load_sequence,
                         union_graph, write_edge_list)
 from linkmirage import graphs
-from linkmirage.graphs import (_absent_pairs, _canonical_edges, _edge_keys, _plain_edges,
-                               _unique_rows)
+from linkmirage.graphs import _absent_pairs, _edge_keys, _plain_edges, _unique_rows
 
 
 def test_edges_canonicalized_and_deduped():
@@ -30,7 +29,7 @@ def test_canonical_edges_match_row_unique():
         arr = arr[arr[:, 0] != arr[:, 1]]
         arr = np.vstack([arr, arr[::3, ::-1]])   # reversed duplicates
         want = np.unique(np.sort(arr, axis=1), axis=0)
-        got = _canonical_edges(arr)
+        got = Graph(arr).edges
         assert got.dtype == np.int64 and np.array_equal(got, want)
         # (sample, lo, hi) rows, as the samples of a perturbation draw them
         rows = np.column_stack([rng.integers(0, 3, size=len(arr)), np.sort(arr, axis=1)])
@@ -43,7 +42,68 @@ def test_canonical_edges_match_row_unique():
     assert sample.tolist() == [0, 1, 2] and lo.tolist() == [4] * 3 and hi.tolist() == [9] * 3
     empty = np.empty(0, dtype=np.int64)
     assert all(np.array_equal(c, empty) for c in _unique_rows(empty, empty, empty))
-    assert _canonical_edges(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
+    assert Graph(np.empty((0, 2), dtype=np.int64)).edges.shape == (0, 2)
+
+
+def reference_graph_arrays(edges, vertices=None):
+    """Oracle: the six arrays of ``Graph`` built by row sorts (rows
+    lexsorted and deduplicated, positions by binary search, the CSR a
+    lexsort of both orientations), named as the accessors name them."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    edge_arr = np.column_stack([lo[first], hi[first]])
+    ids = edge_arr.ravel()
+    if vertices is not None:
+        ids = np.concatenate([ids, np.asarray(vertices, dtype=np.int64)])
+    ids = np.unique(ids)
+    pos = np.searchsorted(ids, edge_arr)
+    both = np.concatenate([pos, pos[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    counts = np.bincount(both[:, 0], minlength=ids.size)
+    return {"vertices": ids, "edges": edge_arr, "edge_positions": pos,
+            "indptr": np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+            "indices": np.ascontiguousarray(both[:, 1]), "degrees": counts.astype(np.int64)}
+
+
+def graph_arrays(g):
+    indptr, indices = g.csr_adjacency
+    return {"vertices": g.vertices, "edges": g.edges, "edge_positions": g.edge_positions,
+            "indptr": indptr, "indices": indices, "degrees": g.degrees}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=12,
+                unique=True),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+       st.none() | st.lists(st.integers(0, 11), max_size=6))
+@example([0, 2**63 - 1, 2**62], [(1, 0), (0, 1), (1, 0), (2, 1)], [0])
+@example([5, 3], [], [1, 0])
+@example([7], [], None)
+def test_graph_matches_the_row_sort_construction(pool, pairs, isolated):
+    # ids from a pool, so rows repeat and come reversed; ``isolated`` adds
+    # pool ids as extra vertices, which may or may not end an edge
+    pairs = [(pool[i % len(pool)], pool[j % len(pool)]) for i, j in pairs]
+    pairs = [(u, v) for u, v in pairs if u != v]
+    vertices = None if isolated is None else [pool[i % len(pool)] for i in isolated]
+    g = Graph(pairs, vertices=vertices)
+    want = reference_graph_arrays(pairs, vertices)
+    for name, got in graph_arrays(g).items():
+        assert (got.dtype, got.shape) == (want[name].dtype, want[name].shape), name
+        assert got.tobytes() == want[name].tobytes(), name
+        assert not got.flags.writeable, name
+
+
+def test_graph_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="^self-loop on vertex 4 is not allowed$"):
+        Graph([(1, 2), (4, 4), (3, 3)])
+    with pytest.raises(ValueError, match="^vertex ids must be nonnegative$"):
+        Graph([(1, -2)])
+    with pytest.raises(ValueError, match="^vertex ids must be nonnegative$"):
+        Graph([(1, 2)], vertices=[-5])
 
 
 def test_self_loop_rejected():
@@ -166,13 +226,16 @@ def test_hops_on_a_path():
 
 def test_edge_keys_are_equal_exactly_for_equal_rows(rng):
     for _ in range(20):
-        # ids far beyond the square root of the int64 range
+        # ids far beyond the square root of the int64 range, and two graphs
+        # whose vertex sets differ
         ids = rng.choice(2**62, size=int(rng.integers(2, 30)), replace=False)
-        a, b = (ids[rng.integers(0, ids.size, size=(int(rng.integers(0, 40)), 2))]
-                for _ in range(2))
-        keys_a, keys_b = _edge_keys(a, b)
-        assert keys_a.shape == (len(a),) and keys_b.shape == (len(b),)
-        rows = [tuple(r) for r in np.concatenate([a, b]).tolist()]
+        a, b = (Graph(rows[rows[:, 0] != rows[:, 1]], vertices=ids[rng.random(ids.size) < 0.5])
+                for rows in (ids[rng.integers(0, ids.size, size=(int(rng.integers(0, 40)), 2))]
+                             for _ in range(2)))
+        union = np.union1d(a.vertices, b.vertices)
+        keys_a, keys_b = _edge_keys(a, union), _edge_keys(b, union)
+        assert keys_a.shape == (a.num_edges,) and keys_b.shape == (b.num_edges,)
+        rows = [tuple(r) for r in np.concatenate([a.edges, b.edges]).tolist()]
         keys = np.concatenate([keys_a, keys_b]).tolist()
         for i in range(len(rows)):
             for j in range(len(rows)):

@@ -13,7 +13,6 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, Perturbatio
                         group_edges, hay_baseline, linkmirage_run, perturb_static,
                         perturb_static_baseline_sequence, planted_partition_graph)
 from linkmirage import perturb, privacy
-from linkmirage.graphs import _canonical_edges
 from linkmirage.perturb import (_PairTask, _draws, _hash, _plan_chain, _reads, _root_key,
                                _step_key, build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
@@ -598,7 +597,7 @@ def groups_match(draw, graph, clustering):
     """Whether ``graph`` grouped by ``clustering`` holds exactly the draw's
     entries, as canonical edges; an entry that drew no edge may have no key."""
     return all(set(got) <= set(want) and all(
-        np.array_equal(_canonical_edges(got.get(key, EMPTY)), _canonical_edges(edges))
+        np.array_equal(Graph(got.get(key, EMPTY)).edges, Graph(edges).edges)
         for key, edges in want.items())
         for got, want in zip(group_edges(graph, clustering), draw))
 
@@ -643,6 +642,42 @@ def with_edge_moved(draw, clustering, rng):
                 edges[row, end] = rng.choice(others)
             dst[key] = edges
     return bent
+
+
+def reference_group_edges(graph, clustering):
+    """Oracle: ``group_edges`` as a lexsort of the (a, b) label columns of
+    the oriented edges, groups cut where either label changes."""
+    labels = clustering.label_of(graph.vertices)[graph.edge_positions]
+    flip = labels[:, 0] > labels[:, 1]
+    edges = graph.edges.copy()
+    edges[flip], labels[flip] = edges[flip, ::-1], labels[flip, ::-1]
+    order = np.lexsort((labels[:, 1], labels[:, 0]))
+    edges, labels = edges[order], labels[order]
+    starts = np.flatnonzero(np.diff(labels[:, 0], prepend=-1) | np.diff(labels[:, 1], prepend=-1))
+    intra, inter = {}, {}
+    for (a, b), part in zip(labels[starts].tolist(), np.split(edges, starts[1:])):
+        if a == b:
+            intra[a] = part
+        else:
+            inter[(a, b)] = part
+    return intra, inter
+
+
+def test_group_edges_matches_the_label_lexsort(rng):
+    # groups of well over 16 edges, where an unstable sort would reorder
+    # rows, sparse shuffled ids, and clusterings over extra vertices
+    for _ in range(40):
+        n = int(rng.integers(2, 90))
+        base = random_graph(n, rng.uniform(0.05, 0.6), rng)
+        ids = rng.permutation(n + 5) * 11 + 3
+        graph = Graph(ids[base.edges], vertices=ids[:n])
+        groups = rng.integers(0, int(rng.integers(1, 6)), size=ids.size)
+        clustering = Clustering.from_groups([ids[groups == c] for c in np.unique(groups)])
+        for got, want in zip(group_edges(graph, clustering),
+                             reference_group_edges(graph, clustering)):
+            assert list(got) == list(want)
+            for key, rows in want.items():
+                assert got[key].dtype == rows.dtype and np.array_equal(got[key], rows)
 
 
 def test_grouping_matches_frozenset_oracle():
@@ -744,7 +779,7 @@ def reference_carries(plan, uv):
 
 def edges_at(edges, uv):
     """The canonical edges of a draw that touch u or v."""
-    edges = _canonical_edges(edges)
+    edges = Graph(edges).edges
     return edges[np.isin(edges, uv).any(axis=1)]
 
 
