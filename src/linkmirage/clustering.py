@@ -113,10 +113,9 @@ def modularity(graph: Graph, clustering: Clustering) -> float:
         raise ValueError("clustering does not partition the graph's vertices")
     # community indices in ascending label order, which is the order of
     # ``clustering.communities``; the sum below runs in that order too
-    labels, comm = np.unique(clustering.labels, return_inverse=True)
-    ends = comm[graph.edge_positions]
+    labels, ends = _edge_communities(graph, clustering)
     intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=labels.size)
-    d = np.bincount(comm, weights=graph.degrees, minlength=labels.size)
+    d = np.bincount(ends.ravel(), minlength=labels.size)
     q = 0.0
     for e_c, d_c in zip(intra.tolist(), d.tolist()):
         q += e_c / m - (d_c / (2.0 * m)) ** 2

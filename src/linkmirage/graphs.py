@@ -41,7 +41,8 @@ def _unique_rows(*columns) -> tuple:
     """The distinct rows of equal-length columns, sorted on the first column,
     then the next: the columns of np.unique(axis=0) without its slow
     row-view sort. The rows are lexsorted and the first of each run of equal
-    rows is kept."""
+    rows is kept. ``perturb._perturb_rows`` deduplicates each sample's fake
+    edges with it, as (sample, lo, hi)."""
     order = np.lexsort(columns[::-1])
     columns = [c[order] for c in columns]
     # column compares: a row-wise any() over the columns is slower

@@ -21,10 +21,10 @@ function, ``_sample_step``, for a block of S samples at once: each entry is
 an array of rows [sample, a, b]. ``_draws`` folds it over the plans,
 carrying each draw into the next. The release is the block S = 1 under one
 key per timestamp; the posterior runs the same fold over blocks of
-re-perturbations, building only the entries its query reads (``_reads``)
-and of those only the part that can touch the queried ids, their k-hop
-ball (``_balls``): a community's walkers whose edge has an end within k
-hops of them, and a pair grid's rows and columns of them. The static
+re-perturbations, building only the entries its query reads and of those
+only the part that can touch the queried ids, their k-hop ball
+(``_balls``): a community's walkers whose edge has an end within k hops of
+them, and a pair grid's rows and columns of them. The static
 mechanism's posterior runs the same fold over ``_static_plans``, which hold
 each snapshot as one changed community. The degree check draws its trials in
 blocks through ``_sample_step`` too, whole.
@@ -277,14 +277,6 @@ def _ball(graph: Graph, k: int, ends) -> np.ndarray:
     return np.flatnonzero(near[pos[:, 0]] | near[pos[:, 1]])
 
 
-def _canonical_pairs(sample: np.ndarray, a: np.ndarray,
-                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sample, lo, hi) of the pairs (a, b), lo < hi, each sample's pairs
-    deduplicated and sorted: the distinct rows (``graphs._unique_rows``) of
-    (sample, lo, hi)."""
-    return _unique_rows(sample, np.minimum(a, b), np.maximum(a, b))
-
-
 def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None,
                   walkers=None) -> np.ndarray:
     """Array core of ``perturb_static`` for S samples keyed by ``keys``: rows
@@ -300,9 +292,9 @@ def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None,
         at = np.isin(graph.vertices, ends)
         keep &= at[starts] | at[terms]
     keep = np.flatnonzero(keep)
+    a, b = starts.reshape(-1)[keep], terms.reshape(-1)[keep]
     # positions follow the id order, so a canonical position pair is one of ids
-    sample, lo, hi = _canonical_pairs(keep // starts.shape[1],
-                                      starts.reshape(-1)[keep], terms.reshape(-1)[keep])
+    sample, lo, hi = _unique_rows(keep // starts.shape[1], np.minimum(a, b), np.maximum(a, b))
     return np.column_stack([sample, graph.vertices[lo], graph.vertices[hi]])
 
 
@@ -436,61 +428,50 @@ class _StepPlan:
     def drawn(self, reads=None):
         """The entries a draw builds: (label, None, walkers) per changed
         label, then ((a, b), task, cells) per pair task that is not reused.
-        ``reads`` is None for every such entry, or one step of ``_reads``: the
-        (labels, pairs) to build, the rest left out, or of ``_balls``: the
-        same keys, each mapped to the part of the query's ball its entry
-        draws. Walkers and cells are None where an entry is drawn whole."""
-        labels, pairs = (None, None) if reads is None else reads
-        ball = isinstance(labels, dict)
+        ``reads`` is None for every such entry, drawn whole, or one step of
+        ``_balls``: only its keys are built, each drawing the walkers or
+        cells it maps to, or the whole entry where that is None."""
+        walkers, cells = reads or ({}, {})
         for label in self.diff.changed:
-            if labels is None or label in labels:
-                yield label, None, labels[label] if ball else None
+            if reads is None or label in walkers:
+                yield label, None, walkers.get(label)
         for task in self.pair_tasks:
             pair = (task.a, task.b)
-            if pair not in self.reused_pairs and (pairs is None or pair in pairs):
-                yield pair, task, pairs[pair] if ball else None
+            if pair not in self.reused_pairs and (reads is None or pair in cells):
+                yield pair, task, cells.get(pair)
 
 
-def _reads(plans, ids) -> list:
-    """Per plan, the step-draw entries that edges touching ``ids`` come from:
-    (labels, pairs) of the intra and inter entries a draw must build.
+def _balls(plans, ids, k: int) -> list:
+    """Per plan, the step-draw entries that edges touching ``ids`` come from,
+    each with the part of it that can touch them, its k-hop ball: (label ->
+    walkers, pair -> cells).
 
     At each step these are the entries of the ids' communities and every pair
     task with one of them as an end, plus what the next step's entries copy:
     the previous label of an unchanged community and the previous key of a
     reused pair, back to t = 0. An entry holds only edges between members of
-    its communities, so no other entry has an edge touching ``ids``.
-    """
-    reads = []
-    labels, pairs = set(), set()    # what the step after needs from this one
-    for plan in reversed(plans):
-        own = set(plan.clustering.label_of(ids).tolist()) - {-1}
-        labels |= own
-        pairs |= {(task.a, task.b) for task in plan.pair_tasks if {task.a, task.b} & own}
-        reads.append((labels, pairs))
-        prev_for = plan.diff.prev_for
-        labels = {prev_for[label] for label in labels if label in prev_for}
-        pairs = {plan.reused_pairs[pair] for pair in pairs if pair in plan.reused_pairs}
-    return reads[::-1]
-
-
-def _balls(plans, ids, k: int) -> list:
-    """``_reads(plans, ids)`` with the k-hop ball of ``ids`` in each entry:
-    per plan, (label -> walkers, pair -> cells) over the same keys. A
+    its communities, so no other entry has an edge touching ``ids``. A
     changed community maps to its walkers that can touch ``ids`` (``_ball``),
     a pair that is not reused to its grid cells in the rows and columns of
     ``ids`` (``_PairTask.cells_at``), and an entry the step copies to None.
-    Each is found once, for every block drawn after."""
+    Each is found once, for every block drawn after.
+    """
     balls = []
-    for plan, read in zip(plans, _reads(plans, ids)):
-        walkers, cells = dict.fromkeys(read[0]), dict.fromkeys(read[1])
-        for key, task, _ in plan.drawn(read):
-            if task is None:
-                walkers[key] = _ball(plan.subgraphs[key], k, ids)
-            else:
-                cells[key] = task.cells_at(ids)
+    labels, pairs = set(), set()    # what the step after copies from this one
+    for plan in reversed(plans):
+        own = set(plan.clustering.label_of(ids).tolist()) - {-1}
+        walkers = {label: _ball(plan.subgraphs[label], k, ids) if label in plan.subgraphs
+                   else None for label in labels | own}
+        cells = {}
+        for task in plan.pair_tasks:
+            pair = (task.a, task.b)
+            if pair in pairs or {task.a, task.b} & own:
+                cells[pair] = None if pair in plan.reused_pairs else task.cells_at(ids)
         balls.append((walkers, cells))
-    return balls
+        prev_for = plan.diff.prev_for
+        labels = {prev_for[label] for label in walkers if label in prev_for}
+        pairs = {plan.reused_pairs[pair] for pair in cells if pair in plan.reused_pairs}
+    return balls[::-1]
 
 
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
@@ -572,22 +553,14 @@ def _static_plans(seq: TemporalGraphSequence) -> list:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _block_sizes(n: int, per_sample: int) -> list:
-    """Sizes of the blocks that n samples of ``per_sample`` array entries each
-    are drawn in, in order: as many samples as ``_BLOCK_ENTRIES`` holds, and at
-    least one."""
-    size = max(1, _BLOCK_ENTRIES // max(1, per_sample))
-    return [min(size, n - start) for start in range(0, n, size)]
-
-
 def _entries(plans, k: int, reads=None) -> int:
     """Array entries one sample of a fold over ``plans`` holds at its largest
     step: for each entry ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per
-    walker and one per grid cell. A community walks every edge and a pair
-    draws its whole grid, or, with ``reads`` from ``_balls``, only its ball's
-    walkers and cells. A fold draws one step at a time and carries only rows
-    into the next, so its largest step, not the sum of its steps, sizes a
-    block."""
+    walker and one per grid cell. ``reads`` is None or ``_balls(plans, ids,
+    k)``, as in ``_draws``: a community walks every edge and a pair draws its
+    whole grid, or only its ball's walkers and cells. A fold draws one step
+    at a time and carries only rows into the next, so its largest step, not
+    the sum of its steps, sizes a block."""
     def step(plan, read):
         total = 0
         for key, task, ball in plan.drawn(read):
@@ -603,9 +576,11 @@ def _entries(plans, k: int, reads=None) -> int:
 
 
 def _blocks(n: int, per_sample: int) -> list:
-    """The sample indices 0 .. n - 1 split into the blocks of
-    ``_block_sizes(n, per_sample)``, in order."""
-    return np.split(np.arange(n), np.cumsum(_block_sizes(n, per_sample))[:-1])
+    """The sample indices 0 .. n - 1 split into the blocks that samples of
+    ``per_sample`` array entries each are drawn in, in order: as many
+    samples as ``_BLOCK_ENTRIES`` holds, and at least one."""
+    size = max(1, _BLOCK_ENTRIES // max(1, per_sample))
+    return np.split(np.arange(n), range(size, n, size))
 
 
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarray,
@@ -622,21 +597,14 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
     entry of changed label L under ``_hash(keys[s], 0, L)``, with ``draw(
     subgraph, k, entry keys)``, and rewires the pair (a, b) that is not
     reused under ``_hash(keys[s], 1, a, b)``. ``reads`` is None to build
-    every entry, as the release does, or one step of ``_reads``: the
-    (labels, pairs) to build, the rest left out (``_StepPlan.drawn``). An
-    entry's draw depends only on its key, so an entry that is built is the
-    same as in the full draw, whatever else is built. With ``reads`` from
-    ``_balls`` of the ids a posterior queries, each community draws only its
-    ball's walkers, with ``draw(..., walkers=...)``, a ``_perturb_rows``
-    that keeps the rows at those ids, and each pair only the grid rows and
-    columns of the ids. Walkers and cells read their own counters, so these
-    are the full draw's rows at the ids.
+    every entry whole, as the release does, or one step of ``_balls`` of the
+    ids a posterior queries: only its keys are built (``_StepPlan.drawn``),
+    each community drawing only its ball's walkers, with ``draw(...,
+    walkers=...)``, a ``_perturb_rows`` that keeps the rows at those ids,
+    and each pair only the grid rows and columns of the ids. An entry's draw
+    depends only on its key, and walkers and cells read their own counters,
+    so these are the full draw's rows at the ids, whatever else is built.
     """
-    if reads is None:
-        reads = ({label for _, label in plan.diff.unchanged} | set(plan.diff.changed),
-                 {(task.a, task.b) for task in plan.pair_tasks})
-    read_labels, read_pairs = reads
-
     def carry(rows, *prev_labels):
         gone = [plan.left[p] for p in prev_labels if p in plan.left]
         if not gone:
@@ -645,9 +613,9 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
         return rows[~np.isin(rows[:, 1:], np.concatenate(gone), kind="sort").any(axis=1)]
 
     intra = {label: carry(carried[0][prev_label], prev_label)
-             for prev_label, label in plan.diff.unchanged if label in read_labels}
+             for prev_label, label in plan.diff.unchanged if reads is None or label in reads[0]}
     inter = {pair: carry(carried[1][key], *key)
-             for pair, key in plan.reused_pairs.items() if pair in read_pairs}
+             for pair, key in plan.reused_pairs.items() if reads is None or pair in reads[1]}
     for key, task, ball in plan.drawn(reads):
         if task is None:
             graph, entry_keys = plan.subgraphs[key], _hash(keys, 0, key)
@@ -670,10 +638,10 @@ def _draws(plans, params: PerturbParams, keys, reads=None, draw=_perturb_rows):
     each drawn under its array of the samples' keys in ``keys`` and carrying
     the draw before it.
 
-    ``reads`` is None to build every entry, ``_reads(plans, ids)`` to build
-    only the entries that edges touching ``ids`` come from, or ``_balls(
-    plans, ids, k)`` to draw of those only their k-balls of ``ids``. ``draw``
-    draws the changed communities, as in ``_sample_step``.
+    ``reads`` is None to build every entry whole, or ``_balls(plans, ids,
+    k)`` to build only the entries that edges touching ``ids`` come from,
+    and of those only their k-balls of ``ids``. ``draw`` draws the changed
+    communities, as in ``_sample_step``.
     """
     carried = None
     for plan, step_keys, read in zip(plans, keys, reads or itertools.repeat(None)):

@@ -18,14 +18,14 @@ draws. Both mechanisms re-perturb through ``perturb._draws``, the fold that
 makes the LinkMirage release, over the world's plans: LinkMirage's
 ``_plan_chain``, or the static mechanism's ``_static_plans``, which hold
 each snapshot as one changed community. A re-perturbation builds only the
-step-draw entries the features can read (``perturb._reads``): at each step
-the intra entries of u's and v's communities and every pair with one of
-them as an end, plus the entries of earlier steps those copy. Each entry
-draws under its own key, so each entry built equals the full draw's, and so
-does each feature. Of each entry a re-perturbation draws only the k-hop
-ball of u and v (``perturb._balls``): a community walks the walkers whose
+step-draw entries the features can read, and of each only the k-hop ball
+of u and v (``perturb._balls``): at each step the intra entries of u's and
+v's communities and every pair with one of them as an end, plus the
+entries of earlier steps those copy. A community walks the walkers whose
 edge has an end within k hops of u or v, a pair grid draws the rows and
 columns of u and v, and only the fake edges with an end at u or v are kept.
+Each entry draws under its own key, and each walker and cell at its own
+counters, so each row kept equals the full draw's, and so does each feature.
 The features read no other row, and a carry only drops rows. A custom
 mechanism's samples keep the same rows, so no sample holds a whole-snapshot
 draw. The likelihood of a prefix is the product, over its runs of dependent

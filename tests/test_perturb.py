@@ -13,7 +13,7 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, Perturbatio
                         group_edges, hay_baseline, linkmirage_run, perturb_static,
                         perturb_static_baseline_sequence, planted_partition_graph)
 from linkmirage import perturb, privacy
-from linkmirage.perturb import (_PairTask, _draws, _hash, _plan_chain, _reads, _root_key,
+from linkmirage.perturb import (_PairTask, _balls, _draws, _hash, _plan_chain, _root_key,
                                _step_key, build_step_plan, draw_walker_edges)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 from test_acceptance import overlap_fixture
@@ -484,11 +484,12 @@ def test_localized_draws_equal_the_full_draw(case):
     sampler = _SequenceSampler(make(), params, "linkmirage")
     plans = sampler.plans
     assert [not plan.carries(uv) for plan in plans] == fresh
-    reads = _reads(plans, uv)
+    balls = _balls(plans, uv, params.k)
+    # the same entries, each drawn whole
+    reads = [(dict.fromkeys(walkers), dict.fromkeys(cells)) for walkers, cells in balls]
     assert any(len(labels) + len(pairs)
                < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
                for (labels, pairs), plan in zip(reads, plans))
-    balls = perturb._balls(plans, uv, params.k)
     at_uv = functools.partial(perturb._perturb_rows, ends=uv)
 
     def at(edges):
@@ -503,8 +504,8 @@ def test_localized_draws_equal_the_full_draw(case):
         ball = sample_draws(plans, params, root, sample, balls, draw=at_uv)
         for (intra, inter), (l_intra, l_inter), (b_intra, b_inter), (labels, pairs) in zip(
                 full, local, ball, reads):
-            assert set(l_intra) == set(b_intra) == labels
-            assert set(l_inter) == set(b_inter) == pairs
+            assert set(l_intra) == set(b_intra) == set(labels)
+            assert set(l_inter) == set(b_inter) == set(pairs)
             assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
             assert all(np.array_equal(l_inter[pair], inter[pair]) for pair in pairs)
             assert all(np.array_equal(b_intra[label], at(intra[label])) for label in labels)
@@ -527,7 +528,7 @@ def test_localized_draws_equal_the_full_draw(case):
     local = static.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
     # whose balls hold fewer walkers than whole snapshots, but for two K6 blocks
-    assert (perturb._entries(static_plans, params.k, perturb._balls(static_plans, uv, params.k))
+    assert (perturb._entries(static_plans, params.k, _balls(static_plans, uv, params.k))
             < perturb._entries(static_plans, params.k)) == (case != "vertex-leaves")
 
 
@@ -554,7 +555,13 @@ def test_reads_of_identical_snapshots_reach_back_to_t0():
     (label,) = set(plans[0].clustering.label_of([0, 1]).tolist())
     pairs = {(task.a, task.b) for task in plans[0].pair_tasks if label in (task.a, task.b)}
     assert pairs and len(pairs) < len(plans[0].pair_tasks)
-    assert _reads(plans, (0, 1)) == [({label}, pairs)] * 3
+    balls = _balls(plans, (0, 1), 2)
+    assert [(set(walkers), set(cells)) for walkers, cells in balls] == [({label}, pairs)] * 3
+    # t = 0 draws the balls of its entries, and each later step copies them
+    walkers, cells = balls[0]
+    assert all(entry is not None for entry in [*walkers.values(), *cells.values()])
+    assert all(entry is None for walkers, cells in balls[1:]
+               for entry in [*walkers.values(), *cells.values()])
 
 
 def test_prev_record_roundtrips_through_json():

@@ -571,8 +571,9 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
         sizes = []
 
         def blocks(n, per_sample):
-            sizes.append(perturb._block_sizes(n, per_sample))
-            return perturb._blocks(n, per_sample)
+            split = perturb._blocks(n, per_sample)
+            sizes.append([b.size for b in split])
+            return split
 
         with monkeypatch.context() as patch:
             patch.setattr(perturb, "_BLOCK_ENTRIES", 7 * entries)

@@ -102,6 +102,9 @@ def test_benchmark_reaches_the_library_through_live_names():
     ("linkmirage.appeval", "sampling_probability"),
     ("linkmirage.perturb", "linkmirage_sequence"),
     ("linkmirage.utility", "_symmetrized_walk"),
+    ("linkmirage.perturb", "_reads"),
+    ("linkmirage.perturb", "_block_sizes"),
+    ("linkmirage.perturb", "_canonical_pairs"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -192,7 +192,7 @@ def test_degree_report_blocks_change_no_draw(monkeypatch):
     default = expected_degree_report(g, params, 1000, np.random.default_rng(10))
     per_trial = perturb._entries([build_step_plan(g, None, params)], params.k) + g.num_vertices
     monkeypatch.setattr(perturb, "_BLOCK_ENTRIES", 7 * per_trial)
-    assert perturb._block_sizes(1000, per_trial) == [7] * 142 + [6]
+    assert [b.size for b in perturb._blocks(1000, per_trial)] == [7] * 142 + [6]
     blocked = expected_degree_report(g, params, 1000, np.random.default_rng(10))
     assert blocked.mean.tobytes() == default.mean.tobytes()
     assert blocked.z_score.tobytes() == default.z_score.tobytes()
