@@ -28,7 +28,7 @@ def main():
 
     print("\nselective perturbation:")
     for t, record in enumerate(records):
-        n_comm = len(record.clustering.communities)
+        n_comm = len(record.clustering)
         if t == 0:
             print(f"  t=0: clustered into {n_comm} communities, all perturbed fresh")
             continue

@@ -16,23 +16,15 @@ from linkmirage.utility import community_tv
 
 
 def largest_component(graph):
-    remaining = set(int(v) for v in graph.vertices)
-    best = set()
-    while remaining:
-        seed = next(iter(remaining))
-        seen = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in graph.neighbors(v):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        remaining -= seen
-        if len(seen) > len(best):
-            best = seen
-    return graph.subgraph(best)
+    # one breadth-first search per component, as utility.is_bipartite runs them
+    best = np.zeros(graph.num_vertices, dtype=bool)
+    unreached = ~best
+    while unreached.any():
+        reached = graph.hops([np.argmax(unreached)]) >= 0
+        unreached &= ~reached
+        if reached.sum() > best.sum():
+            best = reached
+    return graph.subgraph(graph.vertices[best])
 
 
 def main():

@@ -138,9 +138,7 @@ class SybilScenario:
             u = int(honest.vertices[rng.integers(0, n_h)])
             v = int(sybil_ids[rng.integers(0, sybil_ids.size)])
             attack.add((u, v))
-        edges = np.vstack([honest.edges.reshape(-1, 2),
-                           sybil.edges.reshape(-1, 2),
-                           np.asarray(sorted(attack), dtype=np.int64)])
+        edges = np.vstack([honest.edges, sybil.edges, np.array(list(attack), dtype=np.int64)])
         return Graph(edges, vertices=np.concatenate([honest.vertices, sybil_ids]))
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +54,10 @@ class Clustering:
         pos = np.minimum(np.searchsorted(self.vertices, ids), self.vertices.size - 1)
         return np.where(self.vertices[pos] == ids, self.labels[pos], -1)
 
-    @cached_property
+    @property
     def communities(self) -> dict:
-        """Label -> frozenset of member ids, labels ascending; built on first use."""
+        """Label -> frozenset of member ids, labels ascending; built on each
+        read, so bind it once (``len`` counts communities without it)."""
         order = np.argsort(self.labels, kind="stable")
         labels, starts = np.unique(self.labels[order], return_index=True)
         members = np.split(self.vertices[order], starts[1:])
@@ -255,8 +255,7 @@ def cluster_static(graph: Graph) -> Clustering:
 
 def _freed_mask(graph: Graph, changed_links, m_hops: int) -> np.ndarray:
     """Per vertex position: within m hops of any endpoint of the changed links."""
-    ends = np.asarray(list(changed_links), dtype=np.int64).reshape(-1)
-    return graph.hops(np.flatnonzero(np.isin(graph.vertices, ends)), m_hops) >= 0
+    return graph._near(np.asarray(list(changed_links), dtype=np.int64).reshape(-1), m_hops)
 
 
 def freed_vertices(graph: Graph, changed_links, m_hops: int) -> set:

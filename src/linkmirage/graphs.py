@@ -4,12 +4,13 @@ Vertex ids are arbitrary nonnegative integers that are stable across time
 (the same id denotes the same user in every snapshot). Internally every
 graph remaps its ids to dense positions 0..n-1 for sparse indexing; the
 position of a raw id is its index in the sorted ``vertices`` array. The
-constructor finds every position in one argsort (``_unique_inverse``), then
-orders, deduplicates and lays out the edges by one int64 key per edge over
-those positions; ``index_of`` finds one position by binary search. ``Graph`` owns that
-arithmetic: its edges as positions (``edge_positions``), edge keys in the
-id space of a vertex superset (``_edge_keys``), its sparse adjacency
-(``adjacency``) and breadth-first distances over it (``hops``).
+constructor is the one place ids and edges are sorted and deduplicated, and
+derived graphs hand it raw arrays: it finds every position in one argsort
+(``_unique_inverse``), then orders, deduplicates and lays out the edges by
+one int64 key per edge over those positions. ``Graph`` owns that arithmetic:
+its edges, stored once as positions (``edge_positions``), edge keys in the
+id space of a vertex superset (``_edge_keys``), its adjacency and hop
+distances (``hops``); ``index_of`` finds one position by binary search.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class Graph:
         are always included.
     """
 
-    __slots__ = ("_ids", "_edges", "_indptr", "_indices", "_degrees", "_edge_positions")
+    __slots__ = ("_ids", "_indptr", "_indices", "_degrees", "_edge_positions")
 
     def __init__(self, edges=(), vertices=None):
         # the edge ends, two per edge in row order, then the extra vertices
@@ -146,14 +147,12 @@ class Graph:
         keys = keys[np.diff(keys, prepend=-1) != 0]
         lo, hi = np.divmod(keys, n)
         self._edge_positions = np.column_stack([lo, hi])
-        self._edges = ids[self._edge_positions]
         self._indices = np.concatenate([keys, hi * n + lo])
         self._indices.sort()
         self._indices %= n
         self._degrees = np.bincount(self._edge_positions.ravel(), minlength=n)
         self._indptr = np.concatenate([[0], np.cumsum(self._degrees)])
-        for a in (self._ids, self._edges, self._edge_positions, self._indptr,
-                  self._indices, self._degrees):
+        for a in (self._ids, self._edge_positions, self._indptr, self._indices, self._degrees):
             a.flags.writeable = False
 
     # -- basic accessors ---------------------------------------------------
@@ -165,8 +164,11 @@ class Graph:
 
     @property
     def edges(self) -> np.ndarray:
-        """Canonical (min,max) edge array, shape (m, 2), sorted."""
-        return self._edges
+        """Canonical (min,max) edge array, shape (m, 2), sorted, read-only;
+        gathered from ``edge_positions`` on each read, so bind it once."""
+        edges = self._ids[self._edge_positions]
+        edges.flags.writeable = False
+        return edges
 
     @property
     def num_vertices(self) -> int:
@@ -174,7 +176,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return int(self._edges.shape[0])
+        return int(self._edge_positions.shape[0])
 
     def _position(self, v: int) -> int:
         """Internal position of raw id v, or -1 when v is absent."""
@@ -208,8 +210,8 @@ class Graph:
 
     @property
     def edge_positions(self) -> np.ndarray:
-        """Internal positions of ``edges``, shape (m, 2), read-only: the
-        deduplicated position keys the constructor orders the edges by and
+        """Internal positions of ``edges``, shape (m, 2), read-only: the graph's
+        one stored edge array, the deduplicated position keys the constructor
         builds its CSR from, split back into (lo, hi) rows."""
         return self._edge_positions
 
@@ -240,27 +242,29 @@ class Graph:
             frontier = np.unique(reached[dist[reached] < 0])
         return dist
 
+    def _near(self, ids, limit) -> np.ndarray:
+        """Per position: within ``limit`` hops of the raw ``ids`` present."""
+        return self.hops(np.flatnonzero(np.isin(self._ids, ids)), limit) >= 0
+
     # -- derived graphs ----------------------------------------------------
 
     def subgraph(self, vertices) -> "Graph":
-        """Induced subgraph on the given raw ids (kept even if isolated)."""
-        keep = np.unique(_id_array(vertices))
-        if self._edges.size:
-            mask = np.isin(self._edges[:, 0], keep) & np.isin(self._edges[:, 1], keep)
-            sub_edges = self._edges[mask]
-        else:
-            sub_edges = self._edges
-        return Graph(sub_edges, vertices=keep)
+        """Induced subgraph on the given raw ids, in any order and with repeats;
+        each is kept, even if isolated or absent from this graph."""
+        vertices = _id_array(vertices)
+        keep = np.isin(self._ids, vertices)
+        pos = self._edge_positions
+        return Graph(self._ids[pos[keep[pos[:, 0]] & keep[pos[:, 1]]]], vertices=vertices)
 
     def with_vertices(self, vertices) -> "Graph":
         """Same edges with the vertex set extended by ``vertices``."""
-        return Graph(self._edges, vertices=np.union1d(self._ids, _id_array(vertices)))
+        return Graph(self.edges, vertices=np.concatenate([self._ids, _id_array(vertices)]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
         return (np.array_equal(self._ids, other._ids)
-                and np.array_equal(self._edges, other._edges))
+                and np.array_equal(self._edge_positions, other._edge_positions))
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
@@ -419,11 +423,9 @@ def load_sequence(manifest_path) -> TemporalGraphSequence:
 
 
 def union_graph(graphs) -> Graph:
-    """Union of vertex sets and edge sets of the given graphs."""
+    """Union of the graphs' vertex and edge sets, deduplicated by ``Graph``."""
     graphs = list(graphs)
     if not graphs:
         raise ValueError("union of zero graphs is undefined")
-    edges = np.concatenate([g.edges for g in graphs]) if any(g.num_edges for g in graphs) \
-        else np.empty((0, 2), dtype=np.int64)
-    verts = np.unique(np.concatenate([g.vertices for g in graphs]))
-    return Graph(edges, vertices=verts)
+    return Graph(np.concatenate([g.edges for g in graphs]),
+                 vertices=np.concatenate([g.vertices for g in graphs]))

@@ -272,7 +272,7 @@ def _ball(graph: Graph, k: int, ends) -> np.ndarray:
     walkers whose fake edges can touch ``ends``. A fake edge starts at an end
     of its walker's edge and ends at most k hops from there, redraws
     included, so no other walker draws one."""
-    near = graph.hops(np.flatnonzero(np.isin(graph.vertices, ends)), k) >= 0
+    near = graph._near(ends, k)
     pos = graph.edge_positions
     return np.flatnonzero(near[pos[:, 0]] | near[pos[:, 1]])
 
@@ -501,7 +501,8 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
                 if (gone := ids[(prev_clustering.labels == p) & (now != c)]).size}
 
     intra, inter = group_edges(g_t, clustering)
-    subgraphs = {label: Graph(intra.get(label, ()), vertices=clustering.communities[label])
+    communities = clustering.communities
+    subgraphs = {label: Graph(intra.get(label, ()), vertices=communities[label])
                  for label in diff.changed}
     pair_tasks = [_PairTask.of(a, b, edges) for (a, b), edges in inter.items()]
     prev_for = diff.prev_for

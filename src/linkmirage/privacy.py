@@ -216,10 +216,9 @@ def _hypothesis_world(seq: TemporalGraphSequence, query: LinkQuery,
             snaps.append(g)
             continue
         edges = g.edges
-        mask = ~((edges[:, 0] == lo) & (edges[:, 1] == hi))
-        edges = edges[mask]
+        edges = edges[(edges[:, 0] != lo) | (edges[:, 1] != hi)]
         if present:
-            edges = np.vstack([edges, [[lo, hi]]]) if edges.size else np.array([[lo, hi]])
+            edges = np.vstack([edges, [[lo, hi]]])
         snaps.append(Graph(edges, vertices=g.vertices))
     return TemporalGraphSequence(snaps)
 

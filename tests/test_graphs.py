@@ -414,6 +414,45 @@ def test_union_graph_disjoint_counts_add():
     assert union_graph([a, b]).num_edges == a.num_edges + b.num_edges
 
 
+def tuple_sets(g):
+    """(vertex set, edge set) of a graph, as Python sets."""
+    return set(g.vertices.tolist()), set(map(tuple, g.edges.tolist()))
+
+
+def set_oracle(edges, vertices):
+    """(vertex set, canonical edge set) that an edge list and extra ids make."""
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    return {x for e in edge_set for x in e} | set(vertices), edge_set
+
+
+# ids 0..15 in any order and with repeats; edges end in 0..11 only, so the
+# ids 12..15 are absent from a graph unless added as isolated vertices
+id_lists = st.lists(st.integers(0, 15), max_size=10)
+edge_lists = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))
+                      .filter(lambda e: e[0] != e[1]), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(edge_lists, id_lists), min_size=1, max_size=4), id_lists)
+@example([([(1, 0), (1, 2)], [14, 3, 3]), ([(2, 0)], [])], [2, 0, 1, 2, 13])
+@example([([], [5]), ([], [])], [])
+def test_derived_graphs_match_tuple_set_oracles(parts, ids):
+    graphs = [Graph(edges, vertices=vertices) for edges, vertices in parts]
+    sets = [set_oracle(edges, vertices) for edges, vertices in parts]
+    g, (g_vertices, g_edges) = graphs[0], sets[0]
+    derived = {
+        "union_graph": (union_graph(graphs), (set().union(*(v for v, _ in sets)),
+                                              set().union(*(e for _, e in sets)))),
+        "with_vertices": (g.with_vertices(ids), (g_vertices | set(ids), g_edges)),
+        "subgraph": (g.subgraph(ids), (set(ids), {e for e in g_edges if set(e) <= set(ids)})),
+    }
+    for name, (got, want) in derived.items():
+        assert tuple_sets(got) == want, name
+        # equal graphs are those with equal vertex and edge sets
+        assert (got == g) == (want == (g_vertices, g_edges)), name
+        assert got == Graph(sorted(want[1]), vertices=sorted(want[0])), name
+
+
 # -- absent-pair sampler -------------------------------------------------------------
 
 

@@ -404,6 +404,19 @@ def test_static_posterior_matches_enumeration_at_t1(monkeypatch):
     assert abs(est.probability - expected) <= 0.02
 
 
+def test_hypothesis_world_adds_the_link_to_a_snapshot_without_edges():
+    # both ends are isolated vertices at t=0 and joined by the link at t=1
+    seq = TemporalGraphSequence([Graph(vertices=[4, 1, 7]), Graph([(1, 4), (4, 7)])])
+    query = LinkQuery(t=1, u=4, v=1)
+    present = privacy._hypothesis_world(seq, query, True)
+    assert [g.edges.tolist() for g in present.snapshots] == [[[1, 4]], [[1, 4], [4, 7]]]
+    absent = privacy._hypothesis_world(seq, query, False)
+    assert [g.edges.tolist() for g in absent.snapshots] == [[], [[4, 7]]]
+    for world in (present, absent):
+        assert all(np.array_equal(w.vertices, g.vertices)
+                   for w, g in zip(world.snapshots, seq.snapshots))
+
+
 def test_posterior_equal_likelihoods_returns_prior():
     g = Graph([(0, 1), (1, 2)])
     seq = TemporalGraphSequence([g])

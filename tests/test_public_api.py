@@ -122,6 +122,14 @@ def test_graph_has_no_tuple_edge_set():
     assert not hasattr(Graph, "edge_set")
 
 
+def test_graph_and_clustering_hold_each_fact_once():
+    # a graph stores its edges as positions only, and a partition keeps no
+    # member sets once they are read
+    assert "_edges" not in Graph.__slots__
+    assert not isinstance(inspect.getattr_static(Clustering, "communities"),
+                          functools.cached_property)
+
+
 def test_utility_report_holds_only_what_is_set():
     assert [f.name for f in dataclasses.fields(UtilityReport)] == \
         ["l", "per_timestamp", "aggregate"]
