@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, TemporalGraphSequence, _id_array, _in_id_space
+from .graphs import Graph, TemporalGraphSequence, _id_array, _in_id_space, _sorted_unique
 from .synth import er_graph
 
 
@@ -45,7 +45,12 @@ def _k_hop_edges(graph: Graph, k: int) -> sp.csr_matrix:
         step = adj + sp.identity(n, dtype=bool, format="csr")
         for _ in range(k - 1):
             reach = reach @ step
-    return sp.triu(reach, k=1, format="csr")
+    # the strict upper triangle by one filter of the CSR entries, each row
+    # kept in place (sp.triu goes through COO)
+    row = np.repeat(np.arange(n, dtype=reach.indices.dtype), np.diff(reach.indptr))
+    upper = reach.indices > row
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row[upper], minlength=n))])
+    return sp.csr_matrix((reach.data[upper], reach.indices[upper], indptr), shape=(n, n))
 
 
 def k_hop_graph(graph: Graph, k: int) -> Graph:
@@ -79,7 +84,7 @@ def sampling_report(perturbed, seq: TemporalGraphSequence, k: int) -> SamplingRe
     perturbed = list(perturbed)
     if len(perturbed) != len(seq):
         raise ValueError("perturbed and original sequences are misaligned")
-    ids = np.unique(np.concatenate([g.vertices for g in perturbed + list(seq.snapshots)]))
+    ids = _sorted_unique(np.concatenate([g.vertices for g in perturbed + list(seq.snapshots)]))
 
     def union(graphs, hops):
         return reduce(operator.add, (_in_id_space(_k_hop_edges(g, hops), g.vertices, ids)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _MAX_ID, Graph, _edge_keys
+from .graphs import _MAX_ID, Graph, _edge_keys, _sorted_unique
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +34,7 @@ class Clustering:
 
     @staticmethod
     def from_groups(groups) -> "Clustering":
-        groups = [np.unique(np.fromiter(map(int, g), dtype=np.int64)) for g in groups]
+        groups = [_sorted_unique(np.fromiter(map(int, g), dtype=np.int64)) for g in groups]
         if any(g.size == 0 for g in groups):
             raise ValueError("empty community")
         ids = np.concatenate([np.empty(0, np.int64), *groups])
@@ -292,7 +292,7 @@ def changed_link_set(prev_graph: Graph, cur_graph: Graph) -> set:
     # edge keys over the union of the two vertex sets ascend, so each graph's
     # rows missing from the other are found by binary search; only the
     # changed rows become Python tuples
-    ids = np.union1d(prev_graph.vertices, cur_graph.vertices)
+    ids = _sorted_unique(np.concatenate([prev_graph.vertices, cur_graph.vertices]))
     prev_keys, cur_keys = _edge_keys(prev_graph, ids), _edge_keys(cur_graph, ids)
     changed = np.concatenate([prev_graph.edges[_missing(prev_keys, cur_keys)],
                               cur_graph.edges[_missing(cur_keys, prev_keys)]])

@@ -42,8 +42,8 @@ def _unique_rows(*columns) -> tuple:
     """The distinct rows of equal-length columns, sorted on the first column,
     then the next: the columns of np.unique(axis=0) without its slow
     row-view sort. The rows are lexsorted and the first of each run of equal
-    rows is kept. ``perturb._perturb_rows`` deduplicates each sample's fake
-    edges with it, as (sample, lo, hi)."""
+    rows is kept. ``perturb._walk_rows`` deduplicates each entry's samples'
+    fake edges with it, as (entry, sample, lo, hi)."""
     order = np.lexsort(columns[::-1])
     columns = [c[order] for c in columns]
     # column compares: a row-wise any() over the columns is slower
@@ -52,6 +52,18 @@ def _unique_rows(*columns) -> tuple:
     for c in columns:
         first[1:] |= c[1:] != c[:-1]
     return tuple(c[first] for c in columns)
+
+
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values of an integer array, ascending, as ``np.unique``
+    gives them, from one sort and a first-of-run mask: NumPy 2.4's
+    ``np.unique`` (and ``np.union1d``) hashes instead, which is many times
+    slower on mostly distinct ints."""
+    values = np.sort(np.asarray(values).ravel())
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def _edge_ends(edges) -> np.ndarray:
@@ -228,7 +240,7 @@ class Graph:
         ``positions``, one array step per level; -1 when unreachable or
         farther than ``limit``."""
         dist = np.full(self._ids.size, -1, dtype=np.int64)
-        frontier = np.unique(np.asarray(positions, dtype=np.int64))
+        frontier = _sorted_unique(np.asarray(positions, dtype=np.int64))
         level = 0
         while frontier.size:
             dist[frontier] = level
@@ -239,7 +251,7 @@ class Graph:
             lo, deg = self._indptr[frontier], self._degrees[frontier]
             offsets = np.repeat(lo - np.cumsum(deg) + deg, deg)
             reached = self._indices[offsets + np.arange(offsets.size)]
-            frontier = np.unique(reached[dist[reached] < 0])
+            frontier = _sorted_unique(reached[dist[reached] < 0])
         return dist
 
     def _near(self, ids, limit) -> np.ndarray:

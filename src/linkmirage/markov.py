@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, _in_id_space
+from .graphs import Graph, _in_id_space, _sorted_unique
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def tv_distance_common(p: TransitionMatrix, q: TransitionMatrix) -> tuple[float,
         raise ValueError("transition matrices share no vertices")
     if np.array_equal(p.ids, q.ids):
         return tv_distance(p, q), int(common.size)
-    union = np.union1d(p.ids, q.ids)
+    union = _sorted_unique(np.concatenate([p.ids, q.ids]))
     diff = (_in_id_space(p.matrix, p.ids, union) - _in_id_space(q.matrix, q.ids, union)).tocsr()
     rows = np.searchsorted(union, common)
     total = sum(np.abs(diff.getrow(r).data).sum() for r in rows)

@@ -15,28 +15,35 @@ release's. A copied edge is kept only while both endpoints stay in the
 matched communities. Below theta = 1 a match may gain members; a joiner gets
 no copied edge there and is perturbed fresh when its community next changes.
 A step is laid out once as a deterministic plan (``_plan_chain``), from one
-grouping of the snapshot's edges by community (``group_edges``): its changed
-community subgraphs and its inter-community pair tasks. It is drawn by one
-function, ``_sample_step``, for a block of S samples at once: each entry is
-an array of rows [sample, a, b]. ``_draws`` folds it over the plans,
-carrying each draw into the next. The release is the block S = 1 under one
-key per timestamp; the posterior runs the same fold over blocks of
+grouping of the snapshot's edges by community (``group_edges``): one graph
+of its changed communities' intra edges and its inter-community pair tasks.
+It is drawn by one function, ``_sample_step``, for a block of S samples at
+once, in two fused passes over a layout of the entries it builds
+(``_layout``): every walker of every changed community takes one uniform
+pass and one walk, and every cell of every fresh pair grid one uniform pass.
+A draw is one array of rows [sample, a, b] in which each entry's rows are
+contiguous, and the step after copies slices of it. ``_draws`` folds it over
+the plans, carrying each draw into the next. The release is the block S = 1
+under one key per timestamp; the posterior runs the same fold over blocks of
 re-perturbations, building only the entries its query reads and of those
 only the part that can touch the queried ids, their k-hop ball
 (``_balls``): a community's walkers whose edge has an end within k hops of
-them, and a pair grid's rows and columns of them. The static
-mechanism's posterior runs the same fold over ``_static_plans``, which hold
-each snapshot as one changed community. The degree check draws its trials in
-blocks through ``_sample_step`` too, whole.
+them, and a pair grid's rows and columns of them. The static mechanism's
+posterior runs the same fold over ``_static_plans``, which hold each
+snapshot as one changed community. The degree check draws its trials in
+blocks through ``_sample_step`` too, over the plan's raw layout: every
+walker's first walk, counted by one ``bincount`` per block.
 
 Randomness is keyed, not streamed. Every uniform is a pure function of its
 key and counter, computed with SplitMix64's finalizer on uint64 arrays
 (``_hash``, ``_uniforms``): a sample's key hashes a root key with the
 sample index, an entry's key hashes that with the entry's community label
 or pair (a, b), and a walker's uniforms sit at its own counters, one per
-step and redraw round (``_walker_counters``); a pair grid's cell at its
-index. So an entry drawn alone, a block of samples, any block size, and a
-ball's walkers and cells drawn alone all draw the same edges, and no seed or
+step and redraw round, placed by its rank among its community's edges
+(``_walker_counters``); a pair grid's cell at its index. So an entry drawn
+alone or fused with others, a block of samples, any block size, and a
+ball's walkers and cells drawn alone all draw the same edges (keyed counter
+streams can be grouped any way without changing a value), and no seed or
 generator is made per entry or sample.
 """
 
@@ -44,12 +51,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .clustering import (Clustering, CommunityDiff, _edge_communities, changed_link_set,
                          classify_communities, cluster_static, recluster_dynamic)
-from .graphs import Graph, TemporalGraphSequence, _absent_pairs, _unique_rows
+from .graphs import (Graph, TemporalGraphSequence, _absent_pairs, _sorted_unique,
+                     _unique_rows)
 from .markov import walk_terminals
 
 # spawn_key namespaces so mechanisms never share streams for the same (seed, t)
@@ -120,7 +129,13 @@ def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     key and counter broadcast together: SplitMix64 at those counters of
     those keys' streams. Each float is made in place of its hash, so the
     result is the one array the sum made."""
-    z = keys + _increment(counters)
+    return _uniforms_of(keys + _increment(counters))
+
+
+def _uniforms_of(z: np.ndarray) -> np.ndarray:
+    """The U[0, 1) floats of the SplitMix64 states ``z``, a C-contiguous
+    uint64 array, each made in place of its state: ``_uniforms`` after its
+    sum."""
     flat = z.reshape(-1)
     tmp = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
     for start in range(0, flat.size, _CHUNK):
@@ -213,57 +228,12 @@ class PerturbationRecord:
 _REDRAWS = 10    # rounds a self-looping walk is redrawn in before it is dropped
 
 
-def _walker_counters(walkers: np.ndarray, k: int, first: int, count: int) -> np.ndarray:
+def _walker_counters(ranks: np.ndarray, k: int, first: int, count: int) -> np.ndarray:
     """Counters ``first .. first + count - 1`` of each walker's own block, as
-    a (count, walkers) array. Walker w owns 1 + (1 + _REDRAWS)k counters from
-    w(1 + (1 + _REDRAWS)k): its endpoint pick, then k steps per round, the
-    first walk being round 0."""
-    return walkers * (1 + (1 + _REDRAWS) * k) + np.arange(first, first + count)[:, None]
-
-
-def draw_walker_edges(graph: Graph, k: int, keys: np.ndarray,
-                      walkers=None) -> tuple[np.ndarray, np.ndarray]:
-    """One raw fake edge per walker in each of S samples, as (starts,
-    terminals) positions of shape (S, walkers), sample s keyed by
-    ``keys[s]``. The walkers are the edge positions ``walkers``, ascending,
-    or every edge when None.
-
-    Each walker starts a k-hop walk at a uniformly chosen endpoint of its
-    edge. Walker w (the edge's position) reads its endpoint pick and its k
-    steps at its own counters (``_walker_counters``), so each walk depends
-    only on its key and its edge, and a walker drawn among a few walks as it
-    does among all. Terminals may equal their start (self-loop); callers
-    decide how to handle that.
-    """
-    if walkers is None:
-        ends, walkers = graph.edge_positions, np.arange(graph.num_edges)
-    else:
-        ends = graph.edge_positions[walkers]
-    counters = _walker_counters(walkers, k, 0, k + 1)
-    uniforms = _uniforms(keys[:, None, None], counters)
-    starts = np.where(uniforms[:, 0] < 0.5, ends[:, 0], ends[:, 1])
-    return starts, walk_terminals(graph, starts, uniforms[:, 1:])
-
-
-def _walks(graph: Graph, k: int, keys: np.ndarray,
-           walkers=None) -> tuple[np.ndarray, np.ndarray]:
-    """``draw_walker_edges`` with the static scheme's redraws: a walk that
-    returns to its start is redrawn up to ``_REDRAWS`` times. Round r reads
-    each such walker's round-r counters, and walks them all at once. Only
-    ``walkers`` walk, as there."""
-    starts, terms = draw_walker_edges(graph, k, keys, walkers)
-    # flat views: the walkers of sample s are s*W .. (s+1)*W - 1, W walkers a sample
-    flat_starts, flat_terms = starts.reshape(-1), terms.reshape(-1)
-    for round_ in range(1, _REDRAWS + 1):
-        loop = np.flatnonzero(flat_starts == flat_terms)
-        if not loop.size:
-            break
-        sample, walker = np.divmod(loop, starts.shape[1])
-        if walkers is not None:
-            walker = walkers[walker]
-        uniforms = _uniforms(keys[sample], _walker_counters(walker, k, 1 + round_ * k, k))
-        flat_terms[loop] = walk_terminals(graph, flat_starts[loop], uniforms)
-    return starts, terms
+    a (count, walkers) array. The walker of rank w owns 1 + (1 + _REDRAWS)k
+    counters from w(1 + (1 + _REDRAWS)k): its endpoint pick, then k steps per
+    round, the first walk being round 0."""
+    return ranks * (1 + (1 + _REDRAWS) * k) + np.arange(first, first + count)[:, None]
 
 
 def _ball(graph: Graph, k: int, ends) -> np.ndarray:
@@ -277,25 +247,60 @@ def _ball(graph: Graph, k: int, ends) -> np.ndarray:
     return np.flatnonzero(near[pos[:, 0]] | near[pos[:, 1]])
 
 
-def _perturb_rows(graph: Graph, k: int, keys: np.ndarray, ends=None,
-                  walkers=None) -> np.ndarray:
-    """Array core of ``perturb_static`` for S samples keyed by ``keys``: rows
-    [sample, a, b], a < b, each sample's fake edges deduplicated and sorted.
+def _walk_rows(graph: Graph, k: int, keys: np.ndarray,
+               layout: "_DrawLayout") -> tuple[np.ndarray, np.ndarray]:
+    """The fused walk of one step draw for S samples: (rows [sample, a, b],
+    each walk entry's row count). ``keys`` holds the entry keys, shape
+    (entries, S); the walkers, their entries and their ranks are
+    ``layout``'s.
 
-    With ``ends`` (ids), only the fake edges with an end among them are
-    kept. Only the edge positions ``walkers`` walk, or every edge when None.
-    Each walker reads its own counters, so with ``walkers`` the k-ball of
-    ``ends`` (``_ball``) the rows kept are the full draw's rows at ``ends``."""
-    starts, terms = _walks(graph, k, keys, walkers)
+    Each walker starts a k-hop walk at a uniformly chosen end of its edge,
+    reading its endpoint pick and its k steps at its own counters, those of
+    its rank (``_walker_counters``), under its entry's key. So a walker draws
+    the same walk among a few walkers as among all, and in one graph of
+    several communities as in its community's own. All walkers of all
+    entries take one uniform pass and one ``walk_terminals`` call, laid out
+    walker-major: row w * S + s is walker w of sample s.
+
+    A walk that returns to its start is redrawn up to ``_REDRAWS`` times:
+    round r reads each such walker's round-r counters, and walks them all at
+    once. Rows name ids a < b, loops dropped, entry by entry, each entry's
+    samples deduplicated and sorted as ``_unique_rows`` sorts (sample, a,
+    b); with ``layout.at``, only the fake edges with an end at those
+    positions are kept. A raw layout keeps the first walk of every walker,
+    loops included, as rows [sample, start, terminal] of positions,
+    walker-major.
+    """
+    samples = keys.shape[1]
+    walker_keys = keys[layout.entry]
+    uniforms = _uniforms(walker_keys, _walker_counters(layout.ranks, k, 0, k + 1)[:, :, None])
+    ends = graph.edge_positions[layout.walkers]
+    starts = np.where(uniforms[0] < 0.5, ends[:, :1], ends[:, 1:]).reshape(-1)
+    terms = walk_terminals(graph, starts, uniforms[1:].reshape(k, -1))
+    entries = layout.labels.size
+    if layout.raw:
+        rows = np.column_stack([np.tile(np.arange(samples), layout.walkers.size), starts, terms])
+        return rows, np.bincount(layout.entry, minlength=entries) * samples
+    flat_keys = walker_keys.reshape(-1)
+    for round_ in range(1, _REDRAWS + 1):
+        loop = np.flatnonzero(starts == terms)
+        if not loop.size:
+            break
+        uniforms = _uniforms(flat_keys[loop], _walker_counters(
+            layout.ranks[loop // samples], k, 1 + round_ * k, k))
+        terms[loop] = walk_terminals(graph, starts[loop], uniforms)
     keep = starts != terms
-    if ends is not None:
-        at = np.isin(graph.vertices, ends)
-        keep &= at[starts] | at[terms]
+    if layout.at is not None:
+        keep &= layout.at[starts] | layout.at[terms]
     keep = np.flatnonzero(keep)
-    a, b = starts.reshape(-1)[keep], terms.reshape(-1)[keep]
+    walker, sample = np.divmod(keep, samples)
+    a, b = starts[keep], terms[keep]
     # positions follow the id order, so a canonical position pair is one of ids
-    sample, lo, hi = _unique_rows(keep // starts.shape[1], np.minimum(a, b), np.maximum(a, b))
-    return np.column_stack([sample, graph.vertices[lo], graph.vertices[hi]])
+    entry, sample, lo, hi = _unique_rows(layout.entry[walker], sample,
+                                         np.minimum(a, b), np.maximum(a, b))
+    ids = graph.vertices
+    return (np.column_stack([sample, ids[lo], ids[hi]]),
+            np.bincount(entry, minlength=entries))
 
 
 def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
@@ -305,12 +310,15 @@ def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     edge (start, terminal) of its k-hop walk. Walks that return to their
     start are redrawn up to 10 times and dropped if still self-looping;
     duplicate fake edges collapse. The vertex set is preserved. The draw is
-    keyed by one raw draw from ``rng`` (``_root_key``).
+    keyed by one raw draw from ``rng`` (``_root_key``): the walk of the
+    graph's static plan (``_static_plan``) with that key as its entry key.
     """
     if k < 1:
         raise ValueError("walk length k must be >= 1")
-    keys = np.array([_root_key(rng)], dtype=np.uint64)
-    return Graph(_perturb_rows(graph, k, keys)[:, 1:], vertices=graph.vertices)
+    keys = np.array([[_root_key(rng)]], dtype=np.uint64)
+    plan = _static_plan(graph)
+    rows, _ = _walk_rows(graph, k, keys, _layout(plan))
+    return Graph(rows[:, 1:], vertices=graph.vertices)
 
 
 # -- inter-community rewiring ------------------------------------------------
@@ -343,38 +351,54 @@ class _PairTask:
         return _PairTask(a=a, b=b, nodes_a=nodes_a, nodes_b=nodes_b,
                          deg_a=deg_a, deg_b=deg_b, n_edges=len(edges))
 
-    def probabilities(self, cells) -> np.ndarray:
-        """min(1, p_ij) at the flat cells i*|nodes_b| + j of ``cells``."""
+    def grid(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """(min(1, p_ij), the ids (vertex in a, vertex in b) it joins, one row
+        per cell) at the flat cells i*|nodes_b| + j of ``cells``."""
         i, j = np.divmod(cells, self.nodes_b.size)
-        return np.minimum(self.deg_a[i] * self.deg_b[j] / float(self.n_edges), 1.0)
+        return (np.minimum(self.deg_a[i] * self.deg_b[j] / float(self.n_edges), 1.0),
+                np.column_stack([self.nodes_a[i], self.nodes_b[j]]))
 
     def cells_at(self, ends) -> np.ndarray:
         """The flat cells, ascending, of the grid rows and columns of the ids
         ``ends``: every cell whose rewired edge can touch them."""
-        rows = np.flatnonzero(np.isin(self.nodes_a, ends))
-        cols = np.flatnonzero(np.isin(self.nodes_b, ends))
+        # "sort" skips the lookup-table set-up that dominates for a few ids
+        rows = np.flatnonzero(np.isin(self.nodes_a, ends, kind="sort"))
+        cols = np.flatnonzero(np.isin(self.nodes_b, ends, kind="sort"))
         width = self.nodes_b.size
-        return np.union1d((rows[:, None] * width + np.arange(width)).ravel(),
-                          (np.arange(self.nodes_a.size)[:, None] * width + cols).ravel())
+        return _sorted_unique(np.concatenate([(rows[:, None] * width + np.arange(width)).ravel(),
+                                              (np.arange(self.nodes_a.size)[:, None] * width
+                                               + cols).ravel()]))
 
-    def sample(self, keys: np.ndarray, cells=None) -> np.ndarray:
-        """Rows [sample, a, b] of S rewirings, sample s keyed by ``keys[s]``:
-        cell (i, j) reads counter i*|nodes_b| + j, and the samples' cells are
-        read by one ``nonzero``. ``cells`` (from ``cells_at``) draws only
-        those cells, the rows of the whole grid's draw that they hold; None
-        draws the whole grid."""
-        if cells is None:
-            cells = np.arange(self.nodes_a.size * self.nodes_b.size)
-        sample, at = np.nonzero(_uniforms(keys[:, None], cells) < self.probabilities(cells))
-        ai, bj = np.divmod(cells[at], self.nodes_b.size)
-        return np.column_stack([sample, self.nodes_a[ai], self.nodes_b[bj]])
+
+def _grid_rows(layout: "_DrawLayout", keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fused rewiring of one step draw for S samples: (rows [sample, a,
+    b], each grid entry's row count). ``keys`` holds the grid keys, shape
+    (grids, S); the cells, their grids and their probabilities are
+    ``layout``'s. Every cell of every grid takes one uniform pass, laid out
+    cell-major: cell (i, j) of a grid reads counter i*|nodes_b| + j under
+    its grid's key, so a cell draws the same among a few cells as in its
+    whole grid. Rows are (vertex in a, vertex in b), grid by grid, each
+    grid's sorted by sample, then cell."""
+    samples = keys.shape[1]
+    # each cell's state is made in place of its gathered grid key, so the
+    # pass holds one cells x S array
+    states = keys[layout.grid]
+    states += _increment(layout.cells)[:, None]
+    hit = _uniforms_of(states) < layout.probabilities[:, None]
+    cell, sample = np.divmod(np.flatnonzero(hit), samples)
+    grid = layout.grid[cell]
+    # hits run cell by cell, so a stable sort on (grid, sample) leaves the
+    # hits of each grid's sample sorted by cell
+    order = np.argsort(grid * samples + sample, kind="stable")
+    return (np.column_stack([sample[order], layout.cell_ends[cell[order]]]),
+            np.bincount(grid, minlength=len(layout.pairs)))
 
 
 def group_edges(graph: Graph, clustering: Clustering) -> tuple[dict, dict]:
     """The edges of ``graph`` grouped by the labels of both endpoints, in the
     layout of one step draw: (intra by label, inter by (a, b) with a < b),
     keys ascending. Each edge is oriented (vertex in a, vertex in b), as
-    ``_PairTask.sample`` draws it. An entry that holds no edge has no key.
+    ``_PairTask`` rewires it. An entry that holds no edge has no key.
     """
     # community indices ascend with the labels, so one stable sort of the
     # key a * c + b of each oriented edge's indices orders the edges as the
@@ -405,7 +429,7 @@ class _StepPlan:
     """Deterministic layout of one timestamp's perturbation.
 
     The plan holds no perturbed edges: ``_sample_step`` takes the previous
-    step's edges as an argument. So the release, the posterior's hypothesis
+    step's draw as an argument. So the release, the posterior's hypothesis
     re-perturbations and the degree check draw through the same function,
     in blocks of samples, thousands of samples per plan, without
     re-clustering.
@@ -413,7 +437,7 @@ class _StepPlan:
 
     clustering: Clustering
     diff: CommunityDiff
-    subgraphs: dict          # label -> community subgraph (changed labels only)
+    graph: Graph             # changed communities' intra edges over the clustering's ids
     pair_tasks: list         # one _PairTask per connected community pair, ascending
     reused_pairs: dict       # (a, b) -> previous pair key whose edges are copied
     left: dict               # matched previous label -> its ids outside the match now
@@ -425,51 +449,117 @@ class _StepPlan:
         return bool(set(self.clustering.label_of(ids).tolist())
                     & {label for _, label in self.diff.unchanged})
 
-    def drawn(self, reads=None):
-        """The entries a draw builds: (label, None, walkers) per changed
-        label, then ((a, b), task, cells) per pair task that is not reused.
-        ``reads`` is None for every such entry, drawn whole, or one step of
-        ``_balls``: only its keys are built, each drawing the walkers or
-        cells it maps to, or the whole entry where that is None."""
-        walkers, cells = reads or ({}, {})
-        for label in self.diff.changed:
-            if reads is None or label in walkers:
-                yield label, None, walkers.get(label)
-        for task in self.pair_tasks:
-            pair = (task.a, task.b)
-            if pair not in self.reused_pairs and (reads is None or pair in cells):
-                yield pair, task, cells.get(pair)
+
+@dataclass(frozen=True)
+class _DrawLayout:
+    """What one step draw builds, laid out as arrays for its two fused
+    passes (``_layout``): its walk entries, changed labels ascending, its
+    grid entries, fresh pairs ascending, and the entries it copies."""
+
+    labels: np.ndarray       # walk entry e is the community labels[e]
+    walkers: np.ndarray      # positions in plan.graph of the edges that walk, entry by entry
+    entry: np.ndarray        # each walker's walk entry
+    ranks: np.ndarray        # each walker's rank among its community's edges, in edge order
+    pairs: list              # grid entry g is the pair task pairs[g]'s (a, b)
+    cells: np.ndarray        # each cell's flat index i*|nodes_b| + j in its grid, grid by grid
+    grid: np.ndarray         # each cell's grid entry
+    probabilities: np.ndarray  # each cell's min(1, p_ij)
+    cell_ends: np.ndarray    # (cells, 2): the ends each cell joins
+    unchanged: list          # (previous label, label) of each community copied
+    reused: list             # (previous pair, pair) of each pair copied
+    at: np.ndarray | None    # per position of plan.graph: keep fake edges there; None keeps all
+    raw: bool                # first walks only, loops kept, rows naming positions
+
+
+def _layout(plan: _StepPlan, labels=None, cells=None, walkers=None, ends=None,
+            raw=False) -> _DrawLayout:
+    """The layout of a draw of ``plan`` that builds the labels in ``labels``
+    and the pairs keyed in ``cells``, or every one where that is None.
+
+    A changed label is walked and an unchanged one copied; a pair that is
+    not reused is rewired, over its cells ``cells[pair]`` or its whole grid
+    where that is None, and a reused one is copied. ``walkers``, positions
+    in ``plan.graph`` of edges of labels walked, are the only edges that
+    walk, or every edge of the labels walked when None. With ``ends`` (ids),
+    only the fake edges with an end among them are kept. A ``raw`` layout,
+    the degree check's, keeps every walker's first walk, loops included, and
+    its rows name positions in ``plan.graph`` instead of ids.
+
+    A walker reads the counters of its rank among its community's edges, its
+    position in the community's own subgraph. No edge of ``plan.graph``
+    joins two communities, so each CSR row holds the neighbours that row of
+    that subgraph does, in the same order.
+    """
+    graph = plan.graph
+    drawn = np.array([label for label in plan.diff.changed if labels is None or label in labels],
+                     dtype=np.int64)
+    # edges by label, each label's in edge order: a walker's rank is its
+    # index there minus its label's first index
+    edge_label = plan.clustering.labels[graph.edge_positions[:, 0]]
+    order = np.argsort(edge_label, kind="stable")
+    index = np.empty_like(order)
+    index[order] = np.arange(order.size)
+    if walkers is None:
+        walkers = order if labels is None else order[np.isin(edge_label[order], drawn)]
+    else:
+        walkers = order[np.sort(index[walkers])]
+    walker_label = edge_label[walkers]
+
+    tasks, grids = [], []
+    for task in plan.pair_tasks:
+        pair = (task.a, task.b)
+        if pair not in plan.reused_pairs and (cells is None or pair in cells):
+            tasks.append(task)
+            part = None if cells is None else cells[pair]
+            grids.append(np.arange(task.nodes_a.size * task.nodes_b.size) if part is None
+                         else part)
+    probabilities, cell_ends = zip(*map(_PairTask.grid, tasks, grids)) if tasks else ((), ())
+    cell_ends = np.concatenate([np.empty((0, 2), np.int64), *cell_ends])
+    if raw:
+        cell_ends = np.searchsorted(graph.vertices, cell_ends)
+    return _DrawLayout(
+        labels=drawn, walkers=walkers, entry=np.searchsorted(drawn, walker_label),
+        ranks=index[walkers] - np.searchsorted(edge_label[order], walker_label),
+        pairs=[(task.a, task.b) for task in tasks],
+        cells=np.concatenate([np.empty(0, np.int64), *grids]),
+        grid=np.repeat(np.arange(len(tasks)), [part.size for part in grids]),
+        probabilities=np.concatenate([np.empty(0), *probabilities]), cell_ends=cell_ends,
+        unchanged=[(prev, label) for prev, label in plan.diff.unchanged
+                   if labels is None or label in labels],
+        reused=[(key, pair) for pair, key in plan.reused_pairs.items()
+                if cells is None or pair in cells],
+        at=None if ends is None else np.isin(graph.vertices, ends, kind="sort"), raw=raw)
 
 
 def _balls(plans, ids, k: int) -> list:
-    """Per plan, the step-draw entries that edges touching ``ids`` come from,
-    each with the part of it that can touch them, its k-hop ball: (label ->
-    walkers, pair -> cells).
+    """Per plan, the layout of a draw of the entries that edges touching
+    ``ids`` come from, each of them built only as far as it can touch them,
+    its k-hop ball, and keeping only the fake edges at ``ids``.
 
     At each step these are the entries of the ids' communities and every pair
     task with one of them as an end, plus what the next step's entries copy:
     the previous label of an unchanged community and the previous key of a
     reused pair, back to t = 0. An entry holds only edges between members of
     its communities, so no other entry has an edge touching ``ids``. A
-    changed community maps to its walkers that can touch ``ids`` (``_ball``),
-    a pair that is not reused to its grid cells in the rows and columns of
-    ``ids`` (``_PairTask.cells_at``), and an entry the step copies to None.
-    Each is found once, for every block drawn after.
+    changed community walks its walkers that can touch ``ids`` (``_ball`` of
+    ``plan.graph``, where no walk leaves its community), a pair that is not
+    reused draws its grid cells in the rows and columns of ``ids``
+    (``_PairTask.cells_at``), and an entry the step copies is copied. Each
+    layout is built once, for every block drawn after.
     """
     balls = []
     labels, pairs = set(), set()    # what the step after copies from this one
     for plan in reversed(plans):
         own = set(plan.clustering.label_of(ids).tolist()) - {-1}
-        walkers = {label: _ball(plan.subgraphs[label], k, ids) if label in plan.subgraphs
-                   else None for label in labels | own}
+        built = labels | own
         cells = {}
         for task in plan.pair_tasks:
             pair = (task.a, task.b)
             if pair in pairs or {task.a, task.b} & own:
                 cells[pair] = None if pair in plan.reused_pairs else task.cells_at(ids)
-        balls.append((walkers, cells))
+        balls.append(_layout(plan, built, cells, _ball(plan.graph, k, ids), ids))
         prev_for = plan.diff.prev_for
-        labels = {prev_for[label] for label in walkers if label in prev_for}
+        labels = {prev_for[label] for label in built if label in prev_for}
         pairs = {plan.reused_pairs[pair] for pair in cells if pair in plan.reused_pairs}
     return balls[::-1]
 
@@ -478,11 +568,12 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
     """Cluster, classify, and lay out reuse for one timestamp (no randomness).
 
     ``prev`` is None at t=0, otherwise (previous graph, previous plan). The
-    step is laid out from one ``group_edges`` of ``g_t``: each changed
-    community's subgraph is its intra group over all its members (so isolated
-    members are kept, as in ``g_t.subgraph``), and each inter group is a pair
-    task. A pair is reused when its two communities match previous ones that
-    were connected in the previous graph: a pair task of the previous plan.
+    step is laid out from one ``group_edges`` of ``g_t``: the changed
+    communities' intra groups, over every id of the step, are the graph the
+    step walks (so a community's part of it is its induced subgraph, isolated
+    members kept), and each inter group is a pair task. A pair is reused
+    when its two communities match previous ones that were connected in the
+    previous graph: a pair task of the previous plan.
     """
     left = {}
     if prev is None:
@@ -501,9 +592,9 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
                 if (gone := ids[(prev_clustering.labels == p) & (now != c)]).size}
 
     intra, inter = group_edges(g_t, clustering)
-    communities = clustering.communities
-    subgraphs = {label: Graph(intra.get(label, ()), vertices=communities[label])
-                 for label in diff.changed}
+    graph = Graph(np.concatenate([np.empty((0, 2), np.int64),
+                                  *(intra[label] for label in diff.changed if label in intra)]),
+                  vertices=clustering.vertices)
     pair_tasks = [_PairTask.of(a, b, edges) for (a, b), edges in inter.items()]
     prev_for = diff.prev_for
     reused_pairs = {}
@@ -514,8 +605,7 @@ def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
         key = (pa, pb) if pa < pb else (pb, pa)
         if key in prev_pairs:
             reused_pairs[(task.a, task.b)] = key
-    return _StepPlan(clustering=clustering, diff=diff,
-                     subgraphs=subgraphs, pair_tasks=pair_tasks,
+    return _StepPlan(clustering=clustering, diff=diff, graph=graph, pair_tasks=pair_tasks,
                      reused_pairs=reused_pairs, left=left)
 
 
@@ -529,50 +619,50 @@ def _plan_chain(seq: TemporalGraphSequence, params: PerturbParams) -> list:
     return plans
 
 
+def _static_plan(g_t: Graph) -> _StepPlan:
+    """The static mechanism's plan of one snapshot: one changed community
+    that is the whole snapshot, labelled by its smallest id, whose graph is
+    the snapshot itself. Nothing is clustered, matched, carried or rewired.
+    A snapshot without ids has no community."""
+    ids = g_t.vertices
+    label = ids[:1]
+    return _StepPlan(clustering=Clustering(vertices=ids, labels=label.repeat(ids.size)),
+                     diff=CommunityDiff(unchanged=[], changed=label.tolist()),
+                     graph=g_t, pair_tasks=[], reused_pairs={}, left={})
+
+
 def _static_plans(seq: TemporalGraphSequence) -> list:
-    """The static mechanism as a plan chain: per snapshot, one changed
-    community that is the whole snapshot, labelled by its smallest id, whose
-    subgraph is the snapshot itself. Nothing is clustered, matched, carried
-    or rewired, so ``_draws`` walks each snapshot afresh under the entry key
-    ``_hash(sample key, 0, label)``. A snapshot without ids has no community."""
-    plans = []
-    for g_t in seq.snapshots:
-        ids = g_t.vertices
-        label = ids[:1]
-        plans.append(_StepPlan(clustering=Clustering(vertices=ids, labels=label.repeat(ids.size)),
-                               diff=CommunityDiff(unchanged=[], changed=label.tolist()),
-                               subgraphs=dict.fromkeys(label.tolist(), g_t), pair_tasks=[],
-                               reused_pairs={}, left={}))
-    return plans
+    """The static mechanism as a plan chain of ``_static_plan``s, so
+    ``_draws`` walks each snapshot afresh under the entry key
+    ``_hash(sample key, 0, label)``."""
+    return [_static_plan(g_t) for g_t in seq.snapshots]
 
 
 # array entries (walk uniforms, grid cells) a block of samples holds at most
-# in one step. A block's walks hold about 11 words per walker at their peak,
-# so this budget is about 2 MB. On the benchmark's audit workload (2-vCPU VM)
-# the task took 0.39-0.41, 0.48-0.49 and 0.65-0.69 s at 1 << 16, 15 and 14,
-# and peak RSS was 72.7, 71.9 and 71.4 MB
+# in one step. A block's walks hold about 12 words per walker at their peak
+# (its gathered entry key included), so this budget is about 2 MB. On the
+# benchmark's audit workload (2-vCPU VM) the task took 0.26, 0.29-0.30 and
+# 0.35-0.37 s at 1 << 16, 15 and 14, and peak RSS was 72.5-72.6, 71.4-71.5
+# and 71.1 MB
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _entries(plans, k: int, reads=None) -> int:
+def _entries(plans, k: int, layouts=None) -> int:
     """Array entries one sample of a fold over ``plans`` holds at its largest
-    step: for each entry ``_StepPlan.drawn`` builds, (k + 1) walk uniforms per
-    walker and one per grid cell. ``reads`` is None or ``_balls(plans, ids,
-    k)``, as in ``_draws``: a community walks every edge and a pair draws its
-    whole grid, or only its ball's walkers and cells. A fold draws one step
-    at a time and carries only rows into the next, so its largest step, not
-    the sum of its steps, sizes a block."""
-    def step(plan, read):
-        total = 0
-        for key, task, ball in plan.drawn(read):
-            if task is None:
-                total += (k + 1) * (plan.subgraphs[key].num_edges if ball is None
-                                    else ball.size)
-            else:
-                total += task.nodes_a.size * task.nodes_b.size if ball is None else ball.size
-        return total
+    step: (k + 1) walk uniforms per walker and one per grid cell. ``layouts``
+    is None, for draws that walk every edge of ``plan.graph`` and draw every
+    fresh pair's whole grid, or one layout per plan (``_balls(plans, ids,
+    k)``, say), as in ``_draws``. A fold draws one step at a time and
+    carries only rows into the next, so its largest step, not the sum of its
+    steps, sizes a block."""
+    def step(plan, layout):
+        if layout is not None:
+            return (k + 1) * layout.walkers.size + layout.cells.size
+        return (k + 1) * plan.graph.num_edges + sum(
+            task.nodes_a.size * task.nodes_b.size for task in plan.pair_tasks
+            if (task.a, task.b) not in plan.reused_pairs)
 
-    return max(itertools.starmap(step, zip(plans, reads or itertools.repeat(None))),
+    return max(itertools.starmap(step, zip(plans, layouts or itertools.repeat(None))),
                default=0)
 
 
@@ -584,69 +674,89 @@ def _blocks(n: int, per_sample: int) -> list:
     return np.split(np.arange(n), range(size, n, size))
 
 
+class _StepDraw(NamedTuple):
+    """S samples of one step draw: every row [sample, a, b] in one array,
+    each entry's rows contiguous, and the rows of each entry, keyed by its
+    label or its pair (a, b), as ``rows[start:stop]``."""
+
+    rows: np.ndarray
+    spans: dict              # entry key -> (start, stop)
+
+
 def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarray,
-                 draw=_perturb_rows, reads=None) -> tuple[dict, dict]:
-    """Draw S samples of one step perturbation with reuse: (intra by label,
-    inter by pair), each entry an array of rows [sample, a, b].
+                 layout=None) -> _StepDraw:
+    """Draw S samples of one step perturbation with reuse, in two fused
+    passes over the entries of ``layout`` (``_layout(plan)``, every entry
+    whole, when None): one walk of every walker of every changed community
+    (``_walk_rows``) and one uniform pass over every cell of every fresh
+    pair grid (``_grid_rows``).
 
     ``carried`` is None at t=0, otherwise the previous step's draw of the
     same samples, which holds every entry this step copies. Unchanged
-    communities and reused pairs copy their carried entries, minus the rows
+    communities and reused pairs copy their carried rows, minus the rows
     touching ``plan.left``: ids that moved out of the matched previous
-    community or left the snapshot.
-    ``keys`` holds the S samples' keys at this step. Sample s draws the
-    entry of changed label L under ``_hash(keys[s], 0, L)``, with ``draw(
-    subgraph, k, entry keys)``, and rewires the pair (a, b) that is not
-    reused under ``_hash(keys[s], 1, a, b)``. ``reads`` is None to build
-    every entry whole, as the release does, or one step of ``_balls`` of the
-    ids a posterior queries: only its keys are built (``_StepPlan.drawn``),
-    each community drawing only its ball's walkers, with ``draw(...,
-    walkers=...)``, a ``_perturb_rows`` that keeps the rows at those ids,
-    and each pair only the grid rows and columns of the ids. An entry's draw
-    depends only on its key, and walkers and cells read their own counters,
-    so these are the full draw's rows at the ids, whatever else is built.
+    community or left the snapshot. An entry's rows have both ends in its
+    previous communities, which no other entry's left ids are in, so one
+    filter of all copied rows by all left ids drops each entry's own.
+    ``keys`` holds the S samples' keys at this step. Sample s walks the
+    community of changed label L under ``_hash(keys[s], 0, L)`` and rewires
+    the pair (a, b) that is not reused under ``_hash(keys[s], 1, a, b)``.
+    Each walker and cell reads its own counters under its entry's key, so a
+    layout that builds only some entries, walkers or cells (``_balls``)
+    draws the full draw's rows of those, whatever else is built.
+
+    The draw's rows are the copied entries', the walk entries' and then the
+    grid entries', each entry in the layout's order.
     """
-    def carry(rows, *prev_labels):
-        gone = [plan.left[p] for p in prev_labels if p in plan.left]
-        if not gone:
-            return rows
-        # "sort" skips the lookup-table set-up that dominates for a few ids
-        return rows[~np.isin(rows[:, 1:], np.concatenate(gone), kind="sort").any(axis=1)]
+    if layout is None:
+        layout = _layout(plan)
+    pieces, names, counts = [], [], []
+    copied = [*layout.unchanged, *layout.reused]
+    if copied:
+        rows, spans = carried
+        bounds = [spans[prev] for prev, _ in copied]
+        moved = np.concatenate([np.empty((0, 3), np.int64),
+                                *(rows[start:stop] for start, stop in bounds)])
+        size = np.array([stop - start for start, stop in bounds], dtype=np.int64)
+        if plan.left:
+            # "sort" skips the lookup-table set-up that dominates for a few ids
+            keep = ~np.isin(moved[:, 1:], np.concatenate(list(plan.left.values())),
+                            kind="sort").any(axis=1)
+            moved = moved[keep]
+            # the rows each copied entry keeps
+            size = np.bincount(np.repeat(np.arange(size.size), size)[keep], minlength=size.size)
+        pieces.append(moved)
+        names += [name for _, name in copied]
+        counts.append(size)
+    if layout.labels.size:
+        rows, size = _walk_rows(plan.graph, params.k, _hash(keys, 0, layout.labels[:, None]),
+                                layout)
+        pieces.append(rows)
+        names += layout.labels.tolist()
+        counts.append(size)
+    if layout.pairs:
+        pairs = np.array(layout.pairs)
+        rows, size = _grid_rows(layout, _hash(keys, 1, pairs[:, :1], pairs[:, 1:]))
+        pieces.append(rows)
+        names += layout.pairs
+        counts.append(size)
+    stops = np.cumsum(np.concatenate([np.empty(0, np.int64), *counts])).tolist()
+    return _StepDraw(rows=np.concatenate([np.empty((0, 3), np.int64), *pieces]),
+                     spans=dict(zip(names, zip([0, *stops], stops))))
 
-    intra = {label: carry(carried[0][prev_label], prev_label)
-             for prev_label, label in plan.diff.unchanged if reads is None or label in reads[0]}
-    inter = {pair: carry(carried[1][key], *key)
-             for pair, key in plan.reused_pairs.items() if reads is None or pair in reads[1]}
-    for key, task, ball in plan.drawn(reads):
-        if task is None:
-            graph, entry_keys = plan.subgraphs[key], _hash(keys, 0, key)
-            intra[key] = (draw(graph, params.k, entry_keys) if ball is None
-                          else draw(graph, params.k, entry_keys, walkers=ball))
-        else:
-            inter[key] = task.sample(_hash(keys, 1, *key), ball)
-    return intra, inter
 
-
-def _step_rows(intra: dict, inter: dict) -> np.ndarray:
-    """Every row [sample, a, b] of one step draw in one array; duplicates are
-    kept."""
-    pieces = [*intra.values(), *inter.values()]
-    return np.concatenate(pieces) if pieces else np.empty((0, 3), np.int64)
-
-
-def _draws(plans, params: PerturbParams, keys, reads=None, draw=_perturb_rows):
+def _draws(plans, params: PerturbParams, keys, layouts=None):
     """Yield the step draw of each plan in turn for one block of samples,
     each drawn under its array of the samples' keys in ``keys`` and carrying
     the draw before it.
 
-    ``reads`` is None to build every entry whole, or ``_balls(plans, ids,
-    k)`` to build only the entries that edges touching ``ids`` come from,
-    and of those only their k-balls of ``ids``. ``draw`` draws the changed
-    communities, as in ``_sample_step``.
+    ``layouts`` is None to build every entry whole, or one layout per plan:
+    ``_balls(plans, ids, k)`` builds only the entries that edges touching
+    ``ids`` come from, and of those only their k-balls of ``ids``.
     """
     carried = None
-    for plan, step_keys, read in zip(plans, keys, reads or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, step_keys, draw, read)
+    for plan, step_keys, layout in zip(plans, keys, layouts or itertools.repeat(None)):
+        carried = _sample_step(plan, carried, params, step_keys, layout)
         yield carried
 
 
@@ -661,7 +771,7 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[l
     """
     plans = _plan_chain(seq, params)
     draws = _draws(plans, params, [_step_key(params.seed, t) for t in range(len(plans))])
-    graphs = [Graph(_step_rows(*draw)[:, 1:], vertices=g_t.vertices)
+    graphs = [Graph(draw.rows[:, 1:], vertices=g_t.vertices)
               for draw, g_t in zip(draws, seq.snapshots)]
     return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]
 

@@ -19,11 +19,13 @@ makes the LinkMirage release, over the world's plans: LinkMirage's
 ``_plan_chain``, or the static mechanism's ``_static_plans``, which hold
 each snapshot as one changed community. A re-perturbation builds only the
 step-draw entries the features can read, and of each only the k-hop ball
-of u and v (``perturb._balls``): at each step the intra entries of u's and
-v's communities and every pair with one of them as an end, plus the
-entries of earlier steps those copy. A community walks the walkers whose
-edge has an end within k hops of u or v, a pair grid draws the rows and
-columns of u and v, and only the fake edges with an end at u or v are kept.
+of u and v (``perturb._balls``, one draw layout per step, built once per
+query and drawn in the same fused passes as a whole draw): at each step the
+intra entries of u's and v's communities and every pair with one of them as
+an end, plus the entries of earlier steps those copy. A community walks the
+walkers whose edge has an end within k hops of u or v, a pair grid draws
+the rows and columns of u and v, and only the fake edges with an end at u
+or v are kept.
 Each entry draws under its own key, and each walker and cell at its own
 counters, so each row kept equals the full draw's, and so does each feature.
 The features read no other row, and a carry only drops rows. A custom
@@ -37,7 +39,6 @@ which is exact for both mechanisms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
 from .perturb import (PerturbParams, _balls, _blocks, _draws, _entries, _hash,
-                      _perturb_rows, _plan_chain, _root_key, _static_plans, _step_rows)
+                      _plan_chain, _root_key, _static_plans)
 
 
 @dataclass(frozen=True)
@@ -272,15 +273,14 @@ class _SequenceSampler:
                     pieces.append(np.column_stack([np.full(len(edges), s * steps + t), edges]))
             rows = np.concatenate(pieces)
             return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
-        reads = _balls(self.plans, uv, self.params.k)
-        at_uv = functools.partial(_perturb_rows, ends=uv)
+        balls = _balls(self.plans, uv, self.params.k)
         root = _root_key(rng)
         blocks = []
-        for samples in _blocks(n, _entries(self.plans, self.params.k, reads)):
+        for samples in _blocks(n, _entries(self.plans, self.params.k, balls)):
             keys = [_hash(root, t, samples) for t in range(steps)]
-            blocks.append(np.stack([_edge_features(_step_rows(*draw), u, v, samples.size)
-                                    for draw in _draws(self.plans, self.params, keys,
-                                                       reads, at_uv)], axis=1))
+            blocks.append(np.stack([_edge_features(draw.rows, u, v, samples.size)
+                                    for draw in _draws(self.plans, self.params, keys, balls)],
+                                   axis=1))
         return np.concatenate(blocks)
 
 

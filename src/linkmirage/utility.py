@@ -1,9 +1,13 @@
 """Utility metrics: walk-distribution distance, its structural bound, degree
-expectation, and the graph analytics used to audit perturbed topologies."""
+expectation, and the graph analytics used to audit perturbed topologies.
+
+The degree check re-draws the released step through its one kernel,
+``perturb._sample_step``, over the plan's raw layout (``perturb._layout``):
+every walker's first walk, loops kept, with rows naming positions, so each
+block of trials is counted by one ``bincount``."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +15,8 @@ import numpy as np
 from .clustering import _edge_communities
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
-from .perturb import (PerturbParams, _blocks, _entries, _hash, _root_key, _sample_step,
-                      build_step_plan, draw_walker_edges)
+from .perturb import (PerturbParams, _blocks, _entries, _hash, _layout, _root_key,
+                      _sample_step, build_step_plan)
 
 
 @dataclass(frozen=True)
@@ -81,17 +85,6 @@ class DegreeReport:
     trials: int
 
 
-def _walker_rows(graph: Graph, k: int, keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """One raw walk per edge in each of S samples, keyed by ``keys``, as rows
-    [sample, start, terminal], sample-major; self-terminal walks are kept.
-    Ends are positions in ``ids``, sorted ids that hold every vertex of
-    ``graph``."""
-    starts, terms = draw_walker_edges(graph, k, keys)
-    names = np.searchsorted(ids, graph.vertices)
-    sample = np.repeat(np.arange(keys.size), starts.shape[1])
-    return np.column_stack([sample, names[starts.ravel()], names[terms.ravel()]])
-
-
 def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
                            rng: np.random.Generator) -> DegreeReport:
     """Monte Carlo check that perturbation preserves expected degrees.
@@ -105,33 +98,28 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
 
     Trials are keyed: one raw draw from ``rng`` gives a root key, and trial
     s draws under ``_hash(root, s)``. They run in blocks
-    (``perturb._blocks``), each one ``_sample_step`` call whose degree
-    counts one ``bincount`` per entry reads. So every trial, and the report,
-    is the same whatever the block size, and no seed is spawned.
-    The plan is laid out on the graph's own ids, whose labels key the draws:
-    a trial's walks and rewirings are those a release of the graph under
-    the trial's key draws before its self-loop redraws.
+    (``perturb._blocks``), each one ``_sample_step`` call over the plan's
+    raw layout, whose rows name positions, counted by one ``bincount``. So
+    every trial, and the report, is the same whatever the block size, and no
+    seed is spawned. The plan is laid out on the graph's own ids, whose
+    labels key the draws: a trial's walks and rewirings are those a release
+    of the graph under the trial's key draws before its self-loop redraws.
     """
     if trials < 1000:
         raise ValueError("degree expectation needs >= 1000 trials")
     n = graph.num_vertices
     plan = build_step_plan(graph, None, params)
+    layout = _layout(plan, raw=True)
     acc = np.zeros(n, dtype=np.float64)
     acc2 = np.zeros(n, dtype=np.float64)
     root = _root_key(rng)
-    walks = functools.partial(_walker_rows, ids=graph.vertices)
     # a trial holds its draw's entries and one row of degree counts
-    for samples in _blocks(trials, _entries([plan], params.k) + n):
+    for samples in _blocks(trials, _entries([plan], params.k, [layout]) + n):
         size = samples.size
-        intra, inter = _sample_step(plan, None, params, _hash(root, samples), draw=walks)
-        # walks end at positions already; rewired rows name ids
-        for rows in inter.values():
-            rows[:, 1:] = np.searchsorted(graph.vertices, rows[:, 1:])
-        d = np.zeros(size * n, dtype=np.int64)
-        # one bincount per entry: the block's rows are never copied into one array
-        for rows in (*intra.values(), *inter.values()):
-            d += np.bincount((rows[:, :1] * n + rows[:, 1:]).ravel(), minlength=size * n)
-        d = d.reshape(size, n)
+        rows = _sample_step(plan, None, params, _hash(root, samples), layout).rows
+        # the plan's graph spans the graph's ids, so rows name its positions
+        d = np.bincount((rows[:, :1] * n + rows[:, 1:]).ravel(),
+                        minlength=size * n).reshape(size, n)
         # integer sums: exact, so the block size changes no bit of the report
         acc += d.sum(axis=0)
         acc2 += (d * d).sum(axis=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linkmirage import Graph
-from linkmirage.perturb import _draws, _hash, _sample_step
+from linkmirage.perturb import _StepDraw, _draws, _hash, _sample_step
 
 
 @pytest.fixture
@@ -49,9 +49,11 @@ def small_overlap_sequence():
 
 
 # -- one sample of a step draw ----------------------------------------------
-# ``perturb._sample_step`` draws a block of samples with rows [sample, a, b];
-# these helpers draw a block of one under one key, as a release step does,
-# and hold its entries as (m, 2) edge arrays, as ``group_edges`` gives them.
+# ``perturb._sample_step`` draws a block of samples as one array of rows
+# [sample, a, b] with each entry's span; these helpers split it into (intra by
+# label, inter by pair) dicts, draw a block of one under one key, as a release
+# step does, and hold its entries as (m, 2) edge arrays, as ``group_edges``
+# gives them.
 
 
 def keys_from(rng, n=1):
@@ -59,9 +61,26 @@ def keys_from(rng, n=1):
     return rng.integers(1 << 64, size=n, dtype=np.uint64)
 
 
+def split_draw(draw):
+    """A step draw's entries as (intra by label, inter by pair) dicts of
+    their rows, in the draw's order."""
+    intra, inter = {}, {}
+    for key, (start, stop) in draw.spans.items():
+        (inter if isinstance(key, tuple) else intra)[key] = draw.rows[start:stop]
+    return intra, inter
+
+
+def joined_draw(intra, inter):
+    """The step draw whose entries are the rows of (intra, inter), in order."""
+    parts = [*intra.items(), *inter.items()]
+    stops = np.cumsum([len(rows) for _, rows in parts], dtype=np.int64).tolist()
+    rows = np.concatenate([np.empty((0, 3), np.int64), *(rows for _, rows in parts)])
+    return _StepDraw(rows, {key: span for (key, _), span in zip(parts, zip([0, *stops], stops))})
+
+
 def edge_draw(draw):
-    """A one-sample step draw with the sample column dropped."""
-    return tuple({key: rows[:, 1:] for key, rows in part.items()} for part in draw)
+    """A one-sample step draw's entries with the sample column dropped."""
+    return tuple({key: rows[:, 1:] for key, rows in part.items()} for part in split_draw(draw))
 
 
 def step_edges(intra, inter):
@@ -70,18 +89,18 @@ def step_edges(intra, inter):
     return np.concatenate(pieces) if pieces else np.empty((0, 2), np.int64)
 
 
-def sample_step(plan, carried, params, sample_key, **kwargs):
+def sample_step(plan, carried, params, sample_key, layout=None):
     """One sample of ``_sample_step`` under ``sample_key`` (an int, or a uint64
     array of one), carrying (m, 2) entries."""
     if carried is not None:
-        carried = tuple({key: np.column_stack([np.zeros(len(edges), np.int64), edges])
-                         for key, edges in part.items()} for part in carried)
-    return edge_draw(_sample_step(plan, carried, params, _hash(sample_key), **kwargs))
+        carried = joined_draw(*({key: np.column_stack([np.zeros(len(edges), np.int64), edges])
+                                 for key, edges in part.items()} for part in carried))
+    return edge_draw(_sample_step(plan, carried, params, _hash(sample_key), layout))
 
 
-def sample_draws(plans, params, root, sample=0, reads=None, **kwargs):
+def sample_draws(plans, params, root, sample=0, layouts=None):
     """Sample ``sample`` of the ``_draws`` fold over ``plans`` under the root
     key ``root``, keyed as the posterior keys it: step t under
     ``_hash(root, t, sample)``."""
     keys = [_hash(root, t, sample) for t in range(len(plans))]
-    return [edge_draw(draw) for draw in _draws(plans, params, keys, reads, **kwargs)]
+    return [edge_draw(draw) for draw in _draws(plans, params, keys, layouts)]

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from conftest import random_graph
 from linkmirage import (Graph, PerturbParams, SybilScenario, TemporalGraphSequence,
                         attack_probability, er_graph, k_hop_graph, linkmirage_run,
                         ring_of_blocks, sampling_report, sybil_eval, union_graph)
-from linkmirage.appeval import (_random_routes, _reverse_positions, _slot_order,
+from linkmirage.appeval import (_k_hop_edges, _random_routes, _reverse_positions, _slot_order,
                                count_attack_edges)
 from test_perturb import time_limit
 
@@ -48,6 +49,27 @@ def test_attack_probability_absent_vertex():
 
 
 # -- k-hop graph and sampling probability ------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=14),
+       st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40))
+@example(1, 3, [])
+@example(3, 0, [])
+@example(2, 5, [(0, 1)])
+def test_k_hop_edges_is_the_strict_upper_triangle(k, isolated, pairs):
+    # the CSR row filter keeps what sp.triu(..., k=1) keeps of the k-hop reach,
+    # rows in place, for k = 1 to 3, with isolated ids and edgeless graphs
+    g = Graph([(u, v) for u, v in pairs if u != v], vertices=range(20, 20 + isolated))
+    n = g.num_vertices
+    adj = g.adjacency(np.ones(2 * g.num_edges, dtype=bool))
+    reach = adj
+    for _ in range(k - 1):
+        reach = reach @ (adj + sp.identity(n, dtype=bool, format="csr"))
+    got, want = _k_hop_edges(g, k), sp.triu(reach, k=1, format="csr")
+    assert got.format == "csr" and got.shape == (n, n) and got.dtype == want.dtype
+    assert got.nnz == want.nnz and (got != want).nnz == 0
+    assert np.array_equal(got.toarray(), want.toarray())
 
 
 def bfs_distances(g, src):

@@ -12,7 +12,8 @@ from conftest import random_graph
 from linkmirage import (Graph, GraphFormatError, load_edge_list, load_sequence,
                         union_graph, write_edge_list)
 from linkmirage import graphs
-from linkmirage.graphs import _absent_pairs, _edge_keys, _plain_edges, _unique_rows
+from linkmirage.graphs import (_absent_pairs, _edge_keys, _plain_edges, _sorted_unique,
+                               _unique_rows)
 
 
 def test_edges_canonicalized_and_deduped():
@@ -515,3 +516,23 @@ def test_absent_pairs_stop_at_the_attempt_cap():
     assert missing not in drawn
     assert pairs.shape == (0, 2)
     assert rng.bit_generator.state == replay.bit_generator.state
+
+
+ids_near_the_top = st.lists(st.one_of(st.integers(min_value=0, max_value=40),
+                                      st.integers(min_value=2**63 - 40, max_value=2**63 - 1)),
+                            max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids_near_the_top, ids_near_the_top)
+@example([], [])
+@example([3, 3, 3], [])
+@example([2**63 - 1, 0, 2**63 - 1], [2**63 - 2, 0])
+def test_sorted_unique_is_np_unique_and_union1d(first, second):
+    # the one sort-based distinct-values helper: np.unique of one array and
+    # np.union1d of two, dtype included, with repeats, empty input and ids
+    # near 2**63
+    a, b = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
+    for got, want in ((_sorted_unique(a), np.unique(a)),
+                      (_sorted_unique(np.concatenate([a, b])), np.union1d(a, b))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

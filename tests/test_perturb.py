@@ -5,16 +5,20 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_draw
 from conftest import (edge_draw, keys_from, random_graph, sample_draws, sample_step,
-                      small_overlap_sequence, step_edges)
+                      small_overlap_sequence, split_draw, step_edges)
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
                         TemporalGraphSequence, evolving_sequence, expected_degree_report,
                         group_edges, hay_baseline, linkmirage_run, perturb_static,
                         perturb_static_baseline_sequence, planted_partition_graph)
 from linkmirage import perturb, privacy
-from linkmirage.perturb import (_PairTask, _balls, _draws, _hash, _plan_chain, _root_key,
-                               _step_key, build_step_plan, draw_walker_edges)
+from linkmirage.perturb import (_PairTask, _balls, _draws, _hash, _layout, _plan_chain,
+                               _root_key, _sample_step, _static_plan, _step_key,
+                               build_step_plan)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
 from test_acceptance import overlap_fixture
 
@@ -40,6 +44,12 @@ def test_no_self_loops_or_duplicates(rng):
         assert (gp.edges[:, 0] < gp.edges[:, 1]).all()
 
 
+def static_rows(g, k, keys, **layout):
+    """Rows of S static draws of ``g``, one walk entry, under sample keys."""
+    plan = _static_plan(g)
+    return _sample_step(plan, None, PerturbParams(k=k), keys, _layout(plan, **layout)).rows
+
+
 def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
     # keeping only the fake edges at the ends, and walking only the walkers
     # of their k-ball: the rows kept are those of the full draw under the
@@ -48,15 +58,17 @@ def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
 
     def check(g, k, ends):
         keys = keys_from(rng, 3)
-        full = perturb._perturb_rows(g, k, keys)
+        full = static_rows(g, k, keys)
         want = full[np.isin(full[:, 1:], ends).any(axis=1)]
         walkers = perturb._ball(g, k, ends)
         local["part" if walkers.size < g.num_edges else "all"] += 1
-        assert np.array_equal(perturb._perturb_rows(g, k, keys, ends), want)
-        assert np.array_equal(perturb._perturb_rows(g, k, keys, ends, walkers), want)
+        assert np.array_equal(static_rows(g, k, keys, ends=ends), want)
+        assert np.array_equal(static_rows(g, k, keys, ends=ends, walkers=walkers), want)
+        assert np.array_equal(_sample_step(_static_plan(g), None, PerturbParams(k=k), keys,
+                                           _balls([_static_plan(g)], ends, k)[0]).rows, want)
         if walkers.size == g.num_edges:
             # every edge's walker, selected, walks as the whole graph does
-            assert np.array_equal(perturb._perturb_rows(g, k, keys, walkers=walkers), full)
+            assert np.array_equal(static_rows(g, k, keys, walkers=walkers), full)
         return walkers
 
     for k in (1, 2, 3):
@@ -70,11 +82,23 @@ def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
             # ends absent from the graph, or isolated: an empty ball, no row
             for ends in ((n + 5, n + 6), (n, n + 1)):
                 assert not check(g, k, ends).size
-                assert not perturb._perturb_rows(g, k, keys_from(rng, 3), ends).size
+                assert not static_rows(g, k, keys_from(rng, 3), ends=ends).size
         # a ball that holds every edge
         path = Graph([(0, 1), (1, 2), (2, 3)])
         assert check(path, k, (1, 2)).size == path.num_edges
     assert local["part"] and local["all"]
+
+
+def grid_rows(task, keys, cells=None):
+    """Rows of S rewirings of one pair task alone, ``keys`` its entry keys:
+    the grid pass (``perturb._grid_rows``) of a plan of that one task, over
+    its ``cells`` or its whole grid."""
+    ids = np.concatenate([task.nodes_a, task.nodes_b])
+    plan = perturb._StepPlan(clustering=Clustering.from_groups([ids]),
+                             diff=perturb.CommunityDiff(unchanged=[], changed=[]),
+                             graph=Graph(vertices=ids), pair_tasks=[task],
+                             reused_pairs={}, left={})
+    return perturb._grid_rows(_layout(plan, cells={(task.a, task.b): cells}), keys[None, :])[0]
 
 
 def test_pair_grid_cells_at_ends_are_the_full_grids_rows_at_them(rng):
@@ -86,10 +110,11 @@ def test_pair_grid_cells_at_ends_are_the_full_grids_rows_at_them(rng):
         cells = [(a, b) for a in nodes_a for b in nodes_b if rng.random() < 0.4]
         task = _PairTask.of(0, 1, np.array(cells or [(nodes_a[0], nodes_b[0])]))
         keys = keys_from(rng, 4)
-        full = task.sample(keys)
+        full = grid_rows(task, keys)
+        assert np.array_equal(full, reference_draw.pair_sample(task, keys))
         u, v = rng.choice(task.nodes_a), rng.choice(task.nodes_b)
         for ends in ((u, v), (u, 999), (999, v), (998, 999)):
-            at = task.sample(keys, task.cells_at(ends))
+            at = grid_rows(task, keys, task.cells_at(ends))
             assert np.array_equal(at, full[np.isin(full[:, 1:], ends).any(axis=1)])
         assert task.cells_at((u, v)).size == task.nodes_a.size + task.nodes_b.size - 1
 
@@ -101,6 +126,12 @@ def test_perturb_static_deterministic():
     assert a == b
 
 
+def static_walk(g, k, keys):
+    """The walk of ``g``'s static plan for S samples whose entry keys are
+    ``keys``, as ``perturb_static`` draws it."""
+    return perturb._walk_rows(g, k, keys[None, :], _layout(_static_plan(g)))[0]
+
+
 def test_perturb_static_is_a_block_of_one_under_its_key(rng):
     # perturb_static draws under one raw draw of its stream; in a block, each
     # sample draws what a block of one under its key draws
@@ -109,12 +140,13 @@ def test_perturb_static_is_a_block_of_one_under_its_key(rng):
         seed = int(rng.integers(1 << 32))
         key = _root_key(np.random.default_rng(seed))
         static = perturb_static(g, 2, np.random.default_rng(seed))
-        assert static == Graph(perturb._perturb_rows(g, 2, _hash(key))[:, 1:], vertices=g.vertices)
+        assert static == Graph(static_walk(g, 2, _hash(key))[:, 1:], vertices=g.vertices)
         keys = np.append(keys_from(rng, 4), key).astype(np.uint64)
-        block = perturb._perturb_rows(g, 2, keys)
+        block = static_walk(g, 2, keys)
+        assert np.array_equal(block, reference_draw.perturb_rows(g, 2, keys))
         for s, one in enumerate(keys):
             assert np.array_equal(block[block[:, 0] == s, 1:],
-                                  perturb._perturb_rows(g, 2, _hash(one))[:, 1:])
+                                  static_walk(g, 2, _hash(one))[:, 1:])
 
 
 def test_keyed_uniforms_are_uniform_and_streams_do_not_overlap():
@@ -171,15 +203,24 @@ def test_path_two_hop_edge_probability(rng):
     assert abs(hits / n - expected) <= 3 * sigma
 
 
+def raw_walk_degrees(g, k, trials, rng):
+    """Walker-incidence degrees of ``trials`` raw walk draws of ``g``'s static
+    plan, one a trial under a key from ``rng``: the degree check's draw, one
+    first walk per edge, loops kept."""
+    plan = _static_plan(g)
+    layout, params = _layout(plan, raw=True), PerturbParams(k=k)
+    for _ in range(trials):
+        rows = _sample_step(plan, None, params, keys_from(rng), layout).rows
+        yield np.bincount(rows[:, 1:].ravel(), minlength=g.num_vertices)
+
+
 def test_walker_degree_expectation_k3(rng):
     # walker-incidence degree: one walk per edge from a uniform endpoint
     g = Graph([(0, 1), (1, 2), (0, 2)])
     trials = 10_000
     acc = np.zeros(3)
     acc2 = np.zeros(3)
-    for _ in range(trials):
-        (starts,), (terms,) = draw_walker_edges(g, 1, keys_from(rng))
-        d = np.bincount(starts, minlength=3) + np.bincount(terms, minlength=3)
+    for d in raw_walk_degrees(g, 1, trials, rng):
         acc += d
         acc2 += d.astype(float) ** 2
     mean = acc / trials
@@ -197,9 +238,9 @@ def two_singleton_clustering():
 
 def rewire(graph, clustering, rng):
     """{(a, b): edges} of one inter-community rewiring: every pair task of the
-    graph's one grouping, drawn by ``_PairTask.sample`` under its own key."""
+    graph's one grouping, drawn alone under its own key."""
     inter = group_edges(graph, clustering)[1]
-    return {pair: _PairTask.of(*pair, edges).sample(keys_from(rng))[:, 1:]
+    return {pair: grid_rows(_PairTask.of(*pair, edges), keys_from(rng))[:, 1:]
             for pair, edges in inter.items()}
 
 
@@ -322,9 +363,10 @@ def test_step_compose_oracle_t0():
     plan = build_step_plan(g, None, params)
     edges = []
     for label in plan.diff.changed:
-        edges.append(perturb._perturb_rows(plan.subgraphs[label], 1, _hash(key, 0, label))[:, 1:])
+        sub = g.subgraph(plan.clustering.communities[label])
+        edges.append(reference_draw.perturb_rows(sub, 1, _hash(key, 0, label))[:, 1:])
     for task in plan.pair_tasks:
-        edges.append(task.sample(_hash(key, 1, task.a, task.b))[:, 1:])
+        edges.append(reference_draw.pair_sample(task, _hash(key, 1, task.a, task.b))[:, 1:])
     expected = Graph(np.vstack([e.reshape(-1, 2) for e in edges]),
                      vertices=g.vertices)
     assert g_prime == expected
@@ -391,9 +433,7 @@ def test_static_baseline_walker_degree_preserved(rng):
     n = g.num_vertices
     acc = np.zeros(n)
     acc2 = np.zeros(n)
-    for _ in range(trials):
-        (starts,), (terms,) = draw_walker_edges(g, 2, keys_from(rng))
-        d = np.bincount(starts, minlength=n) + np.bincount(terms, minlength=n)
+    for d in raw_walk_degrees(g, 2, trials, rng):
         acc += d
         acc2 += d.astype(float) ** 2
     mean = acc / trials
@@ -477,6 +517,12 @@ LOCALIZED_CASES = {
 }
 
 
+def layout_entries(layout):
+    """(labels, pairs) of the entries a layout builds, drawn or copied."""
+    return ({*layout.labels.tolist(), *(label for _, label in layout.unchanged)},
+            {*layout.pairs, *(pair for _, pair in layout.reused)})
+
+
 @pytest.mark.parametrize("case", sorted(LOCALIZED_CASES))
 def test_localized_draws_equal_the_full_draw(case):
     make, settings, uv, fresh = LOCALIZED_CASES[case]
@@ -486,11 +532,13 @@ def test_localized_draws_equal_the_full_draw(case):
     assert [not plan.carries(uv) for plan in plans] == fresh
     balls = _balls(plans, uv, params.k)
     # the same entries, each drawn whole
-    reads = [(dict.fromkeys(walkers), dict.fromkeys(cells)) for walkers, cells in balls]
+    entries = list(map(layout_entries, balls))
+    reads = [_layout(plan, labels, dict.fromkeys(pairs))
+             for plan, (labels, pairs) in zip(plans, entries)]
+    assert list(map(layout_entries, reads)) == entries
     assert any(len(labels) + len(pairs)
                < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
-               for (labels, pairs), plan in zip(reads, plans))
-    at_uv = functools.partial(perturb._perturb_rows, ends=uv)
+               for (labels, pairs), plan in zip(entries, plans))
 
     def at(edges):
         return edges[np.isin(edges, uv).any(axis=1)]
@@ -501,9 +549,9 @@ def test_localized_draws_equal_the_full_draw(case):
         full = sample_draws(plans, params, root, sample)
         local = sample_draws(plans, params, root, sample, reads)
         # drawing only the balls gives each entry's rows at the queried pair
-        ball = sample_draws(plans, params, root, sample, balls, draw=at_uv)
+        ball = sample_draws(plans, params, root, sample, balls)
         for (intra, inter), (l_intra, l_inter), (b_intra, b_inter), (labels, pairs) in zip(
-                full, local, ball, reads):
+                full, local, ball, entries):
             assert set(l_intra) == set(b_intra) == set(labels)
             assert set(l_inter) == set(b_inter) == set(pairs)
             assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
@@ -556,12 +604,123 @@ def test_reads_of_identical_snapshots_reach_back_to_t0():
     pairs = {(task.a, task.b) for task in plans[0].pair_tasks if label in (task.a, task.b)}
     assert pairs and len(pairs) < len(plans[0].pair_tasks)
     balls = _balls(plans, (0, 1), 2)
-    assert [(set(walkers), set(cells)) for walkers, cells in balls] == [({label}, pairs)] * 3
+    assert list(map(layout_entries, balls)) == [({label}, pairs)] * 3
     # t = 0 draws the balls of its entries, and each later step copies them
-    walkers, cells = balls[0]
-    assert all(entry is not None for entry in [*walkers.values(), *cells.values()])
-    assert all(entry is None for walkers, cells in balls[1:]
-               for entry in [*walkers.values(), *cells.values()])
+    assert balls[0].labels.tolist() == [label] and set(balls[0].pairs) == pairs
+    assert not balls[0].unchanged and not balls[0].reused
+    assert all(not layout.labels.size and not layout.pairs for layout in balls[1:])
+
+
+# -- the fused step draw against the per-entry reference ----------------------
+
+
+def assert_same_draw(fused, reference, walk_major=None):
+    """The fused draw's entries are the reference's, key for key in the same
+    order and row for row. ``walk_major`` (S) reads each walk entry's rows
+    as the raw draw lays them out, walker by walker, and compares them
+    sample by sample."""
+    for got, want in zip(split_draw(fused), reference):
+        assert list(got) == list(want)
+        for key, rows in got.items():
+            if walk_major and not isinstance(key, tuple):
+                rows = rows.reshape(-1, walk_major, 3).transpose(1, 0, 2).reshape(-1, 3)
+            assert rows.dtype == np.int64 and np.array_equal(rows, want[key]), key
+
+
+def check_fused_draws(plans, params, samples, ids, root):
+    """Every draw the library makes through ``_sample_step`` equals the
+    per-entry reference's, for S = ``samples`` samples under ``root``: the
+    whole fold over ``plans``, the fold over the k-balls of ``ids`` keeping
+    the rows at them, and the degree check's raw walks of each plan that
+    copies nothing."""
+    keys = [_hash(root, t, np.arange(samples)) for t in range(len(plans))]
+    k = params.k
+    for fused, want in zip(_draws(plans, params, keys),
+                           reference_draw.draws(plans, params, keys)):
+        assert_same_draw(fused, want)
+    at_ids = functools.partial(reference_draw.perturb_rows, ends=ids)
+    for fused, want in zip(_draws(plans, params, keys, _balls(plans, ids, k)),
+                           reference_draw.draws(plans, params, keys,
+                                                reference_draw.balls(plans, ids, k), at_ids)):
+        assert_same_draw(fused, want)
+    for plan, step_keys in zip(plans, keys):
+        if plan.diff.unchanged or plan.reused_pairs:
+            continue
+        positions = plan.graph.vertices
+        walks = functools.partial(reference_draw.walker_rows, ids=positions)
+        intra, inter = reference_draw.sample_step(plan, None, params, step_keys, draw=walks)
+        inter = {pair: np.column_stack([rows[:, :1], np.searchsorted(positions, rows[:, 1:])])
+                 for pair, rows in inter.items()}
+        fused = _sample_step(plan, None, params, step_keys, _layout(plan, raw=True))
+        assert_same_draw(fused, (intra, inter), walk_major=samples)
+
+
+@st.composite
+def churned_sequences(draw):
+    """2 to 4 snapshots of a planted partition: each step rewires part of
+    block 0, and may drop a vertex, attach a new one and add an isolated one,
+    so plans copy, reuse pairs, gain joiners, lose leavers and hold changed
+    communities without edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, size = draw(st.integers(2, 4)), draw(st.integers(3, 8))
+    g, _ = planted_partition_graph([size] * blocks, 0.7, 0.1, rng)
+    snaps = [g]
+    for _ in range(draw(st.integers(1, 3))):
+        ids, edges = g.vertices, g.edges
+        churn = edges[(edges < size).all(axis=1)]
+        edges = np.vstack([edges[~(edges < size).all(axis=1)],
+                           churn[rng.random(len(churn)) < 0.7],
+                           [rng.choice(size, 2, replace=False) for _ in range(2)]])
+        if draw(st.booleans()):         # a leaver
+            gone = rng.choice(ids)
+            edges, ids = edges[(edges != gone).all(axis=1)], ids[ids != gone]
+        new = int(g.vertices.max()) + 1
+        if draw(st.booleans()):         # a joiner, attached to two members
+            edges = np.vstack([edges, [[new, v] for v in rng.choice(ids, 2, replace=False)]])
+        if draw(st.booleans()):         # an isolated id: a community without edges
+            ids = np.append(ids, new + 1)
+        g = Graph(edges, vertices=ids)
+        snaps.append(g)
+    return TemporalGraphSequence(snaps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(churned_sequences(), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from([0.5, 0.8, 1.0]), st.integers(1, 4), st.integers(0, 2**64 - 1),
+       st.lists(st.integers(0, 40), min_size=2, max_size=2, unique=True))
+def test_fused_step_draws_equal_the_per_entry_draw(seq, k, m, theta, samples, root, ids):
+    # LinkMirage plan chains and the static mechanism's plans
+    params = PerturbParams(k=k, m=m, theta=theta, seed=0)
+    check_fused_draws(_plan_chain(seq, params), params, samples, ids, root)
+    check_fused_draws(perturb._static_plans(seq), params, samples, ids, root)
+
+
+def test_fused_draw_cases_cover_every_kind_of_entry():
+    # the fixed cases hold every kind of entry a plan chain has: reused
+    # pairs, joiners and leavers of matched communities, and changed
+    # communities without edges; each draws as the reference does
+    seen = set()
+    cases = [(make(), PerturbParams(**settings), uv)
+             for make, settings, uv, _ in LOCALIZED_CASES.values()]
+    isolated = Graph(planted_partition_graph([6, 6], 0.7, 0.1, np.random.default_rng(4))[0].edges,
+                     vertices=[20, 21])
+    cases.append((TemporalGraphSequence([isolated, isolated]), PerturbParams(k=2), (0, 20)))
+    for seq, params, uv in cases:
+        plans = _plan_chain(seq, params)
+        for plan in plans:
+            communities = plan.clustering.communities
+            seen.update({"reused pair"} if plan.reused_pairs else set())
+            seen.update({"leaver"} if plan.left else set())
+            edged = set(plan.clustering.labels[plan.graph.edge_positions[:, 0]].tolist())
+            seen.update({"edgeless changed"} if set(plan.diff.changed) - edged else set())
+        for prev_plan, plan in zip(plans, plans[1:]):
+            before = prev_plan.clustering.communities
+            now = plan.clustering.communities
+            if any(now[label] - before[prev] for prev, label in plan.diff.unchanged):
+                seen.add("joiner")
+        check_fused_draws(plans, params, 3, uv, 12345)
+        check_fused_draws(perturb._static_plans(seq), params, 3, uv, 12345)
+    assert seen == {"reused pair", "leaver", "joiner", "edgeless changed"}
 
 
 def test_prev_record_roundtrips_through_json():
@@ -873,12 +1032,17 @@ def test_pair_tasks_match_per_edge_oracle(rng, monkeypatch):
 
 
 def test_plan_subgraphs_are_the_induced_subgraphs(rng, monkeypatch):
-    # a changed community's subgraph is its intra group of the one grouping
-    # over all its members: the induced subgraph, isolated members included
+    # the plan's graph holds each changed community's intra group of the one
+    # grouping over every id of the step: each changed community's part of it
+    # is its induced subgraph, isolated members included, and it holds no
+    # other edge
     def check(g_t, plan):
-        assert sorted(plan.subgraphs) == plan.diff.changed
+        assert np.array_equal(plan.graph.vertices, plan.clustering.vertices)
+        communities = plan.clustering.communities
         for label in plan.diff.changed:
-            assert plan.subgraphs[label] == g_t.subgraph(plan.clustering.communities[label])
+            assert plan.graph.subgraph(communities[label]) == g_t.subgraph(communities[label])
+        assert plan.graph.num_edges == sum(g_t.subgraph(communities[label]).num_edges
+                                           for label in plan.diff.changed)
 
     changed = 0
     for seq in (small_overlap_sequence(), vertex_leaves_sequence()):
@@ -902,7 +1066,7 @@ def test_plan_subgraphs_are_the_induced_subgraphs(rng, monkeypatch):
         assert plan.diff.changed == sorted(c.communities)
         check(g, plan)
         lone += sum(sub.num_vertices - np.unique(sub.edges).size
-                    for sub in plan.subgraphs.values())
+                    for sub in reference_draw.subgraphs(plan).values())
     assert lone
 
 

@@ -262,7 +262,7 @@ def pair_distribution(task, uv):
     """Exact distribution of the rewired cells of one pair that touch u or v."""
     dist = {frozenset(): 1.0}
     width = task.nodes_b.size
-    grid = task.probabilities(np.arange(task.nodes_a.size * width)).reshape(-1, width)
+    grid = task.grid(np.arange(task.nodes_a.size * width))[0].reshape(-1, width)
     for (i, a), (j, b) in itertools.product(enumerate(task.nodes_a.tolist()),
                                             enumerate(task.nodes_b.tolist())):
         if {a, b} & set(uv):
@@ -289,7 +289,8 @@ def exact_likelihood(world, params, uv, observed):
     one is the previous step's entry minus the edges of members who left."""
     mass = {(): 1.0}   # entries of the draws that match so far -> probability
     for plan, obs in zip(_plan_chain(world, params), observed):
-        fresh = [(("intra", label), walk_distribution(plan.subgraphs[label], uv))
+        communities = plan.clustering.communities
+        fresh = [(("intra", label), walk_distribution(plan.graph.subgraph(communities[label]), uv))
                  for label in plan.diff.changed]
         fresh += [(("inter", (task.a, task.b)), pair_distribution(task, uv))
                   for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs]

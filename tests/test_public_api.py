@@ -19,7 +19,7 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
                         spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
-from linkmirage.perturb import _StepPlan, _draws, _sample_step, linkmirage_run
+from linkmirage.perturb import _PairTask, _StepPlan, _draws, _sample_step, linkmirage_run
 from linkmirage.privacy import (_SequenceSampler, _edge_feature, fit_logistic_1d,
                                 observed_features)
 from linkmirage.synth import _sample_pairs
@@ -105,6 +105,11 @@ def test_benchmark_reaches_the_library_through_live_names():
     ("linkmirage.perturb", "_reads"),
     ("linkmirage.perturb", "_block_sizes"),
     ("linkmirage.perturb", "_canonical_pairs"),
+    ("linkmirage.perturb", "_step_rows"),
+    ("linkmirage.perturb", "_perturb_rows"),
+    ("linkmirage.perturb", "_walks"),
+    ("linkmirage.perturb", "draw_walker_edges"),
+    ("linkmirage.utility", "_walker_rows"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
@@ -157,6 +162,16 @@ def test_record_holds_only_its_partition():
 def test_step_plan_has_one_membership_map():
     names = [f.name for f in dataclasses.fields(_StepPlan)]
     assert "left" in names and "present" not in names
+
+
+def test_a_step_draw_has_one_kernel():
+    # the plan holds one graph the step walks, not a subgraph per community;
+    # a draw's entries come from its layout, never from a swapped-in draw
+    names = [f.name for f in dataclasses.fields(_StepPlan)]
+    assert "graph" in names and "subgraphs" not in names
+    assert not hasattr(_StepPlan, "drawn") and not hasattr(_PairTask, "sample")
+    for func in (_sample_step, _draws):
+        assert "draw" not in inspect.signature(func).parameters
 
 
 def test_step_plan_has_one_dependence_rule():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, sample_step, small_overlap_sequence
+import reference_draw
+from conftest import random_graph, small_overlap_sequence
 from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         expected_degree_report, linkmirage_run, pagerank,
                         planted_partition_graph, ratio_cut, spectral_metrics, structural_metrics,
@@ -16,7 +17,7 @@ from linkmirage import (Clustering, Graph, PerturbParams, TemporalGraphSequence,
                         utility_distance)
 from linkmirage import perturb
 from linkmirage.perturb import _hash, _root_key, build_step_plan
-from linkmirage.utility import (_walker_rows, community_tv, is_bipartite, is_connected,
+from linkmirage.utility import (community_tv, is_bipartite, is_connected,
                                mixing_time, slem)
 
 
@@ -175,12 +176,14 @@ def test_degree_report_matches_the_plan_on_the_graph_ids():
     params = PerturbParams(k=2, seed=5)
     report = expected_degree_report(g, params, 1000, np.random.default_rng(10))
     plan, root = build_step_plan(g, None, params), _root_key(np.random.default_rng(10))
-    walks = functools.partial(_walker_rows, ids=g.vertices)
     acc = np.zeros(g.num_vertices)
     for trial in range(1000):
-        intra, inter = sample_step(plan, None, params, _hash(root, trial), draw=walks)
-        # walks end at positions, rewired pairs at ids
-        ends = [*intra.values(), *(np.searchsorted(g.vertices, e) for e in inter.values())]
+        # the per-entry reference: raw walks end at positions, rewired pairs at ids
+        intra, inter = reference_draw.sample_step(
+            plan, None, params, _hash(root, trial),
+            draw=functools.partial(reference_draw.walker_rows, ids=g.vertices))
+        ends = [rows[:, 1:] for rows in intra.values()]
+        ends += [np.searchsorted(g.vertices, rows[:, 1:]) for rows in inter.values()]
         acc += np.bincount(np.concatenate(ends).ravel(), minlength=g.num_vertices)
     assert np.array_equal(report.mean, acc / 1000)
 
