@@ -239,14 +239,20 @@ def _read_artifact(path, key, parse=None):
                                    "entry; run perturb again") from None
 
 
+def _release_stamp(out_dir) -> tuple[str, str]:
+    """(path, provenance hash) of the release's ``provenance.json`` in ``out_dir``."""
+    prov_path = os.path.join(out_dir, "provenance.json")
+    if not os.path.exists(prov_path):
+        raise MissingArtifactError(f"no provenance.json in {out_dir}; run perturb first")
+    return prov_path, _read_artifact(prov_path, "provenance")
+
+
 def _load_outputs(settings, seq) -> tuple[list, str]:
     """(released graphs, provenance hash) of the release the settings determine."""
     out_dir = settings["out"]
     phash, _ = provenance(settings, seq)
-    prov_path = os.path.join(out_dir, "provenance.json")
-    if not os.path.exists(prov_path):
-        raise MissingArtifactError(f"no provenance.json in {out_dir}; run perturb first")
-    if _read_artifact(prov_path, "provenance") != phash:
+    prov_path, stamped = _release_stamp(out_dir)
+    if stamped != phash:
         raise MissingArtifactError(f"{prov_path} was written under a different configuration; "
                                    "run perturb again")
     graphs = []
@@ -477,10 +483,8 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     # accepts the release settings the other stages share; reads only "out"
     out_dir = _settings(args, ("out",))["out"]
-    prov_path = os.path.join(out_dir, "provenance.json")
-    if not os.path.exists(prov_path):
-        raise MissingArtifactError(f"no provenance.json in {out_dir}; run perturb first")
-    stamp = f"provenance: {_read_artifact(prov_path, 'provenance')}"
+    prov_path, phash = _release_stamp(out_dir)
+    stamp = f"provenance: {phash}"
     columns, rows = ("t", "mechanism", "metric", "value", "stderr"), []
     for name in ("metrics.csv", "eval.csv"):
         path = os.path.join(out_dir, name)

@@ -24,20 +24,20 @@ pass and one walk, and every cell of every fresh pair grid one uniform pass.
 A draw is one array of rows [sample, a, b] in which each entry's rows are
 contiguous, and the step after copies slices of it. ``_draws`` folds it over
 the plans, carrying each draw into the next. The release is the block S = 1
-under one key per timestamp; the posterior runs the same fold over blocks of
-re-perturbations, building only the entries its query reads and of those
-only the part that can touch the queried ids, their k-hop ball
+under one key per timestamp; the posterior and the degree check draw keyed
+samples of the fold in blocks through one generator, ``_sample_blocks``.
+The posterior builds only the entries its query reads and of those only the
+part that can touch the queried ids, their k-hop ball
 (``_balls``): a community's walkers whose edge has an end within k hops of
 them, and a pair grid's rows and columns of them. The static mechanism's
 posterior runs the same fold over ``_static_plans``, which hold each
-snapshot as one changed community. The degree check draws its trials in
-blocks through ``_sample_step`` too, over the plan's raw layout: every
-walker's first walk, counted by one ``bincount`` per block.
+snapshot as one changed community. The degree check walks its one plan's
+raw layout: every walker's first walk, counted by one ``bincount`` per block.
 
 Randomness is keyed, not streamed. Every uniform is a pure function of its
 key and counter, computed with SplitMix64's finalizer on uint64 arrays
-(``_hash``, ``_uniforms``): a sample's key hashes a root key with the
-sample index, an entry's key hashes that with the entry's community label
+(``_hash``, ``_uniforms``): sample s's key at step t is
+``_hash(roots[t], s)``, an entry's key hashes that with its community label
 or pair (a, b), and a walker's uniforms sit at its own counters, one per
 step and redraw round, placed by its rank among its community's edges
 (``_walker_counters``); a pair grid's cell at its index. So an entry drawn
@@ -647,22 +647,13 @@ def _static_plans(seq: TemporalGraphSequence) -> list:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _entries(plans, k: int, layouts=None) -> int:
-    """Array entries one sample of a fold over ``plans`` holds at its largest
-    step: (k + 1) walk uniforms per walker and one per grid cell. ``layouts``
-    is None, for draws that walk every edge of ``plan.graph`` and draw every
-    fresh pair's whole grid, or one layout per plan (``_balls(plans, ids,
-    k)``, say), as in ``_draws``. A fold draws one step at a time and
-    carries only rows into the next, so its largest step, not the sum of its
-    steps, sizes a block."""
-    def step(plan, layout):
-        if layout is not None:
-            return (k + 1) * layout.walkers.size + layout.cells.size
-        return (k + 1) * plan.graph.num_edges + sum(
-            task.nodes_a.size * task.nodes_b.size for task in plan.pair_tasks
-            if (task.a, task.b) not in plan.reused_pairs)
-
-    return max(itertools.starmap(step, zip(plans, layouts or itertools.repeat(None))),
+def _entries(layouts, k: int) -> int:
+    """Array entries one sample of a fold over ``layouts``, one per plan,
+    holds at its largest step: (k + 1) walk uniforms per walker and one per
+    grid cell. A fold draws one step at a time and carries only rows into
+    the next, so its largest step, not the sum of its steps, sizes a
+    block."""
+    return max(((k + 1) * layout.walkers.size + layout.cells.size for layout in layouts),
                default=0)
 
 
@@ -760,6 +751,18 @@ def _draws(plans, params: PerturbParams, keys, layouts=None):
         yield carried
 
 
+def _sample_blocks(plans, params: PerturbParams, layouts, roots, n: int, held: int):
+    """Yield n keyed samples of the ``_draws`` fold over ``plans`` and
+    ``layouts`` in blocks, each as (its sample count, its fold), whose rows
+    number the block's samples from 0. Sample s draws step t under
+    ``_hash(roots[t], s)``. A sample holds ``_entries(layouts, k)`` array
+    entries and the ``held`` ones its caller keeps; a block, as many samples
+    as ``_BLOCK_ENTRIES`` holds."""
+    for samples in _blocks(n, _entries(layouts, params.k) + held):
+        yield samples.size, _draws(plans, params, [_hash(root, samples) for root in roots],
+                                   layouts)
+
+
 def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[list, list]:
     """The selective pipeline over a sequence: (perturbed graphs, records).
 
@@ -804,8 +807,7 @@ def hay_baseline(graph: Graph, r: int, rng: np.random.Generator) -> Graph:
     return Graph(np.vstack([kept, ids[inserted]]), vertices=ids)
 
 
-def hay_baseline_sequence(seq: TemporalGraphSequence, seed: int,
-                          r_fraction: float = 0.5) -> list:
+def hay_baseline_sequence(seq: TemporalGraphSequence, seed: int, r_fraction: float) -> list:
     return [hay_baseline(g_t, int(round(r_fraction * g_t.num_edges)),
                          _step_rng(seed, t, _NS_HAY))
             for t, g_t in enumerate(seq.snapshots)]

@@ -11,21 +11,21 @@ queried pair (edge presence plus the perturbed degree pair, per timestamp),
 with add-one smoothing. On small graphs this is validated against exhaustive
 enumeration.
 
-Re-perturbations are keyed (``perturb._hash``): one raw draw from the
-caller's stream gives a root key, and sample s at step t draws under the
-hash of (root, t, s). So samples run in blocks of any size with the same
-draws. Both mechanisms re-perturb through ``perturb._draws``, the fold that
-makes the LinkMirage release, over the world's plans: LinkMirage's
-``_plan_chain``, or the static mechanism's ``_static_plans``, which hold
-each snapshot as one changed community. A re-perturbation builds only the
-step-draw entries the features can read, and of each only the k-hop ball
-of u and v (``perturb._balls``, one draw layout per step, built once per
-query and drawn in the same fused passes as a whole draw): at each step the
-intra entries of u's and v's communities and every pair with one of them as
-an end, plus the entries of earlier steps those copy. A community walks the
-walkers whose edge has an end within k hops of u or v, a pair grid draws
-the rows and columns of u and v, and only the fake edges with an end at u
-or v are kept.
+Re-perturbations are keyed: one raw draw from the caller's stream gives a
+root key, hashed with each step t into that step's root, and they run in the
+keyed blocks of ``perturb._sample_blocks``, so blocks of any size draw the
+same samples. Both mechanisms re-perturb through its fold of
+``perturb._draws``, which makes the LinkMirage release, over the world's
+plans: LinkMirage's ``_plan_chain``, or the static mechanism's
+``_static_plans``, which hold each snapshot as one changed community. A
+re-perturbation builds only the step-draw entries the features can read,
+and of each only the k-hop ball of u and v (``perturb._balls``, one draw
+layout per step, built once per query and drawn in the same fused passes
+as a whole draw): at each step the intra entries of u's and v's communities
+and every pair with one of them as an end, plus the entries of earlier
+steps those copy. A community walks the walkers whose edge has an end
+within k hops of u or v, a pair grid draws the rows and columns of u and v,
+and only the fake edges with an end at u or v are kept.
 Each entry draws under its own key, and each walker and cell at its own
 counters, so each row kept equals the full draw's, and so does each feature.
 The features read no other row, and a carry only drops rows. A custom
@@ -47,8 +47,8 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _balls, _blocks, _draws, _entries, _hash,
-                      _plan_chain, _root_key, _static_plans)
+from .perturb import (PerturbParams, _balls, _hash, _plan_chain, _root_key, _sample_blocks,
+                      _static_plans)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class PosteriorEstimate:
     prior: float
     likelihood_with: float
     likelihood_without: float
-    degenerate: bool = False
+    degenerate: bool
 
 
 def fit_logistic_1d(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -249,9 +249,8 @@ class _SequenceSampler:
         row s holds sample s's ``_edge_feature`` per snapshot.
 
         A planned mechanism takes one raw draw from ``rng`` as its root key
-        (``perturb._root_key``); sample s at step t draws under
-        ``_hash(root, t, s)``. Samples run in blocks (``perturb._blocks``)
-        sized by the largest step they draw (``perturb._entries``), one
+        (``perturb._root_key``), and step t's root is ``_hash(root, t)``.
+        Samples run in the blocks of ``perturb._sample_blocks``, one
         ``_draws`` fold over the plans per block. Each draws only the k-ball
         of the queried pair: the walkers whose edge has an end within k hops
         of u or v, and the grid rows and columns of u and v, and keeps only
@@ -273,15 +272,11 @@ class _SequenceSampler:
                     pieces.append(np.column_stack([np.full(len(edges), s * steps + t), edges]))
             rows = np.concatenate(pieces)
             return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
-        balls = _balls(self.plans, uv, self.params.k)
-        root = _root_key(rng)
-        blocks = []
-        for samples in _blocks(n, _entries(self.plans, self.params.k, balls)):
-            keys = [_hash(root, t, samples) for t in range(steps)]
-            blocks.append(np.stack([_edge_features(draw.rows, u, v, samples.size)
-                                    for draw in _draws(self.plans, self.params, keys, balls)],
-                                   axis=1))
-        return np.concatenate(blocks)
+        blocks = _sample_blocks(self.plans, self.params, _balls(self.plans, uv, self.params.k),
+                                _hash(_root_key(rng), np.arange(steps)), n, held=0)
+        return np.concatenate([np.stack([_edge_features(draw.rows, u, v, size) for draw in fold],
+                                        axis=1)
+                               for size, fold in blocks])
 
 
 def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,

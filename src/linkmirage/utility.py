@@ -1,10 +1,10 @@
 """Utility metrics: walk-distribution distance, its structural bound, degree
 expectation, and the graph analytics used to audit perturbed topologies.
 
-The degree check re-draws the released step through its one kernel,
-``perturb._sample_step``, over the plan's raw layout (``perturb._layout``):
-every walker's first walk, loops kept, with rows naming positions, so each
-block of trials is counted by one ``bincount``."""
+The degree check re-draws the released step in the posterior's keyed
+blocks, ``perturb._sample_blocks``, over the plan's raw layout
+(``perturb._layout``): every walker's first walk, loops kept, with rows
+naming positions, so each block of trials is counted by one ``bincount``."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ import numpy as np
 from .clustering import _edge_communities
 from .graphs import Graph, TemporalGraphSequence
 from .markov import matrix_power, transition_matrix, tv_distance
-from .perturb import (PerturbParams, _blocks, _entries, _hash, _layout, _root_key,
-                      _sample_step, build_step_plan)
+from .perturb import PerturbParams, _layout, _root_key, _sample_blocks, build_step_plan
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,9 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     self-terminal walk counts 2 at its vertex. z is the standardized
     deviation of the Monte Carlo mean from the original degree.
 
-    Trials are keyed: one raw draw from ``rng`` gives a root key, and trial
-    s draws under ``_hash(root, s)``. They run in blocks
-    (``perturb._blocks``), each one ``_sample_step`` call over the plan's
-    raw layout, whose rows name positions, counted by one ``bincount``. So
+    Trials are keyed: one raw draw from ``rng`` is the plan's root key, and
+    they run in the blocks of ``perturb._sample_blocks`` over the plan's raw
+    layout, whose rows name positions, each counted by one ``bincount``. So
     every trial, and the report, is the same whatever the block size, and no
     seed is spawned. The plan is laid out on the graph's own ids, whose
     labels key the draws: a trial's walks and rewirings are those a release
@@ -112,13 +110,11 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     layout = _layout(plan, raw=True)
     acc = np.zeros(n, dtype=np.float64)
     acc2 = np.zeros(n, dtype=np.float64)
-    root = _root_key(rng)
     # a trial holds its draw's entries and one row of degree counts
-    for samples in _blocks(trials, _entries([plan], params.k, [layout]) + n):
-        size = samples.size
-        rows = _sample_step(plan, None, params, _hash(root, samples), layout).rows
+    for size, (draw,) in _sample_blocks([plan], params, [layout], [_root_key(rng)], trials,
+                                        held=n):
         # the plan's graph spans the graph's ids, so rows name its positions
-        d = np.bincount((rows[:, :1] * n + rows[:, 1:]).ravel(),
+        d = np.bincount((draw.rows[:, :1] * n + draw.rows[:, 1:]).ravel(),
                         minlength=size * n).reshape(size, n)
         # integer sums: exact, so the block size changes no bit of the report
         acc += d.sum(axis=0)

@@ -562,8 +562,8 @@ def test_localized_draws_equal_the_full_draw(case):
     # one call draws the 30 samples in blocks, as 30 draws of one sample do,
     # and draws of each entry only its k-ball: fewer walkers and cells, but
     # for two K6 blocks, whose 2-balls hold every edge
-    assert (perturb._entries(plans, params.k, balls)
-            < perturb._entries(plans, params.k, reads)) == (case != "vertex-leaves")
+    assert (perturb._entries(balls, params.k)
+            < perturb._entries(reads, params.k)) == (case != "vertex-leaves")
     local = sampler.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
     # the static mechanism: the same fold over its plans, each snapshot's
@@ -576,8 +576,9 @@ def test_localized_draws_equal_the_full_draw(case):
     local = static.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
     # whose balls hold fewer walkers than whole snapshots, but for two K6 blocks
-    assert (perturb._entries(static_plans, params.k, _balls(static_plans, uv, params.k))
-            < perturb._entries(static_plans, params.k)) == (case != "vertex-leaves")
+    whole = [_layout(p) for p in static_plans]
+    assert (perturb._entries(_balls(static_plans, uv, params.k), params.k)
+            < perturb._entries(whole, params.k)) == (case != "vertex-leaves")
 
 
 def test_localized_draws_leave_the_stream_as_the_full_draw():

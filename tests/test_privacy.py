@@ -571,7 +571,7 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
     for mech in ("linkmirage", "static"):
         # a sample draws the k-balls of the queried pair only, one step at a time
         plans = privacy._SequenceSampler(world, params, mech).plans
-        entries = perturb._entries(plans, params.k, perturb._balls(plans, uv, params.k))
+        entries = perturb._entries(perturb._balls(plans, uv, params.k), params.k)
 
         def estimate():
             return posterior_probability(query, seq, observed[mech], model, params, 100,
@@ -582,16 +582,16 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
                 uv, np.random.default_rng(8), 100)
 
         default = estimate(), features()
-        sizes = []
+        sizes, split_into = [], perturb._blocks
 
         def blocks(n, per_sample):
-            split = perturb._blocks(n, per_sample)
+            split = split_into(n, per_sample)
             sizes.append([b.size for b in split])
             return split
 
         with monkeypatch.context() as patch:
             patch.setattr(perturb, "_BLOCK_ENTRIES", 7 * entries)
-            patch.setattr(privacy, "_blocks", blocks)
+            patch.setattr(perturb, "_blocks", blocks)
             blocked = estimate(), features()
         assert [7] * 14 + [2] in sizes, mech
         assert blocked[0] == default[0], mech

@@ -19,9 +19,10 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
                         spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
-from linkmirage.perturb import _PairTask, _StepPlan, _draws, _sample_step, linkmirage_run
-from linkmirage.privacy import (_SequenceSampler, _edge_feature, fit_logistic_1d,
-                                observed_features)
+from linkmirage.perturb import (_PairTask, _StepPlan, _draws, _entries, _sample_step,
+                                hay_baseline_sequence, linkmirage_run)
+from linkmirage.privacy import (PosteriorEstimate, _SequenceSampler, _edge_feature,
+                                fit_logistic_1d, observed_features)
 from linkmirage.synth import _sample_pairs
 from linkmirage.utility import mixing_time, slem
 
@@ -174,6 +175,25 @@ def test_a_step_draw_has_one_kernel():
         assert "draw" not in inspect.signature(func).parameters
 
 
+def test_keyed_monte_carlo_has_one_block_loop():
+    # the posterior and the degree check draw their keyed samples through
+    # perturb._sample_blocks, the one library function that sizes blocks
+    sizing = {"_blocks", "_entries"}
+    library = ROOT / "src" / "linkmirage"
+    for name in ("privacy.py", "utility.py"):
+        assert not names_used(library / name) & {*sizing, "_draws", "_sample_step"}, name
+    for path in library.glob("*.py"):
+        if path.name != "perturb.py":
+            assert not names_used(path) & sizing, path.name
+    tree = ast.parse((library / "perturb.py").read_text())
+    callers = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and sizing & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}}
+    assert callers == {"_sample_blocks"}
+    # a block is sized from layouts alone
+    assert "plans" not in inspect.signature(_entries).parameters
+
+
 def test_step_plan_has_one_dependence_rule():
     assert hasattr(_StepPlan, "carries") and not hasattr(_StepPlan, "redraws")
 
@@ -181,6 +201,11 @@ def test_step_plan_has_one_dependence_rule():
 def test_unread_members_and_defaults_are_gone():
     assert not hasattr(_StepPlan, "changed_labels")     # plan.diff.changed is that list
     assert not hasattr(SybilScenario, "sybil_ids")
+    # the one constructor sets the flag, and the CLI key hay-r holds r's default
+    degenerate, = (f for f in dataclasses.fields(PosteriorEstimate) if f.name == "degenerate")
+    assert degenerate.default is dataclasses.MISSING
+    r_fraction = inspect.signature(hay_baseline_sequence).parameters["r_fraction"]
+    assert r_fraction.default is inspect.Parameter.empty
 
 
 def test_prior_model_holds_only_what_varies():

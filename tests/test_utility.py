@@ -193,10 +193,21 @@ def test_degree_report_blocks_change_no_draw(monkeypatch):
     g = small_overlap_sequence()[2]
     params = PerturbParams(k=2, seed=5)
     default = expected_degree_report(g, params, 1000, np.random.default_rng(10))
-    per_trial = perturb._entries([build_step_plan(g, None, params)], params.k) + g.num_vertices
+    layout = perturb._layout(build_step_plan(g, None, params), raw=True)
+    per_trial = perturb._entries([layout], params.k) + g.num_vertices
     monkeypatch.setattr(perturb, "_BLOCK_ENTRIES", 7 * per_trial)
     assert [b.size for b in perturb._blocks(1000, per_trial)] == [7] * 142 + [6]
+    sizes, split_into = [], perturb._blocks
+
+    def blocks(n, per_sample):
+        split = split_into(n, per_sample)
+        sizes.append((per_sample, [b.size for b in split]))
+        return split
+
+    monkeypatch.setattr(perturb, "_blocks", blocks)
     blocked = expected_degree_report(g, params, 1000, np.random.default_rng(10))
+    # a trial's degree counts count toward its block
+    assert sizes == [(per_trial, [7] * 142 + [6])]
     assert blocked.mean.tobytes() == default.mean.tobytes()
     assert blocked.z_score.tobytes() == default.z_score.tobytes()
 
