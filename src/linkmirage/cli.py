@@ -247,6 +247,12 @@ def _release_stamp(out_dir) -> tuple[str, str]:
     return prov_path, _read_artifact(prov_path, "provenance")
 
 
+def _stale(path, prov_path, stage="perturb") -> MissingArtifactError:
+    """The error for an artifact at ``path`` that another release stamped."""
+    return MissingArtifactError(f"{path} is not stamped with the release in {prov_path}; "
+                                f"run {stage} again")
+
+
 def _load_outputs(settings, seq) -> tuple[list, str]:
     """(released graphs, provenance hash) of the release the settings determine."""
     out_dir = settings["out"]
@@ -262,8 +268,7 @@ def _load_outputs(settings, seq) -> tuple[list, str]:
             raise MissingArtifactError(f"missing perturbed snapshot {path}")
         with open(path, "rb") as fh:
             if fh.readline() != f"# provenance: {phash}\n".encode():
-                raise MissingArtifactError(f"{path} is not stamped with the release in "
-                                           f"{prov_path}; run perturb again")
+                raise _stale(path, prov_path)
         try:
             released = load_edge_list(path)
         except ValueError as exc:   # GraphFormatError names the file and line
@@ -385,8 +390,7 @@ def _ud_rows(settings, seq, perturbed, phash) -> tuple[list, dict]:
             raise MissingArtifactError(f"missing perturbation record {record_path}; "
                                        "run perturb again")
         if _read_artifact(record_path, "provenance") != phash:
-            raise MissingArtifactError(f"{record_path} is not stamped with the release in "
-                                       f"{prov_path}; run perturb again")
+            raise _stale(record_path, prov_path)
         deltas, eps = _read_artifact(record_path, "records", bound_terms)
     rows, tables = [], {}
     for l in settings["l"]:
@@ -493,9 +497,7 @@ def cmd_report(args) -> int:
             try:
                 with open(path, "r", encoding="ascii") as fh:
                     if fh.readline() != f"# {stamp}\n":
-                        raise MissingArtifactError(
-                            f"{path} is not stamped with the release in {prov_path}; "
-                            f"run {stage} again")
+                        raise _stale(path, prov_path, stage)
                     lines = [line for line in fh if line.strip() and not line.startswith("#")]
             except UnicodeDecodeError:
                 raise MissingArtifactError(f"{path} holds a byte that is not ASCII; "

@@ -256,7 +256,8 @@ class Graph:
 
     def _near(self, ids, limit) -> np.ndarray:
         """Per position: within ``limit`` hops of the raw ``ids`` present."""
-        return self.hops(np.flatnonzero(np.isin(self._ids, ids)), limit) >= 0
+        # "sort" skips the lookup-table set-up that dominates for a few ids
+        return self.hops(np.flatnonzero(np.isin(self._ids, ids, kind="sort")), limit) >= 0
 
     # -- derived graphs ----------------------------------------------------
 

@@ -23,12 +23,13 @@ once, in two fused passes over a layout of the entries it builds
 pass and one walk, and every cell of every fresh pair grid one uniform pass.
 A draw is one array of rows [sample, a, b] in which each entry's rows are
 contiguous, and the step after copies slices of it. ``_draws`` folds it over
-the plans, carrying each draw into the next. The release is the block S = 1
-under one key per timestamp; the posterior and the degree check draw keyed
-samples of the fold in blocks through one generator, ``_sample_blocks``.
-The posterior builds only the entries its query reads and of those only the
-part that can touch the queried ids, their k-hop ball
-(``_balls``): a community's walkers whose edge has an end within k hops of
+one layout per plan, carrying each draw into the next; a layout holds all a
+draw reads of its plan, and k all it reads of the parameters. The release
+is the block S = 1 under one key per timestamp; the posterior and the
+degree check draw keyed samples of the fold in blocks through one
+generator, ``_sample_blocks``. The posterior builds only the entries its
+query reads and of those only the part that can touch the queried ids,
+their k-hop ball (``_balls``): a community's walkers whose edge has an end within k hops of
 them, and a pair grid's rows and columns of them. The static mechanism's
 posterior runs the same fold over ``_static_plans``, which hold each
 snapshot as one changed community. The degree check walks its one plan's
@@ -49,7 +50,6 @@ generator is made per entry or sample.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -247,12 +247,11 @@ def _ball(graph: Graph, k: int, ends) -> np.ndarray:
     return np.flatnonzero(near[pos[:, 0]] | near[pos[:, 1]])
 
 
-def _walk_rows(graph: Graph, k: int, keys: np.ndarray,
-               layout: "_DrawLayout") -> tuple[np.ndarray, np.ndarray]:
+def _walk_rows(k: int, keys: np.ndarray, layout: "_DrawLayout") -> tuple[np.ndarray, np.ndarray]:
     """The fused walk of one step draw for S samples: (rows [sample, a, b],
     each walk entry's row count). ``keys`` holds the entry keys, shape
-    (entries, S); the walkers, their entries and their ranks are
-    ``layout``'s.
+    (entries, S); the graph walked, the walkers, their entries and their
+    ranks are ``layout``'s.
 
     Each walker starts a k-hop walk at a uniformly chosen end of its edge,
     reading its endpoint pick and its k steps at its own counters, those of
@@ -271,7 +270,7 @@ def _walk_rows(graph: Graph, k: int, keys: np.ndarray,
     loops included, as rows [sample, start, terminal] of positions,
     walker-major.
     """
-    samples = keys.shape[1]
+    samples, graph = keys.shape[1], layout.graph
     walker_keys = keys[layout.entry]
     uniforms = _uniforms(walker_keys, _walker_counters(layout.ranks, k, 0, k + 1)[:, :, None])
     ends = graph.edge_positions[layout.walkers]
@@ -316,8 +315,7 @@ def perturb_static(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     if k < 1:
         raise ValueError("walk length k must be >= 1")
     keys = np.array([[_root_key(rng)]], dtype=np.uint64)
-    plan = _static_plan(graph)
-    rows, _ = _walk_rows(graph, k, keys, _layout(plan))
+    rows, _ = _walk_rows(k, keys, _layout(_static_plan(graph)))
     return Graph(rows[:, 1:], vertices=graph.vertices)
 
 
@@ -428,11 +426,11 @@ def group_edges(graph: Graph, clustering: Clustering) -> tuple[dict, dict]:
 class _StepPlan:
     """Deterministic layout of one timestamp's perturbation.
 
-    The plan holds no perturbed edges: ``_sample_step`` takes the previous
-    step's draw as an argument. So the release, the posterior's hypothesis
-    re-perturbations and the degree check draw through the same function,
-    in blocks of samples, thousands of samples per plan, without
-    re-clustering.
+    The plan holds no perturbed edges: ``_sample_step`` takes its layout
+    (``_layout``) and the previous step's draw. So the release, the
+    posterior's hypothesis re-perturbations and the degree check draw through
+    the same function, in blocks of samples, thousands of samples per plan,
+    without re-clustering.
     """
 
     clustering: Clustering
@@ -454,10 +452,13 @@ class _StepPlan:
 class _DrawLayout:
     """What one step draw builds, laid out as arrays for its two fused
     passes (``_layout``): its walk entries, changed labels ascending, its
-    grid entries, fresh pairs ascending, and the entries it copies."""
+    grid entries, fresh pairs ascending, and the entries it copies. It holds
+    the two plan fields the draw reads, by reference."""
 
+    graph: Graph             # plan.graph, which the walks step on
+    left: dict               # plan.left, the ids whose copied rows are dropped
     labels: np.ndarray       # walk entry e is the community labels[e]
-    walkers: np.ndarray      # positions in plan.graph of the edges that walk, entry by entry
+    walkers: np.ndarray      # positions in graph of the edges that walk, entry by entry
     entry: np.ndarray        # each walker's walk entry
     ranks: np.ndarray        # each walker's rank among its community's edges, in edge order
     pairs: list              # grid entry g is the pair task pairs[g]'s (a, b)
@@ -467,7 +468,7 @@ class _DrawLayout:
     cell_ends: np.ndarray    # (cells, 2): the ends each cell joins
     unchanged: list          # (previous label, label) of each community copied
     reused: list             # (previous pair, pair) of each pair copied
-    at: np.ndarray | None    # per position of plan.graph: keep fake edges there; None keeps all
+    at: np.ndarray | None    # per position of graph: keep fake edges there; None keeps all
     raw: bool                # first walks only, loops kept, rows naming positions
 
 
@@ -518,7 +519,8 @@ def _layout(plan: _StepPlan, labels=None, cells=None, walkers=None, ends=None,
     if raw:
         cell_ends = np.searchsorted(graph.vertices, cell_ends)
     return _DrawLayout(
-        labels=drawn, walkers=walkers, entry=np.searchsorted(drawn, walker_label),
+        graph=graph, left=plan.left, labels=drawn, walkers=walkers,
+        entry=np.searchsorted(drawn, walker_label),
         ranks=index[walkers] - np.searchsorted(edge_label[order], walker_label),
         pairs=[(task.a, task.b) for task in tasks],
         cells=np.concatenate([np.empty(0, np.int64), *grids]),
@@ -633,7 +635,7 @@ def _static_plan(g_t: Graph) -> _StepPlan:
 
 def _static_plans(seq: TemporalGraphSequence) -> list:
     """The static mechanism as a plan chain of ``_static_plan``s, so
-    ``_draws`` walks each snapshot afresh under the entry key
+    ``_draws`` walks each snapshot's layout afresh under the entry key
     ``_hash(sample key, 0, label)``."""
     return [_static_plan(g_t) for g_t in seq.snapshots]
 
@@ -674,18 +676,16 @@ class _StepDraw(NamedTuple):
     spans: dict              # entry key -> (start, stop)
 
 
-def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarray,
-                 layout=None) -> _StepDraw:
-    """Draw S samples of one step perturbation with reuse, in two fused
-    passes over the entries of ``layout`` (``_layout(plan)``, every entry
-    whole, when None): one walk of every walker of every changed community
-    (``_walk_rows``) and one uniform pass over every cell of every fresh
-    pair grid (``_grid_rows``).
+def _sample_step(layout: _DrawLayout, carried, k: int, keys: np.ndarray) -> _StepDraw:
+    """Draw S samples of one step perturbation with reuse, walks of length
+    k, in two fused passes over the entries of ``layout``: one walk of every
+    walker of every changed community (``_walk_rows``) and one uniform pass
+    over every cell of every fresh pair grid (``_grid_rows``).
 
     ``carried`` is None at t=0, otherwise the previous step's draw of the
     same samples, which holds every entry this step copies. Unchanged
     communities and reused pairs copy their carried rows, minus the rows
-    touching ``plan.left``: ids that moved out of the matched previous
+    touching ``layout.left``: ids that moved out of the matched previous
     community or left the snapshot. An entry's rows have both ends in its
     previous communities, which no other entry's left ids are in, so one
     filter of all copied rows by all left ids drops each entry's own.
@@ -699,8 +699,6 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
     The draw's rows are the copied entries', the walk entries' and then the
     grid entries', each entry in the layout's order.
     """
-    if layout is None:
-        layout = _layout(plan)
     pieces, names, counts = [], [], []
     copied = [*layout.unchanged, *layout.reused]
     if copied:
@@ -709,9 +707,9 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
         moved = np.concatenate([np.empty((0, 3), np.int64),
                                 *(rows[start:stop] for start, stop in bounds)])
         size = np.array([stop - start for start, stop in bounds], dtype=np.int64)
-        if plan.left:
+        if layout.left:
             # "sort" skips the lookup-table set-up that dominates for a few ids
-            keep = ~np.isin(moved[:, 1:], np.concatenate(list(plan.left.values())),
+            keep = ~np.isin(moved[:, 1:], np.concatenate(list(layout.left.values())),
                             kind="sort").any(axis=1)
             moved = moved[keep]
             # the rows each copied entry keeps
@@ -720,8 +718,7 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
         names += [name for _, name in copied]
         counts.append(size)
     if layout.labels.size:
-        rows, size = _walk_rows(plan.graph, params.k, _hash(keys, 0, layout.labels[:, None]),
-                                layout)
+        rows, size = _walk_rows(k, _hash(keys, 0, layout.labels[:, None]), layout)
         pieces.append(rows)
         names += layout.labels.tolist()
         counts.append(size)
@@ -736,31 +733,29 @@ def _sample_step(plan: _StepPlan, carried, params: PerturbParams, keys: np.ndarr
                      spans=dict(zip(names, zip([0, *stops], stops))))
 
 
-def _draws(plans, params: PerturbParams, keys, layouts=None):
-    """Yield the step draw of each plan in turn for one block of samples,
-    each drawn under its array of the samples' keys in ``keys`` and carrying
-    the draw before it.
-
-    ``layouts`` is None to build every entry whole, or one layout per plan:
-    ``_balls(plans, ids, k)`` builds only the entries that edges touching
-    ``ids`` come from, and of those only their k-balls of ``ids``.
+def _draws(layouts, k: int, keys):
+    """Yield the step draw of each layout in turn, one per plan of a chain,
+    for one block of samples, each drawn under its array of the samples'
+    keys in ``keys`` and carrying the draw before it. A layout is
+    ``_layout(plan)`` to build every entry whole, or one of ``_balls(plans,
+    ids, k)``, which build only the entries that edges touching ``ids`` come
+    from, and of those only their k-balls of ``ids``.
     """
     carried = None
-    for plan, step_keys, layout in zip(plans, keys, layouts or itertools.repeat(None)):
-        carried = _sample_step(plan, carried, params, step_keys, layout)
+    for layout, step_keys in zip(layouts, keys, strict=True):
+        carried = _sample_step(layout, carried, k, step_keys)
         yield carried
 
 
-def _sample_blocks(plans, params: PerturbParams, layouts, roots, n: int, held: int):
-    """Yield n keyed samples of the ``_draws`` fold over ``plans`` and
-    ``layouts`` in blocks, each as (its sample count, its fold), whose rows
-    number the block's samples from 0. Sample s draws step t under
+def _sample_blocks(layouts, k: int, roots, n: int, held: int):
+    """Yield n keyed samples of the ``_draws`` fold over ``layouts`` in
+    blocks, each as (its sample count, its fold), whose rows number the
+    block's samples from 0. Sample s draws step t under
     ``_hash(roots[t], s)``. A sample holds ``_entries(layouts, k)`` array
     entries and the ``held`` ones its caller keeps; a block, as many samples
     as ``_BLOCK_ENTRIES`` holds."""
-    for samples in _blocks(n, _entries(layouts, params.k) + held):
-        yield samples.size, _draws(plans, params, [_hash(root, samples) for root in roots],
-                                   layouts)
+    for samples in _blocks(n, _entries(layouts, k) + held):
+        yield samples.size, _draws(layouts, k, [_hash(root, samples) for root in roots])
 
 
 def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[list, list]:
@@ -770,10 +765,11 @@ def linkmirage_run(seq: TemporalGraphSequence, params: PerturbParams) -> tuple[l
     pairs copy the previous draw's edges of the members that stayed, and the
     rest is re-sampled under timestamp t's key of ``params.seed``
     (``_step_key``). So the release depends only on (inputs, params). Draws
-    run in one thread.
+    run in one thread, one step's layout at a time.
     """
     plans = _plan_chain(seq, params)
-    draws = _draws(plans, params, [_step_key(params.seed, t) for t in range(len(plans))])
+    draws = _draws(map(_layout, plans), params.k,
+                   [_step_key(params.seed, t) for t in range(len(plans))])
     graphs = [Graph(draw.rows[:, 1:], vertices=g_t.vertices)
               for draw, g_t in zip(draws, seq.snapshots)]
     return graphs, [PerturbationRecord(t, plan.clustering) for t, plan in enumerate(plans)]

@@ -15,8 +15,8 @@ Re-perturbations are keyed: one raw draw from the caller's stream gives a
 root key, hashed with each step t into that step's root, and they run in the
 keyed blocks of ``perturb._sample_blocks``, so blocks of any size draw the
 same samples. Both mechanisms re-perturb through its fold of
-``perturb._draws``, which makes the LinkMirage release, over the world's
-plans: LinkMirage's ``_plan_chain``, or the static mechanism's
+``perturb._draws``, which makes the LinkMirage release, over one layout per
+plan of the world: LinkMirage's ``_plan_chain``, or the static mechanism's
 ``_static_plans``, which hold each snapshot as one changed community. A
 re-perturbation builds only the step-draw entries the features can read,
 and of each only the k-hop ball of u and v (``perturb._balls``, one draw
@@ -62,6 +62,8 @@ class LinkQuery:
     def __post_init__(self):
         if self.u == self.v:
             raise ValueError("a link query needs two distinct vertices")
+        if self.t < 0:
+            raise ValueError("a link query needs a timestamp t >= 0")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -239,7 +241,7 @@ class _SequenceSampler:
             raise ValueError(f"mechanism must be 'linkmirage', 'static' or a callable, "
                              f"not {mechanism!r}")
         self.world = world
-        self.params = params
+        self.k = params.k
         self.mechanism = mechanism
         self.plans = None if callable(mechanism) else _MECHANISM_PLANS[mechanism](world, params)
 
@@ -251,12 +253,12 @@ class _SequenceSampler:
         A planned mechanism takes one raw draw from ``rng`` as its root key
         (``perturb._root_key``), and step t's root is ``_hash(root, t)``.
         Samples run in the blocks of ``perturb._sample_blocks``, one
-        ``_draws`` fold over the plans per block. Each draws only the k-ball
-        of the queried pair: the walkers whose edge has an end within k hops
-        of u or v, and the grid rows and columns of u and v, and keeps only
-        its rows with an end at u or v, the rows the features read. Walkers
-        and cells read their own counters, so the features are the full
-        draw's. A custom callable draws one sample at a time from ``rng``
+        ``_draws`` fold over the ball layouts per block. Each draws only the
+        k-ball of the queried pair: the walkers whose edge has an end within
+        k hops of u or v, and the grid rows and columns of u and v, and keeps
+        only its rows with an end at u or v, the rows the features read.
+        Walkers and cells read their own counters, so the features are the
+        full draw's. A custom callable draws one sample at a time from ``rng``
         and keeps the same rows, so no sample holds a whole-snapshot draw.
         """
         u, v = uv
@@ -272,7 +274,7 @@ class _SequenceSampler:
                     pieces.append(np.column_stack([np.full(len(edges), s * steps + t), edges]))
             rows = np.concatenate(pieces)
             return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
-        blocks = _sample_blocks(self.plans, self.params, _balls(self.plans, uv, self.params.k),
+        blocks = _sample_blocks(_balls(self.plans, uv, self.k), self.k,
                                 _hash(_root_key(rng), np.arange(steps)), n, held=0)
         return np.concatenate([np.stack([_edge_features(draw.rows, u, v, size) for draw in fold],
                                         axis=1)

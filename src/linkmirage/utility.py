@@ -2,7 +2,7 @@
 expectation, and the graph analytics used to audit perturbed topologies.
 
 The degree check re-draws the released step in the posterior's keyed
-blocks, ``perturb._sample_blocks``, over the plan's raw layout
+blocks, ``perturb._sample_blocks``, over one layout, the plan's raw one
 (``perturb._layout``): every walker's first walk, loops kept, with rows
 naming positions, so each block of trials is counted by one ``bincount``."""
 
@@ -67,9 +67,9 @@ def community_tv(graph: Graph, released: Graph, clustering) -> float:
 
 def ud_upper_bound(epsilon: float, deltas, l: int) -> float:
     """Mean over timestamps of 2l(epsilon + delta_t)."""
+    deltas = list(deltas)
     if epsilon < 0 or any(d < 0 for d in deltas):
         raise ValueError("epsilon and ratio cuts must be nonnegative")
-    deltas = list(deltas)
     if not deltas:
         raise ValueError("need at least one ratio cut")
     return float(np.mean([2.0 * l * (epsilon + d) for d in deltas]))
@@ -106,13 +106,11 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     if trials < 1000:
         raise ValueError("degree expectation needs >= 1000 trials")
     n = graph.num_vertices
-    plan = build_step_plan(graph, None, params)
-    layout = _layout(plan, raw=True)
+    layout = _layout(build_step_plan(graph, None, params), raw=True)
     acc = np.zeros(n, dtype=np.float64)
     acc2 = np.zeros(n, dtype=np.float64)
     # a trial holds its draw's entries and one row of degree counts
-    for size, (draw,) in _sample_blocks([plan], params, [layout], [_root_key(rng)], trials,
-                                        held=n):
+    for size, (draw,) in _sample_blocks([layout], params.k, [_root_key(rng)], trials, held=n):
         # the plan's graph spans the graph's ids, so rows name its positions
         d = np.bincount((draw.rows[:, :1] * n + draw.rows[:, 1:]).ravel(),
                         minlength=size * n).reshape(size, n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linkmirage import Graph
-from linkmirage.perturb import _StepDraw, _draws, _hash, _sample_step
+from linkmirage.perturb import _StepDraw, _draws, _hash, _layout, _sample_step
 
 
 @pytest.fixture
@@ -95,7 +95,8 @@ def sample_step(plan, carried, params, sample_key, layout=None):
     if carried is not None:
         carried = joined_draw(*({key: np.column_stack([np.zeros(len(edges), np.int64), edges])
                                  for key, edges in part.items()} for part in carried))
-    return edge_draw(_sample_step(plan, carried, params, _hash(sample_key), layout))
+    layout = _layout(plan) if layout is None else layout
+    return edge_draw(_sample_step(layout, carried, params.k, _hash(sample_key)))
 
 
 def sample_draws(plans, params, root, sample=0, layouts=None):
@@ -103,4 +104,5 @@ def sample_draws(plans, params, root, sample=0, layouts=None):
     key ``root``, keyed as the posterior keys it: step t under
     ``_hash(root, t, sample)``."""
     keys = [_hash(root, t, sample) for t in range(len(plans))]
-    return [edge_draw(draw) for draw in _draws(plans, params, keys, layouts)]
+    layouts = map(_layout, plans) if layouts is None else layouts
+    return [edge_draw(draw) for draw in _draws(layouts, params.k, keys)]

@@ -47,7 +47,7 @@ def test_no_self_loops_or_duplicates(rng):
 def static_rows(g, k, keys, **layout):
     """Rows of S static draws of ``g``, one walk entry, under sample keys."""
     plan = _static_plan(g)
-    return _sample_step(plan, None, PerturbParams(k=k), keys, _layout(plan, **layout)).rows
+    return _sample_step(_layout(plan, **layout), None, k, keys).rows
 
 
 def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
@@ -64,8 +64,8 @@ def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
         local["part" if walkers.size < g.num_edges else "all"] += 1
         assert np.array_equal(static_rows(g, k, keys, ends=ends), want)
         assert np.array_equal(static_rows(g, k, keys, ends=ends, walkers=walkers), want)
-        assert np.array_equal(_sample_step(_static_plan(g), None, PerturbParams(k=k), keys,
-                                           _balls([_static_plan(g)], ends, k)[0]).rows, want)
+        assert np.array_equal(_sample_step(_balls([_static_plan(g)], ends, k)[0], None, k,
+                                           keys).rows, want)
         if walkers.size == g.num_edges:
             # every edge's walker, selected, walks as the whole graph does
             assert np.array_equal(static_rows(g, k, keys, walkers=walkers), full)
@@ -129,7 +129,7 @@ def test_perturb_static_deterministic():
 def static_walk(g, k, keys):
     """The walk of ``g``'s static plan for S samples whose entry keys are
     ``keys``, as ``perturb_static`` draws it."""
-    return perturb._walk_rows(g, k, keys[None, :], _layout(_static_plan(g)))[0]
+    return perturb._walk_rows(k, keys[None, :], _layout(_static_plan(g)))[0]
 
 
 def test_perturb_static_is_a_block_of_one_under_its_key(rng):
@@ -208,9 +208,9 @@ def raw_walk_degrees(g, k, trials, rng):
     plan, one a trial under a key from ``rng``: the degree check's draw, one
     first walk per edge, loops kept."""
     plan = _static_plan(g)
-    layout, params = _layout(plan, raw=True), PerturbParams(k=k)
+    layout = _layout(plan, raw=True)
     for _ in range(trials):
-        rows = _sample_step(plan, None, params, keys_from(rng), layout).rows
+        rows = _sample_step(layout, None, k, keys_from(rng)).rows
         yield np.bincount(rows[:, 1:].ravel(), minlength=g.num_vertices)
 
 
@@ -636,11 +636,11 @@ def check_fused_draws(plans, params, samples, ids, root):
     copies nothing."""
     keys = [_hash(root, t, np.arange(samples)) for t in range(len(plans))]
     k = params.k
-    for fused, want in zip(_draws(plans, params, keys),
+    for fused, want in zip(_draws(map(_layout, plans), k, keys),
                            reference_draw.draws(plans, params, keys)):
         assert_same_draw(fused, want)
     at_ids = functools.partial(reference_draw.perturb_rows, ends=ids)
-    for fused, want in zip(_draws(plans, params, keys, _balls(plans, ids, k)),
+    for fused, want in zip(_draws(_balls(plans, ids, k), k, keys),
                            reference_draw.draws(plans, params, keys,
                                                 reference_draw.balls(plans, ids, k), at_ids)):
         assert_same_draw(fused, want)
@@ -652,7 +652,7 @@ def check_fused_draws(plans, params, samples, ids, root):
         intra, inter = reference_draw.sample_step(plan, None, params, step_keys, draw=walks)
         inter = {pair: np.column_stack([rows[:, :1], np.searchsorted(positions, rows[:, 1:])])
                  for pair, rows in inter.items()}
-        fused = _sample_step(plan, None, params, step_keys, _layout(plan, raw=True))
+        fused = _sample_step(_layout(plan, raw=True), None, k, step_keys)
         assert_same_draw(fused, (intra, inter), walk_major=samples)
 
 
@@ -783,13 +783,20 @@ def check_draw(clustering, draw):
     assert regroups(clustering, draw)
 
 
+def test_a_fold_refuses_keys_for_another_number_of_steps():
+    # one key array per layout: a fold never truncates to the shorter list
+    layout = _layout(_static_plan(Graph([(0, 1), (1, 2)])))
+    with pytest.raises(ValueError):
+        list(_draws([layout, layout], 1, [_hash(1)]))
+
+
 def release_draws(seq, params, graphs):
     """Every step draw behind a ``linkmirage_run`` release: re-drawn from its
     plan and the release's stream, each carrying the draw before it as the
     posterior does. Each gives the release of its step."""
     plans = _plan_chain(seq, params)
     keys = [_step_key(params.seed, t) for t in range(len(plans))]
-    draws = [edge_draw(draw) for draw in _draws(plans, params, keys)]
+    draws = [edge_draw(draw) for draw in _draws(map(_layout, plans), params.k, keys)]
     for t, draw in enumerate(draws):
         assert graphs[t] == Graph(step_edges(*draw), vertices=seq.snapshots[t].vertices)
     return draws

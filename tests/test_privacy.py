@@ -141,6 +141,14 @@ def test_prior_vertex_absent_errors():
         prior_probability(LinkQuery(t=0, u=0, v=9), PriorModel(), seq)
 
 
+def test_link_query_refuses_a_negative_timestamp():
+    # a negative t would index the sequence from its end: the prior read
+    # seq[t] while the posterior's features sliced [:t + 1]
+    with pytest.raises(ValueError, match="t >= 0"):
+        LinkQuery(t=-2, u=0, v=1)
+    assert LinkQuery(t=0, u=0, v=1).t == 0
+
+
 # -- entropy --------------------------------------------------------------------
 
 

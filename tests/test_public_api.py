@@ -19,7 +19,8 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
                         spectral_metrics)
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
-from linkmirage.perturb import (_PairTask, _StepPlan, _draws, _entries, _sample_step,
+from linkmirage.perturb import (_DrawLayout, _PairTask, _StepPlan, _draws, _entries,
+                                _sample_blocks, _sample_step, _walk_rows,
                                 hay_baseline_sequence, linkmirage_run)
 from linkmirage.privacy import (PosteriorEstimate, _SequenceSampler, _edge_feature,
                                 fit_logistic_1d, observed_features)
@@ -173,6 +174,15 @@ def test_a_step_draw_has_one_kernel():
     assert not hasattr(_StepPlan, "drawn") and not hasattr(_PairTask, "sample")
     for func in (_sample_step, _draws):
         assert "draw" not in inspect.signature(func).parameters
+    # the kernel reads a layout and the walk length k, never a plan beside
+    # the layout built from it, nor the whole PerturbParams
+    assert {"graph", "left"} <= {f.name for f in dataclasses.fields(_DrawLayout)}
+    for func in (_sample_step, _draws, _sample_blocks):
+        params = inspect.signature(func).parameters
+        assert not {"plan", "plans", "params"} & params.keys(), func.__name__
+        assert "k" in params, func.__name__
+    assert "graph" not in inspect.signature(_walk_rows).parameters
+    assert "itertools" not in names_used(ROOT / "src" / "linkmirage" / "perturb.py")
 
 
 def test_keyed_monte_carlo_has_one_block_loop():

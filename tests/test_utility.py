@@ -137,6 +137,8 @@ def test_community_tv_is_the_worst_community():
 def test_ud_upper_bound_values():
     assert ud_upper_bound(0.0, [0.0, 0.0], 3) == 0.0
     assert ud_upper_bound(0.1, [0.2], 2) == pytest.approx(1.2)
+    # a generator of ratio cuts is read once, as the list form is
+    assert ud_upper_bound(0.1, (d for d in [0.2, 0.3]), 2) == pytest.approx(1.4)
 
 
 # -- degree expectation --------------------------------------------------------------
