@@ -255,6 +255,8 @@ def cluster_static(graph: Graph) -> Clustering:
 
 def _freed_mask(graph: Graph, changed_links, m_hops: int) -> np.ndarray:
     """Per vertex position: within m hops of any endpoint of the changed links."""
+    if m_hops < 0:
+        raise ValueError("freeing radius m must be >= 0")
     return graph._near(np.asarray(list(changed_links), dtype=np.int64).reshape(-1), m_hops)
 
 

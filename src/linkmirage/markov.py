@@ -98,6 +98,5 @@ def tv_distance_common(p: TransitionMatrix, q: TransitionMatrix) -> tuple[float,
         return tv_distance(p, q), int(common.size)
     union = _sorted_unique(np.concatenate([p.ids, q.ids]))
     diff = (_in_id_space(p.matrix, p.ids, union) - _in_id_space(q.matrix, q.ids, union)).tocsr()
-    rows = np.searchsorted(union, common)
-    total = sum(np.abs(diff.getrow(r).data).sum() for r in rows)
+    total = np.abs(diff[np.searchsorted(union, common)].data).sum()
     return float(0.5 * total / common.size), int(common.size)

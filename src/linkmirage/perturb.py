@@ -22,9 +22,10 @@ once, in two fused passes over a layout of the entries it builds
 (``_layout``): every walker of every changed community takes one uniform
 pass and one walk, and every cell of every fresh pair grid one uniform pass.
 A draw is one array of rows [sample, a, b] in which each entry's rows are
-contiguous, and the step after copies slices of it. ``_draws`` folds it over
-one layout per plan, carrying each draw into the next; a layout holds all a
-draw reads of its plan, and k all it reads of the parameters. The release
+contiguous, in their pass's order, which no reader depends on, and the step
+after copies slices of it. ``_draws`` folds it over one layout per plan,
+carrying each draw into the next; a layout holds all a draw reads of its
+plan, and k all it reads of the parameters. The release
 is the block S = 1 under one key per timestamp; the posterior and the
 degree check draw keyed samples of the fold in blocks through one
 generator, ``_sample_blocks``. The posterior builds only the entries its
@@ -371,25 +372,21 @@ class _PairTask:
 def _grid_rows(layout: "_DrawLayout", keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fused rewiring of one step draw for S samples: (rows [sample, a,
     b], each grid entry's row count). ``keys`` holds the grid keys, shape
-    (grids, S); the cells, their grids and their probabilities are
-    ``layout``'s. Every cell of every grid takes one uniform pass, laid out
-    cell-major: cell (i, j) of a grid reads counter i*|nodes_b| + j under
-    its grid's key, so a cell draws the same among a few cells as in its
-    whole grid. Rows are (vertex in a, vertex in b), grid by grid, each
-    grid's sorted by sample, then cell."""
+    (grids, S); the cells, the cell count of each grid and their
+    probabilities are ``layout``'s. Every cell of every grid takes one
+    uniform pass, laid out cell-major: cell (i, j) of a grid reads counter
+    i*|nodes_b| + j under its grid's key, so a cell draws the same among a
+    few cells as in its whole grid. Rows are (vertex in a, vertex in b) in
+    the order the pass finds them: grid by grid, then cell, then sample."""
     samples = keys.shape[1]
     # each cell's state is made in place of its gathered grid key, so the
     # pass holds one cells x S array
-    states = keys[layout.grid]
+    states = np.repeat(keys, layout.sizes, axis=0)
     states += _increment(layout.cells)[:, None]
     hit = _uniforms_of(states) < layout.probabilities[:, None]
     cell, sample = np.divmod(np.flatnonzero(hit), samples)
-    grid = layout.grid[cell]
-    # hits run cell by cell, so a stable sort on (grid, sample) leaves the
-    # hits of each grid's sample sorted by cell
-    order = np.argsort(grid * samples + sample, kind="stable")
-    return (np.column_stack([sample[order], layout.cell_ends[cell[order]]]),
-            np.bincount(grid, minlength=len(layout.pairs)))
+    return (np.column_stack([sample, layout.cell_ends[cell]]),
+            np.diff(np.searchsorted(cell, np.cumsum(layout.sizes)), prepend=0))
 
 
 def group_edges(graph: Graph, clustering: Clustering) -> tuple[dict, dict]:
@@ -463,7 +460,7 @@ class _DrawLayout:
     ranks: np.ndarray        # each walker's rank among its community's edges, in edge order
     pairs: list              # grid entry g is the pair task pairs[g]'s (a, b)
     cells: np.ndarray        # each cell's flat index i*|nodes_b| + j in its grid, grid by grid
-    grid: np.ndarray         # each cell's grid entry
+    sizes: np.ndarray        # each grid entry's cell count
     probabilities: np.ndarray  # each cell's min(1, p_ij)
     cell_ends: np.ndarray    # (cells, 2): the ends each cell joins
     unchanged: list          # (previous label, label) of each community copied
@@ -524,7 +521,7 @@ def _layout(plan: _StepPlan, labels=None, cells=None, walkers=None, ends=None,
         ranks=index[walkers] - np.searchsorted(edge_label[order], walker_label),
         pairs=[(task.a, task.b) for task in tasks],
         cells=np.concatenate([np.empty(0, np.int64), *grids]),
-        grid=np.repeat(np.arange(len(tasks)), [part.size for part in grids]),
+        sizes=np.array([part.size for part in grids], dtype=np.int64),
         probabilities=np.concatenate([np.empty(0), *probabilities]), cell_ends=cell_ends,
         unchanged=[(prev, label) for prev, label in plan.diff.unchanged
                    if labels is None or label in labels],
@@ -669,8 +666,8 @@ def _blocks(n: int, per_sample: int) -> list:
 
 class _StepDraw(NamedTuple):
     """S samples of one step draw: every row [sample, a, b] in one array,
-    each entry's rows contiguous, and the rows of each entry, keyed by its
-    label or its pair (a, b), as ``rows[start:stop]``."""
+    each entry's rows contiguous in their pass's order, and the rows of each
+    entry, keyed by its label or its pair (a, b), as ``rows[start:stop]``."""
 
     rows: np.ndarray
     spans: dict              # entry key -> (start, stop)
@@ -697,7 +694,7 @@ def _sample_step(layout: _DrawLayout, carried, k: int, keys: np.ndarray) -> _Ste
     draws the full draw's rows of those, whatever else is built.
 
     The draw's rows are the copied entries', the walk entries' and then the
-    grid entries', each entry in the layout's order.
+    grid entries', entries in the layout's order, rows in their pass's.
     """
     pieces, names, counts = [], [], []
     copied = [*layout.unchanged, *layout.reused]

@@ -356,6 +356,16 @@ def _posteriors(prior: float, worlds: dict, n_samples: int,
     return rows[0], rows[1:], {present: rows_[0] for present, rows_ in loglike.items()}
 
 
+def _check_horizon(t: int, seq: TemporalGraphSequence, perturbed=None) -> None:
+    """Refuse a timestamp t past the snapshots of ``seq``, or past the
+    observed ``perturbed`` prefix when one is given."""
+    if t >= len(seq):
+        raise ValueError(f"query timestamp t={t} is past a sequence of {len(seq)} snapshots")
+    if perturbed is not None and t >= len(perturbed):
+        raise ValueError(f"query timestamp t={t} is past a perturbed prefix of "
+                         f"{len(perturbed)} graphs")
+
+
 def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
                           perturbed, model: PriorModel, params: PerturbParams,
                           n_samples: int, rng: np.random.Generator,
@@ -370,6 +380,7 @@ def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
     binomial bootstrap of the match counts. The estimate is degenerate when
     some step matched no sample of either world.
     """
+    _check_horizon(query.t, seq, perturbed)
     prior = prior_probability(query, model, seq)
     worlds = _world_counts(seq, query, perturbed, params, mechanism, n_samples, rng)
     post, boot, loglike = _posteriors(prior, worlds, n_samples, rng)
@@ -410,7 +421,10 @@ def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechani
     gives at t, with the prior of the last timestamp. Returns
     {mechanism: [(t, entropy_bits, entropy_se), ...]}.
     """
+    _check_horizon(query.t, seq)
     horizon = len(seq)
+    for perturbed in perturbed_by_mechanism.values():
+        _check_horizon(horizon - 1, seq, perturbed)
     full_query = LinkQuery(t=horizon - 1, u=query.u, v=query.v)
     prior = prior_probability(full_query, model, seq)
     out = {}
@@ -427,11 +441,11 @@ def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechani
 
 
 def anti_aggregation(g_t: Graph, g_prime_t: Graph, k: int) -> float:
-    """TV distance between the k-step original TPM and the perturbed TPM."""
+    """TV distance between the k-step original TPM and the perturbed TPM:
+    ``anti_aggregation_aggregated`` of the one graph."""
     if not np.array_equal(g_t.vertices, g_prime_t.vertices):
         raise ValueError("anti-aggregation needs identical vertex sets")
-    p_k = matrix_power(transition_matrix(g_t), k)
-    return tv_distance(p_k, transition_matrix(g_prime_t))
+    return anti_aggregation_aggregated([g_prime_t], g_t, k)
 
 
 def anti_aggregation_aggregated(perturbed, g_t: Graph, k: int) -> float:

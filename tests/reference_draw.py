@@ -84,10 +84,11 @@ def walker_rows(graph, k, keys, ids):
 def pair_sample(task, keys, cells=None):
     """Rows [sample, a, b] of S rewirings of one pair task, cell (i, j) at
     counter i*|nodes_b| + j; ``cells`` draws only those cells (every cell
-    when None)."""
+    when None). Rows run cell by cell, then by sample, as the fused grid
+    pass finds them."""
     if cells is None:
         cells = np.arange(task.nodes_a.size * task.nodes_b.size)
-    sample, at = np.nonzero(_uniforms(keys[:, None], cells) < task.grid(cells)[0])
+    at, sample = np.nonzero((_uniforms(keys[:, None], cells) < task.grid(cells)[0]).T)
     ai, bj = np.divmod(cells[at], task.nodes_b.size)
     return np.column_stack([sample, task.nodes_a[ai], task.nodes_b[bj]])
 

@@ -367,6 +367,18 @@ def test_freed_vertices_ball():
     assert freed_vertices(g, [(0, 1)], 2) == {0, 1, 2, 3}
 
 
+def test_negative_freeing_radius_is_refused():
+    # Graph.hops never reaches a negative limit, so m = -1 would free 88 of
+    # these 90 vertices, against 2 at m = 0
+    g = ring_of_blocks(6, 15, 0.2, 2, np.random.default_rng(0))
+    link = [tuple(g.edges[0].tolist())]
+    assert len(freed_vertices(g, link, 0)) == 2
+    with pytest.raises(ValueError, match="freeing radius m must be >= 0"):
+        freed_vertices(g, link, -1)
+    with pytest.raises(ValueError, match="freeing radius m must be >= 0"):
+        recluster_dynamic(g, cluster_static(g), link, -1)
+
+
 def bfs_freed_vertices(graph, changed_links, m_hops):
     """Oracle: breadth-first search from the present endpoints, one vertex at a time."""
     seeds = {int(x) for link in changed_links for x in link if graph.has_vertex(x)}

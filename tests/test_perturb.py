@@ -19,7 +19,7 @@ from linkmirage import perturb, privacy
 from linkmirage.perturb import (_PairTask, _balls, _draws, _hash, _layout, _plan_chain,
                                _root_key, _sample_step, _static_plan, _step_key,
                                build_step_plan)
-from linkmirage.privacy import _SequenceSampler, _edge_feature, _hypothesis_world
+from linkmirage.privacy import _SequenceSampler, _edge_feature, _edge_features, _hypothesis_world
 from test_acceptance import overlap_fixture
 
 EMPTY = np.empty((0, 2), dtype=np.int64)    # a grouped entry that holds no edge
@@ -683,6 +683,64 @@ def churned_sequences(draw):
         g = Graph(edges, vertices=ids)
         snaps.append(g)
     return TemporalGraphSequence(snaps)
+
+
+def shuffled_spans(draw, rng):
+    """``draw`` with each entry's rows permuted inside its span."""
+    rows = draw.rows.copy()
+    for start, stop in draw.spans.values():
+        rows[start:stop] = rows[start + rng.permutation(stop - start)]
+    return perturb._StepDraw(rows, draw.spans)
+
+
+def entry_row_sets(draw):
+    """Each entry's rows of a step draw, as a set."""
+    return {key: set(map(tuple, draw.rows[start:stop].tolist()))
+            for key, (start, stop) in draw.spans.items()}
+
+
+@pytest.mark.parametrize("case", ["vertex-leaves", "three-blocks", "audit"])
+def test_no_reader_depends_on_the_row_order_inside_an_entry(case):
+    # each entry's rows are contiguous, in the order of the pass that made
+    # them; permuting them inside their spans changes no row set the next
+    # step copies, no release and no feature or degree count
+    make, settings, uv, _ = LOCALIZED_CASES[case]
+    params = PerturbParams(**settings)
+    seq = make()
+    plans = _plan_chain(seq, params)
+    rng = np.random.default_rng(5)
+    samples, moved, copied = 4, False, False
+    keys = [_hash(root, np.arange(samples)) for root in range(11, 11 + len(plans))]
+    for layouts in (list(map(_layout, plans)), _balls(plans, uv, params.k)):
+        carried = None
+        for layout, plan, step_keys in zip(layouts, plans, keys):
+            draw = _sample_step(layout, carried, params.k, step_keys)
+            if carried is not None:
+                again = _sample_step(layout, shuffled_spans(carried, rng), params.k, step_keys)
+                assert again.spans == draw.spans
+                assert entry_row_sets(again) == entry_row_sets(draw)
+                copied |= bool(layout.unchanged or layout.reused)
+            shuffled = shuffled_spans(draw, rng)
+            moved |= not np.array_equal(shuffled.rows, draw.rows)
+            assert np.array_equal(_edge_features(shuffled.rows, *uv, samples),
+                                  _edge_features(draw.rows, *uv, samples))
+            for sample in range(samples):
+                release, reordered = (Graph(d.rows[d.rows[:, 0] == sample, 1:],
+                                            vertices=plan.clustering.vertices)
+                                      for d in (draw, shuffled))
+                assert np.array_equal(release.edges, reordered.edges)
+            carried = draw
+    assert moved and copied
+    # the degree check's raw layout, counted per sample by one bincount
+    graph = seq[0]
+    n = graph.num_vertices
+    draw = _sample_step(_layout(build_step_plan(graph, None, params), raw=True), None,
+                        params.k, keys[0])
+    shuffled = shuffled_spans(draw, rng)
+    assert not np.array_equal(shuffled.rows, draw.rows)
+    counts = [np.bincount((d.rows[:, :1] * n + d.rows[:, 1:]).ravel(), minlength=samples * n)
+              for d in (draw, shuffled)]
+    assert np.array_equal(*counts)
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,8 +13,8 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
                         group_edges, indistinguishability, indistinguishability_series,
                         linkmirage_run, matrix_power,
                         perturb_static_baseline_sequence, planted_partition_graph,
-                        posterior_probability, prior_probability, transition_matrix,
-                        tv_distance)
+                        posterior_probability, prior_probability, ring_of_blocks,
+                        transition_matrix, tv_distance)
 from linkmirage import perturb, privacy
 from linkmirage.perturb import _plan_chain, _root_key, perturb_static_baseline_sequence
 from linkmirage.privacy import _edge_feature, fit_logistic_1d
@@ -139,6 +139,34 @@ def test_prior_vertex_absent_errors():
     seq = TemporalGraphSequence([Graph([(0, 1)])])
     with pytest.raises(KeyError):
         prior_probability(LinkQuery(t=0, u=0, v=9), PriorModel(), seq)
+
+
+def test_a_query_past_the_sequence_is_refused():
+    # past the sequence, the prior would index no snapshot
+    seq, params, observed, query, model = _pinned_inputs()
+    late = LinkQuery(t=len(seq), u=query.u, v=query.v)
+    message = f"t={len(seq)} is past a sequence of {len(seq)} snapshots"
+    with pytest.raises(ValueError, match=message):
+        posterior_probability(late, seq, observed["linkmirage"], model, params, 100,
+                              np.random.default_rng(8))
+    with pytest.raises(ValueError, match=message):
+        indistinguishability_series(seq, observed, late, model, params, 100,
+                                    np.random.default_rng(9))
+
+
+def test_a_query_past_the_perturbed_prefix_is_refused():
+    # a short prefix's features would not line up with the
+    # re-perturbations' steps
+    seq, params, observed, query, model = _pinned_inputs()
+    short = observed["linkmirage"][:query.t]
+    message = f"t={query.t} is past a perturbed prefix of {len(short)} graphs"
+    with pytest.raises(ValueError, match=message):
+        posterior_probability(query, seq, short, model, params, 100, np.random.default_rng(8))
+    # the series reads every timestamp of the sequence
+    early = LinkQuery(t=0, u=query.u, v=query.v)
+    with pytest.raises(ValueError, match=message):
+        indistinguishability_series(seq, {**observed, "linkmirage": short}, early, model,
+                                    params, 100, np.random.default_rng(9))
 
 
 def test_link_query_refuses_a_negative_timestamp():
@@ -646,7 +674,7 @@ def test_anti_aggregation_matches_composed_oracle(rng):
         k = 3
         expected = tv_distance(matrix_power(transition_matrix(g), k),
                                transition_matrix(gp))
-        assert anti_aggregation(g, gp, k) == pytest.approx(expected, abs=1e-12)
+        assert anti_aggregation(g, gp, k) == expected
 
 
 def test_anti_aggregation_vertex_mismatch():
@@ -659,6 +687,28 @@ def test_aggregated_single_element_equals_plain(rng):
     gp = random_graph(9, 0.4, rng, ensure_edge=True)
     assert anti_aggregation_aggregated([gp], g, 2) == pytest.approx(
         anti_aggregation(g, gp, 2), abs=1e-12)
+
+
+def test_aggregated_after_a_vertex_leaves_matches_a_dense_row_sum():
+    # the union of the releases holds an id that g_t lost: rows are compared
+    # over the common ids only, laid out densely in the union's id space
+    g0 = ring_of_blocks(6, 15, 0.2, 2, np.random.default_rng(0))
+    gone = g0.vertices[0]
+    g1 = Graph(g0.edges[(g0.edges != gone).all(axis=1)], vertices=g0.vertices[1:])
+    released = linkmirage_run(TemporalGraphSequence([g0, g1]), PerturbParams(k=2, seed=4))[0]
+    k = 2
+    union = np.union1d(*(g.vertices for g in released))
+    assert gone in union and gone not in g1.vertices
+    rows = []
+    for m in (matrix_power(transition_matrix(g1), k),
+              transition_matrix(Graph(np.concatenate([g.edges for g in released]),
+                                      vertices=union))):
+        dense = np.zeros((union.size, union.size))
+        at = np.searchsorted(union, m.ids)
+        dense[np.ix_(at, at)] = m.matrix.toarray()
+        rows.append(dense[np.searchsorted(union, g1.vertices)])
+    want = 0.5 * np.abs(rows[0] - rows[1]).sum(axis=1).mean()
+    assert anti_aggregation_aggregated(released, g1, k) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # -- estimation error bound --------------------------------------------------------

@@ -20,7 +20,7 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
 from linkmirage.perturb import (_DrawLayout, _PairTask, _StepPlan, _draws, _entries,
-                                _sample_blocks, _sample_step, _walk_rows,
+                                _grid_rows, _sample_blocks, _sample_step, _walk_rows,
                                 hay_baseline_sequence, linkmirage_run)
 from linkmirage.privacy import (PosteriorEstimate, _SequenceSampler, _edge_feature,
                                 fit_logistic_1d, observed_features)
@@ -183,6 +183,14 @@ def test_a_step_draw_has_one_kernel():
         assert "k" in params, func.__name__
     assert "graph" not in inspect.signature(_walk_rows).parameters
     assert "itertools" not in names_used(ROOT / "src" / "linkmirage" / "perturb.py")
+    # a grid pass keeps its hits in the order it finds them, and its layout
+    # holds one cell count per grid, not one grid index per cell
+    layout_fields = {f.name for f in dataclasses.fields(_DrawLayout)}
+    assert "sizes" in layout_fields and "grid" not in layout_fields
+    calls = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+             for node in ast.walk(ast.parse(inspect.getsource(_grid_rows)))
+             if isinstance(node, ast.Call)}
+    assert not calls & {"sort", "argsort", "lexsort", "unique", "_sorted_unique", "_unique_rows"}
 
 
 def test_keyed_monte_carlo_has_one_block_loop():
