@@ -450,10 +450,11 @@ class _DrawLayout:
     """What one step draw builds, laid out as arrays for its two fused
     passes (``_layout``): its walk entries, changed labels ascending, its
     grid entries, fresh pairs ascending, and the entries it copies. It holds
-    the two plan fields the draw reads, by reference."""
+    the plan's graph by reference, and the plan's left ids concatenated once,
+    so a draw of many blocks reads one array."""
 
     graph: Graph             # plan.graph, which the walks step on
-    left: dict               # plan.left, the ids whose copied rows are dropped
+    left: np.ndarray         # plan.left's ids in one array; copied rows touching them drop
     labels: np.ndarray       # walk entry e is the community labels[e]
     walkers: np.ndarray      # positions in graph of the edges that walk, entry by entry
     entry: np.ndarray        # each walker's walk entry
@@ -516,7 +517,8 @@ def _layout(plan: _StepPlan, labels=None, cells=None, walkers=None, ends=None,
     if raw:
         cell_ends = np.searchsorted(graph.vertices, cell_ends)
     return _DrawLayout(
-        graph=graph, left=plan.left, labels=drawn, walkers=walkers,
+        graph=graph, left=np.concatenate([np.empty(0, np.int64), *plan.left.values()]),
+        labels=drawn, walkers=walkers,
         entry=np.searchsorted(drawn, walker_label),
         ranks=index[walkers] - np.searchsorted(edge_label[order], walker_label),
         pairs=[(task.a, task.b) for task in tasks],
@@ -704,10 +706,9 @@ def _sample_step(layout: _DrawLayout, carried, k: int, keys: np.ndarray) -> _Ste
         moved = np.concatenate([np.empty((0, 3), np.int64),
                                 *(rows[start:stop] for start, stop in bounds)])
         size = np.array([stop - start for start, stop in bounds], dtype=np.int64)
-        if layout.left:
+        if layout.left.size:
             # "sort" skips the lookup-table set-up that dominates for a few ids
-            keep = ~np.isin(moved[:, 1:], np.concatenate(list(layout.left.values())),
-                            kind="sort").any(axis=1)
+            keep = ~np.isin(moved[:, 1:], layout.left, kind="sort").any(axis=1)
             moved = moved[keep]
             # the rows each copied entry keeps
             size = np.bincount(np.repeat(np.arange(size.size), size)[keep], minlength=size.size)

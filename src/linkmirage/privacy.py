@@ -33,8 +33,11 @@ mechanism's samples keep the same rows, so no sample holds a whole-snapshot
 draw. The likelihood of a prefix is the product, over its runs of dependent
 steps (``_world_counts``), of the joint match frequency within the run,
 which is exact for both mechanisms.
-``posterior_probability`` is row t of the per-t posterior that
-``indistinguishability_series`` maps to entropy.
+A queried link has one posterior per timestamp, from one set-up shared by
+both estimators (``_posterior_rows``): the prior at the query's t, one pair
+of hypothesis worlds that every mechanism re-perturbs, and the posterior of
+each prefix 0..t' for t' up to t. ``posterior_probability`` reads row t,
+and ``indistinguishability_series`` maps rows 0..t to entropy.
 """
 
 from __future__ import annotations
@@ -146,7 +149,10 @@ def prior_probability(query: LinkQuery, model: PriorModel,
     Positives are the snapshot's edges and negatives a matched sample of
     absent pairs, both excluding the queried pair; the score is the
     common-neighbor count (one sparse row product) through a fitted logistic.
+    A query t past the sequence is refused.
     """
+    if query.t >= len(seq):
+        raise ValueError(f"query timestamp t={query.t} is past a sequence of {len(seq)} snapshots")
     graph = seq[query.t]
     if not (graph.has_vertex(query.u) and graph.has_vertex(query.v)):
         raise KeyError(f"query vertices absent at t={query.t}")
@@ -281,10 +287,10 @@ class _SequenceSampler:
                                for size, fold in blocks])
 
 
-def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
-                  params: PerturbParams, mechanism, n_samples: int,
-                  rng: np.random.Generator) -> dict:
-    """Match counts of the observed prefix 0..t in both hypothesis worlds.
+def _world_counts(worlds: dict, query: LinkQuery, perturbed, params: PerturbParams,
+                  mechanism, n_samples: int, rng: np.random.Generator) -> dict:
+    """Match counts of the observed prefix 0..t in both hypothesis worlds,
+    {present: world} for present True, then False.
 
     Re-perturbs each world ``n_samples`` times from its own child of ``rng``
     and returns {present: (counts, fresh)} for present True, then False.
@@ -295,13 +301,11 @@ def _world_counts(seq: TemporalGraphSequence, query: LinkQuery, perturbed,
     before it, and counts[s] counts the samples that match every step of s's
     run up to s.
     """
-    if n_samples < 100:
-        raise ValueError("posterior estimation needs n_samples >= 100")
     observed = observed_features(perturbed, query)
     uv = (query.u, query.v)
     out = {}
-    for present in (True, False):
-        sampler = _SequenceSampler(_hypothesis_world(seq, query, present), params, mechanism)
+    for present, world in worlds.items():
+        sampler = _SequenceSampler(world, params, mechanism)
         features = sampler.sample_features(uv, rng.spawn(1)[0], n_samples)
         match = (features == np.array(observed)).all(axis=2)
         fresh = np.array([True] * len(observed) if sampler.plans is None else
@@ -356,14 +360,26 @@ def _posteriors(prior: float, worlds: dict, n_samples: int,
     return rows[0], rows[1:], {present: rows_[0] for present, rows_ in loglike.items()}
 
 
-def _check_horizon(t: int, seq: TemporalGraphSequence, perturbed=None) -> None:
-    """Refuse a timestamp t past the snapshots of ``seq``, or past the
-    observed ``perturbed`` prefix when one is given."""
-    if t >= len(seq):
-        raise ValueError(f"query timestamp t={t} is past a sequence of {len(seq)} snapshots")
-    if perturbed is not None and t >= len(perturbed):
-        raise ValueError(f"query timestamp t={t} is past a perturbed prefix of "
-                         f"{len(perturbed)} graphs")
+def _posterior_rows(seq: TemporalGraphSequence, runs, query: LinkQuery, model: PriorModel,
+                    params: PerturbParams, n_samples: int, rng: np.random.Generator) -> tuple:
+    """The set-up both estimators share: (the prior at ``query.t``, one
+    (world counts, *``_posteriors``) per (mechanism, perturbed) pair of
+    ``runs``, in order, each with rows 0..t). A t past ``seq`` or past a
+    perturbed prefix is refused, and the two hypothesis worlds of the prefix
+    0..t are built once, for every mechanism."""
+    if n_samples < 100:
+        raise ValueError("posterior estimation needs n_samples >= 100")
+    prior = prior_probability(query, model, seq)
+    for _, perturbed in runs:
+        if query.t >= len(perturbed):
+            raise ValueError(f"query timestamp t={query.t} is past a perturbed prefix of "
+                             f"{len(perturbed)} graphs")
+    worlds = {present: _hypothesis_world(seq, query, present) for present in (True, False)}
+    out = []
+    for mechanism, perturbed in runs:
+        counts = _world_counts(worlds, query, perturbed, params, mechanism, n_samples, rng)
+        out.append((counts, *_posteriors(prior, counts, n_samples, rng)))
+    return prior, out
 
 
 def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
@@ -375,19 +391,17 @@ def posterior_probability(query: LinkQuery, seq: TemporalGraphSequence,
     Builds the two hypothesis worlds (original prefix with the link forced
     present/absent), estimates the likelihood of the observed perturbed
     prefix under each over ``n_samples`` fresh re-perturbations, and combines
-    with the calibrated prior: row t of the posterior series that
-    ``indistinguishability_series`` reads. The standard error comes from a
+    with the calibrated prior: row t of ``_posterior_rows``, the set-up it
+    shares with ``indistinguishability_series``. The standard error comes from a
     binomial bootstrap of the match counts. The estimate is degenerate when
     some step matched no sample of either world.
     """
-    _check_horizon(query.t, seq, perturbed)
-    prior = prior_probability(query, model, seq)
-    worlds = _world_counts(seq, query, perturbed, params, mechanism, n_samples, rng)
-    post, boot, loglike = _posteriors(prior, worlds, n_samples, rng)
+    prior, [(counts, post, boot, loglike)] = _posterior_rows(
+        seq, [(mechanism, perturbed)], query, model, params, n_samples, rng)
     t = query.t
     probability = float(post[t])
     se = float(np.std(boot[:, t]))
-    degenerate = bool(((worlds[True][0] == 0) & (worlds[False][0] == 0)).any())
+    degenerate = bool(((counts[True][0] == 0) & (counts[False][0] == 0)).any())
     if degenerate:
         se = max(se, 0.25)
     # keep probability +- 2*SE inside the [-0.05, 1.05] sanity band
@@ -413,28 +427,23 @@ def indistinguishability_series(seq: TemporalGraphSequence, perturbed_by_mechani
                                 query: LinkQuery, model: PriorModel,
                                 params: PerturbParams, n_samples: int,
                                 rng: np.random.Generator) -> dict:
-    """Entropy of the posterior per timestamp for each mechanism.
+    """Entropy of the posterior at each timestamp 0..``query.t``, per mechanism.
 
     ``perturbed_by_mechanism`` maps mechanism name ('linkmirage'/'static') to
-    its observed perturbed sequence. One batch of re-perturbations per world
-    serves every prefix: row t is the posterior ``posterior_probability``
-    gives at t, with the prior of the last timestamp. Returns
-    {mechanism: [(t, entropy_bits, entropy_se), ...]}.
+    its observed perturbed sequence. Every mechanism re-perturbs one pair of
+    hypothesis worlds, built once, through the set-up ``posterior_probability``
+    uses, with the prior at ``query.t``: row t' is the entropy of the
+    posterior of the prefix 0..t'. So a series of one mechanism ends in the
+    entropy of ``posterior_probability``'s estimate under the same ``rng``
+    state. Returns {mechanism: [(t', entropy_bits, entropy_se), ...]} for
+    t' = 0..t.
     """
-    _check_horizon(query.t, seq)
-    horizon = len(seq)
-    for perturbed in perturbed_by_mechanism.values():
-        _check_horizon(horizon - 1, seq, perturbed)
-    full_query = LinkQuery(t=horizon - 1, u=query.u, v=query.v)
-    prior = prior_probability(full_query, model, seq)
-    out = {}
-    for mech, perturbed in perturbed_by_mechanism.items():
-        worlds = _world_counts(seq, full_query, perturbed, params, mech, n_samples, rng)
-        post, boot, _ = _posteriors(prior, worlds, n_samples, rng)
-        out[mech] = [(t, indistinguishability(post[t]),
-                      float(np.std([indistinguishability(p) for p in boot[:, t]])))
-                     for t in range(horizon)]
-    return out
+    _, rows = _posterior_rows(seq, perturbed_by_mechanism.items(), query, model, params,
+                              n_samples, rng)
+    return {mech: [(t, indistinguishability(p),
+                    float(np.std([indistinguishability(b) for b in boot[:, t]])))
+                   for t, p in enumerate(post)]
+            for mech, (_, post, boot, _) in zip(perturbed_by_mechanism, rows)}
 
 
 # -- anti-aggregation ---------------------------------------------------------

@@ -1052,6 +1052,9 @@ def test_a_vertex_moving_between_matched_communities_carries_no_edge(m):
     plan = _plan_chain(seq, params)[1]
     assert plan.diff.unchanged == [(0, 0), (6, 5)] and plan.reused_pairs == {(0, 5): (0, 6)}
     assert {p: ids.tolist() for p, ids in plan.left.items()} == {0: [5]}
+    # a layout holds the left ids in one array, concatenated once
+    assert _layout(plan).left.tolist() == [5]
+    assert _layout(_plan_chain(seq, params)[0]).left.size == 0
     (intra_0, _), (intra_1, _) = map(group_edges, graphs, [r.clustering for r in records])
     assert (intra_0[0] == 5).any()
     check_draw(records[1].clustering, release_draws(seq, params, graphs)[1])

@@ -141,6 +141,14 @@ def test_prior_vertex_absent_errors():
         prior_probability(LinkQuery(t=0, u=0, v=9), PriorModel(), seq)
 
 
+def test_a_prior_past_the_sequence_is_refused():
+    # the estimators' message, not a bare IndexError from seq[t]
+    seq = small_overlap_sequence()
+    message = f"t={len(seq)} is past a sequence of {len(seq)} snapshots"
+    with pytest.raises(ValueError, match=message):
+        prior_probability(LinkQuery(t=len(seq), u=1, v=2), PriorModel(), seq)
+
+
 def test_a_query_past_the_sequence_is_refused():
     # past the sequence, the prior would index no snapshot
     seq, params, observed, query, model = _pinned_inputs()
@@ -162,10 +170,9 @@ def test_a_query_past_the_perturbed_prefix_is_refused():
     message = f"t={query.t} is past a perturbed prefix of {len(short)} graphs"
     with pytest.raises(ValueError, match=message):
         posterior_probability(query, seq, short, model, params, 100, np.random.default_rng(8))
-    # the series reads every timestamp of the sequence
-    early = LinkQuery(t=0, u=query.u, v=query.v)
+    # the series reads the same prefix 0..t of every mechanism
     with pytest.raises(ValueError, match=message):
-        indistinguishability_series(seq, {**observed, "linkmirage": short}, early, model,
+        indistinguishability_series(seq, {**observed, "linkmirage": short}, query, model,
                                     params, 100, np.random.default_rng(9))
 
 
@@ -653,6 +660,27 @@ def test_indistinguishability_series_pinned():
         "static": [(0, 0.631621376122844, 0.1368105643880887),
                    (1, 0.42397989415147186, 0.17481822589430085),
                    (2, 0.708493690583893, 0.1821126113042007)]}
+
+
+def test_the_series_and_the_posterior_read_one_posterior_per_query():
+    # a series run to t has rows 0..t, ends in the entropy of
+    # posterior_probability at t under the same seed, and equals the series
+    # of the sequence cut after t
+    seq, params, observed, query, model = _pinned_inputs()
+    for mech, perturbed in observed.items():
+        for t in range(len(seq)):
+            at_t = LinkQuery(t=t, u=query.u, v=query.v)
+            series = indistinguishability_series(seq, {mech: perturbed}, at_t, model, params,
+                                                 100, np.random.default_rng(9))[mech]
+            assert [row[0] for row in series] == list(range(t + 1)), (mech, t)
+            estimate = posterior_probability(at_t, seq, perturbed, model, params, 100,
+                                             np.random.default_rng(9), mechanism=mech)
+            assert series[t][1] == indistinguishability(estimate.probability), (mech, t)
+            cut = TemporalGraphSequence(seq.snapshots[:t + 1])
+            assert indistinguishability_series(cut, {mech: perturbed[:t + 1]}, at_t, model,
+                                               params, 100, np.random.default_rng(9)) \
+                == {mech: series}, (mech, t)
+
 
 # -- anti-aggregation -------------------------------------------------------------
 

@@ -212,6 +212,20 @@ def test_keyed_monte_carlo_has_one_block_loop():
     assert "plans" not in inspect.signature(_entries).parameters
 
 
+def test_both_estimators_share_one_posterior_set_up():
+    # one function checks the horizon, computes the prior and builds the two
+    # hypothesis worlds; the series reads the caller's query, never a copy
+    tree = ast.parse((ROOT / "src" / "linkmirage" / "privacy.py").read_text())
+    defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for name in ("_hypothesis_world", "prior_probability"):
+        callers = [node.name for node in defs
+                   if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))]
+        assert len(callers) == 1, (name, callers)
+    series = ast.parse(inspect.getsource(indistinguishability_series))
+    assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "LinkQuery"
+                   for n in ast.walk(series))
+
+
 def test_step_plan_has_one_dependence_rule():
     assert hasattr(_StepPlan, "carries") and not hasattr(_StepPlan, "redraws")
 
