@@ -25,13 +25,16 @@ A draw is one array of rows [sample, a, b] in which each entry's rows are
 contiguous, in their pass's order, which no reader depends on, and the step
 after copies slices of it. ``_draws`` folds it over one layout per plan,
 carrying each draw into the next; a layout holds all a draw reads of its
-plan, and k all it reads of the parameters. The release
-is the block S = 1 under one key per timestamp; the posterior and the
-degree check draw keyed samples of the fold in blocks through one
-generator, ``_sample_blocks``. The posterior builds only the entries its
-query reads and of those only the part that can touch the queried ids,
-their k-hop ball (``_balls``): a community's walkers whose edge has an end within k hops of
-them, and a pair grid's rows and columns of them. The static mechanism's
+plan, and k all it reads of the parameters. The release is the block
+S = 1 under one key per timestamp; the posterior and the degree check draw
+keyed samples of the fold in blocks through one generator,
+``_sample_blocks``. The posterior lays out each step for its query alone
+(``_layout(plan, ids, k)``): only the queried ids' own entries, their
+communities and the pairs those are an end of, and of those only the part
+that can touch the ids, their k-hop ball: a community's walkers whose edge
+has an end within k hops of them, and a pair grid's rows and columns of
+them. No other entry holds a row at the ids, so an entry the step copies
+that the carried ball lacks is copied empty. The static mechanism's
 posterior runs the same fold over ``_static_plans``, which hold each
 snapshot as one changed community. The degree check walks its one plan's
 raw layout: every walker's first walk, counted by one ``bincount`` per block.
@@ -437,13 +440,6 @@ class _StepPlan:
     reused_pairs: dict       # (a, b) -> previous pair key whose edges are copied
     left: dict               # matched previous label -> its ids outside the match now
 
-    def carries(self, ids) -> bool:
-        """Whether this step copies edges that can touch ``ids``: it does when
-        the community of one of the ids is matched to a previous one. A
-        changed community, and every pair it is in, is drawn fresh."""
-        return bool(set(self.clustering.label_of(ids).tolist())
-                    & {label for _, label in self.diff.unchanged})
-
 
 @dataclass(frozen=True)
 class _DrawLayout:
@@ -470,19 +466,23 @@ class _DrawLayout:
     raw: bool                # first walks only, loops kept, rows naming positions
 
 
-def _layout(plan: _StepPlan, labels=None, cells=None, walkers=None, ends=None,
-            raw=False) -> _DrawLayout:
-    """The layout of a draw of ``plan`` that builds the labels in ``labels``
-    and the pairs keyed in ``cells``, or every one where that is None.
+def _layout(plan: _StepPlan, ids=None, k=None, raw=False) -> _DrawLayout:
+    """The layout of a draw of ``plan``: every entry whole when ``ids`` is
+    None, else only the ids' own entries, each as far as it can touch them,
+    their k-hop ball for walks of length k (k is required with ``ids``).
 
     A changed label is walked and an unchanged one copied; a pair that is
-    not reused is rewired, over its cells ``cells[pair]`` or its whole grid
-    where that is None, and a reused one is copied. ``walkers``, positions
-    in ``plan.graph`` of edges of labels walked, are the only edges that
-    walk, or every edge of the labels walked when None. With ``ends`` (ids),
-    only the fake edges with an end among them are kept. A ``raw`` layout,
-    the degree check's, keeps every walker's first walk, loops included, and
-    its rows name positions in ``plan.graph`` instead of ids.
+    not reused is rewired and a reused one copied. With ``ids``, the labels
+    built are those of the ids' communities and the pairs those with one of
+    them as an end. An entry holds only edges between members of its
+    communities, so no other entry has an edge at ``ids``. A changed
+    community walks only its walkers whose edge has an end within k hops of
+    ``ids`` (``_ball`` of ``plan.graph``, where no walk leaves its
+    community), a fresh pair draws only its grid rows and columns of ``ids``
+    (``_PairTask.cells_at``), and only the fake edges with an end among them
+    are kept. A ``raw`` layout, the degree check's, keeps every walker's
+    first walk, loops included, and its rows name positions in
+    ``plan.graph`` instead of ids.
 
     A walker reads the counters of its rank among its community's edges, its
     position in the community's own subgraph. No edge of ``plan.graph``
@@ -490,28 +490,24 @@ def _layout(plan: _StepPlan, labels=None, cells=None, walkers=None, ends=None,
     that subgraph does, in the same order.
     """
     graph = plan.graph
-    drawn = np.array([label for label in plan.diff.changed if labels is None or label in labels],
-                     dtype=np.int64)
+    own = None if ids is None else set(plan.clustering.label_of(ids).tolist())
+
+    def built(*labels):
+        return own is None or not own.isdisjoint(labels)
+
+    drawn = np.array([label for label in plan.diff.changed if built(label)], dtype=np.int64)
     # edges by label, each label's in edge order: a walker's rank is its
     # index there minus its label's first index
     edge_label = plan.clustering.labels[graph.edge_positions[:, 0]]
     order = np.argsort(edge_label, kind="stable")
     index = np.empty_like(order)
     index[order] = np.arange(order.size)
-    if walkers is None:
-        walkers = order if labels is None else order[np.isin(edge_label[order], drawn)]
-    else:
-        walkers = order[np.sort(index[walkers])]
+    walkers = order if ids is None else order[np.sort(index[_ball(graph, k, ids)])]
     walker_label = edge_label[walkers]
-
-    tasks, grids = [], []
-    for task in plan.pair_tasks:
-        pair = (task.a, task.b)
-        if pair not in plan.reused_pairs and (cells is None or pair in cells):
-            tasks.append(task)
-            part = None if cells is None else cells[pair]
-            grids.append(np.arange(task.nodes_a.size * task.nodes_b.size) if part is None
-                         else part)
+    tasks = [task for task in plan.pair_tasks
+             if (task.a, task.b) not in plan.reused_pairs and built(task.a, task.b)]
+    grids = [np.arange(task.nodes_a.size * task.nodes_b.size) if ids is None
+             else task.cells_at(ids) for task in tasks]
     probabilities, cell_ends = zip(*map(_PairTask.grid, tasks, grids)) if tasks else ((), ())
     cell_ends = np.concatenate([np.empty((0, 2), np.int64), *cell_ends])
     if raw:
@@ -525,44 +521,9 @@ def _layout(plan: _StepPlan, labels=None, cells=None, walkers=None, ends=None,
         cells=np.concatenate([np.empty(0, np.int64), *grids]),
         sizes=np.array([part.size for part in grids], dtype=np.int64),
         probabilities=np.concatenate([np.empty(0), *probabilities]), cell_ends=cell_ends,
-        unchanged=[(prev, label) for prev, label in plan.diff.unchanged
-                   if labels is None or label in labels],
-        reused=[(key, pair) for pair, key in plan.reused_pairs.items()
-                if cells is None or pair in cells],
-        at=None if ends is None else np.isin(graph.vertices, ends, kind="sort"), raw=raw)
-
-
-def _balls(plans, ids, k: int) -> list:
-    """Per plan, the layout of a draw of the entries that edges touching
-    ``ids`` come from, each of them built only as far as it can touch them,
-    its k-hop ball, and keeping only the fake edges at ``ids``.
-
-    At each step these are the entries of the ids' communities and every pair
-    task with one of them as an end, plus what the next step's entries copy:
-    the previous label of an unchanged community and the previous key of a
-    reused pair, back to t = 0. An entry holds only edges between members of
-    its communities, so no other entry has an edge touching ``ids``. A
-    changed community walks its walkers that can touch ``ids`` (``_ball`` of
-    ``plan.graph``, where no walk leaves its community), a pair that is not
-    reused draws its grid cells in the rows and columns of ``ids``
-    (``_PairTask.cells_at``), and an entry the step copies is copied. Each
-    layout is built once, for every block drawn after.
-    """
-    balls = []
-    labels, pairs = set(), set()    # what the step after copies from this one
-    for plan in reversed(plans):
-        own = set(plan.clustering.label_of(ids).tolist()) - {-1}
-        built = labels | own
-        cells = {}
-        for task in plan.pair_tasks:
-            pair = (task.a, task.b)
-            if pair in pairs or {task.a, task.b} & own:
-                cells[pair] = None if pair in plan.reused_pairs else task.cells_at(ids)
-        balls.append(_layout(plan, built, cells, _ball(plan.graph, k, ids), ids))
-        prev_for = plan.diff.prev_for
-        labels = {prev_for[label] for label in built if label in prev_for}
-        pairs = {plan.reused_pairs[pair] for pair in cells if pair in plan.reused_pairs}
-    return balls[::-1]
+        unchanged=[(prev, label) for prev, label in plan.diff.unchanged if built(label)],
+        reused=[(key, pair) for pair, key in plan.reused_pairs.items() if built(*pair)],
+        at=None if ids is None else np.isin(graph.vertices, ids, kind="sort"), raw=raw)
 
 
 def build_step_plan(g_t: Graph, prev, params: PerturbParams) -> "_StepPlan":
@@ -682,18 +643,20 @@ def _sample_step(layout: _DrawLayout, carried, k: int, keys: np.ndarray) -> _Ste
     over every cell of every fresh pair grid (``_grid_rows``).
 
     ``carried`` is None at t=0, otherwise the previous step's draw of the
-    same samples, which holds every entry this step copies. Unchanged
-    communities and reused pairs copy their carried rows, minus the rows
-    touching ``layout.left``: ids that moved out of the matched previous
-    community or left the snapshot. An entry's rows have both ends in its
-    previous communities, which no other entry's left ids are in, so one
-    filter of all copied rows by all left ids drops each entry's own.
+    same samples; an entry this step copies that it lacks is copied empty.
+    A whole draw lacks none, and a ball (``_layout(plan, ids, k)``) lacks
+    only entries outside the ids' communities, which hold no row at them.
+    Unchanged communities and reused pairs copy their carried rows, minus
+    the rows touching ``layout.left``: ids that moved out of the matched
+    previous community or left the snapshot. An entry's rows have both ends
+    in its previous communities, which no other entry's left ids are in, so
+    one filter of all copied rows by all left ids drops each entry's own.
     ``keys`` holds the S samples' keys at this step. Sample s walks the
     community of changed label L under ``_hash(keys[s], 0, L)`` and rewires
     the pair (a, b) that is not reused under ``_hash(keys[s], 1, a, b)``.
     Each walker and cell reads its own counters under its entry's key, so a
-    layout that builds only some entries, walkers or cells (``_balls``)
-    draws the full draw's rows of those, whatever else is built.
+    layout that builds only some entries, walkers or cells (a ball) draws
+    the full draw's rows of those, whatever else is built.
 
     The draw's rows are the copied entries', the walk entries' and then the
     grid entries', entries in the layout's order, rows in their pass's.
@@ -702,7 +665,7 @@ def _sample_step(layout: _DrawLayout, carried, k: int, keys: np.ndarray) -> _Ste
     copied = [*layout.unchanged, *layout.reused]
     if copied:
         rows, spans = carried
-        bounds = [spans[prev] for prev, _ in copied]
+        bounds = [spans.get(prev, (0, 0)) for prev, _ in copied]
         moved = np.concatenate([np.empty((0, 3), np.int64),
                                 *(rows[start:stop] for start, stop in bounds)])
         size = np.array([stop - start for start, stop in bounds], dtype=np.int64)
@@ -735,9 +698,9 @@ def _draws(layouts, k: int, keys):
     """Yield the step draw of each layout in turn, one per plan of a chain,
     for one block of samples, each drawn under its array of the samples'
     keys in ``keys`` and carrying the draw before it. A layout is
-    ``_layout(plan)`` to build every entry whole, or one of ``_balls(plans,
-    ids, k)``, which build only the entries that edges touching ``ids`` come
-    from, and of those only their k-balls of ``ids``.
+    ``_layout(plan)`` to build every entry whole, or ``_layout(plan, ids,
+    k)`` to build only the entries of the ids' communities, and of those only
+    their k-balls of ``ids``: each step's own entries, laid out alone.
     """
     carried = None
     for layout, step_keys in zip(layouts, keys, strict=True):

@@ -19,20 +19,21 @@ same samples. Both mechanisms re-perturb through its fold of
 plan of the world: LinkMirage's ``_plan_chain``, or the static mechanism's
 ``_static_plans``, which hold each snapshot as one changed community. A
 re-perturbation builds only the step-draw entries the features can read,
-and of each only the k-hop ball of u and v (``perturb._balls``, one draw
-layout per step, built once per query and drawn in the same fused passes
-as a whole draw): at each step the intra entries of u's and v's communities
-and every pair with one of them as an end, plus the entries of earlier
-steps those copy. A community walks the walkers whose edge has an end
-within k hops of u or v, a pair grid draws the rows and columns of u and v,
-and only the fake edges with an end at u or v are kept.
+and of each only the k-hop ball of u and v (``perturb._layout(plan, (u, v),
+k)``, one draw layout per step, built once per query and drawn in the same
+fused passes as a whole draw): at each step the intra entries of u's and
+v's communities and every pair with one of them as an end. A community
+walks the walkers whose edge has an end within k hops of u or v, a pair
+grid draws the rows and columns of u and v, and only the fake edges with an
+end at u or v are kept.
 Each entry draws under its own key, and each walker and cell at its own
 counters, so each row kept equals the full draw's, and so does each feature.
 The features read no other row, and a carry only drops rows. A custom
 mechanism's samples keep the same rows, so no sample holds a whole-snapshot
 draw. The likelihood of a prefix is the product, over its runs of dependent
 steps (``_world_counts``), of the joint match frequency within the run,
-which is exact for both mechanisms.
+which is exact for both mechanisms: a step whose layout copies nothing
+starts a run.
 A queried link has one posterior per timestamp, from one set-up shared by
 both estimators (``_posterior_rows``): the prior at the query's t, one pair
 of hypothesis worlds that every mechanism re-perturbs, and the posterior of
@@ -50,7 +51,7 @@ import numpy as np
 from .graphs import Graph, TemporalGraphSequence, _absent_pairs, union_graph
 from .markov import (TransitionMatrix, matrix_power, transition_matrix,
                      tv_distance, tv_distance_common)
-from .perturb import (PerturbParams, _balls, _hash, _plan_chain, _root_key, _sample_blocks,
+from .perturb import (PerturbParams, _hash, _layout, _plan_chain, _root_key, _sample_blocks,
                       _static_plans)
 
 
@@ -252,20 +253,22 @@ class _SequenceSampler:
         self.plans = None if callable(mechanism) else _MECHANISM_PLANS[mechanism](world, params)
 
     def sample_features(self, uv: tuple[int, int], rng: np.random.Generator,
-                        n: int) -> np.ndarray:
-        """The features of n re-perturbations, an (n, snapshots, 3) array:
-        row s holds sample s's ``_edge_feature`` per snapshot.
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(features, fresh): the features of n re-perturbations, an (n,
+        snapshots, 3) array whose row s holds sample s's ``_edge_feature``
+        per snapshot, and per snapshot whether its draw copies nothing, so
+        that it is independent of the steps before it.
 
         A planned mechanism takes one raw draw from ``rng`` as its root key
         (``perturb._root_key``), and step t's root is ``_hash(root, t)``.
         Samples run in the blocks of ``perturb._sample_blocks``, one
-        ``_draws`` fold over the ball layouts per block. Each draws only the
-        k-ball of the queried pair: the walkers whose edge has an end within
-        k hops of u or v, and the grid rows and columns of u and v, and keeps
-        only its rows with an end at u or v, the rows the features read.
-        Walkers and cells read their own counters, so the features are the
-        full draw's. A custom callable draws one sample at a time from ``rng``
-        and keeps the same rows, so no sample holds a whole-snapshot draw.
+        ``_draws`` fold per block over each step's ball layout
+        (``perturb._layout(plan, uv, k)``), which keeps only the rows with
+        an end at u or v, the rows the features read. Walkers and cells
+        read their own counters, so the features are the full draw's. Step
+        t is fresh when its layout copies no entry. A custom callable draws
+        one sample at a time from ``rng`` and keeps the same rows, so no
+        sample holds a whole-snapshot draw; each of its steps is fresh.
         """
         u, v = uv
         steps = len(self.world)
@@ -279,12 +282,16 @@ class _SequenceSampler:
                     edges = edges[np.isin(edges, uv).any(axis=1)]
                     pieces.append(np.column_stack([np.full(len(edges), s * steps + t), edges]))
             rows = np.concatenate(pieces)
-            return _edge_features(rows, u, v, n * steps).reshape(n, steps, 3)
-        blocks = _sample_blocks(_balls(self.plans, uv, self.k), self.k,
-                                _hash(_root_key(rng), np.arange(steps)), n, held=0)
-        return np.concatenate([np.stack([_edge_features(draw.rows, u, v, size) for draw in fold],
-                                        axis=1)
-                               for size, fold in blocks])
+            return (_edge_features(rows, u, v, n * steps).reshape(n, steps, 3),
+                    np.ones(steps, dtype=bool))
+        layouts = [_layout(plan, uv, self.k) for plan in self.plans]
+        blocks = _sample_blocks(layouts, self.k, _hash(_root_key(rng), np.arange(steps)), n,
+                                held=0)
+        features = np.concatenate([np.stack([_edge_features(draw.rows, u, v, size)
+                                             for draw in fold], axis=1)
+                                   for size, fold in blocks])
+        return features, np.array([not (layout.unchanged or layout.reused)
+                                   for layout in layouts])
 
 
 def _world_counts(worlds: dict, query: LinkQuery, perturbed, params: PerturbParams,
@@ -293,23 +300,19 @@ def _world_counts(worlds: dict, query: LinkQuery, perturbed, params: PerturbPara
     {present: world} for present True, then False.
 
     Re-perturbs each world ``n_samples`` times from its own child of ``rng``
-    and returns {present: (counts, fresh)} for present True, then False.
-    fresh[s] says that step s carries nothing the query's features read: a
-    step that ``_StepPlan.carries`` does not flag, which is every step of a
-    static plan, and every step of a custom callable, which has no plans. So
-    a fresh step starts a run of dependent steps, independent of the runs
-    before it, and counts[s] counts the samples that match every step of s's
-    run up to s.
+    and returns {present: (counts, fresh)} for present True, then False,
+    with fresh as ``_SequenceSampler.sample_features`` gives it: fresh[s]
+    says that step s copies nothing the query's features read, which holds
+    at every step of a static plan and of a custom callable. So a fresh step
+    starts a run of dependent steps, independent of the runs before it, and
+    counts[s] counts the samples that match every step of s's run up to s.
     """
     observed = observed_features(perturbed, query)
-    uv = (query.u, query.v)
     out = {}
     for present, world in worlds.items():
-        sampler = _SequenceSampler(world, params, mechanism)
-        features = sampler.sample_features(uv, rng.spawn(1)[0], n_samples)
+        features, fresh = _SequenceSampler(world, params, mechanism).sample_features(
+            (query.u, query.v), rng.spawn(1)[0], n_samples)
         match = (features == np.array(observed)).all(axis=2)
-        fresh = np.array([True] * len(observed) if sampler.plans is None else
-                         [not plan.carries(uv) for plan in sampler.plans])
         counts = np.zeros(len(observed), dtype=np.int64)
         matched = np.ones(n_samples, dtype=bool)
         for s in range(len(observed)):

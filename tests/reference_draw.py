@@ -95,35 +95,33 @@ def pair_sample(task, keys, cells=None):
 
 def balls(plans, ids, k):
     """Per plan, (label -> walkers in its subgraph or None, pair -> cells or
-    None) of the entries that edges touching ``ids`` come from: a changed
-    community's walkers within k hops of ``ids``, a fresh pair's grid rows
-    and columns of ``ids``, None for an entry the step copies."""
+    None) of the entries of the communities of ``ids`` and of the pairs with
+    one of those as an end: a changed community's walkers within k hops of
+    ``ids``, a fresh pair's grid rows and columns of ``ids``, None for an
+    entry the step copies."""
     out = []
-    labels, pairs = set(), set()
-    for plan in reversed(plans):
+    for plan in plans:
         subs = subgraphs(plan)
-        own = set(plan.clustering.label_of(ids).tolist()) - {-1}
+        own = {label for label, members in plan.clustering.communities.items()
+               if members & set(ids)}
         walkers = {label: _ball(subs[label], k, ids) if label in subs else None
-                   for label in labels | own}
-        cells = {}
-        for task in plan.pair_tasks:
-            pair = (task.a, task.b)
-            if pair in pairs or {task.a, task.b} & own:
-                cells[pair] = None if pair in plan.reused_pairs else task.cells_at(ids)
+                   for label in own}
+        cells = {(task.a, task.b): None if (task.a, task.b) in plan.reused_pairs
+                 else task.cells_at(ids)
+                 for task in plan.pair_tasks if {task.a, task.b} & own}
         out.append((walkers, cells))
-        prev_for = plan.diff.prev_for
-        labels = {prev_for[label] for label in walkers if label in prev_for}
-        pairs = {plan.reused_pairs[pair] for pair in cells if pair in plan.reused_pairs}
-    return out[::-1]
+    return out
 
 
 def sample_step(plan, carried, params, keys, reads=None, draw=perturb_rows):
     """S samples of one step draw, entry by entry: (intra by label, inter by
     pair). Copied entries are the carried ones minus rows touching their
     previous communities' left ids; ``reads`` (from ``balls``) builds only its
-    keys, each over its walkers or cells; ``draw(subgraph, k, keys[,
-    walkers=])`` draws a community."""
-    def carry(rows, *prev_labels):
+    keys, each over its walkers or cells, and copies an entry the carried
+    ball did not build as empty; ``draw(subgraph, k, keys[, walkers=])``
+    draws a community."""
+    def carry(part, key, *prev_labels):
+        rows = part[key] if reads is None else part.get(key, np.empty((0, 3), np.int64))
         gone = [plan.left[p] for p in prev_labels if p in plan.left]
         if not gone:
             return rows
@@ -131,9 +129,9 @@ def sample_step(plan, carried, params, keys, reads=None, draw=perturb_rows):
 
     walkers, cells = reads or ({}, {})
     subs = subgraphs(plan)
-    intra = {label: carry(carried[0][prev], prev) for prev, label in plan.diff.unchanged
+    intra = {label: carry(carried[0], prev, prev) for prev, label in plan.diff.unchanged
              if reads is None or label in walkers}
-    inter = {pair: carry(carried[1][key], *key) for pair, key in plan.reused_pairs.items()
+    inter = {pair: carry(carried[1], key, *key) for pair, key in plan.reused_pairs.items()
              if reads is None or pair in cells}
     for label in plan.diff.changed:
         if reads is None or label in walkers:
@@ -156,3 +154,9 @@ def draws(plans, params, keys, reads=None, draw=perturb_rows):
         carried = sample_step(plan, carried, params, step_keys, read, draw)
         out.append(carried)
     return out
+
+
+def reference_carries(plan, uv):
+    """Oracle: a step carries edges the pair's features read when u or v is a
+    member of a current community matched to a previous one."""
+    return any(set(uv) & plan.clustering.communities[label] for _, label in plan.diff.unchanged)

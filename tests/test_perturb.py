@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_draw
+from reference_draw import reference_carries
 from conftest import (edge_draw, keys_from, random_graph, sample_draws, sample_step,
                       small_overlap_sequence, split_draw, step_edges)
 from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, PerturbationRecord,
@@ -16,7 +17,7 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbParams, Perturbatio
                         group_edges, hay_baseline, linkmirage_run, perturb_static,
                         perturb_static_baseline_sequence, planted_partition_graph)
 from linkmirage import perturb, privacy
-from linkmirage.perturb import (_PairTask, _balls, _draws, _hash, _layout, _plan_chain,
+from linkmirage.perturb import (_PairTask, _draws, _hash, _layout, _plan_chain,
                                _root_key, _sample_step, _static_plan, _step_key,
                                build_step_plan)
 from linkmirage.privacy import _SequenceSampler, _edge_feature, _edge_features, _hypothesis_world
@@ -44,10 +45,10 @@ def test_no_self_loops_or_duplicates(rng):
         assert (gp.edges[:, 0] < gp.edges[:, 1]).all()
 
 
-def static_rows(g, k, keys, **layout):
-    """Rows of S static draws of ``g``, one walk entry, under sample keys."""
-    plan = _static_plan(g)
-    return _sample_step(_layout(plan, **layout), None, k, keys).rows
+def static_rows(g, k, keys, ids=None):
+    """Rows of S static draws of ``g``, one walk entry, under sample keys:
+    the whole draw, or with ``ids`` the ball of them."""
+    return _sample_step(_layout(_static_plan(g), ids, k), None, k, keys).rows
 
 
 def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
@@ -62,13 +63,7 @@ def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
         want = full[np.isin(full[:, 1:], ends).any(axis=1)]
         walkers = perturb._ball(g, k, ends)
         local["part" if walkers.size < g.num_edges else "all"] += 1
-        assert np.array_equal(static_rows(g, k, keys, ends=ends), want)
-        assert np.array_equal(static_rows(g, k, keys, ends=ends, walkers=walkers), want)
-        assert np.array_equal(_sample_step(_balls([_static_plan(g)], ends, k)[0], None, k,
-                                           keys).rows, want)
-        if walkers.size == g.num_edges:
-            # every edge's walker, selected, walks as the whole graph does
-            assert np.array_equal(static_rows(g, k, keys, walkers=walkers), full)
+        assert np.array_equal(static_rows(g, k, keys, ends), want)
         return walkers
 
     for k in (1, 2, 3):
@@ -82,23 +77,24 @@ def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
             # ends absent from the graph, or isolated: an empty ball, no row
             for ends in ((n + 5, n + 6), (n, n + 1)):
                 assert not check(g, k, ends).size
-                assert not static_rows(g, k, keys_from(rng, 3), ends=ends).size
+                assert not static_rows(g, k, keys_from(rng, 3), ends).size
         # a ball that holds every edge
         path = Graph([(0, 1), (1, 2), (2, 3)])
         assert check(path, k, (1, 2)).size == path.num_edges
     assert local["part"] and local["all"]
 
 
-def grid_rows(task, keys, cells=None):
-    """Rows of S rewirings of one pair task alone, ``keys`` its entry keys:
-    the grid pass (``perturb._grid_rows``) of a plan of that one task, over
-    its ``cells`` or its whole grid."""
-    ids = np.concatenate([task.nodes_a, task.nodes_b])
-    plan = perturb._StepPlan(clustering=Clustering.from_groups([ids]),
+def grid_rows(task, keys, ids=None):
+    """Rows of S rewirings of one pair task alone, under sample keys: the
+    draw of a plan of two communities, the task's nodes in a and in b, whose
+    labels are the task's, and of that one task, over its whole grid or with
+    ``ids`` over the grid rows and columns of them."""
+    plan = perturb._StepPlan(clustering=Clustering.from_groups([task.nodes_a, task.nodes_b]),
                              diff=perturb.CommunityDiff(unchanged=[], changed=[]),
-                             graph=Graph(vertices=ids), pair_tasks=[task],
-                             reused_pairs={}, left={})
-    return perturb._grid_rows(_layout(plan, cells={(task.a, task.b): cells}), keys[None, :])[0]
+                             graph=Graph(vertices=np.concatenate([task.nodes_a, task.nodes_b])),
+                             pair_tasks=[task], reused_pairs={}, left={})
+    assert ids is None or set(plan.clustering.communities) == {task.a, task.b}
+    return _sample_step(_layout(plan, ids, 1), None, 1, keys).rows
 
 
 def test_pair_grid_cells_at_ends_are_the_full_grids_rows_at_them(rng):
@@ -107,14 +103,17 @@ def test_pair_grid_cells_at_ends_are_the_full_grids_rows_at_them(rng):
     for _ in range(30):
         nodes_a = np.sort(rng.choice(50, size=int(rng.integers(1, 12)), replace=False))
         nodes_b = 100 + np.sort(rng.choice(50, size=int(rng.integers(1, 12)), replace=False))
-        cells = [(a, b) for a in nodes_a for b in nodes_b if rng.random() < 0.4]
-        task = _PairTask.of(0, 1, np.array(cells or [(nodes_a[0], nodes_b[0])]))
+        cells = np.array([(a, b) for a in nodes_a for b in nodes_b if rng.random() < 0.4]
+                         or [(nodes_a[0], nodes_b[0])])
+        # labelled as its communities are: by their smallest ids
+        task = _PairTask.of(int(cells[:, 0].min()), int(cells[:, 1].min()), cells)
         keys = keys_from(rng, 4)
         full = grid_rows(task, keys)
-        assert np.array_equal(full, reference_draw.pair_sample(task, keys))
+        assert np.array_equal(full, reference_draw.pair_sample(task, _hash(keys, 1, task.a,
+                                                                           task.b)))
         u, v = rng.choice(task.nodes_a), rng.choice(task.nodes_b)
         for ends in ((u, v), (u, 999), (999, v), (998, 999)):
-            at = grid_rows(task, keys, task.cells_at(ends))
+            at = grid_rows(task, keys, ends)
             assert np.array_equal(at, full[np.isin(full[:, 1:], ends).any(axis=1)])
         assert task.cells_at((u, v)).size == task.nodes_a.size + task.nodes_b.size - 1
 
@@ -484,7 +483,7 @@ def test_carried_edges_of_a_departed_vertex_are_dropped(monkeypatch):
     # the sampler carries its own draws through the same filter: vertex 5
     # has no perturbed edge at t=1, as in the release
     assert _edge_feature(graphs[1].edges, 5, 4)[:2] == (0, 0)
-    features = sampler.sample_features((5, 4), np.random.default_rng(4), 50)
+    features, _ = sampler.sample_features((5, 4), np.random.default_rng(4), 50)
     assert (features[:, 1, :2] == 0).all()
 
 
@@ -507,8 +506,8 @@ LOCALIZED_CASES = {
                      [True, False, False, False]),
     "three-blocks-two-runs": (three_block_sequence, dict(k=2, m=2, theta=0.8, seed=1),
                               (15, 47), [True, False, False, True]),
-    # both arrive at t = 2 and join a matched community, whose t = 1 entries
-    # only the closure reads
+    # both arrive at t = 2 and join a matched community, whose t = 1 entry
+    # is copied empty: it holds no row at them
     "three-blocks-joiners": (three_block_sequence, dict(k=2, m=2, theta=0.8, seed=1),
                              (96, 97), [True, True, False, False]),
     # the acceptance suite's overlap fixture, which the benchmark's audit runs
@@ -523,19 +522,27 @@ def layout_entries(layout):
             {*layout.pairs, *(pair for _, pair in layout.reused)})
 
 
+def own_entries(plans, ids, k):
+    """Oracle: per plan, (labels, pairs) of the communities with a member
+    among ``ids`` and of the pair tasks with one of those as an end, the
+    keys of the reference's balls."""
+    return [(set(walkers), set(cells)) for walkers, cells in reference_draw.balls(plans, ids, k)]
+
+
+def balls_of(plans, ids, k):
+    """Each plan's layout of the ids' own entries, laid out alone."""
+    return [_layout(plan, ids, k) for plan in plans]
+
+
 @pytest.mark.parametrize("case", sorted(LOCALIZED_CASES))
 def test_localized_draws_equal_the_full_draw(case):
     make, settings, uv, fresh = LOCALIZED_CASES[case]
     params = PerturbParams(**settings)
     sampler = _SequenceSampler(make(), params, "linkmirage")
     plans = sampler.plans
-    assert [not plan.carries(uv) for plan in plans] == fresh
-    balls = _balls(plans, uv, params.k)
-    # the same entries, each drawn whole
+    balls = balls_of(plans, uv, params.k)
     entries = list(map(layout_entries, balls))
-    reads = [_layout(plan, labels, dict.fromkeys(pairs))
-             for plan, (labels, pairs) in zip(plans, entries)]
-    assert list(map(layout_entries, reads)) == entries
+    assert entries == own_entries(plans, uv, params.k)
     assert any(len(labels) + len(pairs)
                < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
                for (labels, pairs), plan in zip(entries, plans))
@@ -547,25 +554,22 @@ def test_localized_draws_equal_the_full_draw(case):
     features = []
     for sample in range(30):
         full = sample_draws(plans, params, root, sample)
-        local = sample_draws(plans, params, root, sample, reads)
-        # drawing only the balls gives each entry's rows at the queried pair
+        # drawing only the balls gives each entry's rows at the queried pair,
+        # and every entry it does not build holds none
         ball = sample_draws(plans, params, root, sample, balls)
-        for (intra, inter), (l_intra, l_inter), (b_intra, b_inter), (labels, pairs) in zip(
-                full, local, ball, entries):
-            assert set(l_intra) == set(b_intra) == set(labels)
-            assert set(l_inter) == set(b_inter) == set(pairs)
-            assert all(np.array_equal(l_intra[label], intra[label]) for label in labels)
-            assert all(np.array_equal(l_inter[pair], inter[pair]) for pair in pairs)
-            assert all(np.array_equal(b_intra[label], at(intra[label])) for label in labels)
-            assert all(np.array_equal(b_inter[pair], at(inter[pair])) for pair in pairs)
+        for (intra, inter), (b_intra, b_inter), (labels, pairs) in zip(full, ball, entries):
+            assert set(b_intra) == labels and set(b_inter) == pairs
+            for got, want in ((b_intra, intra), (b_inter, inter)):
+                assert all(np.array_equal(got.get(key, EMPTY), at(rows))
+                           for key, rows in want.items())
         features.append([_edge_feature(step_edges(*draw), *uv) for draw in full])
     # one call draws the 30 samples in blocks, as 30 draws of one sample do,
-    # and draws of each entry only its k-ball: fewer walkers and cells, but
-    # for two K6 blocks, whose 2-balls hold every edge
-    assert (perturb._entries(balls, params.k)
-            < perturb._entries(reads, params.k)) == (case != "vertex-leaves")
-    local = sampler.sample_features(uv, np.random.default_rng(7), 30)
+    # and draws of the own entries only their k-balls: fewer walkers and
+    # cells than the whole draw
+    assert perturb._entries(balls, params.k) < perturb._entries(map(_layout, plans), params.k)
+    local, local_fresh = sampler.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
+    assert local_fresh.tolist() == fresh
     # the static mechanism: the same fold over its plans, each snapshot's
     # unlocalized draw under the same keys
     static = _SequenceSampler(sampler.world, params, "static")
@@ -573,12 +577,35 @@ def test_localized_draws_equal_the_full_draw(case):
     root = _root_key(np.random.default_rng(7))
     features = [[_edge_feature(step_edges(*draw), *uv)
                  for draw in sample_draws(static_plans, params, root, s)] for s in range(30)]
-    local = static.sample_features(uv, np.random.default_rng(7), 30)
+    local, local_fresh = static.sample_features(uv, np.random.default_rng(7), 30)
     assert local.tobytes() == np.array(features, dtype=local.dtype).tobytes()
+    assert local_fresh.all()
     # whose balls hold fewer walkers than whole snapshots, but for two K6 blocks
     whole = [_layout(p) for p in static_plans]
-    assert (perturb._entries(_balls(static_plans, uv, params.k), params.k)
+    assert (perturb._entries(balls_of(static_plans, uv, params.k), params.k)
             < perturb._entries(whole, params.k)) == (case != "vertex-leaves")
+
+
+def check_own_entries(plans, params, ids, root, samples=3):
+    """At every step, the layout for ``ids`` builds exactly the ids' own
+    entries, and no other entry of the full draw holds a row at them."""
+    keys = [_hash(root, t, np.arange(samples)) for t in range(len(plans))]
+    for (labels, pairs), layout, draw in zip(own_entries(plans, ids, params.k),
+                                             balls_of(plans, ids, params.k),
+                                             _draws(map(_layout, plans), params.k, keys)):
+        assert layout_entries(layout) == (labels, pairs)
+        for key, (start, stop) in draw.spans.items():
+            if key not in labels and key not in pairs:
+                assert not np.isin(draw.rows[start:stop, 1:], ids).any(), key
+
+
+@pytest.mark.parametrize("case", sorted(LOCALIZED_CASES))
+def test_a_ball_builds_exactly_the_own_entries(case):
+    make, settings, uv, _ = LOCALIZED_CASES[case]
+    params = PerturbParams(**settings)
+    seq = make()
+    for plans in (_plan_chain(seq, params), perturb._static_plans(seq)):
+        check_own_entries(plans, params, uv, 12345)
 
 
 def test_localized_draws_leave_the_stream_as_the_full_draw():
@@ -604,7 +631,7 @@ def test_reads_of_identical_snapshots_reach_back_to_t0():
     (label,) = set(plans[0].clustering.label_of([0, 1]).tolist())
     pairs = {(task.a, task.b) for task in plans[0].pair_tasks if label in (task.a, task.b)}
     assert pairs and len(pairs) < len(plans[0].pair_tasks)
-    balls = _balls(plans, (0, 1), 2)
+    balls = balls_of(plans, (0, 1), 2)
     assert list(map(layout_entries, balls)) == [({label}, pairs)] * 3
     # t = 0 draws the balls of its entries, and each later step copies them
     assert balls[0].labels.tolist() == [label] and set(balls[0].pairs) == pairs
@@ -640,7 +667,7 @@ def check_fused_draws(plans, params, samples, ids, root):
                            reference_draw.draws(plans, params, keys)):
         assert_same_draw(fused, want)
     at_ids = functools.partial(reference_draw.perturb_rows, ends=ids)
-    for fused, want in zip(_draws(_balls(plans, ids, k), k, keys),
+    for fused, want in zip(_draws(balls_of(plans, ids, k), k, keys),
                            reference_draw.draws(plans, params, keys,
                                                 reference_draw.balls(plans, ids, k), at_ids)):
         assert_same_draw(fused, want)
@@ -711,7 +738,7 @@ def test_no_reader_depends_on_the_row_order_inside_an_entry(case):
     rng = np.random.default_rng(5)
     samples, moved, copied = 4, False, False
     keys = [_hash(root, np.arange(samples)) for root in range(11, 11 + len(plans))]
-    for layouts in (list(map(_layout, plans)), _balls(plans, uv, params.k)):
+    for layouts in (list(map(_layout, plans)), balls_of(plans, uv, params.k)):
         carried = None
         for layout, plan, step_keys in zip(layouts, plans, keys):
             draw = _sample_step(layout, carried, params.k, step_keys)
@@ -748,10 +775,12 @@ def test_no_reader_depends_on_the_row_order_inside_an_entry(case):
        st.sampled_from([0.5, 0.8, 1.0]), st.integers(1, 4), st.integers(0, 2**64 - 1),
        st.lists(st.integers(0, 40), min_size=2, max_size=2, unique=True))
 def test_fused_step_draws_equal_the_per_entry_draw(seq, k, m, theta, samples, root, ids):
-    # LinkMirage plan chains and the static mechanism's plans
+    # LinkMirage plan chains and the static mechanism's plans; a ball builds
+    # exactly the own entries of ids
     params = PerturbParams(k=k, m=m, theta=theta, seed=0)
-    check_fused_draws(_plan_chain(seq, params), params, samples, ids, root)
-    check_fused_draws(perturb._static_plans(seq), params, samples, ids, root)
+    for plans in (_plan_chain(seq, params), perturb._static_plans(seq)):
+        check_fused_draws(plans, params, samples, ids, root)
+        check_own_entries(plans, params, ids, root)
 
 
 def test_fused_draw_cases_cover_every_kind_of_entry():
@@ -1003,12 +1032,6 @@ def test_carry_filter_matches_the_membership_rule(m, theta):
     assert (moved > 0) == (theta < 1.0)
 
 
-def reference_carries(plan, uv):
-    """Oracle: a step carries edges the pair's features read when u or v is a
-    member of a current community matched to a previous one."""
-    return any(set(uv) & plan.clustering.communities[label] for _, label in plan.diff.unchanged)
-
-
 def edges_at(edges, uv):
     """The canonical edges of a draw that touch u or v."""
     edges = Graph(edges).edges
@@ -1026,9 +1049,12 @@ def test_carries_matches_the_matched_community_rule(seq, pairs, fresh_later):
     flags, fresh_after_t0 = [], 0
     for (u, v), present in itertools.product(pairs, (True, False)):
         world = _hypothesis_world(seq, LinkQuery(t=len(seq) - 1, u=u, v=v), present)
+        sampler = _SequenceSampler(world, params, "linkmirage")
+        # a step is fresh when its layout for (u, v) copies no entry
+        _, fresh = sampler.sample_features((u, v), np.random.default_rng(1), 1)
         carried = None
-        for plan in _plan_chain(world, params):
-            flags.append(plan.carries((u, v)))
+        for plan, plan_fresh in zip(sampler.plans, fresh.tolist(), strict=True):
+            flags.append(not plan_fresh)
             assert flags[-1] == reference_carries(plan, (u, v))
             if carried is not None and not flags[-1]:
                 # a step that carries nothing at u or v draws the same edges

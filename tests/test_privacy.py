@@ -18,6 +18,7 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
 from linkmirage import perturb, privacy
 from linkmirage.perturb import _plan_chain, _root_key, perturb_static_baseline_sequence
 from linkmirage.privacy import _edge_feature, fit_logistic_1d
+from reference_draw import reference_carries
 
 
 # -- prior ---------------------------------------------------------------------
@@ -367,7 +368,7 @@ def bridged_blocks(*extra, drop=()):
 
 def reuses_query_block(plan, uv):
     # u's block is matched; a pair listing u is redrawn
-    return plan.carries(uv) and any(
+    return reference_carries(plan, uv) and any(
         uv[0] in np.concatenate([task.nodes_a, task.nodes_b])
         for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs)
 
@@ -396,7 +397,7 @@ T1_CASES = {
         member_leaves_u),
     "both-blocks-changed": (
         bridged_blocks(), bridged_blocks(drop=[(0, 2), (1, 2)]), {}, (4, 5),
-        lambda plan, uv: not plan.carries(uv)),
+        lambda plan, uv: not reference_carries(plan, uv)),
 }
 
 
@@ -514,14 +515,14 @@ def test_custom_mechanism_samples_hold_only_the_rows_at_u_and_v():
     sampler = privacy._SequenceSampler(world, PerturbParams(k=2, seed=0), whole_snapshots)
     tracemalloc.start()
     try:
-        features = sampler.sample_features(uv, np.random.default_rng(5), 100)
+        features, fresh = sampler.sample_features(uv, np.random.default_rng(5), 100)
         peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
     rng = np.random.default_rng(5)
     want = [[_edge_feature(edges, *uv) for edges in whole_snapshots(world, rng)]
             for _ in range(100)]
-    assert np.array_equal(features, want)
+    assert np.array_equal(features, want) and fresh.all()
     assert peak_mib < 4.0
 
 
@@ -614,7 +615,8 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
     for mech in ("linkmirage", "static"):
         # a sample draws the k-balls of the queried pair only, one step at a time
         plans = privacy._SequenceSampler(world, params, mech).plans
-        entries = perturb._entries(perturb._balls(plans, uv, params.k), params.k)
+        entries = perturb._entries([perturb._layout(plan, uv, params.k) for plan in plans],
+                                   params.k)
 
         def estimate():
             return posterior_probability(query, seq, observed[mech], model, params, 100,
@@ -622,7 +624,7 @@ def test_posterior_blocks_change_no_draw(monkeypatch):
 
         def features():
             return privacy._SequenceSampler(world, params, mech).sample_features(
-                uv, np.random.default_rng(8), 100)
+                uv, np.random.default_rng(8), 100)[0]
 
         default = estimate(), features()
         sizes, split_into = [], perturb._blocks

@@ -20,10 +20,10 @@ from linkmirage import (Clustering, Graph, LinkQuery, PerturbationRecord,
 from linkmirage.clustering import CommunityDiff
 from linkmirage.markov import TransitionMatrix
 from linkmirage.perturb import (_DrawLayout, _PairTask, _StepPlan, _draws, _entries,
-                                _grid_rows, _sample_blocks, _sample_step, _walk_rows,
+                                _grid_rows, _layout, _sample_blocks, _sample_step, _walk_rows,
                                 hay_baseline_sequence, linkmirage_run)
 from linkmirage.privacy import (PosteriorEstimate, _SequenceSampler, _edge_feature,
-                                fit_logistic_1d, observed_features)
+                                _world_counts, fit_logistic_1d, observed_features)
 from linkmirage.synth import _sample_pairs
 from linkmirage.utility import mixing_time, slem
 
@@ -227,7 +227,14 @@ def test_both_estimators_share_one_posterior_set_up():
 
 
 def test_step_plan_has_one_dependence_rule():
-    assert hasattr(_StepPlan, "carries") and not hasattr(_StepPlan, "redraws")
+    # what a query reads at a step is its layout for the queried ids: the
+    # plan restates no rule, no backward closure builds more, and a step is
+    # fresh when that layout copies nothing, whatever the mechanism
+    assert not hasattr(_StepPlan, "carries") and not hasattr(_StepPlan, "redraws")
+    assert not hasattr(linkmirage.perturb, "_balls")
+    assert list(inspect.signature(_layout).parameters) == ["plan", "ids", "k", "raw"]
+    counts = ast.parse(inspect.getsource(_world_counts))
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "plans" for n in ast.walk(counts))
 
 
 def test_unread_members_and_defaults_are_gone():
