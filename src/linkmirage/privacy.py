@@ -287,11 +287,10 @@ class _SequenceSampler:
         layouts = [_layout(plan, uv, self.k) for plan in self.plans]
         blocks = _sample_blocks(layouts, self.k, _hash(_root_key(rng), np.arange(steps)), n,
                                 held=0)
-        features = np.concatenate([np.stack([_edge_features(draw.rows, u, v, size)
+        features = np.concatenate([np.stack([_edge_features(draw, u, v, size)
                                              for draw in fold], axis=1)
                                    for size, fold in blocks])
-        return features, np.array([not (layout.unchanged or layout.reused)
-                                   for layout in layouts])
+        return features, np.array([not layout.copies for layout in layouts])
 
 
 def _world_counts(worlds: dict, query: LinkQuery, perturbed, params: PerturbParams,

@@ -112,7 +112,7 @@ def expected_degree_report(graph: Graph, params: PerturbParams, trials: int,
     # a trial holds its draw's entries and one row of degree counts
     for size, (draw,) in _sample_blocks([layout], params.k, [_root_key(rng)], trials, held=n):
         # the plan's graph spans the graph's ids, so rows name its positions
-        d = np.bincount((draw.rows[:, :1] * n + draw.rows[:, 1:]).ravel(),
+        d = np.bincount((draw[:, :1] * n + draw[:, 1:]).ravel(),
                         minlength=size * n).reshape(size, n)
         # integer sums: exact, so the block size changes no bit of the report
         acc += d.sum(axis=0)

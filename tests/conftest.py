@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linkmirage import Graph
-from linkmirage.perturb import _StepDraw, _draws, _hash, _layout, _sample_step
+from linkmirage.perturb import _draws, _hash, _layout, _sample_step
 
 
 @pytest.fixture
@@ -50,8 +50,8 @@ def small_overlap_sequence():
 
 # -- one sample of a step draw ----------------------------------------------
 # ``perturb._sample_step`` draws a block of samples as one array of rows
-# [sample, a, b] with each entry's span; these helpers split it into (intra by
-# label, inter by pair) dicts, draw a block of one under one key, as a release
+# [sample, a, b]; these helpers split it into (intra by label, inter by pair)
+# dicts by its ends' labels, draw a block of one under one key, as a release
 # step does, and hold its entries as (m, 2) edge arrays, as ``group_edges``
 # gives them.
 
@@ -61,26 +61,31 @@ def keys_from(rng, n=1):
     return rng.integers(1 << 64, size=n, dtype=np.uint64)
 
 
-def split_draw(draw):
-    """A step draw's entries as (intra by label, inter by pair) dicts of
-    their rows, in the draw's order."""
+def split_draw(draw, clustering):
+    """A step draw's rows grouped into entries by their ends' labels under
+    ``clustering``: (intra by label, inter by sorted label pair) dicts, keys
+    ascending, each entry's rows in the draw's order. An entry without rows
+    has no key."""
+    ends = np.sort(clustering.label_of(draw[:, 1:]), axis=1)
     intra, inter = {}, {}
-    for key, (start, stop) in draw.spans.items():
-        (inter if isinstance(key, tuple) else intra)[key] = draw.rows[start:stop]
+    for a, b in sorted(set(map(tuple, ends.tolist()))):
+        rows = draw[(ends[:, 0] == a) & (ends[:, 1] == b)]
+        if a == b:
+            intra[a] = rows
+        else:
+            inter[(a, b)] = rows
     return intra, inter
 
 
 def joined_draw(intra, inter):
-    """The step draw whose entries are the rows of (intra, inter), in order."""
-    parts = [*intra.items(), *inter.items()]
-    stops = np.cumsum([len(rows) for _, rows in parts], dtype=np.int64).tolist()
-    rows = np.concatenate([np.empty((0, 3), np.int64), *(rows for _, rows in parts)])
-    return _StepDraw(rows, {key: span for (key, _), span in zip(parts, zip([0, *stops], stops))})
+    """The step draw that holds the rows of (intra, inter), entry by entry."""
+    return np.concatenate([np.empty((0, 3), np.int64), *intra.values(), *inter.values()])
 
 
-def edge_draw(draw):
+def edge_draw(draw, clustering):
     """A one-sample step draw's entries with the sample column dropped."""
-    return tuple({key: rows[:, 1:] for key, rows in part.items()} for part in split_draw(draw))
+    return tuple({key: rows[:, 1:] for key, rows in part.items()}
+                 for part in split_draw(draw, clustering))
 
 
 def step_edges(intra, inter):
@@ -96,7 +101,7 @@ def sample_step(plan, carried, params, sample_key, layout=None):
         carried = joined_draw(*({key: np.column_stack([np.zeros(len(edges), np.int64), edges])
                                  for key, edges in part.items()} for part in carried))
     layout = _layout(plan) if layout is None else layout
-    return edge_draw(_sample_step(layout, carried, params.k, _hash(sample_key)))
+    return edge_draw(_sample_step(layout, carried, params.k, _hash(sample_key)), plan.clustering)
 
 
 def sample_draws(plans, params, root, sample=0, layouts=None):
@@ -105,4 +110,5 @@ def sample_draws(plans, params, root, sample=0, layouts=None):
     ``_hash(root, t, sample)``."""
     keys = [_hash(root, t, sample) for t in range(len(plans))]
     layouts = map(_layout, plans) if layouts is None else layouts
-    return [edge_draw(draw) for draw in _draws(layouts, params.k, keys)]
+    return [edge_draw(draw, plan.clustering)
+            for draw, plan in zip(_draws(layouts, params.k, keys), plans)]

@@ -113,23 +113,32 @@ def balls(plans, ids, k):
     return out
 
 
-def sample_step(plan, carried, params, keys, reads=None, draw=perturb_rows):
+def leavers(prev_clustering, plan):
+    """Matched previous label -> its members outside the match now, read off
+    the previous and the current clustering; a label none left has no key."""
+    before, now = prev_clustering.communities, plan.clustering.communities
+    return {prev: gone for prev, label in plan.diff.unchanged
+            if (gone := before[prev] - now[label])}
+
+
+def sample_step(plan, carried, params, keys, reads=None, draw=perturb_rows, prev=None):
     """S samples of one step draw, entry by entry: (intra by label, inter by
     pair). Copied entries are the carried ones minus rows touching their
-    previous communities' left ids; ``reads`` (from ``balls``) builds only its
-    keys, each over its walkers or cells, and copies an entry the carried
-    ball did not build as empty; ``draw(subgraph, k, keys[, walkers=])``
-    draws a community."""
+    previous communities' leavers under ``prev``, the previous clustering.
+    ``reads`` (from ``balls``) builds only its keys, each over its walkers
+    or cells, and copies an entry the carried ball did not build as empty;
+    ``draw(subgraph, k, keys[, walkers=])`` draws a community."""
+    gone = {} if carried is None else leavers(prev, plan)
+
     def carry(part, key, *prev_labels):
         rows = part[key] if reads is None else part.get(key, np.empty((0, 3), np.int64))
-        gone = [plan.left[p] for p in prev_labels if p in plan.left]
-        if not gone:
-            return rows
-        return rows[~np.isin(rows[:, 1:], np.concatenate(gone)).any(axis=1)]
+        out = set().union(*(gone.get(p, ()) for p in prev_labels))
+        return rows[~np.isin(rows[:, 1:], list(out)).any(axis=1)]
 
     walkers, cells = reads or ({}, {})
     subs = subgraphs(plan)
-    intra = {label: carry(carried[0], prev, prev) for prev, label in plan.diff.unchanged
+    intra = {label: carry(carried[0], prev_label, prev_label)
+             for prev_label, label in plan.diff.unchanged
              if reads is None or label in walkers}
     inter = {pair: carry(carried[1], key, *key) for pair, key in plan.reused_pairs.items()
              if reads is None or pair in cells}
@@ -149,10 +158,11 @@ def sample_step(plan, carried, params, keys, reads=None, draw=perturb_rows):
 def draws(plans, params, keys, reads=None, draw=perturb_rows):
     """The per-entry fold of ``sample_step`` over ``plans``, one list item
     per step."""
-    out, carried = [], None
+    out, carried, prev = [], None, None
     for plan, step_keys, read in zip(plans, keys, reads or itertools.repeat(None)):
-        carried = sample_step(plan, carried, params, step_keys, read, draw)
+        carried = sample_step(plan, carried, params, step_keys, read, draw, prev)
         out.append(carried)
+        prev = plan.clustering
     return out
 
 

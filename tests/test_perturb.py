@@ -48,7 +48,7 @@ def test_no_self_loops_or_duplicates(rng):
 def static_rows(g, k, keys, ids=None):
     """Rows of S static draws of ``g``, one walk entry, under sample keys:
     the whole draw, or with ``ids`` the ball of them."""
-    return _sample_step(_layout(_static_plan(g), ids, k), None, k, keys).rows
+    return _sample_step(_layout(_static_plan(g), ids, k), None, k, keys)
 
 
 def test_perturb_rows_at_ends_are_the_full_draws_rows_at_them(rng):
@@ -92,9 +92,10 @@ def grid_rows(task, keys, ids=None):
     plan = perturb._StepPlan(clustering=Clustering.from_groups([task.nodes_a, task.nodes_b]),
                              diff=perturb.CommunityDiff(unchanged=[], changed=[]),
                              graph=Graph(vertices=np.concatenate([task.nodes_a, task.nodes_b])),
-                             pair_tasks=[task], reused_pairs={}, left={})
+                             pair_tasks=[task], reused_pairs={},
+                             kept=Clustering.from_groups([]))
     assert ids is None or set(plan.clustering.communities) == {task.a, task.b}
-    return _sample_step(_layout(plan, ids, 1), None, 1, keys).rows
+    return _sample_step(_layout(plan, ids, 1), None, 1, keys)
 
 
 def test_pair_grid_cells_at_ends_are_the_full_grids_rows_at_them(rng):
@@ -128,7 +129,7 @@ def test_perturb_static_deterministic():
 def static_walk(g, k, keys):
     """The walk of ``g``'s static plan for S samples whose entry keys are
     ``keys``, as ``perturb_static`` draws it."""
-    return perturb._walk_rows(k, keys[None, :], _layout(_static_plan(g)))[0]
+    return perturb._walk_rows(k, keys[None, :], _layout(_static_plan(g)))
 
 
 def test_perturb_static_is_a_block_of_one_under_its_key(rng):
@@ -209,7 +210,7 @@ def raw_walk_degrees(g, k, trials, rng):
     plan = _static_plan(g)
     layout = _layout(plan, raw=True)
     for _ in range(trials):
-        rows = _sample_step(layout, None, k, keys_from(rng)).rows
+        rows = _sample_step(layout, None, k, keys_from(rng))
         yield np.bincount(rows[:, 1:].ravel(), minlength=g.num_vertices)
 
 
@@ -312,8 +313,8 @@ def k4s_with_two_bridges():
                                             (k4s_with_two_bridges(), 3, (0, 4))],
                          ids=["intra", "inter"])
 def test_an_entry_that_drew_no_edge_is_carried_empty(g, seed, entry):
-    # the grouped release has no key for an entry that drew no edge; the
-    # carried draw holds it empty
+    # the grouped release has no key for an entry that drew no edge, nor has
+    # the draw a row of it: the next step copies nothing of it
     params = PerturbParams(k=2, seed=seed)
     seq = TemporalGraphSequence([g, g])
     graphs, records = linkmirage_run(seq, params)
@@ -322,7 +323,7 @@ def test_an_entry_that_drew_no_edge_is_carried_empty(g, seed, entry):
     intra, inter = group_edges(graphs[0], records[0].clustering)
     assert entry not in intra and entry not in inter
     intra, inter = release_draws(seq, params, graphs)[0]
-    assert len((intra | inter)[entry]) == 0
+    assert entry not in intra and entry not in inter
     assert graphs[1] == graphs[0]
 
 
@@ -517,9 +518,9 @@ LOCALIZED_CASES = {
 
 
 def layout_entries(layout):
-    """(labels, pairs) of the entries a layout builds, drawn or copied."""
-    return ({*layout.labels.tolist(), *(label for _, label in layout.unchanged)},
-            {*layout.pairs, *(pair for _, pair in layout.reused)})
+    """(labels, pairs, copies): the entries a layout draws, and whether it
+    copies an entry."""
+    return set(layout.labels.tolist()), set(layout.pairs), layout.copies
 
 
 def own_entries(plans, ids, k):
@@ -527,6 +528,15 @@ def own_entries(plans, ids, k):
     among ``ids`` and of the pair tasks with one of those as an end, the
     keys of the reference's balls."""
     return [(set(walkers), set(cells)) for walkers, cells in reference_draw.balls(plans, ids, k)]
+
+
+def drawn_entries(plans, ids, k):
+    """Oracle: per plan, the (labels, pairs) of the reference's balls that
+    are drawn, not copied, and whether any is copied."""
+    return [({label for label, ball in walkers.items() if ball is not None},
+             {pair for pair, ball in cells.items() if ball is not None},
+             any(ball is None for ball in [*walkers.values(), *cells.values()]))
+            for walkers, cells in reference_draw.balls(plans, ids, k)]
 
 
 def balls_of(plans, ids, k):
@@ -541,8 +551,8 @@ def test_localized_draws_equal_the_full_draw(case):
     sampler = _SequenceSampler(make(), params, "linkmirage")
     plans = sampler.plans
     balls = balls_of(plans, uv, params.k)
-    entries = list(map(layout_entries, balls))
-    assert entries == own_entries(plans, uv, params.k)
+    assert list(map(layout_entries, balls)) == drawn_entries(plans, uv, params.k)
+    entries = own_entries(plans, uv, params.k)
     assert any(len(labels) + len(pairs)
                < len(plan.diff.unchanged) + len(plan.diff.changed) + len(plan.pair_tasks)
                for (labels, pairs), plan in zip(entries, plans))
@@ -555,13 +565,14 @@ def test_localized_draws_equal_the_full_draw(case):
     for sample in range(30):
         full = sample_draws(plans, params, root, sample)
         # drawing only the balls gives each entry's rows at the queried pair,
-        # and every entry it does not build holds none
+        # only the own entries hold any, and an entry without rows is absent
         ball = sample_draws(plans, params, root, sample, balls)
         for (intra, inter), (b_intra, b_inter), (labels, pairs) in zip(full, ball, entries):
-            assert set(b_intra) == labels and set(b_inter) == pairs
+            assert set(b_intra) <= labels and set(b_inter) <= pairs
             for got, want in ((b_intra, intra), (b_inter, inter)):
-                assert all(np.array_equal(got.get(key, EMPTY), at(rows))
-                           for key, rows in want.items())
+                want = {key: at(rows) for key, rows in want.items()}
+                assert got.keys() == {key for key, rows in want.items() if len(rows)}
+                assert all(np.array_equal(got[key], want[key]) for key in got)
         features.append([_edge_feature(step_edges(*draw), *uv) for draw in full])
     # one call draws the 30 samples in blocks, as 30 draws of one sample do,
     # and draws of the own entries only their k-balls: fewer walkers and
@@ -587,16 +598,19 @@ def test_localized_draws_equal_the_full_draw(case):
 
 
 def check_own_entries(plans, params, ids, root, samples=3):
-    """At every step, the layout for ``ids`` builds exactly the ids' own
-    entries, and no other entry of the full draw holds a row at them."""
+    """At every step, the layout for ``ids`` draws exactly the ids' own
+    entries that are not copied, copies when one of them is, and no other
+    entry of the full draw holds a row at them."""
     keys = [_hash(root, t, np.arange(samples)) for t in range(len(plans))]
-    for (labels, pairs), layout, draw in zip(own_entries(plans, ids, params.k),
-                                             balls_of(plans, ids, params.k),
-                                             _draws(map(_layout, plans), params.k, keys)):
-        assert layout_entries(layout) == (labels, pairs)
-        for key, (start, stop) in draw.spans.items():
-            if key not in labels and key not in pairs:
-                assert not np.isin(draw.rows[start:stop, 1:], ids).any(), key
+    for (labels, pairs), drawn, layout, plan, draw in zip(
+            own_entries(plans, ids, params.k), drawn_entries(plans, ids, params.k),
+            balls_of(plans, ids, params.k), plans,
+            _draws(map(_layout, plans), params.k, keys)):
+        assert layout_entries(layout) == drawn
+        for part in split_draw(draw, plan.clustering):
+            for key, rows in part.items():
+                if key not in labels and key not in pairs:
+                    assert not np.isin(rows[:, 1:], ids).any(), key
 
 
 @pytest.mark.parametrize("case", sorted(LOCALIZED_CASES))
@@ -631,24 +645,24 @@ def test_reads_of_identical_snapshots_reach_back_to_t0():
     (label,) = set(plans[0].clustering.label_of([0, 1]).tolist())
     pairs = {(task.a, task.b) for task in plans[0].pair_tasks if label in (task.a, task.b)}
     assert pairs and len(pairs) < len(plans[0].pair_tasks)
-    balls = balls_of(plans, (0, 1), 2)
-    assert list(map(layout_entries, balls)) == [({label}, pairs)] * 3
+    assert own_entries(plans, (0, 1), 2) == [({label}, pairs)] * 3
     # t = 0 draws the balls of its entries, and each later step copies them
-    assert balls[0].labels.tolist() == [label] and set(balls[0].pairs) == pairs
-    assert not balls[0].unchanged and not balls[0].reused
-    assert all(not layout.labels.size and not layout.pairs for layout in balls[1:])
+    balls = balls_of(plans, (0, 1), 2)
+    assert list(map(layout_entries, balls)) == [({label}, pairs, False),
+                                                 *[(set(), set(), True)] * 2]
 
 
 # -- the fused step draw against the per-entry reference ----------------------
 
 
-def assert_same_draw(fused, reference, walk_major=None):
-    """The fused draw's entries are the reference's, key for key in the same
-    order and row for row. ``walk_major`` (S) reads each walk entry's rows
-    as the raw draw lays them out, walker by walker, and compares them
-    sample by sample."""
-    for got, want in zip(split_draw(fused), reference):
-        assert list(got) == list(want)
+def assert_same_draw(fused, reference, clustering, walk_major=None):
+    """The fused draw's entries, its rows grouped by their ends' labels under
+    ``clustering``, are the reference's, key for key and row for row; an
+    entry without rows compares as absent. ``walk_major`` (S) reads each
+    walk entry's rows as the raw draw lays them out, walker by walker, and
+    compares them sample by sample."""
+    for got, want in zip(split_draw(fused, clustering), reference):
+        assert list(got) == sorted(key for key, rows in want.items() if len(rows))
         for key, rows in got.items():
             if walk_major and not isinstance(key, tuple):
                 rows = rows.reshape(-1, walk_major, 3).transpose(1, 0, 2).reshape(-1, 3)
@@ -663,24 +677,27 @@ def check_fused_draws(plans, params, samples, ids, root):
     copies nothing."""
     keys = [_hash(root, t, np.arange(samples)) for t in range(len(plans))]
     k = params.k
-    for fused, want in zip(_draws(map(_layout, plans), k, keys),
-                           reference_draw.draws(plans, params, keys)):
-        assert_same_draw(fused, want)
+    for fused, want, plan in zip(_draws(map(_layout, plans), k, keys),
+                                 reference_draw.draws(plans, params, keys), plans):
+        assert_same_draw(fused, want, plan.clustering)
     at_ids = functools.partial(reference_draw.perturb_rows, ends=ids)
-    for fused, want in zip(_draws(balls_of(plans, ids, k), k, keys),
-                           reference_draw.draws(plans, params, keys,
-                                                reference_draw.balls(plans, ids, k), at_ids)):
-        assert_same_draw(fused, want)
+    for fused, want, plan in zip(_draws(balls_of(plans, ids, k), k, keys),
+                                 reference_draw.draws(plans, params, keys,
+                                                      reference_draw.balls(plans, ids, k), at_ids),
+                                 plans):
+        assert_same_draw(fused, want, plan.clustering)
     for plan, step_keys in zip(plans, keys):
         if plan.diff.unchanged or plan.reused_pairs:
             continue
+        # raw rows name positions in the plan's graph: compare them as ids
         positions = plan.graph.vertices
         walks = functools.partial(reference_draw.walker_rows, ids=positions)
         intra, inter = reference_draw.sample_step(plan, None, params, step_keys, draw=walks)
-        inter = {pair: np.column_stack([rows[:, :1], np.searchsorted(positions, rows[:, 1:])])
-                 for pair, rows in inter.items()}
+        intra = {label: np.column_stack([rows[:, :1], positions[rows[:, 1:]]])
+                 for label, rows in intra.items()}
         fused = _sample_step(_layout(plan, raw=True), None, k, step_keys)
-        assert_same_draw(fused, (intra, inter), walk_major=samples)
+        fused = np.column_stack([fused[:, :1], positions[fused[:, 1:]]])
+        assert_same_draw(fused, (intra, inter), plan.clustering, walk_major=samples)
 
 
 @st.composite
@@ -712,25 +729,16 @@ def churned_sequences(draw):
     return TemporalGraphSequence(snaps)
 
 
-def shuffled_spans(draw, rng):
-    """``draw`` with each entry's rows permuted inside its span."""
-    rows = draw.rows.copy()
-    for start, stop in draw.spans.values():
-        rows[start:stop] = rows[start + rng.permutation(stop - start)]
-    return perturb._StepDraw(rows, draw.spans)
-
-
-def entry_row_sets(draw):
-    """Each entry's rows of a step draw, as a set."""
-    return {key: set(map(tuple, draw.rows[start:stop].tolist()))
-            for key, (start, stop) in draw.spans.items()}
+def row_set(draw):
+    """The rows of a step draw, as a set."""
+    return set(map(tuple, draw.tolist()))
 
 
 @pytest.mark.parametrize("case", ["vertex-leaves", "three-blocks", "audit"])
 def test_no_reader_depends_on_the_row_order_inside_an_entry(case):
-    # each entry's rows are contiguous, in the order of the pass that made
-    # them; permuting them inside their spans changes no row set the next
-    # step copies, no release and no feature or degree count
+    # a draw's rows owe no order, inside an entry or across entries:
+    # permuting the whole draw changes no row the next step copies, no
+    # release and no feature or degree count
     make, settings, uv, _ = LOCALIZED_CASES[case]
     params = PerturbParams(**settings)
     seq = make()
@@ -743,16 +751,15 @@ def test_no_reader_depends_on_the_row_order_inside_an_entry(case):
         for layout, plan, step_keys in zip(layouts, plans, keys):
             draw = _sample_step(layout, carried, params.k, step_keys)
             if carried is not None:
-                again = _sample_step(layout, shuffled_spans(carried, rng), params.k, step_keys)
-                assert again.spans == draw.spans
-                assert entry_row_sets(again) == entry_row_sets(draw)
-                copied |= bool(layout.unchanged or layout.reused)
-            shuffled = shuffled_spans(draw, rng)
-            moved |= not np.array_equal(shuffled.rows, draw.rows)
-            assert np.array_equal(_edge_features(shuffled.rows, *uv, samples),
-                                  _edge_features(draw.rows, *uv, samples))
+                again = _sample_step(layout, rng.permutation(carried), params.k, step_keys)
+                assert row_set(again) == row_set(draw)
+                copied |= layout.copies
+            shuffled = rng.permutation(draw)
+            moved |= not np.array_equal(shuffled, draw)
+            assert np.array_equal(_edge_features(shuffled, *uv, samples),
+                                  _edge_features(draw, *uv, samples))
             for sample in range(samples):
-                release, reordered = (Graph(d.rows[d.rows[:, 0] == sample, 1:],
+                release, reordered = (Graph(d[d[:, 0] == sample, 1:],
                                             vertices=plan.clustering.vertices)
                                       for d in (draw, shuffled))
                 assert np.array_equal(release.edges, reordered.edges)
@@ -763,9 +770,9 @@ def test_no_reader_depends_on_the_row_order_inside_an_entry(case):
     n = graph.num_vertices
     draw = _sample_step(_layout(build_step_plan(graph, None, params), raw=True), None,
                         params.k, keys[0])
-    shuffled = shuffled_spans(draw, rng)
-    assert not np.array_equal(shuffled.rows, draw.rows)
-    counts = [np.bincount((d.rows[:, :1] * n + d.rows[:, 1:]).ravel(), minlength=samples * n)
+    shuffled = rng.permutation(draw)
+    assert not np.array_equal(shuffled, draw)
+    counts = [np.bincount((d[:, :1] * n + d[:, 1:]).ravel(), minlength=samples * n)
               for d in (draw, shuffled)]
     assert np.array_equal(*counts)
 
@@ -783,6 +790,30 @@ def test_fused_step_draws_equal_the_per_entry_draw(seq, k, m, theta, samples, ro
         check_own_entries(plans, params, ids, root)
 
 
+def check_rows_name_entries(plans, layouts, k, keys):
+    """Every row of every step's draw lies in exactly one entry of its plan:
+    its ends' labels name one community, or the two of one pair task."""
+    for plan, draw in zip(plans, _draws(layouts, k, keys), strict=True):
+        ends = np.sort(plan.clustering.label_of(draw[:, 1:]), axis=1)
+        pairs = {(task.a, task.b) for task in plan.pair_tasks}
+        assert (ends >= 0).all()
+        assert all(a == b or (a, b) in pairs for a, b in ends.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(churned_sequences(), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from([0.5, 0.8, 1.0]), st.integers(0, 2**64 - 1),
+       st.lists(st.integers(0, 40), min_size=2, max_size=2, unique=True))
+def test_every_drawn_row_names_one_entry_of_its_plan(seq, k, m, theta, root, ids):
+    # the carry reads each carried row's entry from its ends' labels: whole
+    # and ball layouts of LinkMirage and static plans
+    params = PerturbParams(k=k, m=m, theta=theta, seed=0)
+    for plans in (_plan_chain(seq, params), perturb._static_plans(seq)):
+        keys = [_hash(root, t, np.arange(3)) for t in range(len(plans))]
+        for layouts in (map(_layout, plans), balls_of(plans, ids, k)):
+            check_rows_name_entries(plans, layouts, k, keys)
+
+
 def test_fused_draw_cases_cover_every_kind_of_entry():
     # the fixed cases hold every kind of entry a plan chain has: reused
     # pairs, joiners and leavers of matched communities, and changed
@@ -796,9 +827,7 @@ def test_fused_draw_cases_cover_every_kind_of_entry():
     for seq, params, uv in cases:
         plans = _plan_chain(seq, params)
         for plan in plans:
-            communities = plan.clustering.communities
             seen.update({"reused pair"} if plan.reused_pairs else set())
-            seen.update({"leaver"} if plan.left else set())
             edged = set(plan.clustering.labels[plan.graph.edge_positions[:, 0]].tolist())
             seen.update({"edgeless changed"} if set(plan.diff.changed) - edged else set())
         for prev_plan, plan in zip(plans, plans[1:]):
@@ -806,6 +835,8 @@ def test_fused_draw_cases_cover_every_kind_of_entry():
             now = plan.clustering.communities
             if any(now[label] - before[prev] for prev, label in plan.diff.unchanged):
                 seen.add("joiner")
+            if reference_draw.leavers(prev_plan.clustering, plan):
+                seen.add("leaver")
         check_fused_draws(plans, params, 3, uv, 12345)
         check_fused_draws(perturb._static_plans(seq), params, 3, uv, 12345)
     assert seen == {"reused pair", "leaver", "joiner", "edgeless changed"}
@@ -883,7 +914,8 @@ def release_draws(seq, params, graphs):
     posterior does. Each gives the release of its step."""
     plans = _plan_chain(seq, params)
     keys = [_step_key(params.seed, t) for t in range(len(plans))]
-    draws = [edge_draw(draw) for draw in _draws(map(_layout, plans), params.k, keys)]
+    draws = [edge_draw(draw, plan.clustering)
+             for draw, plan in zip(_draws(map(_layout, plans), params.k, keys), plans)]
     for t, draw in enumerate(draws):
         assert graphs[t] == Graph(step_edges(*draw), vertices=seq.snapshots[t].vertices)
     return draws
@@ -1010,8 +1042,8 @@ def reference_carry(plan, carried):
     endpoints' current labels are the entry's label (intra) or, sorted, its
     pair (inter)."""
     label_of = plan.clustering.label_of
-    intra = {label: carried[0][prev] for prev, label in plan.diff.unchanged}
-    inter = {pair: carried[1][key] for pair, key in plan.reused_pairs.items()}
+    intra = {label: carried[0].get(prev, EMPTY) for prev, label in plan.diff.unchanged}
+    inter = {pair: carried[1].get(key, EMPTY) for pair, key in plan.reused_pairs.items()}
     return ({label: e[(label_of(e) == label).all(axis=1)] for label, e in intra.items()},
             {pair: e[(np.sort(label_of(e), axis=1) == pair).all(axis=1)]
              for pair, e in inter.items()})
@@ -1026,8 +1058,9 @@ def test_carry_filter_matches_the_membership_rule(m, theta):
         draws = release_draws(seq, params, graphs)
         for t in range(1, len(plans)):
             for got_part, want_part in zip(draws[t], reference_carry(plans[t], draws[t - 1])):
-                assert all(np.array_equal(got_part[key], want) for key, want in want_part.items())
-            moved += bool(plans[t].left)
+                assert all(np.array_equal(got_part.get(key, EMPTY), want)
+                           for key, want in want_part.items())
+            moved += bool(reference_draw.leavers(plans[t - 1].clustering, plans[t]))
     # matched communities hold the same vertices at theta = 1, so none leave
     assert (moved > 0) == (theta < 1.0)
 
@@ -1075,12 +1108,13 @@ def test_a_vertex_moving_between_matched_communities_carries_no_edge(m):
     seq = moved_vertex_sequence()
     params = PerturbParams(k=2, m=m, theta=0.7, seed=3)
     graphs, records = linkmirage_run(seq, params)
-    plan = _plan_chain(seq, params)[1]
+    first, plan = _plan_chain(seq, params)
     assert plan.diff.unchanged == [(0, 0), (6, 5)] and plan.reused_pairs == {(0, 5): (0, 6)}
-    assert {p: ids.tolist() for p, ids in plan.left.items()} == {0: [5]}
-    # a layout holds the left ids in one array, concatenated once
-    assert _layout(plan).left.tolist() == [5]
-    assert _layout(_plan_chain(seq, params)[0]).left.size == 0
+    assert reference_draw.leavers(first.clustering, plan) == {0: {5}}
+    # every previous id but the leaver is kept, labelled by its match's
+    # position in diff.unchanged; t = 0 keeps none
+    assert plan.kept.label_of(range(12)).tolist() == [0] * 5 + [-1] + [1] * 6
+    assert _layout(plan).kept is plan.kept and not first.kept.vertices.size
     (intra_0, _), (intra_1, _) = map(group_edges, graphs, [r.clustering for r in records])
     assert (intra_0[0] == 5).any()
     check_draw(records[1].clustering, release_draws(seq, params, graphs)[1])

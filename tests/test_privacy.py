@@ -18,7 +18,7 @@ from linkmirage import (Graph, LinkQuery, PerturbParams, PriorModel,
 from linkmirage import perturb, privacy
 from linkmirage.perturb import _plan_chain, _root_key, perturb_static_baseline_sequence
 from linkmirage.privacy import _edge_feature, fit_logistic_1d
-from reference_draw import reference_carries
+from reference_draw import leavers, reference_carries
 
 
 # -- prior ---------------------------------------------------------------------
@@ -330,8 +330,10 @@ def exact_likelihood(world, params, uv, observed):
     """Exact probability of the observed feature sequence in a LinkMirage
     hypothesis world at k = 1. Tracks, per grouped entry of each step's draw,
     the set of edges touching u or v: a fresh entry is enumerated, a carried
-    one is the previous step's entry minus the edges of members who left."""
+    one is the previous step's entry minus the edges of members who left,
+    read off the previous and the current clustering."""
     mass = {(): 1.0}   # entries of the draws that match so far -> probability
+    prev_clustering = None
     for plan, obs in zip(_plan_chain(world, params), observed):
         communities = plan.clustering.communities
         fresh = [(("intra", label), walk_distribution(plan.graph.subgraph(communities[label]), uv))
@@ -339,12 +341,13 @@ def exact_likelihood(world, params, uv, observed):
         fresh += [(("inter", (task.a, task.b)), pair_distribution(task, uv))
                   for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs]
         keys = [key for key, _ in fresh]
+        left = {} if prev_clustering is None else leavers(prev_clustering, plan)
         nxt = {}
         for entries, p in mass.items():
             prev = dict(entries)
 
             def carry(key, *prev_labels):
-                gone = {x for label in prev_labels for x in plan.left.get(label, [])}
+                gone = set().union(*(left.get(label, ()) for label in prev_labels))
                 return frozenset(e for e in prev.get(key, ()) if not gone & set(e))
 
             carried = [(("intra", label), carry(("intra", prev_label), prev_label))
@@ -356,7 +359,7 @@ def exact_likelihood(world, params, uv, observed):
                 if enumerated_feature(set().union(*(e for _, e in drawn)), uv) == obs:
                     state = tuple(sorted(drawn))
                     nxt[state] = nxt.get(state, 0.0) + p * math.prod(q for _, q in combo)
-        mass = nxt
+        mass, prev_clustering = nxt, plan.clustering
     return sum(mass.values())
 
 
@@ -366,25 +369,26 @@ def bridged_blocks(*extra, drop=()):
     return Graph([e for e in base + list(extra) if e not in drop and not set(e) & set(drop)])
 
 
-def reuses_query_block(plan, uv):
+def reuses_query_block(prev, plan, uv):
     # u's block is matched; a pair listing u is redrawn
     return reference_carries(plan, uv) and any(
         uv[0] in np.concatenate([task.nodes_a, task.nodes_b])
         for task in plan.pair_tasks if (task.a, task.b) not in plan.reused_pairs)
 
 
-def reuses_pair_at_u(plan, uv):
+def reuses_pair_at_u(prev, plan, uv):
     return any(uv[0] in np.concatenate([task.nodes_a, task.nodes_b])
                for task in plan.pair_tasks if (task.a, task.b) in plan.reused_pairs)
 
 
-def member_leaves_u(plan, uv):
+def member_leaves_u(prev, plan, uv):
     prev_of_u = plan.diff.prev_for.get(int(plan.clustering.label_of(uv[0])))
-    return prev_of_u in plan.left
+    return prev_of_u in leavers(prev.clustering, plan)
 
 
 # (t = 0 snapshot, t = 1 snapshot, params, query (u, v), shape of step 1 in
-# both hypothesis worlds); the observation is the release at seed 0
+# both hypothesis worlds, read off the plans of both steps); the observation
+# is the release at seed 0
 T1_CASES = {
     "query-block-reused-pair-redrawn": (
         bridged_blocks(drop=(5,)), bridged_blocks(), dict(theta=1.0), (2, 0),
@@ -397,7 +401,7 @@ T1_CASES = {
         member_leaves_u),
     "both-blocks-changed": (
         bridged_blocks(), bridged_blocks(drop=[(0, 2), (1, 2)]), {}, (4, 5),
-        lambda plan, uv: not reference_carries(plan, uv)),
+        lambda prev, plan, uv: not reference_carries(plan, uv)),
 }
 
 
@@ -414,7 +418,7 @@ def test_posterior_matches_enumeration_at_t1(monkeypatch, case):
     like = {}
     for present in (True, False):
         world = privacy._hypothesis_world(seq, query, present)
-        assert shape(_plan_chain(world, params)[1], uv)
+        assert shape(*_plan_chain(world, params), uv)
         like[present] = exact_likelihood(world, params, uv, features)
     model = PriorModel(seed=5)
     prior = prior_probability(query, model, seq)

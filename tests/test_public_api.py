@@ -112,6 +112,7 @@ def test_benchmark_reaches_the_library_through_live_names():
     ("linkmirage.perturb", "_walks"),
     ("linkmirage.perturb", "draw_walker_edges"),
     ("linkmirage.utility", "_walker_rows"),
+    ("linkmirage.perturb", "_StepDraw"),
 ])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
@@ -162,8 +163,9 @@ def test_record_holds_only_its_partition():
 
 
 def test_step_plan_has_one_membership_map():
+    # the plan keeps the previous ids still in their match, not its leavers
     names = [f.name for f in dataclasses.fields(_StepPlan)]
-    assert "left" in names and "present" not in names
+    assert "kept" in names and not {"left", "present"} & set(names)
 
 
 def test_a_step_draw_has_one_kernel():
@@ -174,9 +176,16 @@ def test_a_step_draw_has_one_kernel():
     assert not hasattr(_StepPlan, "drawn") and not hasattr(_PairTask, "sample")
     for func in (_sample_step, _draws):
         assert "draw" not in inspect.signature(func).parameters
+    # a draw is one array of rows: the carry reads each row's entry from its
+    # ends' kept labels, so no pass counts rows per entry and the layout
+    # lists no copied entry
+    layout_fields = {f.name for f in dataclasses.fields(_DrawLayout)}
+    assert {"graph", "kept", "reused_keys", "copies"} <= layout_fields
+    assert not {"left", "unchanged", "reused"} & layout_fields
+    for func in (_sample_step, _walk_rows, _grid_rows):
+        assert inspect.signature(func).return_annotation == "np.ndarray", func.__name__
     # the kernel reads a layout and the walk length k, never a plan beside
     # the layout built from it, nor the whole PerturbParams
-    assert {"graph", "left"} <= {f.name for f in dataclasses.fields(_DrawLayout)}
     for func in (_sample_step, _draws, _sample_blocks):
         params = inspect.signature(func).parameters
         assert not {"plan", "plans", "params"} & params.keys(), func.__name__
@@ -185,7 +194,6 @@ def test_a_step_draw_has_one_kernel():
     assert "itertools" not in names_used(ROOT / "src" / "linkmirage" / "perturb.py")
     # a grid pass keeps its hits in the order it finds them, and its layout
     # holds one cell count per grid, not one grid index per cell
-    layout_fields = {f.name for f in dataclasses.fields(_DrawLayout)}
     assert "sizes" in layout_fields and "grid" not in layout_fields
     calls = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
              for node in ast.walk(ast.parse(inspect.getsource(_grid_rows)))
